@@ -3,10 +3,10 @@
 //! scalar reference engine against the packed bit-plane kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pdf_atpg::{Justifier, SimBackend, TestSet};
+use pdf_atpg::{Justifier, TestSet};
 use pdf_bench::setup;
 use pdf_netlist::simulate_triples;
-use pdf_sim::{PackedBlock, LANES};
+use pdf_sim::PackedBlock;
 
 /// A deterministic many-test workload: justified tests for the first
 /// faults, cycled up to `count` tests.
@@ -34,36 +34,29 @@ fn bench_circuit(c: &mut Criterion, name: &str, n_p: usize, n_p0: usize) {
         b.iter(|| simulate_triples(&s.circuit, &triples));
     });
     group.bench_function(format!("{name}/waveforms_packed_block"), |b| {
-        // One packed pass = 64 tests; amortized cost per test is this /64.
-        let block_tests = &tests.tests()[..LANES];
+        // One packed pass = 256 tests; amortized cost per test is this /256.
+        let block_tests = tests.tests();
         let mut block: PackedBlock = PackedBlock::new();
         b.iter(|| {
             block.load(&s.circuit, block_tests);
             block.lanes()
         });
     });
-    group.bench_function(format!("{name}/waveforms_packed_block_512"), |b| {
-        // One 512-lane pass = 256 tests here; amortized cost is this /256.
-        let block_tests = tests.tests();
-        let mut block: PackedBlock<[u64; 8]> = PackedBlock::new();
-        b.iter(|| {
-            block.load(&s.circuit, block_tests);
-            block.lanes()
-        });
-    });
     group.bench_function(format!("{name}/coverage_scalar"), |b| {
+        // The scalar oracle: one waveform simulation per test.
         b.iter(|| {
-            tests
-                .coverage_with(SimBackend::Scalar, &s.circuit, &s.faults)
-                .detected_count()
+            let mut detected = vec![false; s.faults.len()];
+            for t in tests.tests() {
+                let waves = simulate_triples(&s.circuit, &t.to_triples());
+                for (d, e) in detected.iter_mut().zip(s.faults.iter()) {
+                    *d |= e.assignments.satisfied_by(&waves);
+                }
+            }
+            detected.iter().filter(|&&d| d).count()
         });
     });
     group.bench_function(format!("{name}/coverage_packed"), |b| {
-        b.iter(|| {
-            tests
-                .coverage_with(SimBackend::Packed, &s.circuit, &s.faults)
-                .detected_count()
-        });
+        b.iter(|| tests.coverage(&s.circuit, &s.faults).detected_count());
     });
     group.finish();
 }

@@ -1,81 +1,26 @@
-//! Measures scalar vs packed *justification* throughput on the largest
-//! bundled stand-in and writes the result to `BENCH_justify.json`.
+//! Measures *justification* throughput on the largest bundled stand-in
+//! and writes the result to `BENCH_justify.json`.
 //!
 //! The figure of merit is *attempts per second*: one attempt is one fully
 //! specified random completion of the necessary-value fixpoint, evaluated
-//! through the requirement cone. The packed backend evaluates up to its
-//! tile width of them per cone simulation (the width comes from
-//! `PDF_SIM_WIDTH`, default auto-detected); the scalar oracle simulates
-//! each individually (stopping early at the first hit, which the count
-//! reflects). Both engines draw identical random fill words, so they find
-//! the same tests for the same faults — asserted below.
+//! through the requirement cone. The packed kernel evaluates up to 256
+//! of them (four 64-candidate groups) per cone simulation. The report
+//! gives the min/median/max of repeated samples for both the whole run
+//! and its completion phase; rates use the median.
 //!
-//! With event-driven propagation on (the default), each completion pass
-//! re-evaluates only the lines whose input rails actually changed; the
-//! `events` block reports how small that slice of the circuit is.
+//! Event-driven propagation re-evaluates only the lines whose input rails
+//! actually changed between completion passes; the `events` block reports
+//! how small that slice of the circuit is.
 //!
 //! Run with `--release`; circuit and workload can be overridden via
 //! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS` (justification calls here).
 
-use std::time::Instant;
-
-use pdf_atpg::{BudgetSpec, Justifier, JustifyStats, RunBudget, SimBackend, SimOptions};
-use pdf_bench::setup;
+use pdf_atpg::{Justifier, SimWidth};
+use pdf_bench::{bench_budget, measure, setup, Spread};
 use pdf_experiments::json::Json;
 
-/// The optional `PDF_TIME_BUDGET` bound on the sampling loops. The budget
-/// gates *harness repetitions*, never the justifier itself, so the
-/// determinism cross-checks stay meaningful: an exhausted budget means
-/// fewer samples, not different outcomes.
-fn bench_budget() -> RunBudget {
-    match BudgetSpec::from_env().unwrap_or_else(|e| panic!("{e}")) {
-        Some(spec) => {
-            let now = Instant::now();
-            RunBudget::with_deadline(spec.deadline_for("bench", now, now))
-        }
-        None => RunBudget::unlimited(),
-    }
-}
-
-struct Measured {
-    /// Wall time of the best full run.
-    total_seconds: f64,
-    /// Completion-phase time within that run.
-    completion_seconds: f64,
-    found: usize,
-    stats: JustifyStats,
-}
-
-fn measure(budget: &RunBudget, mut f: impl FnMut() -> (usize, JustifyStats, f64)) -> Measured {
-    // One warm-up, then the best of three timed runs. At least one timed
-    // run always happens; the budget only trims the extra samples.
-    let (found, _, _) = f();
-    let mut best = Measured {
-        total_seconds: f64::INFINITY,
-        completion_seconds: f64::INFINITY,
-        found,
-        stats: JustifyStats::default(),
-    };
-    for sample in 0..3 {
-        if sample > 0 && budget.exhausted() {
-            eprintln!("warning: time budget exhausted after {sample} sample(s)");
-            break;
-        }
-        let start = Instant::now();
-        let (again, stats, completion_seconds) = f();
-        assert_eq!(again, found, "nondeterministic justification");
-        let total_seconds = start.elapsed().as_secs_f64();
-        if total_seconds < best.total_seconds {
-            best = Measured {
-                total_seconds,
-                completion_seconds,
-                found,
-                stats,
-            };
-        }
-    }
-    best
-}
+/// Timed samples per measurement.
+const SAMPLES: usize = 5;
 
 fn main() {
     // Honor PDF_FAILPOINTS so chaos drills cover the bench binaries too.
@@ -83,7 +28,6 @@ fn main() {
     let _telemetry = pdf_telemetry::Guard::from_env();
     let circuit_name = std::env::var("PDF_BENCH_CIRCUIT").unwrap_or_else(|_| "s9234*".to_owned());
     let n_calls: usize = pdf_experiments::env_parse("PDF_BENCH_TESTS").unwrap_or(256);
-    let opts = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     // Abort on structural defects before the sampling loops spend any
     // budget (PDF_LINT=off skips, =warn reports without aborting).
@@ -91,94 +35,78 @@ fn main() {
     let s = setup(&circuit_name, 2_000, 200);
     let entries: Vec<_> = s.faults.iter().collect();
     assert!(!entries.is_empty(), "no faults on {circuit_name}");
-    let run = |o: SimOptions| {
-        let entries = &entries;
-        let circuit = &s.circuit;
-        move || {
-            let mut justifier = Justifier::new(circuit, 3).with_attempts(4).with_options(o);
-            let mut found = 0usize;
-            for call in 0..n_calls {
-                // Every requirement set is visited twice in a row, so a
-                // healthy cone cache shows a ~50% hit rate.
-                let entry = entries[call / 2 % entries.len()];
-                found += usize::from(justifier.justify(&entry.assignments).is_some());
-            }
-            (found, justifier.stats(), justifier.completion_seconds())
+
+    // Completion-phase seconds of every call of the closure below, the
+    // warm-up first.
+    let mut completion_seconds = Vec::new();
+    let (total, (found, stats)) = measure(&bench_budget(), SAMPLES, || {
+        let mut justifier = Justifier::new(&s.circuit, 3).with_attempts(4);
+        let mut found = 0usize;
+        for call in 0..n_calls {
+            // Every requirement set is visited twice in a row, so a
+            // healthy cone cache shows a ~50% hit rate.
+            let entry = entries[call / 2 % entries.len()];
+            found += usize::from(justifier.justify(&entry.assignments).is_some());
         }
-    };
+        completion_seconds.push(justifier.completion_seconds());
+        (found, justifier.stats())
+    });
+    let completion = Spread::of(&completion_seconds[1..]);
 
-    let packed_opts = opts.with_backend(SimBackend::Packed);
-    let budget = bench_budget();
-    let scalar = measure(&budget, run(opts.with_backend(SimBackend::Scalar)));
-    let packed = measure(&budget, run(packed_opts));
-    assert_eq!(scalar.found, packed.found, "backends disagree on outcomes");
-
-    // Attempts/sec of the completion engines themselves; the phases
-    // around them (necessary-value fixpoint, guided fallback) are
-    // backend-independent and would only dilute the comparison.
-    let scalar_rate = scalar.stats.completion_attempts as f64 / scalar.completion_seconds;
-    let packed_rate = packed.stats.completion_attempts as f64 / packed.completion_seconds;
-    let speedup = packed_rate / scalar_rate;
-    let cache_total = packed.stats.cone_hits + packed.stats.cone_misses;
-    let hit_rate = packed.stats.cone_hits as f64 / cache_total.max(1) as f64;
+    // Attempts/sec of the completion engine itself; the phases around it
+    // (necessary-value fixpoint, guided fallback) would only dilute it.
+    let rate = stats.completion_attempts as f64 / completion.median;
+    let cache_total = stats.cone_hits + stats.cone_misses;
+    let hit_rate = stats.cone_hits as f64 / cache_total.max(1) as f64;
     // Event economy: lines actually evaluated per completion pass, as an
     // absolute count and as a fraction of the whole circuit. Narrow-cone
     // calls with most pins frozen should keep the fraction well under
     // one even though passes repeat over the same cone.
-    let blocks = packed.stats.packed_blocks.max(1) as f64;
-    let events_per_block = packed.stats.events_propagated as f64 / blocks;
+    let blocks = stats.packed_blocks.max(1) as f64;
+    let events_per_block = stats.events_propagated as f64 / blocks;
     let lines_fraction = events_per_block / s.circuit.line_count() as f64;
+    let width = SimWidth::auto().lanes();
     println!(
-        "justify_throughput {circuit_name}: {n_calls} calls, {} justified; \
-         scalar {scalar_rate:.3e} attempts/s, packed {packed_rate:.3e} attempts/s \
-         @ width {} (events {}), speedup {speedup:.1}x, cone-cache hit rate {:.0}%, \
-         {events_per_block:.0} lines/block ({:.1}% of circuit), \
-         end-to-end {:.2}s -> {:.2}s",
-        packed.found,
-        packed_opts.width.lanes(),
-        if packed_opts.events { "on" } else { "off" },
+        "justify_throughput {circuit_name}: {n_calls} calls, {found} justified; \
+         {rate:.3e} attempts/s @ width {width}, cone-cache hit rate {:.0}%, \
+         {events_per_block:.0} lines/block ({:.1}% of circuit), end-to-end {:.2}s \
+         (completion {:.3}s)",
         hit_rate * 100.0,
         lines_fraction * 100.0,
-        scalar.total_seconds,
-        packed.total_seconds,
+        total.median,
+        completion.median,
     );
 
-    let backend_json = |m: &Measured| {
-        Json::object()
-            .field("seconds", m.completion_seconds)
-            .field("total_seconds", m.total_seconds)
-            .field("attempts", m.stats.completion_attempts)
-            .field(
-                "attempts_per_sec",
-                m.stats.completion_attempts as f64 / m.completion_seconds,
-            )
-    };
     let report = Json::object()
         .field("circuit", circuit_name.as_str())
         .field("lines", s.circuit.line_count())
         .field("calls", n_calls)
-        .field("justified", packed.found)
-        .field("scalar", backend_json(&scalar))
+        .field("justified", found)
         .field(
             "packed",
-            backend_json(&packed).field("blocks", packed.stats.packed_blocks),
+            Json::object()
+                .field("seconds", completion.median)
+                .field("total_seconds", total.median)
+                .field("attempts", stats.completion_attempts)
+                .field("attempts_per_sec", rate)
+                .field("blocks", stats.packed_blocks)
+                .field("completion_spread", completion.to_json())
+                .field("total_spread", total.to_json()),
         )
-        .field("width", packed_opts.width.lanes())
-        .field("event_driven", packed_opts.events)
-        .field("speedup", speedup)
+        .field("width", width)
         .field(
             "events",
             Json::object()
-                .field("events_propagated", packed.stats.events_propagated)
-                .field("lines_skipped", packed.stats.lines_skipped)
+                .field("events_propagated", stats.events_propagated)
+                .field("lines_skipped", stats.lines_skipped)
                 .field("events_per_block", events_per_block)
                 .field("lines_fraction", lines_fraction),
         )
         .field(
             "cone_cache",
             Json::object()
-                .field("hits", packed.stats.cone_hits)
-                .field("misses", packed.stats.cone_misses)
+                .field("hits", stats.cone_hits)
+                .field("misses", stats.cone_misses)
                 .field("hit_rate", hit_rate),
         );
     std::fs::write("BENCH_justify.json", report.to_pretty())

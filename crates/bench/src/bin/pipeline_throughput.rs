@@ -2,54 +2,22 @@
 //! bundled stand-in and writes the result to `BENCH_pipeline.json`.
 //!
 //! The figure of merit is the end-to-end enrichment-generation time at
-//! 1/2/4/8 worker threads over the same fault population. Every pooled
-//! run is asserted byte-identical to the single-threaded reference (test
-//! text, detection counts, justification counters) before its time is
-//! recorded — a scaling number from a run that diverged would be
-//! meaningless. The report also records the auto-selected packed tile
-//! width alongside a per-width coverage timing of the generated test
-//! set, so the width calibration is auditable from the same artifact.
-//! Run with `--release` (ideally `RUSTFLAGS="-C target-cpu=native"`);
-//! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
-//! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
+//! 1/2/4/8 worker threads over the same fault population, as the
+//! min/median/max of repeated samples. Every pooled run is asserted
+//! byte-identical to the single-threaded reference (test text, detection
+//! counts, justification counters) — a scaling number from a run that
+//! diverged would be meaningless. A thread count above the machine's
+//! `cores` still runs once for that check, but its curve point is
+//! published as `"measured": false`: it would time oversubscription, not
+//! scaling. Run with `--release`; circuit and workload can be overridden
+//! via `PDF_BENCH_CIRCUIT`, `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
 
-use std::time::Instant;
-
-use pdf_atpg::{
-    AtpgConfig, BudgetSpec, EnrichmentAtpg, RunBudget, SimBackend, SimOptions, SimWidth,
-};
-use pdf_bench::setup;
+use pdf_atpg::{AtpgConfig, EnrichmentAtpg, JustifyStats};
+use pdf_bench::{bench_budget, measure, setup};
 use pdf_experiments::json::Json;
 
-/// The optional `PDF_TIME_BUDGET` bound on the sampling loops. The budget
-/// gates *harness repetitions*, never the generation itself: an exhausted
-/// budget means fewer samples, not different outcomes.
-fn bench_budget() -> RunBudget {
-    match BudgetSpec::from_env().unwrap_or_else(|e| panic!("{e}")) {
-        Some(spec) => {
-            let now = Instant::now();
-            RunBudget::with_deadline(spec.deadline_for("bench", now, now))
-        }
-        None => RunBudget::unlimited(),
-    }
-}
-
-/// One warm-up, then the best of up to two timed runs; the budget only
-/// trims the extra sample.
-fn measure<R>(budget: &RunBudget, f: impl Fn() -> R) -> (f64, R) {
-    let mut result = f();
-    let mut best = f64::INFINITY;
-    for sample in 0..2 {
-        if sample > 0 && budget.exhausted() {
-            eprintln!("warning: time budget exhausted after {sample} sample(s)");
-            break;
-        }
-        let start = Instant::now();
-        result = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, result)
-}
+/// Timed samples per measured thread count.
+const SAMPLES: usize = 3;
 
 fn main() {
     // Honor PDF_FAILPOINTS so chaos drills cover the bench binaries too.
@@ -58,108 +26,86 @@ fn main() {
     let circuit_name = std::env::var("PDF_BENCH_CIRCUIT").unwrap_or_else(|_| "s9234*".to_owned());
     let n_p: usize = pdf_experiments::env_parse("PDF_BENCH_NP").unwrap_or(2_000);
     let n_p0: usize = pdf_experiments::env_parse("PDF_BENCH_NP0").unwrap_or(200);
-    let sim = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     pdf_experiments::preflight_lint(&[circuit_name.as_str()]);
     let s = setup(&circuit_name, n_p, n_p0);
     let budget = bench_budget();
+    // Scaling is bounded by the machine: a 1-core runner records ~1x at
+    // every count, so only counts up to `cores` are timed.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    let generate = |threads: usize| {
+    // What a run must reproduce: test text and count, detections,
+    // justification counters.
+    let generate = |threads: usize| -> (String, usize, usize, JustifyStats) {
         let config = AtpgConfig {
-            sim,
             threads,
             ..AtpgConfig::default()
         };
-        EnrichmentAtpg::new(&s.circuit)
+        let outcome = EnrichmentAtpg::new(&s.circuit)
             .with_config(config)
-            .run(&s.split)
+            .run(&s.split);
+        (
+            outcome.tests().to_text(),
+            outcome.tests().len(),
+            outcome.detected_total(),
+            outcome.stats().justify,
+        )
     };
 
-    // The single-threaded reference: every pooled run must reproduce it
-    // byte for byte before its wall-clock counts.
-    let (serial_s, reference) = measure(&budget, || generate(1));
-    let reference_text = reference.tests().to_text();
-
+    let (serial, reference) = measure(&budget, SAMPLES, || generate(1));
     let mut curve = Json::object();
-    let mut curve_rows = vec![(1_usize, serial_s)];
-    for threads in [2_usize, 4, 8] {
-        let (seconds, outcome) = measure(&budget, || generate(threads));
-        assert_eq!(
-            outcome.tests().to_text(),
-            reference_text,
-            "{threads}-thread test set diverged from the serial reference"
-        );
-        assert_eq!(
-            outcome.detected_total(),
-            reference.detected_total(),
-            "{threads}-thread detection diverged"
-        );
-        assert_eq!(
-            outcome.stats().justify,
-            reference.stats().justify,
-            "{threads}-thread justification counters diverged"
-        );
-        curve_rows.push((threads, seconds));
-    }
-    let mut speedup_at_4 = 1.0;
-    for &(threads, seconds) in &curve_rows {
-        let speedup = serial_s / seconds;
-        if threads == 4 {
-            speedup_at_4 = speedup;
-        }
-        curve = curve.field(
-            &threads.to_string(),
-            Json::object()
-                .field("seconds", seconds)
-                .field("speedup_vs_single", speedup),
-        );
-    }
-
-    // Width calibration row: coverage of the generated test set at every
-    // packed tile width, plus the width `auto` resolved to.
-    let tests = reference.tests();
-    let mut per_width = Json::object();
-    for width in SimWidth::ALL {
-        let o = sim.with_backend(SimBackend::Packed).with_width(width);
-        let (seconds, det) = measure(&budget, || {
-            tests
-                .coverage_with(o, &s.circuit, &s.faults)
-                .detected_count()
-        });
-        assert_eq!(det, reference.detected_total(), "width {width} disagrees");
-        per_width = per_width.field(width.label(), Json::object().field("seconds", seconds));
-    }
-
+    let mut speedup_at_4 = Json::Null;
     println!(
-        "pipeline_throughput {circuit_name}: {} faults, {} tests; 1t {serial_s:.3}s, \
-         4t speedup {speedup_at_4:.2}x, auto width {}",
+        "pipeline_throughput {circuit_name}: {} faults, {} tests, {cores} core(s)",
         s.faults.len(),
-        tests.len(),
-        SimWidth::auto().lanes(),
+        reference.1,
     );
-    for &(threads, seconds) in &curve_rows {
-        println!(
-            "  threads {threads}: {seconds:.3}s ({:.2}x)",
-            serial_s / seconds
-        );
+    for threads in [1_usize, 2, 4, 8] {
+        let point = if threads > cores {
+            assert_eq!(
+                generate(threads),
+                reference,
+                "{threads}-thread run diverged from the serial reference"
+            );
+            println!("  threads {threads}: not measured (more threads than cores)");
+            Json::object().field("measured", false)
+        } else {
+            let (spread, outcome) = if threads == 1 {
+                (serial, reference.clone())
+            } else {
+                measure(&budget, SAMPLES, || generate(threads))
+            };
+            assert_eq!(
+                outcome, reference,
+                "{threads}-thread run diverged from the serial reference"
+            );
+            let speedup = serial.median / spread.median;
+            if threads == 4 {
+                speedup_at_4 = Json::Num(speedup);
+            }
+            println!(
+                "  threads {threads}: {:.3}s median ({speedup:.2}x)",
+                spread.median
+            );
+            Json::object()
+                .field("measured", true)
+                .field("seconds", spread.median)
+                .field("spread", spread.to_json())
+                .field("speedup_vs_single", speedup)
+        };
+        curve = curve.field(&threads.to_string(), point);
     }
 
-    // Scaling is bounded by the machine: a 1-core runner records ~1x at
-    // every count, so the curve is only meaningful next to `cores`.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = Json::object()
         .field("schema", "pdf-bench-pipeline")
         .field("circuit", circuit_name.as_str())
         .field("cores", cores)
         .field("lines", s.circuit.line_count())
         .field("faults", s.faults.len())
-        .field("tests", tests.len())
-        .field("detected", reference.detected_total())
+        .field("tests", reference.1)
+        .field("detected", reference.2)
         .field("threads_curve", curve)
-        .field("speedup_at_4", speedup_at_4)
-        .field("auto_width", SimWidth::auto().lanes())
-        .field("width", sim.width.lanes())
-        .field("per_width", per_width);
+        .field("speedup_at_4", speedup_at_4);
     std::fs::write("BENCH_pipeline.json", report.to_pretty())
         .expect("cannot write BENCH_pipeline.json");
 }

@@ -3,63 +3,29 @@
 //!
 //! The figure of merit is *checks per second*: one check is one
 //! (test, fault) requirement evaluation, so a full coverage pass performs
-//! `tests × faults` of them. The packed engine is measured at every tile
-//! width (64/256/512 lanes) with event-driven propagation on; the
-//! headline `packed` row uses the width selected by `PDF_SIM_WIDTH`
-//! (default: auto-detected), and a `thread_scaling` row sweeps that
-//! configuration over the real worker counts (1, 2, 4, … up to the
-//! machine's fan-out) to expose the scaling curve. Run with
-//! `--release` (ideally `RUSTFLAGS="-C target-cpu=native"` so the wide
-//! tiles vectorize); circuit and workload can be overridden via
-//! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS`.
+//! `tests × faults` of them. The scalar row is the reference oracle (one
+//! waveform simulation per test); the packed row is the production
+//! kernel on its 256-lane tile, and a `thread_scaling` row sweeps it over
+//! the real worker counts (1, 2, 4, … up to the machine's fan-out). Every
+//! row reports the min/median/max of repeated samples; rates use the
+//! median. Run with `--release`; circuit and workload can be overridden
+//! via `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS`.
 
-use std::time::Instant;
-
-use pdf_atpg::{BudgetSpec, Justifier, RunBudget, SimBackend, SimOptions, SimWidth, TestSet};
-use pdf_bench::setup;
+use pdf_atpg::{Justifier, SimWidth, TestSet};
+use pdf_bench::{bench_budget, measure, setup, Spread};
 use pdf_experiments::json::Json;
+use pdf_netlist::simulate_triples;
 
-/// The optional `PDF_TIME_BUDGET` bound on the sampling loops. The budget
-/// gates *harness repetitions*, never the simulation itself, so the
-/// determinism cross-checks stay meaningful: an exhausted budget means
-/// fewer samples, not different outcomes.
-fn bench_budget() -> RunBudget {
-    match BudgetSpec::from_env().unwrap_or_else(|e| panic!("{e}")) {
-        Some(spec) => {
-            let now = Instant::now();
-            RunBudget::with_deadline(spec.deadline_for("bench", now, now))
-        }
-        None => RunBudget::unlimited(),
-    }
-}
-
-fn measure(budget: &RunBudget, f: impl Fn() -> usize) -> (f64, usize) {
-    // One warm-up, then the median-ish best of three timed runs. At least
-    // one timed run always happens; the budget only trims extra samples.
-    let detected = f();
-    let mut best = f64::INFINITY;
-    for sample in 0..3 {
-        if sample > 0 && budget.exhausted() {
-            eprintln!("warning: time budget exhausted after {sample} sample(s)");
-            break;
-        }
-        let start = Instant::now();
-        let again = f();
-        assert_eq!(again, detected, "nondeterministic coverage");
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, detected)
-}
+/// Timed samples per measurement.
+const SAMPLES: usize = 7;
 
 fn main() {
     // Honor PDF_FAILPOINTS so chaos drills cover the bench binaries too.
     pdf_chaos::install_from_env().unwrap_or_else(|e| panic!("{e}"));
     let _telemetry = pdf_telemetry::Guard::from_env();
     let circuit_name = std::env::var("PDF_BENCH_CIRCUIT").unwrap_or_else(|_| "s9234*".to_owned());
-    // Default workload: four full 512-lane blocks, so the widest tile is
-    // measured saturated rather than half-empty.
+    // Default workload: eight full 256-lane tiles.
     let n_tests: usize = pdf_experiments::env_parse("PDF_BENCH_TESTS").unwrap_or(2048);
-    let opts = SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"));
 
     // Abort on structural defects before the sampling loops spend any
     // budget (PDF_LINT=off skips, =warn reports without aborting).
@@ -77,39 +43,31 @@ fn main() {
 
     let checks = (tests.len() * s.faults.len()) as f64;
     let budget = bench_budget();
-    let coverage = |o: SimOptions| {
-        tests
-            .coverage_with(o, &s.circuit, &s.faults)
-            .detected_count()
+    let packed = || tests.coverage(&s.circuit, &s.faults).detected_count();
+    let scalar = || {
+        let mut detected = vec![false; s.faults.len()];
+        for t in tests.tests() {
+            let waves = simulate_triples(&s.circuit, &t.to_triples());
+            for (d, e) in detected.iter_mut().zip(s.faults.iter()) {
+                *d |= e.assignments.satisfied_by(&waves);
+            }
+        }
+        detected.iter().filter(|&&d| d).count()
     };
-    let (scalar_s, scalar_det) = measure(&budget, || coverage(SimBackend::Scalar.into()));
+    let (scalar_s, scalar_det) = measure(&budget, SAMPLES, scalar);
+    let (packed_s, packed_det) = measure(&budget, SAMPLES, packed);
+    assert_eq!(scalar_det, packed_det, "kernel disagrees with the oracle");
+    let row = |spread: &Spread| {
+        Json::object()
+            .field("seconds", spread.median)
+            .field("checks_per_sec", checks / spread.median)
+            .field("spread", spread.to_json())
+    };
 
-    // Every tile width, events on, full fan-out.
-    let mut widths = Json::object();
-    let mut width_rates = Vec::new();
-    for width in SimWidth::ALL {
-        let o = opts.with_backend(SimBackend::Packed).with_width(width);
-        let (seconds, det) = measure(&budget, || coverage(o));
-        assert_eq!(det, scalar_det, "width {width} disagrees with scalar");
-        width_rates.push((width, checks / seconds));
-        widths = widths.field(
-            width.label(),
-            Json::object()
-                .field("seconds", seconds)
-                .field("checks_per_sec", checks / seconds)
-                .field("speedup_vs_scalar", scalar_s / seconds),
-        );
-    }
-
-    // The headline packed row: the env-selected (default auto) width.
-    let packed_opts = opts.with_backend(SimBackend::Packed);
-    let (packed_s, packed_det) = measure(&budget, || coverage(packed_opts));
-    assert_eq!(scalar_det, packed_det, "backends disagree on coverage");
-
-    // Thread scaling: the same configuration swept over the actual
-    // worker counts (1, 2, 4, … up to the machine's full fan-out), each
-    // measured with `PDF_SIM_THREADS` pinned. The kernel re-reads the
-    // variable on every fan-out, so the pin scopes to one measurement.
+    // Thread scaling: the kernel swept over the actual worker counts (1,
+    // 2, 4, … up to the machine's full fan-out), each measured with
+    // `PDF_SIM_THREADS` pinned. The kernel re-reads the variable on every
+    // fan-out, so the pin scopes to one measurement.
     let threads = pdf_sim::max_threads();
     let mut counts: Vec<usize> = std::iter::successors(Some(1_usize), |n| n.checked_mul(2))
         .take_while(|&n| n < threads)
@@ -118,81 +76,56 @@ fn main() {
     let saved_threads = std::env::var("PDF_SIM_THREADS").ok();
     let mut curve = Json::object();
     let mut curve_rates = Vec::new();
-    let mut single_s = packed_s;
-    let mut full_s = packed_s;
+    let mut single_s = packed_s.median;
+    let mut full_s = packed_s.median;
     for &n in &counts {
         std::env::set_var("PDF_SIM_THREADS", n.to_string());
-        let (seconds, det) = measure(&budget, || coverage(packed_opts));
+        let (spread, det) = measure(&budget, SAMPLES, packed);
         assert_eq!(det, packed_det, "{n} thread(s) changed coverage");
         if n == 1 {
-            single_s = seconds;
+            single_s = spread.median;
         }
         if n == threads {
-            full_s = seconds;
+            full_s = spread.median;
         }
-        curve_rates.push((n, checks / seconds));
+        curve_rates.push((n, checks / spread.median));
         curve = curve.field(
             &n.to_string(),
-            Json::object()
-                .field("seconds", seconds)
-                .field("checks_per_sec", checks / seconds)
-                .field("scaling_vs_single", single_s / seconds),
+            row(&spread).field("scaling_vs_single", single_s / spread.median),
         );
     }
     match saved_threads {
         Some(v) => std::env::set_var("PDF_SIM_THREADS", v),
         None => std::env::remove_var("PDF_SIM_THREADS"),
     }
-    // Schema self-check: the headline `threads` count must be a point on
-    // the emitted curve, so the row can never go stale against the
-    // machine again.
-    assert!(
-        counts.contains(&threads),
-        "thread_scaling curve omits the full fan-out ({threads} threads)"
-    );
 
-    let speedup = scalar_s / packed_s;
+    let speedup = scalar_s.median / packed_s.median;
+    let width = SimWidth::auto().lanes();
     println!(
         "sim_throughput {circuit_name}: {} tests x {} faults; scalar {:.3e} checks/s, \
-         packed {:.3e} checks/s @ width {} ({} threads, events {}), speedup {speedup:.1}x, \
+         packed {:.3e} checks/s @ width {width} ({threads} threads), speedup {speedup:.1}x, \
          thread scaling {:.1}x",
         tests.len(),
         s.faults.len(),
-        checks / scalar_s,
-        checks / packed_s,
-        packed_opts.width.lanes(),
-        threads,
-        if packed_opts.events { "on" } else { "off" },
+        checks / scalar_s.median,
+        checks / packed_s.median,
         single_s / full_s,
     );
-    for (width, rate) in &width_rates {
-        println!("  width {:>3}: {rate:.3e} checks/s", width.lanes());
-    }
     for (n, rate) in &curve_rates {
         println!("  threads {n:>3}: {rate:.3e} checks/s");
     }
 
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = Json::object()
         .field("circuit", circuit_name.as_str())
+        .field("cores", cores)
         .field("lines", s.circuit.line_count())
         .field("tests", tests.len())
         .field("faults", s.faults.len())
         .field("detected", packed_det)
-        .field(
-            "scalar",
-            Json::object()
-                .field("seconds", scalar_s)
-                .field("checks_per_sec", checks / scalar_s),
-        )
-        .field(
-            "packed",
-            Json::object()
-                .field("seconds", packed_s)
-                .field("checks_per_sec", checks / packed_s),
-        )
-        .field("width", packed_opts.width.lanes())
-        .field("event_driven", packed_opts.events)
-        .field("widths", widths)
+        .field("scalar", row(&scalar_s))
+        .field("packed", row(&packed_s))
+        .field("width", width)
         .field("speedup", speedup)
         .field("threads", threads)
         .field(

@@ -16,7 +16,7 @@ use pdf_analyze::{
 };
 use pdf_atpg::{
     AtpgConfig, BasicAtpg, BranchGuide, BudgetSpec, Checkpoint, CheckpointPolicy, Compaction,
-    EnrichmentAtpg, RunBudget, TargetSplit,
+    EnrichmentAtpg, RunBudget, SimOptions, TargetSplit,
 };
 use pdf_faults::{FaultList, LearnedImplications};
 use pdf_logic::Value;
@@ -57,9 +57,7 @@ COMMANDS:
                         [--minimize] [--output FILE] [--telemetry FILE]
                         [--time-budget SPEC] [--checkpoint FILE]
                         [--checkpoint-every K] [--resume FILE] [--static-learning]
-                        [--sensitize] [--scoap]
-                        [--sim-width 64|256|512|auto] [--sim-events on|off]
-                        [--threads N] [--failpoints SPEC]
+                        [--sensitize] [--scoap] [--threads N] [--failpoints SPEC]
                                      generate a (optionally enriched) robust test
                                      set; exits 5 when --resume finds only
                                      corrupt checkpoint generations
@@ -74,13 +72,6 @@ COMMANDS:
     bench     <circuit>              emit the netlist as .bench text
 
 ENVIRONMENT:
-    PDF_SIM_BACKEND       `scalar` or `packed` (default); anything else aborts
-    PDF_SIM_WIDTH         packed tile width in lanes: `64`, `256`, `512` or
-                          `auto` (default: widest the CPU supports); results
-                          are identical at every width (--sim-width overrides)
-    PDF_SIM_EVENTS        `on` (default) or `off`: event-driven propagation
-                          in the packed kernel — skip lines whose fanins did
-                          not change (--sim-events overrides)
     PDF_SIM_THREADS       worker-thread count for fault-simulation fan-outs
                           (default: all available cores)
     PDF_THREADS           worker-thread count for atpg test generation
@@ -1070,7 +1061,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     let _telemetry = options
         .value("telemetry")
         .map(pdf_telemetry::Guard::to_path);
-    let sim = sim_options_from(options)?;
     let cap: usize = options.parsed("cap", 10_000)?;
     let n_p0: usize = options.parsed("np0", 1_000)?;
     let seed: u64 = options.parsed("seed", 2002)?;
@@ -1114,7 +1104,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         seed,
         compaction: heuristic_from(options)?,
         justify_attempts: attempts,
-        sim,
         cone_cache,
         budget,
         checkpoint,
@@ -1217,7 +1206,7 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
             None => RunBudget::unlimited(),
         };
         let (minimized, cut_short) =
-            tests.minimized_within(&compact_budget, sim, circuit, &everything);
+            tests.minimized_within(&compact_budget, SimOptions::default(), circuit, &everything);
         if cut_short {
             let _ = writeln!(
                 s,
@@ -1283,43 +1272,6 @@ pub fn cmd_sim(circuit: &Circuit, v1: &str, v2: &str) -> Result<String, CliError
     Ok(s)
 }
 
-/// The `PDF_SIM_BACKEND` selection, as a [`CliError`] naming the bad
-/// value and the accepted ones when the variable is set but unparsable.
-pub fn sim_backend_from_env() -> Result<pdf_sim::SimBackend, CliError> {
-    pdf_sim::SimBackend::from_env().map_err(|e| CliError::new(format!("PDF_SIM_BACKEND: {e}")))
-}
-
-/// The full simulation option block: the `PDF_SIM_BACKEND` /
-/// `PDF_SIM_WIDTH` / `PDF_SIM_EVENTS` environment selection, as a
-/// [`CliError`] naming the offending variable when one is unparsable.
-pub fn sim_options_from_env() -> Result<pdf_sim::SimOptions, CliError> {
-    pdf_sim::SimOptions::from_env().map_err(CliError::new)
-}
-
-/// [`sim_options_from_env`] plus the `--sim-width` and `--sim-events`
-/// command-line overrides.
-fn sim_options_from(options: &Options) -> Result<pdf_sim::SimOptions, CliError> {
-    let mut opts = sim_options_from_env()?;
-    if let Some(text) = options.value("sim-width") {
-        opts.width = text
-            .parse()
-            .map_err(|e| CliError::new(format!("--sim-width: {e}")))?;
-    }
-    if let Some(text) = options.value("sim-events") {
-        opts.events = match text.to_ascii_lowercase().as_str() {
-            "1" | "on" | "true" => true,
-            "0" | "off" | "false" => false,
-            other => {
-                return err(format!(
-                    "--sim-events: unknown event-propagation switch `{other}` \
-                     (accepted values: `on`, `off`, `1`, `0`, `true`, `false`)"
-                ))
-            }
-        };
-    }
-    Ok(opts)
-}
-
 /// Runs a full command line (without `argv[0]`). Returns the stdout text.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(command) = args.first() else {
@@ -1328,13 +1280,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if command == "--help" || command == "-h" || command == "help" {
         return Ok(USAGE.to_owned());
     }
-    // A bad simulation override must abort before any work happens,
-    // whatever the command — not surface halfway through a generation run.
-    let _ = sim_options_from_env()?;
-    // Same fail-fast contract for the chaos knobs: a malformed retry
-    // policy or failpoint spec aborts up front. A valid PDF_FAILPOINTS
-    // arms injection for every command (the atpg --failpoints flag
-    // re-installs over it).
+    // Fail fast on the chaos knobs: a malformed retry policy or failpoint
+    // spec aborts before any work happens, whatever the command. A valid
+    // PDF_FAILPOINTS arms injection for every command (the atpg
+    // --failpoints flag re-installs over it).
     let _ = pdf_chaos::RetryPolicy::from_env().map_err(CliError::new)?;
     pdf_chaos::install_from_env().map_err(CliError::new)?;
     let _telemetry = pdf_telemetry::Guard::from_env();
@@ -1407,8 +1356,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     "checkpoint",
                     "checkpoint-every",
                     "resume",
-                    "sim-width",
-                    "sim-events",
                     "threads",
                     "failpoints",
                 ],

@@ -6,7 +6,6 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use pdf_atpg::SimBackend;
 use pdf_matrix::{CellConfig, Invariant, ReproCase};
 
 fn scratch(name: &str) -> PathBuf {
@@ -136,17 +135,59 @@ fn matrix_env_twins_select_the_run_shape() {
 fn matrix_replay_of_a_clean_artifact_exits_zero() {
     // A hand-built artifact whose cells hold no bug: replay must report
     // that it no longer reproduces and exit 0.
-    let mut scalar = CellConfig::default_cell();
-    scalar.backend = SimBackend::Scalar;
+    let mut pooled = CellConfig::default_cell();
+    pooled.threads = 2;
     let repro = ReproCase {
         invariant: Invariant::Ident,
         detail: "fixed upstream".to_owned(),
         circuit: "s27".to_owned(),
         bench: None,
-        cells: vec![CellConfig::default_cell(), scalar],
+        cells: vec![CellConfig::default_cell(), pooled],
     };
     let path = scratch("clean-repro.json");
     std::fs::write(&path, repro.to_json().to_pretty()).unwrap();
+    let out = run(&["matrix", "--replay", path.to_str().unwrap()], &[]);
+    std::fs::remove_file(&path).ok();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("no longer reproduces"), "stdout: {stdout}");
+}
+
+/// An artifact written while the simulation engine, tile width and event
+/// propagation were matrix axes: every cell carries the three retired
+/// keys.
+const LEGACY_ARTIFACT: &str = r#"{
+  "schema": "pdf-matrix-repro",
+  "version": 1,
+  "invariant": "ident",
+  "detail": "tests differ between the scalar and packed cells",
+  "circuit": "s27",
+  "bench": null,
+  "cells": [
+    {"circuit": "s27", "backend": "scalar", "width": "512", "events": false,
+     "compaction": "values", "k": 2, "n_p": 300, "n_p0": 60,
+     "learning": false, "sensitize": false, "run_mode": "direct",
+     "threads": 1, "seed": 2002, "budget_minutes": null, "faults": null},
+    {"circuit": "s27", "backend": "packed", "width": "64", "events": true,
+     "compaction": "values", "k": 2, "n_p": 300, "n_p0": 60,
+     "learning": false, "sensitize": false, "run_mode": "direct",
+     "threads": 2, "seed": 2002, "budget_minutes": null, "faults": null}
+  ]
+}"#;
+
+#[test]
+fn legacy_artifacts_with_simulation_axes_parse_and_replay() {
+    let repro = ReproCase::parse(LEGACY_ARTIFACT).expect("legacy artifact parses");
+    assert_eq!(repro.cells.len(), 2);
+    assert_eq!(repro.cells[0], CellConfig::default_cell());
+    assert_eq!(repro.cells[1].threads, 2);
+
+    let path = scratch("legacy-repro.json");
+    std::fs::write(&path, LEGACY_ARTIFACT).unwrap();
     let out = run(&["matrix", "--replay", path.to_str().unwrap()], &[]);
     std::fs::remove_file(&path).ok();
     assert!(

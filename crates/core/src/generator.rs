@@ -128,10 +128,9 @@ pub struct AtpgConfig {
     pub justify_attempts: u32,
     /// How secondary targets extend the test under construction.
     pub secondary_mode: SecondaryMode,
-    /// The simulation options (backend, packed tile width, event-driven
-    /// propagation) the justifier evaluates completion blocks with. All
-    /// combinations produce identical tests and coverage for a fixed
-    /// seed; a bare [`SimBackend`] converts via `.into()`.
+    /// The simulation option block. Simulation has one configuration —
+    /// the event-driven packed kernel on a 256-lane tile — so the block
+    /// carries no settings ([`SimOptions`]).
     pub sim: SimOptions,
     /// Capacity of the justifier's cone-topology LRU cache (entries);
     /// `0` disables caching. Each worker keeps its own cache — there is
@@ -215,20 +214,20 @@ impl Default for AtpgConfig {
 }
 
 /// The configuration facets a checkpoint pins: resuming under a different
-/// compaction heuristic, secondary mode, attempt count, backend or round
-/// batch size would silently diverge from the interrupted run, so resume
-/// refuses them. Tile width, event mode and the thread count are
-/// deliberately *not* pinned: witnesses are byte-identical across them,
-/// so resuming a run on a machine with a different vector width or core
-/// count is safe.
+/// compaction heuristic, secondary mode, attempt count or round batch size
+/// would silently diverge from the interrupted run, so resume refuses
+/// them. The thread count is deliberately *not* pinned: output is
+/// byte-identical across it, so resuming on a machine with a different
+/// core count is safe. The literal `packed` segment names the one
+/// simulation engine and keeps checkpoints written when the engine was
+/// selectable resumable.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
-        "{}:{}:{}:{}:batch={}",
+        "{}:{}:{}:packed:batch={}",
         config.compaction.label(),
         config.secondary_mode.label(),
         config.justify_attempts,
-        config.sim.backend,
         config.batch.max(1)
     );
     if let Some(table) = &config.learned {
@@ -698,7 +697,6 @@ fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
     // primary alone, and its cone cache is private to this worker call.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
         .with_attempts(ctx.config.justify_attempts)
-        .with_options(ctx.config.sim)
         .with_cone_cache(ctx.config.cone_cache)
         .with_budget(budget.clone());
     if let Some(guide) = &ctx.config.guide {
@@ -1461,7 +1459,6 @@ mod tests {
     use super::*;
     use pdf_netlist::iscas::s27;
     use pdf_paths::PathEnumerator;
-    use pdf_sim::SimBackend;
 
     fn s27_faults() -> (Circuit, FaultList) {
         let c = s27();
@@ -1473,12 +1470,19 @@ mod tests {
     fn config(compaction: Compaction) -> AtpgConfig {
         AtpgConfig {
             compaction,
-            // Run the whole generator suite under the option block of the
-            // CI leg (`PDF_SIM_BACKEND`/`PDF_SIM_WIDTH`/`PDF_SIM_EVENTS`),
-            // not just the default.
-            sim: SimOptions::from_env().expect("PDF_SIM_* must parse"),
+            sim: SimOptions::default(),
             ..AtpgConfig::default()
         }
+    }
+
+    #[test]
+    fn default_fingerprint_keeps_the_legacy_packed_segment() {
+        // Checkpoints written while the engine was selectable carry this
+        // exact string; resume compares it verbatim.
+        assert_eq!(
+            config_fingerprint(&AtpgConfig::default()),
+            "values:regenerate:1:packed:batch=8"
+        );
     }
 
     #[test]
@@ -1649,45 +1653,6 @@ mod tests {
             enriched_p0 + 2 >= basic_p0,
             "enriched {enriched_p0} vs basic {basic_p0}"
         );
-    }
-
-    #[test]
-    fn enrichment_coverage_is_backend_independent() {
-        // Both completion engines draw the same random fill words per
-        // block, so for equal seeds the whole multi-set run — tests,
-        // per-set detections, everything — is backend-independent. The
-        // acceptance bar is per-set coverage; test identity is stronger
-        // and currently holds.
-        let synth = pdf_netlist::stand_in_profile("b09")
-            .expect("known stand-in")
-            .generate()
-            .to_circuit()
-            .expect("combinational");
-        for c in [s27(), synth] {
-            let paths = PathEnumerator::new(&c).with_cap(400).enumerate();
-            let (faults, _) = FaultList::build(&c, &paths.store);
-            let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
-            let run = |opts: SimOptions| {
-                EnrichmentAtpg::new(&c)
-                    .with_config(AtpgConfig {
-                        sim: opts,
-                        justify_attempts: 2,
-                        ..AtpgConfig::default()
-                    })
-                    .run(&split)
-            };
-            let scalar = run(SimBackend::Scalar.into());
-            let packed = run(SimBackend::Packed.into());
-            for set in 0..2 {
-                assert_eq!(
-                    scalar.detected_in_set(set),
-                    packed.detected_in_set(set),
-                    "set {set}"
-                );
-            }
-            assert_eq!(scalar.detected(), packed.detected());
-            assert_eq!(scalar.tests().tests(), packed.tests().tests());
-        }
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //!    fails;
 //! 3. **random completion**: the surviving free positions are filled with
 //!    random values in groups of [`pdf_sim::LANES`] (= 64) complete
-//!    candidate tests, all groups drawn up front. The packed backend
-//!    simulates up to `tile width / 64` groups per bit-plane pass (one
-//!    pass at width 64, fewer passes as the tile widens); the scalar
-//!    oracle walks the same candidates one cone simulation each. The
+//!    candidate tests, all groups drawn up front. The packed kernel
+//!    simulates up to four groups per 256-lane bit-plane pass. The
 //!    lowest-numbered candidate whose waveforms satisfy every requirement
-//!    (hazard-freeness included) becomes the witness, so every backend,
-//!    tile width and event mode returns the same test;
+//!    (hazard-freeness included) becomes the witness — the same test the
+//!    test-only scalar oracle finds by walking the candidates one cone
+//!    simulation each;
 //! 4. if no completion block hits, the paper's **guided decision search**
 //!    runs as a fallback: an input with exactly one specified pattern
 //!    value is stabilized, else a random unspecified position of a random
@@ -39,7 +38,7 @@ use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind, SplitMix64, TwoPattern};
 use pdf_runctl::RunBudget;
-use pdf_sim::{PackedBlock, SimBackend, SimOptions, SimWidth, SimWord, LANES};
+use pdf_sim::{PackedBlock, SimOptions, SimWord, Tile, LANES};
 
 /// Default capacity (entries) of the cone-topology LRU cache.
 pub const DEFAULT_CONE_CACHE: usize = 64;
@@ -144,16 +143,13 @@ pub struct JustifyStats {
     pub conflicts: usize,
     /// Calls that failed the final hazard/satisfaction check.
     pub unsatisfied: usize,
-    /// Cone simulations performed (a packed 64-lane block counts as one).
+    /// Cone simulations performed (a packed pass counts as one).
     pub simulations: usize,
-    /// Random completions evaluated. The packed backend evaluates whole
-    /// passes (up to its tile width in lanes) at once; the scalar oracle
-    /// stops at the first satisfying lane, so its count can be lower for
-    /// the same calls.
+    /// Random completions evaluated: 64 per candidate group of every
+    /// packed pass, whether or not an earlier lane already hit.
     pub completion_attempts: usize,
-    /// Bit-plane completion passes simulated (packed backend). A pass
-    /// covers up to `tile width` candidate lanes, so this count shrinks
-    /// as the width grows.
+    /// Bit-plane completion passes simulated. A pass covers up to four
+    /// 64-candidate groups.
     pub packed_blocks: usize,
     /// Calls resolved by a random-completion lane rather than the guided
     /// decision search.
@@ -162,9 +158,9 @@ pub struct JustifyStats {
     pub cone_hits: usize,
     /// Cone topologies built from scratch.
     pub cone_misses: usize,
-    /// Lines actually (re-)evaluated by packed completion passes — with
-    /// event-driven propagation on, far fewer than `order length × passes`
-    /// because frozen-pin regions settle once and stay settled.
+    /// Lines actually (re-)evaluated by packed completion passes — far
+    /// fewer than `order length × passes`, because event-driven
+    /// propagation lets frozen-pin regions settle once and stay settled.
     pub events_propagated: u64,
     /// Lines packed completion passes visited but skipped because no
     /// fanin rail changed since the previous pass.
@@ -200,12 +196,10 @@ impl JustifyStats {
 /// The simulation-based justification engine.
 ///
 /// The engine owns a deterministic RNG: two engines created with the same
-/// seed and fed the same call sequence produce identical tests. The random
-/// fill words of the completion phase are drawn identically under both
-/// [`SimBackend`]s, so for a fixed seed the scalar oracle and the packed
-/// kernel also agree call by call — on justifiability always, and on the
-/// witness itself in the current implementation (only the former is
-/// contractual; see `DESIGN.md` §10).
+/// seed and fed the same call sequence produce identical tests. The
+/// test-only scalar oracle draws the same completion fill words, so for a
+/// fixed seed it agrees with the packed kernel call by call, witness
+/// included (see `DESIGN.md` §10).
 ///
 /// # Example
 ///
@@ -230,13 +224,11 @@ pub struct Justifier<'c> {
     circuit: &'c Circuit,
     rng: SplitMix64,
     attempts: u32,
-    opts: SimOptions,
     stats: JustifyStats,
     /// Scratch waveform buffer, one slot per line.
     scratch: Vec<Triple>,
-    /// Reusable bit-plane arena for packed completion passes, at the
-    /// width selected by [`Justifier::with_options`].
-    packed: PackedArena,
+    /// Reusable bit-plane arena for packed completion passes.
+    packed: PackedBlock,
     cones: ConeCache,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
@@ -245,27 +237,30 @@ pub struct Justifier<'c> {
     /// Cooperative time/cancellation budget polled at call entry, per
     /// completion block and per guided-search decision.
     budget: RunBudget,
+    /// Evaluate completion groups on the scalar oracle instead of the
+    /// packed kernel — the differential tests' reference engine.
+    #[cfg(test)]
+    scalar_oracle: bool,
 }
 
 impl<'c> Justifier<'c> {
     /// Creates a justifier with the given RNG seed, a single completion
-    /// block per call, the default packed backend and the default cone
-    /// cache ([`DEFAULT_CONE_CACHE`]).
+    /// block per call and the default cone cache ([`DEFAULT_CONE_CACHE`]).
     #[must_use]
     pub fn new(circuit: &'c Circuit, seed: u64) -> Justifier<'c> {
-        let opts = SimOptions::default();
         Justifier {
             circuit,
             rng: SplitMix64::new(seed),
             attempts: 1,
-            opts,
             stats: JustifyStats::default(),
             scratch: vec![Triple::UNKNOWN; circuit.line_count()],
-            packed: PackedArena::new(opts.width, opts.events),
+            packed: PackedBlock::new(),
             cones: ConeCache::new(DEFAULT_CONE_CACHE),
             guide: None,
             completion: std::time::Duration::ZERO,
             budget: RunBudget::unlimited(),
+            #[cfg(test)]
+            scalar_oracle: false,
         }
     }
 
@@ -273,33 +268,18 @@ impl<'c> Justifier<'c> {
     /// (≥ 1). More groups trade run time for fewer random misses — the
     /// paper notes such misses as the source of its run-to-run variation.
     /// The RNG draws every group's fill words up front, so the witness
-    /// (and the RNG stream) depends only on this count, never on the
-    /// backend, tile width or event mode evaluating the groups.
+    /// (and the RNG stream) depends only on this count, never on how many
+    /// groups one packed pass evaluates.
     #[must_use]
     pub fn with_attempts(mut self, attempts: u32) -> Justifier<'c> {
         self.attempts = attempts.max(1);
         self
     }
 
-    /// Selects the engine evaluating completion passes: the packed
-    /// bit-plane kernel (default) or the scalar oracle. Both agree on
-    /// justifiability for equal seeds; drivers map `PDF_SIM_BACKEND` here.
+    /// Accepts the simulation option block. It has no settings (see
+    /// [`SimOptions`]), so the justifier is returned unchanged.
     #[must_use]
-    pub fn with_backend(mut self, backend: SimBackend) -> Justifier<'c> {
-        self.opts.backend = backend;
-        self
-    }
-
-    /// Installs a full simulation option block: backend, packed tile
-    /// width and event-driven propagation. Replaces the packed arena, so
-    /// call it before the first `justify`. All combinations produce
-    /// byte-identical witnesses for equal seeds; drivers map
-    /// `PDF_SIM_BACKEND`/`PDF_SIM_WIDTH`/`PDF_SIM_EVENTS` here.
-    #[must_use]
-    pub fn with_options(mut self, opts: impl Into<SimOptions>) -> Justifier<'c> {
-        let opts = opts.into();
-        self.opts = opts;
-        self.packed = PackedArena::new(opts.width, opts.events);
+    pub fn with_options(self, _opts: SimOptions) -> Justifier<'c> {
         self
     }
 
@@ -354,8 +334,7 @@ impl<'c> Justifier<'c> {
     /// Wall time spent evaluating random-completion blocks, across all
     /// calls. [`JustifyStats::completion_attempts`] divided by this is the
     /// completion engine's throughput — the phases around it (the
-    /// necessary-value fixpoint, the guided fallback) are
-    /// backend-independent and excluded.
+    /// necessary-value fixpoint, the guided fallback) are excluded.
     #[must_use]
     pub fn completion_seconds(&self) -> f64 {
         self.completion.as_secs_f64()
@@ -400,8 +379,7 @@ impl<'c> Justifier<'c> {
         self.sim_cone(&cone, &state);
         self.stats.simulations += 1;
 
-        // Phase 1 — the necessary-value fixpoint. Purely deterministic,
-        // shared by both backends.
+        // Phase 1 — the necessary-value fixpoint. Purely deterministic.
         if !self.fixpoint(&cone, &mut state) {
             self.stats.conflicts += 1;
             return None;
@@ -419,9 +397,8 @@ impl<'c> Justifier<'c> {
         // group's fill words are drawn up front, group-major (group `g`,
         // open slot `k` is draw `g·|open| + k`; bit `j` of a word is
         // candidate `g·64 + j`'s value for that slot), so the RNG stream
-        // and the first satisfying candidate — the witness — are
-        // identical for every backend, tile width and event mode. Wider
-        // tiles merely evaluate more groups per propagation pass.
+        // and the first satisfying candidate — the witness — do not
+        // depend on how many groups one propagation pass evaluates.
         let open: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| (0..2).map(move |pos| (i, pos)))
             .filter(|&(i, pos)| !pick(&state[i], pos).is_specified())
@@ -518,8 +495,8 @@ impl<'c> Justifier<'c> {
     /// Evaluates every random-completion group of the call (free slots
     /// filled from `fills`, group-major: bit `j` of
     /// `fills[g·|open| + k]` is candidate `g·64 + j`'s value for
-    /// `open[k]`). Dispatches to the backend/width the justifier was
-    /// configured with; the outcome is identical across all of them.
+    /// `open[k]`) on the packed kernel — or, in the differential tests, on
+    /// the scalar oracle, which must return the same outcome.
     fn completion_groups(
         &mut self,
         req: &Assignments,
@@ -529,7 +506,8 @@ impl<'c> Justifier<'c> {
         fills: &[u64],
         groups: usize,
     ) -> PassOutcome {
-        if self.opts.backend == SimBackend::Scalar {
+        #[cfg(test)]
+        if self.scalar_oracle {
             return self.scalar_groups(req, cone, state, open, fills, groups);
         }
         let Justifier {
@@ -539,21 +517,14 @@ impl<'c> Justifier<'c> {
             budget,
             ..
         } = self;
-        match packed {
-            PackedArena::W64(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
-            PackedArena::W256(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
-            PackedArena::W512(b) => packed_passes(
-                b, circuit, req, cone, state, open, fills, groups, stats, budget,
-            ),
-        }
+        packed_passes(
+            packed, circuit, req, cone, state, open, fills, groups, stats, budget,
+        )
     }
 
     /// The oracle: the same candidates in the same global order, one cone
     /// simulation each, stopping at the first satisfying one.
+    #[cfg(test)]
     fn scalar_groups(
         &mut self,
         req: &Assignments,
@@ -809,35 +780,13 @@ fn fully_specified(state: &[(Value, Value)]) -> bool {
 }
 
 /// A committed value as `(zero_rail, one_rail)` tiles broadcast across
-/// every lane of the word type.
+/// every lane.
 #[inline]
-fn splat_rails<W: SimWord>(v: Value) -> (W, W) {
+fn splat_rails(v: Value) -> (Tile, Tile) {
     match v {
-        Value::Zero => (W::ONES, W::ZERO),
-        Value::One => (W::ZERO, W::ONES),
-        Value::X => (W::ZERO, W::ZERO),
-    }
-}
-
-/// The justifier's reusable bit-plane arena, monomorphized at the tile
-/// width selected via [`Justifier::with_options`]. Keeping the width in a
-/// closed enum (rather than a type parameter on [`Justifier`]) leaves the
-/// engine's public type width-independent — drivers pick the width at run
-/// time from `PDF_SIM_WIDTH`.
-#[derive(Clone, Debug)]
-enum PackedArena {
-    W64(PackedBlock<u64>),
-    W256(PackedBlock<[u64; 4]>),
-    W512(PackedBlock<[u64; 8]>),
-}
-
-impl PackedArena {
-    fn new(width: SimWidth, events: bool) -> PackedArena {
-        match width {
-            SimWidth::W64 => PackedArena::W64(PackedBlock::new().with_events(events)),
-            SimWidth::W256 => PackedArena::W256(PackedBlock::new().with_events(events)),
-            SimWidth::W512 => PackedArena::W512(PackedBlock::new().with_events(events)),
-        }
+        Value::Zero => (Tile::ONES, Tile::ZERO),
+        Value::One => (Tile::ZERO, Tile::ONES),
+        Value::X => (Tile::ZERO, Tile::ZERO),
     }
 }
 
@@ -852,14 +801,14 @@ enum PassOutcome {
     Aborted,
 }
 
-/// Evaluates completion groups on the packed kernel, up to `W::WORDS`
+/// Evaluates completion groups on the packed kernel, up to `Tile::WORDS`
 /// groups per bit-plane pass. Lane numbering within a pass is
 /// sub-block-major — lane `g_local · 64 + bit` is global candidate
 /// `(pass_start + g_local) · 64 + bit` — matching the scalar oracle's
 /// scan order, so the first satisfying lane is the same witness.
 #[allow(clippy::too_many_arguments)]
-fn packed_passes<W: SimWord>(
-    block: &mut PackedBlock<W>,
+fn packed_passes(
+    block: &mut PackedBlock,
     circuit: &Circuit,
     req: &Assignments,
     cone: &Cone,
@@ -870,13 +819,13 @@ fn packed_passes<W: SimWord>(
     stats: &mut JustifyStats,
     budget: &RunBudget,
 ) -> PassOutcome {
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
+    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, Tile::LANES as u64);
     let mut pass_start = 0usize;
     while pass_start < groups {
         if pass_start > 0 && budget.exhausted() {
             return PassOutcome::Aborted;
         }
-        let here = (groups - pass_start).min(W::WORDS);
+        let here = (groups - pass_start).min(Tile::WORDS);
         stats.packed_blocks += 1;
         stats.completion_attempts += here * LANES;
         stats.simulations += 1;
@@ -884,11 +833,11 @@ fn packed_passes<W: SimWord>(
         // Broadcast the committed values across all lanes, then overwrite
         // the free slots with their per-lane fill rails (one 64-candidate
         // group per 64-bit word of the tile).
-        let mut first: Vec<(W, W)> = state.iter().map(|s| splat_rails(s.0)).collect();
-        let mut last: Vec<(W, W)> = state.iter().map(|s| splat_rails(s.1)).collect();
+        let mut first: Vec<(Tile, Tile)> = state.iter().map(|s| splat_rails(s.0)).collect();
+        let mut last: Vec<(Tile, Tile)> = state.iter().map(|s| splat_rails(s.1)).collect();
         for (k, &(i, pos)) in open.iter().enumerate() {
-            let mut zero = W::ZERO;
-            let mut one = W::ZERO;
+            let mut zero = Tile::ZERO;
+            let mut one = Tile::ZERO;
             for g in 0..here {
                 let w = fills[(pass_start + g) * open.len() + k];
                 zero.set_word(g, !w);
@@ -915,7 +864,9 @@ fn packed_passes<W: SimWord>(
         pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, kernel.lines_skipped);
         // Unused tile groups of a partial pass carry broadcast-only lanes
         // that may spuriously satisfy the requirements — mask them off.
-        let lanes = block.satisfied_lanes(req).and(W::low_lanes(here * LANES));
+        let lanes = block
+            .satisfied_lanes(req)
+            .and(Tile::low_lanes(here * LANES));
         if let Some(lane) = lanes.first_lane() {
             return PassOutcome::Hit(pass_start * LANES + lane);
         }
@@ -1099,10 +1050,11 @@ mod tests {
         PathDelayFault::new(path, pol)
     }
 
-    /// The backend the test process runs under (`PDF_SIM_BACKEND`), so the
-    /// CI scalar/packed legs exercise both completion engines.
-    fn env_backend() -> SimBackend {
-        SimBackend::from_env().expect("PDF_SIM_BACKEND must parse")
+    /// A packed justifier, or its scalar-oracle twin.
+    fn engine(c: &Circuit, seed: u64, oracle: bool) -> Justifier<'_> {
+        let mut j = Justifier::new(c, seed);
+        j.scalar_oracle = oracle;
+        j
     }
 
     #[test]
@@ -1110,7 +1062,7 @@ mod tests {
         let c = s27();
         let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let mut j = Justifier::new(&c, 42).with_backend(env_backend());
+        let mut j = Justifier::new(&c, 42);
         let r = j.justify(&a).expect("testable fault");
         assert!(r.test.is_fully_specified());
         assert!(a.satisfied_by(&r.waves));
@@ -1125,65 +1077,116 @@ mod tests {
             Polarity::SlowToRise,
         );
         let a = robust_assignments(&c, &f).unwrap();
-        for backend in SimBackend::ALL {
-            let r1 = Justifier::new(&c, 7)
-                .with_backend(backend)
-                .justify(&a)
-                .unwrap();
-            let r2 = Justifier::new(&c, 7)
-                .with_backend(backend)
-                .justify(&a)
-                .unwrap();
-            assert_eq!(r1.test, r2.test, "{backend}");
+        for oracle in [false, true] {
+            let r1 = engine(&c, 7, oracle).justify(&a).unwrap();
+            let r2 = engine(&c, 7, oracle).justify(&a).unwrap();
+            assert_eq!(r1.test, r2.test, "oracle {oracle}");
         }
     }
 
     #[test]
-    fn justify_seeded_is_deterministic_per_seed_and_backend() {
+    fn justify_seeded_is_deterministic_per_seed_and_engine() {
         // The freeze-values entry point: same seed + same frozen pins must
-        // reproduce the same witness, per backend.
+        // reproduce the same witness, per engine.
         let c = s27();
         let f1 = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let f2 = s27_fault(&[1, 8, 12, 25], Polarity::SlowToRise);
         let a1 = robust_assignments(&c, &f1).unwrap();
         let a2 = robust_assignments(&c, &f2).unwrap();
         let merged = a1.merged(&a2).expect("compatible requirements");
-        for backend in SimBackend::ALL {
+        for oracle in [false, true] {
             let run = || {
-                let mut j = Justifier::new(&c, 11).with_backend(backend);
+                let mut j = engine(&c, 11, oracle);
                 let first = j.justify(&a1)?;
                 let r = j.justify_seeded(&merged, &first.assignment)?;
                 Some((first.test, r.test))
             };
-            assert_eq!(run(), run(), "{backend}");
+            assert_eq!(run(), run(), "oracle {oracle}");
         }
     }
 
-    #[test]
-    fn backends_agree_on_justifiability_and_witness() {
-        // Equal seeds draw equal completion fill words, so the scalar
-        // oracle and the packed kernel resolve every call identically.
-        let c = s27();
-        let paths = pdf_paths::PathEnumerator::new(&c)
-            .with_cap(100_000)
-            .enumerate();
-        let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
-        let mut scalar = Justifier::new(&c, 19).with_backend(SimBackend::Scalar);
-        let mut packed = Justifier::new(&c, 19).with_backend(SimBackend::Packed);
+    /// Justifies every detectable fault of `c` on the packed kernel and
+    /// on the scalar oracle with the same seed, and cross-checks
+    /// witnesses, stats and cone counters.
+    fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
+        let paths = pdf_paths::PathEnumerator::new(c).with_cap(300).enumerate();
+        let (faults, _) = pdf_faults::FaultList::build(c, &paths.store);
+        let mut oracle = engine(c, seed, true).with_attempts(attempts);
+        let mut packed = engine(c, seed, false).with_attempts(attempts);
         for e in faults.iter() {
-            let s = scalar.justify(&e.assignments);
+            let s = oracle.justify(&e.assignments);
             let p = packed.justify(&e.assignments);
-            assert_eq!(s.is_some(), p.is_some(), "{}", e.fault);
+            assert_eq!(s.is_some(), p.is_some(), "{} (seed {seed})", e.fault);
             if let (Some(s), Some(p)) = (s, p) {
-                assert_eq!(s.test, p.test, "{}", e.fault);
-                // Every packed witness passes the scalar re-check.
-                assert!(!e.assignments.violated_by(&p.waves));
-                assert!(e.assignments.satisfied_by(&p.waves));
+                // Byte-identical witnesses, and every packed witness
+                // passes the scalar re-check: the full-circuit waveforms
+                // neither violate nor miss any requirement.
+                assert_eq!(s.test, p.test, "witness of {} (seed {seed})", e.fault);
+                assert!(!e.assignments.violated_by(&p.waves), "{}", e.fault);
+                assert!(e.assignments.satisfied_by(&p.waves), "{}", e.fault);
             }
         }
-        assert_eq!(scalar.stats().successes, packed.stats().successes);
-        assert!(packed.stats().packed_blocks > 0);
-        assert_eq!(scalar.stats().packed_blocks, 0);
+        let (s, p) = (oracle.stats(), packed.stats());
+        assert_eq!(s.successes, p.successes);
+        assert_eq!(s.conflicts, p.conflicts);
+        assert_eq!(s.lane_hits, p.lane_hits);
+        // The cone-topology LRU sits above the completion engine.
+        assert_eq!(s.cone_hits, p.cone_hits);
+        assert_eq!(s.cone_misses, p.cone_misses);
+        assert_eq!(s.packed_blocks, 0);
+    }
+
+    #[test]
+    fn engines_agree_on_s27_across_seeds() {
+        let c = s27();
+        for seed in [1, 2, 7, 19, 2002, 0xDEAD_BEEF] {
+            check_engines_agree(&c, seed, 2);
+        }
+        // Five groups span two packed passes, the second one partial.
+        check_engines_agree(&c, 3, 5);
+    }
+
+    #[test]
+    fn engines_agree_on_a_redundant_stand_in() {
+        // A `+r` profile: redundancy gadgets make part of the fault
+        // population unjustifiable, exercising the Miss path of both
+        // engines.
+        let c = pdf_netlist::stand_in_profile("b03+r")
+            .expect("known stand-in")
+            .generate()
+            .to_circuit()
+            .expect("combinational");
+        check_engines_agree(&c, 2002, 1);
+    }
+
+    fn arb_circuit() -> impl proptest::strategy::Strategy<Value = Circuit> {
+        use proptest::prelude::*;
+        // `redundant` injects the `+r` stand-in redundancy gadgets, giving
+        // the justifier a population of unjustifiable requirement sets.
+        (3usize..8, 10usize..60, 3usize..8, 0usize..3, any::<u64>()).prop_map(
+            |(inputs, gates, levels, redundant, seed)| {
+                pdf_netlist::SynthProfile::new("diff", seed)
+                    .with_inputs(inputs)
+                    .with_gates(gates)
+                    .with_levels(levels)
+                    .with_redundant_gadgets(redundant)
+                    .generate()
+                    .to_circuit()
+                    .expect("generated netlists are valid")
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn engines_agree_on_synth_circuits(
+            c in arb_circuit(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            check_engines_agree(&c, seed, 1);
+        }
     }
 
     #[test]
@@ -1191,7 +1194,7 @@ mod tests {
         let c = s27();
         let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let mut j = Justifier::new(&c, 1).with_backend(env_backend());
+        let mut j = Justifier::new(&c, 1);
         let _ = j.justify(&a);
         let _ = j.justify(&a);
         let _ = j.justify(&a);
@@ -1238,7 +1241,7 @@ mod tests {
         let mut req = pdf_faults::Assignments::new();
         req.require(line(1), Triple::STABLE1).unwrap();
         req.require(line(8), Triple::STABLE1).unwrap();
-        let mut j = Justifier::new(&c, 3).with_backend(env_backend());
+        let mut j = Justifier::new(&c, 3);
         assert!(j.justify(&req).is_none());
         assert!(j.stats().conflicts > 0);
     }
@@ -1253,9 +1256,7 @@ mod tests {
             .with_cap(100_000)
             .enumerate();
         let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
-        let mut j = Justifier::new(&c, 11)
-            .with_attempts(8)
-            .with_backend(env_backend());
+        let mut j = Justifier::new(&c, 11).with_attempts(8);
         let mut found = 0usize;
         for e in faults.iter() {
             if let Some(r) = j.justify(&e.assignments) {
@@ -1276,9 +1277,7 @@ mod tests {
         let a1 = robust_assignments(&c, &f1).unwrap();
         let a2 = robust_assignments(&c, &f2).unwrap();
         if let Some(merged) = a1.merged(&a2) {
-            let mut j = Justifier::new(&c, 5)
-                .with_attempts(4)
-                .with_backend(env_backend());
+            let mut j = Justifier::new(&c, 5).with_attempts(4);
             if let Some(r) = j.justify(&merged) {
                 assert!(a1.satisfied_by(&r.waves));
                 assert!(a2.satisfied_by(&r.waves));
@@ -1292,10 +1291,7 @@ mod tests {
         // The fault on (3,15): cone involves inputs 2, 3, 7 only.
         let f = s27_fault(&[3, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let r = Justifier::new(&c, 9)
-            .with_backend(env_backend())
-            .justify(&a)
-            .unwrap();
+        let r = Justifier::new(&c, 9).justify(&a).unwrap();
         assert!(r.test.is_fully_specified());
         assert_eq!(r.test.len(), 7);
     }
@@ -1307,9 +1303,7 @@ mod tests {
         let a = robust_assignments(&c, &f).unwrap();
         let cancel = pdf_runctl::CancelToken::new();
         cancel.cancel();
-        let mut j = Justifier::new(&c, 42)
-            .with_backend(env_backend())
-            .with_budget(RunBudget::unlimited().and_cancel(cancel));
+        let mut j = Justifier::new(&c, 42).with_budget(RunBudget::unlimited().and_cancel(cancel));
         let before = j.rng_state();
         assert!(j.justify(&a).is_none());
         assert_eq!(j.stats().calls, 1);
@@ -1329,11 +1323,11 @@ mod tests {
         let a2 = robust_assignments(&c, &f2).unwrap();
         // One justifier runs both calls; a second is rebuilt mid-stream
         // from the first's snapshot and must produce the same second test.
-        let mut full = Justifier::new(&c, 77).with_backend(env_backend());
+        let mut full = Justifier::new(&c, 77);
         let _ = full.justify(&a1);
         let snapshot = full.rng_state();
         let t_full = full.justify(&a2).map(|r| r.test);
-        let mut resumed = Justifier::new(&c, 0).with_backend(env_backend());
+        let mut resumed = Justifier::new(&c, 0);
         resumed.set_rng_state(snapshot);
         let t_resumed = resumed.justify(&a2).map(|r| r.test);
         assert_eq!(t_full, t_resumed);
@@ -1344,7 +1338,7 @@ mod tests {
         let c = s27();
         let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let mut j = Justifier::new(&c, 1).with_backend(env_backend());
+        let mut j = Justifier::new(&c, 1);
         let _ = j.justify(&a);
         let _ = j.justify(&a);
         assert_eq!(j.stats().calls, 2);
@@ -1393,10 +1387,8 @@ mod tests {
         let c = s27();
         let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let mut plain = Justifier::new(&c, 42).with_backend(env_backend());
-        let mut guided = Justifier::new(&c, 42)
-            .with_backend(env_backend())
-            .with_guide(flat_guide(&c));
+        let mut plain = Justifier::new(&c, 42);
+        let mut guided = Justifier::new(&c, 42).with_guide(flat_guide(&c));
         let rp = plain.justify(&a).unwrap();
         let rg = guided.justify(&a).unwrap();
         assert_eq!(rp.test, rg.test);
@@ -1428,9 +1420,7 @@ mod tests {
         let mut req = pdf_faults::Assignments::new();
         req.require(z, Triple::STABLE1).unwrap();
         let run = || {
-            let mut j = Justifier::new(&c, 2002)
-                .with_backend(env_backend())
-                .with_guide(flat_guide(&c));
+            let mut j = Justifier::new(&c, 2002).with_guide(flat_guide(&c));
             let witness = j.justify(&req).map(|r| r.test);
             (witness, j.stats())
         };

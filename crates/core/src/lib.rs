@@ -57,9 +57,9 @@ pub use justify::{BranchGuide, Justified, Justifier, JustifyStats, DEFAULT_CONE_
 pub use target::TargetSplit;
 pub use testset::{Coverage, ParseTestSetError, TestSet};
 // The simulation option block is part of this crate's public API:
-// `TestSet::coverage_with` / `TestSet::minimized_with` and
-// `Justifier::with_options` take it (a bare `SimBackend` converts).
-pub use pdf_sim::{SimBackend, SimOptions, SimWidth};
+// `AtpgConfig::sim`, `TestSet::coverage_with`,
+// `TestSet::minimized_within` and `Justifier::with_options` take it.
+pub use pdf_sim::{SimOptions, SimWidth};
 // Run control is part of the public generation API: `AtpgConfig` carries
 // a budget and a checkpoint policy, `run_resumed` consumes a checkpoint.
 pub use pdf_runctl::{

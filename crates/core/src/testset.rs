@@ -9,7 +9,7 @@
 use pdf_faults::FaultList;
 use pdf_netlist::{Circuit, TwoPattern};
 use pdf_runctl::RunBudget;
-use pdf_sim::{SimBackend, SimOptions};
+use pdf_sim::SimOptions;
 
 /// One test in the plain-text interchange line format (`v1 v2`), shared
 /// by [`TestSet::to_text`] and the checkpoint writer.
@@ -98,28 +98,25 @@ impl TestSet {
         &self.tests
     }
 
-    /// Simulates the whole set against a fault list with the default
-    /// (packed, thread-parallel) backend.
+    /// Simulates the whole set against a fault list on the packed,
+    /// thread-parallel kernel.
     #[must_use]
     pub fn coverage(&self, circuit: &Circuit, faults: &FaultList) -> Coverage {
-        self.coverage_with(SimBackend::default(), circuit, faults)
+        Coverage {
+            detected: pdf_sim::coverage_flags(circuit, &self.tests, faults.entries()),
+        }
     }
 
-    /// Simulates the whole set against a fault list with explicit
-    /// simulation options (backend, tile width, event mode — a bare
-    /// [`SimBackend`] converts). Every combination produces identical
-    /// coverage; the scalar backend exists as a differential-testing
-    /// oracle.
+    /// [`TestSet::coverage`], taking the simulation option block (which
+    /// has no settings; see [`SimOptions`]).
     #[must_use]
     pub fn coverage_with(
         &self,
-        opts: impl Into<SimOptions>,
+        _opts: SimOptions,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> Coverage {
-        Coverage {
-            detected: pdf_sim::coverage_flags(opts, circuit, &self.tests, faults.entries()),
-        }
+        self.coverage(circuit, faults)
     }
 }
 
@@ -134,18 +131,7 @@ impl TestSet {
     /// detects exactly the same faults of `faults` as `self`.
     #[must_use]
     pub fn minimized(&self, circuit: &Circuit, faults: &FaultList) -> TestSet {
-        self.minimized_with(SimBackend::default(), circuit, faults)
-    }
-
-    /// [`TestSet::minimized`] with explicit simulation options.
-    #[must_use]
-    pub fn minimized_with(
-        &self,
-        opts: impl Into<SimOptions>,
-        circuit: &Circuit,
-        faults: &FaultList,
-    ) -> TestSet {
-        let keep = self.kept_after_sweep(opts, circuit, faults);
+        let keep = self.kept_after_sweep(circuit, faults);
         TestSet {
             tests: self
                 .tests
@@ -162,18 +148,7 @@ impl TestSet {
     /// discarded anyway.
     #[must_use]
     pub fn into_minimized(self, circuit: &Circuit, faults: &FaultList) -> TestSet {
-        self.into_minimized_with(SimBackend::default(), circuit, faults)
-    }
-
-    /// [`TestSet::into_minimized`] with explicit simulation options.
-    #[must_use]
-    pub fn into_minimized_with(
-        self,
-        opts: impl Into<SimOptions>,
-        circuit: &Circuit,
-        faults: &FaultList,
-    ) -> TestSet {
-        let keep = self.kept_after_sweep(opts, circuit, faults);
+        let keep = self.kept_after_sweep(circuit, faults);
         TestSet {
             tests: self
                 .tests
@@ -185,38 +160,34 @@ impl TestSet {
         }
     }
 
-    /// [`TestSet::minimized_with`] under a cooperative run budget: when
+    /// [`TestSet::minimized`] under a cooperative run budget: when
     /// the budget is (or becomes) exhausted at the compaction boundary,
     /// the set is returned unminimized — a valid, merely uncompacted,
     /// result — instead of starting a sweep there is no time for.
     ///
     /// Returns the set and whether the budget cut the pass short. The
     /// budget is polled once on entry (the sweep itself is one bounded
-    /// simulation pass, not an open-ended loop).
+    /// simulation pass, not an open-ended loop). The simulation option
+    /// block has no settings (see [`SimOptions`]).
     #[must_use]
     pub fn minimized_within(
         &self,
         budget: &RunBudget,
-        opts: impl Into<SimOptions>,
+        _opts: SimOptions,
         circuit: &Circuit,
         faults: &FaultList,
     ) -> (TestSet, bool) {
         if budget.exhausted() {
             return (self.clone(), true);
         }
-        (self.minimized_with(opts, circuit, faults), false)
+        (self.minimized(circuit, faults), false)
     }
 
     /// The reverse-order sweep shared by the minimization entry points:
     /// which tests survive, as flags aligned with `self.tests`.
-    fn kept_after_sweep(
-        &self,
-        opts: impl Into<SimOptions>,
-        circuit: &Circuit,
-        faults: &FaultList,
-    ) -> Vec<bool> {
+    fn kept_after_sweep(&self, circuit: &Circuit, faults: &FaultList) -> Vec<bool> {
         let _phase = pdf_telemetry::Span::enter("compact");
-        let per_test = pdf_sim::per_test_detections(opts, circuit, &self.tests, faults.entries());
+        let per_test = pdf_sim::per_test_detections(circuit, &self.tests, faults.entries());
         let mut covered = vec![false; faults.len()];
         let mut keep = vec![false; self.tests.len()];
         for (k, detections) in per_test.iter().enumerate().rev() {
@@ -448,23 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_coverage_and_minimization() {
-        let (c, faults) = setup();
-        let mut j = Justifier::new(&c, 33).with_attempts(2);
-        let set: TestSet = faults
-            .iter()
-            .filter_map(|e| j.justify(&e.assignments))
-            .map(|r| r.test)
-            .collect();
-        let scalar = set.coverage_with(pdf_sim::SimBackend::Scalar, &c, &faults);
-        let packed = set.coverage_with(pdf_sim::SimBackend::Packed, &c, &faults);
-        assert_eq!(scalar, packed);
-        let min_scalar = set.minimized_with(pdf_sim::SimBackend::Scalar, &c, &faults);
-        let min_packed = set.minimized_with(pdf_sim::SimBackend::Packed, &c, &faults);
-        assert_eq!(min_scalar.tests(), min_packed.tests());
-    }
-
-    #[test]
     fn into_minimized_matches_minimized() {
         let (c, faults) = setup();
         let mut j = Justifier::new(&c, 13).with_attempts(2);
@@ -542,7 +496,7 @@ mod tests {
             .collect();
         let spent =
             RunBudget::unlimited().and_cancel(pdf_runctl::CancelToken::cancel_after_polls(1));
-        let (kept, cut_short) = set.minimized_within(&spent, SimBackend::default(), &c, &faults);
+        let (kept, cut_short) = set.minimized_within(&spent, SimOptions::default(), &c, &faults);
         assert!(cut_short);
         assert_eq!(
             kept.tests(),
@@ -550,7 +504,7 @@ mod tests {
             "exhausted budget skips the sweep"
         );
         let (min, cut_short) =
-            set.minimized_within(&RunBudget::unlimited(), SimBackend::default(), &c, &faults);
+            set.minimized_within(&RunBudget::unlimited(), SimOptions::default(), &c, &faults);
         assert!(!cut_short);
         assert_eq!(min.tests(), set.minimized(&c, &faults).tests());
     }

@@ -6,7 +6,7 @@
 //! checkpoint files — including runs cut short by an exhausted budget
 //! and runs with quarantined (panicking) faults.
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 
@@ -19,9 +19,14 @@ use pdf_netlist::{Circuit, LineId, SynthProfile};
 use pdf_paths::PathEnumerator;
 use pdf_sim::SimOptions;
 
-/// Telemetry counters are process-global; tests that record them
-/// serialize here so a neighbor's counts never bleed into a delta.
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+/// Telemetry counters and armed failpoints are process-global, so every
+/// test of this binary serializes here: a neighbor's counts never bleed
+/// into a delta, and an injected failpoint never fires in a clean run.
+static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    GLOBAL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The pooled configurations under test: every thread count with the
 /// natural schedule and with every claim forced onto a victim's deque.
@@ -36,7 +41,7 @@ const POOLED: [(usize, bool); 6] = [
 
 fn config(threads: usize, force_steal: bool) -> AtpgConfig {
     AtpgConfig {
-        sim: SimOptions::from_env().unwrap_or_else(|e| panic!("{e}")),
+        sim: SimOptions::default(),
         threads,
         force_steal,
         ..AtpgConfig::default()
@@ -105,6 +110,7 @@ fn poison(faults: &FaultList, slot: usize) -> FaultList {
 
 #[test]
 fn enrichment_runs_are_identical_at_every_thread_count() {
+    let _guard = serial();
     let c = pdf_netlist::stand_in_profile("b09")
         .expect("known stand-in")
         .generate()
@@ -130,6 +136,7 @@ fn enrichment_runs_are_identical_at_every_thread_count() {
 
 #[test]
 fn checkpoint_files_are_byte_identical_across_thread_counts() {
+    let _guard = serial();
     let (c, faults) = {
         let c = pdf_netlist::iscas::s27();
         let faults = faults_of(&c, 300);
@@ -164,9 +171,7 @@ fn checkpoint_files_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn telemetry_counter_totals_are_schedule_independent() {
-    let _guard = TELEMETRY_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
     let counters_of = |threads, force_steal| {
@@ -198,6 +203,7 @@ fn telemetry_counter_totals_are_schedule_independent() {
 
 #[test]
 fn budget_exhausted_partial_prefixes_match_serial() {
+    let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
     for polls in [1, 2, 5, 13] {
@@ -225,6 +231,7 @@ fn budget_exhausted_partial_prefixes_match_serial() {
 
 #[test]
 fn quarantined_fault_runs_match_serial() {
+    let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
     // Poison the first primary and a mid-population secondary: both the
@@ -255,9 +262,7 @@ fn quarantined_fault_runs_match_serial() {
 /// same fault and leave identical counter totals at 1/2/4/8 threads.
 #[test]
 fn injected_pool_panic_quarantines_the_same_fault_at_every_thread_count() {
-    let _guard = TELEMETRY_LOCK
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
     // Not every fault reaches justification — many fall to an earlier
@@ -321,6 +326,7 @@ proptest! {
         c in arb_circuit(),
         seed in any::<u64>(),
     ) {
+        let _guard = serial();
         let compaction = [
             Compaction::Uncompacted,
             Compaction::ValueBased,

@@ -29,7 +29,6 @@ fn main() {
                 compaction: Compaction::ValueBased,
                 justify_attempts: workload.attempts,
                 secondary_mode: mode,
-                sim: pdf_experiments::sim_options(),
                 cone_cache: workload.cone_cache,
                 budget: workload.run_budget(),
                 learned: prepared.learned.clone(),

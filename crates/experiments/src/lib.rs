@@ -38,8 +38,7 @@ use std::time::Instant;
 
 use pdf_analyze::{lint_circuit, static_learning_from_env, LintMode};
 use pdf_atpg::{
-    AtpgConfig, BasicAtpg, BudgetSpec, Compaction, EnrichmentAtpg, RunBudget, SimBackend,
-    SimOptions, TargetSplit,
+    AtpgConfig, BasicAtpg, BudgetSpec, Compaction, EnrichmentAtpg, RunBudget, TargetSplit,
 };
 use pdf_faults::{FaultList, LearnedImplications, Sensitization};
 use pdf_netlist::Circuit;
@@ -72,14 +71,6 @@ pub struct Workload {
     /// default: with the pass disabled every experiment is
     /// byte-identical to earlier releases.
     pub sensitize: bool,
-    /// Programmatic simulation options. `None` (the default, and what
-    /// [`Workload::from_env`] always produces) defers to the
-    /// `PDF_SIM_BACKEND`/`PDF_SIM_WIDTH`/`PDF_SIM_EVENTS` environment at
-    /// run time, exactly as before this field existed; `Some` pins the
-    /// options for this workload, letting harnesses (the `pdf-matrix`
-    /// cross-config sweeps) drive many configurations concurrently
-    /// without touching process-global state.
-    pub sim: Option<SimOptions>,
 }
 
 impl Default for Workload {
@@ -93,7 +84,6 @@ impl Default for Workload {
             time_budget: None,
             static_learning: false,
             sensitize: false,
-            sim: None,
         }
     }
 }
@@ -119,16 +109,7 @@ impl Workload {
             time_budget: BudgetSpec::from_env().unwrap_or_else(|e| panic!("{e}")),
             static_learning: static_learning_from_env(),
             sensitize: pdf_analyze::sensitize_from_env(),
-            sim: None,
         }
-    }
-
-    /// The simulation options this workload runs with: the pinned
-    /// [`Workload::sim`] block when set, otherwise the environment-driven
-    /// [`sim_options`] (which panics on unparsable `PDF_SIM_*` values).
-    #[must_use]
-    pub fn sim_resolved(&self) -> SimOptions {
-        self.sim.unwrap_or_else(sim_options)
     }
 
     /// A fresh [`RunBudget`] for one generation run: the workload's time
@@ -169,33 +150,6 @@ where
             panic!("invalid {name}={raw:?}: not valid unicode")
         }
     }
-}
-
-/// The simulation backend every experiment driver uses: the default
-/// packed engine, overridable via the `PDF_SIM_BACKEND` environment
-/// variable (`scalar` re-runs a table on the reference oracle).
-///
-/// # Panics
-///
-/// Panics when `PDF_SIM_BACKEND` is set to an unrecognized backend name —
-/// `scaler` must not masquerade as a packed run.
-#[must_use]
-pub fn sim_backend() -> SimBackend {
-    SimBackend::from_env().unwrap_or_else(|e| panic!("PDF_SIM_BACKEND: {e}"))
-}
-
-/// The full simulation option block every experiment driver uses —
-/// `PDF_SIM_BACKEND`, `PDF_SIM_WIDTH` and `PDF_SIM_EVENTS` over the
-/// defaults (packed, auto-detected width, events on). Results are
-/// identical across every combination; the knobs trade throughput only.
-///
-/// # Panics
-///
-/// Panics when any of the three variables is set to an unrecognized
-/// value, naming the variable — the strict `PDF_*` parsing contract.
-#[must_use]
-pub fn sim_options() -> SimOptions {
-    SimOptions::from_env().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Applies the `PDF_CIRCUITS` allow-list to a circuit name list. Each
@@ -425,7 +379,6 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
         .chain(prepared.split.p1().iter())
         .cloned()
         .collect();
-    let sim = workload.sim_resolved();
     let mut heuristics = Vec::new();
     for compaction in Compaction::ALL {
         let config = AtpgConfig {
@@ -433,7 +386,6 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
             compaction,
             justify_attempts: workload.attempts,
             secondary_mode: Default::default(),
-            sim,
             cone_cache: workload.cone_cache,
             budget: workload.run_budget(),
             learned: prepared.learned.clone(),
@@ -447,7 +399,7 @@ pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitRes
         note_budget_exhaustion(&prepared.name, compaction.label(), &outcome);
         let accidental = outcome
             .tests()
-            .coverage_with(sim, &prepared.circuit, &all_faults)
+            .coverage(&prepared.circuit, &all_faults)
             .detected_count();
         heuristics.push(HeuristicResult {
             heuristic: compaction.label().to_owned(),
@@ -519,7 +471,6 @@ pub fn run_enrich_on(prepared: &Prepared, workload: &Workload) -> EnrichCircuitR
         compaction: Compaction::ValueBased,
         justify_attempts: workload.attempts,
         secondary_mode: Default::default(),
-        sim: workload.sim_resolved(),
         cone_cache: workload.cone_cache,
         budget: workload.run_budget(),
         learned: prepared.learned.clone(),

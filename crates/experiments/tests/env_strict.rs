@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use pdf_experiments::{env_parse, filter_circuits, sim_backend, sim_options, Workload};
+use pdf_experiments::{env_parse, filter_circuits, Workload};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -123,82 +123,6 @@ fn workload_from_env_reads_overrides_and_rejects_garbage() {
             },
         );
     }
-}
-
-#[test]
-fn sim_backend_rejects_unknown_names() {
-    with_env(&[("PDF_SIM_BACKEND", Some("scalar"))], || {
-        assert_eq!(sim_backend(), pdf_sim::SimBackend::Scalar);
-    });
-    with_env(&[("PDF_SIM_BACKEND", None)], || {
-        assert_eq!(sim_backend(), pdf_sim::SimBackend::Packed);
-    });
-    with_env(&[("PDF_SIM_BACKEND", Some("scaler"))], || {
-        let msg = panic_message(|| {
-            let _ = sim_backend();
-        });
-        assert!(msg.contains("scaler"), "{msg}");
-        assert!(msg.contains("scalar"), "must name accepted values: {msg}");
-        assert!(msg.contains("packed"), "must name accepted values: {msg}");
-    });
-}
-
-#[test]
-fn sim_options_read_width_and_events_and_reject_garbage() {
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", Some("512")),
-            ("PDF_SIM_EVENTS", Some("off")),
-        ],
-        || {
-            let opts = sim_options();
-            assert_eq!(opts.backend, pdf_sim::SimBackend::Packed);
-            assert_eq!(opts.width, pdf_sim::SimWidth::W512);
-            assert!(!opts.events);
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", None),
-            ("PDF_SIM_EVENTS", None),
-        ],
-        || {
-            let opts = sim_options();
-            assert_eq!(opts.width, pdf_sim::SimWidth::auto());
-            assert!(opts.events);
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", Some("128")),
-            ("PDF_SIM_EVENTS", None),
-        ],
-        || {
-            let msg = panic_message(|| {
-                let _ = sim_options();
-            });
-            assert!(msg.contains("PDF_SIM_WIDTH"), "{msg}");
-            assert!(msg.contains("128"), "{msg}");
-            assert!(msg.contains("`64`"), "must name accepted values: {msg}");
-        },
-    );
-    with_env(
-        &[
-            ("PDF_SIM_BACKEND", None),
-            ("PDF_SIM_WIDTH", None),
-            ("PDF_SIM_EVENTS", Some("yes")),
-        ],
-        || {
-            let msg = panic_message(|| {
-                let _ = sim_options();
-            });
-            assert!(msg.contains("PDF_SIM_EVENTS"), "{msg}");
-            assert!(msg.contains("yes"), "{msg}");
-        },
-    );
 }
 
 #[test]

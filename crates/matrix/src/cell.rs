@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use pdf_atpg::{
     AtpgConfig, CancelToken, Checkpoint, CheckpointPolicy, Compaction, EnrichmentAtpg, RunBudget,
-    SimBackend, SimOptions, SimWidth, TargetSplit,
+    TargetSplit,
 };
 use pdf_faults::{FaultList, Sensitization};
 use pdf_netlist::Circuit;
@@ -58,12 +58,6 @@ impl RunMode {
 pub struct CellConfig {
     /// Circuit name (resolvable by [`crate::resolve_circuit`]).
     pub circuit: String,
-    /// Simulation engine.
-    pub backend: SimBackend,
-    /// Packed tile width.
-    pub width: SimWidth,
-    /// Event-driven propagation.
-    pub events: bool,
     /// Compaction heuristic.
     pub compaction: Compaction,
     /// Number of target sets (`>= 2`; the paper uses 2).
@@ -82,8 +76,8 @@ pub struct CellConfig {
     pub sensitize: bool,
     /// Direct run or the cancel/checkpoint/resume dance.
     pub run_mode: RunMode,
-    /// Generation worker-thread count. A throughput knob like the sim
-    /// axes: every observation must be byte-identical at every count.
+    /// Generation worker-thread count. A throughput knob: every
+    /// observation must be byte-identical at every count.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -104,9 +98,6 @@ impl CellConfig {
     pub fn default_cell() -> CellConfig {
         CellConfig {
             circuit: "s27".to_owned(),
-            backend: SimBackend::Packed,
-            width: SimWidth::W64,
-            events: true,
             compaction: Compaction::ValueBased,
             k: 2,
             n_p: 300,
@@ -142,22 +133,12 @@ impl CellConfig {
         }
     }
 
-    /// The options block the cell's throughput axes select.
-    #[must_use]
-    pub fn sim_options(&self) -> SimOptions {
-        SimOptions::default()
-            .with_backend(self.backend)
-            .with_width(self.width)
-            .with_events(self.events)
-    }
-
-    /// A compact one-line label (`b09 packed/w64/events values k=2 ...`).
+    /// A compact one-line label (`b09 values k=2 ...`).
     #[must_use]
     pub fn label(&self) -> String {
         format!(
-            "{} {} {} k={} np={} np0={} learn={} sens={} {} t={} seed={} budget={} faults={}",
+            "{} {} k={} np={} np0={} learn={} sens={} {} t={} seed={} budget={} faults={}",
             self.circuit,
-            self.sim_options().label(),
             self.compaction.label(),
             self.k,
             self.n_p,
@@ -178,9 +159,6 @@ impl CellConfig {
     pub fn to_json(&self) -> Json {
         Json::object()
             .field("circuit", self.circuit.as_str())
-            .field("backend", self.backend.label())
-            .field("width", self.width.label())
-            .field("events", self.events)
             .field("compaction", self.compaction.label())
             .field("k", self.k)
             .field("n_p", self.n_p)
@@ -200,7 +178,10 @@ impl CellConfig {
             )
     }
 
-    /// Parses a cell from its [`CellConfig::to_json`] form.
+    /// Parses a cell from its [`CellConfig::to_json`] form. Keys of
+    /// retired axes (`backend`, `width`, `events` — the simulation
+    /// engine is no longer selectable) are ignored, so older artifacts
+    /// still replay.
     #[must_use]
     pub fn from_json(json: &Json) -> Option<CellConfig> {
         let s = |k: &str| json.get(k).and_then(Json::as_str);
@@ -211,9 +192,6 @@ impl CellConfig {
         };
         Some(CellConfig {
             circuit: s("circuit")?.to_owned(),
-            backend: s("backend")?.parse().ok()?,
-            width: s("width")?.parse().ok()?,
-            events: b("events")?,
             compaction: compaction_from_label(s("compaction")?)?,
             k: n("k")? as usize,
             n_p: n("n_p")? as usize,
@@ -252,12 +230,6 @@ pub fn compaction_from_label(label: &str) -> Option<Compaction> {
 pub struct MatrixAxes {
     /// Circuit names.
     pub circuits: Vec<String>,
-    /// Simulation backends.
-    pub backends: Vec<SimBackend>,
-    /// Packed tile widths.
-    pub widths: Vec<SimWidth>,
-    /// Event-driven propagation settings.
-    pub events: Vec<bool>,
     /// Compaction heuristics.
     pub compactions: Vec<Compaction>,
     /// Target-set counts.
@@ -286,14 +258,11 @@ pub struct MatrixAxes {
 
 impl MatrixAxes {
     /// The bounded smoke matrix CI runs on every push: tiny circuits,
-    /// every invariant family exercised, 512 raw cells before sampling.
+    /// every invariant family exercised, 768 raw cells before sampling.
     #[must_use]
     pub fn smoke() -> MatrixAxes {
         MatrixAxes {
             circuits: vec!["s27".to_owned(), "b09".to_owned()],
-            backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64, SimWidth::W512],
-            events: vec![true, false],
             compactions: vec![Compaction::Uncompacted, Compaction::ValueBased],
             ks: vec![2, 3],
             n_ps: vec![300],
@@ -331,9 +300,6 @@ impl MatrixAxes {
                 "b09+r".to_owned(),
                 "s1196".to_owned(),
             ],
-            backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64, SimWidth::W256, SimWidth::W512],
-            events: vec![true, false],
             compactions: Compaction::ALL.to_vec(),
             ks: vec![2, 3, 4],
             n_ps: vec![300, 1000],
@@ -365,9 +331,6 @@ impl MatrixAxes {
     #[must_use]
     pub fn cell_count(&self) -> usize {
         self.circuits.len()
-            * self.backends.len()
-            * self.widths.len()
-            * self.events.len()
             * self.compactions.len()
             * self.ks.len()
             * self.n_ps.len()
@@ -401,9 +364,6 @@ impl MatrixAxes {
         // the semantic axes.
         let faults = self.faults[take(self.faults.len())].clone();
         let threads = self.threads[take(self.threads.len())];
-        let backend = self.backends[take(self.backends.len())];
-        let width = self.widths[take(self.widths.len())];
-        let events = self.events[take(self.events.len())];
         let budget_minutes = self.budgets[take(self.budgets.len())];
         let run_mode = self.run_modes[take(self.run_modes.len())];
         let k = self.ks[take(self.ks.len())];
@@ -416,9 +376,6 @@ impl MatrixAxes {
         let circuit = self.circuits[take(self.circuits.len())].clone();
         CellConfig {
             circuit,
-            backend,
-            width,
-            events,
             compaction,
             k,
             n_p,
@@ -578,7 +535,6 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
     let base_config = AtpgConfig {
         seed: cell.seed,
         compaction: cell.compaction,
-        sim: cell.sim_options(),
         budget: budget(),
         learned: learned.clone(),
         threads: cell.threads.max(1),
@@ -645,7 +601,7 @@ mod tests {
     fn cross_product_decodes_every_index_exactly_once() {
         let axes = MatrixAxes::smoke();
         let count = axes.cell_count();
-        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
+        assert_eq!(count, 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2 * 3);
         let mut labels: Vec<String> = (0..count).map(|i| axes.cell(i).label()).collect();
         labels.sort();
         labels.dedup();

@@ -3,9 +3,9 @@
 //! Each checker consumes the full observation list and yields
 //! [`Violation`]s naming the witnesses. The five families:
 //!
-//! * **ident** — cells that differ only in throughput axes (backend, tile
-//!   width, event propagation, an unexhausted budget, run mode) must
-//!   produce byte-identical test text and detection totals.
+//! * **ident** — cells that differ only in throughput axes (thread count,
+//!   an unexhausted budget, run mode) must produce byte-identical test
+//!   text and detection totals.
 //! * **kmono** — under the uncompacted heuristic the generated tests are a
 //!   function of set 0 alone, so cells differing only in `k` must produce
 //!   identical test text and detection totals. (For compacted heuristics
@@ -119,7 +119,7 @@ fn ident_key(c: &CellConfig) -> String {
 /// uncompacted cells by the caller.
 fn kmono_key(c: &CellConfig) -> String {
     format!(
-        "{}|{}|np={}|np0={}|learn={}|sens={}|seed={}|{}|{}|faults={}",
+        "{}|{}|np={}|np0={}|learn={}|sens={}|seed={}|{}|faults={}",
         c.circuit,
         c.compaction.label(),
         c.n_p,
@@ -127,7 +127,6 @@ fn kmono_key(c: &CellConfig) -> String {
         c.learning,
         c.sensitize,
         c.seed,
-        c.sim_options().label(),
         c.run_mode.label(),
         faults_component(c)
     )
@@ -137,7 +136,7 @@ fn kmono_key(c: &CellConfig) -> String {
 /// switch.
 fn learning_key(c: &CellConfig) -> String {
     format!(
-        "{}|{}|k={}|np={}|np0={}|sens={}|seed={}|{}|{}|budget={:?}|faults={}",
+        "{}|{}|k={}|np={}|np0={}|sens={}|seed={}|{}|budget={:?}|faults={}",
         c.circuit,
         c.compaction.label(),
         c.k,
@@ -145,7 +144,6 @@ fn learning_key(c: &CellConfig) -> String {
         c.n_p0,
         c.sensitize,
         c.seed,
-        c.sim_options().label(),
         c.run_mode.label(),
         c.budget_minutes,
         faults_component(c)
@@ -156,7 +154,7 @@ fn learning_key(c: &CellConfig) -> String {
 /// sensitize switch.
 fn sensitize_key(c: &CellConfig) -> String {
     format!(
-        "{}|{}|k={}|np={}|np0={}|learn={}|seed={}|{}|{}|budget={:?}|faults={}",
+        "{}|{}|k={}|np={}|np0={}|learn={}|seed={}|{}|budget={:?}|faults={}",
         c.circuit,
         c.compaction.label(),
         c.k,
@@ -164,7 +162,6 @@ fn sensitize_key(c: &CellConfig) -> String {
         c.n_p0,
         c.learning,
         c.seed,
-        c.sim_options().label(),
         c.run_mode.label(),
         c.budget_minutes,
         faults_component(c)

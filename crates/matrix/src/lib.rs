@@ -3,15 +3,15 @@
 //!
 //! The paper's procedures carry many orthogonal knobs — circuit, delay
 //! population sizing (`N_P`/`N_P0`), number of target sets `k`, compaction
-//! heuristic, simulation backend/width/events, static learning, budgets
-//! and checkpoint/resume. Each knob is tested in isolation elsewhere; this
+//! heuristic, worker threads, static learning, budgets and
+//! checkpoint/resume. Each knob is tested in isolation elsewhere; this
 //! crate tests their *products*. It enumerates the cross-product of axis
 //! values ([`MatrixAxes`]), runs every (sampled) cell through the shared
 //! generation session fanned out over worker threads, and checks six
 //! cross-cell invariant families ([`invariants`]):
 //!
-//! * **ident** — throughput axes (backend × width × events × generous
-//!   budget × run mode) never change results,
+//! * **ident** — throughput axes (threads × generous budget × run mode)
+//!   never change results,
 //! * **kmono** — uncompacted generation is independent of `k`,
 //! * **resume** — cancel + checkpoint + resume equals uninterrupted,
 //! * **learning** — static learning removes only proven-untestable faults,

@@ -246,12 +246,9 @@ pub fn minimize(
     let default = CellConfig::default_cell();
     for i in 0..cells.len() {
         type Reset = fn(&mut CellConfig, &CellConfig);
-        let resets: [Reset; 12] = [
+        let resets: [Reset; 9] = [
             |c, _| c.faults = None,
             |c, d| c.threads = d.threads,
-            |c, d| c.events = d.events,
-            |c, d| c.width = d.width,
-            |c, d| c.backend = d.backend,
             |c, _| c.budget_minutes = None,
             |c, _| c.run_mode = RunMode::Direct,
             |c, d| c.learning = d.learning,

@@ -9,7 +9,6 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pdf_matrix::{CellConfig, Invariant, MatrixAxes, MatrixRunner, ReproCase, RunMode};
-use pdf_sim::{SimBackend, SimWidth};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
@@ -29,15 +28,11 @@ fn with_threads<R>(threads: Option<&str>, body: impl FnOnce() -> R) -> R {
 }
 
 /// A fast s27-only matrix that still exercises every invariant family:
-/// both backends, both event modes, uncompacted + compacted, two k
-/// values, learning on/off, direct + checkpoint/resume, budget on/off,
-/// serial + pooled generation.
+/// uncompacted + compacted, two k values, learning on/off, direct +
+/// checkpoint/resume, budget on/off, serial + pooled generation.
 fn s27_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
-        backends: vec![SimBackend::Scalar, SimBackend::Packed],
-        widths: vec![SimWidth::W64],
-        events: vec![true, false],
         compactions: vec![
             pdf_atpg::Compaction::Uncompacted,
             pdf_atpg::Compaction::ValueBased,
@@ -64,7 +59,7 @@ fn s27_axes() -> MatrixAxes {
 fn clean_s27_matrix_passes_all_invariants() {
     with_threads(None, || {
         let outcome = MatrixRunner::new(s27_axes()).run();
-        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(outcome.observations.len(), 2 * 2 * 2 * 2 * 2 * 2);
         let details: Vec<String> = outcome
             .violations
             .iter()
@@ -90,9 +85,6 @@ fn clean_b09_slice_passes_all_invariants() {
     with_threads(None, || {
         let axes = MatrixAxes {
             circuits: vec!["b09".to_owned()],
-            backends: vec![SimBackend::Scalar, SimBackend::Packed],
-            widths: vec![SimWidth::W64],
-            events: vec![true],
             compactions: vec![pdf_atpg::Compaction::Uncompacted],
             ks: vec![2, 3],
             n_ps: vec![300],
@@ -116,16 +108,13 @@ fn clean_b09_slice_passes_all_invariants() {
 }
 
 /// The injected-failure runner of the minimizer tests: corrupts the test
-/// text of every scalar-backend cell, which breaks the identity invariant
-/// between the scalar and packed members of each throughput group. Keyed
-/// on the backend axis alone so the failure survives both circuit
+/// text of every two-thread cell, which breaks the identity invariant
+/// between the serial and pooled members of each throughput group. Keyed
+/// on the threads axis alone so the failure survives both circuit
 /// shrinking and the reset of every *other* config axis.
 fn corrupted_runner() -> MatrixRunner {
     let axes = MatrixAxes {
         circuits: vec!["s27".to_owned()],
-        backends: vec![SimBackend::Scalar, SimBackend::Packed],
-        widths: vec![SimWidth::W64, SimWidth::W512],
-        events: vec![true, false],
         compactions: vec![pdf_atpg::Compaction::ValueBased],
         ks: vec![2],
         n_ps: vec![300],
@@ -133,13 +122,13 @@ fn corrupted_runner() -> MatrixRunner {
         learnings: vec![false],
         sensitizes: vec![false],
         run_modes: vec![RunMode::Direct],
-        threads: vec![1],
+        threads: vec![1, 2],
         seeds: vec![2002],
-        budgets: vec![None],
+        budgets: vec![None, Some(10)],
         faults: vec![None],
     };
     MatrixRunner::new(axes).with_injection(Arc::new(|config: &CellConfig, observation| {
-        if config.backend == SimBackend::Scalar {
+        if config.threads == 2 {
             observation.tests_text.push_str("INJECTED-CORRUPTION\n");
         }
     }))
@@ -177,14 +166,14 @@ fn injected_failure_minimizes_to_a_deterministic_smallest_repro() {
 
     let repro = &serial.repros[0];
     // Config axes reset toward defaults wherever the failure survives:
-    // the corruption only needs one scalar and one packed cell, so width
-    // and events land on their defaults.
+    // the corruption only needs one serial and one pooled cell, so the
+    // budget lands on its default.
     for cell in &repro.cells {
-        assert_eq!(cell.width, SimWidth::W64, "{}", cell.label());
-        assert!(cell.events, "{}", cell.label());
+        assert_eq!(cell.budget_minutes, None, "{}", cell.label());
     }
+    assert!(repro.cells.iter().any(|c| c.threads == 2));
     // The circuit shrank: the s27 combinational core has 10 gates and 4
-    // outputs; a backend-keyed corruption needs almost none of them.
+    // outputs; a threads-keyed corruption needs almost none of them.
     let bench = repro.bench.as_deref().expect("circuit must be shrinkable");
     let shrunk = pdf_netlist::parse_bench(bench, "shrunk").unwrap();
     let core = pdf_netlist::iscas::s27_netlist().combinational_core();
@@ -220,9 +209,6 @@ fn injected_failure_minimizes_to_a_deterministic_smallest_repro() {
 fn chaos_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
-        backends: vec![SimBackend::Scalar],
-        widths: vec![SimWidth::W64],
-        events: vec![true],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],
@@ -300,9 +286,6 @@ fn sampled_chaos_cells_get_their_clean_twin_injected() {
 fn sensitize_axes() -> MatrixAxes {
     MatrixAxes {
         circuits: vec!["s27".to_owned()],
-        backends: vec![SimBackend::Scalar],
-        widths: vec![SimWidth::W64],
-        events: vec![true],
         compactions: vec![pdf_atpg::Compaction::Uncompacted],
         ks: vec![2],
         n_ps: vec![300],

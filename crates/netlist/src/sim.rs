@@ -105,22 +105,11 @@ impl TwoPattern {
     /// primary inputs: stable iff both patterns agree on a specified value).
     #[must_use]
     pub fn to_triples(&self) -> Vec<Triple> {
-        let mut out = Vec::new();
-        self.to_triples_into(&mut out);
-        out
-    }
-
-    /// Writes the per-input waveform triples into `out`, reusing its
-    /// allocation — the zero-allocation variant of
-    /// [`TwoPattern::to_triples`] for simulation loops over many tests.
-    pub fn to_triples_into(&self, out: &mut Vec<Triple>) {
-        out.clear();
-        out.extend(
-            self.v1
-                .iter()
-                .zip(&self.v2)
-                .map(|(&a, &b)| Triple::from_patterns(a, b)),
-        );
+        self.v1
+            .iter()
+            .zip(&self.v2)
+            .map(|(&a, &b)| Triple::from_patterns(a, b))
+            .collect()
     }
 
     /// Randomly specifies every remaining `x` using `rng_bit` (a closure
@@ -198,27 +187,12 @@ pub fn simulate_values(circuit: &Circuit, inputs: &[Value]) -> Vec<Value> {
 /// Panics if `inputs.len() != circuit.inputs().len()`.
 #[must_use]
 pub fn simulate_triples(circuit: &Circuit, inputs: &[Triple]) -> Vec<Triple> {
-    let mut values = Vec::new();
-    simulate_triples_into(circuit, inputs, &mut values);
-    values
-}
-
-/// [`simulate_triples`] into a caller-provided buffer, reusing its
-/// allocation. The buffer is cleared and refilled with one triple per
-/// line; hot loops simulating many tests avoid a waveform-vector
-/// allocation per test this way.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != circuit.inputs().len()`.
-pub fn simulate_triples_into(circuit: &Circuit, inputs: &[Triple], values: &mut Vec<Triple>) {
     assert_eq!(
         inputs.len(),
         circuit.inputs().len(),
         "one triple per primary input required"
     );
-    values.clear();
-    values.resize(circuit.line_count(), Triple::UNKNOWN);
+    let mut values = vec![Triple::UNKNOWN; circuit.line_count()];
     for (pos, &id) in circuit.inputs().iter().enumerate() {
         values[id.index()] = inputs[pos];
     }
@@ -233,6 +207,7 @@ pub fn simulate_triples_into(circuit: &Circuit, inputs: &[Triple], values: &mut 
             }
         }
     }
+    values
 }
 
 fn eval_gate_values(kind: GateKind, fanin: &[crate::LineId], values: &[Value]) -> Value {

@@ -5,22 +5,22 @@
 //! fault (paper Sec. 2.1). Both halves are embarrassingly data-parallel,
 //! and this crate exploits that twice over:
 //!
-//! * **bit-level** — [`PackedBlock`] packs [`LANES`] (=64) tests into
-//!   `u64` bit-planes (a zero and a one rail per triple component) and
-//!   evaluates every gate for all 64 tests with a handful of word
-//!   operations; requirement checks collapse to one `AND` per specified
-//!   component across all 64 lanes at once;
+//! * **bit-level** — [`PackedBlock`] packs `SimWidth::auto().lanes()`
+//!   (= 256) tests into [`Tile`] bit-planes (a zero and a one rail per
+//!   triple component) and evaluates every gate for all of them with a
+//!   handful of word operations; requirement checks collapse to one `AND`
+//!   per specified component across all lanes at once;
 //! * **thread-level** — [`par_chunk_map`] fans test blocks (for
 //!   coverage-style sweeps) and fault chunks (for the per-test drop loop
 //!   of the generator) out over `std::thread::scope` workers, merging
 //!   results in deterministic chunk order.
 //!
-//! The scalar engine ([`pdf_netlist::simulate_triples`]) remains available
-//! behind [`SimBackend::Scalar`] as a differential-testing oracle; the
-//! packed kernel is bit-for-bit equivalent (the triple algebra is
-//! component-wise Kleene logic, which the two-rail encoding implements
-//! exactly) and this crate's property tests verify that equivalence on
-//! random circuits.
+//! There is one production path: the event-driven packed kernel on a
+//! [`Tile`]. The scalar engine ([`pdf_netlist::simulate_triples`]) is the
+//! differential-testing oracle; the packed kernel is bit-for-bit
+//! equivalent (the triple algebra is component-wise Kleene logic, which
+//! the two-rail encoding implements exactly) and this crate's property
+//! tests verify that equivalence on random circuits.
 //!
 //! # Example
 //!
@@ -29,36 +29,42 @@
 //! use pdf_paths::PathEnumerator;
 //! use pdf_faults::FaultList;
 //! use pdf_logic::Value;
-//! use pdf_netlist::TwoPattern;
-//! use pdf_sim::SimBackend;
+//! use pdf_netlist::{simulate_triples, TwoPattern};
 //!
 //! let circuit = s27();
 //! let paths = PathEnumerator::new(&circuit).enumerate();
 //! let (faults, _) = FaultList::build(&circuit, &paths.store);
 //! let n = circuit.inputs().len();
-//! let tests = vec![TwoPattern::new(vec![Value::Zero; n], vec![Value::One; n])];
+//! let test = TwoPattern::new(vec![Value::Zero; n], vec![Value::One; n]);
 //!
-//! let packed = pdf_sim::coverage_flags(SimBackend::Packed, &circuit, &tests, faults.entries());
-//! let scalar = pdf_sim::coverage_flags(SimBackend::Scalar, &circuit, &tests, faults.entries());
+//! let packed = pdf_sim::coverage_flags(&circuit, &[test.clone()], faults.entries());
+//! let waves = simulate_triples(&circuit, &test.to_triples());
+//! let scalar: Vec<bool> = faults.iter().map(|e| e.assignments.satisfied_by(&waves)).collect();
 //! assert_eq!(packed, scalar);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 mod packed;
 mod parallel;
 mod word;
 
-pub use backend::{events_from_env, ParseBackendError, ParseEventsError, SimBackend, SimOptions};
 pub use packed::{KernelStats, PackedBlock, LANES};
 pub use parallel::{max_threads, panic_message, par_chunk_map};
-pub use word::{ParseWidthError, SimWidth, SimWord};
+pub use word::{SimWidth, SimWord, Tile};
 
 use pdf_faults::{Assignments, FaultEntry};
 use pdf_logic::Triple;
-use pdf_netlist::{simulate_triples_into, Circuit, TwoPattern};
+use pdf_netlist::{Circuit, TwoPattern};
+
+/// The simulation option block the drivers thread through generation,
+/// justification and coverage. Simulation has one configuration — the
+/// event-driven packed kernel on a [`Tile`] — so the block carries no
+/// settings; it stays as the stable parameter type of those entry points.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct SimOptions {}
 
 /// Fault chunks smaller than this are checked inline rather than fanned
 /// out to worker threads (a `satisfied_by` call is a few nanoseconds).
@@ -105,103 +111,82 @@ fn flush_kernel_stats(parts: impl IntoIterator<Item = KernelStats>) {
     pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, total.lines_skipped);
 }
 
-/// Width-generic packed coverage sweep: `W::LANES` tests per block,
-/// blocks fanned out over worker threads.
-fn packed_coverage<W: SimWord, T: HasAssignments>(
+/// Loads `tests` one tile at a time, tile-blocks fanned out over worker
+/// threads, and folds each loaded block into a per-worker accumulator
+/// with `visit(acc, block, tests_block)`. Returns the accumulators in
+/// block order.
+fn packed_sweep<A: Send>(
+    circuit: &Circuit,
+    tests: &[TwoPattern],
+    init: impl Fn() -> A + Sync,
+    visit: impl Fn(&mut A, &PackedBlock, &[TwoPattern]) + Sync,
+) -> Vec<A> {
+    let _phase = pdf_telemetry::Span::enter("simulate");
+    pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
+    let blocks: Vec<&[TwoPattern]> = tests.chunks(Tile::LANES).collect();
+    pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
+    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, Tile::LANES as u64);
+    let parts = par_chunk_map(&blocks, 1, |_, part| {
+        let mut block = PackedBlock::new();
+        let mut acc = init();
+        for tests_block in part {
+            block.load(circuit, tests_block);
+            visit(&mut acc, &block, tests_block);
+        }
+        (acc, block.take_kernel_stats())
+    });
+    let (accs, stats): (Vec<A>, Vec<KernelStats>) = parts.into_iter().unzip();
+    flush_kernel_stats(stats);
+    accs
+}
+
+/// Simulates `tests` against `faults` and returns the per-fault detection
+/// flags — the kernel behind `TestSet::coverage`.
+#[must_use]
+pub fn coverage_flags<T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
-    events: bool,
 ) -> Vec<bool> {
-    let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
-    pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
-    let partials = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new().with_events(events);
-        let mut local = vec![false; faults.len()];
-        for tests_block in part {
-            block.load(circuit, tests_block);
+    let partials = packed_sweep(
+        circuit,
+        tests,
+        || vec![false; faults.len()],
+        |local, block, _| {
             for (i, fault) in faults.iter().enumerate() {
                 if !local[i] && !block.satisfied_lanes(fault.assignments()).is_zero() {
                     local[i] = true;
                 }
             }
-        }
-        (local, block.take_kernel_stats())
-    });
+        },
+    );
     let mut detected = vec![false; faults.len()];
-    let mut stats = Vec::with_capacity(partials.len());
-    for (local, s) in partials {
-        stats.push(s);
+    for local in partials {
         for (d, l) in detected.iter_mut().zip(local) {
             *d |= l;
         }
     }
-    flush_kernel_stats(stats);
     detected
 }
 
-/// Simulates `tests` against `faults` and returns the per-fault detection
-/// flags — the kernel behind `TestSet::coverage`.
-///
-/// Accepts a bare [`SimBackend`] or a full [`SimOptions`]; every
-/// backend × width × events combination returns identical flags. The
-/// packed engine simulates `width` tests per pass and fans blocks out
-/// over worker threads.
+/// For every test, the indices of the faults it detects (in increasing
+/// fault order) — the kernel behind static test-set compaction.
 #[must_use]
-pub fn coverage_flags<T: HasAssignments>(
-    opts: impl Into<SimOptions>,
+pub fn per_test_detections<T: HasAssignments>(
     circuit: &Circuit,
     tests: &[TwoPattern],
     faults: &[T],
-) -> Vec<bool> {
-    let opts: SimOptions = opts.into();
-    let _phase = pdf_telemetry::Span::enter("simulate");
-    pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    match opts.backend {
-        SimBackend::Scalar => {
-            let mut detected = vec![false; faults.len()];
-            let mut triples = Vec::new();
-            let mut waves = Vec::new();
-            for test in tests {
-                test.to_triples_into(&mut triples);
-                simulate_triples_into(circuit, &triples, &mut waves);
-                for (i, fault) in faults.iter().enumerate() {
-                    if !detected[i] && fault.assignments().satisfied_by(&waves) {
-                        detected[i] = true;
-                    }
-                }
-            }
-            detected
-        }
-        SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_coverage::<u64, T>(circuit, tests, faults, opts.events),
-            SimWidth::W256 => packed_coverage::<[u64; 4], T>(circuit, tests, faults, opts.events),
-            SimWidth::W512 => packed_coverage::<[u64; 8], T>(circuit, tests, faults, opts.events),
-        },
-    }
-}
-
-/// Width-generic packed per-test detection sweep.
-fn packed_per_test<W: SimWord, T: HasAssignments>(
-    circuit: &Circuit,
-    tests: &[TwoPattern],
-    faults: &[T],
-    events: bool,
 ) -> Vec<Vec<usize>> {
-    let blocks: Vec<&[TwoPattern]> = tests.chunks(W::LANES).collect();
-    pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, W::LANES as u64);
-    let parts = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::<W>::new().with_events(events);
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        for tests_block in part {
-            block.load(circuit, tests_block);
+    let parts = packed_sweep(
+        circuit,
+        tests,
+        Vec::new,
+        |out: &mut Vec<Vec<usize>>, block, tests_block| {
             let base = out.len();
             out.extend(tests_block.iter().map(|_| Vec::new()));
             for (i, fault) in faults.iter().enumerate() {
                 let lanes = block.satisfied_lanes(fault.assignments());
-                for k in 0..W::WORDS {
+                for k in 0..Tile::WORDS {
                     let mut w = lanes.word(k);
                     while w != 0 {
                         let lane = k * 64 + w.trailing_zeros() as usize;
@@ -210,55 +195,9 @@ fn packed_per_test<W: SimWord, T: HasAssignments>(
                     }
                 }
             }
-        }
-        (out, block.take_kernel_stats())
-    });
-    let mut result = Vec::with_capacity(tests.len());
-    let mut stats = Vec::with_capacity(parts.len());
-    for (out, s) in parts {
-        stats.push(s);
-        result.extend(out);
-    }
-    flush_kernel_stats(stats);
-    result
-}
-
-/// For every test, the indices of the faults it detects (in increasing
-/// fault order) — the kernel behind static test-set compaction.
-#[must_use]
-pub fn per_test_detections<T: HasAssignments>(
-    opts: impl Into<SimOptions>,
-    circuit: &Circuit,
-    tests: &[TwoPattern],
-    faults: &[T],
-) -> Vec<Vec<usize>> {
-    let opts: SimOptions = opts.into();
-    let _phase = pdf_telemetry::Span::enter("simulate");
-    pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    match opts.backend {
-        SimBackend::Scalar => {
-            let mut triples = Vec::new();
-            let mut waves = Vec::new();
-            tests
-                .iter()
-                .map(|test| {
-                    test.to_triples_into(&mut triples);
-                    simulate_triples_into(circuit, &triples, &mut waves);
-                    faults
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| f.assignments().satisfied_by(&waves))
-                        .map(|(i, _)| i)
-                        .collect()
-                })
-                .collect()
-        }
-        SimBackend::Packed => match opts.width {
-            SimWidth::W64 => packed_per_test::<u64, T>(circuit, tests, faults, opts.events),
-            SimWidth::W256 => packed_per_test::<[u64; 4], T>(circuit, tests, faults, opts.events),
-            SimWidth::W512 => packed_per_test::<[u64; 8], T>(circuit, tests, faults, opts.events),
         },
-    }
+    );
+    parts.concat()
 }
 
 /// The indices of the faults whose requirements `waves` satisfies and
@@ -378,8 +317,8 @@ mod tests {
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = FaultList::build(&c, &paths.store);
         let n = c.inputs().len();
-        // A deterministic spread of 150 tests (more than two blocks).
-        let tests: Vec<TwoPattern> = (0..150u32)
+        // A deterministic spread of 600 tests (more than two tiles).
+        let tests: Vec<TwoPattern> = (0..600u32)
             .map(|k| {
                 let v1 = (0..n).map(|i| Value::from(k >> i & 1 == 1)).collect();
                 let v2 = (0..n).map(|i| Value::from(k >> (i + 3) & 1 == 0)).collect();
@@ -389,44 +328,31 @@ mod tests {
         (c, faults, tests)
     }
 
-    #[test]
-    fn backends_agree_on_coverage() {
-        let (c, faults, tests) = setup();
-        let scalar = coverage_flags(SimBackend::Scalar, &c, &tests, faults.entries());
-        let packed = coverage_flags(SimBackend::Packed, &c, &tests, faults.entries());
-        assert_eq!(scalar, packed);
-        assert!(scalar.iter().any(|&d| d), "spread must detect something");
+    /// The scalar oracle: one `simulate_triples` per test, faults in
+    /// increasing order.
+    fn scalar_per_test(c: &Circuit, tests: &[TwoPattern], faults: &FaultList) -> Vec<Vec<usize>> {
+        tests
+            .iter()
+            .map(|t| {
+                let waves = simulate_triples(c, &t.to_triples());
+                (0..faults.len())
+                    .filter(|&i| faults.entries()[i].assignments.satisfied_by(&waves))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn backends_agree_on_per_test_detections() {
+    fn kernel_matches_the_scalar_oracle() {
         let (c, faults, tests) = setup();
-        let scalar = per_test_detections(SimBackend::Scalar, &c, &tests, faults.entries());
-        let packed = per_test_detections(SimBackend::Packed, &c, &tests, faults.entries());
-        assert_eq!(scalar.len(), tests.len());
-        assert_eq!(scalar, packed);
-    }
-
-    #[test]
-    fn all_widths_and_event_modes_agree_with_scalar() {
-        let (c, faults, tests) = setup();
-        let scalar = coverage_flags(SimBackend::Scalar, &c, &tests, faults.entries());
-        let scalar_per = per_test_detections(SimBackend::Scalar, &c, &tests, faults.entries());
-        for width in SimWidth::ALL {
-            for events in [true, false] {
-                let opts = SimOptions::default().with_width(width).with_events(events);
-                assert_eq!(
-                    coverage_flags(opts, &c, &tests, faults.entries()),
-                    scalar,
-                    "width {width} events {events}"
-                );
-                assert_eq!(
-                    per_test_detections(opts, &c, &tests, faults.entries()),
-                    scalar_per,
-                    "width {width} events {events}"
-                );
-            }
+        let oracle = scalar_per_test(&c, &tests, &faults);
+        assert_eq!(per_test_detections(&c, &tests, faults.entries()), oracle);
+        let mut covered = vec![false; faults.len()];
+        for &i in oracle.iter().flatten() {
+            covered[i] = true;
         }
+        assert_eq!(coverage_flags(&c, &tests, faults.entries()), covered);
+        assert!(covered.iter().any(|&d| d), "spread must detect something");
     }
 
     #[test]
@@ -492,12 +418,9 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         let (c, faults, _) = setup();
-        for backend in SimBackend::ALL {
-            let flags = coverage_flags(backend, &c, &[], faults.entries());
-            assert!(flags.iter().all(|&d| !d));
-            let per: Vec<Vec<usize>> = per_test_detections(backend, &c, &[], faults.entries());
-            assert!(per.is_empty());
-        }
+        let flags = coverage_flags(&c, &[], faults.entries());
+        assert!(flags.iter().all(|&d| !d));
+        assert!(per_test_detections(&c, &[], faults.entries()).is_empty());
         let no_faults: &[Assignments] = &[];
         let waves = vec![Triple::UNKNOWN; c.line_count()];
         assert!(newly_satisfied(&waves, no_faults, &[]).is_empty());

@@ -2,7 +2,7 @@
 //!
 //! A [`PackedBlock`] simulates up to `W::LANES` two-pattern tests through
 //! a circuit in one topological pass. Every line carries six planes of the
-//! tile type `W` ([`SimWord`]: `u64`, `[u64; 4]` or `[u64; 8]`) — a *zero
+//! tile type `W` ([`SimWord`]; [`Tile`] in production) — a *zero
 //! rail* and a *one rail* for each of the three triple components
 //! `α1 α2 α3` — with lane `j` of a plane describing test lane `j`:
 //!
@@ -29,7 +29,7 @@
 //!
 //! # Event-driven propagation
 //!
-//! By default the block is *event-driven*: every line remembers the
+//! Propagation is *event-driven*: every line remembers the
 //! stamp of the propagation pass that last changed its planes
 //! (`changed`) and the pass that last evaluated it (`checked`), and a
 //! pass re-evaluates a line only when some fanin changed more recently
@@ -57,10 +57,11 @@ use pdf_faults::Assignments;
 use pdf_logic::{GateKind, Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind, TwoPattern};
 
-use crate::word::SimWord;
+use crate::word::{SimWord, Tile};
 
-/// Number of tests simulated per packed pass at the default `u64` width.
-/// Width-generic code should use `W::LANES` instead.
+/// Lanes per 64-bit word of a tile: the size of one candidate group of
+/// the justifier's random completion. A [`Tile`] pass covers
+/// `Tile::LANES / LANES` such groups.
 pub const LANES: usize = 64;
 
 /// Six bit-planes of one line: `[α1⁰, α1¹, α2⁰, α2¹, α3⁰, α3¹]` — a zero
@@ -170,8 +171,7 @@ pub struct KernelStats {
 ///     TwoPattern::new(vec![Value::Zero; n], vec![Value::One; n]),
 ///     TwoPattern::new(vec![Value::One; n], vec![Value::One; n]),
 /// ];
-/// // The default width is `u64` (64 lanes); `PackedBlock<[u64; 8]>`
-/// // simulates 512 tests per pass with the same results.
+/// // The default tile holds 256 tests per pass.
 /// let mut block: PackedBlock = PackedBlock::new();
 /// block.load(&circuit, &tests);
 ///
@@ -182,7 +182,7 @@ pub struct KernelStats {
 /// }
 /// ```
 #[derive(Clone, Debug)]
-pub struct PackedBlock<W: SimWord = u64> {
+pub struct PackedBlock<W: SimWord = Tile> {
     planes: Vec<Planes<W>>,
     /// Compiled evaluation plan, one op per line: the hot sweep reads
     /// these three flat arrays instead of chasing [`Circuit`]'s per-line
@@ -201,7 +201,6 @@ pub struct PackedBlock<W: SimWord = u64> {
     pass: u64,
     /// [`Circuit::epoch`] the arena state belongs to; 0 = unbound.
     epoch: u64,
-    event_driven: bool,
     events: u64,
     skipped: u64,
     loaded: W,
@@ -219,7 +218,6 @@ impl<W: SimWord> Default for PackedBlock<W> {
             checked: Vec::new(),
             pass: 0,
             epoch: 0,
-            event_driven: true,
             events: 0,
             skipped: 0,
             loaded: W::ZERO,
@@ -229,27 +227,11 @@ impl<W: SimWord> Default for PackedBlock<W> {
 }
 
 impl<W: SimWord> PackedBlock<W> {
-    /// Creates an empty event-driven arena; the first
+    /// Creates an empty arena; the first
     /// [`PackedBlock::load`] (or [`PackedBlock::begin_block`]) sizes it.
     #[must_use]
     pub fn new() -> PackedBlock<W> {
         PackedBlock::default()
-    }
-
-    /// Enables or disables event-driven propagation (enabled by default).
-    /// With events off every pass evaluates every line of its order — the
-    /// reference behavior the differential tests compare against.
-    #[must_use]
-    pub fn with_events(mut self, enabled: bool) -> PackedBlock<W> {
-        self.event_driven = enabled;
-        self
-    }
-
-    /// Whether this arena skips lines whose fanins did not change.
-    #[inline]
-    #[must_use]
-    pub fn event_driven(&self) -> bool {
-        self.event_driven
     }
 
     /// Number of tests loaded by the last [`PackedBlock::load`].
@@ -331,13 +313,9 @@ impl<W: SimWord> PackedBlock<W> {
     #[inline]
     fn write_line(&mut self, line: LineId, p: Planes<W>) {
         let idx = line.index();
-        if self.event_driven {
-            if self.planes[idx] != p {
-                self.planes[idx] = p;
-                self.changed[idx] = self.pass + 1;
-            }
-        } else {
+        if self.planes[idx] != p {
             self.planes[idx] = p;
+            self.changed[idx] = self.pass + 1;
         }
     }
 
@@ -428,8 +406,8 @@ impl<W: SimWord> PackedBlock<W> {
     /// via [`PackedBlock::propagate_over`]) are defined, everything else
     /// may hold stale values from a previous block. A fanin-closed cone
     /// order covers every line it can observe, so the justifier's
-    /// block-per-cone loop stays O(cone), not O(circuit) — and with
-    /// events on, O(lines whose rails actually changed).
+    /// block-per-cone loop stays O(cone), not O(circuit) — in fact
+    /// O(lines whose rails actually changed).
     pub fn begin_block(&mut self, circuit: &Circuit) {
         self.bind(circuit);
         self.count = W::LANES;
@@ -475,7 +453,7 @@ impl<W: SimWord> PackedBlock<W> {
     /// [`PackedBlock::begin_block`]). Input lines in `order` are skipped:
     /// their planes come from [`PackedBlock::set_input_rails`].
     ///
-    /// With events on, a line is re-evaluated only when some fanin's
+    /// A line is re-evaluated only when some fanin's
     /// planes changed after the line was last checked; untouched regions
     /// of the cone cost one stamp compare per line.
     pub fn propagate_over(&mut self, circuit: &Circuit, order: &[LineId]) {
@@ -485,9 +463,7 @@ impl<W: SimWord> PackedBlock<W> {
         );
         let _ = circuit;
         // Destructured so the sweep gets disjoint borrows of the plan and
-        // the mutable arenas; two specialized loops so the hot path
-        // carries no per-line mode branch and the plain sweep pays for no
-        // stamp bookkeeping at all.
+        // the mutable arenas.
         let PackedBlock {
             planes,
             kinds,
@@ -498,49 +474,32 @@ impl<W: SimWord> PackedBlock<W> {
             pass,
             events,
             skipped,
-            event_driven,
             ..
         } = self;
-        if *event_driven {
-            *pass += 1;
-            let pass = *pass;
-            for &id in order {
-                let idx = id.index();
-                let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
-                let kind = match kinds[idx] {
-                    OpKind::Input => continue,
-                    OpKind::Copy => None,
-                    OpKind::Gate(kind) => Some(kind),
-                };
-                let line_checked = checked[idx];
-                if !fanin.iter().any(|&f| changed[f as usize] > line_checked) {
-                    *skipped += 1;
-                    continue;
-                }
-                *events += 1;
-                let out = match kind {
-                    None => planes[fanin[0] as usize],
-                    Some(kind) => eval_gate(planes, kind, fanin),
-                };
-                checked[idx] = pass;
-                if planes[idx] != out {
-                    planes[idx] = out;
-                    changed[idx] = pass;
-                }
+        *pass += 1;
+        let pass = *pass;
+        for &id in order {
+            let idx = id.index();
+            let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
+            let kind = match kinds[idx] {
+                OpKind::Input => continue,
+                OpKind::Copy => None,
+                OpKind::Gate(kind) => Some(kind),
+            };
+            let line_checked = checked[idx];
+            if !fanin.iter().any(|&f| changed[f as usize] > line_checked) {
+                *skipped += 1;
+                continue;
             }
-        } else {
-            for &id in order {
-                let idx = id.index();
-                let out = match kinds[idx] {
-                    OpKind::Input => continue,
-                    OpKind::Copy => planes[fanin_flat[starts[idx] as usize] as usize],
-                    OpKind::Gate(kind) => {
-                        let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
-                        eval_gate(planes, kind, fanin)
-                    }
-                };
-                *events += 1;
+            *events += 1;
+            let out = match kind {
+                None => planes[fanin[0] as usize],
+                Some(kind) => eval_gate(planes, kind, fanin),
+            };
+            checked[idx] = pass;
+            if planes[idx] != out {
                 planes[idx] = out;
+                changed[idx] = pass;
             }
         }
     }
@@ -606,6 +565,8 @@ mod tests {
     use super::*;
     use pdf_netlist::{iscas, simulate_triples};
 
+    const TILE_LANES: usize = <Tile as SimWord>::LANES;
+
     fn exhaustive_two_patterns(n: usize, limit: usize) -> Vec<TwoPattern> {
         // All fully-specified two-pattern tests over n inputs, capped.
         let total = 1usize << (2 * n);
@@ -620,10 +581,10 @@ mod tests {
             .collect()
     }
 
-    fn check_matches_scalar_on_s27<W: SimWord>(events: bool) {
+    fn check_matches_scalar_on_s27<W: SimWord>() {
         let c = iscas::s27();
-        let mut block = PackedBlock::<W>::new().with_events(events);
-        for chunk in exhaustive_two_patterns(c.inputs().len(), 4 * LANES).chunks(W::LANES) {
+        let mut block = PackedBlock::<W>::new();
+        for chunk in exhaustive_two_patterns(c.inputs().len(), 2 * TILE_LANES).chunks(W::LANES) {
             block.load(&c, chunk);
             assert_eq!(block.len(), chunk.len());
             for (lane, t) in chunk.iter().enumerate() {
@@ -632,7 +593,7 @@ mod tests {
                     assert_eq!(
                         block.triple(id, lane),
                         waves[id.index()],
-                        "line {id} lane {lane} width {} events {events}",
+                        "line {id} lane {lane} width {}",
                         W::LANES
                     );
                 }
@@ -642,11 +603,8 @@ mod tests {
 
     #[test]
     fn matches_scalar_simulation_exhaustively_on_s27() {
-        for events in [true, false] {
-            check_matches_scalar_on_s27::<u64>(events);
-            check_matches_scalar_on_s27::<[u64; 4]>(events);
-            check_matches_scalar_on_s27::<[u64; 8]>(events);
-        }
+        check_matches_scalar_on_s27::<Tile>();
+        check_matches_scalar_on_s27::<[u64; 1]>();
     }
 
     #[test]
@@ -668,7 +626,7 @@ mod tests {
             })
             .collect();
         let mut block: PackedBlock = PackedBlock::new();
-        for chunk in tests.chunks(LANES) {
+        for chunk in tests.chunks(TILE_LANES) {
             block.load(&c, chunk);
             for (lane, t) in chunk.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
@@ -686,16 +644,16 @@ mod tests {
         let c = iscas::s27();
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
-        let tests = exhaustive_two_patterns(c.inputs().len(), 128);
+        let tests = exhaustive_two_patterns(c.inputs().len(), TILE_LANES + 64);
         let mut block: PackedBlock = PackedBlock::new();
-        for (b, chunk) in tests.chunks(LANES).enumerate() {
+        for (b, chunk) in tests.chunks(TILE_LANES).enumerate() {
             block.load(&c, chunk);
             for entry in faults.iter() {
                 let lanes = block.satisfied_lanes(&entry.assignments);
                 for (lane, t) in chunk.iter().enumerate() {
                     let waves = simulate_triples(&c, &t.to_triples());
                     assert_eq!(
-                        lanes >> lane & 1 == 1,
+                        lanes.lane(lane),
                         entry.assignments.satisfied_by(&waves),
                         "block {b} lane {lane} fault {}",
                         entry.assignments
@@ -712,23 +670,26 @@ mod tests {
         let tests = vec![TwoPattern::new(vec![Value::One; n], vec![Value::One; n]); 3];
         let mut block: PackedBlock = PackedBlock::new();
         block.load(&c, &tests);
-        assert_eq!(block.lanes(), 0b111);
+        assert_eq!(block.lanes(), Tile::low_lanes(3));
         // The empty requirement is satisfied by exactly the loaded lanes.
-        assert_eq!(block.satisfied_lanes(&Assignments::new()), 0b111);
+        assert_eq!(
+            block.satisfied_lanes(&Assignments::new()),
+            Tile::low_lanes(3)
+        );
     }
 
     #[test]
     fn stale_wide_block_does_not_leak_into_partial_reload() {
-        // A full 64-test block followed by a 2-test block on the same
-        // arena: the partial reload must mask every plane down to its two
-        // lanes, even though nothing memsets the arena in between.
+        // A full block followed by a 2-test block on the same arena: the
+        // partial reload must mask every plane down to its two lanes,
+        // even though nothing memsets the arena in between.
         let c = iscas::s27();
-        let full = exhaustive_two_patterns(c.inputs().len(), LANES);
+        let full = exhaustive_two_patterns(c.inputs().len(), TILE_LANES);
         let mut block: PackedBlock = PackedBlock::new();
         block.load(&c, &full);
         let partial = &full[..2];
         block.load(&c, partial);
-        assert_eq!(block.lanes(), 0b11);
+        assert_eq!(block.lanes(), Tile::low_lanes(2));
         for (id, _) in c.iter() {
             for (lane, t) in partial.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
@@ -741,9 +702,11 @@ mod tests {
         let paths = PathEnumerator::new(&c).enumerate();
         let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
         for entry in faults.iter() {
-            assert_eq!(
-                block.satisfied_lanes(&entry.assignments) & !0b11,
-                0,
+            assert!(
+                block
+                    .satisfied_lanes(&entry.assignments)
+                    .and(Tile::low_lanes(2).not())
+                    .is_zero(),
                 "stale lanes leaked for {}",
                 entry.assignments
             );
@@ -753,7 +716,7 @@ mod tests {
     #[test]
     fn identical_reload_skips_the_whole_circuit() {
         let c = iscas::s27();
-        let tests = exhaustive_two_patterns(c.inputs().len(), LANES);
+        let tests = exhaustive_two_patterns(c.inputs().len(), TILE_LANES);
         let mut block: PackedBlock = PackedBlock::new();
         block.load(&c, &tests);
         let first = block.take_kernel_stats();
@@ -770,21 +733,6 @@ mod tests {
         let waves = simulate_triples(&c, &tests[5].to_triples());
         for (id, _) in c.iter() {
             assert_eq!(block.triple(id, 5), waves[id.index()]);
-        }
-    }
-
-    #[test]
-    fn events_disabled_evaluates_every_line_every_pass() {
-        let c = iscas::s27();
-        let tests = exhaustive_two_patterns(c.inputs().len(), LANES);
-        let mut block: PackedBlock = PackedBlock::<u64>::new().with_events(false);
-        assert!(!block.event_driven());
-        let non_input = c.line_count() - c.inputs().len();
-        for _ in 0..2 {
-            block.load(&c, &tests);
-            let stats = block.take_kernel_stats();
-            assert_eq!(stats.events_propagated, non_input as u64);
-            assert_eq!(stats.lines_skipped, 0);
         }
     }
 
@@ -847,32 +795,31 @@ mod tests {
         // must equal the same tests loaded as materialized TwoPatterns.
         let c = iscas::s27();
         let n = c.inputs().len();
-        let tests = exhaustive_two_patterns(n, LANES);
+        let tests = exhaustive_two_patterns(n, TILE_LANES);
         let mut loaded: PackedBlock = PackedBlock::new();
         loaded.load(&c, &tests);
 
         let mut railed: PackedBlock = PackedBlock::new();
         railed.begin_block(&c);
         for (pos, &id) in c.inputs().iter().enumerate() {
-            let mut first = (0u64, 0u64);
-            let mut last = (0u64, 0u64);
+            let mut first = (Tile::ZERO, Tile::ZERO);
+            let mut last = (Tile::ZERO, Tile::ZERO);
             for (lane, t) in tests.iter().enumerate() {
-                let bit = 1u64 << lane;
                 match t.first()[pos] {
-                    Value::Zero => first.0 |= bit,
-                    Value::One => first.1 |= bit,
+                    Value::Zero => first.0.set_lane(lane),
+                    Value::One => first.1.set_lane(lane),
                     Value::X => {}
                 }
                 match t.second()[pos] {
-                    Value::Zero => last.0 |= bit,
-                    Value::One => last.1 |= bit,
+                    Value::Zero => last.0.set_lane(lane),
+                    Value::One => last.1.set_lane(lane),
                     Value::X => {}
                 }
             }
             railed.set_input_rails(id, first, last);
         }
         railed.propagate_over(&c, c.topo_order());
-        assert_eq!(railed.lanes(), u64::MAX);
+        assert_eq!(railed.lanes(), Tile::ONES);
         for (id, _) in c.iter() {
             for lane in 0..tests.len() {
                 assert_eq!(railed.triple(id, lane), loaded.triple(id, lane));
@@ -881,18 +828,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 tests")]
+    #[should_panic(expected = "at most 256 tests")]
     fn oversized_block_panics() {
         let c = iscas::c17();
         let n = c.inputs().len();
-        let tests = vec![TwoPattern::unspecified(n); LANES + 1];
-        PackedBlock::<u64>::new().load(&c, &tests);
+        let tests = vec![TwoPattern::unspecified(n); TILE_LANES + 1];
+        PackedBlock::<Tile>::new().load(&c, &tests);
     }
 
     #[test]
     #[should_panic(expected = "one value per primary input")]
     fn wrong_width_panics() {
         let c = iscas::c17();
-        PackedBlock::<u64>::new().load(&c, &[TwoPattern::unspecified(1)]);
+        PackedBlock::<Tile>::new().load(&c, &[TwoPattern::unspecified(1)]);
     }
 }

@@ -3,25 +3,16 @@
 //!
 //! A [`SimWord`] is a fixed-size tile of test lanes — one bit per lane —
 //! on which the kernel's rail algebra (`AND`/`OR`/`NOT` over six planes
-//! per line) operates. Three widths are provided:
+//! per line) operates. It is implemented for every `[u64; N]`; every
+//! production pass runs on [`Tile`], the 256-lane `[u64; 4]`.
 //!
-//! * `u64` — the original 64-lane kernel word,
-//! * `[u64; 4]` — a 256-lane tile (one AVX2 register per plane word),
-//! * `[u64; 8]` — a 512-lane tile (one AVX-512 register per plane word).
-//!
-//! The array implementations use plain unrolled word loops: on a
+//! The array implementation uses plain word loops: on a
 //! `-C target-cpu=native` build LLVM lowers them to single vector
 //! instructions, and on scalar-only targets they still win through
 //! instruction-level parallelism and fewer propagation passes. No
 //! unstable `std::simd` is involved.
-//!
-//! [`SimWidth`] is the runtime selector (`PDF_SIM_WIDTH` / `--sim-width`):
-//! `64`, `256`, `512`, or `auto`, which probes the CPU once and picks the
-//! fastest tile — on AVX-512 parts via a one-block micro-calibration,
-//! because the widest native tile is not always the fastest one.
 
 use core::fmt;
-use core::str::FromStr;
 
 /// A fixed-width tile of simulation lanes, one bit per lane.
 ///
@@ -69,335 +60,111 @@ pub trait SimWord: Copy + PartialEq + Eq + Send + Sync + fmt::Debug + 'static {
     fn set_word(&mut self, k: usize, value: u64);
 }
 
-impl SimWord for u64 {
-    const WORDS: usize = 1;
-    const ZERO: u64 = 0;
-    const ONES: u64 = u64::MAX;
+/// `[u64; N]` tiles, written as explicit word loops — the shape LLVM
+/// auto-vectorizes into one vector op per plane word.
+impl<const N: usize> SimWord for [u64; N] {
+    const WORDS: usize = N;
+    const ZERO: [u64; N] = [0u64; N];
+    const ONES: [u64; N] = [u64::MAX; N];
 
     #[inline(always)]
-    fn and(self, other: u64) -> u64 {
-        self & other
+    fn and(self, other: [u64; N]) -> [u64; N] {
+        let mut out = [0u64; N];
+        for i in 0..N {
+            out[i] = self[i] & other[i];
+        }
+        out
     }
 
     #[inline(always)]
-    fn or(self, other: u64) -> u64 {
-        self | other
+    fn or(self, other: [u64; N]) -> [u64; N] {
+        let mut out = [0u64; N];
+        for i in 0..N {
+            out[i] = self[i] | other[i];
+        }
+        out
     }
 
     #[inline(always)]
-    fn not(self) -> u64 {
-        !self
+    fn not(self) -> [u64; N] {
+        let mut out = [0u64; N];
+        for i in 0..N {
+            out[i] = !self[i];
+        }
+        out
     }
 
     #[inline(always)]
     fn is_zero(self) -> bool {
-        self == 0
+        self.iter().fold(0u64, |any, &w| any | w) == 0
     }
 
     #[inline]
-    fn low_lanes(n: usize) -> u64 {
-        match n {
-            64 => u64::MAX,
-            _ => (1u64 << n) - 1,
+    fn low_lanes(n: usize) -> [u64; N] {
+        debug_assert!(n <= N * 64);
+        let mut out = [0u64; N];
+        for (i, w) in out.iter_mut().enumerate() {
+            let lo = i * 64;
+            *w = match n.saturating_sub(lo) {
+                0 => 0,
+                part if part >= 64 => u64::MAX,
+                part => (1u64 << part) - 1,
+            };
         }
+        out
     }
 
     #[inline(always)]
     fn lane(self, lane: usize) -> bool {
-        self >> lane & 1 == 1
+        self[lane / 64] >> (lane % 64) & 1 == 1
     }
 
     #[inline(always)]
     fn set_lane(&mut self, lane: usize) {
-        *self |= 1u64 << lane;
+        self[lane / 64] |= 1u64 << (lane % 64);
     }
 
     #[inline]
     fn first_lane(self) -> Option<usize> {
-        (self != 0).then(|| self.trailing_zeros() as usize)
+        self.iter()
+            .position(|&w| w != 0)
+            .map(|k| k * 64 + self[k].trailing_zeros() as usize)
     }
 
     #[inline(always)]
     fn word(self, k: usize) -> u64 {
-        debug_assert_eq!(k, 0);
-        self
+        self[k]
     }
 
     #[inline(always)]
     fn set_word(&mut self, k: usize, value: u64) {
-        debug_assert_eq!(k, 0);
-        *self = value;
+        self[k] = value;
     }
 }
 
-/// Implements [`SimWord`] for `[u64; N]` with explicit unrolled loops —
-/// the shape LLVM auto-vectorizes into one AVX2/AVX-512 op per plane word.
-macro_rules! impl_simword_array {
-    ($n:literal) => {
-        impl SimWord for [u64; $n] {
-            const WORDS: usize = $n;
-            const ZERO: [u64; $n] = [0u64; $n];
-            const ONES: [u64; $n] = [u64::MAX; $n];
+/// The tile type of every production simulation pass: 256 lanes, one
+/// AVX2 register per plane word on x86-64 (two NEON registers on
+/// aarch64). The differential tests pin it to the scalar oracle.
+pub type Tile = [u64; 4];
 
-            #[inline(always)]
-            fn and(self, other: [u64; $n]) -> [u64; $n] {
-                let mut out = [0u64; $n];
-                for i in 0..$n {
-                    out[i] = self[i] & other[i];
-                }
-                out
-            }
-
-            #[inline(always)]
-            fn or(self, other: [u64; $n]) -> [u64; $n] {
-                let mut out = [0u64; $n];
-                for i in 0..$n {
-                    out[i] = self[i] | other[i];
-                }
-                out
-            }
-
-            #[inline(always)]
-            fn not(self) -> [u64; $n] {
-                let mut out = [0u64; $n];
-                for i in 0..$n {
-                    out[i] = !self[i];
-                }
-                out
-            }
-
-            #[inline(always)]
-            fn is_zero(self) -> bool {
-                let mut any = 0u64;
-                for i in 0..$n {
-                    any |= self[i];
-                }
-                any == 0
-            }
-
-            #[inline]
-            fn low_lanes(n: usize) -> [u64; $n] {
-                debug_assert!(n <= $n * 64);
-                let mut out = [0u64; $n];
-                for (i, w) in out.iter_mut().enumerate() {
-                    let lo = i * 64;
-                    *w = match n.saturating_sub(lo) {
-                        0 => 0,
-                        part if part >= 64 => u64::MAX,
-                        part => (1u64 << part) - 1,
-                    };
-                }
-                out
-            }
-
-            #[inline(always)]
-            fn lane(self, lane: usize) -> bool {
-                self[lane / 64] >> (lane % 64) & 1 == 1
-            }
-
-            #[inline(always)]
-            fn set_lane(&mut self, lane: usize) {
-                self[lane / 64] |= 1u64 << (lane % 64);
-            }
-
-            #[inline]
-            fn first_lane(self) -> Option<usize> {
-                self.iter()
-                    .position(|&w| w != 0)
-                    .map(|k| k * 64 + self[k].trailing_zeros() as usize)
-            }
-
-            #[inline(always)]
-            fn word(self, k: usize) -> u64 {
-                self[k]
-            }
-
-            #[inline(always)]
-            fn set_word(&mut self, k: usize, value: u64) {
-                self[k] = value;
-            }
-        }
-    };
-}
-
-impl_simword_array!(4);
-impl_simword_array!(8);
-
-/// The runtime tile-width selector for the packed kernels.
-///
-/// Results are width-independent — the differential property tests pin
-/// scalar, 64-, 256- and 512-lane runs to byte-identical waveforms,
-/// coverage and justification witnesses — so the width is purely a
-/// throughput knob and safe to vary per machine.
+/// The packed kernel's tile width. There is exactly one, [`Tile`]; this
+/// handle only reports it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SimWidth {
-    /// 64 lanes: one `u64` per plane word.
-    W64,
-    /// 256 lanes: a `[u64; 4]` tile per plane word.
-    W256,
-    /// 512 lanes: a `[u64; 8]` tile per plane word.
-    W512,
+pub struct SimWidth {
+    _private: (),
 }
 
 impl SimWidth {
-    /// All concrete widths, narrowest first.
-    pub const ALL: [SimWidth; 3] = [SimWidth::W64, SimWidth::W256, SimWidth::W512];
-
-    /// The fastest tile for this CPU: 256 lanes with AVX2, 64 without
-    /// (or 256 on aarch64, where two NEON ops per word still pay for the
-    /// halved pass count). With AVX-512F a one-block micro-calibration
-    /// decides between 256 and 512 — merely *supporting* 512-bit vectors
-    /// does not make them the fastest choice (license-based frequency
-    /// reduction loses to AVX2 on several parts), so the probe times the
-    /// actual plane arithmetic once per process and 256 wins ties.
+    /// The compiled tile width.
     #[must_use]
-    pub fn auto() -> SimWidth {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                static PICK: std::sync::OnceLock<SimWidth> = std::sync::OnceLock::new();
-                return *PICK.get_or_init(calibrate_wide);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimWidth::W256;
-            }
-            SimWidth::W64
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            SimWidth::W256
-        }
-        #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        {
-            SimWidth::W64
-        }
-    }
-
-    /// Reads the width from `PDF_SIM_WIDTH` (`64`, `256`, `512` or
-    /// `auto`, case-insensitive). Unset means `auto`; a
-    /// present-but-unrecognized value is an error — `PDF_SIM_WIDTH=128`
-    /// must not masquerade as an auto-selected run.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseWidthError`] (naming the bad value and the accepted
-    /// ones) when the variable is set to anything else. Drivers are
-    /// expected to fail fast on it at startup.
-    pub fn from_env() -> Result<SimWidth, ParseWidthError> {
-        match std::env::var("PDF_SIM_WIDTH") {
-            Ok(v) => v.parse(),
-            Err(std::env::VarError::NotPresent) => Ok(SimWidth::auto()),
-            Err(std::env::VarError::NotUnicode(v)) => Err(ParseWidthError {
-                found: v.to_string_lossy().into_owned(),
-            }),
-        }
+    pub const fn auto() -> SimWidth {
+        SimWidth { _private: () }
     }
 
     /// The number of test lanes per packed tile.
     #[must_use]
     pub const fn lanes(self) -> usize {
-        match self {
-            SimWidth::W64 => 64,
-            SimWidth::W256 => 256,
-            SimWidth::W512 => 512,
-        }
-    }
-
-    /// A short label (`"64"` / `"256"` / `"512"`).
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            SimWidth::W64 => "64",
-            SimWidth::W256 => "256",
-            SimWidth::W512 => "512",
-        }
-    }
-}
-
-impl fmt::Display for SimWidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Times one block of the kernel's plane arithmetic at 256 and 512 lanes
-/// and returns the faster width, preferring 256 on a tie. The block is a
-/// few hundred kilolanes of dependent AND/OR/NOT passes — microseconds of
-/// work, run once per process — so a part whose AVX-512 license clock
-/// makes the 8-word tile *slower* than AVX2 is caught instead of assumed
-/// fastest. Width never changes results, only throughput, so a noisy
-/// pick is a performance wobble, never a correctness hazard.
-#[cfg(target_arch = "x86_64")]
-fn calibrate_wide() -> SimWidth {
-    fn block<W: SimWord>() -> std::time::Duration {
-        // The same total lane count at every width: narrower tiles loop
-        // more. Two planes of 2^18 lanes stay comfortably in cache.
-        const TOTAL_LANES: usize = 1 << 18;
-        let n = TOTAL_LANES / W::LANES;
-        let mut p0 = vec![W::ONES; n];
-        let mut p1 = vec![W::low_lanes(W::LANES / 2 + 1); n];
-        let start = std::time::Instant::now();
-        for _pass in 0..16 {
-            for i in 0..n {
-                let a = p0[i];
-                let b = p1[i];
-                let g = a.and(b).or(a.not().and(b.not()));
-                p0[i] = g.or(b.not());
-                p1[i] = g.and(a).not();
-            }
-        }
-        std::hint::black_box((&p0, &p1));
-        start.elapsed()
-    }
-    // Warm both paths (page-in, vector-unit frequency ramp), then time.
-    let _ = (block::<[u64; 4]>(), block::<[u64; 8]>());
-    let (t256, t512) = (block::<[u64; 4]>(), block::<[u64; 8]>());
-    if t512 < t256 {
-        SimWidth::W512
-    } else {
-        SimWidth::W256
-    }
-}
-
-/// Error returned when parsing a [`SimWidth`] from a string fails.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseWidthError {
-    found: String,
-}
-
-impl ParseWidthError {
-    /// The unrecognized width name.
-    #[must_use]
-    pub fn found(&self) -> &str {
-        &self.found
-    }
-}
-
-impl fmt::Display for ParseWidthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown simulation width `{}` (accepted values: `64`, `256`, `512`, `auto`)",
-            self.found
-        )
-    }
-}
-
-impl std::error::Error for ParseWidthError {}
-
-impl FromStr for SimWidth {
-    type Err = ParseWidthError;
-
-    fn from_str(s: &str) -> Result<SimWidth, ParseWidthError> {
-        match s.to_ascii_lowercase().as_str() {
-            "64" => Ok(SimWidth::W64),
-            "256" => Ok(SimWidth::W256),
-            "512" => Ok(SimWidth::W512),
-            "auto" => Ok(SimWidth::auto()),
-            _ => Err(ParseWidthError {
-                found: s.to_owned(),
-            }),
-        }
+        Tile::LANES
     }
 }
 
@@ -437,30 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn all_widths_satisfy_the_bitset_contract() {
-        check_bitset_contract::<u64>();
-        check_bitset_contract::<[u64; 4]>();
-        check_bitset_contract::<[u64; 8]>();
+    fn every_word_satisfies_the_bitset_contract() {
+        check_bitset_contract::<[u64; 1]>();
+        check_bitset_contract::<Tile>();
     }
 
     #[test]
-    fn width_parse_round_trip() {
-        for w in SimWidth::ALL {
-            assert_eq!(w.label().parse::<SimWidth>().unwrap(), w);
-            assert_eq!(w.to_string(), w.label());
-        }
-        assert_eq!("512".parse::<SimWidth>().unwrap(), SimWidth::W512);
-        assert_eq!("128".parse::<SimWidth>().unwrap_err().found(), "128");
-        // `auto` parses to whatever this CPU supports — a concrete width.
-        let auto = "AUTO".parse::<SimWidth>().unwrap();
-        assert!(SimWidth::ALL.contains(&auto));
-        assert_eq!(auto, SimWidth::auto());
-    }
-
-    #[test]
-    fn lanes_match_words() {
-        assert_eq!(SimWidth::W64.lanes(), 64);
-        assert_eq!(SimWidth::W256.lanes(), <[u64; 4] as SimWord>::LANES);
-        assert_eq!(SimWidth::W512.lanes(), <[u64; 8] as SimWord>::LANES);
+    fn the_one_width_is_the_tile() {
+        assert_eq!(SimWidth::auto().lanes(), 256);
+        assert_eq!(SimWidth::auto().lanes(), <Tile as SimWord>::LANES);
     }
 }

@@ -1,8 +1,8 @@
 //! Differential oracle: the packed bit-plane kernel must be bit-for-bit
 //! equivalent to the scalar triple simulator on random circuits — same
-//! waveforms, same satisfied requirements, same coverage flags — at every
-//! tile width (64/256/512 lanes) and with event-driven propagation on or
-//! off.
+//! waveforms, same satisfied requirements, same coverage flags — on the
+//! production [`Tile`] (and on a one-word tile, which crosses many more
+//! block boundaries per test batch).
 
 use proptest::prelude::*;
 
@@ -10,7 +10,7 @@ use pdf_faults::FaultList;
 use pdf_logic::Value;
 use pdf_netlist::{simulate_triples, Circuit, SynthProfile, TwoPattern};
 use pdf_paths::PathEnumerator;
-use pdf_sim::{PackedBlock, SimBackend, SimOptions, SimWidth, SimWord, LANES};
+use pdf_sim::{PackedBlock, SimWord, Tile};
 
 fn arb_circuit() -> impl Strategy<Value = Circuit> {
     // `redundant` injects the `+r` stand-in redundancy gadgets: untestable
@@ -37,7 +37,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
 fn arb_tests(inputs: usize) -> impl Strategy<Value = Vec<TwoPattern>> {
     proptest::collection::vec(
         proptest::collection::vec((arb_value(), arb_value()), inputs),
-        1..(LANES + 10),
+        1..(Tile::LANES + 80),
     )
     .prop_map(|tests| {
         tests
@@ -54,12 +54,8 @@ fn arb_tests(inputs: usize) -> impl Strategy<Value = Vec<TwoPattern>> {
 
 /// Loads `tests` into a `W`-tile block (chunked) and checks every lane's
 /// waveforms against the scalar simulator.
-fn check_waveforms<W: SimWord>(
-    c: &Circuit,
-    tests: &[TwoPattern],
-    events: bool,
-) -> Result<(), TestCaseError> {
-    let mut block: PackedBlock<W> = PackedBlock::new().with_events(events);
+fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), TestCaseError> {
+    let mut block: PackedBlock<W> = PackedBlock::new();
     for chunk in tests.chunks(W::LANES) {
         block.load(c, chunk);
         for (lane, t) in chunk.iter().enumerate() {
@@ -68,10 +64,9 @@ fn check_waveforms<W: SimWord>(
                 prop_assert_eq!(
                     block.triple(id, lane),
                     waves[id.index()],
-                    "line {} lane {} events {} width {}",
+                    "line {} lane {} width {}",
                     id,
                     lane,
-                    events,
                     W::LANES
                 );
             }
@@ -90,11 +85,8 @@ proptest! {
             (Just(c), arb_tests(n))
         })
     ) {
-        for events in [true, false] {
-            check_waveforms::<u64>(&c, &tests, events)?;
-            check_waveforms::<[u64; 4]>(&c, &tests, events)?;
-            check_waveforms::<[u64; 8]>(&c, &tests, events)?;
-        }
+        check_waveforms::<Tile>(&c, &tests)?;
+        check_waveforms::<[u64; 1]>(&c, &tests)?;
     }
 
     #[test]
@@ -109,28 +101,25 @@ proptest! {
         let (faults, _) = FaultList::build(&c, &paths.store);
         prop_assume!(!faults.is_empty());
 
-        let scalar = pdf_sim::coverage_flags(
-            SimBackend::Scalar, &c, &tests, faults.entries());
-        let scalar_per = pdf_sim::per_test_detections(
-            SimBackend::Scalar, &c, &tests, faults.entries());
-
-        // Every tile width × event mode must reproduce the oracle exactly.
-        for width in SimWidth::ALL {
-            for events in [true, false] {
-                let opts = SimOptions::default()
-                    .with_width(width)
-                    .with_events(events);
-                let packed = pdf_sim::coverage_flags(
-                    opts, &c, &tests, faults.entries());
-                prop_assert_eq!(
-                    &scalar, &packed, "coverage, width {} events {}", width, events);
-                let packed_per = pdf_sim::per_test_detections(
-                    opts, &c, &tests, faults.entries());
-                prop_assert_eq!(
-                    &scalar_per, &packed_per,
-                    "per-test, width {} events {}", width, events);
-            }
+        // The scalar oracle: one `simulate_triples` per test.
+        let scalar_per: Vec<Vec<usize>> = tests
+            .iter()
+            .map(|t| {
+                let waves = simulate_triples(&c, &t.to_triples());
+                (0..faults.len())
+                    .filter(|&i| faults.entries()[i].assignments.satisfied_by(&waves))
+                    .collect()
+            })
+            .collect();
+        let mut scalar = vec![false; faults.len()];
+        for &i in scalar_per.iter().flatten() {
+            scalar[i] = true;
         }
+
+        let packed = pdf_sim::coverage_flags(&c, &tests, faults.entries());
+        prop_assert_eq!(&scalar, &packed, "coverage");
+        let packed_per = pdf_sim::per_test_detections(&c, &tests, faults.entries());
+        prop_assert_eq!(&scalar_per, &packed_per, "per-test detections");
     }
 
     #[test]
@@ -145,36 +134,11 @@ proptest! {
         prop_assume!(!faults.is_empty());
 
         let mut block: PackedBlock = PackedBlock::new();
-        let chunk = &tests[..tests.len().min(LANES)];
+        let chunk = &tests[..tests.len().min(Tile::LANES)];
         block.load(&c, chunk);
         for entry in faults.iter() {
             let lanes = block.satisfied_lanes(&entry.assignments);
             for (lane, t) in chunk.iter().enumerate() {
-                let waves = simulate_triples(&c, &t.to_triples());
-                prop_assert_eq!(
-                    lanes >> lane & 1 == 1,
-                    entry.assignments.satisfied_by(&waves)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wide_satisfied_lanes_agree_with_scalar_requirement_check(
-        (c, tests) in arb_circuit().prop_flat_map(|c| {
-            let n = c.inputs().len();
-            (Just(c), arb_tests(n))
-        })
-    ) {
-        let paths = PathEnumerator::new(&c).with_cap(64).enumerate();
-        let (faults, _) = FaultList::build(&c, &paths.store);
-        prop_assume!(!faults.is_empty());
-
-        let mut block: PackedBlock<[u64; 8]> = PackedBlock::new();
-        block.load(&c, &tests);
-        for entry in faults.iter() {
-            let lanes = block.satisfied_lanes(&entry.assignments);
-            for (lane, t) in tests.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
                 prop_assert_eq!(
                     lanes.lane(lane),

@@ -23,11 +23,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     // fires (the pdf-atpg tests pin that property).
     let split = TargetSplit::by_cumulative_length(&faults, 10);
     let outcome = EnrichmentAtpg::new(&circuit).with_seed(2002).run(&split);
-    let minimized =
-        outcome
-            .tests()
-            .clone()
-            .into_minimized_with(pdf_sim::SimBackend::Packed, &circuit, &faults);
+    let minimized = outcome.tests().clone().into_minimized(&circuit, &faults);
     let coverage = minimized.coverage(&circuit, &faults);
     assert!(coverage.detected_count() > 0);
 
