@@ -5,10 +5,8 @@
 //! (test, fault) requirement evaluation, so a full coverage pass performs
 //! `tests × faults` of them. The scalar row is the reference oracle (one
 //! waveform simulation per test); the packed row is the production
-//! kernel on its 256-lane tile, and a `thread_scaling` row sweeps it over
-//! the real worker counts (1, 2, 4, … up to the machine's fan-out). Every
-//! row reports the min/median/max of repeated samples; rates use the
-//! median. Run with `--release`; circuit and workload can be overridden
+//! kernel on its 256-lane tile, run on one thread. Every row reports the
+//! min/median/max of repeated samples; rates use the median. Run with `--release`; circuit and workload can be overridden
 //! via `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS`.
 
 use pdf_atpg::{Justifier, SimWidth, TestSet};
@@ -62,56 +60,16 @@ fn main() {
             .field("spread", spread.to_json())
     };
 
-    // Thread scaling: the kernel swept over the actual worker counts (1,
-    // 2, 4, … up to the machine's full fan-out), each measured with
-    // `PDF_SIM_THREADS` pinned. The kernel re-reads the variable on every
-    // fan-out, so the pin scopes to one measurement.
-    let threads = pdf_sim::max_threads();
-    let mut counts: Vec<usize> = std::iter::successors(Some(1_usize), |n| n.checked_mul(2))
-        .take_while(|&n| n < threads)
-        .collect();
-    counts.push(threads);
-    let saved_threads = std::env::var("PDF_SIM_THREADS").ok();
-    let mut curve = Json::object();
-    let mut curve_rates = Vec::new();
-    let mut single_s = packed_s.median;
-    let mut full_s = packed_s.median;
-    for &n in &counts {
-        std::env::set_var("PDF_SIM_THREADS", n.to_string());
-        let (spread, det) = measure(&budget, SAMPLES, packed);
-        assert_eq!(det, packed_det, "{n} thread(s) changed coverage");
-        if n == 1 {
-            single_s = spread.median;
-        }
-        if n == threads {
-            full_s = spread.median;
-        }
-        curve_rates.push((n, checks / spread.median));
-        curve = curve.field(
-            &n.to_string(),
-            row(&spread).field("scaling_vs_single", single_s / spread.median),
-        );
-    }
-    match saved_threads {
-        Some(v) => std::env::set_var("PDF_SIM_THREADS", v),
-        None => std::env::remove_var("PDF_SIM_THREADS"),
-    }
-
     let speedup = scalar_s.median / packed_s.median;
     let width = SimWidth::auto().lanes();
     println!(
         "sim_throughput {circuit_name}: {} tests x {} faults; scalar {:.3e} checks/s, \
-         packed {:.3e} checks/s @ width {width} ({threads} threads), speedup {speedup:.1}x, \
-         thread scaling {:.1}x",
+         packed {:.3e} checks/s @ width {width}, speedup {speedup:.1}x",
         tests.len(),
         s.faults.len(),
         checks / scalar_s.median,
         checks / packed_s.median,
-        single_s / full_s,
     );
-    for (n, rate) in &curve_rates {
-        println!("  threads {n:>3}: {rate:.3e} checks/s");
-    }
 
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let report = Json::object()
@@ -124,14 +82,6 @@ fn main() {
         .field("scalar", row(&scalar_s))
         .field("packed", row(&packed_s))
         .field("width", width)
-        .field("speedup", speedup)
-        .field("threads", threads)
-        .field(
-            "thread_scaling",
-            Json::object()
-                .field("threads", threads)
-                .field("curve", curve)
-                .field("scaling", single_s / full_s),
-        );
+        .field("speedup", speedup);
     std::fs::write("BENCH_sim.json", report.to_pretty()).expect("cannot write BENCH_sim.json");
 }

@@ -255,7 +255,7 @@ fn every_pdfatpg_knob_rejects_a_bad_value_with_exit_two() {
         .copied()
         .filter(|k| k.read_by.contains(&Program::Pdfatpg))
         .collect();
-    assert_eq!(knobs.len(), 19);
+    assert_eq!(knobs.len(), 18);
     for knob in knobs {
         assert_typed_exit(
             &spawn(&["info", "s27"], knob.env, &bad_value(knob)),
@@ -349,7 +349,6 @@ fn experiments_apply_their_knobs() {
         ("PDF_ATTEMPTS", "3"),
         ("PDF_CONE_CACHE", "16"),
         ("PDF_STATIC_LEARNING", "on"),
-        ("PDF_SIM_THREADS", "3"),
     ]
     .map(|(k, v)| (k, OsString::from(v)));
     with_env(&vars, || {
@@ -359,7 +358,6 @@ fn experiments_apply_their_knobs() {
             (500, 100, 7, 3, 16)
         );
         assert!(w.static_learning && !w.sensitize);
-        assert_eq!(pdf_sim::max_threads(), 3);
     });
 }
 

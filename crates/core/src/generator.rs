@@ -151,13 +151,6 @@ pub struct AtpgConfig {
     /// once when the run ends). Feed the file back through a
     /// `run_resumed` call to continue an interrupted run.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Per-fault panic quarantine. When on (the default), a panic raised
-    /// while processing one fault — justification, the implication
-    /// pre-filter, free-acceptance checks, or the per-test fault
-    /// simulation sweep — is caught, attributed to the offending fault,
-    /// and recorded in [`AtpgOutcome::quarantined`]; the run continues
-    /// with the remaining faults. When off, such panics propagate.
-    pub quarantine: bool,
     /// Statically learned implications consulted by the secondary-target
     /// conflict pre-filter. Learned conflicts are real conflicts, so
     /// attaching a table only rejects merge candidates whose justification
@@ -203,7 +196,6 @@ impl Default for AtpgConfig {
             cone_cache: DEFAULT_CONE_CACHE,
             budget: RunBudget::unlimited(),
             checkpoint: None,
-            quarantine: true,
             learned: None,
             guide: None,
             threads: 1,
@@ -771,9 +763,8 @@ impl<'c> Build<'_, 'c, '_> {
         self.quarantine_log.push((i, context.to_owned()));
     }
 
-    /// A justification call attributable to fault `i`: under quarantine,
-    /// a panic inside the justifier quarantines the fault and reads as a
-    /// failed call.
+    /// A justification call attributable to fault `i`: a panic inside the
+    /// justifier quarantines the fault and reads as a failed call.
     fn justify_guarded(
         &mut self,
         i: usize,
@@ -784,9 +775,6 @@ impl<'c> Build<'_, 'c, '_> {
             None => justifier.justify(req),
             Some(pins) => justifier.justify_seeded(req, pins),
         };
-        if !self.ctx.config.quarantine {
-            return run(&mut self.justifier);
-        }
         let justifier = &mut self.justifier;
         match catch_unwind(AssertUnwindSafe(|| {
             // The `pool.build` failpoint, keyed by fault index: firing
@@ -801,7 +789,7 @@ impl<'c> Build<'_, 'c, '_> {
         })) {
             Ok(result) => result,
             Err(payload) => {
-                let message = pdf_sim::panic_message(payload.as_ref()).to_owned();
+                let message = panic_message(payload.as_ref()).to_owned();
                 self.quarantine_fault(i, &format!("justification ({message})"));
                 None
             }
@@ -926,18 +914,14 @@ impl<'c> Build<'_, 'c, '_> {
         // requirements still join the union so that later regenerations
         // keep detecting it; if that grows the union, the caller must
         // recompute its Δ ranking (the paper recomputes Δ per selection).
-        let satisfied = if self.ctx.config.quarantine {
-            let waves = &current.waves;
-            match catch_unwind(AssertUnwindSafe(|| a.satisfied_by(waves))) {
-                Ok(satisfied) => satisfied,
-                Err(payload) => {
-                    let message = pdf_sim::panic_message(payload.as_ref()).to_owned();
-                    self.quarantine_fault(i, &format!("the free-acceptance check ({message})"));
-                    return false;
-                }
+        let waves = &current.waves;
+        let satisfied = match catch_unwind(AssertUnwindSafe(|| a.satisfied_by(waves))) {
+            Ok(satisfied) => satisfied,
+            Err(payload) => {
+                let message = panic_message(payload.as_ref()).to_owned();
+                self.quarantine_fault(i, &format!("the free-acceptance check ({message})"));
+                return false;
             }
-        } else {
-            a.satisfied_by(&current.waves)
         };
         if satisfied {
             let mut grew = false;
@@ -958,27 +942,17 @@ impl<'c> Build<'_, 'c, '_> {
         // for the merged requirements, so the (much costlier) randomized
         // justification is skipped. Sound — it only rejects candidates
         // justification could never accept.
-        let conflicting = if self.ctx.config.quarantine {
-            let circuit = self.ctx.circuit;
-            let merged_ref = &merged;
-            let learned = self.ctx.config.learned.as_deref();
-            match catch_unwind(AssertUnwindSafe(|| {
-                pdf_faults::Implicator::from_assignments_with(circuit, merged_ref, learned).is_err()
-            })) {
-                Ok(conflicting) => conflicting,
-                Err(payload) => {
-                    let message = pdf_sim::panic_message(payload.as_ref()).to_owned();
-                    self.quarantine_fault(i, &format!("the implication pre-filter ({message})"));
-                    return false;
-                }
+        let circuit = self.ctx.circuit;
+        let learned = self.ctx.config.learned.as_deref();
+        let conflicting = match catch_unwind(AssertUnwindSafe(|| {
+            pdf_faults::Implicator::from_assignments_with(circuit, &merged, learned).is_err()
+        })) {
+            Ok(conflicting) => conflicting,
+            Err(payload) => {
+                let message = panic_message(payload.as_ref()).to_owned();
+                self.quarantine_fault(i, &format!("the implication pre-filter ({message})"));
+                return false;
             }
-        } else {
-            pdf_faults::Implicator::from_assignments_with(
-                self.ctx.circuit,
-                &merged,
-                self.ctx.config.learned.as_deref(),
-            )
-            .is_err()
         };
         if conflicting {
             self.stats.conflict_rejects += 1;
@@ -1228,7 +1202,7 @@ fn commit_result(
         BuildOutcome::PrimaryQuarantined => {}
         BuildOutcome::Test(current) => {
             // Drop every fault the finished test detects (the paper's
-            // per-test fault simulation), fanned out over fault chunks.
+            // per-test fault simulation).
             commit_sweep(ctx, state, &current.waves);
             debug_assert!(state.detected[primary], "primary must be detected");
             test_set.push(current.test);
@@ -1255,22 +1229,24 @@ fn commit_quarantine(ctx: &SessionCtx<'_, '_>, state: &mut SessionState, i: usiz
     );
 }
 
+/// Best-effort text of a panic payload for quarantine warnings: the
+/// carried message for the common `&str` / `String` payloads, a
+/// placeholder otherwise.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
 /// The per-test fault simulation sweep at commit, fault panics
 /// quarantined.
 fn commit_sweep(ctx: &SessionCtx<'_, '_>, state: &mut SessionState, waves: &[pdf_logic::Triple]) {
-    if !ctx.config.quarantine {
-        for i in pdf_sim::newly_satisfied(waves, &ctx.faults, &state.detected) {
-            state.detected[i] = true;
-        }
-        return;
-    }
-    let skip: Vec<bool> = state
-        .detected
-        .iter()
-        .zip(&state.quarantined)
-        .map(|(&d, &q)| d || q)
-        .collect();
-    let swept = pdf_sim::newly_satisfied_guarded(waves, &ctx.faults, &skip);
+    let swept =
+        pdf_sim::newly_satisfied_guarded(waves, &ctx.faults, &state.detected, &state.quarantined);
     for i in swept.satisfied {
         state.detected[i] = true;
     }
@@ -1473,6 +1449,16 @@ mod tests {
             sim: SimOptions::default(),
             ..AtpgConfig::default()
         }
+    }
+
+    #[test]
+    fn panic_message_extracts_common_payloads() {
+        let s: Box<dyn std::any::Any + Send> = Box::new("static text");
+        assert_eq!(panic_message(s.as_ref()), "static text");
+        let s: Box<dyn std::any::Any + Send> = Box::new("owned text".to_owned());
+        assert_eq!(panic_message(s.as_ref()), "owned text");
+        let s: Box<dyn std::any::Any + Send> = Box::new(42u32);
+        assert_eq!(panic_message(s.as_ref()), "non-string panic payload");
     }
 
     #[test]

@@ -339,9 +339,6 @@ knobs! {
         "justifier cone-topology LRU capacity in entries; 0 = off";
     CIRCUITS: "PDF_CIRCUITS", None, Kind::Names, "all", [Experiments],
         "comma-separated circuit allow-list";
-    SIM_THREADS: "PDF_SIM_THREADS", None, Kind::Count, "available parallelism",
-        [Pdfatpg, Experiments, Bench],
-        "worker-thread cap for the fault-simulation fan-outs";
     THREADS: "PDF_THREADS", Some("threads"), Kind::Count, "1", [Pdfatpg],
         "worker-thread count for atpg test generation; the test set, counters and \
          checkpoints are byte-identical at every count";

@@ -2,8 +2,7 @@
 //! lazily-decoded cross-product, and the runner that turns a cell into a
 //! [`CellObservation`].
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pdf_atpg::{
@@ -445,13 +444,14 @@ pub struct CellObservation {
 /// minimizer testable.
 pub type Injection = Arc<dyn Fn(&CellConfig, &mut CellObservation) + Send + Sync>;
 
-fn unique_checkpoint_path(cell: &CellConfig) -> std::path::PathBuf {
-    let mut h = DefaultHasher::new();
-    format!("{cell:?}").hash(&mut h);
+/// A checkpoint file no other cell run uses: runners on different threads
+/// of one process may run the same cell at the same time.
+fn unique_checkpoint_path() -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "pdf_matrix_ckpt_{}_{:016x}.json",
+        "pdf_matrix_ckpt_{}_{}.json",
         std::process::id(),
-        h.finish()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ))
 }
 
@@ -559,7 +559,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
     };
 
     if let RunMode::CheckpointResume { cancel_after_polls } = cell.run_mode {
-        let path = unique_checkpoint_path(cell);
+        let path = unique_checkpoint_path();
         let cancelled_config = AtpgConfig {
             budget: budget().and_cancel(CancelToken::cancel_after_polls(cancel_after_polls)),
             checkpoint: Some(CheckpointPolicy::new(&path, 1)),

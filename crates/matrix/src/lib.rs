@@ -6,8 +6,8 @@
 //! heuristic, worker threads, static learning, budgets and
 //! checkpoint/resume. Each knob is tested in isolation elsewhere; this
 //! crate tests their *products*. It enumerates the cross-product of axis
-//! values ([`MatrixAxes`]), runs every (sampled) cell through the shared
-//! generation session fanned out over worker threads, and checks six
+//! values ([`MatrixAxes`]), runs every (sampled) cell in order through the
+//! shared generation session, and checks six
 //! cross-cell invariant families ([`invariants`]):
 //!
 //! * **ident** — throughput axes (threads × generous budget × run mode)
@@ -42,7 +42,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
 use pdf_netlist::Circuit;
-use pdf_sim::par_chunk_map;
 
 pub use cell::{run_cell, CellConfig, CellObservation, Injection, MatrixAxes, RunMode};
 pub use invariants::{check_all, Invariant, Violation};
@@ -61,10 +60,10 @@ pub fn resolve_circuit(name: &str) -> Option<Circuit> {
 }
 
 /// The process-wide chaos gate: the failpoint registry is global, so a
-/// cell that arms failpoints takes the write side while clean cells run
-/// concurrently under the read side. Shared across every [`MatrixRunner`]
-/// in the process so concurrent in-process matrix runs cannot
-/// cross-contaminate either.
+/// cell that arms failpoints takes the write side while clean cells take
+/// the read side. A runner observes its cells in order, but several
+/// runners can run concurrently in one process (test threads do); the
+/// gate keeps their cells from cross-contaminating.
 fn chaos_gate() -> &'static RwLock<()> {
     static GATE: OnceLock<RwLock<()>> = OnceLock::new();
     GATE.get_or_init(|| RwLock::new(()))
@@ -158,8 +157,9 @@ impl MatrixRunner {
         let mut observation = match &config.faults {
             // The failpoint registry is process-global, so chaos cells
             // serialize behind a write lock while clean cells share a
-            // read lock: workers still run clean cells concurrently, but
-            // no cell ever executes under another cell's failpoints.
+            // read lock: concurrent runners still run clean cells side by
+            // side, but no cell ever executes under another cell's
+            // failpoints.
             Some(spec) => {
                 let _gate = chaos_gate().write().unwrap_or_else(PoisonError::into_inner);
                 match pdf_chaos::FailpointSpec::parse(spec) {
@@ -206,9 +206,9 @@ impl MatrixRunner {
             .map(|v| v.detail)
     }
 
-    /// Runs the matrix: resolve circuits, fan the cells out over worker
-    /// threads, check all invariant families, and minimize every
-    /// violation into a repro artifact.
+    /// Runs the matrix: resolve circuits, observe the cells in order on
+    /// the caller's thread, check all invariant families, and minimize
+    /// every violation into a repro artifact.
     ///
     /// # Panics
     ///
@@ -226,17 +226,10 @@ impl MatrixRunner {
             }
         }
 
-        // One chunk per worker over the cell list; results come back in
-        // cell order, so the whole observation list is deterministic.
-        let observations: Vec<CellObservation> = par_chunk_map(&cells, 1, |_, chunk| {
-            chunk
-                .iter()
-                .map(|cell| self.observe(&circuits[&cell.circuit], cell))
-                .collect::<Vec<CellObservation>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let observations: Vec<CellObservation> = cells
+            .iter()
+            .map(|cell| self.observe(&circuits[&cell.circuit], cell))
+            .collect();
 
         let violations = check_all(&observations);
         let repros = violations

@@ -441,7 +441,7 @@ mod tests {
     #[test]
     fn a_worker_panic_resurfaces_on_the_caller_thread() {
         for threads in [1, 4] {
-            let caught = std::panic::catch_unwind(|| {
+            let payload = std::panic::catch_unwind(|| {
                 with_pool(
                     &PoolOptions::new(threads),
                     |x: u64| {
@@ -452,8 +452,14 @@ mod tests {
                         pool.run_round((0..8).collect(), |_, _| Control::Continue);
                     },
                 )
-            });
-            assert!(caught.is_err(), "threads={threads}");
+            })
+            .expect_err("the poisoned job must panic the caller");
+            // The original payload arrives intact, not re-wrapped.
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"poisoned job"),
+                "threads={threads}"
+            );
         }
     }
 }

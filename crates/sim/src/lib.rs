@@ -3,17 +3,14 @@
 //! Robust path-delay-fault simulation reduces to one hazard-conservative
 //! waveform simulation per two-pattern test plus a requirement check per
 //! fault (paper Sec. 2.1). Both halves are embarrassingly data-parallel,
-//! and this crate exploits that twice over:
-//!
-//! * **bit-level** — [`PackedBlock`] packs `SimWidth::auto().lanes()`
-//!   (= 256) tests into [`Tile`] bit-planes (a zero and a one rail per
-//!   triple component) and evaluates every gate for all of them with a
-//!   handful of word operations; requirement checks collapse to one `AND`
-//!   per specified component across all lanes at once;
-//! * **thread-level** — [`par_chunk_map`] fans test blocks (for
-//!   coverage-style sweeps) and fault chunks (for the per-test drop loop
-//!   of the generator) out over `std::thread::scope` workers, merging
-//!   results in deterministic chunk order.
+//! and this crate exploits that at the bit level: [`PackedBlock`] packs
+//! `SimWidth::auto().lanes()` (= 256) tests into [`Tile`] bit-planes (a
+//! zero and a one rail per triple component) and evaluates every gate for
+//! all of them with a handful of word operations; requirement checks
+//! collapse to one `AND` per specified component across all lanes at once.
+//! The sweeps run on the caller's thread: the tile is the only
+//! parallelism, and test generation's worker pool is the only thread
+//! fan-out in the pipeline.
 //!
 //! There is one production path: the event-driven packed kernel on a
 //! [`Tile`]. The scalar engine ([`pdf_netlist::simulate_triples`]) is the
@@ -47,11 +44,9 @@
 #![warn(missing_docs)]
 
 mod packed;
-mod parallel;
 mod word;
 
 pub use packed::{KernelStats, PackedBlock, LANES};
-pub use parallel::{max_threads, panic_message, par_chunk_map};
 pub use word::{SimWidth, SimWord, Tile};
 
 use pdf_faults::{Assignments, FaultEntry};
@@ -66,14 +61,10 @@ use pdf_netlist::{Circuit, TwoPattern};
 #[non_exhaustive]
 pub struct SimOptions {}
 
-/// Fault chunks smaller than this are checked inline rather than fanned
-/// out to worker threads (a `satisfied_by` call is a few nanoseconds).
-const MIN_FAULT_CHUNK: usize = 512;
-
 /// Anything that carries a necessary-assignment set. Lets the drivers run
 /// over [`FaultList`](pdf_faults::FaultList) entries, borrowed entries, or
 /// plain [`Assignments`] without copying fault lists around.
-pub trait HasAssignments: Sync {
+pub trait HasAssignments {
     /// The fault's necessary assignment set `A(p)`.
     fn assignments(&self) -> &Assignments;
 }
@@ -96,48 +87,31 @@ impl<T: HasAssignments + ?Sized> HasAssignments for &T {
     }
 }
 
-/// Flushes a packed worker's drained kernel stats into the global
-/// telemetry counters (one locked update per sweep, not per line).
-fn flush_kernel_stats(parts: impl IntoIterator<Item = KernelStats>) {
-    let mut total = KernelStats::default();
-    for s in parts {
-        total.events_propagated += s.events_propagated;
-        total.lines_skipped += s.lines_skipped;
-    }
-    pdf_telemetry::count(
-        pdf_telemetry::counters::EVENTS_PROPAGATED,
-        total.events_propagated,
-    );
-    pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, total.lines_skipped);
-}
-
-/// Loads `tests` one tile at a time, tile-blocks fanned out over worker
-/// threads, and folds each loaded block into a per-worker accumulator
-/// with `visit(acc, block, tests_block)`. Returns the accumulators in
-/// block order.
-fn packed_sweep<A: Send>(
+/// Loads `tests` one tile at a time and hands each loaded block to
+/// `visit(block, tests_block)`, then flushes the kernel's drained stats
+/// into the global telemetry counters (one locked update per sweep, not
+/// per line).
+fn packed_sweep(
     circuit: &Circuit,
     tests: &[TwoPattern],
-    init: impl Fn() -> A + Sync,
-    visit: impl Fn(&mut A, &PackedBlock, &[TwoPattern]) + Sync,
-) -> Vec<A> {
+    mut visit: impl FnMut(&PackedBlock, &[TwoPattern]),
+) {
     let _phase = pdf_telemetry::Span::enter("simulate");
     pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    let blocks: Vec<&[TwoPattern]> = tests.chunks(Tile::LANES).collect();
+    let blocks = tests.chunks(Tile::LANES);
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
     pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, Tile::LANES as u64);
-    let parts = par_chunk_map(&blocks, 1, |_, part| {
-        let mut block = PackedBlock::new();
-        let mut acc = init();
-        for tests_block in part {
-            block.load(circuit, tests_block);
-            visit(&mut acc, &block, tests_block);
-        }
-        (acc, block.take_kernel_stats())
-    });
-    let (accs, stats): (Vec<A>, Vec<KernelStats>) = parts.into_iter().unzip();
-    flush_kernel_stats(stats);
-    accs
+    let mut block = PackedBlock::new();
+    for tests_block in blocks {
+        block.load(circuit, tests_block);
+        visit(&block, tests_block);
+    }
+    let stats = block.take_kernel_stats();
+    pdf_telemetry::count(
+        pdf_telemetry::counters::EVENTS_PROPAGATED,
+        stats.events_propagated,
+    );
+    pdf_telemetry::count(pdf_telemetry::counters::LINES_SKIPPED, stats.lines_skipped);
 }
 
 /// Simulates `tests` against `faults` and returns the per-fault detection
@@ -148,24 +122,14 @@ pub fn coverage_flags<T: HasAssignments>(
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<bool> {
-    let partials = packed_sweep(
-        circuit,
-        tests,
-        || vec![false; faults.len()],
-        |local, block, _| {
-            for (i, fault) in faults.iter().enumerate() {
-                if !local[i] && !block.satisfied_lanes(fault.assignments()).is_zero() {
-                    local[i] = true;
-                }
-            }
-        },
-    );
     let mut detected = vec![false; faults.len()];
-    for local in partials {
-        for (d, l) in detected.iter_mut().zip(local) {
-            *d |= l;
+    packed_sweep(circuit, tests, |block, _| {
+        for (d, fault) in detected.iter_mut().zip(faults) {
+            if !*d && !block.satisfied_lanes(fault.assignments()).is_zero() {
+                *d = true;
+            }
         }
-    }
+    });
     detected
 }
 
@@ -177,63 +141,26 @@ pub fn per_test_detections<T: HasAssignments>(
     tests: &[TwoPattern],
     faults: &[T],
 ) -> Vec<Vec<usize>> {
-    let parts = packed_sweep(
-        circuit,
-        tests,
-        Vec::new,
-        |out: &mut Vec<Vec<usize>>, block, tests_block| {
-            let base = out.len();
-            out.extend(tests_block.iter().map(|_| Vec::new()));
-            for (i, fault) in faults.iter().enumerate() {
-                let lanes = block.satisfied_lanes(fault.assignments());
-                for k in 0..Tile::WORDS {
-                    let mut w = lanes.word(k);
-                    while w != 0 {
-                        let lane = k * 64 + w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        out[base + lane].push(i);
-                    }
+    let mut out: Vec<Vec<usize>> = vec![Vec::new(); tests.len()];
+    let mut base = 0;
+    packed_sweep(circuit, tests, |block, tests_block| {
+        for (i, fault) in faults.iter().enumerate() {
+            let lanes = block.satisfied_lanes(fault.assignments());
+            for k in 0..Tile::WORDS {
+                let mut w = lanes.word(k);
+                while w != 0 {
+                    let lane = k * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    out[base + lane].push(i);
                 }
             }
-        },
-    );
-    parts.concat()
-}
-
-/// The indices of the faults whose requirements `waves` satisfies and
-/// that are not already marked in `already` — the per-test drop loop of
-/// the generator, fanned out over fault chunks.
-///
-/// Results are in increasing index order, identical to a serial scan.
-///
-/// # Panics
-///
-/// Panics if `already.len() != faults.len()`.
-#[must_use]
-pub fn newly_satisfied<T: HasAssignments>(
-    waves: &[Triple],
-    faults: &[T],
-    already: &[bool],
-) -> Vec<usize> {
-    assert_eq!(
-        faults.len(),
-        already.len(),
-        "one detection flag per fault required"
-    );
-    let _phase = pdf_telemetry::Span::enter("simulate");
-    pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    let parts = par_chunk_map(faults, MIN_FAULT_CHUNK, |offset, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .filter(|(k, f)| !already[offset + k] && f.assignments().satisfied_by(waves))
-            .map(|(k, _)| offset + k)
-            .collect::<Vec<usize>>()
+        }
+        base += tests_block.len();
     });
-    parts.concat()
+    out
 }
 
-/// Outcome of a panic-guarded sweep ([`newly_satisfied_guarded`]).
+/// Outcome of the per-test drop-loop sweep ([`newly_satisfied_guarded`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GuardedSweep {
     /// Indices newly satisfied, in increasing order.
@@ -243,62 +170,50 @@ pub struct GuardedSweep {
     pub panicked: Vec<usize>,
 }
 
-/// [`newly_satisfied`] with per-fault panic containment: a fault whose
-/// requirement check panics (a corrupted assignment set, an out-of-range
-/// line id) is reported in [`GuardedSweep::panicked`] instead of killing
-/// the sweep, and every healthy fault is still classified.
+/// The per-test drop loop of the generator: the indices of the faults
+/// whose requirements `waves` satisfies, skipping every fault already
+/// `detected` or `quarantined`. A fault whose requirement check panics (a
+/// corrupted assignment set, an out-of-range line id) is reported in
+/// [`GuardedSweep::panicked`] instead of killing the sweep, and every
+/// healthy fault is still classified.
 ///
-/// The guard costs nothing on the happy path — each chunk is scanned
-/// unguarded first, and only a chunk that actually panics is re-run item
-/// by item to attribute the failure.
+/// The guard costs nothing on the happy path — the faults are scanned
+/// under one unwind guard, and only a scan that actually panics is re-run
+/// fault by fault to attribute the failure.
 ///
 /// # Panics
 ///
-/// Panics if `skip.len() != faults.len()`.
+/// Panics if `detected` or `quarantined` does not hold one flag per fault.
 #[must_use]
 pub fn newly_satisfied_guarded<T: HasAssignments>(
     waves: &[Triple],
     faults: &[T],
-    skip: &[bool],
+    detected: &[bool],
+    quarantined: &[bool],
 ) -> GuardedSweep {
-    assert_eq!(faults.len(), skip.len(), "one skip flag per fault required");
+    assert!(
+        faults.len() == detected.len() && faults.len() == quarantined.len(),
+        "one detection and one quarantine flag per fault required"
+    );
     let _phase = pdf_telemetry::Span::enter("simulate");
     pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
-    let parts = par_chunk_map(faults, MIN_FAULT_CHUNK, |offset, chunk| {
-        let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            chunk
-                .iter()
-                .enumerate()
-                .filter(|(k, f)| !skip[offset + k] && f.assignments().satisfied_by(waves))
-                .map(|(k, _)| offset + k)
-                .collect::<Vec<usize>>()
-        }));
-        match scan {
-            Ok(satisfied) => (satisfied, Vec::new()),
-            Err(_) => {
-                let mut satisfied = Vec::new();
-                let mut panicked = Vec::new();
-                for (k, f) in chunk.iter().enumerate() {
-                    if skip[offset + k] {
-                        continue;
-                    }
-                    let one = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        f.assignments().satisfied_by(waves)
-                    }));
-                    match one {
-                        Ok(true) => satisfied.push(offset + k),
-                        Ok(false) => {}
-                        Err(_) => panicked.push(offset + k),
-                    }
+    let live = || (0..faults.len()).filter(|&i| !detected[i] && !quarantined[i]);
+    let check = |i: usize| faults[i].assignments().satisfied_by(waves);
+    let scan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        live().filter(|&i| check(i)).collect::<Vec<usize>>()
+    }));
+    let mut out = GuardedSweep::default();
+    match scan {
+        Ok(satisfied) => out.satisfied = satisfied,
+        Err(_) => {
+            for i in live() {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(i))) {
+                    Ok(true) => out.satisfied.push(i),
+                    Ok(false) => {}
+                    Err(_) => out.panicked.push(i),
                 }
-                (satisfied, panicked)
             }
         }
-    });
-    let mut out = GuardedSweep::default();
-    for (satisfied, panicked) in parts {
-        out.satisfied.extend(satisfied);
-        out.panicked.extend(panicked);
     }
     out
 }
@@ -356,37 +271,33 @@ mod tests {
     }
 
     #[test]
-    fn newly_satisfied_matches_serial_scan() {
+    fn guarded_sweep_matches_serial_scan() {
         let (c, faults, tests) = setup();
-        let waves = simulate_triples(&c, &tests[7].to_triples());
-        let mut already = vec![false; faults.len()];
+        let mut detected = vec![false; faults.len()];
+        let mut quarantined = vec![false; faults.len()];
         for i in (0..faults.len()).step_by(3) {
-            already[i] = true;
+            detected[i] = true;
         }
-        let got = newly_satisfied(&waves, faults.entries(), &already);
-        let want: Vec<usize> = faults
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| !already[*i] && e.assignments.satisfied_by(&waves))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn guarded_sweep_matches_unguarded_on_healthy_faults() {
-        let (c, faults, tests) = setup();
-        let waves = simulate_triples(&c, &tests[7].to_triples());
-        let mut skip = vec![false; faults.len()];
-        for i in (0..faults.len()).step_by(3) {
-            skip[i] = true;
+        for i in (1..faults.len()).step_by(5) {
+            quarantined[i] = true;
         }
-        let guarded = newly_satisfied_guarded(&waves, faults.entries(), &skip);
-        assert_eq!(
-            guarded.satisfied,
-            newly_satisfied(&waves, faults.entries(), &skip)
-        );
-        assert!(guarded.panicked.is_empty());
+        let mut swept = 0;
+        for test in &tests[..64] {
+            let waves = simulate_triples(&c, &test.to_triples());
+            let got = newly_satisfied_guarded(&waves, faults.entries(), &detected, &quarantined);
+            let want: Vec<usize> = faults
+                .iter()
+                .enumerate()
+                .filter(|(i, e)| {
+                    !detected[*i] && !quarantined[*i] && e.assignments.satisfied_by(&waves)
+                })
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(got.satisfied, want);
+            assert!(got.panicked.is_empty());
+            swept += want.len();
+        }
+        assert!(swept > 0, "the spread must detect a live fault");
     }
 
     #[test]
@@ -403,8 +314,8 @@ mod tests {
         let mut sets: Vec<Assignments> = faults.iter().map(|e| e.assignments.clone()).collect();
         let bad = sets.len() / 2;
         sets[bad] = poisoned;
-        let skip = vec![false; sets.len()];
-        let guarded = newly_satisfied_guarded(&waves, &sets, &skip);
+        let clear = vec![false; sets.len()];
+        let guarded = newly_satisfied_guarded(&waves, &sets, &clear, &clear);
         assert_eq!(guarded.panicked, vec![bad]);
         let want: Vec<usize> = sets
             .iter()
@@ -423,6 +334,9 @@ mod tests {
         assert!(per_test_detections(&c, &[], faults.entries()).is_empty());
         let no_faults: &[Assignments] = &[];
         let waves = vec![Triple::UNKNOWN; c.line_count()];
-        assert!(newly_satisfied(&waves, no_faults, &[]).is_empty());
+        assert_eq!(
+            newly_satisfied_guarded(&waves, no_faults, &[], &[]),
+            GuardedSweep::default()
+        );
     }
 }

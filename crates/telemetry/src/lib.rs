@@ -76,10 +76,6 @@ pub mod counters {
     pub const PACKED_BLOCKS: &str = "packed_blocks";
     /// Paths evicted from the capped enumeration store.
     pub const STORE_EVICTIONS: &str = "store_evictions";
-    /// Chunks dispatched to worker threads by the simulation fan-out.
-    pub const FANOUT_CHUNKS: &str = "fanout_chunks";
-    /// Fan-out calls that ran inline (workload below the spawn threshold).
-    pub const FANOUT_INLINE: &str = "fanout_inline";
     /// Randomized justification attempts beyond the first per call.
     pub const JUSTIFY_RETRIES: &str = "justify_retries";
     /// 64-lane random-completion blocks evaluated by the packed justifier.
