@@ -10,7 +10,9 @@
 //!
 //! Event-driven propagation re-evaluates only the lines whose input rails
 //! actually changed between completion passes; the `events` block reports
-//! how small that slice of the circuit is.
+//! how small that slice of the circuit is. The `fixpoint` block gives the
+//! necessary-value fixpoint's packed trial passes and its median seconds;
+//! its propagation events are not part of the `events` block.
 //!
 //! Run with `--release`; circuit and workload can be overridden via
 //! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS` (justification calls here).
@@ -34,9 +36,10 @@ fn main() {
     let entries: Vec<_> = s.faults.iter().collect();
     assert!(!entries.is_empty(), "no faults on {circuit_name}");
 
-    // Completion-phase seconds of every call of the closure below, the
-    // warm-up first.
+    // Completion- and fixpoint-phase seconds of every call of the closure
+    // below, the warm-up first.
     let mut completion_seconds = Vec::new();
+    let mut fixpoint_seconds = Vec::new();
     let (total, (found, stats)) = measure(&bench_budget(), SAMPLES, || {
         let mut justifier = Justifier::new(&s.circuit, 3).with_attempts(4);
         let mut found = 0usize;
@@ -47,9 +50,11 @@ fn main() {
             found += usize::from(justifier.justify(&entry.assignments).is_some());
         }
         completion_seconds.push(justifier.completion_seconds());
+        fixpoint_seconds.push(justifier.fixpoint_seconds());
         (found, justifier.stats())
     });
     let completion = Spread::of(&completion_seconds[1..]);
+    let fixpoint = Spread::of(&fixpoint_seconds[1..]);
 
     // Attempts/sec of the completion engine itself; the phases around it
     // (necessary-value fixpoint, guided fallback) would only dilute it.
@@ -68,11 +73,13 @@ fn main() {
         "justify_throughput {circuit_name}: {n_calls} calls, {found} justified; \
          {rate:.3e} attempts/s @ width {width}, cone-cache hit rate {:.0}%, \
          {events_per_block:.0} lines/block ({:.1}% of circuit), end-to-end {:.2}s \
-         (completion {:.3}s)",
+         (completion {:.3}s, fixpoint {:.3}s over {} passes)",
         hit_rate * 100.0,
         lines_fraction * 100.0,
         total.median,
         completion.median,
+        fixpoint.median,
+        stats.fixpoint_passes,
     );
 
     let report = Json::object()
@@ -90,6 +97,12 @@ fn main() {
                 .field("blocks", stats.packed_blocks)
                 .field("completion_spread", completion.to_json())
                 .field("total_spread", total.to_json()),
+        )
+        .field(
+            "fixpoint",
+            Json::object()
+                .field("passes", stats.fixpoint_passes)
+                .field("seconds", fixpoint.median),
         )
         .field("width", width)
         .field(

@@ -9,7 +9,12 @@
 //!    trial-assign `0` and `1`; if one value makes the simulated waveforms
 //!    *violate* a requirement (specified-vs-specified mismatch), the other
 //!    value is assigned permanently; if both conflict, justification
-//!    fails;
+//!    fails. The trials run as lanes of packed passes over the cone — two
+//!    lanes per open slot, 64 open inputs per 256-lane pass — and every
+//!    value forced in a round is committed at once; rounds repeat until
+//!    nothing is forced. Triple simulation is monotone, so this reaches
+//!    the same closure, and the same conflict verdict, as the test-only
+//!    scalar loop that commits one slot at a time;
 //! 3. **random completion**: the surviving free positions are filled with
 //!    random values in groups of [`pdf_sim::LANES`] (= 64) complete
 //!    candidate tests, all groups drawn up front. The packed kernel
@@ -169,6 +174,10 @@ pub struct JustifyStats {
     /// [`BranchGuide`] instead of the random pick. Always 0 without a
     /// guide.
     pub scoap_guided_branches: usize,
+    /// Packed trial passes of the necessary-value fixpoint: one per 64
+    /// open cone inputs, per round. Their propagation events stay out of
+    /// `events_propagated`/`lines_skipped`.
+    pub fixpoint_passes: usize,
 }
 
 impl JustifyStats {
@@ -190,6 +199,7 @@ impl JustifyStats {
         self.events_propagated += other.events_propagated;
         self.lines_skipped += other.lines_skipped;
         self.scoap_guided_branches += other.scoap_guided_branches;
+        self.fixpoint_passes += other.fixpoint_passes;
     }
 }
 
@@ -227,20 +237,28 @@ pub struct Justifier<'c> {
     stats: JustifyStats,
     /// Scratch waveform buffer, one slot per line.
     scratch: Vec<Triple>,
-    /// Reusable bit-plane arena for packed completion passes.
+    /// Reusable bit-plane arena for packed fixpoint and completion passes.
     packed: PackedBlock,
     cones: ConeCache,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
     /// Wall time spent inside completion blocks (phase 2 only).
     completion: std::time::Duration,
+    /// Wall time spent in the necessary-value fixpoint, guided-search
+    /// rounds included.
+    fixpoint: std::time::Duration,
     /// Cooperative time/cancellation budget polled at call entry, per
     /// completion block and per guided-search decision.
     budget: RunBudget,
-    /// Evaluate completion groups on the scalar oracle instead of the
-    /// packed kernel — the differential tests' reference engine.
+    /// Run the fixpoint and the completion groups on the scalar oracle
+    /// instead of the packed kernel — the differential tests' reference
+    /// engine.
     #[cfg(test)]
     scalar_oracle: bool,
+    /// Every fixpoint outcome in call order: the closure state, or `None`
+    /// on a conflict.
+    #[cfg(test)]
+    fixpoints: Vec<Option<Vec<(Value, Value)>>>,
 }
 
 impl<'c> Justifier<'c> {
@@ -258,9 +276,12 @@ impl<'c> Justifier<'c> {
             cones: ConeCache::new(DEFAULT_CONE_CACHE),
             guide: None,
             completion: std::time::Duration::ZERO,
+            fixpoint: std::time::Duration::ZERO,
             budget: RunBudget::unlimited(),
             #[cfg(test)]
             scalar_oracle: false,
+            #[cfg(test)]
+            fixpoints: Vec::new(),
         }
     }
 
@@ -340,6 +361,14 @@ impl<'c> Justifier<'c> {
         self.completion.as_secs_f64()
     }
 
+    /// Wall time spent in the necessary-value fixpoint across all calls,
+    /// the rounds inside the guided search included;
+    /// [`JustifyStats::fixpoint_passes`] counts its packed passes.
+    #[must_use]
+    pub fn fixpoint_seconds(&self) -> f64 {
+        self.fixpoint.as_secs_f64()
+    }
+
     /// Searches for a fully specified two-pattern test satisfying `req`.
     ///
     /// Returns `None` when the (randomized) search fails; the requirements
@@ -380,7 +409,7 @@ impl<'c> Justifier<'c> {
         self.stats.simulations += 1;
 
         // Phase 1 — the necessary-value fixpoint. Purely deterministic.
-        if !self.fixpoint(&cone, &mut state) {
+        if !self.fixpoint(req, &cone, &mut state) {
             self.stats.conflicts += 1;
             return None;
         }
@@ -457,9 +486,144 @@ impl<'c> Justifier<'c> {
     }
 
     /// Runs the necessary-value analysis to its fixpoint. Returns `false`
-    /// on a both-values conflict (the requirements are unjustifiable).
-    /// Maintains the scratch invariant.
-    fn fixpoint(&mut self, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
+    /// on a conflict (the requirements are unjustifiable). Maintains the
+    /// scratch invariant.
+    fn fixpoint(&mut self, req: &Assignments, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
+        let _span = pdf_telemetry::Span::enter("justify.fixpoint");
+        let start = std::time::Instant::now();
+        #[cfg(test)]
+        let closed = if self.scalar_oracle {
+            self.scalar_fixpoint(cone, state)
+        } else {
+            self.packed_fixpoint(req, cone, state)
+        };
+        #[cfg(not(test))]
+        let closed = self.packed_fixpoint(req, cone, state);
+        self.fixpoint += start.elapsed();
+        #[cfg(test)]
+        self.fixpoints.push(closed.then(|| state.to_vec()));
+        closed
+    }
+
+    /// The fixpoint as rounds of packed trial passes (see the module doc,
+    /// step 2). Two rules make it agree with the one-slot-at-a-time scalar
+    /// loop on every outcome and closure:
+    ///
+    /// * a requirement line the frozen pins already contradict on entry
+    ///   fails the call iff an open slot's input reaches it — the scalar
+    ///   loop sees both values of that slot fail — and is otherwise left
+    ///   out of the lane mask, since no trial can change it;
+    /// * values forced in one round that jointly violate a requirement
+    ///   are a conflict — the scalar loop, committing them one by one,
+    ///   meets the later one as a both-values conflict.
+    fn packed_fixpoint(
+        &mut self,
+        req: &Assignments,
+        cone: &Cone,
+        state: &mut [(Value, Value)],
+    ) -> bool {
+        let n = cone.topo.pis.len();
+        let scratch = &self.scratch;
+        let (live, stale): (Vec<_>, Vec<_>) = req
+            .iter()
+            .partition(|&(line, r)| scratch[line.index()].is_compatible(r));
+        if !stale.is_empty()
+            && (0..n)
+                .any(|i| is_open(state[i]) && cone.reach_req[i].iter().any(|e| stale.contains(e)))
+        {
+            return false;
+        }
+        // The lane layout: the inputs open on entry, in cone order, 64 per
+        // pass. Inputs that close keep their lanes as plain broadcast.
+        let layout: Vec<usize> = (0..n).filter(|&i| is_open(state[i])).collect();
+        let mut forced: Vec<(usize, usize, Value)> = Vec::new();
+        loop {
+            forced.clear();
+            for tile in layout.chunks(TILE_INPUTS) {
+                if !tile.iter().any(|&i| is_open(state[i])) {
+                    continue;
+                }
+                let bad = self.trial_pass(cone, state, tile, &live);
+                for (j, &i) in tile.iter().enumerate() {
+                    for pos in 0..2 {
+                        if pick(&state[i], pos).is_specified() {
+                            continue;
+                        }
+                        let lane = 4 * j + 2 * pos;
+                        match (bad.lane(lane), bad.lane(lane + 1)) {
+                            (true, true) => return false,
+                            (true, false) => forced.push((i, pos, Value::One)),
+                            (false, true) => forced.push((i, pos, Value::Zero)),
+                            (false, false) => {}
+                        }
+                    }
+                }
+            }
+            if forced.is_empty() {
+                return true;
+            }
+            for &(i, pos, v) in &forced {
+                set(&mut state[i], pos, v);
+            }
+            // `forced` is input-major: one scalar update per changed input.
+            for (k, &(i, _, _)) in forced.iter().enumerate() {
+                if k == 0 || forced[k - 1].0 != i {
+                    self.apply(cone, state, i);
+                }
+            }
+            let scratch = &self.scratch;
+            if live
+                .iter()
+                .any(|&(line, r)| !scratch[line.index()].is_compatible(r))
+            {
+                return false;
+            }
+        }
+    }
+
+    /// One packed trial pass over the cone: every input carries its
+    /// committed value in every lane, except that lane `4j + 2·pos + v`
+    /// sets open slot `pos` of input `tile[j]` to `v` (`tile` ascending).
+    /// Returns the lanes that violate a requirement of `live`.
+    fn trial_pass(
+        &mut self,
+        cone: &Cone,
+        state: &[(Value, Value)],
+        tile: &[usize],
+        live: &[(LineId, Triple)],
+    ) -> Tile {
+        let block = &mut self.packed;
+        block.begin_block(self.circuit);
+        let mut trials = tile.iter().enumerate().peekable();
+        for (k, (&pi, s)) in cone.topo.pis.iter().zip(state).enumerate() {
+            let mut first = splat_rails(s.0);
+            let mut last = splat_rails(s.1);
+            if let Some((j, _)) = trials.next_if(|&(_, &i)| i == k) {
+                let lane = 4 * j;
+                if !s.0.is_specified() {
+                    first.0.set_lane(lane);
+                    first.1.set_lane(lane + 1);
+                }
+                if !s.1.is_specified() {
+                    last.0.set_lane(lane + 2);
+                    last.1.set_lane(lane + 3);
+                }
+            }
+            block.set_input_rails(pi, first, last);
+        }
+        block.propagate_over(self.circuit, &cone.topo.order);
+        // Fixpoint events stay out of the completion counters.
+        let _ = block.take_kernel_stats();
+        self.stats.fixpoint_passes += 1;
+        self.stats.simulations += 1;
+        pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_FIXPOINT_PASSES, 1);
+        block.violated_lanes(live)
+    }
+
+    /// The fixpoint oracle: the scalar loop that trial-assigns one slot at
+    /// a time and commits each forced value before the next trial.
+    #[cfg(test)]
+    fn scalar_fixpoint(&mut self, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
         let n = cone.topo.pis.len();
         loop {
             let mut assigned = false;
@@ -567,6 +731,7 @@ impl<'c> Justifier<'c> {
         cone: &Cone,
         mut state: Vec<(Value, Value)>,
     ) -> Option<Justified> {
+        let _span = pdf_telemetry::Span::enter("justify.guided");
         let n = cone.topo.pis.len();
         loop {
             if self.budget.exhausted() {
@@ -623,7 +788,7 @@ impl<'c> Justifier<'c> {
                 self.stats.conflicts += 1;
                 return None;
             }
-            if !self.fixpoint(cone, &mut state) {
+            if !self.fixpoint(req, cone, &mut state) {
                 self.stats.conflicts += 1;
                 return None;
             }
@@ -638,12 +803,14 @@ impl<'c> Justifier<'c> {
         }
     }
 
-    /// Would assigning `value` at (`pi`, `pos`) violate `req`?
+    /// Would assigning `value` at (`pi`, `pos`) violate `req`? The scalar
+    /// fixpoint oracle's trial.
     ///
     /// Incremental: only the lines reachable from that input inside the
     /// cone are re-evaluated, then rolled back. Requirements on
     /// unreachable lines keep their (non-violating) status, so checking
     /// the reachable requirement lines suffices.
+    #[cfg(test)]
     fn violates(
         &mut self,
         cone: &Cone,
@@ -773,11 +940,18 @@ fn set(s: &mut (Value, Value), pos: usize, v: Value) {
 }
 
 #[inline]
-fn fully_specified(state: &[(Value, Value)]) -> bool {
-    state
-        .iter()
-        .all(|s| s.0.is_specified() && s.1.is_specified())
+fn is_open(s: (Value, Value)) -> bool {
+    !(s.0.is_specified() && s.1.is_specified())
 }
+
+#[inline]
+fn fully_specified(state: &[(Value, Value)]) -> bool {
+    !state.iter().any(|&s| is_open(s))
+}
+
+/// Cone inputs per packed fixpoint pass: four trial lanes each (two
+/// pattern positions × two values).
+const TILE_INPUTS: usize = Tile::LANES / 4;
 
 /// A committed value as `(zero_rail, one_rail)` tiles broadcast across
 /// every lane.
@@ -1105,35 +1279,114 @@ mod tests {
         }
     }
 
-    /// Justifies every detectable fault of `c` on the packed kernel and
-    /// on the scalar oracle with the same seed, and cross-checks
-    /// witnesses, stats and cone counters.
-    fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
-        let paths = pdf_paths::PathEnumerator::new(c).with_cap(300).enumerate();
+    /// The requirement sets of `c`'s detectable faults over the first
+    /// `cap` enumerated paths.
+    fn fault_requirements(c: &Circuit, cap: usize) -> Vec<Assignments> {
+        let paths = pdf_paths::PathEnumerator::new(c).with_cap(cap).enumerate();
         let (faults, _) = pdf_faults::FaultList::build(c, &paths.store);
+        faults.iter().map(|e| e.assignments.clone()).collect()
+    }
+
+    /// How the input values `pins` alone meet `req`: `None` when they
+    /// violate no requirement, else whether an input they leave open
+    /// feeds a violated line.
+    fn pinned_contradiction(
+        c: &Circuit,
+        req: &Assignments,
+        pins: &[(LineId, Value, Value)],
+    ) -> Option<bool> {
+        let mut v1 = vec![Value::X; c.inputs().len()];
+        let mut v2 = v1.clone();
+        for &(line, a, b) in pins {
+            let k = c.inputs().iter().position(|&i| i == line).unwrap();
+            v1[k] = a;
+            v2[k] = b;
+        }
+        let waves =
+            pdf_netlist::simulate_triples(c, &TwoPattern::new(v1.clone(), v2.clone()).to_triples());
+        let mut stack: Vec<LineId> = req
+            .iter()
+            .filter(|&(line, r)| !waves[line.index()].is_compatible(r))
+            .map(|(line, _)| line)
+            .collect();
+        if stack.is_empty() {
+            return None;
+        }
+        let mut seen = vec![false; c.line_count()];
+        let mut reached = false;
+        while let Some(line) = stack.pop() {
+            if std::mem::replace(&mut seen[line.index()], true) {
+                continue;
+            }
+            if let Some(k) = c.inputs().iter().position(|&i| i == line) {
+                reached |= !(v1[k].is_specified() && v2[k].is_specified());
+            }
+            stack.extend_from_slice(c.line(line).fanin());
+        }
+        Some(reached)
+    }
+
+    /// Justifies `reqs` in order on the packed kernel and on the scalar
+    /// oracle with the same seed, and cross-checks outcomes, witnesses,
+    /// fixpoint closures and counters. With `seeded`, every call goes
+    /// through `justify_seeded`, pinned to the committed inputs of the
+    /// previous witness — another requirement set's — every other call
+    /// to their first pattern only. Returns how many calls started from
+    /// pins that already violate a requirement: in all, and those where
+    /// an input the pins leave open feeds a violated line.
+    fn check_calls_agree(
+        c: &Circuit,
+        reqs: &[Assignments],
+        seed: u64,
+        attempts: u32,
+        seeded: bool,
+    ) -> (usize, usize) {
         let mut oracle = engine(c, seed, true).with_attempts(attempts);
         let mut packed = engine(c, seed, false).with_attempts(attempts);
-        for e in faults.iter() {
-            let s = oracle.justify(&e.assignments);
-            let p = packed.justify(&e.assignments);
-            assert_eq!(s.is_some(), p.is_some(), "{} (seed {seed})", e.fault);
+        let mut witness: Vec<(LineId, Value, Value)> = Vec::new();
+        let mut contradicted = (0, 0);
+        for (call, req) in reqs.iter().enumerate() {
+            let pins: Vec<(LineId, Value, Value)> = if call % 2 == 0 {
+                witness.clone()
+            } else {
+                witness.iter().map(|&(l, v, _)| (l, v, Value::X)).collect()
+            };
+            if let Some(reached) = pinned_contradiction(c, req, &pins) {
+                contradicted.0 += 1;
+                contradicted.1 += usize::from(reached);
+            }
+            let s = oracle.justify_seeded(req, &pins);
+            let p = packed.justify_seeded(req, &pins);
+            assert_eq!(s.is_some(), p.is_some(), "{req} (seed {seed})");
             if let (Some(s), Some(p)) = (s, p) {
                 // Byte-identical witnesses, and every packed witness
                 // passes the scalar re-check: the full-circuit waveforms
                 // neither violate nor miss any requirement.
-                assert_eq!(s.test, p.test, "witness of {} (seed {seed})", e.fault);
-                assert!(!e.assignments.violated_by(&p.waves), "{}", e.fault);
-                assert!(e.assignments.satisfied_by(&p.waves), "{}", e.fault);
+                assert_eq!(s.test, p.test, "witness of {req} (seed {seed})");
+                assert!(!req.violated_by(&p.waves), "{req}");
+                assert!(req.satisfied_by(&p.waves), "{req}");
+                if seeded {
+                    witness = p.assignment;
+                }
             }
         }
+        assert_eq!(oracle.fixpoints, packed.fixpoints, "closures (seed {seed})");
         let (s, p) = (oracle.stats(), packed.stats());
         assert_eq!(s.successes, p.successes);
         assert_eq!(s.conflicts, p.conflicts);
+        assert_eq!(s.unsatisfied, p.unsatisfied);
         assert_eq!(s.lane_hits, p.lane_hits);
-        // The cone-topology LRU sits above the completion engine.
+        // The cone-topology LRU sits above both engines.
         assert_eq!(s.cone_hits, p.cone_hits);
         assert_eq!(s.cone_misses, p.cone_misses);
         assert_eq!(s.packed_blocks, 0);
+        assert_eq!(s.fixpoint_passes, 0);
+        contradicted
+    }
+
+    /// Justifies every detectable fault of `c` on both engines.
+    fn check_engines_agree(c: &Circuit, seed: u64, attempts: u32) {
+        check_calls_agree(c, &fault_requirements(c, 300), seed, attempts, false);
     }
 
     #[test]
@@ -1157,6 +1410,80 @@ mod tests {
             .to_circuit()
             .expect("combinational");
         check_engines_agree(&c, 2002, 1);
+    }
+
+    #[test]
+    fn engines_agree_on_calls_seeded_with_other_witnesses() {
+        // Pins from another fault's witness often contradict a
+        // requirement before any trial runs: the fixpoint must then fail
+        // exactly when an open slot reaches such a line, as the scalar
+        // loop does, and otherwise leave the line out of its lane mask.
+        let (mut contradicted, mut reached) = (0, 0);
+        for name in ["b03+r", "b04"] {
+            let c = pdf_netlist::stand_in_profile(name)
+                .expect("known stand-in")
+                .generate()
+                .to_circuit()
+                .expect("combinational");
+            let reqs = fault_requirements(&c, 200);
+            for seed in [5, 2002] {
+                let (all, open) = check_calls_agree(&c, &reqs, seed, 1, true);
+                contradicted += all;
+                reached += open;
+            }
+        }
+        let c = s27();
+        let (all, open) = check_calls_agree(&c, &fault_requirements(&c, 300), 11, 2, true);
+        contradicted += all;
+        reached += open;
+        assert!(contradicted > reached, "no contradiction out of open reach");
+        assert!(reached > 0, "no contradiction an open slot reaches");
+    }
+
+    #[test]
+    fn engines_agree_on_cones_wider_than_one_pass() {
+        // s5378* cones span more than 64 inputs, so each fixpoint round
+        // takes several packed passes.
+        let c = pdf_netlist::stand_in_profile("s5378*")
+            .expect("known stand-in")
+            .generate()
+            .to_circuit()
+            .expect("combinational");
+        let mut reqs = fault_requirements(&c, 150);
+        reqs.sort_by_key(|r| std::cmp::Reverse(ConeTopo::build(&c, r).pis.len()));
+        reqs.truncate(24);
+        let widest = ConeTopo::build(&c, &reqs[0]).pis.len();
+        assert!(widest > TILE_INPUTS, "widest cone has {widest} inputs");
+        check_calls_agree(&c, &reqs, 2002, 1, false);
+        check_calls_agree(&c, &reqs, 7, 1, true);
+    }
+
+    #[test]
+    fn jointly_violating_forced_values_are_a_conflict() {
+        // a = 1 and b = 1 are each forced by their own requirement, but
+        // together they drive z = NAND(a, b) to 0 against its requirement.
+        // The packed round forces both at once and sees the joint
+        // violation; the scalar loop commits a first and then finds both
+        // values of b failing.
+        let mut b = pdf_netlist::CircuitBuilder::new("joint");
+        let x = b.input("a");
+        let y = b.input("b");
+        let z = b.gate("z", pdf_logic::GateKind::Nand, &[x, y]);
+        b.mark_output(z);
+        let c = b.finish().unwrap();
+        let ends_high: Triple = "xx1".parse().unwrap();
+        let mut req = Assignments::new();
+        for line in [x, y, z] {
+            req.require(line, ends_high).unwrap();
+        }
+        for oracle in [false, true] {
+            let mut j = engine(&c, 1, oracle);
+            assert!(j.justify(&req).is_none(), "oracle {oracle}");
+            assert_eq!(j.stats().conflicts, 1, "oracle {oracle}");
+            assert_eq!(j.fixpoints, vec![None], "oracle {oracle}");
+            // One round of one pass: the conflict is the joint check's.
+            assert_eq!(j.stats().fixpoint_passes, usize::from(!oracle));
+        }
     }
 
     fn arb_circuit() -> impl proptest::strategy::Strategy<Value = Circuit> {

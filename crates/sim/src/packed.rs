@@ -558,6 +558,26 @@ impl<W: SimWord> PackedBlock<W> {
         }
         lanes
     }
+
+    /// The lanes whose simulated waveforms contradict some requirement of
+    /// `req` — the packed `!Triple::is_compatible`: a specified required
+    /// component meets the opposite proven value. Lanes outside the block
+    /// are never set, because their planes are all-zero.
+    #[must_use]
+    pub fn violated_lanes(&self, req: &[(LineId, Triple)]) -> W {
+        let mut lanes = W::ZERO;
+        for &(line, tri) in req {
+            let p = &self.planes[line.index()];
+            for (c, v) in tri.components().into_iter().enumerate() {
+                match v {
+                    Value::Zero => lanes = lanes.or(p[2 * c + 1]),
+                    Value::One => lanes = lanes.or(p[2 * c]),
+                    Value::X => {}
+                }
+            }
+        }
+        lanes
+    }
 }
 
 #[cfg(test)]
@@ -660,6 +680,44 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn violated_lanes_matches_scalar_violated_by() {
+        use pdf_paths::PathEnumerator;
+
+        let c = iscas::s27();
+        let paths = PathEnumerator::new(&c).enumerate();
+        let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
+        let n = c.inputs().len();
+        // Partially specified tests: violation, unlike satisfaction, is
+        // decided by the specified components alone.
+        let vals = [Value::X, Value::Zero, Value::One];
+        let tests: Vec<TwoPattern> = (0..TILE_LANES)
+            .map(|k| {
+                let v = |i: usize, salt: usize| vals[(k * 7 + i * 5 + salt) / 3 % 3];
+                TwoPattern::new(
+                    (0..n).map(|i| v(i, 0)).collect(),
+                    (0..n).map(|i| v(i, k % 5)).collect(),
+                )
+            })
+            .collect();
+        let mut block: PackedBlock = PackedBlock::new();
+        block.load(&c, &tests[..TILE_LANES - 3]);
+        for entry in faults.iter() {
+            let req: Vec<(LineId, Triple)> = entry.assignments.iter().collect();
+            let lanes = block.violated_lanes(&req);
+            for (lane, t) in tests[..TILE_LANES - 3].iter().enumerate() {
+                let waves = simulate_triples(&c, &t.to_triples());
+                assert_eq!(
+                    lanes.lane(lane),
+                    entry.assignments.violated_by(&waves),
+                    "lane {lane} fault {}",
+                    entry.assignments
+                );
+            }
+            assert!(lanes.and(block.lanes().not()).is_zero(), "unloaded lanes");
         }
     }
 

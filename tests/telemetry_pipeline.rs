@@ -61,6 +61,15 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
         .find(|c| c.name == "justify")
         .unwrap_or_else(|| panic!("missing `justify` span under generate: {report:?}"));
     assert!(justify.calls >= 1);
+    // The necessary-value fixpoint runs inside every call that gets past
+    // the budget poll, as packed trial passes.
+    assert!(
+        justify
+            .children
+            .iter()
+            .any(|c| c.name == "justify.fixpoint"),
+        "missing `justify.fixpoint` span under justify: {report:?}"
+    );
 
     assert!(report.counter(counters::FAULTS_TARGETED).unwrap() > 0);
     assert!(
@@ -74,6 +83,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     // revisits cached cone topologies across secondary trials.
     assert!(report.counter(counters::JUSTIFY_PACKED_BLOCKS).unwrap() > 0);
     assert!(report.counter(counters::JUSTIFY_LANE_HITS).unwrap() > 0);
+    assert!(report.counter(counters::JUSTIFY_FIXPOINT_PASSES).unwrap() > 0);
     assert!(report.counter(counters::CONE_CACHE_MISS).unwrap() > 0);
     assert!(
         report.counter(counters::CONE_CACHE_HIT).unwrap() > 0,
