@@ -28,6 +28,11 @@
 //!   two topological sweeps to order guided-search branching and fault
 //!   selection. Toggled by `PDF_SCOAP`.
 //!
+//! [`Preparation::run`] is the one place the fault population is built:
+//! learning, enumeration, sensitizability classification and elimination,
+//! in that order, for the CLI, the experiments, the matrix and the
+//! benches alike.
+//!
 //! # Example
 //!
 //! ```
@@ -56,12 +61,14 @@
 mod diagnostic;
 mod learning;
 mod lint;
+mod prepare;
 mod sensitize;
 mod testability;
 
 pub use diagnostic::{codes, Diagnostic, Severity};
 pub use learning::{learn_implications, learn_implications_with_cap, DEFAULT_SPLIT_CAP};
 pub use lint::{lint_circuit, lint_netlist, LintMode, LintReport};
+pub use prepare::{Preparation, Prepared};
 pub use sensitize::{
     classify_store, classify_store_with, constant_lines, lint_semantic, ConstantLine,
     SensitizeAnalysis, SensitizeStats, DEFAULT_SENSITIZE_SPLIT_CAP,

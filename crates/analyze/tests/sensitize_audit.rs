@@ -17,7 +17,7 @@ use pdf_analyze::{classify_store, learn_implications};
 use pdf_atpg::{ExactJustifier, ExactOutcome};
 use pdf_faults::{FaultList, Sensitization};
 use pdf_logic::GateKind;
-use pdf_netlist::{stand_in_profile, Circuit, CircuitBuilder};
+use pdf_netlist::{circuit_by_name, Circuit, CircuitBuilder};
 use pdf_paths::{PathClass, PathEnumerator, PathStore};
 
 /// A circuit whose `i → t` path is a false path invisible to plain
@@ -119,13 +119,7 @@ fn case_split_eliminates_the_gadget_false_path_and_exact_search_agrees() {
 }
 
 fn b03r() -> (Circuit, PathStore) {
-    let circuit = stand_in_profile("b03+r")
-        .expect("b03+r stand-in profile")
-        .generate()
-        .combinational_core()
-        .decompose_parity()
-        .to_circuit()
-        .expect("b03+r circuit");
+    let circuit = circuit_by_name("b03+r").expect("b03+r stand-in");
     let store = PathEnumerator::new(&circuit)
         .with_cap(10_000)
         .enumerate()

@@ -13,17 +13,11 @@ use std::collections::HashSet;
 use pdf_analyze::learn_implications;
 use pdf_atpg::{ExactJustifier, ExactOutcome};
 use pdf_faults::{FaultList, FaultListStats, LearnedImplications, Sensitization};
-use pdf_netlist::{stand_in_profile, Circuit};
+use pdf_netlist::{circuit_by_name, Circuit};
 use pdf_paths::{PathEnumerator, PathStore};
 
 fn b03r() -> (Circuit, PathStore, LearnedImplications) {
-    let circuit = stand_in_profile("b03+r")
-        .expect("b03+r stand-in profile")
-        .generate()
-        .combinational_core()
-        .decompose_parity()
-        .to_circuit()
-        .expect("b03+r circuit");
+    let circuit = circuit_by_name("b03+r").expect("b03+r stand-in");
     let paths = PathEnumerator::new(&circuit).with_cap(10_000).enumerate();
     let table = learn_implications(&circuit);
     (circuit, paths.store, table)

@@ -29,11 +29,7 @@ fn bench_enumeration(c: &mut Criterion) {
         });
     });
 
-    let b03 = pdf_netlist::stand_in_profile("b03")
-        .unwrap()
-        .generate()
-        .to_circuit()
-        .unwrap();
+    let b03 = pdf_netlist::circuit_by_name("b03").unwrap();
     group.bench_function("b03/distance_cap10000", |b| {
         b.iter(|| PathEnumerator::new(&b03).with_cap(10_000).enumerate());
     });

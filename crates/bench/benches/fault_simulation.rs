@@ -10,7 +10,7 @@ use pdf_sim::PackedBlock;
 
 /// A deterministic many-test workload: justified tests for the first
 /// faults, cycled up to `count` tests.
-fn build_tests(s: &pdf_bench::BenchSetup, count: usize) -> TestSet {
+fn build_tests(s: &pdf_experiments::Prepared, count: usize) -> TestSet {
     let mut justifier = Justifier::new(&s.circuit, 3).with_attempts(2);
     let base: Vec<_> = s
         .faults

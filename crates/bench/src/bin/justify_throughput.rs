@@ -19,8 +19,8 @@
 
 use pdf_atpg::{Justifier, SimWidth};
 use pdf_bench::{bench_budget, knob_number, measure, setup, start, Spread};
-use pdf_experiments::json::Json;
 use pdf_knobs::BENCH_TESTS;
+use pdf_telemetry::Json;
 
 /// Timed samples per measurement.
 const SAMPLES: usize = 5;

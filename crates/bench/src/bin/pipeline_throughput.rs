@@ -14,8 +14,8 @@
 
 use pdf_atpg::{AtpgConfig, EnrichmentAtpg, JustifyStats};
 use pdf_bench::{bench_budget, knob_number, measure, setup, start};
-use pdf_experiments::json::Json;
 use pdf_knobs::{BENCH_NP, BENCH_NP0};
+use pdf_telemetry::Json;
 
 /// Timed samples per measured thread count.
 const SAMPLES: usize = 3;

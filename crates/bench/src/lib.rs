@@ -13,50 +13,26 @@
 use std::fmt::Debug;
 use std::time::Instant;
 
-use pdf_atpg::{BudgetSpec, RunBudget, TargetSplit};
-use pdf_experiments::json::Json;
-use pdf_faults::FaultList;
+use pdf_atpg::{BudgetSpec, RunBudget};
+use pdf_experiments::{Prepared, Workload};
 use pdf_knobs::{Knob, KnobError, Program};
-use pdf_netlist::Circuit;
-use pdf_paths::PathEnumerator;
+use pdf_telemetry::Json;
 
-/// A circuit with its enumerated faults and P0/P1 split, sized for
-/// benchmarking.
-#[derive(Debug)]
-pub struct BenchSetup {
-    /// The circuit.
-    pub circuit: Circuit,
-    /// The detectable fault population.
-    pub faults: FaultList,
-    /// The target split.
-    pub split: TargetSplit,
-}
-
-/// Prepares `name` with a reduced cap (`n_p` faults) and `n_p0` split
-/// threshold.
+/// Prepares `name` for benchmarking with a reduced cap (`n_p` faults) and
+/// `n_p0` split threshold, through [`pdf_experiments::prepare`] with both
+/// static passes off.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not a known benchmark stand-in.
+/// Panics if `name` is neither `s27` nor a benchmark stand-in.
 #[must_use]
-pub fn setup(name: &str, n_p: usize, n_p0: usize) -> BenchSetup {
-    let circuit = if name == "s27" {
-        pdf_netlist::iscas::s27()
-    } else {
-        pdf_netlist::stand_in_profile(name)
-            .unwrap_or_else(|| panic!("unknown circuit {name}"))
-            .generate()
-            .to_circuit()
-            .expect("stand-ins are combinational")
+pub fn setup(name: &str, n_p: usize, n_p0: usize) -> Prepared {
+    let workload = Workload {
+        n_p,
+        n_p0,
+        ..Workload::default()
     };
-    let enumeration = PathEnumerator::new(&circuit).with_cap(n_p).enumerate();
-    let (faults, _) = FaultList::build(&circuit, &enumeration.store);
-    let split = TargetSplit::by_cumulative_length(&faults, n_p0);
-    BenchSetup {
-        circuit,
-        faults,
-        split,
-    }
+    pdf_experiments::prepare(name, &workload).unwrap_or_else(|| panic!("unknown circuit {name}"))
 }
 
 /// The start of every throughput binary: validates the knobs the bench

@@ -41,7 +41,7 @@ use pdf_knobs::KnobError;
 /// rejected at parse time so a typo'd site fails fast instead of
 /// silently never firing.
 pub mod sites {
-    /// Checkpoint file writes ([`pdf-runctl`]'s atomic write path).
+    /// Checkpoint file writes (`pdf-runctl`'s atomic write path).
     pub const CHECKPOINT_WRITE: &str = "checkpoint.write";
     /// Checkpoint file reads.
     pub const CHECKPOINT_READ: &str = "checkpoint.read";

@@ -11,18 +11,17 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pdf_analyze::{
-    classify_store, constant_lines, lint_semantic, Diagnostic, LintMode, LintReport,
-    SensitizeAnalysis, Testability,
+    classify_store, constant_lines, lint_semantic, Diagnostic, LintMode, LintReport, Preparation,
+    Testability,
 };
 use pdf_atpg::{
     AtpgConfig, BasicAtpg, BranchGuide, BudgetSpec, Checkpoint, CheckpointPolicy, Compaction,
     EnrichmentAtpg, RunBudget, SimOptions, TargetSplit,
 };
-use pdf_faults::{FaultList, LearnedImplications};
 use pdf_knobs::{KnobError, Program};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineKind, Netlist, TwoPattern};
-use pdf_paths::{PathEnumerator, PathSpectrum, PathStore, Strategy};
+use pdf_paths::{PathEnumerator, PathSpectrum, Strategy};
 use pdf_telemetry::Json;
 
 /// The command-line usage text; [`help`] adds the environment section.
@@ -222,31 +221,49 @@ impl Options {
     }
 }
 
-/// Resolves a circuit spec to its raw netlist. `s27`/`c17` come from the
-/// embedded ISCAS sources, stand-in names from the synthetic generator,
-/// anything else is parsed as a `.bench` file with typed `PDLxxx`
-/// diagnostics on failure.
+/// Where a circuit spec's netlist comes from.
+enum Source {
+    /// The embedded ISCAS `.bench` text of `s27` or `c17`.
+    Embedded(&'static str),
+    /// A synthetic benchmark stand-in.
+    StandIn(Netlist),
+    /// A `.bench` file's text.
+    File(String),
+}
+
+/// Looks a circuit spec up: `s27`/`c17` come from the embedded ISCAS
+/// sources, stand-in names from the synthetic generator, anything else is
+/// read as a file under the I/O policy ([`read_netlist_text`]).
+fn source(spec: &str) -> Result<Source, CliError> {
+    Ok(match spec {
+        "s27" => Source::Embedded(pdf_netlist::iscas::S27_BENCH),
+        "c17" => Source::Embedded(pdf_netlist::iscas::C17_BENCH),
+        _ => match pdf_netlist::stand_in_profile(spec) {
+            Some(profile) => Source::StandIn(profile.generate()),
+            None => Source::File(
+                read_netlist_text(spec)
+                    .map_err(|e| CliError::new(format!("cannot read `{spec}`: {e}")))?,
+            ),
+        },
+    })
+}
+
+/// Resolves a circuit spec to its raw netlist; a file that does not parse
+/// fails with typed `PDLxxx` diagnostics.
 fn resolve_netlist(spec: &str) -> Result<Netlist, CliError> {
-    let (text, name): (std::borrow::Cow<'_, str>, &str) = if spec == "s27" {
-        (pdf_netlist::iscas::S27_BENCH.into(), "s27")
-    } else if spec == "c17" {
-        (pdf_netlist::iscas::C17_BENCH.into(), "c17")
-    } else if let Some(profile) = pdf_netlist::stand_in_profile(spec) {
-        return Ok(profile.generate());
-    } else {
-        let text = read_netlist_text(spec)
-            .map_err(|e| CliError::new(format!("cannot read `{spec}`: {e}")))?;
-        let name = std::path::Path::new(spec)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("circuit")
-            .to_owned();
-        let netlist = pdf_netlist::parse_bench(&text, &name)
-            .map_err(|e| CliError::lint(Diagnostic::from_bench_error(spec, &e).to_string()))?;
-        return Ok(netlist);
-    };
-    pdf_netlist::parse_bench(&text, name)
-        .map_err(|e| CliError::new(format!("embedded {name} netlist: {e}")))
+    match source(spec)? {
+        Source::Embedded(text) => pdf_netlist::parse_bench(text, spec)
+            .map_err(|e| CliError::new(format!("embedded {spec} netlist: {e}"))),
+        Source::StandIn(netlist) => Ok(netlist),
+        Source::File(text) => {
+            let name = std::path::Path::new(spec)
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .unwrap_or("circuit");
+            pdf_netlist::parse_bench(&text, name)
+                .map_err(|e| CliError::lint(Diagnostic::from_bench_error(spec, &e).to_string()))
+        }
+    }
 }
 
 /// `fs::read_to_string` behind the `netlist.read` failpoint site, with
@@ -490,94 +507,23 @@ pub fn cmd_paths(circuit: &Circuit, options: &Options) -> Result<String, CliErro
     Ok(s)
 }
 
-/// Learns the implication table when requested (by `--static-learning`
-/// or `PDF_STATIC_LEARNING`); `None` keeps the plain, byte-identical
-/// behavior.
-fn learned_table(
-    circuit: &Circuit,
-    options: &Options,
-) -> Result<Option<LearnedImplications>, CliError> {
-    let on = pdf_knobs::STATIC_LEARNING.switch(options.has("static-learning"))?;
-    Ok(on.then(|| pdf_analyze::learn_implications(circuit)))
-}
-
-/// Classifies the enumerated paths when the sensitizability pass was
-/// requested (by `--sensitize` or `PDF_SENSITIZE`); `None` keeps the
-/// plain, byte-identical behavior.
-fn sensitize_analysis(
-    circuit: &Circuit,
-    store: &PathStore,
-    learned: Option<&LearnedImplications>,
-    options: &Options,
-) -> Result<Option<SensitizeAnalysis>, CliError> {
-    Ok(pdf_knobs::SENSITIZE
-        .switch(options.has("sensitize"))?
-        .then(|| classify_store(circuit, store, pdf_faults::Sensitization::Robust, learned)))
-}
-
-/// Builds the fault list, pre-eliminating provably false faults when a
-/// sensitizability analysis is present.
-fn build_faults(
-    circuit: &Circuit,
-    store: &PathStore,
-    learned: Option<&LearnedImplications>,
-    analysis: Option<&SensitizeAnalysis>,
-) -> (FaultList, pdf_faults::FaultListStats) {
-    match analysis {
-        Some(a) => FaultList::build_with_filter(
-            circuit,
-            store,
-            pdf_faults::Sensitization::Robust,
-            learned,
-            Some(&|i, p| a.is_false(i, p)),
-        ),
-        None => FaultList::build_with_learned(
-            circuit,
-            store,
-            pdf_faults::Sensitization::Robust,
-            learned,
-        ),
-    }
-}
-
-/// The `faults`/`atpg` notes summarizing the static-learning and
-/// sensitizability passes that ran.
-fn write_pass_notes(
-    s: &mut String,
-    table: Option<&LearnedImplications>,
-    analysis: Option<&SensitizeAnalysis>,
-    stats: &pdf_faults::FaultListStats,
-) {
-    if let Some(table) = table {
-        let _ = writeln!(
-            s,
-            "static learning: {} implications learned, {} faults eliminated",
-            table.len(),
-            stats.statically_eliminated,
-        );
-    }
-    if let Some(analysis) = analysis {
-        let counts = analysis.class_counts();
-        let _ = writeln!(
-            s,
-            "sensitizability: {} paths ({} false, {} robust, {} unknown); {} faults pre-eliminated",
-            analysis.stats.paths,
-            counts.false_paths,
-            counts.robust,
-            counts.unknown,
-            stats.sensitize_eliminated,
-        );
-    }
+/// The preparation `--cap`, `--static-learning` (or `PDF_STATIC_LEARNING`)
+/// and `--sensitize` (or `PDF_SENSITIZE`) ask for. Both passes off keeps
+/// the plain, byte-identical behavior.
+fn preparation_from(options: &Options) -> Result<Preparation, CliError> {
+    Ok(Preparation {
+        cap: options.parsed("cap", 10_000)?,
+        learning: pdf_knobs::STATIC_LEARNING.switch(options.has("static-learning"))?,
+        sensitize: pdf_knobs::SENSITIZE.switch(options.has("sensitize"))?,
+    })
 }
 
 /// `pdfatpg faults`.
 pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
-    let cap: usize = options.parsed("cap", 10_000)?;
+    let preparation = preparation_from(options)?;
     let limit: usize = options.parsed("limit", 20)?;
-    let table = learned_table(circuit, options)?;
-    let result = PathEnumerator::new(circuit).with_cap(cap).enumerate();
-    let analysis = sensitize_analysis(circuit, &result.store, table.as_ref(), options)?;
-    let (faults, stats) = build_faults(circuit, &result.store, table.as_ref(), analysis.as_ref());
+    let prepared = preparation.run(circuit);
+    let (faults, stats) = (&prepared.faults, &prepared.stats);
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -587,7 +533,7 @@ pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliErr
         stats.rule1_conflicts,
         stats.rule2_conflicts,
     );
-    write_pass_notes(&mut s, table.as_ref(), analysis.as_ref(), &stats);
+    s.push_str(&prepared.notes());
     let histogram = pdf_paths::LengthHistogram::from_lengths(faults.delays());
     let _ = writeln!(s, "length classes: {}", histogram.len());
     for entry in faults.iter().take(limit) {
@@ -608,8 +554,8 @@ pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliErr
 /// counts must cover the store, and when nothing was capped the
 /// enumerated population must equal the spectrum total.
 pub fn cmd_analyze(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
-    let cap: usize = options.parsed("cap", 10_000)?;
-    let table = learned_table(circuit, options)?;
+    let Preparation { cap, learning, .. } = preparation_from(options)?;
+    let table = learning.then(|| pdf_analyze::learn_implications(circuit));
     let spectrum = PathSpectrum::of(circuit);
     let result = PathEnumerator::new(circuit).with_cap(cap).enumerate();
     let analysis = classify_store(
@@ -795,7 +741,7 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
     if let Some(circuits) = pdf_knobs::MATRIX_CIRCUITS.list::<String>(options.value("circuits"))? {
         if let Some(c) = circuits
             .iter()
-            .find(|c| pdf_matrix::resolve_circuit(c).is_none())
+            .find(|c| pdf_netlist::circuit_by_name(c).is_none())
         {
             return err(format!("unknown matrix circuit `{c}`"));
         }
@@ -874,7 +820,7 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
 /// that wants a report opens its own [`pdf_telemetry::Guard`].
 pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
     let started = Instant::now();
-    let cap: usize = options.parsed("cap", 10_000)?;
+    let preparation = preparation_from(options)?;
     let n_p0: usize = options.parsed("np0", 1_000)?;
     let seed: u64 = options.parsed("seed", 2002)?;
     let attempts: u32 = options.parsed("attempts", 1)?;
@@ -896,7 +842,8 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         Some(spec) => RunBudget::with_deadline(spec.deadline_for("generate", started, started)),
         None => RunBudget::unlimited(),
     };
-    let table = learned_table(circuit, options)?.map(std::sync::Arc::new);
+    let compaction = heuristic_from(options)?;
+    let prepared = preparation.run(circuit);
     // SCOAP guidance intentionally changes the search (and so the random
     // stream): the guide is recorded in the config fingerprint, and the
     // guided run stays deterministic in its own right.
@@ -909,28 +856,23 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     });
     let config = AtpgConfig {
         seed,
-        compaction: heuristic_from(options)?,
+        compaction,
         justify_attempts: attempts,
         cone_cache,
         budget,
         checkpoint,
-        learned: table.clone(),
+        learned: prepared.learned.clone(),
         guide: guide.clone(),
         threads,
         ..AtpgConfig::default()
     };
 
-    let result = PathEnumerator::new(circuit).with_cap(cap).enumerate();
-    let analysis = sensitize_analysis(circuit, &result.store, table.as_deref(), options)?;
-    let (faults, fault_stats) =
-        build_faults(circuit, &result.store, table.as_deref(), analysis.as_ref());
-    if faults.is_empty() {
+    if prepared.faults.is_empty() {
         return err("no detectable path delay faults in the enumerated population");
     }
-    let split = TargetSplit::by_cumulative_length(&faults, n_p0);
+    let split = TargetSplit::by_cumulative_length(&prepared.faults, n_p0);
 
-    let mut s = String::new();
-    write_pass_notes(&mut s, table.as_deref(), analysis.as_ref(), &fault_stats);
+    let mut s = prepared.notes();
     if guide.is_some() {
         let _ = writeln!(
             s,
@@ -985,12 +927,7 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     let tests = outcome.tests().clone();
 
     let tests = if options.has("minimize") {
-        let everything: FaultList = split
-            .p0()
-            .iter()
-            .chain(split.p1().iter())
-            .cloned()
-            .collect();
+        let everything = split.all();
         let before = tests.len();
         let compact_budget = match &budget_spec {
             Some(spec) => {
@@ -1171,21 +1108,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             _ => err("sim requires exactly two pattern arguments"),
         },
         "dot" => Ok(pdf_netlist::to_dot(&circuit)),
-        "bench" => {
-            // Emitting the line-level circuit would be lossy; emit the
-            // original netlist for stand-ins and parsed files instead.
-            if let Some(profile) = pdf_netlist::stand_in_profile(spec) {
-                Ok(pdf_netlist::to_bench_string(&profile.generate()))
-            } else if spec == "s27" {
-                Ok(pdf_netlist::iscas::S27_BENCH.to_owned())
-            } else if spec == "c17" {
-                Ok(pdf_netlist::iscas::C17_BENCH.to_owned())
-            } else {
-                let text = std::fs::read_to_string(spec)
-                    .map_err(|e| CliError::new(format!("cannot read `{spec}`: {e}")))?;
-                Ok(text)
-            }
-        }
+        // Emitting the line-level circuit would be lossy; emit the
+        // original netlist instead.
+        "bench" => Ok(match source(spec)? {
+            Source::Embedded(text) => text.to_owned(),
+            Source::StandIn(netlist) => pdf_netlist::to_bench_string(&netlist),
+            Source::File(text) => text,
+        }),
         other => unreachable!("command_flags admitted `{other}`"),
     }
 }

@@ -97,7 +97,7 @@ pub enum SecondaryMode {
     Regenerate,
     /// Freeze the input values committed so far and only specify further
     /// ones — the classical dynamic-compaction style of Goel & Rosales
-    /// (the paper's reference [8]), kept as an ablation: the paper argues
+    /// (the paper's reference \[8\]), kept as an ablation: the paper argues
     /// regeneration detects more secondary targets.
     FreezeValues,
 }

@@ -1404,11 +1404,7 @@ mod tests {
         // A `+r` profile: redundancy gadgets make part of the fault
         // population unjustifiable, exercising the Miss path of both
         // engines.
-        let c = pdf_netlist::stand_in_profile("b03+r")
-            .expect("known stand-in")
-            .generate()
-            .to_circuit()
-            .expect("combinational");
+        let c = pdf_netlist::circuit_by_name("b03+r").expect("known stand-in");
         check_engines_agree(&c, 2002, 1);
     }
 
@@ -1420,11 +1416,7 @@ mod tests {
         // loop does, and otherwise leave the line out of its lane mask.
         let (mut contradicted, mut reached) = (0, 0);
         for name in ["b03+r", "b04"] {
-            let c = pdf_netlist::stand_in_profile(name)
-                .expect("known stand-in")
-                .generate()
-                .to_circuit()
-                .expect("combinational");
+            let c = pdf_netlist::circuit_by_name(name).expect("known stand-in");
             let reqs = fault_requirements(&c, 200);
             for seed in [5, 2002] {
                 let (all, open) = check_calls_agree(&c, &reqs, seed, 1, true);
@@ -1444,11 +1436,7 @@ mod tests {
     fn engines_agree_on_cones_wider_than_one_pass() {
         // s5378* cones span more than 64 inputs, so each fixpoint round
         // takes several packed passes.
-        let c = pdf_netlist::stand_in_profile("s5378*")
-            .expect("known stand-in")
-            .generate()
-            .to_circuit()
-            .expect("combinational");
+        let c = pdf_netlist::circuit_by_name("s5378*").expect("known stand-in");
         let mut reqs = fault_requirements(&c, 150);
         reqs.sort_by_key(|r| std::cmp::Reverse(ConeTopo::build(&c, r).pis.len()));
         reqs.truncate(24);

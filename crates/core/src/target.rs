@@ -161,6 +161,17 @@ impl TargetSplit {
         &self.sets
     }
 
+    /// Every set's faults concatenated, most critical set first — for the
+    /// paper's two-set split, `P_0 ∪ P_1` in that order.
+    #[must_use]
+    pub fn all(&self) -> FaultList {
+        self.sets
+            .iter()
+            .flat_map(FaultList::iter)
+            .cloned()
+            .collect()
+    }
+
     /// The index `i0` of the cutoff length class (as reported in the
     /// paper's tables). Only meaningful for splits built by
     /// [`TargetSplit::by_cumulative_length`].
@@ -205,6 +216,22 @@ mod tests {
         assert!(split.p0().iter().all(|e| e.delay >= cutoff));
         assert!(split.p1().iter().all(|e| e.delay < cutoff));
         assert_eq!(split.p0().len(), h.classes()[i0].cumulative);
+    }
+
+    #[test]
+    fn all_concatenates_the_sets_in_order() {
+        let list = faults();
+        let key = |e: &FaultEntry| e.fault.to_string();
+        let split = TargetSplit::by_cumulative_length(&list, 10);
+        let union: Vec<String> = split
+            .p0()
+            .iter()
+            .chain(split.p1().iter())
+            .map(key)
+            .collect();
+        assert_eq!(split.all().iter().map(key).collect::<Vec<_>>(), union);
+        let three = TargetSplit::by_thresholds(&list, &[10, 8]);
+        assert_eq!(three.all().len(), list.len());
     }
 
     #[test]

@@ -111,11 +111,7 @@ fn poison(faults: &FaultList, slot: usize) -> FaultList {
 #[test]
 fn enrichment_runs_are_identical_at_every_thread_count() {
     let _guard = serial();
-    let c = pdf_netlist::stand_in_profile("b09")
-        .expect("known stand-in")
-        .generate()
-        .to_circuit()
-        .expect("combinational");
+    let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
     let faults = faults_of(&c, 400);
     let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
     let run = |threads, force_steal| {

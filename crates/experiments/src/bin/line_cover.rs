@@ -12,7 +12,7 @@ fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "b09".to_owned());
     let workload = Workload::from_env().unwrap_or_else(|e| e.exit());
     pdf_experiments::preflight_lint(&[name.as_str()]);
-    let Some(circuit) = pdf_experiments::circuit_by_name(&name) else {
+    let Some(circuit) = pdf_netlist::circuit_by_name(&name) else {
         eprintln!("unknown circuit `{name}`");
         std::process::exit(1);
     };

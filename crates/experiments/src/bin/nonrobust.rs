@@ -20,7 +20,7 @@ fn main() {
     let names = filter_circuits(&pdf_netlist::TABLE3_CIRCUITS).unwrap_or_else(|e| e.exit());
     pdf_experiments::preflight_lint(&names);
     for name in names {
-        let Some(circuit) = pdf_experiments::circuit_by_name(name) else {
+        let Some(circuit) = pdf_netlist::circuit_by_name(name) else {
             continue;
         };
         let enumeration = PathEnumerator::new(&circuit)

@@ -25,14 +25,8 @@ fn main() {
         };
         for mode in [SecondaryMode::Regenerate, SecondaryMode::FreezeValues] {
             let config = AtpgConfig {
-                seed: workload.seed,
-                compaction: Compaction::ValueBased,
-                justify_attempts: workload.attempts,
                 secondary_mode: mode,
-                cone_cache: workload.cone_cache,
-                budget: workload.run_budget(),
-                learned: prepared.learned.clone(),
-                ..AtpgConfig::default()
+                ..workload.config(&prepared, Compaction::ValueBased)
             };
             let start = std::time::Instant::now();
             let outcome = BasicAtpg::new(&prepared.circuit)

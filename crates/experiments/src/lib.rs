@@ -29,18 +29,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod paper;
 pub mod report;
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use pdf_analyze::{lint_circuit, LintMode};
+use pdf_analyze::{lint_circuit, LintMode, Preparation};
 use pdf_atpg::{
     AtpgConfig, BasicAtpg, BudgetSpec, Compaction, EnrichmentAtpg, RunBudget, TargetSplit,
 };
-use pdf_faults::{FaultList, LearnedImplications, Sensitization};
+use pdf_faults::{FaultList, LearnedImplications};
 use pdf_knobs::{KnobError, Program};
 use pdf_netlist::Circuit;
 use pdf_paths::PathEnumerator;
@@ -128,6 +127,22 @@ impl Workload {
             None => RunBudget::unlimited(),
         }
     }
+
+    /// The generation config for one run on `prepared` under
+    /// `compaction`: the workload's seed, attempts and cone cache, a fresh
+    /// [`Workload::run_budget`], and the preparation's learned table.
+    #[must_use]
+    pub fn config(&self, prepared: &Prepared, compaction: Compaction) -> AtpgConfig {
+        AtpgConfig {
+            seed: self.seed,
+            compaction,
+            justify_attempts: self.attempts,
+            cone_cache: self.cone_cache,
+            budget: self.run_budget(),
+            learned: prepared.learned.clone(),
+            ..AtpgConfig::default()
+        }
+    }
 }
 
 /// Applies the `PDF_CIRCUITS` allow-list to a circuit name list. Each
@@ -166,16 +181,6 @@ pub fn filter_circuits(names: &[&'static str]) -> Result<Vec<&'static str>, Knob
     Ok(kept)
 }
 
-/// Resolves a circuit name: `s27` (exact) or a benchmark stand-in.
-#[must_use]
-pub fn circuit_by_name(name: &str) -> Option<Circuit> {
-    if name == "s27" {
-        return Some(pdf_netlist::iscas::s27());
-    }
-    let netlist = pdf_netlist::stand_in_profile(name)?.generate();
-    Some(netlist.to_circuit().expect("stand-ins are combinational"))
-}
-
 /// A circuit prepared for test generation: enumerated, filtered, split.
 #[derive(Debug)]
 pub struct Prepared {
@@ -194,69 +199,29 @@ pub struct Prepared {
 }
 
 /// Enumerates the longest-path faults of `name`, eliminates undetectable
-/// ones, and splits the survivors per the paper's `N_P0` rule. With
-/// [`Workload::static_learning`] set, a learned closure table sharpens
-/// the elimination and is retained for the generation configs. With
-/// [`Workload::sensitize`] set, the sensitizability classifier runs first
-/// and provably false paths are pre-eliminated through the filter hook.
+/// ones ([`pdf_analyze::Preparation`], with the workload's static
+/// learning and sensitizability switches), and splits the survivors per
+/// the paper's `N_P0` rule. The passes' notes go to stderr behind the
+/// circuit name.
 #[must_use]
 pub fn prepare(name: &str, workload: &Workload) -> Option<Prepared> {
-    let circuit = circuit_by_name(name)?;
-    let learned = workload
-        .static_learning
-        .then(|| Arc::new(pdf_analyze::learn_implications(&circuit)));
-    let enumeration = PathEnumerator::new(&circuit)
-        .with_cap(workload.n_p)
-        .enumerate();
-    let analysis = workload.sensitize.then(|| {
-        pdf_analyze::classify_store(
-            &circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-        )
-    });
-    let (faults, stats) = match &analysis {
-        Some(a) => FaultList::build_with_filter(
-            &circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-            Some(&|index, polarity| a.is_false(index, polarity)),
-        ),
-        None => FaultList::build_with_learned(
-            &circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-        ),
-    };
-    if let Some(table) = &learned {
-        eprintln!(
-            "{name}: static learning: {} implications, {} faults eliminated",
-            table.len(),
-            stats.statically_eliminated
-        );
+    let circuit = pdf_netlist::circuit_by_name(name)?;
+    let prepared = Preparation {
+        cap: workload.n_p,
+        learning: workload.static_learning,
+        sensitize: workload.sensitize,
     }
-    if let Some(a) = &analysis {
-        let counts = a.class_counts();
-        eprintln!(
-            "{name}: sensitizability: {} paths ({} false, {} robust, {} unknown); \
-             {} faults pre-eliminated",
-            counts.total(),
-            counts.false_paths,
-            counts.robust,
-            counts.unknown,
-            stats.sensitize_eliminated
-        );
+    .run(&circuit);
+    for line in prepared.notes().lines() {
+        eprintln!("{name}: {line}");
     }
-    let split = TargetSplit::by_cumulative_length(&faults, workload.n_p0);
+    let split = TargetSplit::by_cumulative_length(&prepared.faults, workload.n_p0);
     Some(Prepared {
         name: name.to_owned(),
         circuit,
-        faults,
+        faults: prepared.faults,
         split,
-        learned,
+        learned: prepared.learned,
     })
 }
 
@@ -272,7 +237,7 @@ pub fn preflight_lint(names: &[&str]) {
     }
     let mut errors = 0usize;
     for &name in names {
-        let Some(circuit) = circuit_by_name(name) else {
+        let Some(circuit) = pdf_netlist::circuit_by_name(name) else {
             continue;
         };
         let report = lint_circuit(&circuit);
@@ -344,28 +309,12 @@ pub fn run_basic(name: &str, workload: &Workload) -> Option<BasicCircuitResult> 
 /// the enumeration and fault-list construction across experiments).
 #[must_use]
 pub fn run_basic_on(prepared: &Prepared, workload: &Workload) -> BasicCircuitResult {
-    let all_faults: FaultList = prepared
-        .split
-        .p0()
-        .iter()
-        .chain(prepared.split.p1().iter())
-        .cloned()
-        .collect();
+    let all_faults = prepared.split.all();
     let mut heuristics = Vec::new();
     for compaction in Compaction::ALL {
-        let config = AtpgConfig {
-            seed: workload.seed,
-            compaction,
-            justify_attempts: workload.attempts,
-            secondary_mode: Default::default(),
-            cone_cache: workload.cone_cache,
-            budget: workload.run_budget(),
-            learned: prepared.learned.clone(),
-            ..AtpgConfig::default()
-        };
         let start = Instant::now();
         let outcome = BasicAtpg::new(&prepared.circuit)
-            .with_config(config)
+            .with_config(workload.config(prepared, compaction))
             .run(prepared.split.p0());
         let seconds = start.elapsed().as_secs_f64();
         note_budget_exhaustion(&prepared.name, compaction.label(), &outcome);
@@ -438,20 +387,9 @@ pub fn run_enrich(name: &str, workload: &Workload) -> Option<EnrichCircuitResult
 /// Like [`run_enrich`], on an already-prepared circuit.
 #[must_use]
 pub fn run_enrich_on(prepared: &Prepared, workload: &Workload) -> EnrichCircuitResult {
-    let config = AtpgConfig {
-        seed: workload.seed,
-        compaction: Compaction::ValueBased,
-        justify_attempts: workload.attempts,
-        secondary_mode: Default::default(),
-        cone_cache: workload.cone_cache,
-        budget: workload.run_budget(),
-        learned: prepared.learned.clone(),
-        ..AtpgConfig::default()
-    };
-
     let start = Instant::now();
     let basic = BasicAtpg::new(&prepared.circuit)
-        .with_config(config.clone())
+        .with_config(workload.config(prepared, Compaction::ValueBased))
         .run(prepared.split.p0());
     let basic_seconds = start.elapsed().as_secs_f64();
     note_budget_exhaustion(&prepared.name, "basic", &basic);
@@ -460,12 +398,8 @@ pub fn run_enrich_on(prepared: &Prepared, workload: &Workload) -> EnrichCircuitR
     let start = Instant::now();
     // The enrichment run gets its own deadline anchor: Table 7 compares
     // the two runs' wall clocks, so both must start with a full budget.
-    let config = AtpgConfig {
-        budget: workload.run_budget(),
-        ..config
-    };
     let outcome = EnrichmentAtpg::new(&prepared.circuit)
-        .with_config(config)
+        .with_config(workload.config(prepared, Compaction::ValueBased))
         .run(&prepared.split);
     let seconds = start.elapsed().as_secs_f64();
     note_budget_exhaustion(&prepared.name, "enrich", &outcome);
@@ -574,14 +508,6 @@ mod tests {
         let w = Workload::default();
         assert_eq!(w.n_p, 10_000);
         assert_eq!(w.n_p0, 1_000);
-    }
-
-    #[test]
-    fn circuit_resolution() {
-        assert!(circuit_by_name("s27").is_some());
-        assert!(circuit_by_name("b03").is_some());
-        assert!(circuit_by_name("s9234*").is_some());
-        assert!(circuit_by_name("c6288").is_none());
     }
 
     #[test]

@@ -324,7 +324,7 @@ pub fn save_json(
     basic: &[BasicCircuitResult],
     enrich: &[EnrichCircuitResult],
 ) -> std::io::Result<()> {
-    use crate::json::Json;
+    use pdf_telemetry::Json;
 
     let workload_json = Json::object()
         .field("n_p", workload.n_p)

@@ -5,13 +5,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pdf_analyze::Preparation;
 use pdf_atpg::{
     AtpgConfig, CancelToken, Checkpoint, CheckpointPolicy, Compaction, EnrichmentAtpg, RunBudget,
     TargetSplit,
 };
-use pdf_faults::{FaultList, Sensitization};
+use pdf_faults::FaultList;
 use pdf_netlist::Circuit;
-use pdf_paths::PathEnumerator;
 use pdf_telemetry::Json;
 
 /// How the cell's generation run is driven through the run-control layer.
@@ -55,7 +55,7 @@ impl RunMode {
 /// One fully-specified configuration cell of the matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellConfig {
-    /// Circuit name (resolvable by [`crate::resolve_circuit`]).
+    /// Circuit name (resolvable by [`pdf_netlist::circuit_by_name`]).
     pub circuit: String,
     /// Compaction heuristic.
     pub compaction: Compaction,
@@ -463,48 +463,25 @@ fn unique_checkpoint_path() -> std::path::PathBuf {
 /// additionally performs the cancel/checkpoint/resume dance.
 #[must_use]
 pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
-    let learned = cell
-        .learning
-        .then(|| Arc::new(pdf_analyze::learn_implications(circuit)));
-    let enumeration = PathEnumerator::new(circuit).with_cap(cell.n_p).enumerate();
-    let analysis = cell.sensitize.then(|| {
-        pdf_analyze::classify_store(
-            circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-        )
-    });
-    let (faults, _) = match &analysis {
-        Some(a) => FaultList::build_with_filter(
-            circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-            Some(&|i, p| a.is_false(i, p)),
-        ),
-        None => FaultList::build_with_learned(
-            circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-        ),
-    };
+    let prepared = Preparation {
+        cap: cell.n_p,
+        learning: cell.learning,
+        sensitize: cell.sensitize,
+    }
+    .run(circuit);
     // Soundness audit, in-cell: every fault the filter eliminated beyond
     // what the rules already drop is re-proven untestable by complete
     // search. A limit-exceeded search is inconclusive (not a violation);
     // a satisfiable one is recorded and fails the sensitize invariant.
-    let sensitize_testable = if analysis.is_some() {
-        let (unfiltered, _) = FaultList::build_with_learned(
-            circuit,
-            &enumeration.store,
-            Sensitization::Robust,
-            learned.as_deref(),
-        );
-        let kept: std::collections::BTreeSet<String> =
-            faults.iter().map(|e| e.fault.to_string()).collect();
+    let sensitize_testable = if prepared.analysis.is_some() {
+        let kept: std::collections::BTreeSet<String> = prepared
+            .faults
+            .iter()
+            .map(|e| e.fault.to_string())
+            .collect();
         let exact = pdf_atpg::ExactJustifier::new(circuit).with_node_limit(200_000);
-        unfiltered
+        prepared
+            .unfiltered_faults(circuit)
             .iter()
             .filter(|e| !kept.contains(&e.fault.to_string()))
             .filter(|e| {
@@ -518,7 +495,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
     } else {
         Vec::new()
     };
-    let split = TargetSplit::by_nested_cumulative(&faults, cell.n_p0, cell.k.max(2));
+    let split = TargetSplit::by_nested_cumulative(&prepared.faults, cell.n_p0, cell.k.max(2));
     let fault_keys: Vec<String> = split
         .sets()
         .iter()
@@ -536,7 +513,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
         seed: cell.seed,
         compaction: cell.compaction,
         budget: budget(),
-        learned: learned.clone(),
+        learned: prepared.learned.clone(),
         threads: cell.threads.max(1),
         ..AtpgConfig::default()
     };

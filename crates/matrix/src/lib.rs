@@ -23,7 +23,7 @@
 //!   unfiltered cell detects is eliminated, and the in-cell exact-search
 //!   audit confirms no eliminated fault is satisfiable.
 //!
-//! Any failing cell is auto-minimized abi-cafe-style ([`minimize`]) into
+//! Any failing cell is auto-minimized abi-cafe-style ([`minimize()`]) into
 //! the smallest reproducing circuit + configuration, written as a
 //! self-contained `pdf-matrix-repro` JSON artifact ([`ReproCase`]) that
 //! replays to the same failure, and the whole run is summarized in a
@@ -48,16 +48,6 @@ pub use invariants::{check_all, Invariant, Violation};
 pub use minimize::{minimize, netlist_by_name, FailureProbe, Minimized};
 pub use report::{MatrixOutcome, REPORT_SCHEMA, REPORT_VERSION};
 pub use repro::{ReproCase, REPRO_SCHEMA, REPRO_VERSION};
-
-/// Resolves a circuit name the way every matrix entry point does: the
-/// paper's exact `s27`, or a synthetic benchmark stand-in.
-#[must_use]
-pub fn resolve_circuit(name: &str) -> Option<Circuit> {
-    if name == "s27" {
-        return Some(pdf_netlist::iscas::s27());
-    }
-    netlist_by_name(name).and_then(|n| n.to_circuit().ok())
-}
 
 /// The process-wide chaos gate: the failpoint registry is global, so a
 /// cell that arms failpoints takes the write side while clean cells take
@@ -220,7 +210,7 @@ impl MatrixRunner {
         let mut circuits: BTreeMap<String, Circuit> = BTreeMap::new();
         for cell in &cells {
             if !circuits.contains_key(&cell.circuit) {
-                let circuit = resolve_circuit(&cell.circuit)
+                let circuit = pdf_netlist::circuit_by_name(&cell.circuit)
                     .unwrap_or_else(|| panic!("unknown matrix circuit `{}`", cell.circuit));
                 circuits.insert(cell.circuit.clone(), circuit);
             }

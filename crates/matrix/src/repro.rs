@@ -7,7 +7,6 @@ use pdf_telemetry::Json;
 
 use crate::cell::CellConfig;
 use crate::invariants::Invariant;
-use crate::minimize::netlist_by_name;
 
 /// Schema name stamped into every artifact.
 pub const REPRO_SCHEMA: &str = "pdf-matrix-repro";
@@ -138,11 +137,7 @@ impl ReproCase {
                 .to_circuit()
                 .map_err(|e| format!("embedded bench is not combinational: {e:?}"));
         }
-        if self.circuit == "s27" {
-            return Ok(pdf_netlist::iscas::s27());
-        }
-        netlist_by_name(&self.circuit)
-            .and_then(|n| n.to_circuit().ok())
+        pdf_netlist::circuit_by_name(&self.circuit)
             .ok_or_else(|| format!("unknown circuit `{}`", self.circuit))
     }
 }

@@ -56,7 +56,9 @@ pub use dot::to_dot;
 pub use netlist::{Dff, Driver, Gate, Netlist, NetlistBuilder, NetlistError, SignalId};
 pub use rng::SplitMix64;
 pub use sim::{simulate_triples, simulate_values, TwoPattern};
-pub use synth::{stand_in_profile, SynthProfile, TABLE3_CIRCUITS, TABLE6_CIRCUITS};
+pub use synth::{
+    circuit_by_name, stand_in_profile, SynthProfile, TABLE3_CIRCUITS, TABLE6_CIRCUITS,
+};
 
 /// The most common imports, re-exported flat.
 pub mod prelude {

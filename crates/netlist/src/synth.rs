@@ -16,7 +16,7 @@
 
 use pdf_logic::GateKind;
 
-use crate::{Netlist, NetlistBuilder, SplitMix64};
+use crate::{Circuit, Netlist, NetlistBuilder, SplitMix64};
 
 /// Parameters of the synthetic circuit generator.
 ///
@@ -519,6 +519,22 @@ pub fn stand_in_profile(name: &str) -> Option<SynthProfile> {
     Some(p)
 }
 
+/// Resolves a circuit name: the paper's exact `s27`, otherwise a
+/// benchmark stand-in ([`stand_in_profile`]). `None` for any other name.
+///
+/// # Panics
+///
+/// Panics if a stand-in fails to expand, which the generator rules out:
+/// stand-ins are combinational by construction.
+#[must_use]
+pub fn circuit_by_name(name: &str) -> Option<Circuit> {
+    if name == "s27" {
+        return Some(crate::iscas::s27());
+    }
+    let netlist = stand_in_profile(name)?.generate();
+    Some(netlist.to_circuit().expect("stand-ins are combinational"))
+}
+
 /// The circuits of the paper's Tables 3–5 and 7 (eight stand-ins).
 pub const TABLE3_CIRCUITS: [&str; 8] = [
     "s641", "s953", "s1196", "s1423", "s1488", "b03", "b04", "b09",
@@ -533,6 +549,14 @@ pub const TABLE6_CIRCUITS: [&str; 11] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn circuit_resolution() {
+        assert!(circuit_by_name("s27").is_some());
+        assert!(circuit_by_name("b03").is_some());
+        assert!(circuit_by_name("s9234*").is_some());
+        assert!(circuit_by_name("c6288").is_none());
+    }
 
     #[test]
     fn generation_is_deterministic() {

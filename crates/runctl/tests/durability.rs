@@ -163,6 +163,28 @@ fn injected_torn_write_is_caught_on_load_and_recovered() {
     cleanup(&path);
 }
 
+/// A hostile current generation nested far past the JSON parser's limit
+/// loads as corruption (never a stack overflow), and recovery falls back
+/// to the `.prev` generation.
+#[test]
+fn deeply_nested_checkpoint_is_corrupt_and_recovers_the_previous_generation() {
+    let _serial = lock();
+    pdf_chaos::clear();
+    let path = scratch("nested");
+    let (first, second) = (checkpoint(1), checkpoint(2));
+    first.save(&path).expect("save generation 1");
+    second.save(&path).expect("save generation 2");
+    std::fs::write(&path, "[".repeat(100_000)).expect("plant nested file");
+    match Checkpoint::load(&path) {
+        Err(CheckpointError::Corrupt { .. }) => {}
+        other => panic!("expected a Corrupt error, got {other:?}"),
+    }
+    let (loaded, recovered) = Checkpoint::load_with_recovery(&path).expect("recovery");
+    assert_eq!(loaded, first);
+    assert!(recovered);
+    cleanup(&path);
+}
+
 #[test]
 fn crc64_matches_the_ecma_reference_vector() {
     // ECMA-182 reflected, aka CRC-64/XZ: check value for "123456789".

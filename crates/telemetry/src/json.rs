@@ -1,10 +1,11 @@
 //! A dependency-free JSON value with a writer *and* a parser.
 //!
-//! The build environment has no crates.io access, so run reports cannot
-//! use `serde_json`. The writer mirrors the archival dumps elsewhere in
-//! the workspace (two-space indent, object keys in insertion order); the
-//! parser exists so reports round-trip ([`crate::RunReport::from_json`])
-//! and so CI can validate emitted telemetry without external tooling.
+//! The build environment has no crates.io access, so nothing in the
+//! workspace uses `serde_json`. This one writer (two-space indent, object
+//! keys in insertion order) renders run reports, checkpoints, the
+//! experiments' archival dumps and the bench reports; the parser exists
+//! so reports round-trip ([`crate::RunReport::from_json`]) and so CI can
+//! validate emitted telemetry without external tooling.
 
 use core::fmt;
 use std::fmt::Write as _;
@@ -93,16 +94,23 @@ impl Json {
         s
     }
 
+    /// The deepest array/object nesting [`Json::parse`] accepts. Every
+    /// document the workspace writes nests a few levels; the bound keeps
+    /// a hostile input from recursing the parser off the end of its stack.
+    pub const MAX_NESTING: usize = 128;
+
     /// Parses a JSON document.
     ///
     /// # Errors
     ///
     /// Returns [`ParseJsonError`] on malformed input, including trailing
-    /// garbage after the top-level value.
+    /// garbage after the top-level value and nesting deeper than
+    /// [`Json::MAX_NESTING`].
     pub fn parse(text: &str) -> Result<Json, ParseJsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -222,6 +230,8 @@ impl std::error::Error for ParseJsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -270,8 +280,21 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == Json::MAX_NESTING {
+                    return Err(
+                        self.err(format!("nesting deeper than {} levels", Json::MAX_NESTING))
+                    );
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -504,6 +527,27 @@ mod tests {
             .field("note", "quotes \" and \\ and\nnewlines\tok");
         let text = j.to_pretty();
         assert_eq!(Json::parse(&text).unwrap(), j);
+    }
+
+    #[test]
+    fn integers_print_bare_and_non_finite_numbers_print_null() {
+        assert_eq!(Json::from(42usize).to_pretty(), "42\n");
+        assert_eq!(Json::from(2.25f64).to_pretty(), "2.25\n");
+        assert_eq!(Json::from(f64::NAN).to_pretty(), "null\n");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(100_000);
+        assert!(Json::parse(&arrays).is_err());
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+        let depth = Json::MAX_NESTING;
+        let at_limit = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("[{at_limit}]");
+        let error = Json::parse(&over).unwrap_err();
+        assert_eq!(error.offset, depth);
     }
 
     #[test]

@@ -10,16 +10,9 @@ use pdf_atpg::{AtpgConfig, Compaction};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "b03".to_owned());
-    let circuit = if name == "s27" {
-        s27()
-    } else {
-        match pdf_netlist::stand_in_profile(&name) {
-            Some(p) => p.generate().to_circuit().expect("combinational"),
-            None => {
-                eprintln!("unknown circuit `{name}`");
-                std::process::exit(1);
-            }
-        }
+    let Some(circuit) = pdf_netlist::circuit_by_name(&name) else {
+        eprintln!("unknown circuit `{name}`");
+        std::process::exit(1);
     };
 
     let paths = PathEnumerator::new(&circuit).with_cap(10_000).enumerate();

@@ -15,14 +15,10 @@ use pdf_atpg::AtpgConfig;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "b09".to_owned());
-    let Some(profile) = pdf_netlist::stand_in_profile(&name) else {
+    let Some(circuit) = pdf_netlist::circuit_by_name(&name) else {
         eprintln!("unknown circuit `{name}`");
         std::process::exit(1);
     };
-    let circuit = profile
-        .generate()
-        .to_circuit()
-        .expect("stand-ins are combinational");
     println!(
         "{name}: {} lines, {} inputs, {} paths, critical length {}",
         circuit.line_count(),

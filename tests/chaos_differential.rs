@@ -267,3 +267,28 @@ fn transient_netlist_read_heals_in_the_cli() {
         "healed CLI output must be byte-identical"
     );
 }
+
+/// `pdfatpg bench FILE` reads the file a second time to emit it verbatim.
+/// That read goes through the same `netlist.read` site and retry policy
+/// as the load before it.
+#[test]
+fn bench_emission_reads_through_the_netlist_read_site() {
+    let _guard = serialize();
+    let args = |a: &[&str]| -> Vec<String> { a.iter().map(|s| (*s).to_owned()).collect() };
+    let path =
+        std::env::temp_dir().join(format!("pdf_chaos_diff_emit_{}.bench", std::process::id()));
+    std::fs::write(&path, pdf_netlist::iscas::S27_BENCH).unwrap();
+    let file = path.to_str().unwrap();
+    pdf_chaos::install(&pdf_chaos::FailpointSpec::parse("netlist.read:io@2").unwrap());
+    let healed = pdf_cli::run(&args(&["bench", file]));
+    pdf_chaos::install(&pdf_chaos::FailpointSpec::parse("netlist.read:full@2").unwrap());
+    let failed = pdf_cli::run(&args(&["bench", file]));
+    pdf_chaos::clear();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        healed.expect("the transient read error must heal"),
+        pdf_netlist::iscas::S27_BENCH
+    );
+    let error = failed.expect_err("a persistent error on the emitting read must surface");
+    assert!(error.message.contains("cannot read"), "{error}");
+}

@@ -127,12 +127,7 @@ fn paper_claim_enrichment_beats_accidental_detection_on_s27() {
     let split = TargetSplit::by_cumulative_length(&faults, 10);
     assert!(!split.p1().is_empty());
 
-    let everything: pdf_faults::FaultList = split
-        .p0()
-        .iter()
-        .chain(split.p1().iter())
-        .cloned()
-        .collect();
+    let everything = split.all();
 
     let basic = BasicAtpg::new(&c).with_seed(2002).run(split.p0());
     let accidental = basic.tests().coverage(&c, &everything).detected_count();

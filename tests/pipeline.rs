@@ -4,28 +4,15 @@
 
 use path_delay_atpg::prelude::*;
 use pdf_atpg::{AtpgConfig, Compaction};
-use pdf_faults::FaultList as Faults;
+use pdf_experiments::{Prepared, Workload};
 
-struct Setup {
-    circuit: pdf_netlist::Circuit,
-    faults: Faults,
-    split: TargetSplit,
-}
-
-fn setup(name: &str, cap: usize, n_p0: usize) -> Setup {
-    let circuit = pdf_netlist::stand_in_profile(name)
-        .expect("known stand-in")
-        .generate()
-        .to_circuit()
-        .expect("combinational");
-    let paths = PathEnumerator::new(&circuit).with_cap(cap).enumerate();
-    let (faults, _) = FaultList::build(&circuit, &paths.store);
-    let split = TargetSplit::by_cumulative_length(&faults, n_p0);
-    Setup {
-        circuit,
-        faults,
-        split,
-    }
+fn setup(name: &str, n_p: usize, n_p0: usize) -> Prepared {
+    let workload = Workload {
+        n_p,
+        n_p0,
+        ..Workload::default()
+    };
+    pdf_experiments::prepare(name, &workload).expect("known stand-in")
 }
 
 #[test]
@@ -54,13 +41,7 @@ fn bookkeeping_matches_post_hoc_simulation_for_every_heuristic() {
 fn enrichment_bookkeeping_matches_post_hoc_simulation() {
     let s = setup("b09", 600, 120);
     let outcome = EnrichmentAtpg::new(&s.circuit).with_seed(11).run(&s.split);
-    let everything: Faults = s
-        .split
-        .p0()
-        .iter()
-        .chain(s.split.p1().iter())
-        .cloned()
-        .collect();
+    let everything = s.split.all();
     let coverage = outcome.tests().coverage(&s.circuit, &everything);
     assert_eq!(coverage.detected(), outcome.detected());
 }
@@ -109,13 +90,7 @@ fn enrichment_is_free_and_strictly_better_on_p1() {
     let basic = BasicAtpg::new(&s.circuit)
         .with_config(config.clone())
         .run(s.split.p0());
-    let everything: Faults = s
-        .split
-        .p0()
-        .iter()
-        .chain(s.split.p1().iter())
-        .cloned()
-        .collect();
+    let everything = s.split.all();
     let accidental = basic
         .tests()
         .coverage(&s.circuit, &everything)
@@ -225,11 +200,7 @@ fn k_set_generalization_runs_end_to_end() {
 
 #[test]
 fn nonrobust_population_is_superset_of_robust() {
-    let circuit = pdf_netlist::stand_in_profile("b09")
-        .unwrap()
-        .generate()
-        .to_circuit()
-        .unwrap();
+    let circuit = pdf_netlist::circuit_by_name("b09").unwrap();
     let paths = PathEnumerator::new(&circuit).with_cap(600).enumerate();
     let (robust, _) = FaultList::build_with(&circuit, &paths.store, Sensitization::Robust);
     let (nonrobust, _) = FaultList::build_with(&circuit, &paths.store, Sensitization::NonRobust);

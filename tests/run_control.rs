@@ -16,14 +16,7 @@ use pdf_netlist::{Circuit, LineId};
 use pdf_paths::PathEnumerator;
 
 fn circuit(name: &str) -> Circuit {
-    if name == "s27" {
-        return pdf_netlist::iscas::s27();
-    }
-    pdf_netlist::stand_in_profile(name)
-        .expect("known stand-in")
-        .generate()
-        .to_circuit()
-        .expect("combinational")
+    pdf_netlist::circuit_by_name(name).expect("known circuit")
 }
 
 fn population(c: &Circuit, cap: usize, n_p0: usize) -> (FaultList, TargetSplit) {
