@@ -4,7 +4,7 @@
 //!
 //! 1. **Direct contrapositives** (SOCRATES-style). For every line `l`,
 //!    outer slot `s ∈ {α1, α3}` and value `v ∈ {0, 1}`, assert the single
-//!    requirement `l.s = v` on a fresh [`Implicator`], propagate to the
+//!    requirement `l.s = v` on the pass's [`Implicator`], propagate to the
 //!    fixpoint, and for every implied literal `m.s' = w` on another line
 //!    store the contrapositive `m.s' = ¬w ⇒ l.s = ¬v` in the
 //!    [`LearnedImplications`] closure table. The forward direction is not
@@ -16,8 +16,8 @@
 //!    value of some undecided line but follow from neither value alone —
 //!    the signature of reconvergent redundancy. For each unspecified
 //!    *frontier* line `f` (a fanin slot of a gate the round-1 fixpoint
-//!    already touched), clone the fixpoint twice, assert `f.s = 0` and
-//!    `f.s = 1`, and propagate both. Outer literals specified identically
+//!    already touched), assert `f.s = 0` and `f.s = 1` in turn on top of
+//!    the fixpoint, propagate, and undo back to it. Outer literals specified identically
 //!    in both branch fixpoints (or in the single consistent branch, when
 //!    the other conflicts) hold under the antecedent unconditionally,
 //!    because outer components are binary in every completed test. Each
@@ -79,10 +79,11 @@ pub fn learn_implications(circuit: &Circuit) -> LearnedImplications {
 pub fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedImplications {
     let _span = pdf_telemetry::Span::enter("static_learning");
     let mut table = LearnedImplications::new(circuit.line_count());
+    let mut imp = Implicator::new(circuit);
     for (id, _) in circuit.iter() {
         for slot in [0usize, 2] {
             for value in [Value::Zero, Value::One] {
-                learn_from_assertion(circuit, id, slot, value, split_cap, &mut table);
+                learn_from_assertion(circuit, &mut imp, id, slot, value, split_cap, &mut table);
             }
         }
     }
@@ -93,32 +94,62 @@ pub fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> Learn
     table
 }
 
-/// Asserts `line.slot = value`, propagates, records round-1
-/// contrapositives, then branch-and-intersects over the frontier.
+/// Asserts `line.slot = value` on the pass's engine, propagates, records
+/// round-1 contrapositives, then branch-and-intersects over the frontier.
+/// The engine is unconstrained on entry, and again on return.
 fn learn_from_assertion(
     circuit: &Circuit,
+    imp: &mut Implicator<'_>,
     line: LineId,
     slot: usize,
     value: Value,
     split_cap: usize,
     table: &mut LearnedImplications,
 ) {
-    let mut imp = Implicator::new(circuit);
+    let mark = imp.mark();
     let req = single_component(slot, value);
-    if imp.assign(line, req).is_err() || imp.propagate().is_err() {
-        // The literal itself is unsatisfiable; nothing to learn — any
-        // fault requiring it already dies under rule 2.
-        return;
+    if imp.assign(line, req).is_ok() && imp.propagate().is_ok() {
+        // The fixpoint is specified exactly on the lines changed since
+        // the unconstrained mark: only they can carry a consequent.
+        let implied = changed_lines(imp, mark);
+        learn_from_fixpoint(circuit, imp, &implied, line, slot, value, split_cap, table);
     }
+    // Otherwise the literal itself is unsatisfiable; nothing to learn —
+    // any fault requiring it already dies under rule 2.
+    imp.undo_to(mark);
+}
+
+/// The lines changed since `mark`, each once, in id order, with their
+/// current values.
+fn changed_lines(imp: &Implicator<'_>, mark: usize) -> Vec<(LineId, Triple)> {
+    let mut lines: Vec<LineId> = imp.changed_since(mark).collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines.into_iter().map(|l| (l, imp.value(l))).collect()
+}
+
+/// The two learning rounds on the fixpoint of `line.slot = value`, which
+/// `imp` holds on entry and on return; `implied` lists its specified
+/// lines.
+#[allow(clippy::too_many_arguments)]
+fn learn_from_fixpoint(
+    circuit: &Circuit,
+    imp: &mut Implicator<'_>,
+    implied: &[(LineId, Triple)],
+    line: LineId,
+    slot: usize,
+    value: Value,
+    split_cap: usize,
+    table: &mut LearnedImplications,
+) {
     let antecedent = Literal::new(line, slot, value);
 
     // Round 1: direct contrapositives of the plain fixpoint.
-    for (idx, &implied) in imp.values().iter().enumerate() {
-        let m = LineId::new(idx);
+    for &(m, v) in implied {
         if m == line {
             continue;
         }
-        for (cons_slot, w) in [(0usize, implied.first()), (2, implied.last())] {
+        for (cons_slot, w) in [(0usize, v.first()), (2, v.last())] {
             if !w.is_specified() {
                 continue;
             }
@@ -128,52 +159,54 @@ fn learn_from_assertion(
         }
     }
 
-    // Round 2: depth-1 branch-and-intersect over the frontier.
-    let base: Vec<Triple> = imp.values().to_vec();
-    for (split, split_slot) in frontier_splits(circuit, &base, split_cap) {
-        let branch = |v: Value| -> Option<Vec<Triple>> {
-            let mut b = imp.clone();
-            if b.assign(split, single_component(split_slot, v)).is_ok() && b.propagate().is_ok() {
-                Some(b.values().to_vec())
-            } else {
-                None
-            }
+    // Round 2: depth-1 branch-and-intersect over the frontier. A branch
+    // fixpoint differs from the base fixpoint only on the lines the
+    // branch changed, so only those are compared.
+    for (split, split_slot) in frontier_splits(circuit, imp.values(), implied, split_cap) {
+        let mut branch = |v: Value| -> Option<Vec<(LineId, Triple)>> {
+            let mark = imp.mark();
+            let changed = (imp.assign(split, single_component(split_slot, v)).is_ok()
+                && imp.propagate().is_ok())
+            .then(|| changed_lines(imp, mark));
+            imp.undo_to(mark);
+            changed
         };
-        let merged: Vec<Triple> = match (branch(Value::Zero), branch(Value::One)) {
-            // Both values consistent: keep what the branches agree on.
-            (Some(f0), Some(f1)) => f0
-                .iter()
-                .zip(&f1)
-                .map(|(a, b)| {
-                    Triple::new(
-                        if a.first() == b.first() {
-                            a.first()
-                        } else {
-                            Value::X
-                        },
-                        Value::X,
-                        if a.last() == b.last() {
-                            a.last()
-                        } else {
-                            Value::X
-                        },
-                    )
-                })
-                .collect(),
+        let merged: Vec<(LineId, Triple)> = match (branch(Value::Zero), branch(Value::One)) {
+            // Both values consistent: keep what the branches agree on. A
+            // line only one branch changed agrees with the base fixpoint
+            // wherever the base is specified, so it adds nothing.
+            (Some(f0), Some(f1)) => {
+                let mut f1 = f1.into_iter().peekable();
+                f0.into_iter()
+                    .filter_map(|(m, a)| {
+                        while f1.next_if(|&(l, _)| l < m).is_some() {}
+                        let (_, b) = f1.next_if(|&(l, _)| l == m)?;
+                        let agree = |x: Value, y: Value| if x == y { x } else { Value::X };
+                        Some((
+                            m,
+                            Triple::new(
+                                agree(a.first(), b.first()),
+                                Value::X,
+                                agree(a.last(), b.last()),
+                            ),
+                        ))
+                    })
+                    .collect()
+            }
             // One value conflicts: the other is forced, its fixpoint holds.
             (Some(f), None) | (None, Some(f)) => f,
             // Both conflict: the antecedent is unsatisfiable after all —
             // leave that to rule-2; record nothing.
             (None, None) => continue,
         };
-        for (idx, &t) in merged.iter().enumerate() {
-            let m = LineId::new(idx);
+        for (m, t) in merged {
             if m == line {
                 continue;
             }
+            let base = imp.value(m);
             for (cons_slot, w) in [(0usize, t.first()), (2, t.last())] {
                 // Only record what round 1 could not already see.
-                if !w.is_specified() || component(base[idx], cons_slot).is_specified() {
+                if !w.is_specified() || component(base, cons_slot).is_specified() {
                     continue;
                 }
                 let consequent = Literal::new(m, cons_slot, w);
@@ -188,18 +221,29 @@ fn learn_from_assertion(
 
 /// Split candidates: unspecified outer slots of fanins of gates the
 /// fixpoint already touched (output or some sibling fanin specified in
-/// that slot). Branch lines resolve to their stems so the candidate list
-/// is not inflated by equivalent splits.
-fn frontier_splits(circuit: &Circuit, values: &[Triple], cap: usize) -> Vec<(LineId, usize)> {
+/// that slot), in gate-id order. Only gates that are, or are fed by, an
+/// `implied` line can be touched. Branch lines resolve to their stems so
+/// the candidate list is not inflated by equivalent splits.
+fn frontier_splits(
+    circuit: &Circuit,
+    values: &[Triple],
+    implied: &[(LineId, Triple)],
+    cap: usize,
+) -> Vec<(LineId, usize)> {
     let mut out = Vec::new();
     let mut seen = std::collections::HashSet::new();
     if cap == 0 {
         return out;
     }
-    for (id, line) in circuit.iter() {
-        if !line.kind().is_gate() {
-            continue;
-        }
+    let mut touched: Vec<LineId> = implied
+        .iter()
+        .flat_map(|&(l, _)| std::iter::once(l).chain(circuit.line(l).fanout().iter().copied()))
+        .filter(|&g| circuit.line(g).kind().is_gate())
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    for id in touched {
+        let line = circuit.line(id);
         for slot in [0usize, 2] {
             let out_spec = component(values[id.index()], slot).is_specified();
             let any_in_spec = line

@@ -26,8 +26,8 @@
 //! masking) and the `pdfatpg analyze` report.
 
 use pdf_faults::{
-    assignments as fault_assignments, Assignments, ConditionError, Implicator, LearnedImplications,
-    PathDelayFault, Polarity, Sensitization,
+    assignments as fault_assignments, walk_prefixes, Assignments, ConditionError, FaultKey,
+    Implicator, LearnedImplications, PathDelayFault, Polarity, Sensitization,
 };
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind};
@@ -97,18 +97,41 @@ pub fn classify_store_with(
 ) -> SensitizeAnalysis {
     let _phase = pdf_telemetry::Span::enter("sensitize");
     let mut stats = SensitizeStats::default();
+    let mut verdicts = vec![[FaultVerdict::Unknown; 2]; store.len()];
+    // Rule 1, in store order: its survivors go on to the implication
+    // checks, walked over the path-prefix trie on one engine.
+    let mut keys = Vec::new();
+    for (index, stored) in store.iter().enumerate() {
+        for polarity in Polarity::BOTH {
+            let fault = PathDelayFault::new(stored.path.clone(), polarity);
+            match fault_assignments(circuit, &fault, kind) {
+                Ok(_) => keys.push(FaultKey { index, polarity }),
+                // Rule 1: the requirements conflict with each other.
+                Err(ConditionError::Conflict { .. }) => {
+                    verdicts[index][polarity_slot(polarity)] = FaultVerdict::False;
+                }
+                // Parity gates / malformed paths are outside this analysis.
+                Err(_) => {}
+            }
+        }
+    }
+    let mut imp = Implicator::new(circuit);
+    if let Some(table) = learned {
+        imp = imp.with_learned(table);
+    }
+    walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
+        verdicts[key.index][polarity_slot(key.polarity)] = match closure {
+            // Rule 2 (+ learned closure): the implication fixpoint
+            // conflicts.
+            None => FaultVerdict::False,
+            Some(base) => classify_closure(circuit, store, key, kind, base, split_cap, &mut stats),
+        };
+    });
     let mut path_class = Vec::with_capacity(store.len());
     let mut fault_false = Vec::with_capacity(store.len());
-    for stored in store.iter() {
-        let mut verdicts = [FaultVerdict::Unknown; 2];
-        for (slot, polarity) in Polarity::BOTH.into_iter().enumerate() {
-            let fault = PathDelayFault::new(stored.path.clone(), polarity);
-            let verdict = classify_fault(circuit, &fault, kind, learned, split_cap, &mut stats);
-            if matches!(verdict, FaultVerdict::False) {
-                stats.false_faults += 1;
-            }
-            verdicts[slot] = verdict;
-        }
+    for verdicts in verdicts {
+        let is_false = verdicts.map(|v| matches!(v, FaultVerdict::False));
+        stats.false_faults += is_false.iter().filter(|&&f| f).count();
         let class = combine(verdicts);
         match class {
             PathClass::False => stats.false_paths += 1,
@@ -117,10 +140,7 @@ pub fn classify_store_with(
         }
         stats.paths += 1;
         path_class.push(class);
-        fault_false.push([
-            matches!(verdicts[0], FaultVerdict::False),
-            matches!(verdicts[1], FaultVerdict::False),
-        ]);
+        fault_false.push(is_false);
     }
     pdf_telemetry::count(
         pdf_telemetry::counters::PATHS_CLASSIFIED,
@@ -130,6 +150,14 @@ pub fn classify_store_with(
         path_class,
         fault_false,
         stats,
+    }
+}
+
+/// Index of `polarity` in the per-path `[rise, fall]` pairs.
+fn polarity_slot(polarity: Polarity) -> usize {
+    match polarity {
+        Polarity::SlowToRise => 0,
+        Polarity::SlowToFall => 1,
     }
 }
 
@@ -146,11 +174,9 @@ impl SensitizeAnalysis {
     /// consumes.
     #[must_use]
     pub fn is_false(&self, index: usize, polarity: Polarity) -> bool {
-        let slot = match polarity {
-            Polarity::SlowToRise => 0,
-            Polarity::SlowToFall => 1,
-        };
-        self.fault_false.get(index).is_some_and(|f| f[slot])
+        self.fault_false
+            .get(index)
+            .is_some_and(|f| f[polarity_slot(polarity)])
     }
 
     /// Writes the per-path verdicts into the store's classification tags.
@@ -191,26 +217,19 @@ fn combine(verdicts: [FaultVerdict; 2]) -> PathClass {
     }
 }
 
-fn classify_fault(
+/// The verdict of a fault whose `A(p)` passed rules 1 and 2; `base` holds
+/// the implication closure of `A(p)` on entry and on return.
+fn classify_closure(
     circuit: &Circuit,
-    fault: &PathDelayFault,
+    store: &PathStore,
+    key: FaultKey,
     kind: Sensitization,
-    learned: Option<&LearnedImplications>,
+    base: &mut Implicator<'_>,
     split_cap: usize,
     stats: &mut SensitizeStats,
 ) -> FaultVerdict {
-    let a = match fault_assignments(circuit, fault, kind) {
-        Ok(a) => a,
-        // Rule 1: the requirements conflict with each other.
-        Err(ConditionError::Conflict { .. }) => return FaultVerdict::False,
-        // Parity gates / malformed paths are outside this analysis.
-        Err(_) => return FaultVerdict::Unknown,
-    };
-    // Rule 2 (+ learned closure): the implication fixpoint conflicts.
-    let base = match Implicator::from_assignments_with(circuit, &a, learned) {
-        Ok(imp) => imp,
-        Err(_) => return FaultVerdict::False,
-    };
+    let fault = PathDelayFault::new(store.entries()[key.index].path.clone(), key.polarity);
+    let a = fault_assignments(circuit, &fault, kind).expect("rule 1 already passed this fault");
     // Robust proof: every constrained line is directly drivable from a
     // primary input, so the requirement waveforms can simply be applied.
     if a.lines().all(|l| input_realizable(circuit, l)) {
@@ -218,7 +237,7 @@ fn classify_fault(
     }
     // Depth-1 case split: a cone input that conflicts under both
     // second-pattern values refutes every completion of A(p).
-    if split_refutes(circuit, &base, &a, split_cap) {
+    if split_refutes(circuit, base, &a, split_cap) {
         stats.split_refuted += 1;
         return FaultVerdict::False;
     }
@@ -239,7 +258,12 @@ fn input_realizable(circuit: &Circuit, line: LineId) -> bool {
 /// second-pattern value the base fixpoint already decided), assert 0 and
 /// then 1 under the second pattern. If both assertions conflict for some
 /// input, no test satisfies `A(p)`.
-fn split_refutes(circuit: &Circuit, base: &Implicator<'_>, a: &Assignments, cap: usize) -> bool {
+fn split_refutes(
+    circuit: &Circuit,
+    base: &mut Implicator<'_>,
+    a: &Assignments,
+    cap: usize,
+) -> bool {
     if cap == 0 {
         return false;
     }
@@ -269,8 +293,11 @@ fn split_refutes(circuit: &Circuit, base: &Implicator<'_>, a: &Assignments, cap:
         }
         tried += 1;
         let refuted = [Value::Zero, Value::One].into_iter().all(|v| {
-            let mut imp = base.clone();
-            imp.assign(pi, Triple::new(Value::X, Value::X, v)).is_err() || imp.propagate().is_err()
+            let mark = base.mark();
+            let conflict = base.assign(pi, Triple::new(Value::X, Value::X, v)).is_err()
+                || base.propagate().is_err();
+            base.undo_to(mark);
+            conflict
         });
         if refuted {
             return true;
@@ -295,17 +322,19 @@ pub struct ConstantLine {
 #[must_use]
 pub fn constant_lines(circuit: &Circuit) -> Vec<ConstantLine> {
     let mut constants = Vec::new();
+    let mut imp = Implicator::new(circuit);
+    let unconstrained = imp.mark();
     for &id in circuit.topo_order() {
         // Inputs are free by definition; branches mirror their stems.
         if !matches!(circuit.line(id).kind(), LineKind::Gate(_)) {
             continue;
         }
         for value in [Value::Zero, Value::One] {
-            let mut imp = Implicator::new(circuit);
             let infeasible = imp
                 .assign(id, Triple::new(Value::X, Value::X, value))
                 .is_err()
                 || imp.propagate().is_err();
+            imp.undo_to(unconstrained);
             if infeasible {
                 constants.push(ConstantLine {
                     line: id,

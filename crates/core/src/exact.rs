@@ -90,11 +90,11 @@ impl<'c> ExactJustifier<'c> {
     pub fn justify(&self, req: &Assignments) -> ExactOutcome {
         // Cone primary inputs: only they influence the constrained lines.
         let cone_pis = cone_inputs(self.circuit, req);
-        let Ok(imp) = Implicator::from_assignments(self.circuit, req) else {
+        let Ok(mut imp) = Implicator::from_assignments(self.circuit, req) else {
             return ExactOutcome::Unsatisfiable;
         };
         let mut nodes = 0usize;
-        match self.search(req, &cone_pis, imp, &mut nodes) {
+        match self.search(req, &cone_pis, &mut imp, &mut nodes) {
             Search::Found(test) => ExactOutcome::Satisfiable(test),
             Search::Exhausted => ExactOutcome::Unsatisfiable,
             Search::Limit => ExactOutcome::LimitExceeded,
@@ -105,7 +105,7 @@ impl<'c> ExactJustifier<'c> {
         &self,
         req: &Assignments,
         cone_pis: &[LineId],
-        imp: Implicator<'c>,
+        imp: &mut Implicator<'c>,
         nodes: &mut usize,
     ) -> Search {
         // Find the next undecided (input, pattern) slot.
@@ -124,7 +124,7 @@ impl<'c> ExactJustifier<'c> {
             // requirements rather than deriving them, so the leaf must be
             // validated by an actual hazard-conservative simulation of the
             // candidate test.
-            let test = self.witness(cone_pis, &imp);
+            let test = self.witness(cone_pis, imp);
             let waves = pdf_netlist::simulate_triples(self.circuit, &test.to_triples());
             if req.satisfied_by(&waves) {
                 return Search::Found(test);
@@ -142,13 +142,14 @@ impl<'c> ExactJustifier<'c> {
             } else {
                 Triple::new(v.first(), v.mid(), value)
             };
-            let mut child = imp.clone();
-            if child.assign(pi, triple).is_ok() && child.propagate().is_ok() {
-                match self.search(req, cone_pis, child, nodes) {
+            let mark = imp.mark();
+            if imp.assign(pi, triple).is_ok() && imp.propagate().is_ok() {
+                match self.search(req, cone_pis, imp, nodes) {
                     Search::Exhausted => {}
                     other => return other,
                 }
             }
+            imp.undo_to(mark);
         }
         Search::Exhausted
     }

@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pdf_faults::{Assignments, FaultEntry, FaultList};
+use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
 use pdf_pool::{Control, PoolOptions};
@@ -716,7 +716,7 @@ fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
     }
 }
 
-impl<'c> Build<'_, 'c, '_> {
+impl<'a, 'c> Build<'a, 'c, '_> {
     fn run(&mut self, primary: usize) -> BuildOutcome {
         let req = self.ctx.faults[primary].assignments.clone();
         let Some(justified) = self.justify_guarded(primary, &req, None) else {
@@ -732,7 +732,6 @@ impl<'c> Build<'_, 'c, '_> {
             self.stats.aborted_primaries += 1;
             return BuildOutcome::Aborted;
         };
-        let mut union = req;
         // Under the freeze-values mode, input values committed so far
         // are pinned for every later secondary (Goel-Rosales style).
         let mut frozen: Vec<(LineId, Value, Value)> =
@@ -744,6 +743,7 @@ impl<'c> Build<'_, 'c, '_> {
         let mut current = justified;
 
         if !matches!(self.ctx.config.compaction, Compaction::Uncompacted) {
+            let mut union = Union::new(self.ctx, req);
             self.extend_with_secondaries(primary, &mut union, &mut current, &mut frozen);
         }
         if self.cut || self.budget.exhausted() {
@@ -800,7 +800,7 @@ impl<'c> Build<'_, 'c, '_> {
     fn extend_with_secondaries(
         &mut self,
         primary: usize,
-        union: &mut Assignments,
+        union: &mut Union<'a>,
         current: &mut Justified,
         frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
@@ -826,7 +826,7 @@ impl<'c> Build<'_, 'c, '_> {
         &mut self,
         set: usize,
         primary: usize,
-        union: &mut Assignments,
+        union: &mut Union<'a>,
         current: &mut Justified,
         frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
@@ -854,7 +854,7 @@ impl<'c> Build<'_, 'c, '_> {
         &mut self,
         set: usize,
         primary: usize,
-        union: &mut Assignments,
+        union: &mut Union<'a>,
         current: &mut Justified,
         frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
@@ -872,7 +872,10 @@ impl<'c> Build<'_, 'c, '_> {
                 if considered[i - lo] || !self.eligible_secondary(i, primary) {
                     continue;
                 }
-                match union.delta_count(&self.ctx.faults[i].assignments) {
+                match union
+                    .requirements
+                    .delta_count(&self.ctx.faults[i].assignments)
+                {
                     Some(delta) => ranked.push((delta, i)),
                     None => {
                         considered[i - lo] = true;
@@ -904,7 +907,7 @@ impl<'c> Build<'_, 'c, '_> {
     fn try_candidate(
         &mut self,
         i: usize,
-        union: &mut Assignments,
+        union: &mut Union<'a>,
         current: &mut Justified,
         frozen: &mut Vec<(LineId, Value, Value)>,
     ) -> bool {
@@ -925,36 +928,43 @@ impl<'c> Build<'_, 'c, '_> {
         };
         if satisfied {
             let mut grew = false;
-            if let Some(merged) = union.merged(a) {
-                grew = merged != *union;
-                *union = merged;
+            if let Some(merged) = union.requirements.merged(a) {
+                grew = merged != union.requirements;
+                union.requirements = merged;
+                if grew {
+                    union.assert_accepted(a);
+                }
             }
             self.detected[i] = true;
             self.stats.free_accepts += 1;
             pdf_telemetry::count(pdf_telemetry::counters::SECONDARY_DETECTED, 1);
             return grew;
         }
-        let Some(merged) = union.merged(a) else {
+        let Some(merged) = union.requirements.merged(a) else {
             self.stats.conflict_rejects += 1;
             return false;
         };
         // Implication pre-filter: a contradiction proves no test exists
         // for the merged requirements, so the (much costlier) randomized
         // justification is skipped. Sound — it only rejects candidates
-        // justification could never accept.
-        let circuit = self.ctx.circuit;
-        let learned = self.ctx.config.learned.as_deref();
-        let conflicting = match catch_unwind(AssertUnwindSafe(|| {
-            pdf_faults::Implicator::from_assignments_with(circuit, &merged, learned).is_err()
-        })) {
+        // justification could never accept. Only `A(p)` is asserted, on
+        // top of the closure of the union.
+        let Some(closure) = union.closure.as_mut() else {
+            self.stats.conflict_rejects += 1;
+            return false;
+        };
+        let mark = closure.mark();
+        let conflicting = match catch_unwind(AssertUnwindSafe(|| closure.assert_all(a).is_err())) {
             Ok(conflicting) => conflicting,
             Err(payload) => {
+                closure.undo_to(mark);
                 let message = panic_message(payload.as_ref()).to_owned();
                 self.quarantine_fault(i, &format!("the implication pre-filter ({message})"));
                 return false;
             }
         };
         if conflicting {
+            closure.undo_to(mark);
             self.stats.conflict_rejects += 1;
             return false;
         }
@@ -973,7 +983,8 @@ impl<'c> Build<'_, 'c, '_> {
                         }
                     }
                 }
-                *union = merged;
+                // The closure now holds the closure of the merged union.
+                union.requirements = merged;
                 *current = justified;
                 self.detected[i] = true;
                 self.stats.secondary_accepts += 1;
@@ -981,11 +992,47 @@ impl<'c> Build<'_, 'c, '_> {
                 true
             }
             None => {
+                closure.undo_to(mark);
                 // A quarantine mid-call is not a justification verdict.
                 if !self.quarantined[i] {
                     self.stats.secondary_rejects += 1;
                 }
                 false
+            }
+        }
+    }
+}
+
+/// The requirement union of the test under construction, with its
+/// implication closure kept incrementally on one engine for the whole
+/// build: a candidate asserts only its own `A(p)` on top and is undone on
+/// reject. The rules are monotone, so this conflicts exactly when the
+/// merged union propagated from scratch would.
+struct Union<'a> {
+    requirements: Assignments,
+    /// The closure of `requirements` (with the learned table, if any), or
+    /// `None` once it conflicts: no candidate can join after that.
+    closure: Option<Implicator<'a>>,
+}
+
+impl<'a> Union<'a> {
+    fn new(ctx: &'a SessionCtx<'_, '_>, requirements: Assignments) -> Union<'a> {
+        let mut closure = Implicator::new(ctx.circuit);
+        if let Some(table) = ctx.config.learned.as_deref() {
+            closure = closure.with_learned(table);
+        }
+        let closure = closure.assert_all(&requirements).is_ok().then_some(closure);
+        Union {
+            requirements,
+            closure,
+        }
+    }
+
+    /// Adds a freely accepted candidate's `A(p)` to the closure.
+    fn assert_accepted(&mut self, a: &Assignments) {
+        if let Some(closure) = &mut self.closure {
+            if closure.assert_all(a).is_err() {
+                self.closure = None;
             }
         }
     }

@@ -144,68 +144,81 @@ pub fn assignments(
 ) -> Result<Assignments, ConditionError> {
     fault.path().validate(circuit)?;
     let mut a = Assignments::new();
-    let require = |a: &mut Assignments, line: LineId, req: Triple| {
-        a.require(line, req)
-            .map_err(|c| ConditionError::Conflict { line: c.line })
-    };
-    // Back-project a requirement through a branch onto its stem so that
-    // sibling-branch conflicts are caught (rule 1).
-    let require_projected = |a: &mut Assignments, circuit: &Circuit, line: LineId, req: Triple| {
-        require(a, line, req)?;
-        if let LineKind::Branch { stem } = circuit.line(line).kind() {
-            require(a, *stem, req)?;
-        }
-        Ok(())
-    };
-
     let lines = fault.path().lines();
-    // Launch transition at the source.
-    let mut transition = match fault.polarity() {
-        Polarity::SlowToRise => Triple::RISING,
-        Polarity::SlowToFall => Triple::FALLING,
-    };
-    require_projected(&mut a, circuit, lines[0], transition)?;
-
-    for w in lines.windows(2) {
-        let on_path = w[0];
-        let through = w[1];
-        let line = circuit.line(through);
-        match line.kind() {
-            LineKind::Input => unreachable!("inputs have no fanin"),
-            LineKind::Branch { .. } => {
-                // Branches are transparent: the waveform passes unchanged.
-            }
-            LineKind::Gate(gate) => {
-                transition = propagate_through(
-                    circuit,
-                    &mut a,
-                    *gate,
-                    through,
-                    on_path,
-                    transition,
-                    kind,
-                    &require_projected,
-                )?;
-            }
-        }
+    let mut transition = launch(fault.polarity());
+    for k in 0..lines.len() {
+        transition = step(circuit, lines, k, transition, kind, &mut |line, req| {
+            a.require(line, req)
+                .map_err(|c| ConditionError::Conflict { line: c.line })
+        })?;
     }
     Ok(a)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn propagate_through<F>(
+/// The transition a fault of `polarity` launches at its path's source.
+pub(crate) fn launch(polarity: Polarity) -> Triple {
+    match polarity {
+        Polarity::SlowToRise => Triple::RISING,
+        Polarity::SlowToFall => Triple::FALLING,
+    }
+}
+
+/// The share of `A(p)` that path position `k` adds, handed to `require`
+/// one requirement at a time: the launch transition at the source
+/// (`k = 0`), the off-path requirements of the gate `lines[k]` otherwise.
+/// `transition` is the one arriving at `lines[k]` ([`launch`] at the
+/// source); the one leaving it is returned. Requirements on fanout
+/// branches are back-projected onto their stems (a branch carries its
+/// stem's waveform), which lets rule-1 conflicts between sibling branches
+/// surface.
+///
+/// `A(p)` is the fold of these steps over the whole path, so the steps of
+/// a path's prefix give exactly the requirements of that prefix.
+pub(crate) fn step(
     circuit: &Circuit,
-    a: &mut Assignments,
+    lines: &[LineId],
+    k: usize,
+    transition: Triple,
+    kind: Sensitization,
+    require: &mut impl FnMut(LineId, Triple) -> Result<(), ConditionError>,
+) -> Result<Triple, ConditionError> {
+    let mut require_projected = |line: LineId, req: Triple| {
+        require(line, req)?;
+        if let LineKind::Branch { stem } = circuit.line(line).kind() {
+            require(*stem, req)?;
+        }
+        Ok(())
+    };
+    if k == 0 {
+        require_projected(lines[0], transition)?;
+        return Ok(transition);
+    }
+    let through = lines[k];
+    match circuit.line(through).kind() {
+        LineKind::Input => unreachable!("inputs have no fanin"),
+        // Branches are transparent: the waveform passes unchanged.
+        LineKind::Branch { .. } => Ok(transition),
+        LineKind::Gate(gate) => propagate_through(
+            circuit,
+            *gate,
+            through,
+            lines[k - 1],
+            transition,
+            kind,
+            &mut require_projected,
+        ),
+    }
+}
+
+fn propagate_through(
+    circuit: &Circuit,
     gate: GateKind,
     gate_line: LineId,
     on_path: LineId,
     transition: Triple,
     kind: Sensitization,
-    require_projected: &F,
-) -> Result<Triple, ConditionError>
-where
-    F: Fn(&mut Assignments, &Circuit, LineId, Triple) -> Result<(), ConditionError>,
-{
+    require_projected: &mut impl FnMut(LineId, Triple) -> Result<(), ConditionError>,
+) -> Result<Triple, ConditionError> {
     let out_transition = if gate.inverts() {
         transition.negate()
     } else {
@@ -237,7 +250,7 @@ where
     };
     for &input in circuit.line(gate_line).fanin() {
         if input != on_path {
-            require_projected(a, circuit, input, off_req)?;
+            require_projected(input, off_req)?;
         }
     }
     Ok(out_transition)

@@ -18,6 +18,13 @@
 //!   `α2 = v ⇒ α1 = v ∧ α3 = v`;
 //! * a primary input that holds one specified value under both patterns
 //!   cannot glitch: `α1 = α3 = v ⇒ α2 = v` (at primary inputs only).
+//!
+//! The engine is incremental: every value change is recorded on a trail,
+//! so a caller can [`mark`](Implicator::mark) a state, assert more
+//! requirements, and [`undo_to`](Implicator::undo_to) the mark instead of
+//! rebuilding the engine. The rules are monotone narrowing operators, so
+//! asserting `b` on top of the fixpoint of `a` conflicts exactly when
+//! asserting `a ∪ b` from scratch does.
 
 use core::fmt;
 
@@ -67,13 +74,16 @@ impl std::error::Error for ImplicationConflict {}
 /// assert_eq!(imp.value(y), Triple::STABLE1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Implicator<'c> {
     circuit: &'c Circuit,
     values: Vec<Triple>,
     queue: std::collections::VecDeque<LineId>,
     queued: Vec<bool>,
     learned: Option<&'c LearnedImplications>,
+    /// Every value change as `(line, value before the change)`, oldest
+    /// first: [`Implicator::undo_to`] replays it backwards.
+    trail: Vec<(LineId, Triple)>,
 }
 
 impl<'c> Implicator<'c> {
@@ -86,6 +96,7 @@ impl<'c> Implicator<'c> {
             queue: std::collections::VecDeque::new(),
             queued: vec![false; circuit.line_count()],
             learned: None,
+            trail: Vec::new(),
         }
     }
 
@@ -126,11 +137,56 @@ impl<'c> Implicator<'c> {
     ) -> Result<Implicator<'c>, ImplicationConflict> {
         let mut imp = Implicator::new(circuit);
         imp.learned = learned;
-        for (line, req) in assignments.iter() {
-            imp.assign(line, req)?;
-        }
-        imp.propagate()?;
+        imp.assert_all(assignments)?;
         Ok(imp)
+    }
+
+    /// Asserts every requirement of `assignments` and runs the
+    /// implications to the fixpoint.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ImplicationConflict`] if the requirements contradict each
+    /// other or the current state; [`Implicator::undo_to`] a mark taken
+    /// before the call restores the engine.
+    pub fn assert_all(&mut self, assignments: &Assignments) -> Result<(), ImplicationConflict> {
+        for (line, req) in assignments.iter() {
+            self.assign(line, req)?;
+        }
+        self.propagate()
+    }
+
+    /// The current trail position, to hand back to
+    /// [`Implicator::undo_to`].
+    #[inline]
+    #[must_use]
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// The lines whose value changed since `mark` was taken, oldest
+    /// change first. A line narrowed more than once appears once per
+    /// change.
+    pub fn changed_since(&self, mark: usize) -> impl Iterator<Item = LineId> + '_ {
+        self.trail[mark..].iter().map(|&(line, _)| line)
+    }
+
+    /// Restores every line value to what it was when `mark` was taken and
+    /// empties the propagation queue. Valid after a conflict, and after a
+    /// panic caught mid-assert or mid-propagation: the trail records each
+    /// change before the next can happen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the current trail: a stale mark, taken
+    /// before an undo to an earlier one.
+    pub fn undo_to(&mut self, mark: usize) {
+        for (line, old) in self.trail.drain(mark..).rev() {
+            self.values[line.index()] = old;
+        }
+        for line in self.queue.drain(..) {
+            self.queued[line.index()] = false;
+        }
     }
 
     /// The current value of a line (`x` components where nothing is
@@ -162,10 +218,17 @@ impl<'c> Implicator<'c> {
             return Err(ImplicationConflict { line });
         };
         if merged != current {
-            self.values[line.index()] = merged;
-            self.touch(line);
+            self.set(line, merged);
         }
         Ok(())
+    }
+
+    /// Writes a changed value through the trail and queues its
+    /// neighbourhood.
+    fn set(&mut self, line: LineId, value: Triple) {
+        self.trail.push((line, self.values[line.index()]));
+        self.values[line.index()] = value;
+        self.touch(line);
     }
 
     fn touch(&mut self, line: LineId) {
@@ -191,8 +254,9 @@ impl<'c> Implicator<'c> {
     ///
     /// # Errors
     ///
-    /// Returns [`ImplicationConflict`] on contradiction; the engine state
-    /// is then partially updated and should be discarded.
+    /// Returns [`ImplicationConflict`] on contradiction. The state is then
+    /// partially updated; [`Implicator::undo_to`] a mark taken before the
+    /// contradicting assertions restores it, and the engine is reusable.
     pub fn propagate(&mut self) -> Result<(), ImplicationConflict> {
         while let Some(line) = self.queue.pop_front() {
             self.queued[line.index()] = false;
@@ -267,8 +331,7 @@ impl<'c> Implicator<'c> {
         let current = self.values[line.index()];
         let merged = current.intersect(new).ok_or(ImplicationConflict { line })?;
         if merged != current {
-            self.values[line.index()] = merged;
-            self.touch(line);
+            self.set(line, merged);
         }
         Ok(())
     }
@@ -288,7 +351,9 @@ impl<'c> Implicator<'c> {
 
     /// Backward rules from a gate's output onto its inputs, per component.
     fn backward(&mut self, line: LineId, kind: GateKind) -> Result<(), ImplicationConflict> {
-        let fanin: Vec<LineId> = self.circuit.line(line).fanin().to_vec();
+        // The circuit outlives the engine borrow: no copy of the fanin.
+        let circuit = self.circuit;
+        let fanin = circuit.line(line).fanin();
         let out = self.values[line.index()];
 
         for slot in 0..3 {
@@ -307,7 +372,7 @@ impl<'c> Implicator<'c> {
                     let nc = !c;
                     if w == nc {
                         // Non-controlled result: every input is nc.
-                        for &f in &fanin {
+                        for &f in fanin {
                             self.update_component(f, slot, nc)?;
                         }
                     } else {
@@ -315,7 +380,7 @@ impl<'c> Implicator<'c> {
                         // the remaining one must be c.
                         let mut candidate = None;
                         let mut undecided = 0usize;
-                        for &f in &fanin {
+                        for &f in fanin {
                             let v = component(self.values[f.index()], slot);
                             if v != nc {
                                 undecided += 1;
@@ -335,7 +400,7 @@ impl<'c> Implicator<'c> {
                     let mut acc = w;
                     let mut candidate = None;
                     let mut unknown = 0usize;
-                    for &f in &fanin {
+                    for &f in fanin {
                         let v = component(self.values[f.index()], slot);
                         if v.is_specified() {
                             acc = acc ^ v;

@@ -11,9 +11,12 @@
 //! * [`Assignments`] — requirement sets with merging, Δ-counting (for the
 //!   value-based compaction heuristic) and satisfaction/violation checks
 //!   against simulated waveforms;
-//! * [`Implicator`] — three-valued implication over two-pattern waveforms,
-//!   used to eliminate undetectable faults (Sec. 3.1, rules 1 and 2) and
-//!   by the optional exact justification engine;
+//! * [`Implicator`] — incremental three-valued implication over two-pattern
+//!   waveforms (a trail with `mark`/`undo_to`), used to eliminate
+//!   undetectable faults (Sec. 3.1, rules 1 and 2), to screen secondary
+//!   targets and by the optional exact justification engine;
+//! * [`walk_prefixes`] — rule 2 over the path-prefix trie: faults whose
+//!   paths share a prefix share its implications;
 //! * [`FaultList`] — the target population `P` built from an enumerated
 //!   path store with undetectable faults removed.
 //!
@@ -51,6 +54,7 @@ mod fault;
 mod implication;
 mod learned;
 mod list;
+mod prefix;
 
 pub use assignments::{Assignments, RequirementConflict};
 pub use conditions::{assignments, robust_assignments, ConditionError, Sensitization};
@@ -58,6 +62,7 @@ pub use fault::{PathDelayFault, Polarity};
 pub use implication::{ImplicationConflict, Implicator};
 pub use learned::{LearnedImplications, Literal};
 pub use list::{FaultEntry, FaultList, FaultListStats};
+pub use prefix::{walk_prefixes, FaultKey};
 
 /// The most common imports, re-exported flat.
 pub mod prelude {

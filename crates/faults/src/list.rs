@@ -4,6 +4,7 @@
 use pdf_netlist::Circuit;
 use pdf_paths::PathStore;
 
+use crate::prefix::{walk_prefixes, FaultKey};
 use crate::{
     assignments as compute_assignments, Assignments, ConditionError, Implicator,
     LearnedImplications, PathDelayFault, Polarity, Sensitization,
@@ -124,6 +125,20 @@ impl FaultList {
     /// soundness audit in `pdf-analyze` re-proves every drop by exact
     /// search.
     ///
+    /// Runs in three passes, each under its own span:
+    ///
+    /// 1. `eliminate.rule1`, in store order: the filter and rule 1. Only
+    ///    the surviving faults' keys are kept, not their `A(p)`.
+    /// 2. `eliminate.rule2`: rule 2 over the path-prefix trie
+    ///    ([`walk_prefixes`]), one engine for the whole pass.
+    /// 3. `eliminate.learned`: the learned-table re-check of the rule-2
+    ///    survivors (another trie walk, when a table is supplied), then
+    ///    emission in store order, recomputing `A(p)` only for kept
+    ///    faults.
+    ///
+    /// Faults refuted by a prefix conflict are counted on the
+    /// `rule2_prefix_refuted` telemetry counter.
+    ///
     /// # Panics
     ///
     /// See [`FaultList::build`].
@@ -137,37 +152,65 @@ impl FaultList {
     ) -> (FaultList, FaultListStats) {
         let _phase = pdf_telemetry::Span::enter("eliminate");
         let mut stats = FaultListStats::default();
-        let mut entries = Vec::with_capacity(store.len() * 2);
+        // `alive[key.slot()]`: the fault has survived every rule so far.
+        let mut alive = vec![false; 2 * store.len()];
+        let mut keys = Vec::new();
+        {
+            let _span = pdf_telemetry::Span::enter("eliminate.rule1");
+            for (index, stored) in store.iter().enumerate() {
+                for polarity in Polarity::BOTH {
+                    stats.candidates += 1;
+                    if filter.is_some_and(|drop| drop(index, polarity)) {
+                        stats.sensitize_eliminated += 1;
+                        continue;
+                    }
+                    let fault = PathDelayFault::new(stored.path.clone(), polarity);
+                    match compute_assignments(circuit, &fault, kind) {
+                        Ok(_) => {
+                            let key = FaultKey { index, polarity };
+                            alive[key.slot()] = true;
+                            keys.push(key);
+                        }
+                        Err(ConditionError::Conflict { .. }) => stats.rule1_conflicts += 1,
+                        Err(e) => panic!("fault {fault}: {e}"),
+                    }
+                }
+            }
+        }
+        let mut prefix_refuted = {
+            let _span = pdf_telemetry::Span::enter("eliminate.rule2");
+            let mut imp = Implicator::new(circuit);
+            walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
+                if closure.is_none() {
+                    alive[key.slot()] = false;
+                    stats.rule2_conflicts += 1;
+                }
+            })
+        };
+        let _span = pdf_telemetry::Span::enter("eliminate.learned");
+        if let Some(table) = learned {
+            // Second chance with the learned closure table attached, on
+            // the rule-2 survivors only (still in trie order).
+            keys.retain(|key| alive[key.slot()]);
+            let mut imp = Implicator::new(circuit).with_learned(table);
+            prefix_refuted +=
+                walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
+                    if closure.is_none() {
+                        alive[key.slot()] = false;
+                        stats.statically_eliminated += 1;
+                    }
+                });
+        }
+        drop(keys);
+        let mut entries = Vec::with_capacity(alive.iter().filter(|&&a| a).count());
         for (index, stored) in store.iter().enumerate() {
             for polarity in Polarity::BOTH {
-                stats.candidates += 1;
-                if filter.is_some_and(|drop| drop(index, polarity)) {
-                    stats.sensitize_eliminated += 1;
+                if !alive[FaultKey { index, polarity }.slot()] {
                     continue;
                 }
                 let fault = PathDelayFault::new(stored.path.clone(), polarity);
-                let assignments = match compute_assignments(circuit, &fault, kind) {
-                    Ok(a) => a,
-                    Err(ConditionError::Conflict { .. }) => {
-                        stats.rule1_conflicts += 1;
-                        continue;
-                    }
-                    Err(e) => panic!("fault {fault}: {e}"),
-                };
-                // Rule 2: implications of A(p) must be consistent.
-                if Implicator::from_assignments(circuit, &assignments).is_err() {
-                    stats.rule2_conflicts += 1;
-                    continue;
-                }
-                // Second chance with the learned closure table attached.
-                if let Some(table) = learned {
-                    if Implicator::from_assignments_with(circuit, &assignments, Some(table))
-                        .is_err()
-                    {
-                        stats.statically_eliminated += 1;
-                        continue;
-                    }
-                }
+                let assignments = compute_assignments(circuit, &fault, kind)
+                    .expect("rule 1 already passed this fault");
                 entries.push(FaultEntry {
                     fault,
                     delay: stored.delay,
@@ -189,6 +232,10 @@ impl FaultList {
         pdf_telemetry::count(
             pdf_telemetry::counters::FALSE_PATHS_ELIMINATED,
             stats.sensitize_eliminated as u64,
+        );
+        pdf_telemetry::count(
+            pdf_telemetry::counters::RULE2_PREFIX_REFUTED,
+            prefix_refuted as u64,
         );
         (FaultList { entries }, stats)
     }

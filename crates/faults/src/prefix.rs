@@ -1,0 +1,129 @@
+//! Rule 2 over the path-prefix trie.
+//!
+//! For a fixed launch transition, the requirements of a path's prefix are
+//! a subset of the path's own: `A(prefix) ⊆ A(path)`. Paths that start the
+//! same way therefore share the implications of their common prefix, and a
+//! conflict on a prefix refutes every path extending it. [`walk_prefixes`]
+//! visits a set of faults depth-first over the trie of their paths on one
+//! [`Implicator`], asserting each trie node's increment of `A(p)` once.
+
+use pdf_logic::Triple;
+use pdf_netlist::{Circuit, LineId};
+use pdf_paths::PathStore;
+
+use crate::conditions::{launch, step};
+use crate::{ConditionError, Implicator, Polarity, Sensitization};
+
+/// One fault of a path store: the store index of its path and its
+/// polarity.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultKey {
+    /// Index of the fault's path in the store.
+    pub index: usize,
+    /// The fault's polarity.
+    pub polarity: Polarity,
+}
+
+impl FaultKey {
+    /// The position of this fault in store order (rise before fall of the
+    /// same path): `2 · index + polarity`.
+    #[inline]
+    pub(crate) fn slot(self) -> usize {
+        2 * self.index + usize::from(self.polarity == Polarity::SlowToFall)
+    }
+}
+
+/// Decides rule 2 for every fault in `keys` on `imp`, sharing the work of
+/// common path prefixes.
+///
+/// Sorts `keys` by `(polarity, path lines)` and walks them depth-first:
+/// each prefix's increment of `A(p)` is asserted and propagated once, with
+/// a trail mark per depth to rewind to. `visit(key, verdict)` is called
+/// once per key, in sorted order, with `None` when the implications of
+/// `A(p)` conflict, and otherwise with the engine holding the closure of
+/// `A(p)` (on top of whatever `imp` held on entry). A visitor that changes
+/// the engine must [`undo_to`](Implicator::undo_to) its own mark before it
+/// returns. On return, `imp` is back in its entry state.
+///
+/// Every key must have passed rule 1 (its `A(p)` is not self-
+/// contradictory); a conflict is then an implication conflict. Returns
+/// the number of keys refuted by a prefix conflict found while walking an
+/// earlier key, which cost no propagation of their own.
+pub fn walk_prefixes<'c>(
+    imp: &mut Implicator<'c>,
+    circuit: &Circuit,
+    store: &PathStore,
+    kind: Sensitization,
+    keys: &mut [FaultKey],
+    mut visit: impl FnMut(FaultKey, Option<&mut Implicator<'c>>),
+) -> usize {
+    let paths = store.entries();
+    let lines_of = |key: &FaultKey| paths[key.index].path.lines();
+    keys.sort_unstable_by(|a, b| {
+        (a.polarity, lines_of(a), a.index).cmp(&(b.polarity, lines_of(b), b.index))
+    });
+    let entry = imp.mark();
+    // `marks[d]`: the trail before depth `d`'s increment; `leaving[d]`:
+    // the transition leaving the path line at depth `d`.
+    let mut marks: Vec<usize> = Vec::new();
+    let mut leaving: Vec<Triple> = Vec::new();
+    // The depth whose increment conflicted on the current prefix.
+    let mut refuted_at: Option<usize> = None;
+    let mut previous: Option<(Polarity, &[LineId])> = None;
+    let mut prefix_refuted = 0usize;
+    for &key in keys.iter() {
+        let lines = lines_of(&key);
+        let shared = match previous {
+            Some((polarity, prev)) if polarity == key.polarity => {
+                prev.iter().zip(lines).take_while(|(a, b)| a == b).count()
+            }
+            _ => 0,
+        };
+        previous = Some((key.polarity, lines));
+        if let Some(depth) = refuted_at {
+            if depth < shared {
+                prefix_refuted += 1;
+                visit(key, None);
+                continue;
+            }
+            refuted_at = None;
+        }
+        if marks.len() > shared {
+            imp.undo_to(marks[shared]);
+            marks.truncate(shared);
+            leaving.truncate(shared);
+        }
+        for k in shared..lines.len() {
+            let arriving = if k == 0 {
+                launch(key.polarity)
+            } else {
+                leaving[k - 1]
+            };
+            marks.push(imp.mark());
+            let stepped = step(circuit, lines, k, arriving, kind, &mut |line, req| {
+                imp.assign(line, req)
+                    .map_err(|c| ConditionError::Conflict { line: c.line })
+            })
+            .and_then(|out| {
+                imp.propagate()
+                    .map_err(|c| ConditionError::Conflict { line: c.line })?;
+                Ok(out)
+            });
+            match stepped {
+                Ok(out) => leaving.push(out),
+                Err(ConditionError::Conflict { .. }) => {
+                    refuted_at = Some(k);
+                    break;
+                }
+                Err(e) => panic!("fault {key:?} did not pass rule 1: {e}"),
+            }
+        }
+        if refuted_at.is_some() {
+            visit(key, None);
+        } else {
+            visit(key, Some(&mut *imp));
+        }
+    }
+    imp.undo_to(entry);
+    prefix_refuted
+}

@@ -1,0 +1,360 @@
+//! Differential tests of the incremental implication engine.
+//!
+//! * Random `assign` / `propagate` / `mark` / `undo_to` sequences agree,
+//!   at every propagated state, with a fresh engine fed the same
+//!   requirements from scratch — on synthesized circuits with and without
+//!   redundancy gadgets, with and without a learned table.
+//! * `undo_to` after a conflict or after a panic caught mid-assert
+//!   restores the marked state exactly, and the engine stays usable.
+//! * [`FaultList::build_with_filter`] (three passes, rule 2 over the
+//!   path-prefix trie) equals the per-fault from-scratch loop it replaced,
+//!   entry for entry and counter for counter.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use pdf_analyze::{classify_store, learn_implications};
+use pdf_faults::{
+    assignments, Assignments, ConditionError, FaultEntry, FaultList, FaultListStats, Implicator,
+    LearnedImplications, PathDelayFault, Polarity, Sensitization,
+};
+use pdf_logic::{Triple, Value};
+use pdf_netlist::{circuit_by_name, Circuit, LineId, SplitMix64, SynthProfile};
+use pdf_paths::{PathEnumerator, PathStore};
+use proptest::prelude::*;
+
+fn synth(seed: u64, gadgets: usize) -> Option<Circuit> {
+    SynthProfile::new("incremental", seed)
+        .with_inputs(6)
+        .with_gates(40)
+        .with_levels(5)
+        .with_redundant_gadgets(gadgets)
+        .generate()
+        .combinational_core()
+        .decompose_parity()
+        .to_circuit()
+        .ok()
+}
+
+fn engine<'c>(circuit: &'c Circuit, learned: Option<&'c LearnedImplications>) -> Implicator<'c> {
+    let imp = Implicator::new(circuit);
+    match learned {
+        Some(table) => imp.with_learned(table),
+        None => imp,
+    }
+}
+
+/// The from-scratch reference: every requirement asserted on a fresh
+/// engine, then one fixpoint.
+fn fresh(
+    circuit: &Circuit,
+    learned: Option<&LearnedImplications>,
+    asserted: &[(LineId, Triple)],
+) -> Option<Vec<Triple>> {
+    let mut imp = engine(circuit, learned);
+    for &(line, req) in asserted {
+        imp.assign(line, req).ok()?;
+    }
+    imp.propagate().ok()?;
+    Some(imp.values().to_vec())
+}
+
+fn random_value(rng: &mut SplitMix64) -> Value {
+    [Value::Zero, Value::One, Value::X][rng.next_below(3)]
+}
+
+/// A random requirement: mostly outer-slot literals, as rule 2 and the
+/// learning pass assert them, sometimes a full waveform.
+fn random_requirement(rng: &mut SplitMix64, circuit: &Circuit) -> (LineId, Triple) {
+    let line = LineId::new(rng.next_below(circuit.line_count()));
+    let req = if rng.next_below(4) == 0 {
+        Triple::new(random_value(rng), random_value(rng), random_value(rng))
+    } else {
+        let v = [Value::Zero, Value::One][rng.next_below(2)];
+        if rng.next_below(2) == 0 {
+            Triple::new(v, Value::X, Value::X)
+        } else {
+            Triple::new(Value::X, Value::X, v)
+        }
+    };
+    (line, req)
+}
+
+/// Drives one random operation sequence and checks every propagated state
+/// against [`fresh`].
+fn check_random_sequence(
+    circuit: &Circuit,
+    learned: Option<&LearnedImplications>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    let mut imp = engine(circuit, learned);
+    // Marks with the requirement count asserted when each was taken.
+    let mut marks: Vec<(usize, usize)> = vec![(imp.mark(), 0)];
+    let mut asserted: Vec<(LineId, Triple)> = Vec::new();
+    let mut conflicted = false;
+    for _ in 0..40 {
+        match rng.next_below(4) {
+            0 if !conflicted => marks.push((imp.mark(), asserted.len())),
+            1 | 2 if !conflicted => {
+                let mut ok = true;
+                for _ in 0..=rng.next_below(3) {
+                    let (line, req) = random_requirement(&mut rng, circuit);
+                    asserted.push((line, req));
+                    if imp.assign(line, req).is_err() {
+                        ok = false;
+                        break;
+                    }
+                }
+                ok = ok && imp.propagate().is_ok();
+                let reference = fresh(circuit, learned, &asserted);
+                prop_assert_eq!(ok, reference.is_some());
+                if let Some(values) = reference {
+                    prop_assert_eq!(imp.values(), &values[..]);
+                }
+                conflicted = !ok;
+            }
+            _ => {
+                let keep = rng.next_below(marks.len());
+                marks.truncate(keep + 1);
+                let (mark, len) = marks[keep];
+                imp.undo_to(mark);
+                asserted.truncate(len);
+                conflicted = false;
+                let values =
+                    fresh(circuit, learned, &asserted).expect("marked states are consistent");
+                prop_assert_eq!(imp.values(), &values[..]);
+                // Nothing stale is left queued: a fixpoint run is a no-op.
+                prop_assert!(imp.propagate().is_ok());
+                prop_assert_eq!(imp.values(), &values[..]);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn incremental_engine_matches_a_fresh_engine_per_state(
+        seed in 0u64..1_000_000,
+        gadgets in 0usize..=2,
+    ) {
+        let Some(circuit) = synth(seed, gadgets) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        let table = learn_implications(&circuit);
+        for learned in [None, Some(&table)] {
+            for run in 0..4 {
+                check_random_sequence(&circuit, learned, seed ^ (run << 32))?;
+            }
+        }
+    }
+}
+
+#[test]
+fn incremental_engine_matches_a_fresh_engine_on_a_redundant_stand_in() {
+    let circuit = circuit_by_name("b03+r").expect("stand-in");
+    let table = learn_implications(&circuit);
+    for learned in [None, Some(&table)] {
+        for seed in 0..8 {
+            check_random_sequence(&circuit, learned, seed).unwrap();
+        }
+    }
+}
+
+/// The `A(p)` of every fault of `store` whose implications conflict.
+fn refuted_requirements(circuit: &Circuit, store: &PathStore) -> Vec<Assignments> {
+    let mut out = Vec::new();
+    for stored in store.iter() {
+        for polarity in Polarity::BOTH {
+            let fault = PathDelayFault::new(stored.path.clone(), polarity);
+            if let Ok(a) = assignments(circuit, &fault, Sensitization::Robust) {
+                if Implicator::from_assignments(circuit, &a).is_err() {
+                    out.push(a);
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn undo_after_a_conflict_leaves_nothing_queued() {
+    let circuit = circuit_by_name("b03+r").expect("stand-in");
+    let store = PathEnumerator::new(&circuit)
+        .with_cap(400)
+        .enumerate()
+        .store;
+    let conflicting = refuted_requirements(&circuit, &store);
+    assert!(!conflicting.is_empty(), "b03+r has rule-2 conflicts");
+    let mut rng = SplitMix64::new(17);
+    let mut imp = Implicator::new(&circuit);
+    for bad in &conflicting {
+        let mark = imp.mark();
+        assert!(imp.assert_all(bad).is_err());
+        imp.undo_to(mark);
+        assert!(imp.values().iter().all(|&v| v == Triple::UNKNOWN));
+        // Re-propagating a consistent set equals a fresh run: a stale
+        // `queued` flag would have swallowed one of its enqueues.
+        let good: Vec<(LineId, Triple)> = (0..3)
+            .map(|_| random_requirement(&mut rng, &circuit))
+            .collect();
+        let reference = fresh(&circuit, None, &good);
+        let ok = good.iter().all(|&(l, r)| imp.assign(l, r).is_ok()) && imp.propagate().is_ok();
+        assert_eq!(ok, reference.is_some());
+        if let Some(values) = reference {
+            assert_eq!(imp.values(), &values[..]);
+        }
+        imp.undo_to(mark);
+    }
+}
+
+#[test]
+fn undo_after_a_panic_mid_assert_restores_the_mark() {
+    let circuit = pdf_netlist::iscas::s27();
+    let store = PathEnumerator::new(&circuit).enumerate().store;
+    let base = {
+        let fault = PathDelayFault::new(store.entries()[0].path.clone(), Polarity::SlowToRise);
+        assignments(&circuit, &fault, Sensitization::Robust).unwrap()
+    };
+    let mut imp = Implicator::from_assignments(&circuit, &base).unwrap();
+    let before = imp.values().to_vec();
+    let mark = imp.mark();
+    // Requirements on lines the closure left open first (ids sort before
+    // the poison), then a line the circuit does not have: the assert
+    // changes those lines, then panics.
+    let mut poisoned = Assignments::new();
+    for (index, _) in before
+        .iter()
+        .enumerate()
+        .filter(|(_, &v)| v == Triple::UNKNOWN)
+        .take(3)
+    {
+        poisoned
+            .require(LineId::new(index), Triple::STABLE1)
+            .unwrap();
+    }
+    poisoned
+        .require(LineId::new(9_999), Triple::RISING)
+        .unwrap();
+    let caught = catch_unwind(AssertUnwindSafe(|| imp.assert_all(&poisoned)));
+    assert!(caught.is_err(), "the poison line must panic");
+    assert_ne!(imp.mark(), mark, "the valid prefix changed the state");
+    imp.undo_to(mark);
+    assert_eq!(imp.values(), &before[..]);
+    // The engine is as good as new: the same follow-up as a fresh one.
+    let follow_up = store.entries()[1].path.clone();
+    let extra = assignments(
+        &circuit,
+        &PathDelayFault::new(follow_up, Polarity::SlowToFall),
+        Sensitization::Robust,
+    )
+    .unwrap();
+    let merged = base.merged(&extra);
+    let incremental = imp.assert_all(&extra).map(|()| imp.values().to_vec());
+    let scratch = merged
+        .and_then(|m| Implicator::from_assignments(&circuit, &m).ok())
+        .map(|fresh| fresh.values().to_vec());
+    assert_eq!(incremental.ok(), scratch);
+}
+
+/// The per-fault loop `build_with_filter` ran before the prefix trie:
+/// every fault's `A(p)`, then rule 2 and the learned re-check, each from
+/// scratch on a new engine.
+fn oracle(
+    circuit: &Circuit,
+    store: &PathStore,
+    learned: Option<&LearnedImplications>,
+    filter: Option<&dyn Fn(usize, Polarity) -> bool>,
+) -> (Vec<FaultEntry>, FaultListStats) {
+    let mut stats = FaultListStats::default();
+    let mut entries = Vec::new();
+    for (index, stored) in store.iter().enumerate() {
+        for polarity in Polarity::BOTH {
+            stats.candidates += 1;
+            if filter.is_some_and(|drop| drop(index, polarity)) {
+                stats.sensitize_eliminated += 1;
+                continue;
+            }
+            let fault = PathDelayFault::new(stored.path.clone(), polarity);
+            let a = match assignments(circuit, &fault, Sensitization::Robust) {
+                Ok(a) => a,
+                Err(ConditionError::Conflict { .. }) => {
+                    stats.rule1_conflicts += 1;
+                    continue;
+                }
+                Err(e) => panic!("fault {fault}: {e}"),
+            };
+            if Implicator::from_assignments(circuit, &a).is_err() {
+                stats.rule2_conflicts += 1;
+                continue;
+            }
+            if learned.is_some() && Implicator::from_assignments_with(circuit, &a, learned).is_err()
+            {
+                stats.statically_eliminated += 1;
+                continue;
+            }
+            entries.push(FaultEntry {
+                fault,
+                delay: stored.delay,
+                assignments: a,
+            });
+        }
+    }
+    (entries, stats)
+}
+
+fn assert_matches_oracle(name: &str, cap: usize) {
+    let circuit = circuit_by_name(name).expect("known circuit");
+    let store = PathEnumerator::new(&circuit)
+        .with_cap(cap)
+        .enumerate()
+        .store;
+    let table = learn_implications(&circuit);
+    let analysis = classify_store(&circuit, &store, Sensitization::Robust, Some(&table));
+    let sensitize = |index: usize, polarity: Polarity| analysis.is_false(index, polarity);
+    let every_fifth = |index: usize, _: Polarity| index % 5 == 3;
+    let filters: [Option<&dyn Fn(usize, Polarity) -> bool>; 3] =
+        [None, Some(&sensitize), Some(&every_fifth)];
+    for learned in [None, Some(&table)] {
+        for filter in filters {
+            let (list, stats) = FaultList::build_with_filter(
+                &circuit,
+                &store,
+                Sensitization::Robust,
+                learned,
+                filter,
+            );
+            let (entries, expected) = oracle(&circuit, &store, learned, filter);
+            let case = format!(
+                "{name} learned={} filter={}",
+                learned.is_some(),
+                filter.is_some()
+            );
+            assert_eq!(stats, expected, "{case}");
+            assert_eq!(list.len(), entries.len(), "{case}");
+            for (got, want) in list.iter().zip(&entries) {
+                assert_eq!(got.fault, want.fault, "{case}");
+                assert_eq!(got.delay, want.delay, "{case}");
+                assert_eq!(got.assignments, want.assignments, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn build_with_filter_matches_the_per_fault_oracle_on_s27() {
+    assert_matches_oracle("s27", 10_000);
+}
+
+#[test]
+fn build_with_filter_matches_the_per_fault_oracle_on_b03r() {
+    assert_matches_oracle("b03+r", 1_500);
+}
+
+#[test]
+fn build_with_filter_matches_the_per_fault_oracle_on_a_stand_in() {
+    assert_matches_oracle("b09", 600);
+}

@@ -106,6 +106,10 @@ pub mod counters {
     /// Faults eliminated only by the learned closure table (beyond the
     /// plain rule-2 implication check).
     pub const STATICALLY_ELIMINATED: &str = "statically_eliminated";
+    /// Faults eliminated by rule 2 (or the learned re-check) through a
+    /// conflict on a path prefix shared with an earlier fault, without an
+    /// implication fixpoint of their own.
+    pub const RULE2_PREFIX_REFUTED: &str = "rule2_prefix_refuted";
     /// Error-severity diagnostics reported by the structural linter.
     pub const LINT_ERRORS: &str = "lint_errors";
     /// Widest packed-kernel tile used this run, in lanes (recorded with
