@@ -377,7 +377,8 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Parses `attempts[@backoff]`, e.g. `5`, `3@10ms`, `4@1s`,
-    /// `2@500us`. Strict: zero attempts and unknown units are errors.
+    /// `2@500us`, `3@1m`; the backoff is a [`pdf_knobs::parse_duration`]
+    /// duration. Strict: zero attempts and unknown units are errors.
     pub fn parse(text: &str) -> Result<RetryPolicy, String> {
         let text = text.trim();
         let (attempts_text, backoff) = match text.split_once('@') {
@@ -392,7 +393,7 @@ impl RetryPolicy {
         }
         let backoff = match backoff {
             None => RetryPolicy::default().backoff,
-            Some(b) => parse_duration(b)?,
+            Some(b) => pdf_knobs::parse_duration(b)?,
         };
         Ok(RetryPolicy { attempts, backoff })
     }
@@ -406,23 +407,6 @@ impl RetryPolicy {
         Ok(pdf_knobs::IO_RETRY
             .read(None, RetryPolicy::parse)?
             .unwrap_or_default())
-    }
-}
-
-fn parse_duration(text: &str) -> Result<Duration, String> {
-    let text = text.trim();
-    let split = text
-        .find(|c: char| !c.is_ascii_digit())
-        .ok_or_else(|| format!("io-retry: `{text}` is missing a unit (us/ms/s)"))?;
-    let (value, unit) = text.split_at(split);
-    let value: u64 = value
-        .parse()
-        .map_err(|_| format!("io-retry: `{text}` is not a duration"))?;
-    match unit {
-        "us" => Ok(Duration::from_micros(value)),
-        "ms" => Ok(Duration::from_millis(value)),
-        "s" => Ok(Duration::from_secs(value)),
-        _ => Err(format!("io-retry: unknown unit `{unit}` (use us/ms/s)")),
     }
 }
 
@@ -596,6 +580,22 @@ mod tests {
         );
         for bad in ["", "0", "x", "3@", "3@5", "3@5min", "3@ms"] {
             assert!(RetryPolicy::parse(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn retry_backoff_uses_the_shared_duration_grammar() {
+        assert_eq!(
+            RetryPolicy::parse("3@1m").expect("valid").backoff,
+            Duration::from_secs(60)
+        );
+        for (bad, message) in [
+            ("3@5", "duration `5` is missing a unit (us, ms, s, m)"),
+            ("3@5min", "unknown duration unit `min` (us, ms, s, m)"),
+            ("3@ms", "duration `ms` must start with digits"),
+            ("3@", "empty duration"),
+        ] {
+            assert_eq!(RetryPolicy::parse(bad).unwrap_err(), message, "`{bad}`");
         }
     }
 

@@ -324,6 +324,33 @@ fn time_budget_flag_beats_a_valid_env_value() {
 }
 
 #[test]
+fn a_budget_past_the_clock_runs_as_if_unbudgeted() {
+    // u64::MAX seconds overflows any `Instant`: such a budget never
+    // expires, so each run must match its unbudgeted twin byte for byte.
+    let huge = format!("{}s", u64::MAX);
+    let compact = format!("compact={huge}");
+    let stdout = |line: &[&str], env: &OsString| {
+        let out = spawn(line, "PDF_TIME_BUDGET", env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{line:?}: {stderr}");
+        out.stdout
+    };
+    let unset = OsString::new();
+    let plain = stdout(&["atpg", "s27", "--np0", "10"], &unset);
+    let minimized = stdout(&["atpg", "s27", "--np0", "10", "--minimize"], &unset);
+    let flag = stdout(
+        &["atpg", "s27", "--np0", "10", "--time-budget", &huge],
+        &unset,
+    );
+    assert_eq!(flag, plain, "--time-budget {huge}");
+    let env = stdout(&["atpg", "s27", "--np0", "10"], &huge.clone().into());
+    assert_eq!(env, plain, "PDF_TIME_BUDGET={huge}");
+    let phase = ["atpg", "s27", "--np0", "10", "--minimize", "--time-budget"];
+    let phase = stdout(&[&phase[..], &[compact.as_str()]].concat(), &unset);
+    assert_eq!(phase, minimized, "--time-budget {compact}");
+}
+
+#[test]
 fn telemetry_flag_overrides_the_variable_with_one_report() {
     let from_env = temp_file("telemetry_env");
     let from_flag = temp_file("telemetry_flag");

@@ -10,11 +10,12 @@
 //!    *violate* a requirement (specified-vs-specified mismatch), the other
 //!    value is assigned permanently; if both conflict, justification
 //!    fails. The trials run as lanes of packed passes over the cone — two
-//!    lanes per open slot, 64 open inputs per 256-lane pass — and every
-//!    value forced in a round is committed at once; rounds repeat until
-//!    nothing is forced. Triple simulation is monotone, so this reaches
-//!    the same closure, and the same conflict verdict, as the test-only
-//!    scalar loop that commits one slot at a time;
+//!    lanes per open slot, 63 open inputs per 256-lane pass, whose top
+//!    lane carries the committed values alone — and every value forced
+//!    in a round is committed at once; rounds repeat until nothing is
+//!    forced. Triple simulation is monotone, so this reaches the same
+//!    closure, and the same conflict verdict, as the test-only scalar
+//!    loop that commits one slot at a time;
 //! 3. **random completion**: the surviving free positions are filled with
 //!    random values in groups of [`pdf_sim::LANES`] (= 64) complete
 //!    candidate tests, all groups drawn up front. The packed kernel
@@ -29,19 +30,24 @@
 //!    input is set to a random value — then step 2 repeats until the test
 //!    is fully specified or a conflict proves the union unjustifiable.
 //!
+//! The packed block is the only evaluator of the search: every check of
+//! the committed values alone (does the entry state or a decision violate
+//! a requirement, do values forced together, does a fully specified state
+//! satisfy them) reads the committed lane of a fixpoint pass. Only the
+//! witness's full-circuit waveforms come from a scalar simulation.
+//!
 //! The implementation restricts simulation to the fanin cone of the
 //! constrained lines — a pure optimization: inputs outside the cone cannot
 //! produce or resolve conflicts, exactly as in the paper where they end up
-//! randomly specified. Cone topologies are memoized in an LRU keyed by the
-//! requirement line-set, so the repeated secondary-candidate trials of a
-//! generation session stop rebuilding the same reachability lists.
+//! randomly specified. Cone topologies (lines in topological order and
+//! inputs) are memoized in an LRU keyed by the requirement line-set.
 
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
-use pdf_netlist::{Circuit, LineId, LineKind, SplitMix64, TwoPattern};
+use pdf_netlist::{Circuit, LineId, SplitMix64, TwoPattern};
 use pdf_runctl::RunBudget;
 use pdf_sim::{PackedBlock, SimOptions, SimWord, Tile, LANES};
 
@@ -148,7 +154,7 @@ pub struct JustifyStats {
     pub conflicts: usize,
     /// Calls that failed the final hazard/satisfaction check.
     pub unsatisfied: usize,
-    /// Cone simulations performed (a packed pass counts as one).
+    /// Packed passes performed, fixpoint and completion passes alike.
     pub simulations: usize,
     /// Random completions evaluated: 64 per candidate group of every
     /// packed pass, whether or not an earlier lane already hit.
@@ -174,9 +180,10 @@ pub struct JustifyStats {
     /// [`BranchGuide`] instead of the random pick. Always 0 without a
     /// guide.
     pub scoap_guided_branches: usize,
-    /// Packed trial passes of the necessary-value fixpoint: one per 64
-    /// open cone inputs, per round. Their propagation events stay out of
-    /// `events_propagated`/`lines_skipped`.
+    /// Packed passes of the necessary-value fixpoint: one per 63 open
+    /// cone inputs per round, plus one that only checks the committed
+    /// values when a round has no open input left. Their propagation
+    /// events stay out of `events_propagated`/`lines_skipped`.
     pub fixpoint_passes: usize,
 }
 
@@ -235,9 +242,9 @@ pub struct Justifier<'c> {
     rng: SplitMix64,
     attempts: u32,
     stats: JustifyStats,
-    /// Scratch waveform buffer, one slot per line.
-    scratch: Vec<Triple>,
-    /// Reusable bit-plane arena for packed fixpoint and completion passes.
+    /// Reusable bit-plane arena for packed fixpoint and completion passes
+    /// — the justifier's only evaluator. Lane [`COMMITTED`] of every
+    /// fixpoint pass carries the committed values alone.
     packed: PackedBlock,
     cones: ConeCache,
     /// Optional SCOAP branch guide for the guided decision search.
@@ -271,7 +278,6 @@ impl<'c> Justifier<'c> {
             rng: SplitMix64::new(seed),
             attempts: 1,
             stats: JustifyStats::default(),
-            scratch: vec![Triple::UNKNOWN; circuit.line_count()],
             packed: PackedBlock::new(),
             cones: ConeCache::new(DEFAULT_CONE_CACHE),
             guide: None,
@@ -395,31 +401,23 @@ impl<'c> Justifier<'c> {
         if self.budget.exhausted() {
             return None;
         }
-        let cone = self.cone(req);
-        let n = cone.topo.pis.len();
+        let topo = self.cones.topo(self.circuit, req, &mut self.stats);
+        let n = topo.pis.len();
         // (first, last) value per cone PI.
         let mut state: Vec<(Value, Value)> = vec![(Value::X, Value::X); n];
         for &(line, v1, v2) in frozen {
-            if let Some(k) = cone.topo.pis.iter().position(|&p| p == line) {
+            if let Some(k) = topo.pis.iter().position(|&p| p == line) {
                 state[k] = (v1, v2);
             }
         }
-        // Establish the scratch invariant: scratch = simulation of `state`.
-        self.sim_cone(&cone, &state);
-        self.stats.simulations += 1;
 
         // Phase 1 — the necessary-value fixpoint. Purely deterministic.
-        if !self.fixpoint(req, &cone, &mut state) {
+        if !self.fixpoint(req, &topo, &mut state, false) {
             self.stats.conflicts += 1;
             return None;
         }
         if fully_specified(&state) {
-            if req.satisfied_by(&self.scratch) {
-                self.stats.successes += 1;
-                return Some(self.finish(&cone, &state));
-            }
-            self.stats.unsatisfied += 1;
-            return None;
+            return self.settle(req, &topo, &state);
         }
 
         // Phase 2 — random completion in groups of 64 candidates. Every
@@ -441,7 +439,7 @@ impl<'c> Justifier<'c> {
             *w = self.rng.next_u64();
         }
         let start = std::time::Instant::now();
-        let outcome = self.completion_groups(req, &cone, &state, &open, &fills, groups);
+        let outcome = self.completion_groups(req, &topo, &state, &open, &fills, groups);
         self.completion += start.elapsed();
         match outcome {
             PassOutcome::Aborted => return None,
@@ -458,7 +456,7 @@ impl<'c> Justifier<'c> {
                     set(&mut full[i], pos, Value::from(bit));
                 }
                 self.stats.successes += 1;
-                return Some(self.finish(&cone, &full));
+                return Some(self.finish(&topo, &full));
             }
             PassOutcome::Miss => {
                 if groups > 1 {
@@ -473,77 +471,119 @@ impl<'c> Justifier<'c> {
         // Phase 3 — the paper's guided decision search, resumed from the
         // fixpoint state: insurance for requirements whose satisfying set
         // is too sparse for random completion to hit.
-        self.sim_cone(&cone, &state); // restore the scratch invariant
-        self.stats.simulations += 1;
-        self.guided(req, &cone, state)
+        self.guided(req, &topo, state)
     }
 
-    /// Builds (or fetches) the cone of `req` and projects the requirement
-    /// triples onto its per-input reachability lists.
-    fn cone(&mut self, req: &Assignments) -> Cone {
-        let topo = self.cones.topo(self.circuit, req, &mut self.stats);
-        Cone::project(topo, req)
+    /// Ends a call whose committed values specify every cone input: they
+    /// satisfy `req` or the call is unsatisfied. The check reads the
+    /// committed lane of the fixpoint's last pass, which simulated
+    /// `state`.
+    fn settle(
+        &mut self,
+        req: &Assignments,
+        topo: &ConeTopo,
+        state: &[(Value, Value)],
+    ) -> Option<Justified> {
+        #[cfg(test)]
+        let satisfied = if self.scalar_oracle {
+            req.satisfied_by(&cone_waves(self.circuit, topo, state))
+        } else {
+            self.packed.satisfied_lanes(req).lane(COMMITTED)
+        };
+        #[cfg(not(test))]
+        let satisfied = self.packed.satisfied_lanes(req).lane(COMMITTED);
+        if satisfied {
+            self.stats.successes += 1;
+            Some(self.finish(topo, state))
+        } else {
+            self.stats.unsatisfied += 1;
+            None
+        }
     }
 
     /// Runs the necessary-value analysis to its fixpoint. Returns `false`
-    /// on a conflict (the requirements are unjustifiable). Maintains the
-    /// scratch invariant.
-    fn fixpoint(&mut self, req: &Assignments, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
+    /// on a conflict (the requirements are unjustifiable). With `strict`,
+    /// a requirement the committed values already violate on entry is a
+    /// conflict too, and no closure is logged for it.
+    fn fixpoint(
+        &mut self,
+        req: &Assignments,
+        topo: &ConeTopo,
+        state: &mut [(Value, Value)],
+        strict: bool,
+    ) -> bool {
         let _span = pdf_telemetry::Span::enter("justify.fixpoint");
         let start = std::time::Instant::now();
         #[cfg(test)]
-        let closed = if self.scalar_oracle {
-            self.scalar_fixpoint(cone, state)
+        let closure = if self.scalar_oracle {
+            scalar_fixpoint(self.circuit, req, topo, state, strict)
         } else {
-            self.packed_fixpoint(req, cone, state)
+            self.packed_fixpoint(req, topo, state, strict)
         };
         #[cfg(not(test))]
-        let closed = self.packed_fixpoint(req, cone, state);
+        let closure = self.packed_fixpoint(req, topo, state, strict);
         self.fixpoint += start.elapsed();
         #[cfg(test)]
-        self.fixpoints.push(closed.then(|| state.to_vec()));
-        closed
+        if closure != Closure::Violated {
+            self.fixpoints
+                .push((closure == Closure::Closed).then(|| state.to_vec()));
+        }
+        closure == Closure::Closed
     }
 
     /// The fixpoint as rounds of packed trial passes (see the module doc,
-    /// step 2). Two rules make it agree with the one-slot-at-a-time scalar
-    /// loop on every outcome and closure:
+    /// step 2). The first pass of each round also reads the committed
+    /// lane, and three rules make the fixpoint agree with the
+    /// one-slot-at-a-time scalar loop on every outcome and closure:
     ///
-    /// * a requirement line the frozen pins already contradict on entry
-    ///   fails the call iff an open slot's input reaches it — the scalar
-    ///   loop sees both values of that slot fail — and is otherwise left
-    ///   out of the lane mask, since no trial can change it;
+    /// * on entry, a requirement the committed values already violate
+    ///   fails the call iff an open cone input lies in its fanin cone —
+    ///   the scalar loop sees both values of that input's slot fail — and
+    ///   is otherwise left out of the lane mask, since no trial can change
+    ///   it ([`Justifier::split_stale`]). `strict` makes any such
+    ///   requirement [`Closure::Violated`] instead;
     /// * values forced in one round that jointly violate a requirement
-    ///   are a conflict — the scalar loop, committing them one by one,
-    ///   meets the later one as a both-values conflict.
+    ///   are a conflict, seen on the committed lane of the next round's
+    ///   first pass — the scalar loop, committing them one by one, meets
+    ///   the later one as a both-values conflict;
+    /// * a round with no open input left runs one pass with an empty trial
+    ///   tile, so the committed lane is always checked and, on
+    ///   [`Closure::Closed`], always holds the final `state`.
     fn packed_fixpoint(
         &mut self,
         req: &Assignments,
-        cone: &Cone,
+        topo: &ConeTopo,
         state: &mut [(Value, Value)],
-    ) -> bool {
-        let n = cone.topo.pis.len();
-        let scratch = &self.scratch;
-        let (live, stale): (Vec<_>, Vec<_>) = req
-            .iter()
-            .partition(|&(line, r)| scratch[line.index()].is_compatible(r));
-        if !stale.is_empty()
-            && (0..n)
-                .any(|i| is_open(state[i]) && cone.reach_req[i].iter().any(|e| stale.contains(e)))
-        {
-            return false;
-        }
-        // The lane layout: the inputs open on entry, in cone order, 64 per
-        // pass. Inputs that close keep their lanes as plain broadcast.
-        let layout: Vec<usize> = (0..n).filter(|&i| is_open(state[i])).collect();
+        strict: bool,
+    ) -> Closure {
+        let mut live: Vec<(LineId, Triple)> = req.iter().collect();
+        // The lane layout: the inputs open on entry, in cone order,
+        // `TILE_INPUTS` per pass. Inputs that close keep their lanes as
+        // plain broadcast.
+        let layout: Vec<usize> = (0..topo.pis.len()).filter(|&i| is_open(state[i])).collect();
+        let mut entry = true;
         let mut forced: Vec<(usize, usize, Value)> = Vec::new();
         loop {
-            forced.clear();
-            for tile in layout.chunks(TILE_INPUTS) {
-                if !tile.iter().any(|&i| is_open(state[i])) {
-                    continue;
+            let mut tiles = layout
+                .chunks(TILE_INPUTS)
+                .filter(|tile| tile.iter().any(|&i| is_open(state[i])));
+            // The first pass also checks the committed lane; with no open
+            // input left it runs on an empty tile for that check alone.
+            let first = tiles.next().unwrap_or(&[]);
+            for (k, tile) in std::iter::once(first).chain(tiles).enumerate() {
+                let mut bad = self.trial_pass(topo, state, tile, &live);
+                if k == 0 && bad.lane(COMMITTED) {
+                    if !entry {
+                        return Closure::Conflict;
+                    }
+                    if strict {
+                        return Closure::Violated;
+                    }
+                    if self.split_stale(topo, state, &mut live) {
+                        return Closure::Conflict;
+                    }
+                    bad = self.packed.violated_lanes(&live);
                 }
-                let bad = self.trial_pass(cone, state, tile, &live);
                 for (j, &i) in tile.iter().enumerate() {
                     for pos in 0..2 {
                         if pick(&state[i], pos).is_specified() {
@@ -551,7 +591,7 @@ impl<'c> Justifier<'c> {
                         }
                         let lane = 4 * j + 2 * pos;
                         match (bad.lane(lane), bad.lane(lane + 1)) {
-                            (true, true) => return false,
+                            (true, true) => return Closure::Conflict,
                             (true, false) => forced.push((i, pos, Value::One)),
                             (false, true) => forced.push((i, pos, Value::Zero)),
                             (false, false) => {}
@@ -559,35 +599,56 @@ impl<'c> Justifier<'c> {
                     }
                 }
             }
+            entry = false;
             if forced.is_empty() {
-                return true;
+                return Closure::Closed;
             }
-            for &(i, pos, v) in &forced {
+            for (i, pos, v) in forced.drain(..) {
                 set(&mut state[i], pos, v);
-            }
-            // `forced` is input-major: one scalar update per changed input.
-            for (k, &(i, _, _)) in forced.iter().enumerate() {
-                if k == 0 || forced[k - 1].0 != i {
-                    self.apply(cone, state, i);
-                }
-            }
-            let scratch = &self.scratch;
-            if live
-                .iter()
-                .any(|&(line, r)| !scratch[line.index()].is_compatible(r))
-            {
-                return false;
             }
         }
     }
 
+    /// The entry split, on the packed block's first pass: moves every
+    /// requirement the committed lane violates out of `live`, and returns
+    /// whether an open cone input lies in the fanin cone of one of them.
+    fn split_stale(
+        &self,
+        topo: &ConeTopo,
+        state: &[(Value, Value)],
+        live: &mut Vec<(LineId, Triple)>,
+    ) -> bool {
+        let mut seen = vec![false; self.circuit.line_count()];
+        let mut stack: Vec<LineId> = Vec::new();
+        live.retain(|&(line, r)| {
+            let ok = self.packed.triple(line, COMMITTED).is_compatible(r);
+            if !ok {
+                seen[line.index()] = true;
+                stack.push(line);
+            }
+            ok
+        });
+        while let Some(line) = stack.pop() {
+            for &f in self.circuit.line(line).fanin() {
+                if !std::mem::replace(&mut seen[f.index()], true) {
+                    stack.push(f);
+                }
+            }
+        }
+        topo.pis
+            .iter()
+            .zip(state)
+            .any(|(&pi, &s)| is_open(s) && seen[pi.index()])
+    }
+
     /// One packed trial pass over the cone: every input carries its
     /// committed value in every lane, except that lane `4j + 2·pos + v`
-    /// sets open slot `pos` of input `tile[j]` to `v` (`tile` ascending).
-    /// Returns the lanes that violate a requirement of `live`.
+    /// sets open slot `pos` of input `tile[j]` to `v` (`tile` ascending,
+    /// at most [`TILE_INPUTS`] long, so lane [`COMMITTED`] is never a
+    /// trial). Returns the lanes that violate a requirement of `live`.
     fn trial_pass(
         &mut self,
-        cone: &Cone,
+        topo: &ConeTopo,
         state: &[(Value, Value)],
         tile: &[usize],
         live: &[(LineId, Triple)],
@@ -595,7 +656,7 @@ impl<'c> Justifier<'c> {
         let block = &mut self.packed;
         block.begin_block(self.circuit);
         let mut trials = tile.iter().enumerate().peekable();
-        for (k, (&pi, s)) in cone.topo.pis.iter().zip(state).enumerate() {
+        for (k, (&pi, s)) in topo.pis.iter().zip(state).enumerate() {
             let mut first = splat_rails(s.0);
             let mut last = splat_rails(s.1);
             if let Some((j, _)) = trials.next_if(|&(_, &i)| i == k) {
@@ -611,49 +672,13 @@ impl<'c> Justifier<'c> {
             }
             block.set_input_rails(pi, first, last);
         }
-        block.propagate_over(self.circuit, &cone.topo.order);
+        block.propagate_over(self.circuit, &topo.order);
         // Fixpoint events stay out of the completion counters.
         let _ = block.take_kernel_stats();
         self.stats.fixpoint_passes += 1;
         self.stats.simulations += 1;
         pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_FIXPOINT_PASSES, 1);
         block.violated_lanes(live)
-    }
-
-    /// The fixpoint oracle: the scalar loop that trial-assigns one slot at
-    /// a time and commits each forced value before the next trial.
-    #[cfg(test)]
-    fn scalar_fixpoint(&mut self, cone: &Cone, state: &mut [(Value, Value)]) -> bool {
-        let n = cone.topo.pis.len();
-        loop {
-            let mut assigned = false;
-            for i in 0..n {
-                for pos in 0..2 {
-                    if pick(&state[i], pos).is_specified() {
-                        continue;
-                    }
-                    let zero_bad = self.violates(cone, state, i, pos, Value::Zero);
-                    let one_bad = self.violates(cone, state, i, pos, Value::One);
-                    match (zero_bad, one_bad) {
-                        (true, true) => return false,
-                        (true, false) => {
-                            set(&mut state[i], pos, Value::One);
-                            self.apply(cone, state, i);
-                            assigned = true;
-                        }
-                        (false, true) => {
-                            set(&mut state[i], pos, Value::Zero);
-                            self.apply(cone, state, i);
-                            assigned = true;
-                        }
-                        (false, false) => {}
-                    }
-                }
-            }
-            if !assigned {
-                return true;
-            }
-        }
     }
 
     /// Evaluates every random-completion group of the call (free slots
@@ -664,7 +689,7 @@ impl<'c> Justifier<'c> {
     fn completion_groups(
         &mut self,
         req: &Assignments,
-        cone: &Cone,
+        topo: &ConeTopo,
         state: &[(Value, Value)],
         open: &[(usize, usize)],
         fills: &[u64],
@@ -672,7 +697,7 @@ impl<'c> Justifier<'c> {
     ) -> PassOutcome {
         #[cfg(test)]
         if self.scalar_oracle {
-            return self.scalar_groups(req, cone, state, open, fills, groups);
+            return self.scalar_groups(req, topo, state, open, fills, groups);
         }
         let Justifier {
             circuit,
@@ -682,7 +707,7 @@ impl<'c> Justifier<'c> {
             ..
         } = self;
         packed_passes(
-            packed, circuit, req, cone, state, open, fills, groups, stats, budget,
+            packed, circuit, req, topo, state, open, fills, groups, stats, budget,
         )
     }
 
@@ -692,7 +717,7 @@ impl<'c> Justifier<'c> {
     fn scalar_groups(
         &mut self,
         req: &Assignments,
-        cone: &Cone,
+        topo: &ConeTopo,
         state: &[(Value, Value)],
         open: &[(usize, usize)],
         fills: &[u64],
@@ -711,10 +736,8 @@ impl<'c> Justifier<'c> {
                         Value::from(fills[g * open.len() + k] >> bit & 1 == 1),
                     );
                 }
-                self.sim_cone(cone, &lane_state);
-                self.stats.simulations += 1;
                 self.stats.completion_attempts += 1;
-                if req.satisfied_by(&self.scratch) {
+                if req.satisfied_by(&cone_waves(self.circuit, topo, &lane_state)) {
                     return PassOutcome::Hit(g * LANES + bit);
                 }
             }
@@ -723,22 +746,21 @@ impl<'c> Justifier<'c> {
     }
 
     /// The guided decision search (paper steps 2–4), entered with the
-    /// necessary-value fixpoint already reached and the scratch invariant
-    /// holding for `state`.
+    /// necessary-value fixpoint already reached for `state`.
     fn guided(
         &mut self,
         req: &Assignments,
-        cone: &Cone,
+        topo: &ConeTopo,
         mut state: Vec<(Value, Value)>,
     ) -> Option<Justified> {
         let _span = pdf_telemetry::Span::enter("justify.guided");
-        let n = cone.topo.pis.len();
+        let n = topo.pis.len();
         loop {
             if self.budget.exhausted() {
                 return None;
             }
             // Decision: stabilize a half-specified input if one exists...
-            let decided = if let Some(i) = state
+            if let Some(i) = state
                 .iter()
                 .position(|s| s.0.is_specified() != s.1.is_specified())
             {
@@ -748,7 +770,6 @@ impl<'c> Justifier<'c> {
                     state[i].1
                 };
                 state[i] = (v, v);
-                i
             } else {
                 // ...else a random value on a random unspecified position —
                 // or, with a guide attached, the hardest open input at its
@@ -762,9 +783,9 @@ impl<'c> Justifier<'c> {
                     // First-wins max keeps ties in slot order, so the pick
                     // is independent of how `open` was discovered.
                     let mut best = open[0];
-                    let mut best_cost = guide.difficulty(cone.topo.pis[open[0].0]);
+                    let mut best_cost = guide.difficulty(topo.pis[open[0].0]);
                     for &slot in &open[1..] {
-                        let cost = guide.difficulty(cone.topo.pis[slot.0]);
+                        let cost = guide.difficulty(topo.pis[slot.0]);
                         if cost > best_cost {
                             best = slot;
                             best_cost = cost;
@@ -772,131 +793,33 @@ impl<'c> Justifier<'c> {
                     }
                     self.stats.scoap_guided_branches += 1;
                     pdf_telemetry::count(pdf_telemetry::counters::SCOAP_GUIDED_BRANCHES, 1);
-                    (best.0, best.1, guide.easier_value(cone.topo.pis[best.0]))
+                    (best.0, best.1, guide.easier_value(topo.pis[best.0]))
                 } else {
                     let &(i, pos) = self.rng.pick(&open);
                     (i, pos, Value::from(self.rng.next_bool()))
                 };
                 set(&mut state[i], pos, v);
-                i
-            };
-            self.apply(cone, &state, decided);
-            // Early exit: a decision that already violates the
-            // requirements can never be completed into a satisfying test
-            // (simulation values only get more specified).
-            if req.violated_by(&self.scratch) {
-                self.stats.conflicts += 1;
-                return None;
             }
-            if !self.fixpoint(req, cone, &mut state) {
+            // Strict: a decision that already violates the requirements
+            // can never be completed into a satisfying test (simulation
+            // values only get more specified).
+            if !self.fixpoint(req, topo, &mut state, true) {
                 self.stats.conflicts += 1;
                 return None;
             }
             if fully_specified(&state) {
-                if req.satisfied_by(&self.scratch) {
-                    self.stats.successes += 1;
-                    return Some(self.finish(cone, &state));
-                }
-                self.stats.unsatisfied += 1;
-                return None;
+                return self.settle(req, topo, &state);
             }
-        }
-    }
-
-    /// Would assigning `value` at (`pi`, `pos`) violate `req`? The scalar
-    /// fixpoint oracle's trial.
-    ///
-    /// Incremental: only the lines reachable from that input inside the
-    /// cone are re-evaluated, then rolled back. Requirements on
-    /// unreachable lines keep their (non-violating) status, so checking
-    /// the reachable requirement lines suffices.
-    #[cfg(test)]
-    fn violates(
-        &mut self,
-        cone: &Cone,
-        state: &mut [(Value, Value)],
-        pi: usize,
-        pos: usize,
-        value: Value,
-    ) -> bool {
-        let saved = state[pi];
-        set(&mut state[pi], pos, value);
-        self.stats.simulations += 1;
-
-        let pi_line = cone.topo.pis[pi];
-        let mut undo: Vec<(u32, Triple)> = Vec::with_capacity(16);
-        let old = self.scratch[pi_line.index()];
-        let new = Triple::from_patterns(state[pi].0, state[pi].1);
-        undo.push((pi_line.index() as u32, old));
-        self.scratch[pi_line.index()] = new;
-        for &id in &cone.topo.reach[pi] {
-            let line = self.circuit.line(id);
-            let new = match line.kind() {
-                LineKind::Input => unreachable!("reach lists exclude inputs"),
-                LineKind::Branch { stem } => self.scratch[stem.index()],
-                LineKind::Gate(kind) => {
-                    kind.eval_triples(line.fanin().iter().map(|f| self.scratch[f.index()]))
-                }
-            };
-            let slot = &mut self.scratch[id.index()];
-            if *slot != new {
-                undo.push((id.index() as u32, *slot));
-                *slot = new;
-            }
-        }
-        let bad = cone.reach_req[pi]
-            .iter()
-            .any(|&(line, r)| !self.scratch[line.index()].is_compatible(r));
-        for (raw, old) in undo.into_iter().rev() {
-            self.scratch[raw as usize] = old;
-        }
-        state[pi] = saved;
-        bad
-    }
-
-    /// Commits the scratch waveforms to the current `state` after input
-    /// `pi` changed.
-    fn apply(&mut self, cone: &Cone, state: &[(Value, Value)], pi: usize) {
-        self.stats.simulations += 1;
-        let pi_line = cone.topo.pis[pi];
-        self.scratch[pi_line.index()] = Triple::from_patterns(state[pi].0, state[pi].1);
-        for &id in &cone.topo.reach[pi] {
-            let line = self.circuit.line(id);
-            self.scratch[id.index()] = match line.kind() {
-                LineKind::Input => unreachable!("reach lists exclude inputs"),
-                LineKind::Branch { stem } => self.scratch[stem.index()],
-                LineKind::Gate(kind) => {
-                    kind.eval_triples(line.fanin().iter().map(|f| self.scratch[f.index()]))
-                }
-            };
-        }
-    }
-
-    /// Simulates the whole cone into the scratch buffer (out-of-cone lines
-    /// stay unknown).
-    fn sim_cone(&mut self, cone: &Cone, state: &[(Value, Value)]) {
-        for (k, &pi) in cone.topo.pis.iter().enumerate() {
-            self.scratch[pi.index()] = Triple::from_patterns(state[k].0, state[k].1);
-        }
-        for &id in &cone.topo.order {
-            let line = self.circuit.line(id);
-            self.scratch[id.index()] = match line.kind() {
-                LineKind::Input => continue,
-                LineKind::Branch { stem } => self.scratch[stem.index()],
-                LineKind::Gate(kind) => {
-                    kind.eval_triples(line.fanin().iter().map(|f| self.scratch[f.index()]))
-                }
-            };
         }
     }
 
     /// Builds the final fully specified test and full-circuit waveforms.
-    fn finish(&mut self, cone: &Cone, state: &[(Value, Value)]) -> Justified {
+    fn finish(&mut self, topo: &ConeTopo, state: &[(Value, Value)]) -> Justified {
         let inputs = self.circuit.inputs();
         let mut v1 = vec![Value::X; inputs.len()];
         let mut v2 = vec![Value::X; inputs.len()];
         for (slot, &input) in inputs.iter().enumerate() {
-            if let Some(k) = cone.topo.pis.iter().position(|&p| p == input) {
+            if let Some(k) = topo.pis.iter().position(|&p| p == input) {
                 v1[slot] = state[k].0;
                 v2[slot] = state[k].1;
             } else {
@@ -906,8 +829,7 @@ impl<'c> Justifier<'c> {
         }
         let test = TwoPattern::new(v1, v2);
         let waves = pdf_netlist::simulate_triples(self.circuit, &test.to_triples());
-        let assignment = cone
-            .topo
+        let assignment = topo
             .pis
             .iter()
             .zip(state)
@@ -950,8 +872,13 @@ fn fully_specified(state: &[(Value, Value)]) -> bool {
 }
 
 /// Cone inputs per packed fixpoint pass: four trial lanes each (two
-/// pattern positions × two values).
-const TILE_INPUTS: usize = Tile::LANES / 4;
+/// pattern positions × two values), with the top four lanes left to the
+/// committed values.
+const TILE_INPUTS: usize = Tile::LANES / 4 - 1;
+
+/// The lane of every fixpoint pass that carries the committed values
+/// alone.
+const COMMITTED: usize = Tile::LANES - 1;
 
 /// A committed value as `(zero_rail, one_rail)` tiles broadcast across
 /// every lane.
@@ -962,6 +889,18 @@ fn splat_rails(v: Value) -> (Tile, Tile) {
         Value::One => (Tile::ZERO, Tile::ONES),
         Value::X => (Tile::ZERO, Tile::ZERO),
     }
+}
+
+/// How a necessary-value fixpoint call ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Closure {
+    /// Nothing more is forced; the state is the closure.
+    Closed,
+    /// Some open slot conflicts on both values, or values forced together
+    /// violate a requirement.
+    Conflict,
+    /// Strict entry: the committed values already violate a requirement.
+    Violated,
 }
 
 /// Result of evaluating a call's completion groups.
@@ -985,7 +924,7 @@ fn packed_passes(
     block: &mut PackedBlock,
     circuit: &Circuit,
     req: &Assignments,
-    cone: &Cone,
+    topo: &ConeTopo,
     state: &[(Value, Value)],
     open: &[(usize, usize)],
     fills: &[u64],
@@ -1024,10 +963,10 @@ fn packed_passes(
             }
         }
         block.begin_block(circuit);
-        for (k, &pi) in cone.topo.pis.iter().enumerate() {
+        for (k, &pi) in topo.pis.iter().enumerate() {
             block.set_input_rails(pi, first[k], last[k]);
         }
-        block.propagate_over(circuit, &cone.topo.order);
+        block.propagate_over(circuit, &topo.order);
         let kernel = block.take_kernel_stats();
         stats.events_propagated += kernel.events_propagated;
         stats.lines_skipped += kernel.lines_skipped;
@@ -1049,6 +988,94 @@ fn packed_passes(
     PassOutcome::Miss
 }
 
+/// The fixpoint oracle: the scalar loop that trial-assigns one slot at a
+/// time and commits each forced value before the next trial. A trial
+/// fails when it violates a requirement its input reaches; with `strict`,
+/// any requirement the committed values violate on entry fails the call.
+#[cfg(test)]
+fn scalar_fixpoint(
+    circuit: &Circuit,
+    req: &Assignments,
+    topo: &ConeTopo,
+    state: &mut [(Value, Value)],
+    strict: bool,
+) -> Closure {
+    if strict && req.violated_by(&cone_waves(circuit, topo, state)) {
+        return Closure::Violated;
+    }
+    // The requirements in each cone input's fanout cone.
+    let mut reached: Vec<Vec<(LineId, Triple)>> = vec![Vec::new(); topo.pis.len()];
+    for (line, r) in req.iter() {
+        let mut seen = vec![false; circuit.line_count()];
+        let mut stack = vec![line];
+        seen[line.index()] = true;
+        while let Some(l) = stack.pop() {
+            for &f in circuit.line(l).fanin() {
+                if !std::mem::replace(&mut seen[f.index()], true) {
+                    stack.push(f);
+                }
+            }
+        }
+        for (k, &pi) in topo.pis.iter().enumerate() {
+            if seen[pi.index()] {
+                reached[k].push((line, r));
+            }
+        }
+    }
+    let violates = |state: &mut [(Value, Value)], i: usize, pos: usize, v: Value| {
+        let saved = state[i];
+        set(&mut state[i], pos, v);
+        let waves = cone_waves(circuit, topo, state);
+        state[i] = saved;
+        reached[i]
+            .iter()
+            .any(|&(line, r)| !waves[line.index()].is_compatible(r))
+    };
+    loop {
+        let mut assigned = false;
+        for i in 0..topo.pis.len() {
+            for pos in 0..2 {
+                if pick(&state[i], pos).is_specified() {
+                    continue;
+                }
+                let zero_bad = violates(state, i, pos, Value::Zero);
+                let one_bad = violates(state, i, pos, Value::One);
+                match (zero_bad, one_bad) {
+                    (true, true) => return Closure::Conflict,
+                    (true, false) => set(&mut state[i], pos, Value::One),
+                    (false, true) => set(&mut state[i], pos, Value::Zero),
+                    (false, false) => continue,
+                }
+                assigned = true;
+            }
+        }
+        if !assigned {
+            return Closure::Closed;
+        }
+    }
+}
+
+/// The scalar oracle's simulation of the cone under `state`, indexed by
+/// [`LineId::index`]; lines outside the cone stay unknown.
+#[cfg(test)]
+fn cone_waves(circuit: &Circuit, topo: &ConeTopo, state: &[(Value, Value)]) -> Vec<Triple> {
+    let mut waves = vec![Triple::UNKNOWN; circuit.line_count()];
+    for (&pi, s) in topo.pis.iter().zip(state) {
+        waves[pi.index()] = Triple::from_patterns(s.0, s.1);
+    }
+    for &id in &topo.order {
+        let line = circuit.line(id);
+        waves[id.index()] = match line.kind() {
+            pdf_netlist::LineKind::Input => continue,
+            pdf_netlist::LineKind::Branch { stem } => waves[stem.index()],
+            pdf_netlist::LineKind::Gate(kind) => {
+                kind.eval_triples(line.fanin().iter().map(|f| waves[f.index()]))
+            }
+        };
+    }
+    waves
+}
+
 /// The requirement-independent topology of a fanin cone: every
 /// requirement set over the same line-set shares one of these through the
 /// justifier's LRU cache.
@@ -1058,9 +1085,6 @@ struct ConeTopo {
     order: Vec<LineId>,
     /// The cone's primary inputs, in input order.
     pis: Vec<LineId>,
-    /// For each cone input: the non-input cone lines it reaches, in
-    /// topological order.
-    reach: Vec<Vec<LineId>>,
 }
 
 impl ConeTopo {
@@ -1090,64 +1114,7 @@ impl ConeTopo {
             .copied()
             .filter(|l| member[l.index()])
             .collect();
-
-        // Topological position of each cone line, for ordering reach sets.
-        let mut pos = vec![usize::MAX; circuit.line_count()];
-        for (k, &l) in order.iter().enumerate() {
-            pos[l.index()] = k;
-        }
-
-        let mut reach = Vec::with_capacity(pis.len());
-        let mut seen = vec![false; circuit.line_count()];
-        for &pi in &pis {
-            let mut lines: Vec<LineId> = Vec::new();
-            let mut stack = vec![pi];
-            seen[pi.index()] = true;
-            while let Some(l) = stack.pop() {
-                for &f in circuit.line(l).fanout() {
-                    if member[f.index()] && !seen[f.index()] {
-                        seen[f.index()] = true;
-                        lines.push(f);
-                        stack.push(f);
-                    }
-                }
-            }
-            for &l in &lines {
-                seen[l.index()] = false;
-            }
-            seen[pi.index()] = false;
-            lines.sort_unstable_by_key(|l| pos[l.index()]);
-            reach.push(lines);
-        }
-        ConeTopo { order, pis, reach }
-    }
-}
-
-/// A cone instantiated for one requirement set: the (possibly cached)
-/// topology plus the requirement triples projected onto each input's
-/// reachability list.
-#[derive(Debug)]
-struct Cone {
-    topo: Rc<ConeTopo>,
-    /// For each cone input: the requirement lines it reaches, paired with
-    /// their required triples.
-    reach_req: Vec<Vec<(LineId, Triple)>>,
-}
-
-impl Cone {
-    fn project(topo: Rc<ConeTopo>, req: &Assignments) -> Cone {
-        let reach_req = topo
-            .pis
-            .iter()
-            .zip(&topo.reach)
-            .map(|(&pi, lines)| {
-                std::iter::once(pi)
-                    .chain(lines.iter().copied())
-                    .filter_map(|l| req.get(l).map(|r| (l, r)))
-                    .collect()
-            })
-            .collect();
-        Cone { topo, reach_req }
+        ConeTopo { order, pis }
     }
 }
 
@@ -1451,8 +1418,9 @@ mod tests {
         // a = 1 and b = 1 are each forced by their own requirement, but
         // together they drive z = NAND(a, b) to 0 against its requirement.
         // The packed round forces both at once and sees the joint
-        // violation; the scalar loop commits a first and then finds both
-        // values of b failing.
+        // violation on the committed lane of the next round's pass; the
+        // scalar loop commits a first and then finds both values of b
+        // failing.
         let mut b = pdf_netlist::CircuitBuilder::new("joint");
         let x = b.input("a");
         let y = b.input("b");
@@ -1469,9 +1437,57 @@ mod tests {
             assert!(j.justify(&req).is_none(), "oracle {oracle}");
             assert_eq!(j.stats().conflicts, 1, "oracle {oracle}");
             assert_eq!(j.fixpoints, vec![None], "oracle {oracle}");
-            // One round of one pass: the conflict is the joint check's.
-            assert_eq!(j.stats().fixpoint_passes, usize::from(!oracle));
+            // Two rounds of one pass: the second pass's committed lane
+            // carries the joint conflict.
+            assert_eq!(j.stats().fixpoint_passes, 2 * usize::from(!oracle));
         }
+    }
+
+    #[test]
+    fn engines_agree_at_the_tile_boundary() {
+        // 64 inputs feed z = AND of 32 XOR pairs, all open on entry: one
+        // more than a fixpoint pass holds next to its committed lane, so
+        // every round takes two passes, the second with one trial input.
+        let mut b = pdf_netlist::CircuitBuilder::new("tile64");
+        let mut pairs = Vec::new();
+        for k in 0..32 {
+            let x = b.input(format!("x{k}"));
+            let y = b.input(format!("y{k}"));
+            pairs.push(b.gate(format!("p{k}"), pdf_logic::GateKind::Xor, &[x, y]));
+        }
+        let z = b.gate("z", pdf_logic::GateKind::And, &pairs);
+        b.mark_output(z);
+        let c = b.finish().unwrap();
+        assert_eq!(c.inputs().len(), TILE_INPUTS + 1);
+        // Stable, rising and falling z, and z plus a pinned input value
+        // that the fixpoint must propagate through its XOR partner.
+        let mut reqs = Vec::new();
+        for t in [Triple::STABLE1, Triple::RISING, Triple::FALLING] {
+            let mut req = Assignments::new();
+            req.require(z, t).unwrap();
+            reqs.push(req.clone());
+            req.require(c.inputs()[63], Triple::STABLE0).unwrap();
+            reqs.push(req);
+        }
+        // Every input pinned stable 1 by its own requirement — once alone,
+        // once against z = 1, which the pinned XOR pairs drive to 0.
+        let mut pinned = Assignments::new();
+        for &input in c.inputs() {
+            pinned.require(input, Triple::STABLE1).unwrap();
+        }
+        let mut contradicted = pinned.clone();
+        contradicted.require(z, Triple::STABLE1).unwrap();
+        reqs.extend([pinned.clone(), contradicted.clone()]);
+        check_calls_agree(&c, &reqs, 2002, 1, false);
+        check_calls_agree(&c, &reqs, 1, 1, true);
+        // Round 1 forces all 128 slots over two passes; round 2 has no
+        // open input left and checks the committed lane on an empty tile.
+        let mut j = Justifier::new(&c, 7);
+        assert!(j.justify(&pinned).is_some());
+        assert_eq!(j.stats().fixpoint_passes, 3);
+        assert!(j.justify(&contradicted).is_none());
+        assert_eq!(j.stats().conflicts, 1);
+        assert_eq!(j.stats().fixpoint_passes, 6);
     }
 
     fn arb_circuit() -> impl proptest::strategy::Strategy<Value = Circuit> {

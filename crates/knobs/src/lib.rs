@@ -25,6 +25,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Duration;
 
 /// A program that reads knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +112,39 @@ fn switch_value(text: &str) -> Option<bool> {
 
 fn list_items(text: &str) -> impl Iterator<Item = &str> {
     text.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+/// Parses a duration of the [`Kind::Spec`] grammars (a time budget, a
+/// retry backoff): a non-negative integer with a mandatory unit, `us`,
+/// `ms`, `s` or `m`.
+///
+/// # Errors
+///
+/// A message naming what is malformed: an empty text, a missing number,
+/// a value past `u64`, a missing or unknown unit.
+pub fn parse_duration(text: &str) -> Result<Duration, String> {
+    let text = text.trim();
+    if text.is_empty() {
+        return Err("empty duration".to_owned());
+    }
+    let digits = text.chars().take_while(char::is_ascii_digit).count();
+    if digits == 0 {
+        return Err(format!("duration `{text}` must start with digits"));
+    }
+    let (number, unit) = text.split_at(digits);
+    let n: u64 = number
+        .parse()
+        .map_err(|_| format!("duration value `{number}` out of range"))?;
+    match unit {
+        "us" => Ok(Duration::from_micros(n)),
+        "ms" => Ok(Duration::from_millis(n)),
+        "s" => Ok(Duration::from_secs(n)),
+        "m" => Ok(Duration::from_secs(n.saturating_mul(60))),
+        "" => Err(format!(
+            "duration `{text}` is missing a unit (us, ms, s, m)"
+        )),
+        other => Err(format!("unknown duration unit `{other}` (us, ms, s, m)")),
+    }
 }
 
 /// A knob value that does not fit: displays as

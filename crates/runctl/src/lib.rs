@@ -66,10 +66,19 @@ impl Deadline {
         Deadline { at: None }
     }
 
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. A budget past the clock's range
+    /// never expires.
     #[must_use]
     pub fn after(budget: Duration) -> Deadline {
-        Deadline::at(Instant::now() + budget)
+        Deadline::offset(Instant::now(), budget)
+    }
+
+    /// A deadline `budget` after `start`, unset when that instant lies
+    /// past the clock's range.
+    fn offset(start: Instant, budget: Duration) -> Deadline {
+        start
+            .checked_add(budget)
+            .map_or(Deadline::none(), Deadline::at)
     }
 
     /// A deadline at a fixed instant.
@@ -302,7 +311,8 @@ impl RunBudget {
 /// duration (the **global** budget for the whole run) or `phase=duration`
 /// (a budget for one named phase, anchored at that phase's start). A
 /// duration is a non-negative integer with a mandatory unit: `us`, `ms`,
-/// `s`, or `m`. Examples: `250ms`, `2s,compact=500ms`,
+/// `s`, or `m` ([`pdf_knobs::parse_duration`]). A budget reaching past
+/// the clock's range never expires. Examples: `250ms`, `2s,compact=500ms`,
 /// `generate=1s,compact=250ms`.
 ///
 /// Parsing follows the workspace's strict-knob convention: anything
@@ -334,7 +344,7 @@ impl BudgetSpec {
                 Some((name, d)) => (Some(name.trim()), d.trim()),
                 None => (None, entry),
             };
-            let duration = parse_duration(duration_text)?;
+            let duration = pdf_knobs::parse_duration(duration_text)?;
             match phase {
                 None => {
                     if spec.global.is_some() {
@@ -383,41 +393,13 @@ impl BudgetSpec {
     /// `phase_start`.
     #[must_use]
     pub fn deadline_for(&self, phase: &str, run_start: Instant, phase_start: Instant) -> Deadline {
-        let global = match self.global {
-            Some(d) => Deadline::at(run_start + d),
-            None => Deadline::none(),
-        };
-        let phase = match self.phase(phase) {
-            Some(d) => Deadline::at(phase_start + d),
-            None => Deadline::none(),
-        };
+        let global = self
+            .global
+            .map_or(Deadline::none(), |d| Deadline::offset(run_start, d));
+        let phase = self
+            .phase(phase)
+            .map_or(Deadline::none(), |d| Deadline::offset(phase_start, d));
         global.earlier(phase)
-    }
-}
-
-/// Parses `<integer><unit>` with unit `us`/`ms`/`s`/`m`.
-fn parse_duration(text: &str) -> Result<Duration, String> {
-    let text = text.trim();
-    if text.is_empty() {
-        return Err("empty duration".to_owned());
-    }
-    let digits = text.chars().take_while(char::is_ascii_digit).count();
-    if digits == 0 {
-        return Err(format!("duration `{text}` must start with digits"));
-    }
-    let (number, unit) = text.split_at(digits);
-    let n: u64 = number
-        .parse()
-        .map_err(|_| format!("duration value `{number}` out of range"))?;
-    match unit {
-        "us" => Ok(Duration::from_micros(n)),
-        "ms" => Ok(Duration::from_millis(n)),
-        "s" => Ok(Duration::from_secs(n)),
-        "m" => Ok(Duration::from_secs(n.saturating_mul(60))),
-        "" => Err(format!(
-            "duration `{text}` is missing a unit (us, ms, s, m)"
-        )),
-        other => Err(format!("unknown duration unit `{other}` (us, ms, s, m)")),
     }
 }
 
@@ -1139,6 +1121,42 @@ mod tests {
             .unwrap()
             .deadline_for("generate", now, now)
             .is_set());
+    }
+
+    #[test]
+    fn a_budget_past_the_clock_never_expires() {
+        let huge = format!("{}s,compact={}s", u64::MAX, u64::MAX);
+        let spec = BudgetSpec::parse(&huge).unwrap();
+        let now = Instant::now();
+        assert_eq!(spec.deadline_for("compact", now, now), Deadline::none());
+        assert_eq!(spec.deadline_for("generate", now, now), Deadline::none());
+        // A finite phase budget still binds under an unbounded global one.
+        let spec = BudgetSpec::parse(&format!("{}s,compact=1ms", u64::MAX)).unwrap();
+        assert_eq!(
+            spec.deadline_for("compact", now, now),
+            Deadline::at(now + Duration::from_millis(1))
+        );
+        assert_eq!(Deadline::after(Duration::MAX), Deadline::none());
+        assert!(!Deadline::after(Duration::MAX).expired());
+    }
+
+    #[test]
+    fn budget_spec_durations_use_the_shared_grammar() {
+        assert_eq!(
+            BudgetSpec::parse("1m,compact=7us").unwrap(),
+            BudgetSpec::parse("60s,compact=7us").unwrap()
+        );
+        for (bad, message) in [
+            ("5", "duration `5` is missing a unit (us, ms, s, m)"),
+            ("5h", "unknown duration unit `h` (us, ms, s, m)"),
+            ("compact=s", "duration `s` must start with digits"),
+            (
+                "99999999999999999999s",
+                "duration value `99999999999999999999` out of range",
+            ),
+        ] {
+            assert_eq!(BudgetSpec::parse(bad).unwrap_err(), message, "`{bad}`");
+        }
     }
 
     fn sample() -> Checkpoint {

@@ -83,8 +83,9 @@ pub mod counters {
     /// Justification calls resolved by a random-completion lane (either
     /// backend; the lane index is the witness).
     pub const JUSTIFY_LANE_HITS: &str = "justify_lane_hits";
-    /// Packed trial passes of the justifier's necessary-value fixpoint
-    /// (one per 64 open cone inputs, per round).
+    /// Packed passes of the justifier's necessary-value fixpoint: one
+    /// per 63 open cone inputs per round, plus a pass that only checks
+    /// the committed values when a round has no open input left.
     pub const JUSTIFY_FIXPOINT_PASSES: &str = "justify_fixpoint_passes";
     /// Justification cone topologies served from the LRU cache.
     pub const CONE_CACHE_HIT: &str = "cone_cache_hit";
