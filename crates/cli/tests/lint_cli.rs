@@ -233,3 +233,16 @@ fn static_learning_reports_eliminations_on_gadget_stand_in() {
         "expected eliminations: {line}"
     );
 }
+
+#[test]
+fn one_input_parity_gates_decompose_to_driven_lines() {
+    for name in ["xor1.bench", "xnor1.bench"] {
+        let path = fixture(name);
+        let out = run(&["info", path.to_str().unwrap()]);
+        assert!(
+            out.status.success(),
+            "{name}: stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

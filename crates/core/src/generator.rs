@@ -39,6 +39,7 @@ use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
 use pdf_sim::SimOptions;
 
+use crate::ranking::{DeltaRanking, LineIndex};
 use crate::testset::ParseTestSetError;
 use crate::{
     BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet, DEFAULT_CONE_CACHE,
@@ -578,6 +579,9 @@ struct SessionCtx<'c, 'f> {
     set_starts: Vec<usize>,
     /// Primary (and arbit/length secondary) order over set-0 indices.
     primary_order: Vec<usize>,
+    /// Line → fault index for the value-based Δ ranking; built only under
+    /// [`Compaction::ValueBased`].
+    line_index: Option<LineIndex>,
 }
 
 impl SessionCtx<'_, '_> {
@@ -743,6 +747,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         let mut current = justified;
 
         if !matches!(self.ctx.config.compaction, Compaction::Uncompacted) {
+            let _screen = pdf_telemetry::Span::enter("screen");
             let mut union = Union::new(self.ctx, req);
             self.extend_with_secondaries(primary, &mut union, &mut current, &mut frozen);
         }
@@ -848,8 +853,9 @@ impl<'a, 'c> Build<'a, 'c, '_> {
     }
 
     /// The value-based heuristic: repeatedly take the compatible candidate
-    /// with the fewest new value components `n_Δ`; Δ-sets stay valid
-    /// between accepts because the union only changes on accept.
+    /// with the fewest new value components `n_Δ`. Δ-sets stay valid
+    /// between accepts because the union only changes on accept, and an
+    /// accept re-ranks only the candidates on the lines it changed.
     fn value_based_pass(
         &mut self,
         set: usize,
@@ -858,43 +864,43 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         current: &mut Justified,
         frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
-        let (lo, hi) = (self.ctx.set_starts[set], self.ctx.set_starts[set + 1]);
-        let mut considered = vec![false; hi - lo];
+        let ctx = self.ctx;
+        let index = ctx.line_index.as_ref().expect("built for value-based runs");
+        let range = ctx.set_starts[set]..ctx.set_starts[set + 1];
+        let mut ranking = DeltaRanking::new(ctx.circuit.line_count(), &union.requirements, range);
         loop {
             if self.budget.exhausted() {
                 self.cut = true; // the whole round is rolled back
                 return;
             }
-            // Rank all unconsidered candidates by n_Δ against the current
-            // union; conflicting candidates are rejected outright.
-            let mut ranked: Vec<(usize, usize)> = Vec::new();
-            for i in lo..hi {
-                if considered[i - lo] || !self.eligible_secondary(i, primary) {
+            // Conflicting candidates are rejected outright.
+            let conflicts = {
+                let _rank = pdf_telemetry::Span::enter("screen.rank");
+                ranking.rank(
+                    index,
+                    |i| &ctx.faults[i].assignments,
+                    |i| self.eligible_secondary(i, primary),
+                )
+            };
+            self.stats.conflict_rejects += conflicts;
+            let mut accepted = None;
+            while let Some(i) = ranking.pop() {
+                // Eligibility only ever ends. Only the candidate being
+                // tried loses it today; a candidate that lost it while
+                // off the changed lines is skipped here, as the full
+                // rescan would have left it out of the ranking.
+                if !self.eligible_secondary(i, primary) {
                     continue;
                 }
-                match union
-                    .requirements
-                    .delta_count(&self.ctx.faults[i].assignments)
-                {
-                    Some(delta) => ranked.push((delta, i)),
-                    None => {
-                        considered[i - lo] = true;
-                        self.stats.conflict_rejects += 1;
-                    }
-                }
-            }
-            ranked.sort_unstable();
-            let mut accepted = false;
-            for (_, i) in ranked {
-                considered[i - lo] = true;
                 if self.try_candidate(i, union, current, frozen) {
-                    accepted = true;
-                    break; // union changed: recompute the Δ ranking
+                    accepted = Some(i);
+                    break; // union changed: update the Δ ranking
                 }
             }
-            if !accepted {
+            let Some(i) = accepted else {
                 break;
-            }
+            };
+            ranking.accept(&ctx.faults[i].assignments);
         }
     }
 
@@ -940,15 +946,13 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             pdf_telemetry::count(pdf_telemetry::counters::SECONDARY_DETECTED, 1);
             return grew;
         }
-        let Some(merged) = union.requirements.merged(a) else {
-            self.stats.conflict_rejects += 1;
-            return false;
-        };
         // Implication pre-filter: a contradiction proves no test exists
         // for the merged requirements, so the (much costlier) randomized
         // justification is skipped. Sound — it only rejects candidates
         // justification could never accept. Only `A(p)` is asserted, on
-        // top of the closure of the union.
+        // top of the closure of the union. The closure narrows every line
+        // of the union, so a direct union/`A(p)` conflict conflicts here
+        // too, and the merged union is built only for survivors.
         let Some(closure) = union.closure.as_mut() else {
             self.stats.conflict_rejects += 1;
             return false;
@@ -968,6 +972,10 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             self.stats.conflict_rejects += 1;
             return false;
         }
+        let merged = union
+            .requirements
+            .merged(a)
+            .expect("the closure refutes every direct conflict");
         let result = match self.ctx.config.secondary_mode {
             SecondaryMode::Regenerate => self.justify_guarded(i, &merged, None),
             SecondaryMode::FreezeValues => self.justify_guarded(i, &merged, Some(frozen)),
@@ -1064,6 +1072,8 @@ impl<'c, 'f> Session<'c, 'f> {
             primary_order
                 .sort_by_cached_key(|&i| Reverse(guide.assignment_cost(&faults[i].assignments)));
         }
+        let line_index = matches!(config.compaction, Compaction::ValueBased)
+            .then(|| LineIndex::new(circuit.line_count(), faults.iter().map(|e| &e.assignments)));
         let n = faults.len();
         Session {
             ctx: SessionCtx {
@@ -1072,6 +1082,7 @@ impl<'c, 'f> Session<'c, 'f> {
                 faults,
                 set_starts,
                 primary_order,
+                line_index,
             },
             state: SessionState {
                 detected: vec![false; n],

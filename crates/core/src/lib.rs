@@ -45,6 +45,7 @@
 mod exact;
 mod generator;
 mod justify;
+mod ranking;
 mod target;
 mod testset;
 

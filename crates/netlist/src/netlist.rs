@@ -240,6 +240,17 @@ impl Netlist {
                 out.push_gate(gate.kind, gate.inputs.clone(), gate.output);
                 continue;
             }
+            // A one-input parity gate is a buffer (XOR) or an inverter
+            // (XNOR); the fold below would emit nothing for it.
+            if let [only] = gate.inputs[..] {
+                let kind = if gate.kind == GateKind::Xnor {
+                    GateKind::Not
+                } else {
+                    GateKind::Buf
+                };
+                out.push_gate(kind, vec![only], gate.output);
+                continue;
+            }
             // Fold the inputs pairwise with XOR cells, then invert at the
             // end for XNOR.
             let mut acc = gate.inputs[0];
@@ -808,6 +819,19 @@ mod tests {
         b.gate(GateKind::Xnor, "z", &["a", "b"]);
         let d = b.finish().unwrap().decompose_parity();
         assert_eq!(d.gate_count(), 6); // XOR cell + final NOT
+        assert!(d.to_circuit().is_ok());
+    }
+
+    #[test]
+    fn one_input_parity_gates_become_buffer_and_inverter() {
+        let mut b = NetlistBuilder::new("par1");
+        b.input("a").output("z").output("w");
+        b.gate(GateKind::Xor, "z", &["a"]);
+        b.gate(GateKind::Xnor, "y", &["a"]);
+        b.gate(GateKind::And, "w", &["y", "a"]);
+        let d = b.finish().unwrap().decompose_parity();
+        let kinds: Vec<GateKind> = d.gates().iter().map(|g| g.kind).collect();
+        assert_eq!(kinds, [GateKind::Buf, GateKind::Not, GateKind::And]);
         assert!(d.to_circuit().is_ok());
     }
 

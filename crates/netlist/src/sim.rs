@@ -312,19 +312,27 @@ mod tests {
 
     #[test]
     fn parity_decomposition_is_logic_equivalent() {
-        let mut b = NetlistBuilder::new("par3");
-        b.input("a").input("b").input("c").output("z");
-        b.gate(GateKind::Xor, "z", &["a", "b", "c"]);
-        let n = b.finish().unwrap();
-        let keep = n.to_circuit_with(true).unwrap();
-        let deco = n.decompose_parity().to_circuit().unwrap();
-        let zk = keep.find_line("z").unwrap();
-        let zd = deco.find_line("z").unwrap();
-        for bits in 0..8u8 {
-            let inputs: Vec<Value> = (0..3).map(|i| Value::from(bits >> i & 1 == 1)).collect();
-            let vk = simulate_values(&keep, &inputs);
-            let vd = simulate_values(&deco, &inputs);
-            assert_eq!(vk[zk.index()], vd[zd.index()], "bits={bits:03b}");
+        for (kind, fanin) in [
+            (GateKind::Xor, &["a", "b", "c"][..]),
+            (GateKind::Xor, &["a"][..]),
+            (GateKind::Xnor, &["a"][..]),
+        ] {
+            let mut b = NetlistBuilder::new("par");
+            b.input("a").input("b").input("c").output("z");
+            b.gate(kind, "z", fanin);
+            // Keep the inputs a one-input gate leaves unread observable.
+            b.gate(GateKind::And, "u", &["b", "c"]).output("u");
+            let n = b.finish().unwrap();
+            let keep = n.to_circuit_with(true).unwrap();
+            let deco = n.decompose_parity().to_circuit().unwrap();
+            let zk = keep.find_line("z").unwrap();
+            let zd = deco.find_line("z").unwrap();
+            for bits in 0..8u8 {
+                let inputs: Vec<Value> = (0..3).map(|i| Value::from(bits >> i & 1 == 1)).collect();
+                let vk = simulate_values(&keep, &inputs);
+                let vd = simulate_values(&deco, &inputs);
+                assert_eq!(vk[zk.index()], vd[zd.index()], "{kind:?} bits={bits:03b}");
+            }
         }
     }
 

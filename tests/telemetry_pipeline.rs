@@ -71,6 +71,21 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
         "missing `justify.fixpoint` span under justify: {report:?}"
     );
 
+    // Secondary-target screening runs once per build under `screen`, with
+    // one `screen.rank` entry per value-based ranking round.
+    let screen = generate
+        .children
+        .iter()
+        .find(|c| c.name == "screen")
+        .unwrap_or_else(|| panic!("missing `screen` span under generate: {report:?}"));
+    assert!(screen.calls >= 1);
+    let rank = screen
+        .children
+        .iter()
+        .find(|c| c.name == "screen.rank")
+        .unwrap_or_else(|| panic!("missing `screen.rank` span under screen: {report:?}"));
+    assert!(rank.calls >= screen.calls);
+
     assert!(report.counter(counters::FAULTS_TARGETED).unwrap() > 0);
     assert!(
         report.counter(counters::SECONDARY_DETECTED).unwrap() > 0,
