@@ -237,27 +237,26 @@ fn frontier_splits(
     }
     let mut touched: Vec<LineId> = implied
         .iter()
-        .flat_map(|&(l, _)| std::iter::once(l).chain(circuit.line(l).fanout().iter().copied()))
-        .filter(|&g| circuit.line(g).kind().is_gate())
+        .flat_map(|&(l, _)| std::iter::once(l).chain(circuit.fanout(l).iter().copied()))
+        .filter(|&g| circuit.kind(g).is_gate())
         .collect();
     touched.sort_unstable();
     touched.dedup();
     for id in touched {
-        let line = circuit.line(id);
         for slot in [0usize, 2] {
             let out_spec = component(values[id.index()], slot).is_specified();
-            let any_in_spec = line
-                .fanin()
+            let any_in_spec = circuit
+                .fanin(id)
                 .iter()
                 .any(|f| component(values[f.index()], slot).is_specified());
             if !out_spec && !any_in_spec {
                 continue;
             }
-            for &f in line.fanin() {
+            for &f in circuit.fanin(id) {
                 if component(values[f.index()], slot).is_specified() {
                     continue;
                 }
-                let stem = match circuit.line(f).kind() {
+                let stem = match circuit.kind(f) {
                     LineKind::Branch { stem } => *stem,
                     _ => f,
                 };

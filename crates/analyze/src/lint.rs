@@ -237,10 +237,10 @@ pub fn lint_circuit(circuit: &Circuit) -> LintReport {
     // PDL003: a stem fanning out through exactly one branch. Valid, but
     // the branch is redundant indirection and usually a generator bug —
     // it silently doubles the stem's contribution to path delays.
-    for (_, line) in circuit.iter() {
-        if let LineKind::Branch { stem } = line.kind() {
+    for (id, _) in circuit.iter() {
+        if let LineKind::Branch { stem } = circuit.kind(id) {
             let stem_line = circuit.line(*stem);
-            if stem_line.fanout().len() == 1 {
+            if circuit.fanout(*stem).len() == 1 {
                 let name = stem_line.name();
                 report.push(Diagnostic::warning(
                     codes::BRANCH,

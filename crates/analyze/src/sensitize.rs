@@ -246,9 +246,9 @@ fn classify_closure(
 
 /// `true` when `line` is a primary input or a fanout branch of one.
 fn input_realizable(circuit: &Circuit, line: LineId) -> bool {
-    match circuit.line(line).kind() {
+    match circuit.kind(line) {
         LineKind::Input => true,
-        LineKind::Branch { stem } => circuit.line(*stem).kind().is_input(),
+        LineKind::Branch { stem } => circuit.kind(*stem).is_input(),
         LineKind::Gate(_) => false,
     }
 }
@@ -267,24 +267,9 @@ fn split_refutes(
     if cap == 0 {
         return false;
     }
-    let mut seen = vec![false; circuit.line_count()];
-    let mut stack: Vec<LineId> = a.lines().collect();
-    let mut cone_inputs = Vec::new();
-    while let Some(l) = stack.pop() {
-        if seen[l.index()] {
-            continue;
-        }
-        seen[l.index()] = true;
-        let line = circuit.line(l);
-        match line.kind() {
-            LineKind::Input => cone_inputs.push(l),
-            LineKind::Branch { stem } => stack.push(*stem),
-            LineKind::Gate(_) => stack.extend(line.fanin().iter().copied()),
-        }
-    }
-    cone_inputs.sort_unstable();
+    let cone = circuit.fanin_cone(a.lines());
     let mut tried = 0usize;
-    for pi in cone_inputs {
+    for &pi in circuit.inputs().iter().filter(|pi| cone[pi.index()]) {
         if base.value(pi).last().is_specified() {
             continue;
         }
@@ -326,7 +311,7 @@ pub fn constant_lines(circuit: &Circuit) -> Vec<ConstantLine> {
     let unconstrained = imp.mark();
     for &id in circuit.topo_order() {
         // Inputs are free by definition; branches mirror their stems.
-        if !matches!(circuit.line(id).kind(), LineKind::Gate(_)) {
+        if !matches!(circuit.kind(id), LineKind::Gate(_)) {
             continue;
         }
         for value in [Value::Zero, Value::One] {
@@ -379,14 +364,14 @@ pub fn lint_semantic(circuit: &Circuit) -> LintReport {
     }
     for &id in circuit.topo_order() {
         let line = circuit.line(id);
-        let LineKind::Gate(kind) = line.kind() else {
+        let LineKind::Gate(kind) = circuit.kind(id) else {
             continue;
         };
         // PDL009: a sibling constant at the controlling value masks every
         // other fanin edge of this gate.
         if let Some(control) = kind.controlling_value() {
-            for &f in line.fanin() {
-                let constant = match circuit.line(f).kind() {
+            for &f in circuit.fanin(id) {
+                let constant = match circuit.kind(f) {
                     LineKind::Branch { stem } => {
                         constant_at[f.index()].or(constant_at[stem.index()])
                     }
@@ -409,10 +394,10 @@ pub fn lint_semantic(circuit: &Circuit) -> LintReport {
             }
         }
         // PDL010: two direct branches of one stem reconverge here.
-        let mut stems: Vec<LineId> = line
-            .fanin()
+        let mut stems: Vec<LineId> = circuit
+            .fanin(id)
             .iter()
-            .filter_map(|&f| match circuit.line(f).kind() {
+            .filter_map(|&f| match circuit.kind(f) {
                 LineKind::Branch { stem } => Some(*stem),
                 _ => None,
             })

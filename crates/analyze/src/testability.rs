@@ -50,11 +50,10 @@ impl Testability {
         let mut cc0 = vec![0u32; n];
         let mut cc1 = vec![0u32; n];
         for &id in circuit.topo_order() {
-            let line = circuit.line(id);
-            let (c0, c1) = match line.kind() {
+            let (c0, c1) = match circuit.kind(id) {
                 LineKind::Input => (1, 1),
                 LineKind::Branch { stem } => (cc0[stem.index()], cc1[stem.index()]),
-                LineKind::Gate(kind) => gate_controllability(*kind, line.fanin(), &cc0, &cc1),
+                LineKind::Gate(kind) => gate_controllability(*kind, circuit.fanin(id), &cc0, &cc1),
             };
             cc0[id.index()] = c0;
             cc1[id.index()] = c1;
@@ -62,8 +61,7 @@ impl Testability {
 
         let mut co = vec![u32::MAX; n];
         for &id in circuit.topo_order().iter().rev() {
-            let line = circuit.line(id);
-            if line.is_output() {
+            if circuit.line(id).is_output() {
                 co[id.index()] = 0;
                 continue;
             }
@@ -71,8 +69,8 @@ impl Testability {
             // final in this reverse sweep: a gate input pays the sink's
             // CO plus its siblings' non-controlling costs, a stem
             // observes through its cheapest branch for free.
-            co[id.index()] = line
-                .fanout()
+            co[id.index()] = circuit
+                .fanout(id)
                 .iter()
                 .map(|&f| sink_observability(circuit, f, id, &cc0, &cc1, &co))
                 .min()
@@ -194,13 +192,12 @@ fn sink_observability(
     cc1: &[u32],
     co: &[u32],
 ) -> u32 {
-    let sink_line = circuit.line(sink);
     let base = co[sink.index()];
-    let LineKind::Gate(kind) = sink_line.kind() else {
+    let LineKind::Gate(kind) = circuit.kind(sink) else {
         // Branch sink: identity, no sibling cost.
         return base;
     };
-    let siblings = sink_line.fanin().iter().filter(|&&f| f != through);
+    let siblings = circuit.fanin(sink).iter().filter(|&&f| f != through);
     let sibling_cost = match kind.noncontrolling_value() {
         Some(Value::Zero) => siblings.fold(0u32, |a, f| a.saturating_add(cc0[f.index()])),
         Some(Value::One) => siblings.fold(0u32, |a, f| a.saturating_add(cc1[f.index()])),

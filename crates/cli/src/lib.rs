@@ -984,7 +984,7 @@ pub fn cmd_sim(circuit: &Circuit, v1: &str, v2: &str) -> Result<String, CliError
     let _ = writeln!(s, "test: {test}");
     let _ = writeln!(s, "{:>5}  {:<16} {:<8} waveform", "line", "name", "kind");
     for (id, line) in circuit.iter() {
-        let kind = match line.kind() {
+        let kind = match circuit.kind(id) {
             LineKind::Input => "input",
             LineKind::Gate(_) => "gate",
             LineKind::Branch { .. } => "branch",

@@ -246,3 +246,21 @@ fn one_input_parity_gates_decompose_to_driven_lines() {
         );
     }
 }
+
+#[test]
+fn generated_branch_names_never_collide() {
+    // `z = AND(a, a)` gives `a` two branches into `z`, and a primary
+    // output feeding a gate named `out` gives two `a->out` sinks; the
+    // generated names are made unique, so no PDL005 fires.
+    for name in ["repeated_fanin.bench", "output_feeds_out.bench"] {
+        let path = fixture(name);
+        let out = run(&["lint", path.to_str().unwrap()]);
+        assert!(out.status.success(), "{name}: {out:?}");
+        let combined = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!combined.contains("PDL005"), "{name}: {combined}");
+    }
+}

@@ -176,19 +176,7 @@ enum Search {
 }
 
 fn cone_inputs(circuit: &Circuit, req: &Assignments) -> Vec<LineId> {
-    let mut member = vec![false; circuit.line_count()];
-    let mut stack: Vec<LineId> = req.lines().collect();
-    for &l in &stack {
-        member[l.index()] = true;
-    }
-    while let Some(l) = stack.pop() {
-        for &f in circuit.line(l).fanin() {
-            if !member[f.index()] {
-                member[f.index()] = true;
-                stack.push(f);
-            }
-        }
-    }
+    let member = circuit.fanin_cone(req.lines());
     circuit
         .inputs()
         .iter()

@@ -618,23 +618,15 @@ impl<'c> Justifier<'c> {
         state: &[(Value, Value)],
         live: &mut Vec<(LineId, Triple)>,
     ) -> bool {
-        let mut seen = vec![false; self.circuit.line_count()];
-        let mut stack: Vec<LineId> = Vec::new();
+        let mut stale: Vec<LineId> = Vec::new();
         live.retain(|&(line, r)| {
             let ok = self.packed.triple(line, COMMITTED).is_compatible(r);
             if !ok {
-                seen[line.index()] = true;
-                stack.push(line);
+                stale.push(line);
             }
             ok
         });
-        while let Some(line) = stack.pop() {
-            for &f in self.circuit.line(line).fanin() {
-                if !std::mem::replace(&mut seen[f.index()], true) {
-                    stack.push(f);
-                }
-            }
-        }
+        let seen = self.circuit.fanin_cone(stale);
         topo.pis
             .iter()
             .zip(state)
@@ -1010,7 +1002,7 @@ fn scalar_fixpoint(
         let mut stack = vec![line];
         seen[line.index()] = true;
         while let Some(l) = stack.pop() {
-            for &f in circuit.line(l).fanin() {
+            for &f in circuit.fanin(l) {
                 if !std::mem::replace(&mut seen[f.index()], true) {
                     stack.push(f);
                 }
@@ -1064,12 +1056,11 @@ fn cone_waves(circuit: &Circuit, topo: &ConeTopo, state: &[(Value, Value)]) -> V
         waves[pi.index()] = Triple::from_patterns(s.0, s.1);
     }
     for &id in &topo.order {
-        let line = circuit.line(id);
-        waves[id.index()] = match line.kind() {
+        waves[id.index()] = match circuit.kind(id) {
             pdf_netlist::LineKind::Input => continue,
             pdf_netlist::LineKind::Branch { stem } => waves[stem.index()],
             pdf_netlist::LineKind::Gate(kind) => {
-                kind.eval_triples(line.fanin().iter().map(|f| waves[f.index()]))
+                kind.eval_triples(circuit.fanin(id).iter().map(|f| waves[f.index()]))
             }
         };
     }
@@ -1089,19 +1080,7 @@ struct ConeTopo {
 
 impl ConeTopo {
     fn build(circuit: &Circuit, req: &Assignments) -> ConeTopo {
-        let mut member = vec![false; circuit.line_count()];
-        let mut stack: Vec<LineId> = req.lines().collect();
-        for &l in &stack {
-            member[l.index()] = true;
-        }
-        while let Some(l) = stack.pop() {
-            for &f in circuit.line(l).fanin() {
-                if !member[f.index()] {
-                    member[f.index()] = true;
-                    stack.push(f);
-                }
-            }
-        }
+        let member = circuit.fanin_cone(req.lines());
         let order: Vec<LineId> = circuit
             .topo_order()
             .iter()
@@ -1288,7 +1267,7 @@ mod tests {
             if let Some(k) = c.inputs().iter().position(|&i| i == line) {
                 reached |= !(v1[k].is_specified() && v2[k].is_specified());
             }
-            stack.extend_from_slice(c.line(line).fanin());
+            stack.extend_from_slice(c.fanin(line));
         }
         Some(reached)
     }

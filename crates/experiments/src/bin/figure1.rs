@@ -10,12 +10,12 @@ fn main() {
     println!("Figure 1: ISCAS-89 benchmark circuit s27 (combinational core)");
     println!("line  signal      kind      fanin (paper numbering)");
     for (id, line) in c.iter() {
-        let kind = match line.kind() {
+        let kind = match c.kind(id) {
             LineKind::Input => "input".to_owned(),
             LineKind::Gate(g) => g.to_string().to_lowercase(),
             LineKind::Branch { .. } => "branch".to_owned(),
         };
-        let fanin: Vec<String> = line.fanin().iter().map(|f| f.to_string()).collect();
+        let fanin: Vec<String> = c.fanin(id).iter().map(|f| f.to_string()).collect();
         let out = if line.is_output() { "  [output]" } else { "" };
         println!(
             "{:>4}  {:<10}  {:<8}  ({}){out}",

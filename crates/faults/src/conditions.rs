@@ -184,7 +184,7 @@ pub(crate) fn step(
 ) -> Result<Triple, ConditionError> {
     let mut require_projected = |line: LineId, req: Triple| {
         require(line, req)?;
-        if let LineKind::Branch { stem } = circuit.line(line).kind() {
+        if let LineKind::Branch { stem } = circuit.kind(line) {
             require(*stem, req)?;
         }
         Ok(())
@@ -194,7 +194,7 @@ pub(crate) fn step(
         return Ok(transition);
     }
     let through = lines[k];
-    match circuit.line(through).kind() {
+    match circuit.kind(through) {
         LineKind::Input => unreachable!("inputs have no fanin"),
         // Branches are transparent: the waveform passes unchanged.
         LineKind::Branch { .. } => Ok(transition),
@@ -248,7 +248,7 @@ fn propagate_through(
             Triple::new(Value::X, Value::X, noncontrolling)
         }
     };
-    for &input in circuit.line(gate_line).fanin() {
+    for &input in circuit.fanin(gate_line) {
         if input != on_path {
             require_projected(input, off_req)?;
         }

@@ -235,10 +235,10 @@ impl<'c> Implicator<'c> {
         // The line's own node (for backward rules and the stability rule),
         // plus every sink node (forward rules).
         self.enqueue(line);
-        for &f in self.circuit.line(line).fanout() {
+        for &f in self.circuit.fanout(line) {
             self.enqueue(f);
         }
-        for &f in self.circuit.line(line).fanin() {
+        for &f in self.circuit.fanin(line) {
             self.enqueue(f);
         }
     }
@@ -269,7 +269,7 @@ impl<'c> Implicator<'c> {
     fn process(&mut self, line: LineId) -> Result<(), ImplicationConflict> {
         self.stability_rules(line)?;
         self.learned_rules(line)?;
-        match self.circuit.line(line).kind() {
+        match self.circuit.kind(line) {
             LineKind::Input => Ok(()),
             LineKind::Branch { stem } => {
                 // Identity in both directions.
@@ -297,7 +297,7 @@ impl<'c> Implicator<'c> {
             let merged = v.intersect(stable).ok_or(ImplicationConflict { line })?;
             self.update(line, merged)?;
         }
-        if self.circuit.line(line).kind().is_input() {
+        if self.circuit.kind(line).is_input() {
             let v = self.values[line.index()];
             if v.first().is_specified() && v.first() == v.last() {
                 let stable = Triple::new(v.first(), v.first(), v.first());
@@ -341,8 +341,7 @@ impl<'c> Implicator<'c> {
     fn forward(&mut self, line: LineId, kind: GateKind) -> Result<(), ImplicationConflict> {
         let out = kind.eval_triples(
             self.circuit
-                .line(line)
-                .fanin()
+                .fanin(line)
                 .iter()
                 .map(|f| self.values[f.index()]),
         );
@@ -353,7 +352,7 @@ impl<'c> Implicator<'c> {
     fn backward(&mut self, line: LineId, kind: GateKind) -> Result<(), ImplicationConflict> {
         // The circuit outlives the engine borrow: no copy of the fanin.
         let circuit = self.circuit;
-        let fanin = circuit.line(line).fanin();
+        let fanin = circuit.fanin(line);
         let out = self.values[line.index()];
 
         for slot in 0..3 {

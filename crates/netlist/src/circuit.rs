@@ -58,7 +58,7 @@ pub enum LineKind {
     /// A primary input (or pseudo primary input: a flip-flop output in the
     /// combinational core of a sequential circuit).
     Input,
-    /// The output *stem* of a logic gate; `fanin` of the line lists the gate
+    /// The output *stem* of a logic gate; [`Circuit::fanin`] lists the gate
     /// input lines in order.
     Gate(GateKind),
     /// A fanout branch of `stem`. Behaves as an identity (BUF) for
@@ -92,12 +92,11 @@ impl LineKind {
     }
 }
 
-/// One line of a [`Circuit`].
+/// One line of a [`Circuit`]: its per-line attributes. The line's kind and
+/// adjacency live in the circuit's dense arrays ([`Circuit::kind`],
+/// [`Circuit::fanin`], [`Circuit::fanout`]).
 #[derive(Clone, Debug)]
 pub struct Line {
-    pub(crate) kind: LineKind,
-    pub(crate) fanin: Vec<LineId>,
-    pub(crate) fanout: Vec<LineId>,
     pub(crate) name: String,
     pub(crate) is_output: bool,
     pub(crate) level: u32,
@@ -105,26 +104,13 @@ pub struct Line {
 }
 
 impl Line {
-    /// The kind of the line.
-    #[inline]
-    #[must_use]
-    pub fn kind(&self) -> &LineKind {
-        &self.kind
-    }
-
-    /// The fanin lines (gate inputs for a stem, `[stem]` for a branch,
-    /// empty for a primary input).
-    #[inline]
-    #[must_use]
-    pub fn fanin(&self) -> &[LineId] {
-        &self.fanin
-    }
-
-    /// The fanout lines (empty exactly when the line is an output).
-    #[inline]
-    #[must_use]
-    pub fn fanout(&self) -> &[LineId] {
-        &self.fanout
+    fn new(name: String) -> Line {
+        Line {
+            name,
+            is_output: false,
+            level: 0,
+            delay: 1,
+        }
     }
 
     /// A human-readable name ("9", "G12", "G12->G13", ...).
@@ -157,10 +143,30 @@ impl Line {
     }
 }
 
+/// A compressed-sparse-row adjacency: row `i` is
+/// `flat[starts[i] as usize..starts[i + 1] as usize]`.
+#[derive(Clone, Debug)]
+struct Csr {
+    starts: Vec<u32>,
+    flat: Vec<LineId>,
+}
+
+impl Csr {
+    #[inline]
+    fn row(&self, i: usize) -> &[LineId] {
+        &self.flat[self.starts[i] as usize..self.starts[i + 1] as usize]
+    }
+}
+
 /// A combinational circuit expanded to the line level.
 ///
 /// Construct one with [`CircuitBuilder`] or convert a gate-level
 /// [`Netlist`](crate::Netlist) via [`Netlist::to_circuit`](crate::Netlist::to_circuit).
+///
+/// Line kinds and both adjacency directions are flat arrays indexed by
+/// [`LineId`] (a dense kind array and two CSR tables), so the per-line
+/// sweeps of simulation, implication and justification read contiguous
+/// memory instead of per-line heap structures.
 ///
 /// # Example
 ///
@@ -176,12 +182,17 @@ impl Line {
 /// let circuit = b.finish()?;
 /// assert_eq!(circuit.line_count(), 3);
 /// assert_eq!(circuit.outputs(), &[g]);
+/// assert_eq!(circuit.fanin(g), &[a, c]);
 /// # Ok::<(), pdf_netlist::CircuitError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct Circuit {
     name: String,
     lines: Vec<Line>,
+    kinds: Vec<LineKind>,
+    fanin: Csr,
+    /// Every row ascending in sink id, a sink repeated once per use.
+    fanout: Csr,
     inputs: Vec<LineId>,
     outputs: Vec<LineId>,
     /// Line ids in topological order (fanins before fanouts).
@@ -222,11 +233,49 @@ impl Circuit {
         &self.lines[id.index()]
     }
 
-    /// All lines, indexable by [`LineId::index`].
+    /// The kind of line `id`.
     #[inline]
     #[must_use]
-    pub fn lines(&self) -> &[Line] {
-        &self.lines
+    pub fn kind(&self, id: LineId) -> &LineKind {
+        &self.kinds[id.index()]
+    }
+
+    /// The fanin lines of `id`: gate inputs in order for a stem, `[stem]`
+    /// for a branch, empty for a primary input.
+    #[inline]
+    #[must_use]
+    pub fn fanin(&self, id: LineId) -> &[LineId] {
+        self.fanin.row(id.index())
+    }
+
+    /// The fanout lines of `id` in ascending id, a sink listed once per
+    /// fanin slot it uses (empty exactly when the line is an output).
+    #[inline]
+    #[must_use]
+    pub fn fanout(&self, id: LineId) -> &[LineId] {
+        self.fanout.row(id.index())
+    }
+
+    /// The fanin cone of `roots` as a member mask indexed by
+    /// [`LineId::index`]: `true` for every root and every line with a
+    /// path to one.
+    #[must_use]
+    pub fn fanin_cone(&self, roots: impl IntoIterator<Item = LineId>) -> Vec<bool> {
+        let mut member = vec![false; self.lines.len()];
+        let mut stack: Vec<LineId> = Vec::new();
+        for l in roots {
+            if !std::mem::replace(&mut member[l.index()], true) {
+                stack.push(l);
+            }
+        }
+        while let Some(l) = stack.pop() {
+            for &f in self.fanin(l) {
+                if !std::mem::replace(&mut member[f.index()], true) {
+                    stack.push(f);
+                }
+            }
+        }
+        member
     }
 
     /// Iterates over `(id, line)` pairs in id order.
@@ -237,7 +286,7 @@ impl Circuit {
             .map(|(i, l)| (LineId::new(i), l))
     }
 
-    /// Primary (and pseudo primary) input lines.
+    /// Primary (and pseudo primary) input lines, in ascending id.
     #[inline]
     #[must_use]
     pub fn inputs(&self) -> &[LineId] {
@@ -296,13 +345,13 @@ impl Circuit {
     /// Number of gate lines.
     #[must_use]
     pub fn gate_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.kind.is_gate()).count()
+        self.kinds.iter().filter(|k| k.is_gate()).count()
     }
 
     /// Number of branch lines.
     #[must_use]
     pub fn branch_count(&self) -> usize {
-        self.lines.iter().filter(|l| l.kind.is_branch()).count()
+        self.kinds.iter().filter(|k| k.is_branch()).count()
     }
 
     /// Looks a line up by name (linear scan; intended for tests and small
@@ -323,11 +372,10 @@ impl Circuit {
         // counts[l] = number of complete paths from line l to any output.
         let mut counts = vec![0u64; self.lines.len()];
         for &id in self.topo.iter().rev() {
-            let line = &self.lines[id.index()];
-            counts[id.index()] = if line.is_output {
+            counts[id.index()] = if self.lines[id.index()].is_output {
                 1
             } else {
-                line.fanout
+                self.fanout(id)
                     .iter()
                     .fold(0u64, |acc, f| acc.saturating_add(counts[f.index()]))
             };
@@ -337,18 +385,16 @@ impl Circuit {
             .fold(0u64, |acc, i| acc.saturating_add(counts[i.index()]))
     }
 
-    /// Rescales every line's delay using `f(id, line) -> delay`. Distances,
-    /// levels and orders are recomputed. Used to install non-unit delay
-    /// models.
+    /// Rescales every line's delay using `f(id, kind) -> delay`. Distances
+    /// are recomputed. Used to install non-unit delay models.
     pub fn set_delays<F>(&mut self, mut f: F)
     where
-        F: FnMut(LineId, &Line) -> u32,
+        F: FnMut(LineId, &LineKind) -> u32,
     {
-        for i in 0..self.lines.len() {
-            let d = f(LineId::new(i), &self.lines[i]);
-            self.lines[i].delay = d;
+        for (i, (line, kind)) in self.lines.iter_mut().zip(&self.kinds).enumerate() {
+            line.delay = f(LineId::new(i), kind);
         }
-        self.distance = compute_distances(&self.lines, &self.topo);
+        self.distance = compute_distances(&self.lines, &self.fanout, &self.topo);
     }
 }
 
@@ -433,6 +479,9 @@ impl std::error::Error for CircuitError {}
 pub struct CircuitBuilder {
     name: String,
     lines: Vec<Line>,
+    kinds: Vec<LineKind>,
+    /// Fanin rows, appended as lines are created.
+    fanin: Csr,
 }
 
 impl CircuitBuilder {
@@ -442,52 +491,36 @@ impl CircuitBuilder {
         CircuitBuilder {
             name: name.into(),
             lines: Vec::new(),
+            kinds: Vec::new(),
+            fanin: Csr {
+                starts: vec![0],
+                flat: Vec::new(),
+            },
         }
     }
 
-    fn push(&mut self, line: Line) -> LineId {
+    fn push(&mut self, name: String, kind: LineKind, fanin: &[LineId]) -> LineId {
         let id = LineId::new(self.lines.len());
-        self.lines.push(line);
+        self.lines.push(Line::new(name));
+        self.kinds.push(kind);
+        self.fanin.flat.extend_from_slice(fanin);
+        self.fanin.starts.push(self.fanin.flat.len() as u32);
         id
     }
 
     /// Adds a primary input line.
     pub fn input(&mut self, name: impl Into<String>) -> LineId {
-        self.push(Line {
-            kind: LineKind::Input,
-            fanin: Vec::new(),
-            fanout: Vec::new(),
-            name: name.into(),
-            is_output: false,
-            level: 0,
-            delay: 1,
-        })
+        self.push(name.into(), LineKind::Input, &[])
     }
 
     /// Adds a gate line driven by `fanin`.
     pub fn gate(&mut self, name: impl Into<String>, kind: GateKind, fanin: &[LineId]) -> LineId {
-        self.push(Line {
-            kind: LineKind::Gate(kind),
-            fanin: fanin.to_vec(),
-            fanout: Vec::new(),
-            name: name.into(),
-            is_output: false,
-            level: 0,
-            delay: 1,
-        })
+        self.push(name.into(), LineKind::Gate(kind), fanin)
     }
 
     /// Adds a fanout branch of `stem`.
     pub fn branch(&mut self, name: impl Into<String>, stem: LineId) -> LineId {
-        self.push(Line {
-            kind: LineKind::Branch { stem },
-            fanin: vec![stem],
-            fanout: Vec::new(),
-            name: name.into(),
-            is_output: false,
-            level: 0,
-            delay: 1,
-        })
+        self.push(name.into(), LineKind::Branch { stem }, &[stem])
     }
 
     /// Marks `line` as a primary (or pseudo primary) output.
@@ -513,46 +546,51 @@ impl CircuitBuilder {
     /// Returns a [`CircuitError`] when a structural invariant is violated;
     /// see the type's variants for the complete list.
     pub fn finish(self) -> Result<Circuit, CircuitError> {
-        let CircuitBuilder { name, mut lines } = self;
+        let CircuitBuilder {
+            name,
+            mut lines,
+            kinds,
+            fanin,
+        } = self;
         let n = lines.len();
 
-        // Resolve fanin references and derive fanout lists.
-        let mut fanout: Vec<Vec<LineId>> = vec![Vec::new(); n];
-        for (i, line) in lines.iter().enumerate() {
-            for &f in &line.fanin {
-                if f.index() >= n {
-                    return Err(CircuitError::UnknownLine { id: f.0 });
-                }
-                fanout[f.index()].push(LineId::new(i));
+        // Resolve fanin references, then derive the fanout rows with a
+        // counting pass in line order, so every row is ascending.
+        if let Some(f) = fanin.flat.iter().find(|f| f.index() >= n) {
+            return Err(CircuitError::UnknownLine { id: f.0 });
+        }
+        let mut starts = vec![0u32; n + 1];
+        for f in &fanin.flat {
+            starts[f.index() + 1] += 1;
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut next = starts.clone();
+        let mut flat = vec![LineId(0); fanin.flat.len()];
+        for i in 0..n {
+            for f in fanin.row(i) {
+                flat[next[f.index()] as usize] = LineId::new(i);
+                next[f.index()] += 1;
             }
         }
-        for (line, outs) in lines.iter_mut().zip(fanout) {
-            line.fanout = outs;
-        }
+        let fanout = Csr { starts, flat };
 
-        // Arity checks.
-        for line in &lines {
-            match &line.kind {
-                LineKind::Gate(kind) => {
-                    let got = line.fanin.len();
-                    let ok = if kind.is_single_input() {
-                        got == 1
-                    } else {
-                        got >= 1
-                    };
-                    if !ok {
-                        return Err(CircuitError::BadArity {
-                            line: line.name.clone(),
-                            kind: *kind,
-                            got,
-                        });
-                    }
-                }
-                LineKind::Branch { stem } => {
-                    debug_assert_eq!(line.fanin, vec![*stem]);
-                }
-                LineKind::Input => {
-                    debug_assert!(line.fanin.is_empty());
+        // Arity checks (inputs and branches get their fanin from `push`).
+        for (i, (line, kind)) in lines.iter().zip(&kinds).enumerate() {
+            if let LineKind::Gate(kind) = kind {
+                let got = fanin.row(i).len();
+                let ok = if kind.is_single_input() {
+                    got == 1
+                } else {
+                    got >= 1
+                };
+                if !ok {
+                    return Err(CircuitError::BadArity {
+                        line: line.name.clone(),
+                        kind: *kind,
+                        got,
+                    });
                 }
             }
             if line.delay == 0 {
@@ -563,49 +601,45 @@ impl CircuitBuilder {
         }
 
         // Structural invariants around outputs and branches.
-        for line in &lines {
-            if line.is_output && !line.fanout.is_empty() {
+        for (i, line) in lines.iter().enumerate() {
+            let outs = fanout.row(i);
+            if line.is_output && !outs.is_empty() {
                 return Err(CircuitError::OutputWithFanout {
                     line: line.name.clone(),
                 });
             }
-            if !line.is_output && line.fanout.is_empty() {
+            if !line.is_output && outs.is_empty() {
                 return Err(CircuitError::Dangling {
                     line: line.name.clone(),
                 });
             }
             // A stem whose fanout contains a branch must fan out through
             // branches exclusively, and then has >= 2 sinks.
-            let branch_outs = line
-                .fanout
+            let branch_outs = outs
                 .iter()
-                .filter(|&&f| lines[f.index()].kind.is_branch())
+                .filter(|&&f| kinds[f.index()].is_branch())
                 .count();
-            if branch_outs > 0 && branch_outs != line.fanout.len() {
+            if branch_outs > 0 && branch_outs != outs.len() {
                 return Err(CircuitError::MissingBranch {
                     line: line.name.clone(),
                 });
             }
         }
 
-        let inputs: Vec<LineId> = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.kind.is_input())
-            .map(|(i, _)| LineId::new(i))
+        let inputs: Vec<LineId> = (0..n)
+            .filter(|&i| kinds[i].is_input())
+            .map(LineId::new)
             .collect();
-        let outputs: Vec<LineId> = lines
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_output)
-            .map(|(i, _)| LineId::new(i))
+        let outputs: Vec<LineId> = (0..n)
+            .filter(|&i| lines[i].is_output)
+            .map(LineId::new)
             .collect();
         if inputs.is_empty() || outputs.is_empty() {
             return Err(CircuitError::Empty);
         }
 
         // Kahn topological sort (also detects cycles) + level assignment.
-        let mut indeg: Vec<usize> = lines.iter().map(|l| l.fanin.len()).collect();
+        let mut indeg: Vec<usize> = (0..n).map(|i| fanin.row(i).len()).collect();
         let mut queue: Vec<LineId> = inputs.clone();
         let mut topo: Vec<LineId> = Vec::with_capacity(n);
         let mut head = 0;
@@ -614,8 +648,7 @@ impl CircuitBuilder {
             head += 1;
             topo.push(id);
             let level = lines[id.index()].level;
-            for fi in 0..lines[id.index()].fanout.len() {
-                let f = lines[id.index()].fanout[fi];
+            for &f in fanout.row(id.index()) {
                 let fl = &mut lines[f.index()];
                 fl.level = fl.level.max(level + 1);
                 indeg[f.index()] -= 1;
@@ -628,7 +661,7 @@ impl CircuitBuilder {
             return Err(CircuitError::Cyclic);
         }
 
-        let distance = compute_distances(&lines, &topo);
+        let distance = compute_distances(&lines, &fanout, &topo);
 
         // Relaxed is enough: the counter only needs uniqueness, not
         // ordering against any other memory.
@@ -638,6 +671,9 @@ impl CircuitBuilder {
         Ok(Circuit {
             name,
             lines,
+            kinds,
+            fanin,
+            fanout,
             inputs,
             outputs,
             topo,
@@ -647,12 +683,11 @@ impl CircuitBuilder {
     }
 }
 
-fn compute_distances(lines: &[Line], topo: &[LineId]) -> Vec<u32> {
+fn compute_distances(lines: &[Line], fanout: &Csr, topo: &[LineId]) -> Vec<u32> {
     let mut distance = vec![0u32; lines.len()];
     for &id in topo.iter().rev() {
-        let line = &lines[id.index()];
-        distance[id.index()] = line
-            .fanout
+        distance[id.index()] = fanout
+            .row(id.index())
             .iter()
             .map(|&f| lines[f.index()].delay + distance[f.index()])
             .max()
@@ -691,7 +726,7 @@ mod tests {
         assert_eq!(c.branch_count(), 2);
         let o = c.find_line("o").unwrap();
         assert!(c.line(o).is_output());
-        assert!(c.line(o).fanout().is_empty());
+        assert!(c.fanout(o).is_empty());
     }
 
     #[test]
@@ -724,8 +759,8 @@ mod tests {
         for (i, &id) in c.topo_order().iter().enumerate() {
             pos[id.index()] = i;
         }
-        for (id, line) in c.iter() {
-            for &f in line.fanin() {
+        for (id, _) in c.iter() {
+            for &f in c.fanin(id) {
                 assert!(pos[f.index()] < pos[id.index()]);
             }
         }
@@ -843,7 +878,7 @@ mod tests {
         let a = c.find_line("a").unwrap();
         assert_eq!(c.distance_to_output(a), 3);
         // Make every gate cost 2 and branches free-ish (1).
-        c.set_delays(|_, l| if l.kind().is_gate() { 2 } else { 1 });
+        c.set_delays(|_, k| if k.is_gate() { 2 } else { 1 });
         // From a: branch(1) + g1(2) + o(2) = 5.
         assert_eq!(c.distance_to_output(a), 5);
         assert_eq!(c.critical_delay(), 6);

@@ -26,7 +26,7 @@ pub fn to_dot(circuit: &Circuit) -> String {
     let _ = writeln!(s, "  rankdir=LR;");
     for (id, line) in circuit.iter() {
         let label = format!("{} ({})", line.name(), id);
-        let attrs = match line.kind() {
+        let attrs = match circuit.kind(id) {
             LineKind::Input => format!("shape=triangle, label=\"{label}\""),
             LineKind::Gate(kind) => {
                 let peripheries = if line.is_output() { 2 } else { 1 };
@@ -39,8 +39,8 @@ pub fn to_dot(circuit: &Circuit) -> String {
         };
         let _ = writeln!(s, "  n{} [{}];", id.index(), attrs);
     }
-    for (id, line) in circuit.iter() {
-        for &f in line.fanin() {
+    for (id, _) in circuit.iter() {
+        for &f in circuit.fanin(id) {
             let _ = writeln!(s, "  n{} -> n{};", f.index(), id.index());
         }
     }
@@ -61,7 +61,7 @@ mod tests {
             assert!(dot.contains(&format!("n{} [", id.index())));
         }
         // 26 nodes, edge count = sum of fanin sizes.
-        let edges: usize = c.iter().map(|(_, l)| l.fanin().len()).sum();
+        let edges: usize = c.iter().map(|(id, _)| c.fanin(id).len()).sum();
         assert_eq!(dot.matches(" -> ").count(), edges);
     }
 

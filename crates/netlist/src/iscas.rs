@@ -197,7 +197,7 @@ mod tests {
             let from = line(w[0]);
             let to = line(w[1]);
             assert!(
-                c.line(to).fanin().contains(&from),
+                c.fanin(to).contains(&from),
                 "line {} must feed line {}",
                 w[0],
                 w[1]
@@ -256,7 +256,7 @@ mod tests {
             (23, 21),
             (24, 21),
         ] {
-            assert_eq!(c.line(line(br)).fanin(), &[line(stem)], "branch {br}");
+            assert_eq!(c.fanin(line(br)), &[line(stem)], "branch {br}");
         }
     }
 

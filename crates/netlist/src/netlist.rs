@@ -6,7 +6,7 @@
 //! outputs become pseudo primary inputs, flip-flop inputs pseudo primary
 //! outputs) and [`Netlist::to_circuit`] to expand fanout branches.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use pdf_logic::GateKind;
@@ -349,7 +349,10 @@ impl Netlist {
     /// branch lines. Line numbering is deterministic: primary inputs in
     /// declaration order, then gate stems in topological order, then branch
     /// lines grouped by stem (gate sinks in topological order first, the
-    /// primary-output sink last).
+    /// primary-output sink last). A branch is named `stem->sink` (`->out`
+    /// for the primary-output sink); a name already taken by a signal or
+    /// an earlier branch gets the first free `#k` suffix (`a->z#2`), and
+    /// since `#` starts a `.bench` comment no parsed signal can hold it.
     ///
     /// # Errors
     ///
@@ -414,35 +417,37 @@ impl Netlist {
         // all earlier in topological order, their stems/branches exist.
         let mut feed: HashMap<(usize, usize, usize), LineId> = HashMap::new(); // (signal, gate, pos) -> line
         let mut output_line: HashMap<usize, LineId> = HashMap::new(); // signal -> PO line
+        let mut taken: HashSet<String> = self.signal_names.iter().cloned().collect();
 
-        let make_fanout = |b: &mut CircuitBuilder,
-                           sig: usize,
-                           sid: LineId,
-                           name: &str,
-                           sinks: &[(usize, usize)],
-                           is_output: bool,
-                           feed: &mut HashMap<(usize, usize, usize), LineId>,
-                           output_line: &mut HashMap<usize, LineId>| {
-            let total = sinks.len() + usize::from(is_output);
-            if total == 1 {
-                if is_output {
-                    output_line.insert(sig, sid);
+        let mut make_fanout =
+            |b: &mut CircuitBuilder,
+             sig: usize,
+             sid: LineId,
+             name: &str,
+             sinks: &[(usize, usize)],
+             is_output: bool,
+             feed: &mut HashMap<(usize, usize, usize), LineId>,
+             output_line: &mut HashMap<usize, LineId>| {
+                let total = sinks.len() + usize::from(is_output);
+                if total == 1 {
+                    if is_output {
+                        output_line.insert(sig, sid);
+                    } else {
+                        let (g, pos) = sinks[0];
+                        feed.insert((sig, g, pos), sid);
+                    }
                 } else {
-                    let (g, pos) = sinks[0];
-                    feed.insert((sig, g, pos), sid);
+                    for &(g, pos) in sinks {
+                        let sink = self.signal_name(self.gates[g].output);
+                        let br = b.branch(fresh_name(&mut taken, format!("{name}->{sink}")), sid);
+                        feed.insert((sig, g, pos), br);
+                    }
+                    if is_output {
+                        let br = b.branch(fresh_name(&mut taken, format!("{name}->out")), sid);
+                        output_line.insert(sig, br);
+                    }
                 }
-            } else {
-                for &(g, pos) in sinks {
-                    let bname = format!("{}->{}", name, self.signal_name(self.gates[g].output));
-                    let br = b.branch(bname, sid);
-                    feed.insert((sig, g, pos), br);
-                }
-                if is_output {
-                    let br = b.branch(format!("{name}->out"), sid);
-                    output_line.insert(sig, br);
-                }
-            }
-        };
+            };
 
         for &i in &self.inputs {
             let sid = stem[&i.index()];
@@ -484,6 +489,21 @@ impl Netlist {
         }
         b.finish().map_err(NetlistError::Circuit)
     }
+}
+
+/// `base` if no line holds that name yet, else `base#k` for the smallest
+/// free `k >= 2`; the returned name is marked taken.
+fn fresh_name(taken: &mut HashSet<String>, base: String) -> String {
+    let name = if taken.contains(&base) {
+        (2..)
+            .map(|k| format!("{base}#{k}"))
+            .find(|n| !taken.contains(n))
+            .expect("some suffix is free")
+    } else {
+        base
+    };
+    taken.insert(name.clone());
+    name
 }
 
 /// Error produced while building or converting a [`Netlist`].
@@ -730,9 +750,9 @@ mod tests {
         assert_eq!(c.line_count(), 6);
         assert_eq!(c.branch_count(), 2);
         let q = c.find_line("q").unwrap();
-        assert_eq!(c.line(q).fanout().len(), 2);
-        for &f in c.line(q).fanout() {
-            assert!(matches!(c.line(f).kind(), LineKind::Branch { stem } if *stem == q));
+        assert_eq!(c.fanout(q).len(), 2);
+        for &f in c.fanout(q) {
+            assert!(matches!(c.kind(f), LineKind::Branch { stem } if *stem == q));
         }
     }
 
@@ -762,6 +782,40 @@ mod tests {
         assert!(c.line(po).is_output());
         let m = c.find_line("m").unwrap();
         assert!(!c.line(m).is_output());
+    }
+
+    /// Every line name of `c` is distinct.
+    fn names_unique(c: &Circuit) -> bool {
+        let names: HashSet<&str> = c.iter().map(|(_, l)| l.name()).collect();
+        names.len() == c.line_count()
+    }
+
+    #[test]
+    fn repeated_fanin_gets_distinct_branch_names() {
+        // z = AND(a, a): two branches of `a` both feed `z`.
+        let mut b = NetlistBuilder::new("twice");
+        b.input("a").output("z");
+        b.gate(GateKind::And, "z", &["a", "a"]);
+        let c = b.finish().unwrap().to_circuit().unwrap();
+        assert!(names_unique(&c));
+        let first = c.find_line("a->z").unwrap();
+        let second = c.find_line("a->z#2").unwrap();
+        assert_eq!(c.fanin(c.find_line("z").unwrap()), &[first, second]);
+    }
+
+    #[test]
+    fn output_branch_does_not_collide_with_a_gate_named_out() {
+        // `a` is a primary output and feeds a gate called `out`: both the
+        // gate sink and the output sink would be `a->out`.
+        let mut b = NetlistBuilder::new("out-gate");
+        b.input("a").input("c").output("a").output("out");
+        b.gate(GateKind::And, "out", &["a", "c"]);
+        let c = b.finish().unwrap().to_circuit().unwrap();
+        assert!(names_unique(&c));
+        let to_gate = c.find_line("a->out").unwrap();
+        let to_po = c.find_line("a->out#2").unwrap();
+        assert!(!c.line(to_gate).is_output());
+        assert!(c.line(to_po).is_output());
     }
 
     #[test]

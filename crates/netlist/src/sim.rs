@@ -159,12 +159,11 @@ pub fn simulate_values(circuit: &Circuit, inputs: &[Value]) -> Vec<Value> {
         values[id.index()] = inputs[pos];
     }
     for &id in circuit.topo_order() {
-        let line = circuit.line(id);
-        match line.kind() {
+        match circuit.kind(id) {
             LineKind::Input => {}
             LineKind::Branch { stem } => values[id.index()] = values[stem.index()],
             LineKind::Gate(kind) => {
-                values[id.index()] = eval_gate_values(*kind, line.fanin(), &values);
+                values[id.index()] = eval_gate_values(*kind, circuit.fanin(id), &values);
             }
         }
     }
@@ -197,13 +196,12 @@ pub fn simulate_triples(circuit: &Circuit, inputs: &[Triple]) -> Vec<Triple> {
         values[id.index()] = inputs[pos];
     }
     for &id in circuit.topo_order() {
-        let line = circuit.line(id);
-        match line.kind() {
+        match circuit.kind(id) {
             LineKind::Input => {}
             LineKind::Branch { stem } => values[id.index()] = values[stem.index()],
             LineKind::Gate(kind) => {
                 values[id.index()] =
-                    kind.eval_triples(line.fanin().iter().map(|f| values[f.index()]));
+                    kind.eval_triples(circuit.fanin(id).iter().map(|f| values[f.index()]));
             }
         }
     }

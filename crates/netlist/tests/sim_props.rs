@@ -74,8 +74,8 @@ proptest! {
         })
     ) {
         let waves = simulate_triples(&c, &test.to_triples());
-        for (id, line) in c.iter() {
-            if let LineKind::Branch { stem } = line.kind() {
+        for (id, _) in c.iter() {
+            if let LineKind::Branch { stem } = c.kind(id) {
                 prop_assert_eq!(waves[id.index()], waves[stem.index()]);
             }
         }
@@ -128,14 +128,14 @@ proptest! {
             c.inputs().len() + c.gate_count() + c.branch_count(),
             c.line_count()
         );
-        for (_, line) in c.iter() {
-            let branch_outs = line
-                .fanout()
+        for (id, _) in c.iter() {
+            let branch_outs = c
+                .fanout(id)
                 .iter()
-                .filter(|&&f| c.line(f).kind().is_branch())
+                .filter(|&&f| c.kind(f).is_branch())
                 .count();
-            if line.fanout().len() > 1 && !line.kind().is_branch() {
-                prop_assert_eq!(branch_outs, line.fanout().len());
+            if c.fanout(id).len() > 1 && !c.kind(id).is_branch() {
+                prop_assert_eq!(branch_outs, c.fanout(id).len());
             }
         }
     }

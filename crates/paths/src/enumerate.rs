@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use pdf_netlist::{Circuit, LineId};
+use pdf_netlist::Circuit;
 
 use crate::{Path, PathStore};
 
@@ -232,7 +232,7 @@ impl<'c> PathEnumerator<'c> {
             // Extend the first partial path in all possible ways: the first
             // successor replaces it in place, the others are appended.
             stats.extensions += 1;
-            let fanout: Vec<LineId> = c.line(last).fanout().to_vec();
+            let fanout = c.fanout(last);
             debug_assert!(!fanout.is_empty(), "partial paths always extend");
             for &f in fanout.iter().skip(1) {
                 let item = &list[pos];
@@ -419,9 +419,9 @@ impl<'c> PathEnumerator<'c> {
             live -= 1;
             remove_len(&mut len_counts, item.len);
 
-            let fanout: Vec<LineId> = c.line(item.path.last()).fanout().to_vec();
+            let fanout = c.fanout(item.path.last());
             debug_assert!(!fanout.is_empty());
-            for &f in &fanout {
+            for &f in fanout {
                 let delay = item.delay + c.line(f).delay();
                 let child = Item {
                     path: item.path.extended(f),

@@ -107,13 +107,13 @@ impl Path {
         if self.lines.iter().any(|l| l.index() >= circuit.line_count()) {
             return Err(PathError::UnknownLine);
         }
-        if !circuit.line(self.source()).kind().is_input() {
+        if !circuit.kind(self.source()).is_input() {
             return Err(PathError::BadSource {
                 line: self.source(),
             });
         }
         for w in self.lines.windows(2) {
-            if !circuit.line(w[1]).fanin().contains(&w[0]) {
+            if !circuit.fanin(w[1]).contains(&w[0]) {
                 return Err(PathError::Disconnected {
                     from: w[0],
                     to: w[1],

@@ -55,7 +55,7 @@ pub fn select_line_cover(circuit: &Circuit) -> LineCoverSelection {
         let line = circuit.line(id);
         let mut best = 0u32;
         let mut pred = None;
-        for &f in line.fanin() {
+        for &f in circuit.fanin(id) {
             let candidate = prefix[f.index()];
             if candidate > best || (candidate == best && pred.is_none()) {
                 best = candidate;
@@ -69,9 +69,8 @@ pub fn select_line_cover(circuit: &Circuit) -> LineCoverSelection {
     // best_succ[l]: the fanout achieving it.
     let mut best_succ: Vec<Option<LineId>> = vec![None; n];
     for &id in circuit.topo_order().iter().rev() {
-        let line = circuit.line(id);
         let mut best = None::<(u32, LineId)>;
-        for &f in line.fanout() {
+        for &f in circuit.fanout(id) {
             let candidate = circuit.line(f).delay() + circuit.distance_to_output(f);
             if best.is_none_or(|(b, _)| candidate > b) {
                 best = Some((candidate, f));

@@ -122,7 +122,7 @@ impl PathSpectrum {
             if line.is_output() {
                 map.insert(line.delay(), 1u64);
             } else {
-                for &f in line.fanout() {
+                for &f in circuit.fanout(id) {
                     // Clone keeps the borrow checker happy; suffix maps are
                     // small (one entry per distinct delay).
                     let child = suffix[f.index()].clone();
@@ -274,11 +274,10 @@ impl PathTraffic {
         let mut forward = vec![SatCount::exact(0); circuit.line_count()];
         let mut backward = vec![SatCount::exact(0); circuit.line_count()];
         for &id in circuit.topo_order() {
-            let l = circuit.line(id);
-            forward[id.index()] = if l.kind().is_input() {
+            forward[id.index()] = if circuit.kind(id).is_input() {
                 SatCount::exact(1)
             } else {
-                l.fanin().iter().fold(SatCount::exact(0), |a, f| {
+                circuit.fanin(id).iter().fold(SatCount::exact(0), |a, f| {
                     a.saturating_add(forward[f.index()])
                 })
             };
@@ -290,7 +289,7 @@ impl PathTraffic {
                 total = total.saturating_add(forward[id.index()]);
                 SatCount::exact(1)
             } else {
-                l.fanout().iter().fold(SatCount::exact(0), |a, f| {
+                circuit.fanout(id).iter().fold(SatCount::exact(0), |a, f| {
                     a.saturating_add(backward[f.index()])
                 })
             };

@@ -45,6 +45,12 @@
 //! across circuits stays safe even when allocators hand out the same
 //! addresses.
 //!
+//! A sweep reads the circuit directly: [`Circuit::kind`] and
+//! [`Circuit::fanin`] index the circuit's dense kind array and fanin CSR,
+//! so per line it touches one 8-byte kind, one row offset pair and the
+//! flat fanin ids, never a per-line heap structure. The arena holds only
+//! planes and stamps; it keeps no copy of the circuit.
+//!
 //! The plane arena is reused across [`PackedBlock::load`] calls: in
 //! steady state a load writes only the input planes (a branchless
 //! test-major transpose into raw `u64` rail words) and whatever the dirty
@@ -109,35 +115,22 @@ fn not6<W: SimWord>(a: Planes<W>) -> Planes<W> {
     [a[1], a[0], a[3], a[2], a[5], a[4]]
 }
 
-/// One line of the compiled evaluation plan ([`PackedBlock::bind`]
-/// flattens the [`Circuit`] into these): what to do when the line's turn
-/// comes in a propagation sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OpKind {
-    /// Primary input — planes come from the loader, sweeps skip it.
-    Input,
-    /// Fanout branch — copy the stem's planes (its single flat fanin).
-    Copy,
-    /// Logic gate — fold the flat fanin planes with the rail algebra.
-    Gate(GateKind),
-}
-
 /// Evaluates one gate over the plane arena: the fanin planes are folded
 /// with the gate's rail algebra, two-input gates (the overwhelmingly
 /// common case) on a branch-free straight-line path.
 #[inline]
-fn eval_gate<W: SimWord>(planes: &[Planes<W>], kind: GateKind, fanin: &[u32]) -> Planes<W> {
-    let first = planes[fanin[0] as usize];
+fn eval_gate<W: SimWord>(planes: &[Planes<W>], kind: GateKind, fanin: &[LineId]) -> Planes<W> {
+    let first = planes[fanin[0].index()];
     let folded = match kind {
         GateKind::And | GateKind::Nand => fanin[1..]
             .iter()
-            .fold(first, |acc, &f| and6(acc, planes[f as usize])),
+            .fold(first, |acc, f| and6(acc, planes[f.index()])),
         GateKind::Or | GateKind::Nor => fanin[1..]
             .iter()
-            .fold(first, |acc, &f| or6(acc, planes[f as usize])),
+            .fold(first, |acc, f| or6(acc, planes[f.index()])),
         GateKind::Xor | GateKind::Xnor => fanin[1..]
             .iter()
-            .fold(first, |acc, &f| xor6(acc, planes[f as usize])),
+            .fold(first, |acc, f| xor6(acc, planes[f.index()])),
         GateKind::Not | GateKind::Buf => first,
     };
     if kind.inverts() {
@@ -184,15 +177,6 @@ pub struct KernelStats {
 #[derive(Clone, Debug)]
 pub struct PackedBlock<W: SimWord = Tile> {
     planes: Vec<Planes<W>>,
-    /// Compiled evaluation plan, one op per line: the hot sweep reads
-    /// these three flat arrays instead of chasing [`Circuit`]'s per-line
-    /// heap structures (fanin `Vec`s, names) through the cache.
-    kinds: Vec<OpKind>,
-    /// `fanin_flat[starts[i] as usize..starts[i + 1] as usize]` are the
-    /// flat fanin indices of line `i` (the stem for a branch).
-    starts: Vec<u32>,
-    /// Concatenated fanin line indices, in line order.
-    fanin_flat: Vec<u32>,
     /// Stamp of the pass that last changed each line's planes.
     changed: Vec<u64>,
     /// Stamp of the pass that last evaluated each line.
@@ -211,9 +195,6 @@ impl<W: SimWord> Default for PackedBlock<W> {
     fn default() -> PackedBlock<W> {
         PackedBlock {
             planes: Vec::new(),
-            kinds: Vec::new(),
-            starts: Vec::new(),
-            fanin_flat: Vec::new(),
             changed: Vec::new(),
             checked: Vec::new(),
             pass: 0,
@@ -283,29 +264,6 @@ impl<W: SimWord> PackedBlock<W> {
         self.checked.resize(circuit.line_count(), 0);
         self.pass = 0;
         self.epoch = circuit.epoch();
-
-        // Compile the evaluation plan: per line an op kind plus a span of
-        // flat fanin indices. Propagation sweeps then run entirely over
-        // these contiguous arrays — no heap pointer per gate.
-        self.kinds.clear();
-        self.starts.clear();
-        self.fanin_flat.clear();
-        self.starts.push(0);
-        for line in circuit.lines() {
-            match line.kind() {
-                LineKind::Input => self.kinds.push(OpKind::Input),
-                LineKind::Branch { stem } => {
-                    self.kinds.push(OpKind::Copy);
-                    self.fanin_flat.push(stem.index() as u32);
-                }
-                LineKind::Gate(kind) => {
-                    self.kinds.push(OpKind::Gate(*kind));
-                    self.fanin_flat
-                        .extend(line.fanin().iter().map(|f| f.index() as u32));
-                }
-            }
-            self.starts.push(self.fanin_flat.len() as u32);
-        }
     }
 
     /// Overwrites one line's planes, stamping it changed for the upcoming
@@ -461,14 +419,10 @@ impl<W: SimWord> PackedBlock<W> {
             self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count(),
             "propagate_over requires a bound arena (load or begin_block first)"
         );
-        let _ = circuit;
-        // Destructured so the sweep gets disjoint borrows of the plan and
-        // the mutable arenas.
+        // Destructured so the sweep gets disjoint borrows of the mutable
+        // arenas.
         let PackedBlock {
             planes,
-            kinds,
-            starts,
-            fanin_flat,
             changed,
             checked,
             pass,
@@ -480,20 +434,20 @@ impl<W: SimWord> PackedBlock<W> {
         let pass = *pass;
         for &id in order {
             let idx = id.index();
-            let fanin = &fanin_flat[starts[idx] as usize..starts[idx + 1] as usize];
-            let kind = match kinds[idx] {
-                OpKind::Input => continue,
-                OpKind::Copy => None,
-                OpKind::Gate(kind) => Some(kind),
+            let kind = match circuit.kind(id) {
+                LineKind::Input => continue,
+                LineKind::Branch { .. } => None,
+                LineKind::Gate(kind) => Some(*kind),
             };
+            let fanin = circuit.fanin(id);
             let line_checked = checked[idx];
-            if !fanin.iter().any(|&f| changed[f as usize] > line_checked) {
+            if !fanin.iter().any(|f| changed[f.index()] > line_checked) {
                 *skipped += 1;
                 continue;
             }
             *events += 1;
             let out = match kind {
-                None => planes[fanin[0] as usize],
+                None => planes[fanin[0].index()],
                 Some(kind) => eval_gate(planes, kind, fanin),
             };
             checked[idx] = pass;

@@ -34,7 +34,7 @@ fn main() {
     // Technology-flavoured model: inverters are fast, NAND/NOR medium,
     // AND/OR (compound cells) slow; branches model interconnect.
     let mut weighted = s27();
-    weighted.set_delays(|_, line| match line.kind() {
+    weighted.set_delays(|_, kind| match kind {
         LineKind::Input => 1,
         LineKind::Branch { .. } => 2,
         LineKind::Gate(g) => match g {

@@ -49,7 +49,7 @@ proptest! {
             pos[id.index()] = i;
         }
         for (id, line) in c.iter() {
-            for &f in line.fanin() {
+            for &f in c.fanin(id) {
                 prop_assert!(pos[f.index()] < pos[id.index()]);
                 prop_assert!(c.line(f).level() < line.level());
             }
@@ -59,8 +59,8 @@ proptest! {
     #[test]
     fn distances_satisfy_the_bellman_recurrence(c in arb_circuit()) {
         for (id, line) in c.iter() {
-            let expect = line
-                .fanout()
+            let expect = c
+                .fanout(id)
                 .iter()
                 .map(|&f| c.line(f).delay() + c.distance_to_output(f))
                 .max()
