@@ -314,6 +314,50 @@ fn threads_flag_beats_env_and_output_is_thread_count_invariant() {
 }
 
 #[test]
+fn a_huge_thread_count_runs_and_matches_one_thread() {
+    // A round never holds more than `batch` builds, so no more workers
+    // than that start: 20 000 requested threads must neither exhaust the
+    // process's stacks nor change the test file.
+    let dir = std::env::temp_dir();
+    let file = |tag: &str| {
+        dir.join(format!(
+            "pdf_knobs_threads_{tag}_{}.txt",
+            std::process::id()
+        ))
+    };
+    let run = |threads: &str, out: &std::path::Path| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
+        for knob in KNOBS {
+            cmd.env_remove(knob.env);
+        }
+        let out = out.to_str().unwrap();
+        cmd.args([
+            "atpg",
+            "s27",
+            "--np0",
+            "20",
+            "--threads",
+            threads,
+            "--output",
+            out,
+        ])
+        .output()
+        .expect("spawn pdfatpg")
+    };
+    let (huge, one) = (file("huge"), file("one"));
+    let pooled = run("20000", &huge);
+    let serial = run("1", &one);
+    let stderr = String::from_utf8_lossy(&pooled.stderr);
+    assert_eq!(pooled.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(serial.status.code(), Some(0));
+    let (a, b) = (std::fs::read(&huge), std::fs::read(&one));
+    std::fs::remove_file(&huge).ok();
+    std::fs::remove_file(&one).ok();
+    assert_eq!(a.expect("test file written"), b.expect("test file written"));
+}
+
+#[test]
 fn time_budget_flag_beats_a_valid_env_value() {
     // Env says 1us (instant exhaustion), the flag says 10 minutes: the
     // flag must win, so the run completes without exhausting its budget.

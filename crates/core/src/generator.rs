@@ -26,6 +26,16 @@
 //! commit of the same round is discarded whole (counted in
 //! [`AtpgStats::builds_discarded`]); everything else lands exactly as a
 //! single-threaded round would have landed it.
+//!
+//! Discarded builds are also skipped where possible: after every commit
+//! the commit thread raises the *moot flag* of each later build of the
+//! round whose primary is now detected or quarantined. A build checks
+//! its flag before it starts and at every budget poll while it runs, and
+//! stops with a moot outcome that commits as the same discard. Each build
+//! records its telemetry into a private buffer that is merged under the
+//! `generate` span when the build commits and dropped when it is
+//! discarded, so counters and spans count committed work only — the
+//! same at every thread count, however many duplicates actually ran.
 
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,7 +45,7 @@ use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
 use pdf_pool::{Control, PoolOptions};
-use pdf_runctl::{Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
+use pdf_runctl::{CancelToken, Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
 use pdf_sim::SimOptions;
 
@@ -169,7 +179,9 @@ pub struct AtpgConfig {
     /// stream, so the checkpoint fingerprint records the guide's presence.
     pub guide: Option<std::sync::Arc<BranchGuide>>,
     /// Worker threads for the per-round speculative builds. `0` and `1`
-    /// both run builds inline on the caller's thread. The value is
+    /// both run builds inline on the caller's thread; a round never has
+    /// more than [`batch`](AtpgConfig::batch) builds, so no more workers
+    /// than that are started. The value is
     /// deliberately **not** part of the checkpoint fingerprint: the test
     /// set, flags, counters and checkpoints are byte-identical for every
     /// thread count, so a run may be interrupted at one count and resumed
@@ -257,8 +269,9 @@ pub struct AtpgStats {
     /// Checkpoint files written (including the final one).
     pub checkpoints_written: usize,
     /// Speculative round builds dropped whole because an earlier commit
-    /// of the same round already detected (or quarantined) their primary.
-    /// Their work never enters the other counters.
+    /// of the same round already detected (or quarantined) their primary,
+    /// whether they ran to the end or stopped on their moot flag. Their
+    /// work never enters the other counters.
     pub builds_discarded: usize,
     /// Justifier counters.
     pub justify: JustifyStats,
@@ -629,6 +642,9 @@ struct RoundSnapshot {
 struct BuildJob {
     primary: usize,
     snapshot: Arc<RoundSnapshot>,
+    /// Raised by the commit thread once an earlier commit of the round
+    /// detects or quarantines `primary`: the build is a known duplicate.
+    moot: CancelToken,
 }
 
 /// What one speculative build produced.
@@ -644,6 +660,10 @@ enum BuildOutcome {
     /// and stopped early. The whole round is rolled back: a truncated
     /// build says nothing reproducible about its primary.
     Cut,
+    /// The build saw its moot flag and stopped (or never started): an
+    /// earlier commit of the round settled its primary, so commit
+    /// discards it as a duplicate.
+    Moot,
 }
 
 /// A build's result as delivered through the reorder buffer.
@@ -655,6 +675,8 @@ struct BuildResult {
     /// Faults this build saw panic, with the context string the commit
     /// thread reports on the first (committing) observation.
     quarantined: Vec<(usize, String)>,
+    /// The build's spans and counters (merged only if committed).
+    telemetry: pdf_telemetry::Captured,
 }
 
 /// Decorrelated per-primary justifier seed: every build draws from its
@@ -675,20 +697,52 @@ struct Build<'a, 'c, 'f> {
     detected: Vec<bool>,
     quarantined: Vec<bool>,
     justifier: Justifier<'c>,
-    /// Non-consuming peek view of the run budget.
+    /// Non-consuming peek view of the run budget that also watches the
+    /// job's moot flag.
     budget: RunBudget,
+    moot: CancelToken,
     stats: AtpgStats,
     /// Locally observed fault panics, in observation order.
     quarantine_log: Vec<(usize, String)>,
-    /// The peeked budget fired mid-build: the result must become `Cut`.
-    cut: bool,
+    /// The budget view fired mid-build: the result must become `Cut`, or
+    /// `Moot` if the moot flag is what fired.
+    stopped: bool,
 }
 
-/// Executes one build job. Pure in the functional sense: the result
-/// depends only on `(ctx, job.primary, job.snapshot)`.
-fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
-    let BuildJob { primary, snapshot } = job;
-    let budget = ctx.config.budget.peek_view();
+/// Executes one build job. Pure in the functional sense: unless its moot
+/// flag stops it, the result depends only on `(ctx, job.primary,
+/// job.snapshot)`. Its telemetry is captured for the commit to merge or
+/// drop.
+fn run_build(ctx: &SessionCtx<'_, '_>, job: BuildJob) -> BuildResult {
+    let primary = job.primary;
+    let ((outcome, stats, quarantined), telemetry) =
+        pdf_telemetry::capture(|| build_uncaptured(ctx, job));
+    BuildResult {
+        primary,
+        outcome,
+        stats,
+        quarantined,
+        telemetry,
+    }
+}
+
+/// The body of [`run_build`]: the outcome, the delta counters and the
+/// quarantine log of one build.
+fn build_uncaptured(
+    ctx: &SessionCtx<'_, '_>,
+    job: BuildJob,
+) -> (BuildOutcome, AtpgStats, Vec<(usize, String)>) {
+    let BuildJob {
+        primary,
+        snapshot,
+        moot,
+    } = job;
+    if moot.is_cancelled() {
+        return (BuildOutcome::Moot, AtpgStats::default(), Vec::new());
+    }
+    // Every budget poll of the build, the justifier's included, also
+    // reads the moot flag.
+    let budget = ctx.config.budget.peek_view_with(moot.clone());
     // A fresh justifier per build: its RNG stream is a function of the
     // primary alone, and its cone cache is private to this worker call.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
@@ -705,25 +759,24 @@ fn run_build<'c>(ctx: &SessionCtx<'c, '_>, job: BuildJob) -> BuildResult {
         quarantined: snapshot.quarantined.clone(),
         justifier,
         budget,
+        moot,
         stats: AtpgStats::default(),
         quarantine_log: Vec::new(),
-        cut: false,
+        stopped: false,
     };
     let outcome = build.run(primary);
     let mut stats = build.stats;
     stats.justify = build.justifier.stats();
-    BuildResult {
-        primary,
-        outcome,
-        stats,
-        quarantined: build.quarantine_log,
-    }
+    (outcome, stats, build.quarantine_log)
 }
 
 impl<'a, 'c> Build<'a, 'c, '_> {
     fn run(&mut self, primary: usize) -> BuildOutcome {
         let req = self.ctx.faults[primary].assignments.clone();
         let Some(justified) = self.justify_guarded(primary, &req, None) else {
+            if self.moot.is_cancelled() {
+                return BuildOutcome::Moot;
+            }
             if self.quarantined[primary] {
                 return BuildOutcome::PrimaryQuarantined;
             }
@@ -731,7 +784,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
                 // A budget-truncated search says nothing about the
                 // fault: the round is rolled back and the fault stays
                 // unaborted for the resumed run.
-                return BuildOutcome::Cut;
+                return self.stop_outcome();
             }
             self.stats.aborted_primaries += 1;
             return BuildOutcome::Aborted;
@@ -751,10 +804,21 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             let mut union = Union::new(self.ctx, req);
             self.extend_with_secondaries(primary, &mut union, &mut current, &mut frozen);
         }
-        if self.cut || self.budget.exhausted() {
-            return BuildOutcome::Cut;
+        if self.stopped || self.budget.exhausted() {
+            return self.stop_outcome();
         }
         BuildOutcome::Test(current)
+    }
+
+    /// The outcome of a build stopped by its budget view: `Moot` when the
+    /// moot flag is up, else `Cut`. Asked only after the view fired, and
+    /// the flag never drops, so a stop the flag caused is never a cut.
+    fn stop_outcome(&self) -> BuildOutcome {
+        if self.moot.is_cancelled() {
+            BuildOutcome::Moot
+        } else {
+            BuildOutcome::Cut
+        }
     }
 
     /// Marks fault `i` quarantined for the rest of this build and logs it
@@ -843,7 +907,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         };
         for i in order {
             if self.budget.exhausted() {
-                self.cut = true; // the whole round is rolled back
+                self.stopped = true; // moot, or the whole round is rolled back
                 return;
             }
             if self.eligible_secondary(i, primary) {
@@ -869,10 +933,6 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         let range = ctx.set_starts[set]..ctx.set_starts[set + 1];
         let mut ranking = DeltaRanking::new(ctx.circuit.line_count(), &union.requirements, range);
         loop {
-            if self.budget.exhausted() {
-                self.cut = true; // the whole round is rolled back
-                return;
-            }
             // Conflicting candidates are rejected outright.
             let conflicts = {
                 let _rank = pdf_telemetry::Span::enter("screen.rank");
@@ -885,6 +945,10 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             self.stats.conflict_rejects += conflicts;
             let mut accepted = None;
             while let Some(i) = ranking.pop() {
+                if self.budget.exhausted() {
+                    self.stopped = true; // moot, or the whole round is rolled back
+                    return;
+                }
                 // Eligibility only ever ends. Only the candidate being
                 // tried loses it today; a candidate that lost it while
                 // off the changed lines is skipped here, as the full
@@ -1107,7 +1171,9 @@ impl<'c, 'f> Session<'c, 'f> {
         state.last_checkpoint_at = state.completed;
 
         let batch = ctx.config.batch.max(1);
-        let options = PoolOptions::new(ctx.config.threads).with_force_steal(ctx.config.force_steal);
+        // A round holds at most `batch` builds: more workers would idle.
+        let options = PoolOptions::new(ctx.config.threads.min(batch))
+            .with_force_steal(ctx.config.force_steal);
         let ctx_ref = &ctx;
         let state_ref = &mut state;
         let tests_ref = &mut test_set;
@@ -1146,20 +1212,31 @@ impl<'c, 'f> Session<'c, 'f> {
                     let round_stats = state_ref.stats;
                     let round_completed = state_ref.completed;
                     let round_tests = tests_ref.len();
+                    let moot: Vec<CancelToken> =
+                        primaries.iter().map(|_| CancelToken::new()).collect();
                     let jobs: Vec<BuildJob> = primaries
                         .iter()
-                        .map(|&primary| BuildJob {
+                        .zip(&moot)
+                        .map(|(&primary, moot)| BuildJob {
                             primary,
                             snapshot: Arc::clone(&snapshot),
+                            moot: moot.clone(),
                         })
                         .collect();
                     let mut round_cut = false;
-                    pool.run_round(jobs, |_, result| {
+                    pool.run_round(jobs, |seq, result| {
                         if matches!(result.outcome, BuildOutcome::Cut) {
                             round_cut = true;
                             return Control::Stop;
                         }
                         commit_result(ctx_ref, state_ref, tests_ref, result);
+                        // Every later build whose primary this commit
+                        // settled is now a known duplicate: stop it.
+                        for (&later, moot) in primaries.iter().zip(&moot).skip(seq + 1) {
+                            if state_ref.detected[later] || state_ref.quarantined[later] {
+                                moot.cancel();
+                            }
+                        }
                         Control::Continue
                     });
                     if round_cut {
@@ -1235,27 +1312,36 @@ fn commit_result(
         outcome,
         stats,
         quarantined,
+        telemetry,
     } = result;
     // Read the duplicate verdict before this build's quarantine log
     // lands: a build that quarantined its own primary is the primary's
     // own committed attempt, not a duplicate.
-    let duplicate = state.detected[primary] || state.quarantined[primary];
-    for (i, context) in &quarantined {
-        commit_quarantine(ctx, state, *i, context);
-    }
-    if duplicate {
+    if state.detected[primary] || state.quarantined[primary] {
         // An earlier commit of this round already detected (or
         // quarantined) the primary. The speculative build is dropped
-        // whole — merging its counters would break the
-        // `tests + aborted primaries = justification calls` ledger the
-        // committed outcome maintains.
+        // whole — counters, telemetry and quarantine log alike. Merging
+        // its counters would break the `tests + aborted primaries =
+        // justification calls` ledger the committed outcome maintains,
+        // and which duplicates ran (or how far) depends on the schedule.
         state.stats.builds_discarded += 1;
         pdf_telemetry::count(pdf_telemetry::counters::POOL_BUILDS_DISCARDED, 1);
         return;
     }
+    // Moot flags are raised only for primaries already settled, and they
+    // never drop within a round, so a moot build is always a duplicate.
+    assert!(
+        !matches!(outcome, BuildOutcome::Moot),
+        "a moot build must commit as a duplicate"
+    );
+    telemetry.merge();
+    for (i, context) in &quarantined {
+        commit_quarantine(ctx, state, *i, context);
+    }
     state.stats.absorb_build(&stats);
     match outcome {
         BuildOutcome::Cut => unreachable!("cut results stop the round before commit"),
+        BuildOutcome::Moot => unreachable!("checked above"),
         BuildOutcome::Aborted => state.aborted[primary] = true,
         BuildOutcome::PrimaryQuarantined => {}
         BuildOutcome::Test(current) => {

@@ -2,9 +2,9 @@
 //! count (2/4/8) and any steal schedule (the forced-steal instrument
 //! inverts every worker's deque preference) a pooled run must be
 //! byte-identical to the single-threaded reference — the test set, the
-//! per-fault verdict flags, the telemetry counter totals and the
-//! checkpoint files — including runs cut short by an exhausted budget
-//! and runs with quarantined (panicking) faults.
+//! per-fault verdict flags, the telemetry counter totals and span tree,
+//! and the checkpoint files — including runs cut short by an exhausted
+//! budget and runs with quarantined (panicking) faults.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -18,6 +18,7 @@ use pdf_faults::{FaultEntry, FaultList};
 use pdf_netlist::{Circuit, LineId, SynthProfile};
 use pdf_paths::PathEnumerator;
 use pdf_sim::SimOptions;
+use pdf_telemetry::{RunReport, SpanReport};
 
 /// Telemetry counters and armed failpoints are process-global, so every
 /// test of this binary serializes here: a neighbor's counts never bleed
@@ -75,6 +76,49 @@ fn assert_outcomes_identical(reference: &AtpgOutcome, pooled: &AtpgOutcome, labe
     assert_eq!(r.faults_quarantined, p.faults_quarantined, "{label}");
     assert_eq!(r.builds_discarded, p.builds_discarded, "{label}");
     assert_eq!(r.justify, p.justify, "{label}: justify counters");
+}
+
+/// The span tree without its timings: `(depth, name, calls)` in
+/// depth-first order.
+fn span_shape(spans: &[SpanReport]) -> Vec<(usize, String, u64)> {
+    fn walk(span: &SpanReport, depth: usize, out: &mut Vec<(usize, String, u64)>) {
+        out.push((depth, span.name.clone(), span.calls));
+        for child in &span.children {
+            walk(child, depth + 1, out);
+        }
+    }
+    let mut out = Vec::new();
+    for span in spans {
+        walk(span, 0, &mut out);
+    }
+    out
+}
+
+/// Total `calls` of every span named `name`, wherever it sits.
+fn span_calls(spans: &[SpanReport], name: &str) -> u64 {
+    spans
+        .iter()
+        .map(|s| u64::from(s.name == name) * s.calls + span_calls(&s.children, name))
+        .sum()
+}
+
+/// Runs `body` with telemetry recording and returns its result with the
+/// counters (minus the schedule-dependent `pool_steals`) and the report.
+fn recorded<T>(body: impl FnOnce() -> T) -> (T, Vec<(String, u64)>, RunReport) {
+    let _ = pdf_telemetry::begin_recording();
+    let value = body();
+    let report = pdf_telemetry::report();
+    pdf_telemetry::disable();
+    pdf_telemetry::reset();
+    let counters = report
+        .counters
+        .iter()
+        // The steal count is the one deliberately schedule-dependent
+        // diagnostic; everything else must be exact.
+        .filter(|(name, _)| name != "pool_steals")
+        .cloned()
+        .collect();
+    (value, counters, report)
 }
 
 fn faults_of(c: &Circuit, cap: usize) -> FaultList {
@@ -170,30 +214,58 @@ fn telemetry_counter_totals_are_schedule_independent() {
     let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
-    let counters_of = |threads, force_steal| {
-        let _ = pdf_telemetry::begin_recording();
-        let outcome = BasicAtpg::new(&c)
-            .with_config(config(threads, force_steal))
-            .run(&faults);
-        let report = pdf_telemetry::report();
-        pdf_telemetry::disable();
-        pdf_telemetry::reset();
-        let counters: Vec<(String, u64)> = report
-            .counters
-            .iter()
-            // The steal count is the one deliberately schedule-dependent
-            // diagnostic; everything else must be exact.
-            .filter(|(name, _)| name != "pool_steals")
-            .cloned()
-            .collect();
-        (outcome, counters)
+    let run = |threads, force_steal| {
+        recorded(|| {
+            BasicAtpg::new(&c)
+                .with_config(config(threads, force_steal))
+                .run(&faults)
+        })
     };
-    let (reference, reference_counters) = counters_of(1, false);
+    let (reference, reference_counters, reference_report) = run(1, false);
+    let reference_shape = span_shape(&reference_report.spans);
+    // Builds run under `generate`, on whichever thread.
+    assert_eq!(reference_report.spans.len(), 1, "{reference_shape:?}");
+    assert_eq!(reference_report.spans[0].name, "generate");
     for (threads, force_steal) in POOLED {
         let label = format!("{threads} threads, force_steal={force_steal}");
-        let (pooled, counters) = counters_of(threads, force_steal);
+        let (pooled, counters, report) = run(threads, force_steal);
         assert_outcomes_identical(&reference, &pooled, &label);
         assert_eq!(reference_counters, counters, "{label}: counter totals");
+        assert_eq!(
+            reference_shape,
+            span_shape(&report.spans),
+            "{label}: span tree"
+        );
+    }
+}
+
+/// The `justify` spans count committed justification calls only: a
+/// discarded duplicate — run to the end, stopped by its moot flag, or
+/// never started — leaves no trace in the report.
+#[test]
+fn justify_spans_reconcile_with_committed_calls() {
+    let _guard = serial();
+    let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
+    let faults = faults_of(&c, 400);
+    let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
+    for threads in [1, 2, 4] {
+        let (outcome, counters, report) = recorded(|| {
+            EnrichmentAtpg::new(&c)
+                .with_config(config(threads, false))
+                .run(&split)
+        });
+        let stats = outcome.stats();
+        assert!(stats.builds_discarded > 0, "the run must discard builds");
+        assert_eq!(
+            span_calls(&report.spans, "justify"),
+            stats.justify.calls as u64,
+            "{threads} threads"
+        );
+        let discarded = counters
+            .iter()
+            .find(|(name, _)| name == pdf_telemetry::counters::POOL_BUILDS_DISCARDED)
+            .map(|&(_, v)| v);
+        assert_eq!(discarded, Some(stats.builds_discarded as u64));
     }
 }
 
@@ -222,6 +294,40 @@ fn budget_exhausted_partial_prefixes_match_serial() {
                 &format!("polls={polls}, {threads} threads, force_steal={force_steal}"),
             );
         }
+    }
+
+    // A value-based enrichment run whose rounds discard builds: moot
+    // builds stop mid-round, yet the cut run stays an exact prefix of the
+    // uncut one at every thread count.
+    let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
+    let faults = faults_of(&c, 400);
+    let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
+    let run = |threads, force_steal, budget| {
+        EnrichmentAtpg::new(&c)
+            .with_config(AtpgConfig {
+                budget,
+                ..config(threads, force_steal)
+            })
+            .run(&split)
+    };
+    let full = run(1, false, RunBudget::unlimited());
+    let cut_after = || RunBudget::unlimited().and_cancel(CancelToken::cancel_after_polls(30));
+    let reference = run(1, false, cut_after());
+    assert!(reference.budget_exhausted());
+    assert!(
+        reference.stats().builds_discarded > 0,
+        "the cut run must discard builds"
+    );
+    let (partial, whole) = (reference.tests().tests(), full.tests().tests());
+    assert!(partial.len() < whole.len());
+    assert_eq!(partial, &whole[..partial.len()], "the cut run is a prefix");
+    for (threads, force_steal) in POOLED {
+        let pooled = run(threads, force_steal, cut_after());
+        assert_outcomes_identical(
+            &reference,
+            &pooled,
+            &format!("enrich cut, {threads} threads, force_steal={force_steal}"),
+        );
     }
 }
 
@@ -279,20 +385,12 @@ fn injected_pool_panic_quarantines_the_same_fault_at_every_thread_count() {
     let spec = pdf_chaos::FailpointSpec::parse(&format!("pool.build:panic@{slot}")).unwrap();
     let run_counters = |threads, force_steal| {
         pdf_chaos::install(&spec);
-        let _ = pdf_telemetry::begin_recording();
-        let outcome = BasicAtpg::new(&c)
-            .with_config(config(threads, force_steal))
-            .run(&faults);
-        let report = pdf_telemetry::report();
-        pdf_telemetry::disable();
-        pdf_telemetry::reset();
+        let (outcome, counters, _) = recorded(|| {
+            BasicAtpg::new(&c)
+                .with_config(config(threads, force_steal))
+                .run(&faults)
+        });
         pdf_chaos::clear();
-        let counters: Vec<(String, u64)> = report
-            .counters
-            .iter()
-            .filter(|(name, _)| name != "pool_steals")
-            .cloned()
-            .collect();
         (outcome, counters)
     };
     let (reference, reference_counters) = run_counters(1, false);

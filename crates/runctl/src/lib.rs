@@ -213,6 +213,8 @@ pub struct RunBudget {
     /// countdowns, latching, or counting telemetry (see
     /// [`RunBudget::peek_view`]).
     peek: bool,
+    /// A peek view's extra stop signal ([`RunBudget::peek_view_with`]).
+    watch: Option<CancelToken>,
 }
 
 impl RunBudget {
@@ -241,7 +243,7 @@ impl RunBudget {
     /// Whether any limit (deadline or token) is attached.
     #[must_use]
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_set() || self.cancel.is_some()
+        self.deadline.is_set() || self.cancel.is_some() || self.watch.is_some()
     }
 
     /// One cooperative poll: checks the token and the deadline, latches
@@ -257,6 +259,7 @@ impl RunBudget {
             // advanced, nothing is latched, no poll is counted — so any
             // number of peeks leaves the counting holders' state intact.
             return self.fired.load(Ordering::Relaxed)
+                || self.watch.as_ref().is_some_and(CancelToken::is_cancelled)
                 || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
                 || self.deadline.expired();
         }
@@ -297,6 +300,20 @@ impl RunBudget {
         RunBudget {
             peek: true,
             ..self.clone()
+        }
+    }
+
+    /// A [`RunBudget::peek_view`] that also reads as exhausted once
+    /// `watch` is cancelled. The generator hands each speculative build
+    /// one, watching the build's moot flag, so every budget poll inside
+    /// the build also stops work whose result is already known to be
+    /// discarded. Tell the two causes apart by asking `watch` after the
+    /// view reports exhaustion: a cancelled token stays cancelled.
+    #[must_use]
+    pub fn peek_view_with(&self, watch: CancelToken) -> RunBudget {
+        RunBudget {
+            watch: Some(watch),
+            ..self.peek_view()
         }
     }
 }
@@ -1058,6 +1075,19 @@ mod tests {
         assert!(b.exhausted(), "second counted poll fires");
         assert!(peek.exhausted(), "the peek view sees the shared latch");
         assert!(b.already_exhausted());
+    }
+
+    #[test]
+    fn a_watched_peek_view_stops_without_touching_the_budget() {
+        let b = RunBudget::unlimited();
+        let watch = CancelToken::new();
+        let view = b.peek_view_with(watch.clone());
+        assert!(!view.exhausted());
+        watch.cancel();
+        assert!(view.exhausted(), "the watched token stops the view");
+        assert!(!b.exhausted(), "the run budget itself is untouched");
+        assert!(!b.already_exhausted());
+        assert!(!b.peek_view().exhausted(), "other views are untouched");
     }
 
     #[test]

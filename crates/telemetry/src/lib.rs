@@ -19,6 +19,11 @@
 //! * [`RunReport`] — a snapshot of the span tree and counters that
 //!   serializes to JSON ([`RunReport::to_json`]) and parses back
 //!   ([`RunReport::from_json`]).
+//! * [`capture`] — records one closure's spans and counters into a
+//!   private [`Captured`] buffer instead of the process report; the
+//!   caller later [merges](Captured::merge) it under its own active span
+//!   or drops it. Speculative work whose result may be thrown away
+//!   reports through this, so the report counts only the work kept.
 //!
 //! # The no-op sink
 //!
@@ -54,7 +59,7 @@ mod json;
 pub use json::{Json, ParseJsonError};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -176,8 +181,7 @@ pub fn disable() {
 pub fn reset() {
     let mut s = lock();
     s.generation += 1;
-    s.nodes.clear();
-    s.roots.clear();
+    s.tree = Tree::default();
     s.counters.clear();
 }
 
@@ -198,24 +202,75 @@ struct Node {
     total: Duration,
 }
 
+/// A span tree: nodes by id, with the root ids in first-entry order.
+#[derive(Default)]
+struct Tree {
+    nodes: Vec<Node>,
+    roots: Vec<usize>,
+}
+
+impl Tree {
+    /// The node `name` under `parent` (a root for `None`), created on
+    /// first entry.
+    fn child(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+        let siblings = match parent {
+            Some(p) => &self.nodes[p].children,
+            None => &self.roots,
+        };
+        if let Some(id) = siblings
+            .iter()
+            .copied()
+            .find(|&c| self.nodes[c].name == name)
+        {
+            return id;
+        }
+        let id = self.nodes.len();
+        self.nodes.push(Node {
+            name,
+            children: Vec::new(),
+            calls: 0,
+            total: Duration::ZERO,
+        });
+        match parent {
+            Some(p) => self.nodes[p].children.push(id),
+            None => self.roots.push(id),
+        }
+        id
+    }
+
+    /// Adds the subtrees `ids` of `other` under `parent`, summing calls
+    /// and time into same-named nodes.
+    fn merge(&mut self, parent: Option<usize>, other: &Tree, ids: &[usize]) {
+        for &id in ids {
+            let node = &other.nodes[id];
+            let into = self.child(parent, node.name);
+            self.nodes[into].calls += node.calls;
+            self.nodes[into].total += node.total;
+            self.merge(Some(into), other, &node.children);
+        }
+    }
+}
+
+fn add_counter(counters: &mut Vec<(&'static str, u64)>, name: &'static str, n: u64) {
+    match counters.iter_mut().find(|(k, _)| *k == name) {
+        Some((_, v)) => *v = v.saturating_add(n),
+        None => counters.push((name, n)),
+    }
+}
+
+fn max_counter(counters: &mut Vec<(&'static str, u64)>, name: &'static str, n: u64) {
+    match counters.iter_mut().find(|(k, _)| *k == name) {
+        Some((_, v)) => *v = (*v).max(n),
+        None => counters.push((name, n)),
+    }
+}
+
 #[derive(Default)]
 struct Store {
     /// Bumped by [`reset`] so stale span guards cannot misfile timings.
     generation: u64,
-    nodes: Vec<Node>,
-    roots: Vec<usize>,
+    tree: Tree,
     counters: Vec<(&'static str, u64)>,
-}
-
-impl Default for Node {
-    fn default() -> Node {
-        Node {
-            name: "",
-            children: Vec::new(),
-            calls: 0,
-            total: Duration::ZERO,
-        }
-    }
 }
 
 fn lock() -> MutexGuard<'static, Store> {
@@ -226,10 +281,100 @@ fn lock() -> MutexGuard<'static, Store> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
+/// One [`capture`]'s recording: a private span tree with its own active
+/// stack, plus summed and high-water counters kept apart so a merge
+/// applies each with its own rule.
+#[derive(Default)]
+struct Buffer {
+    /// Distinguishes this capture's span guards from a later capture's.
+    epoch: u64,
+    tree: Tree,
+    active: Vec<usize>,
+    counters: Vec<(&'static str, u64)>,
+    maxima: Vec<(&'static str, u64)>,
+}
+
+/// Source of capture epochs; starts at 1 so no buffer shares an epoch.
+static CAPTURE_EPOCH: AtomicU64 = AtomicU64::new(1);
+
 thread_local! {
     /// The stack of active span node ids on this thread, tagged with the
     /// store generation they belong to.
     static ACTIVE: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The capture in progress on this thread, if any.
+    static CAPTURE: RefCell<Option<Buffer>> = const { RefCell::new(None) };
+}
+
+/// The innermost span of store generation `generation` active on this
+/// thread.
+fn active_span(generation: u64) -> Option<usize> {
+    ACTIVE.with(|a| {
+        a.borrow()
+            .iter()
+            .rev()
+            .find(|&&(g, _)| g == generation)
+            .map(|&(_, id)| id)
+    })
+}
+
+/// Runs `f` against this thread's capture buffer, if one is active.
+fn with_capture<R>(f: impl FnOnce(&mut Buffer) -> R) -> Option<R> {
+    CAPTURE.with(|c| c.borrow_mut().as_mut().map(f))
+}
+
+/// A finished [`capture`]: the spans and counters one closure recorded,
+/// held back from the process report. [`Captured::merge`] files them
+/// under the merging thread's active span; dropping discards them.
+#[must_use = "a capture is discarded unless merged"]
+pub struct Captured(Option<Buffer>);
+
+impl Captured {
+    /// Adds the captured spans under the span active on this thread (as
+    /// roots when none is), summing calls and time into same-named
+    /// nodes, and adds the captured counters to the totals.
+    pub fn merge(self) {
+        let Some(buffer) = self.0 else {
+            return;
+        };
+        let mut s = lock();
+        let parent = active_span(s.generation);
+        s.tree.merge(parent, &buffer.tree, &buffer.tree.roots);
+        for &(name, n) in &buffer.counters {
+            add_counter(&mut s.counters, name, n);
+        }
+        for &(name, n) in &buffer.maxima {
+            max_counter(&mut s.counters, name, n);
+        }
+    }
+}
+
+/// Runs `f` with this thread's spans and counters recorded into a
+/// private buffer, returned beside `f`'s result. Spans entered inside
+/// `f` nest under the capture's own root, not under the caller's active
+/// span; the caller files them where they belong with
+/// [`Captured::merge`], or drops the buffer to discard them. With
+/// recording off, `f` just runs and the capture is empty (nothing is
+/// allocated). Captures do not nest.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Captured) {
+    if !enabled() {
+        return (f(), Captured(None));
+    }
+    /// Ends the capture when `f` returns or unwinds.
+    struct End;
+    impl Drop for End {
+        fn drop(&mut self) {
+            CAPTURE.with(|c| c.take());
+        }
+    }
+    let buffer = Buffer {
+        epoch: CAPTURE_EPOCH.fetch_add(1, Ordering::Relaxed),
+        ..Buffer::default()
+    };
+    let previous = CAPTURE.with(|c| c.replace(Some(buffer)));
+    debug_assert!(previous.is_none(), "captures do not nest");
+    let _end = End;
+    let result = f();
+    (result, Captured(CAPTURE.with(|c| c.take())))
 }
 
 /// An RAII phase timer. See the crate docs.
@@ -237,54 +382,42 @@ thread_local! {
 pub struct Span(Option<SpanInner>);
 
 struct SpanInner {
+    /// The store generation, or the capture epoch for a captured span.
     generation: u64,
+    captured: bool,
     id: usize,
     start: Instant,
 }
 
 impl Span {
     /// Starts (or re-enters) the span `name` under the span currently
-    /// active on this thread. A no-op single branch when recording is off.
+    /// active on this thread — inside a [`capture`], under the capture's
+    /// active span. A no-op single branch when recording is off.
     pub fn enter(name: &'static str) -> Span {
         if !enabled() {
             return Span(None);
         }
-        let (generation, id) = {
-            let mut s = lock();
-            let generation = s.generation;
-            let parent = ACTIVE.with(|a| {
-                a.borrow()
-                    .iter()
-                    .rev()
-                    .find(|&&(g, _)| g == generation)
-                    .map(|&(_, id)| id)
-            });
-            let siblings = match parent {
-                Some(p) => &s.nodes[p].children,
-                None => &s.roots,
-            };
-            let existing = siblings.iter().copied().find(|&c| s.nodes[c].name == name);
-            let id = match existing {
-                Some(id) => id,
-                None => {
-                    let id = s.nodes.len();
-                    s.nodes.push(Node {
-                        name,
-                        ..Node::default()
-                    });
-                    match parent {
-                        Some(p) => s.nodes[p].children.push(id),
-                        None => s.roots.push(id),
-                    }
-                    id
-                }
-            };
-            s.nodes[id].calls += 1;
-            (generation, id)
+        let captured = with_capture(|b| {
+            let id = b.tree.child(b.active.last().copied(), name);
+            b.tree.nodes[id].calls += 1;
+            b.active.push(id);
+            (b.epoch, id)
+        });
+        let (generation, id) = match captured {
+            Some(entry) => entry,
+            None => {
+                let mut s = lock();
+                let generation = s.generation;
+                let id = s.tree.child(active_span(generation), name);
+                s.tree.nodes[id].calls += 1;
+                drop(s);
+                ACTIVE.with(|a| a.borrow_mut().push((generation, id)));
+                (generation, id)
+            }
         };
-        ACTIVE.with(|a| a.borrow_mut().push((generation, id)));
         Span(Some(SpanInner {
             generation,
+            captured: captured.is_some(),
             id,
             start: Instant::now(),
         }))
@@ -298,6 +431,18 @@ impl Drop for Span {
         };
         // Guarantee nonzero durations even on coarse clocks.
         let elapsed = inner.start.elapsed().max(Duration::from_nanos(1));
+        if inner.captured {
+            // A guard that outlived its capture is dropped silently.
+            with_capture(|b| {
+                if b.epoch == inner.generation {
+                    if let Some(pos) = b.active.iter().rposition(|&id| id == inner.id) {
+                        b.active.truncate(pos);
+                    }
+                    b.tree.nodes[inner.id].total += elapsed;
+                }
+            });
+            return;
+        }
         ACTIVE.with(|a| {
             let mut a = a.borrow_mut();
             if let Some(pos) = a
@@ -309,21 +454,19 @@ impl Drop for Span {
         });
         let mut s = lock();
         if s.generation == inner.generation {
-            s.nodes[inner.id].total += elapsed;
+            s.tree.nodes[inner.id].total += elapsed;
         }
     }
 }
 
-/// Adds `n` to the named monotonic counter. A no-op single branch when
-/// recording is off.
+/// Adds `n` to the named monotonic counter (inside a [`capture`], to the
+/// capture's copy). A no-op single branch when recording is off.
 pub fn count(name: &'static str, n: u64) {
     if !enabled() {
         return;
     }
-    let mut s = lock();
-    match s.counters.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v = v.saturating_add(n),
-        None => s.counters.push((name, n)),
+    if with_capture(|b| add_counter(&mut b.counters, name, n)).is_none() {
+        add_counter(&mut lock().counters, name, n);
     }
 }
 
@@ -334,10 +477,8 @@ pub fn record_max(name: &'static str, n: u64) {
     if !enabled() {
         return;
     }
-    let mut s = lock();
-    match s.counters.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v = (*v).max(n),
-        None => s.counters.push((name, n)),
+    if with_capture(|b| max_counter(&mut b.maxima, name, n)).is_none() {
+        max_counter(&mut lock().counters, name, n);
     }
 }
 
@@ -529,7 +670,7 @@ impl RunReport {
 pub fn report() -> RunReport {
     let s = lock();
     fn build(s: &Store, id: usize) -> SpanReport {
-        let node = &s.nodes[id];
+        let node = &s.tree.nodes[id];
         SpanReport {
             name: node.name.to_owned(),
             calls: node.calls,
@@ -544,7 +685,7 @@ pub fn report() -> RunReport {
         s.counters.iter().map(|&(k, v)| (k.to_owned(), v)).collect();
     counters.sort_by(|a, b| a.0.cmp(&b.0));
     RunReport {
-        spans: s.roots.iter().map(|&r| build(&s, r)).collect(),
+        spans: s.tree.roots.iter().map(|&r| build(&s, r)).collect(),
         counters,
     }
 }
@@ -779,6 +920,87 @@ mod tests {
         let r = RunReport::from_json(&text).unwrap();
         assert!(r.span("phase").is_some());
         assert_eq!(r.counter("c"), Some(1));
+    }
+
+    #[test]
+    fn a_merged_capture_nests_under_the_active_span() {
+        let _guard = serialized();
+        let _ = begin_recording();
+        {
+            let _outer = Span::enter("generate");
+            let captured: Vec<Captured> = (0..2)
+                .map(|_| {
+                    std::thread::scope(|scope| {
+                        scope
+                            .spawn(|| {
+                                capture(|| {
+                                    let _s = Span::enter("justify");
+                                    let _inner = Span::enter("justify.guided");
+                                    count("calls", 2);
+                                    record_max(counters::SIM_WIDTH, 64);
+                                })
+                                .1
+                            })
+                            .join()
+                            .unwrap()
+                    })
+                })
+                .collect();
+            // A capture on this thread leaves the outer span alone.
+            let ((), dropped) = capture(|| {
+                let _s = Span::enter("discarded");
+                count("calls", 100);
+            });
+            drop(dropped);
+            for c in captured {
+                c.merge();
+            }
+        }
+        disable();
+        let r = report();
+        assert_eq!(r.spans.len(), 1, "{r:?}");
+        let generate = r.span("generate").unwrap();
+        assert_eq!(generate.children.len(), 1, "{generate:?}");
+        let justify = &generate.children[0];
+        assert_eq!((justify.name.as_str(), justify.calls), ("justify", 2));
+        assert_eq!(justify.children[0].calls, 2);
+        assert!(justify.seconds > 0.0);
+        assert!(r.span("discarded").is_none());
+        assert_eq!(r.counter("calls"), Some(4));
+        assert_eq!(r.counter(counters::SIM_WIDTH), Some(64));
+    }
+
+    #[test]
+    fn a_panic_inside_a_capture_ends_it() {
+        let _guard = serialized();
+        let _ = begin_recording();
+        let unwound = std::panic::catch_unwind(|| {
+            capture(|| {
+                count("lost", 1);
+                panic!("unwinds through the capture");
+            })
+        });
+        assert!(unwound.is_err());
+        count("after", 1);
+        disable();
+        let r = report();
+        assert_eq!(r.counter("after"), Some(1), "the capture ended");
+        assert_eq!(r.counter("lost"), None);
+    }
+
+    #[test]
+    fn a_disabled_capture_is_empty() {
+        let _guard = serialized();
+        reset();
+        disable();
+        let (value, captured) = capture(|| {
+            count("ignored", 1);
+            7
+        });
+        assert_eq!(value, 7);
+        assert!(captured.0.is_none());
+        captured.merge();
+        assert!(report().counters.is_empty());
     }
 
     #[test]

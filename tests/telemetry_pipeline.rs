@@ -1,12 +1,13 @@
 //! End-to-end telemetry: a small-circuit pipeline run must emit a span
 //! for every phase — enumerate, eliminate, generate, enrich, compact,
 //! simulate — with nonzero durations, plus the standard counters, and the
-//! resulting report must survive a JSON round trip.
+//! resulting report must survive a JSON round trip. The run is repeated
+//! on a two-worker pool, whose builds must report under `generate` too.
 //!
 //! This file holds exactly one test: telemetry state is process-global,
 //! and a dedicated integration-test binary is its own process.
 
-use pdf_atpg::{EnrichmentAtpg, TargetSplit};
+use pdf_atpg::{AtpgConfig, EnrichmentAtpg, TargetSplit};
 use pdf_faults::FaultList;
 use pdf_netlist::iscas::s27;
 use pdf_paths::PathEnumerator;
@@ -14,6 +15,12 @@ use pdf_telemetry::{counters, RunReport};
 
 #[test]
 fn pipeline_run_emits_every_phase_span_and_counter() {
+    for threads in [1, 2] {
+        check_pipeline_report(threads);
+    }
+}
+
+fn check_pipeline_report(threads: usize) {
     let _ = pdf_telemetry::begin_recording();
 
     let circuit = s27();
@@ -22,13 +29,20 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     // N_P0 = 10 leaves a nonempty P1 on s27, so enrichment demonstrably
     // fires (the pdf-atpg tests pin that property).
     let split = TargetSplit::by_cumulative_length(&faults, 10);
-    let outcome = EnrichmentAtpg::new(&circuit).with_seed(2002).run(&split);
+    let outcome = EnrichmentAtpg::new(&circuit)
+        .with_config(AtpgConfig {
+            seed: 2002,
+            threads,
+            ..AtpgConfig::default()
+        })
+        .run(&split);
     let minimized = outcome.tests().clone().into_minimized(&circuit, &faults);
     let coverage = minimized.coverage(&circuit, &faults);
     assert!(coverage.detected_count() > 0);
 
     pdf_telemetry::disable();
     let report = pdf_telemetry::report();
+    let context = format!("{threads} threads: {report:?}");
 
     for phase in [
         "enumerate",
@@ -40,7 +54,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     ] {
         let span = report
             .span(phase)
-            .unwrap_or_else(|| panic!("missing span `{phase}`: {report:?}"));
+            .unwrap_or_else(|| panic!("missing span `{phase}` at {context}"));
         assert!(span.calls >= 1, "span `{phase}` never entered");
         assert!(span.seconds > 0.0, "span `{phase}` has zero duration");
     }
@@ -49,7 +63,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     let enrich = report.span("enrich").unwrap();
     assert!(enrich.children.iter().any(|c| c.name == "generate"));
     // Every justification call runs inside a `justify` span nested under
-    // the generator.
+    // the generator, on whichever thread the build ran.
     let generate = enrich
         .children
         .iter()
@@ -59,7 +73,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
         .children
         .iter()
         .find(|c| c.name == "justify")
-        .unwrap_or_else(|| panic!("missing `justify` span under generate: {report:?}"));
+        .unwrap_or_else(|| panic!("missing `justify` span under generate at {context}"));
     assert!(justify.calls >= 1);
     // The necessary-value fixpoint runs inside every call that gets past
     // the budget poll, as packed trial passes.
@@ -68,7 +82,7 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
             .children
             .iter()
             .any(|c| c.name == "justify.fixpoint"),
-        "missing `justify.fixpoint` span under justify: {report:?}"
+        "missing `justify.fixpoint` span under justify at {context}"
     );
 
     // Secondary-target screening runs once per build under `screen`, with
@@ -77,13 +91,13 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
         .children
         .iter()
         .find(|c| c.name == "screen")
-        .unwrap_or_else(|| panic!("missing `screen` span under generate: {report:?}"));
+        .unwrap_or_else(|| panic!("missing `screen` span under generate at {context}"));
     assert!(screen.calls >= 1);
     let rank = screen
         .children
         .iter()
         .find(|c| c.name == "screen.rank")
-        .unwrap_or_else(|| panic!("missing `screen.rank` span under screen: {report:?}"));
+        .unwrap_or_else(|| panic!("missing `screen.rank` span under screen at {context}"));
     assert!(rank.calls >= screen.calls);
 
     assert!(report.counter(counters::FAULTS_TARGETED).unwrap() > 0);
@@ -108,6 +122,13 @@ fn pipeline_run_emits_every_phase_span_and_counter() {
     // may already be minimal, so those counters only need to exist when
     // their events happened; tests_dropped is recorded even when zero.
     assert!(report.counter(counters::TESTS_DROPPED).is_some());
+
+    // Pool workers report only through their builds' buffers.
+    let roots: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
+    assert!(
+        !roots.contains(&"justify") && !roots.contains(&"screen"),
+        "build spans leaked to the top level at {context}"
+    );
 
     let text = report.to_json();
     let parsed = RunReport::from_json(&text).expect("report JSON must parse back");
