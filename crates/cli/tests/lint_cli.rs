@@ -248,6 +248,29 @@ fn one_input_parity_gates_decompose_to_driven_lines() {
 }
 
 #[test]
+fn zero_input_parity_gates_are_an_arity_diagnostic() {
+    // `z = XOR()` must fail like `z = AND()`: a typed PDL000 arity error
+    // with the lint exit status, never a panic in the parity rewrite.
+    for name in ["xor0.bench", "xnor0.bench"] {
+        let path = fixture(name);
+        for command in ["info", "lint", "paths", "faults", "atpg"] {
+            let out = run(&[command, path.to_str().unwrap()]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(EXIT_LINT),
+                "{name} {command}: {stderr}"
+            );
+            assert!(
+                stderr.contains("invalid arity 0"),
+                "{name} {command}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{name} {command}: {stderr}");
+        }
+    }
+}
+
+#[test]
 fn generated_branch_names_never_collide() {
     // `z = AND(a, a)` gives `a` two branches into `z`, and a primary
     // output feeding a gate named `out` gives two `a->out` sinks; the

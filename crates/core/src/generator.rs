@@ -17,15 +17,15 @@
 //! [`AtpgConfig::batch`] eligible primaries from the committed state,
 //! builds a candidate test for every one of them speculatively — each
 //! build is a pure function of `(committed state, primary)` — and then
-//! commits the results strictly in selection order. The builds are
-//! sharded across a persistent [`pdf_pool`] worker pool whose
-//! sequence-number reorder buffer delivers them back in that order, so
-//! the committed outcome (test set, flags, counters, checkpoints) is
-//! byte-identical for any [`AtpgConfig::threads`] value and any steal
-//! schedule. A build whose primary was meanwhile detected by an earlier
-//! commit of the same round is discarded whole (counted in
-//! [`AtpgStats::builds_discarded`]); everything else lands exactly as a
-//! single-threaded round would have landed it.
+//! commits the results strictly in selection order. The builds run on a
+//! persistent [`pdf_pool`] worker pool: workers claim them in selection
+//! order from one queue, and a sequence-number reorder buffer delivers
+//! the results back in that order, so the committed outcome (test set,
+//! flags, counters, checkpoints) is byte-identical for any
+//! [`AtpgConfig::threads`] value. A build whose primary was meanwhile
+//! detected by an earlier commit of the same round is discarded whole
+//! (counted in [`AtpgStats::builds_discarded`]); everything else lands
+//! exactly as a single-threaded round would have landed it.
 //!
 //! Discarded builds are also skipped where possible: after every commit
 //! the commit thread raises the *moot flag* of each later build of the
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineId, SplitMix64};
-use pdf_pool::{Control, PoolOptions};
+use pdf_pool::Control;
 use pdf_runctl::{CancelToken, Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
 use pdf_sim::SimOptions;
@@ -192,10 +192,6 @@ pub struct AtpgConfig {
     /// so it is pinned in the checkpoint fingerprint. `0` is treated
     /// as `1`.
     pub batch: usize,
-    /// Test instrumentation: forces the pool's pathological steal
-    /// schedule (workers prefer stealing over their own deque). Results
-    /// must not change; the differential tests flip this to prove it.
-    pub force_steal: bool,
 }
 
 impl Default for AtpgConfig {
@@ -213,7 +209,6 @@ impl Default for AtpgConfig {
             guide: None,
             threads: 1,
             batch: 8,
-            force_steal: false,
         }
     }
 }
@@ -1172,13 +1167,12 @@ impl<'c, 'f> Session<'c, 'f> {
 
         let batch = ctx.config.batch.max(1);
         // A round holds at most `batch` builds: more workers would idle.
-        let options = PoolOptions::new(ctx.config.threads.min(batch))
-            .with_force_steal(ctx.config.force_steal);
+        let threads = ctx.config.threads.min(batch);
         let ctx_ref = &ctx;
         let state_ref = &mut state;
         let tests_ref = &mut test_set;
         let stopped_early = pdf_pool::with_pool(
-            &options,
+            threads,
             |job: BuildJob| run_build(ctx_ref, job),
             move |pool| {
                 let mut stopped = false;
@@ -1711,35 +1705,32 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_and_steal_schedule_do_not_change_results() {
+    fn thread_count_does_not_change_results() {
         let (c, faults) = s27_faults();
         let reference = BasicAtpg::new(&c)
             .with_config(config(Compaction::ValueBased))
             .run(&faults);
         for threads in [2usize, 4] {
-            for force_steal in [false, true] {
-                let mut cfg = config(Compaction::ValueBased);
-                cfg.threads = threads;
-                cfg.force_steal = force_steal;
-                let outcome = BasicAtpg::new(&c).with_config(cfg).run(&faults);
-                assert_eq!(
-                    outcome.tests().to_text(),
-                    reference.tests().to_text(),
-                    "threads={threads} force_steal={force_steal}"
-                );
-                assert_eq!(outcome.detected(), reference.detected());
-                assert_eq!(outcome.aborted(), reference.aborted());
-                assert_eq!(outcome.quarantined(), reference.quarantined());
-                assert_eq!(
-                    outcome.stats().aborted_primaries,
-                    reference.stats().aborted_primaries
-                );
-                assert_eq!(
-                    outcome.stats().builds_discarded,
-                    reference.stats().builds_discarded
-                );
-                assert_eq!(outcome.stats().justify, reference.stats().justify);
-            }
+            let mut cfg = config(Compaction::ValueBased);
+            cfg.threads = threads;
+            let outcome = BasicAtpg::new(&c).with_config(cfg).run(&faults);
+            assert_eq!(
+                outcome.tests().to_text(),
+                reference.tests().to_text(),
+                "threads={threads}"
+            );
+            assert_eq!(outcome.detected(), reference.detected());
+            assert_eq!(outcome.aborted(), reference.aborted());
+            assert_eq!(outcome.quarantined(), reference.quarantined());
+            assert_eq!(
+                outcome.stats().aborted_primaries,
+                reference.stats().aborted_primaries
+            );
+            assert_eq!(
+                outcome.stats().builds_discarded,
+                reference.stats().builds_discarded
+            );
+            assert_eq!(outcome.stats().justify, reference.stats().justify);
         }
     }
 

@@ -1,10 +1,9 @@
-//! Differential oracle for the parallel generation pool: for any thread
-//! count (2/4/8) and any steal schedule (the forced-steal instrument
-//! inverts every worker's deque preference) a pooled run must be
-//! byte-identical to the single-threaded reference — the test set, the
-//! per-fault verdict flags, the telemetry counter totals and span tree,
-//! and the checkpoint files — including runs cut short by an exhausted
-//! budget and runs with quarantined (panicking) faults.
+//! Differential oracle for the parallel generation pool: at any thread
+//! count (2/4/8) a pooled run must be byte-identical to the
+//! single-threaded reference — the test set, the per-fault verdict flags,
+//! every telemetry counter total and the span tree, and the checkpoint
+//! files — including runs cut short by an exhausted budget and runs with
+//! quarantined (panicking) faults.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -29,22 +28,13 @@ fn serial() -> MutexGuard<'static, ()> {
     GLOBAL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The pooled configurations under test: every thread count with the
-/// natural schedule and with every claim forced onto a victim's deque.
-const POOLED: [(usize, bool); 6] = [
-    (2, false),
-    (2, true),
-    (4, false),
-    (4, true),
-    (8, false),
-    (8, true),
-];
+/// The pooled thread counts under test.
+const POOLED: [usize; 3] = [2, 4, 8];
 
-fn config(threads: usize, force_steal: bool) -> AtpgConfig {
+fn config(threads: usize) -> AtpgConfig {
     AtpgConfig {
         sim: SimOptions::default(),
         threads,
-        force_steal,
         ..AtpgConfig::default()
     }
 }
@@ -103,22 +93,14 @@ fn span_calls(spans: &[SpanReport], name: &str) -> u64 {
 }
 
 /// Runs `body` with telemetry recording and returns its result with the
-/// counters (minus the schedule-dependent `pool_steals`) and the report.
+/// counters and the report.
 fn recorded<T>(body: impl FnOnce() -> T) -> (T, Vec<(String, u64)>, RunReport) {
     let _ = pdf_telemetry::begin_recording();
     let value = body();
     let report = pdf_telemetry::report();
     pdf_telemetry::disable();
     pdf_telemetry::reset();
-    let counters = report
-        .counters
-        .iter()
-        // The steal count is the one deliberately schedule-dependent
-        // diagnostic; everything else must be exact.
-        .filter(|(name, _)| name != "pool_steals")
-        .cloned()
-        .collect();
-    (value, counters, report)
+    (value, report.counters.clone(), report)
 }
 
 fn faults_of(c: &Circuit, cap: usize) -> FaultList {
@@ -158,19 +140,15 @@ fn enrichment_runs_are_identical_at_every_thread_count() {
     let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
     let faults = faults_of(&c, 400);
     let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
-    let run = |threads, force_steal| {
+    let run = |threads| {
         EnrichmentAtpg::new(&c)
-            .with_config(config(threads, force_steal))
+            .with_config(config(threads))
             .run(&split)
     };
-    let reference = run(1, false);
-    for (threads, force_steal) in POOLED {
-        let pooled = run(threads, force_steal);
-        assert_outcomes_identical(
-            &reference,
-            &pooled,
-            &format!("{threads} threads, force_steal={force_steal}"),
-        );
+    let reference = run(1);
+    for threads in POOLED {
+        let pooled = run(threads);
+        assert_outcomes_identical(&reference, &pooled, &format!("{threads} threads"));
     }
 }
 
@@ -185,22 +163,22 @@ fn checkpoint_files_are_byte_identical_across_thread_counts() {
     let path_for = |tag: &str| {
         std::env::temp_dir().join(format!("pdf_pool_diff_{tag}_{}.json", std::process::id()))
     };
-    let run = |threads: usize, force_steal: bool, tag: &str| {
+    let run = |threads: usize, tag: &str| {
         let path = path_for(tag);
         let outcome = BasicAtpg::new(&c)
             .with_config(AtpgConfig {
                 checkpoint: Some(CheckpointPolicy::new(&path, 1)),
-                ..config(threads, force_steal)
+                ..config(threads)
             })
             .run(&faults);
         let bytes = std::fs::read(&path).expect("checkpoint written");
         let _ = std::fs::remove_file(&path);
         (outcome, bytes)
     };
-    let (reference, reference_bytes) = run(1, false, "serial");
-    for (threads, force_steal) in POOLED {
-        let tag = format!("t{threads}_{force_steal}");
-        let (pooled, bytes) = run(threads, force_steal, &tag);
+    let (reference, reference_bytes) = run(1, "serial");
+    for threads in POOLED {
+        let tag = format!("t{threads}");
+        let (pooled, bytes) = run(threads, &tag);
         assert_outcomes_identical(&reference, &pooled, &tag);
         assert_eq!(
             reference_bytes, bytes,
@@ -214,21 +192,15 @@ fn telemetry_counter_totals_are_schedule_independent() {
     let _guard = serial();
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
-    let run = |threads, force_steal| {
-        recorded(|| {
-            BasicAtpg::new(&c)
-                .with_config(config(threads, force_steal))
-                .run(&faults)
-        })
-    };
-    let (reference, reference_counters, reference_report) = run(1, false);
+    let run = |threads| recorded(|| BasicAtpg::new(&c).with_config(config(threads)).run(&faults));
+    let (reference, reference_counters, reference_report) = run(1);
     let reference_shape = span_shape(&reference_report.spans);
     // Builds run under `generate`, on whichever thread.
     assert_eq!(reference_report.spans.len(), 1, "{reference_shape:?}");
     assert_eq!(reference_report.spans[0].name, "generate");
-    for (threads, force_steal) in POOLED {
-        let label = format!("{threads} threads, force_steal={force_steal}");
-        let (pooled, counters, report) = run(threads, force_steal);
+    for threads in POOLED {
+        let label = format!("{threads} threads");
+        let (pooled, counters, report) = run(threads);
         assert_outcomes_identical(&reference, &pooled, &label);
         assert_eq!(reference_counters, counters, "{label}: counter totals");
         assert_eq!(
@@ -251,7 +223,7 @@ fn justify_spans_reconcile_with_committed_calls() {
     for threads in [1, 2, 4] {
         let (outcome, counters, report) = recorded(|| {
             EnrichmentAtpg::new(&c)
-                .with_config(config(threads, false))
+                .with_config(config(threads))
                 .run(&split)
         });
         let stats = outcome.stats();
@@ -275,23 +247,23 @@ fn budget_exhausted_partial_prefixes_match_serial() {
     let c = pdf_netlist::iscas::s27();
     let faults = faults_of(&c, 300);
     for polls in [1, 2, 5, 13] {
-        let run = |threads, force_steal| {
+        let run = |threads| {
             BasicAtpg::new(&c)
                 .with_config(AtpgConfig {
                     budget: RunBudget::unlimited()
                         .and_cancel(CancelToken::cancel_after_polls(polls)),
-                    ..config(threads, force_steal)
+                    ..config(threads)
                 })
                 .run(&faults)
         };
-        let reference = run(1, false);
+        let reference = run(1);
         assert!(reference.budget_exhausted(), "polls={polls} must cut");
-        for (threads, force_steal) in POOLED {
-            let pooled = run(threads, force_steal);
+        for threads in POOLED {
+            let pooled = run(threads);
             assert_outcomes_identical(
                 &reference,
                 &pooled,
-                &format!("polls={polls}, {threads} threads, force_steal={force_steal}"),
+                &format!("polls={polls}, {threads} threads"),
             );
         }
     }
@@ -302,17 +274,17 @@ fn budget_exhausted_partial_prefixes_match_serial() {
     let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
     let faults = faults_of(&c, 400);
     let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
-    let run = |threads, force_steal, budget| {
+    let run = |threads, budget| {
         EnrichmentAtpg::new(&c)
             .with_config(AtpgConfig {
                 budget,
-                ..config(threads, force_steal)
+                ..config(threads)
             })
             .run(&split)
     };
-    let full = run(1, false, RunBudget::unlimited());
+    let full = run(1, RunBudget::unlimited());
     let cut_after = || RunBudget::unlimited().and_cancel(CancelToken::cancel_after_polls(30));
-    let reference = run(1, false, cut_after());
+    let reference = run(1, cut_after());
     assert!(reference.budget_exhausted());
     assert!(
         reference.stats().builds_discarded > 0,
@@ -321,12 +293,12 @@ fn budget_exhausted_partial_prefixes_match_serial() {
     let (partial, whole) = (reference.tests().tests(), full.tests().tests());
     assert!(partial.len() < whole.len());
     assert_eq!(partial, &whole[..partial.len()], "the cut run is a prefix");
-    for (threads, force_steal) in POOLED {
-        let pooled = run(threads, force_steal, cut_after());
+    for threads in POOLED {
+        let pooled = run(threads, cut_after());
         assert_outcomes_identical(
             &reference,
             &pooled,
-            &format!("enrich cut, {threads} threads, force_steal={force_steal}"),
+            &format!("enrich cut, {threads} threads"),
         );
     }
 }
@@ -340,20 +312,20 @@ fn quarantined_fault_runs_match_serial() {
     // justification guard and the sweep guard fire under the pool.
     for slot in [0, faults.len() / 2] {
         let poisoned = poison(&faults, slot);
-        let run = |threads, force_steal| {
+        let run = |threads| {
             BasicAtpg::new(&c)
-                .with_config(config(threads, force_steal))
+                .with_config(config(threads))
                 .run(&poisoned)
         };
-        let reference = run(1, false);
+        let reference = run(1);
         assert!(reference.quarantined()[slot], "slot {slot}");
         assert_eq!(reference.stats().faults_quarantined, 1);
-        for (threads, force_steal) in POOLED {
-            let pooled = run(threads, force_steal);
+        for threads in POOLED {
+            let pooled = run(threads);
             assert_outcomes_identical(
                 &reference,
                 &pooled,
-                &format!("slot={slot}, {threads} threads, force_steal={force_steal}"),
+                &format!("slot={slot}, {threads} threads"),
             );
         }
     }
@@ -375,25 +347,20 @@ fn injected_pool_panic_quarantines_the_same_fault_at_every_thread_count() {
         .find(|&s| {
             let spec = pdf_chaos::FailpointSpec::parse(&format!("pool.build:panic@{s}")).unwrap();
             pdf_chaos::install(&spec);
-            let outcome = BasicAtpg::new(&c)
-                .with_config(config(1, false))
-                .run(&faults);
+            let outcome = BasicAtpg::new(&c).with_config(config(1)).run(&faults);
             pdf_chaos::clear();
             outcome.quarantined()[s]
         })
         .expect("some fault must reach justification");
     let spec = pdf_chaos::FailpointSpec::parse(&format!("pool.build:panic@{slot}")).unwrap();
-    let run_counters = |threads, force_steal| {
+    let run_counters = |threads| {
         pdf_chaos::install(&spec);
-        let (outcome, counters, _) = recorded(|| {
-            BasicAtpg::new(&c)
-                .with_config(config(threads, force_steal))
-                .run(&faults)
-        });
+        let (outcome, counters, _) =
+            recorded(|| BasicAtpg::new(&c).with_config(config(threads)).run(&faults));
         pdf_chaos::clear();
         (outcome, counters)
     };
-    let (reference, reference_counters) = run_counters(1, false);
+    let (reference, reference_counters) = run_counters(1);
     assert!(reference.quarantined()[slot], "slot {slot}");
     assert_eq!(reference.stats().faults_quarantined, 1);
     let hits = reference_counters
@@ -404,9 +371,9 @@ fn injected_pool_panic_quarantines_the_same_fault_at_every_thread_count() {
         hits.is_some_and(|v| v >= 1),
         "the failpoint must fire: {reference_counters:?}"
     );
-    for (threads, force_steal) in POOLED {
-        let label = format!("{threads} threads, force_steal={force_steal}");
-        let (pooled, counters) = run_counters(threads, force_steal);
+    for threads in POOLED {
+        let label = format!("{threads} threads");
+        let (pooled, counters) = run_counters(threads);
         assert_outcomes_identical(&reference, &pooled, &label);
         assert_eq!(reference_counters, counters, "{label}: counter totals");
     }
@@ -428,22 +395,22 @@ proptest! {
         ][(seed % 3) as usize];
         let faults = faults_of(&c, 200);
         prop_assume!(!faults.is_empty());
-        let run = |threads, force_steal| {
+        let run = |threads| {
             BasicAtpg::new(&c)
                 .with_config(AtpgConfig {
                     seed,
                     compaction,
-                    ..config(threads, force_steal)
+                    ..config(threads)
                 })
                 .run(&faults)
         };
-        let reference = run(1, false);
-        for (threads, force_steal) in [(2, true), (4, true), (8, false)] {
-            let pooled = run(threads, force_steal);
+        let reference = run(1);
+        for threads in POOLED {
+            let pooled = run(threads);
             assert_outcomes_identical(
                 &reference,
                 &pooled,
-                &format!("seed={seed}, {threads} threads, force_steal={force_steal}"),
+                &format!("seed={seed}, {threads} threads"),
             );
         }
     }

@@ -236,7 +236,9 @@ impl Netlist {
         }
         let mut fresh = 0usize;
         for gate in &self.gates {
-            if !gate.kind.is_parity() {
+            // A zero-input parity gate has nothing to decompose: it is kept
+            // for the line-level arity check to reject, as `AND()` is.
+            if !gate.kind.is_parity() || gate.inputs.is_empty() {
                 out.push_gate(gate.kind, gate.inputs.clone(), gate.output);
                 continue;
             }
@@ -375,7 +377,14 @@ impl Netlist {
         if !self.dffs.is_empty() {
             return Err(NetlistError::Sequential);
         }
-        if !allow_parity && self.gates.iter().any(|g| g.kind.is_parity()) {
+        // A zero-input parity gate is malformed rather than undecomposed:
+        // line-level validation reports its arity.
+        if !allow_parity
+            && self
+                .gates
+                .iter()
+                .any(|g| g.kind.is_parity() && !g.inputs.is_empty())
+        {
             return Err(NetlistError::ParityGate);
         }
         for (i, d) in self.drivers.iter().enumerate() {
@@ -887,6 +896,27 @@ mod tests {
         let kinds: Vec<GateKind> = d.gates().iter().map(|g| g.kind).collect();
         assert_eq!(kinds, [GateKind::Buf, GateKind::Not, GateKind::And]);
         assert!(d.to_circuit().is_ok());
+    }
+
+    #[test]
+    fn zero_input_parity_gates_fail_the_arity_check() {
+        for kind in [GateKind::Xor, GateKind::Xnor] {
+            let mut b = NetlistBuilder::new("par0");
+            b.input("a").output("z").output("w");
+            b.gate(kind, "z", &[]);
+            b.gate(GateKind::Buf, "w", &["a"]);
+            let n = b.finish().unwrap();
+            for result in [n.to_circuit(), n.decompose_parity().to_circuit()] {
+                assert!(
+                    matches!(
+                        result,
+                        Err(NetlistError::Circuit(CircuitError::BadArity { kind: k, got: 0, .. }))
+                            if k == kind
+                    ),
+                    "{kind}: {result:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! A deterministic work-stealing worker pool.
+//! A deterministic in-order worker pool.
 //!
-//! The generation session shards each round of speculative per-fault
-//! builds across a persistent pool of workers. Work lives on per-worker
-//! deques (each worker is dealt a contiguous chunk of the round), idle
-//! workers steal from the back of a victim's deque, and finished results
-//! flow back through a **sequence-number reorder buffer**: the caller
-//! receives them strictly in submission order, one at a time, on its own
-//! thread. Because every job is a pure function of its input and the
-//! merge order is the submission order, the merged outcome is
-//! byte-identical for any thread count and any steal schedule — the
-//! schedule can only change *when* a result is computed, never *where*
-//! it lands.
+//! The generation session runs each round of speculative per-fault builds
+//! on a persistent pool of workers. A round's jobs wait in one FIFO queue
+//! and every worker claims the next job in sequence order, so the builds
+//! the commit thread needs first start first. Finished results flow back
+//! through a **sequence-number reorder buffer**: the caller receives them
+//! strictly in submission order, one at a time, on its own thread.
+//! Because every job is a pure function of its input and the merge order
+//! is the submission order, the merged outcome is byte-identical for any
+//! thread count — the schedule can only change *when* a result is
+//! computed, never *where* it lands.
 //!
 //! The pool is deliberately minimal: plain `std` threads, one mutex, two
 //! condvars, no unsafe, no lock-free cleverness. Rounds are small (a
@@ -24,39 +23,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use pdf_telemetry::counters;
-
-/// Pool configuration.
-#[derive(Clone, Debug)]
-pub struct PoolOptions {
-    /// Worker threads. `0` and `1` both mean inline execution on the
-    /// caller's thread (no pool threads are spawned at all).
-    pub threads: usize,
-    /// Forces the pathological steal schedule: every worker prefers
-    /// stealing from other deques over draining its own. The merged
-    /// result must not change — this is the lever the differential tests
-    /// use to prove schedule-independence.
-    pub force_steal: bool,
-}
-
-impl PoolOptions {
-    /// A pool of `threads` workers with the natural steal schedule.
-    #[must_use]
-    pub fn new(threads: usize) -> PoolOptions {
-        PoolOptions {
-            threads,
-            force_steal: false,
-        }
-    }
-
-    /// Enables forced stealing (see [`PoolOptions::force_steal`]).
-    #[must_use]
-    pub fn with_force_steal(mut self, force: bool) -> PoolOptions {
-        self.force_steal = force;
-        self
-    }
-}
-
 /// What the caller's in-order result callback tells the round driver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Control {
@@ -67,33 +33,33 @@ pub enum Control {
     Stop,
 }
 
-/// Runs `driver` with a round runner backed by a persistent worker pool
-/// executing `worker` (or inline on the caller's thread for
-/// `options.threads <= 1`). Workers live for the whole `driver` call and
-/// serve every round it submits.
+/// Runs `driver` with a round runner backed by a persistent pool of
+/// `threads` workers executing `worker` (or inline on the caller's thread
+/// for `threads <= 1`, with no pool thread spawned at all). Workers live
+/// for the whole `driver` call and serve every round it submits.
 ///
 /// A panic inside `worker` is rethrown on the caller's thread from the
 /// corresponding [`RoundRunner::run_round`] call, at the panicked job's
 /// position in the sequence order.
-pub fn with_pool<T, R, W, F, O>(options: &PoolOptions, worker: W, driver: F) -> O
+pub fn with_pool<T, R, W, F, O>(threads: usize, worker: W, driver: F) -> O
 where
     T: Send,
     R: Send,
     W: Fn(T) -> R + Sync,
     F: FnOnce(&mut RoundRunner<'_, T, R>) -> O,
 {
-    if options.threads <= 1 {
+    if threads <= 1 {
         let mut runner = RoundRunner {
             inner: Inner::Inline(&worker),
         };
         return driver(&mut runner);
     }
-    let shared = Shared::new(options.threads, options.force_steal);
+    let shared = Shared::new();
     std::thread::scope(|scope| {
         let shared = &shared;
         let worker = &worker;
-        for me in 0..options.threads {
-            scope.spawn(move || shared.worker_loop(me, worker));
+        for _ in 0..threads {
+            scope.spawn(move || shared.worker_loop(worker));
         }
         // The workers only exit on shutdown; raise it however the driver
         // leaves (return or panic), or the scope would join forever.
@@ -122,7 +88,7 @@ enum Inner<'a, T, R> {
 }
 
 impl<T: Send, R: Send> RoundRunner<'_, T, R> {
-    /// Runs one round: every job in `items` executes (in any schedule),
+    /// Runs one round: workers claim the jobs in `items` in item order,
     /// and `on_result(seq, result)` is called on this thread strictly in
     /// item order — result 0 first, then 1, and so on. Returns whether
     /// the round was stopped early: after a [`Control::Stop`], remaining
@@ -157,8 +123,9 @@ type JobResult<R> = std::thread::Result<R>;
 
 struct RoundState<T, R> {
     shutdown: bool,
-    /// Per-worker job queues; a job is `(sequence number, payload)`.
-    deques: Vec<VecDeque<(usize, T)>>,
+    /// The round's unclaimed jobs in sequence order; a job is
+    /// `(sequence number, payload)`.
+    queue: VecDeque<(usize, T)>,
     /// Jobs claimed but not yet delivered.
     in_flight: usize,
     /// The reorder buffer, indexed by sequence number.
@@ -167,25 +134,23 @@ struct RoundState<T, R> {
 
 struct Shared<T, R> {
     state: Mutex<RoundState<T, R>>,
-    /// Signalled when work is distributed or shutdown is raised.
+    /// Signalled when a round is queued or shutdown is raised.
     work_cv: Condvar,
     /// Signalled when a result lands in the reorder buffer.
     done_cv: Condvar,
-    force_steal: bool,
 }
 
 impl<T, R> Shared<T, R> {
-    fn new(threads: usize, force_steal: bool) -> Shared<T, R> {
+    fn new() -> Shared<T, R> {
         Shared {
             state: Mutex::new(RoundState {
                 shutdown: false,
-                deques: (0..threads).map(|_| VecDeque::new()).collect(),
+                queue: VecDeque::new(),
                 in_flight: 0,
                 results: Vec::new(),
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            force_steal,
         }
     }
 
@@ -200,37 +165,7 @@ impl<T, R> Shared<T, R> {
 }
 
 impl<T: Send, R: Send> Shared<T, R> {
-    /// Claims one job for worker `me`: own deque front first, then the
-    /// back of the other workers' deques (the classic stealing end — the
-    /// victim keeps its cache-warm front). Under forced stealing the
-    /// preference inverts, producing the most order-scrambled schedule
-    /// the pool can express.
-    fn claim(&self, st: &mut RoundState<T, R>, me: usize) -> Option<(usize, T)> {
-        let n = st.deques.len();
-        if !self.force_steal {
-            if let Some(job) = st.deques[me].pop_front() {
-                st.in_flight += 1;
-                return Some(job);
-            }
-        }
-        for k in 1..n {
-            let victim = (me + k) % n;
-            if let Some(job) = st.deques[victim].pop_back() {
-                st.in_flight += 1;
-                pdf_telemetry::count(counters::POOL_STEALS, 1);
-                return Some(job);
-            }
-        }
-        if self.force_steal {
-            if let Some(job) = st.deques[me].pop_front() {
-                st.in_flight += 1;
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn worker_loop<W: Fn(T) -> R + Sync>(&self, me: usize, worker: &W) {
+    fn worker_loop<W: Fn(T) -> R + Sync>(&self, worker: &W) {
         loop {
             let (seq, item) = {
                 let mut st = self.lock();
@@ -238,7 +173,8 @@ impl<T: Send, R: Send> Shared<T, R> {
                     if st.shutdown {
                         return;
                     }
-                    if let Some(job) = self.claim(&mut st, me) {
+                    if let Some(job) = st.queue.pop_front() {
+                        st.in_flight += 1;
                         break job;
                     }
                     st = self
@@ -265,13 +201,7 @@ impl<T: Send, R: Send> Shared<T, R> {
             let mut st = self.lock();
             debug_assert_eq!(st.in_flight, 0, "previous round must be drained");
             st.results = (0..n).map(|_| None).collect();
-            // Deal contiguous chunks: worker w owns jobs [w*chunk, ...).
-            let threads = st.deques.len();
-            let chunk = n.div_ceil(threads);
-            let mut items = items.into_iter().enumerate();
-            for w in 0..threads {
-                st.deques[w].extend(items.by_ref().take(chunk));
-            }
+            st.queue.extend(items.into_iter().enumerate());
         }
         self.work_cv.notify_all();
 
@@ -313,9 +243,7 @@ impl<T: Send, R: Send> Shared<T, R> {
     /// round.
     fn abandon_and_drain(&self) {
         let mut st = self.lock();
-        for deque in &mut st.deques {
-            deque.clear();
-        }
+        st.queue.clear();
         while st.in_flight > 0 {
             st = self
                 .done_cv
@@ -329,10 +257,12 @@ impl<T: Send, R: Send> Shared<T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
-    fn collect_round(options: &PoolOptions, items: Vec<u64>) -> Vec<(usize, u64)> {
+    fn collect_round(threads: usize, items: Vec<u64>) -> Vec<(usize, u64)> {
         with_pool(
-            options,
+            threads,
             |x: u64| x * 10,
             |pool| {
                 let mut seen = Vec::new();
@@ -347,26 +277,58 @@ mod tests {
     }
 
     #[test]
-    fn results_arrive_in_sequence_order_for_every_schedule() {
+    fn results_arrive_in_sequence_order_for_every_thread_count() {
         let items: Vec<u64> = (0..37).collect();
         let expected: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 10)).collect();
         for threads in [1, 2, 4, 8] {
-            for force_steal in [false, true] {
-                let options = PoolOptions::new(threads).with_force_steal(force_steal);
-                assert_eq!(
-                    collect_round(&options, items.clone()),
-                    expected,
-                    "threads={threads} force_steal={force_steal}"
-                );
-            }
+            assert_eq!(
+                collect_round(threads, items.clone()),
+                expected,
+                "threads={threads}"
+            );
         }
+    }
+
+    #[test]
+    fn workers_claim_jobs_in_sequence_order() {
+        // Jobs 0–3 record their start and then meet at a barrier, so no
+        // job finishes before four have started: the four workers must
+        // start on jobs 0–3, not on the head of a chunk each (0, 2, 4, 6).
+        // Earlier jobs then sleep longer and finish last, yet the results
+        // must still arrive in order.
+        let started = Mutex::new(Vec::new());
+        let barrier = Barrier::new(4);
+        let seen = with_pool(
+            4,
+            |x: u64| {
+                started.lock().unwrap().push(x);
+                if x < 4 {
+                    barrier.wait();
+                }
+                std::thread::sleep(Duration::from_millis(5 * (8 - x)));
+                x
+            },
+            |pool| {
+                let mut seen = Vec::new();
+                pool.run_round((0..8).collect(), |seq, r| {
+                    seen.push((seq, r));
+                    Control::Continue
+                });
+                seen
+            },
+        );
+        let expected: Vec<(usize, u64)> = (0..8).map(|x| (x as usize, x)).collect();
+        assert_eq!(seen, expected);
+        let mut first = started.into_inner().unwrap()[..4].to_vec();
+        first.sort_unstable();
+        assert_eq!(first, [0, 1, 2, 3]);
     }
 
     #[test]
     fn the_pool_is_persistent_across_rounds() {
         for threads in [1, 4] {
             let sums = with_pool(
-                &PoolOptions::new(threads),
+                threads,
                 |x: u64| x + 1,
                 |pool| {
                     let mut sums = Vec::new();
@@ -391,38 +353,35 @@ mod tests {
 
     #[test]
     fn stop_abandons_the_rest_of_the_round() {
-        for threads in [1, 4] {
-            for force_steal in [false, true] {
-                let options = PoolOptions::new(threads).with_force_steal(force_steal);
-                let seen = with_pool(
-                    &options,
-                    |x: u64| x,
-                    |pool| {
-                        let mut seen = Vec::new();
-                        let stopped = pool.run_round((0..100).collect(), |seq, r| {
-                            seen.push((seq, r));
-                            if seq == 2 {
-                                Control::Stop
-                            } else {
-                                Control::Continue
-                            }
-                        });
-                        assert!(stopped);
-                        // The pool must still be usable after a stop.
-                        let resumed = pool.run_round(vec![7u64], |_, r| {
-                            seen.push((99, r));
+        for threads in [1, 2, 4] {
+            let seen = with_pool(
+                threads,
+                |x: u64| x,
+                |pool| {
+                    let mut seen = Vec::new();
+                    let stopped = pool.run_round((0..100).collect(), |seq, r| {
+                        seen.push((seq, r));
+                        if seq == 2 {
+                            Control::Stop
+                        } else {
                             Control::Continue
-                        });
-                        assert!(!resumed);
-                        seen
-                    },
-                );
-                assert_eq!(
-                    seen,
-                    vec![(0, 0), (1, 1), (2, 2), (99, 7)],
-                    "threads={threads} force_steal={force_steal}"
-                );
-            }
+                        }
+                    });
+                    assert!(stopped);
+                    // The pool must still be usable after a stop.
+                    let resumed = pool.run_round(vec![7u64], |_, r| {
+                        seen.push((99, r));
+                        Control::Continue
+                    });
+                    assert!(!resumed);
+                    seen
+                },
+            );
+            assert_eq!(
+                seen,
+                vec![(0, 0), (1, 1), (2, 2), (99, 7)],
+                "threads={threads}"
+            );
         }
     }
 
@@ -430,7 +389,7 @@ mod tests {
     fn empty_rounds_are_a_no_op() {
         for threads in [1, 4] {
             let stopped = with_pool(
-                &PoolOptions::new(threads),
+                threads,
                 |x: u64| x,
                 |pool| pool.run_round(Vec::new(), |_, _| Control::Stop),
             );
@@ -443,7 +402,7 @@ mod tests {
         for threads in [1, 4] {
             let payload = std::panic::catch_unwind(|| {
                 with_pool(
-                    &PoolOptions::new(threads),
+                    threads,
                     |x: u64| {
                         assert!(x != 3, "poisoned job");
                         x

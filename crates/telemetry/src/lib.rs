@@ -126,12 +126,9 @@ pub mod counters {
     /// Lines visited but skipped by event-driven propagation because no
     /// fanin had changed.
     pub const LINES_SKIPPED: &str = "lines_skipped";
-    /// Generation rounds committed by the work-stealing session pool.
+    /// Generation rounds the session selected and ran, inline or on the
+    /// in-order worker pool.
     pub const POOL_ROUNDS: &str = "pool_rounds";
-    /// Jobs a pool worker claimed from another worker's deque. Schedule-
-    /// dependent by nature: diagnostic only, excluded from the
-    /// determinism contract.
-    pub const POOL_STEALS: &str = "pool_steals";
     /// Speculative builds discarded at commit because an earlier test in
     /// the same round already detected (or quarantined) their primary.
     pub const POOL_BUILDS_DISCARDED: &str = "pool_builds_discarded";
