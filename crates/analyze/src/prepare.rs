@@ -20,8 +20,8 @@ use pdf_paths::{Enumeration, PathEnumerator};
 
 use crate::{classify_store, learn_implications, SensitizeAnalysis};
 
-/// What to prepare: the enumeration cap `N_P` (in fault units) and the
-/// two optional static passes.
+/// What to prepare: the enumeration cap `N_P` (in fault units), the two
+/// optional static passes, and the worker threads elimination may use.
 #[derive(Clone, Copy, Debug)]
 pub struct Preparation {
     /// The enumeration cap `N_P`.
@@ -31,6 +31,10 @@ pub struct Preparation {
     pub learning: bool,
     /// Classify path sensitizability and pre-eliminate the false paths.
     pub sensitize: bool,
+    /// Worker threads for elimination ([`FaultList::build_threaded`]).
+    /// A throughput knob: the prepared population is identical at every
+    /// count.
+    pub threads: usize,
 }
 
 /// A circuit's fault population, with everything the passes produced on
@@ -71,7 +75,7 @@ impl Preparation {
                 .as_ref()
                 .is_some_and(|a| a.is_false(index, polarity))
         };
-        let (faults, stats) = FaultList::build_with_filter(
+        let (faults, stats) = FaultList::build_threaded(
             circuit,
             &enumeration.store,
             Sensitization::Robust,
@@ -79,6 +83,7 @@ impl Preparation {
             analysis
                 .is_some()
                 .then_some(&is_false as &dyn Fn(usize, Polarity) -> bool),
+            self.threads,
         );
         Prepared {
             learned,
@@ -217,12 +222,13 @@ mod tests {
         for circuit in [pdf_netlist::iscas::s27(), b03r, false_path()] {
             for learning in [false, true] {
                 let plain = reference(&circuit, 2_000, learning, false);
-                for sensitize in [false, true] {
-                    let label = format!("{} {learning} {sensitize}", circuit.name());
+                for (sensitize, threads) in [false, true].into_iter().zip([1, 4]) {
+                    let label = format!("{} {learning} {sensitize} {threads}", circuit.name());
                     let prepared = Preparation {
                         cap: 2_000,
                         learning,
                         sensitize,
+                        threads,
                     }
                     .run(&circuit);
                     let expected = match sensitize {
@@ -246,6 +252,7 @@ mod tests {
                 cap: 10_000,
                 learning,
                 sensitize,
+                threads: 1,
             }
             .run(&circuit)
             .notes()

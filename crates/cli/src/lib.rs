@@ -51,6 +51,7 @@ COMMANDS:
     paths     <circuit> [--cap N] [--units N] [--strategy moderate|distance]
                                      enumerate the longest paths
     faults    <circuit> [--cap N] [--limit N] [--static-learning] [--sensitize]
+                        [--threads N]
                                      the detectable fault population and A(p) sets
     atpg      <circuit> [--cap N] [--np0 N] [--heuristic uncomp|arbit|length|values]
                         [--seed S] [--attempts N] [--cone-cache N] [--enrich]
@@ -507,14 +508,18 @@ pub fn cmd_paths(circuit: &Circuit, options: &Options) -> Result<String, CliErro
     Ok(s)
 }
 
-/// The preparation `--cap`, `--static-learning` (or `PDF_STATIC_LEARNING`)
-/// and `--sensitize` (or `PDF_SENSITIZE`) ask for. Both passes off keeps
-/// the plain, byte-identical behavior.
+/// The preparation `--cap`, `--static-learning` (or `PDF_STATIC_LEARNING`),
+/// `--sensitize` (or `PDF_SENSITIZE`) and `--threads` (or `PDF_THREADS`)
+/// ask for. Both passes off keeps the plain, byte-identical behavior; the
+/// thread count never changes the output.
 fn preparation_from(options: &Options) -> Result<Preparation, CliError> {
     Ok(Preparation {
         cap: options.parsed("cap", 10_000)?,
         learning: pdf_knobs::STATIC_LEARNING.switch(options.has("static-learning"))?,
         sensitize: pdf_knobs::SENSITIZE.switch(options.has("sensitize"))?,
+        threads: pdf_knobs::THREADS
+            .number(options.value("threads"))?
+            .unwrap_or(1),
     })
 }
 
@@ -827,9 +832,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     let cone_cache = pdf_knobs::CONE_CACHE
         .number(options.value("cone-cache"))?
         .unwrap_or(pdf_atpg::DEFAULT_CONE_CACHE);
-    let threads = pdf_knobs::THREADS
-        .number(options.value("threads"))?
-        .unwrap_or(1);
     // Installed before run control so an armed `checkpoint.read` entry
     // already covers the --resume load. The PDF_FAILPOINTS twin was
     // installed at startup; the flag re-installs over it.
@@ -863,7 +865,7 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         checkpoint,
         learned: prepared.learned.clone(),
         guide: guide.clone(),
-        threads,
+        threads: preparation.threads,
         ..AtpgConfig::default()
     };
 
@@ -1009,7 +1011,10 @@ fn command_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'
         "info" | "lint" | "sim" | "dot" | "bench" => (&[], &[]),
         "spectrum" => (&["top"], &[]),
         "paths" => (&["cap", "units", "strategy"], &[]),
-        "faults" => (&["cap", "limit"], &["static-learning", "sensitize"]),
+        "faults" => (
+            &["cap", "limit", "threads"],
+            &["static-learning", "sensitize"],
+        ),
         "analyze" => (&["cap"], &["static-learning"]),
         "atpg" => (
             &[

@@ -357,6 +357,123 @@ fn a_huge_thread_count_runs_and_matches_one_thread() {
     assert_eq!(a.expect("test file written"), b.expect("test file written"));
 }
 
+/// Runs `pdfatpg args…` with every knob unset and returns its stdout,
+/// failing on a nonzero exit or a panic.
+fn pdfatpg_stdout(args: &[&str]) -> Vec<u8> {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
+    for knob in KNOBS {
+        cmd.env_remove(knob.env);
+    }
+    let out = cmd.args(args).output().expect("spawn pdfatpg");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    out.stdout
+}
+
+#[test]
+fn faults_reads_the_thread_knob_and_its_output_is_thread_count_invariant() {
+    // Elimination runs its passes on the pool: the fault list, its
+    // counters and every printed A(p) match one thread at any count. A
+    // pass starts no more workers than it has jobs, so 20 000 requested
+    // threads are fine.
+    for (circuit, cap) in [("s9234*", "4000"), ("s27", "10000")] {
+        let faults = |threads: &str| {
+            pdfatpg_stdout(&[
+                "faults",
+                circuit,
+                "--cap",
+                cap,
+                "--limit",
+                "100000",
+                "--threads",
+                threads,
+            ])
+        };
+        let serial = faults("1");
+        for threads in ["4", "20000"] {
+            assert!(
+                serial == faults(threads),
+                "{circuit}: faults output differs at --threads {threads}"
+            );
+        }
+    }
+    // The env twin reaches `faults` too: a malformed value is refused.
+    let bad = with_env(&[("PDF_THREADS", "0".into())], || {
+        pdf_cli::run(&args(&["faults", "s27"]))
+    });
+    assert!(bad.is_err_and(|e| e.code == 2 && e.message.contains("PDF_THREADS")));
+}
+
+/// The span tree as `(depth, name, calls)` rows, without timings.
+fn span_shape(spans: &[pdf_telemetry::SpanReport]) -> Vec<(usize, String, u64)> {
+    fn walk(span: &pdf_telemetry::SpanReport, depth: usize, out: &mut Vec<(usize, String, u64)>) {
+        out.push((depth, span.name.clone(), span.calls));
+        for child in &span.children {
+            walk(child, depth + 1, out);
+        }
+    }
+    let mut out = Vec::new();
+    for span in spans {
+        walk(span, 0, &mut out);
+    }
+    out
+}
+
+#[test]
+fn static_pass_telemetry_is_thread_count_invariant() {
+    // Learning, sensitize, pooled elimination and pooled generation in
+    // one run: every counter total and the span tree (names, nesting,
+    // calls) match one thread, and so does the test file. Without
+    // sensitize, rule 1, rule 2 and the learned re-check all eliminate.
+    let dir = std::env::temp_dir();
+    let run = |passes: &[&str], threads: &str| {
+        let file = |ext: &str| {
+            dir.join(format!(
+                "pdf_knobs_static_{}_t{threads}_{}.{ext}",
+                passes.len(),
+                std::process::id()
+            ))
+        };
+        let (report, tests) = (file("json"), file("txt"));
+        let mut args = vec!["atpg", "b03+r", "--cap", "2000", "--np0", "200"];
+        args.extend(passes);
+        args.extend([
+            "--threads",
+            threads,
+            "--telemetry",
+            report.to_str().unwrap(),
+            "--output",
+            tests.to_str().unwrap(),
+        ]);
+        pdfatpg_stdout(&args);
+        let text = std::fs::read_to_string(&report).expect("report written");
+        let tests_text = std::fs::read(&tests).expect("test file written");
+        std::fs::remove_file(&report).ok();
+        std::fs::remove_file(&tests).ok();
+        let report = pdf_telemetry::RunReport::from_json(&text).expect("report parses");
+        (report.counters, span_shape(&report.spans), tests_text)
+    };
+    for passes in [
+        &["--static-learning", "--sensitize"][..],
+        &["--static-learning"][..],
+    ] {
+        let (counters, shape, tests) = run(passes, "1");
+        let counter = |name: &str| counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        let eliminated = counter(pdf_telemetry::counters::UNDETECTABLE_DROPPED);
+        assert!(eliminated > Some(0), "{passes:?}: {counters:?}");
+        if passes.len() == 1 {
+            let learned = counter(pdf_telemetry::counters::STATICALLY_ELIMINATED);
+            assert!(learned > Some(0), "{passes:?}: {counters:?}");
+        }
+        assert!(shape.iter().any(|(_, name, _)| name == "eliminate.learned"));
+        let (pooled_counters, pooled_shape, pooled_tests) = run(passes, "4");
+        assert_eq!(counters, pooled_counters, "{passes:?}: counter totals");
+        assert_eq!(shape, pooled_shape, "{passes:?}: span tree");
+        assert!(tests == pooled_tests, "{passes:?}: test files differ");
+    }
+}
+
 #[test]
 fn time_budget_flag_beats_a_valid_env_value() {
     // Env says 1us (instant exhaustion), the flag says 10 minutes: the

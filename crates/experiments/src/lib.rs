@@ -210,6 +210,7 @@ pub fn prepare(name: &str, workload: &Workload) -> Option<Prepared> {
         cap: workload.n_p,
         learning: workload.static_learning,
         sensitize: workload.sensitize,
+        threads: 1,
     }
     .run(&circuit);
     for line in prepared.notes().lines() {

@@ -1,10 +1,13 @@
 //! Fault lists: turning an enumerated path store into the target fault
 //! population `P`, with undetectable faults eliminated.
 
+use std::ops::Range;
+
 use pdf_netlist::Circuit;
 use pdf_paths::PathStore;
+use pdf_pool::Control;
 
-use crate::prefix::{walk_prefixes, FaultKey};
+use crate::prefix::{sort_keys, subtree_ranges, walk_sorted, FaultKey};
 use crate::{
     assignments as compute_assignments, Assignments, ConditionError, Implicator,
     LearnedImplications, PathDelayFault, Polarity, Sensitization,
@@ -130,7 +133,7 @@ impl FaultList {
     /// 1. `eliminate.rule1`, in store order: the filter and rule 1. Only
     ///    the surviving faults' keys are kept, not their `A(p)`.
     /// 2. `eliminate.rule2`: rule 2 over the path-prefix trie
-    ///    ([`walk_prefixes`]), one engine for the whole pass.
+    ///    ([`walk_prefixes`](crate::walk_prefixes)).
     /// 3. `eliminate.learned`: the learned-table re-check of the rule-2
     ///    survivors (another trie walk, when a table is supplied), then
     ///    emission in store order, recomputing `A(p)` only for kept
@@ -150,74 +153,124 @@ impl FaultList {
         learned: Option<&LearnedImplications>,
         filter: Option<&dyn Fn(usize, Polarity) -> bool>,
     ) -> (FaultList, FaultListStats) {
+        FaultList::build_threaded(circuit, store, kind, learned, filter, 1)
+    }
+
+    /// [`FaultList::build_with_filter`] with each pass run as one
+    /// in-order round of jobs on up to `threads` workers: store ranges
+    /// for rule 1 and emission, whole top-level subtrees of the prefix
+    /// trie for rule 2 and the learned re-check, each subtree job on its
+    /// own engine. Results are merged in job order, so the list, its
+    /// counters and the telemetry are identical at every thread count.
+    /// A pass starts no more workers than it has jobs (at most 64, of
+    /// at least 64 paths or faults each); at `threads <= 1` it is one
+    /// job run inline. The filter is evaluated on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// See [`FaultList::build`].
+    #[must_use]
+    pub fn build_threaded(
+        circuit: &Circuit,
+        store: &PathStore,
+        kind: Sensitization,
+        learned: Option<&LearnedImplications>,
+        filter: Option<&dyn Fn(usize, Polarity) -> bool>,
+        threads: usize,
+    ) -> (FaultList, FaultListStats) {
         let _phase = pdf_telemetry::Span::enter("eliminate");
-        let mut stats = FaultListStats::default();
+        let mut stats = FaultListStats {
+            candidates: 2 * store.len(),
+            ..FaultListStats::default()
+        };
         // `alive[key.slot()]`: the fault has survived every rule so far.
         let mut alive = vec![false; 2 * store.len()];
         let mut keys = Vec::new();
         {
             let _span = pdf_telemetry::Span::enter("eliminate.rule1");
-            for (index, stored) in store.iter().enumerate() {
-                for polarity in Polarity::BOTH {
-                    stats.candidates += 1;
-                    if filter.is_some_and(|drop| drop(index, polarity)) {
-                        stats.sensitize_eliminated += 1;
-                        continue;
-                    }
-                    let fault = PathDelayFault::new(stored.path.clone(), polarity);
-                    match compute_assignments(circuit, &fault, kind) {
-                        Ok(_) => {
-                            let key = FaultKey { index, polarity };
-                            alive[key.slot()] = true;
-                            keys.push(key);
+            // `dropped[key.slot()]`, empty without a filter.
+            let dropped: Vec<bool> = filter.map_or_else(Vec::new, |drop| {
+                keys_of(0..store.len())
+                    .map(|key| drop(key.index, key.polarity))
+                    .collect()
+            });
+            stats.sensitize_eliminated = dropped.iter().filter(|&&d| d).count();
+            in_order(
+                threads,
+                store_ranges(store.len(), jobs_for(threads, store.len())),
+                |range| {
+                    let mut survivors = Vec::new();
+                    let mut conflicts = 0;
+                    for key in keys_of(range) {
+                        if dropped.get(key.slot()) == Some(&true) {
+                            continue;
                         }
-                        Err(ConditionError::Conflict { .. }) => stats.rule1_conflicts += 1,
-                        Err(e) => panic!("fault {fault}: {e}"),
+                        let fault = fault_of(store, key);
+                        match compute_assignments(circuit, &fault, kind) {
+                            Ok(_) => survivors.push(key),
+                            Err(ConditionError::Conflict { .. }) => conflicts += 1,
+                            Err(e) => panic!("fault {fault}: {e}"),
+                        }
                     }
-                }
-            }
+                    (survivors, conflicts)
+                },
+                |(survivors, conflicts)| {
+                    stats.rule1_conflicts += conflicts;
+                    for key in &survivors {
+                        alive[key.slot()] = true;
+                    }
+                    merge_part(&mut keys, survivors, 0);
+                },
+            );
         }
+        sort_keys(store, &mut keys);
         let mut prefix_refuted = {
             let _span = pdf_telemetry::Span::enter("eliminate.rule2");
-            let mut imp = Implicator::new(circuit);
-            walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
-                if closure.is_none() {
-                    alive[key.slot()] = false;
-                    stats.rule2_conflicts += 1;
-                }
-            })
+            let (refuted, by_prefix) =
+                refute(circuit, store, kind, None, &keys, &mut alive, threads);
+            stats.rule2_conflicts = refuted;
+            by_prefix
         };
         let _span = pdf_telemetry::Span::enter("eliminate.learned");
         if let Some(table) = learned {
             // Second chance with the learned closure table attached, on
             // the rule-2 survivors only (still in trie order).
             keys.retain(|key| alive[key.slot()]);
-            let mut imp = Implicator::new(circuit).with_learned(table);
-            prefix_refuted +=
-                walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
-                    if closure.is_none() {
-                        alive[key.slot()] = false;
-                        stats.statically_eliminated += 1;
-                    }
-                });
+            let (refuted, by_prefix) = refute(
+                circuit,
+                store,
+                kind,
+                Some(table),
+                &keys,
+                &mut alive,
+                threads,
+            );
+            stats.statically_eliminated = refuted;
+            prefix_refuted += by_prefix;
         }
         drop(keys);
-        let mut entries = Vec::with_capacity(alive.iter().filter(|&&a| a).count());
-        for (index, stored) in store.iter().enumerate() {
-            for polarity in Polarity::BOTH {
-                if !alive[FaultKey { index, polarity }.slot()] {
-                    continue;
+        let kept = alive.iter().filter(|&&a| a).count();
+        let mut entries = Vec::new();
+        in_order(
+            threads,
+            store_ranges(store.len(), jobs_for(threads, store.len())),
+            |range| {
+                let kept_in = || keys_of(range.clone()).filter(|key| alive[key.slot()]);
+                let mut part = Vec::with_capacity(kept_in().count());
+                for key in kept_in() {
+                    let fault = fault_of(store, key);
+                    let assignments = compute_assignments(circuit, &fault, kind)
+                        .expect("rule 1 already passed this fault");
+                    part.push(FaultEntry {
+                        fault,
+                        delay: store.entries()[key.index].delay,
+                        assignments,
+                    });
                 }
-                let fault = PathDelayFault::new(stored.path.clone(), polarity);
-                let assignments = compute_assignments(circuit, &fault, kind)
-                    .expect("rule 1 already passed this fault");
-                entries.push(FaultEntry {
-                    fault,
-                    delay: stored.delay,
-                    assignments,
-                });
-            }
-        }
+                part
+            },
+            |part| merge_part(&mut entries, part, kept),
+        );
         pdf_telemetry::count(
             pdf_telemetry::counters::UNDETECTABLE_DROPPED,
             (stats.rule1_conflicts
@@ -281,6 +334,121 @@ impl FromIterator<FaultEntry> for FaultList {
     }
 }
 
+/// The most jobs one elimination pass is split into; it bounds the
+/// workers a pass starts.
+const JOBS: usize = 64;
+
+/// The fewest paths or faults a job gets: a smaller job costs less than
+/// starting a worker for it.
+const MIN_JOB: usize = 64;
+
+/// How many jobs a pass over `units` paths or faults on `threads` workers
+/// is split into: one at a single thread, where the pass is the serial
+/// loop with no per-job engine or buffer, else up to [`JOBS`] of at
+/// least [`MIN_JOB`] units. Verdicts never depend on the split.
+fn jobs_for(threads: usize, units: usize) -> usize {
+    if threads <= 1 {
+        1
+    } else {
+        units.div_ceil(MIN_JOB).clamp(1, JOBS)
+    }
+}
+
+/// Runs `jobs` as one round on at most `threads` workers, never more
+/// than there are jobs and none for `threads <= 1`, and hands each
+/// result to `merge` on this thread in job order.
+fn in_order<T: Send, R: Send>(
+    threads: usize,
+    jobs: Vec<T>,
+    work: impl Fn(T) -> R + Sync,
+    mut merge: impl FnMut(R),
+) {
+    pdf_pool::with_pool(threads.min(jobs.len()), work, |pool| {
+        pool.run_round(jobs, |_, result| {
+            merge(result);
+            Control::Continue
+        })
+    });
+}
+
+/// Appends a job's `part` to `list`. The first part with any capacity
+/// becomes the list, with room for `total` items in all, so the single
+/// part of a one-job pass is never copied.
+fn merge_part<T>(list: &mut Vec<T>, mut part: Vec<T>, total: usize) {
+    if list.capacity() == 0 {
+        part.reserve_exact(total.saturating_sub(part.len()));
+        *list = part;
+    } else {
+        list.append(&mut part);
+    }
+}
+
+/// `0..len` in at most `jobs` contiguous ranges.
+fn store_ranges(len: usize, jobs: usize) -> Vec<Range<usize>> {
+    let step = len.div_ceil(jobs.max(1)).max(1);
+    (0..len)
+        .step_by(step)
+        .map(|start| start..len.min(start + step))
+        .collect()
+}
+
+/// The faults of the paths at store indices `range`, in store order.
+fn keys_of(range: Range<usize>) -> impl Iterator<Item = FaultKey> {
+    range.flat_map(|index| Polarity::BOTH.map(|polarity| FaultKey { index, polarity }))
+}
+
+fn fault_of(store: &PathStore, key: FaultKey) -> PathDelayFault {
+    PathDelayFault::new(store.entries()[key.index].path.clone(), key.polarity)
+}
+
+/// Rule 2 (or, with `table`, the learned re-check) for the trie-sorted
+/// `keys`: one job per range of [`subtree_ranges`], each walking on a
+/// fresh engine. Clears `alive` for every refuted key and returns how
+/// many were refuted, and how many of those by a prefix conflict.
+fn refute(
+    circuit: &Circuit,
+    store: &PathStore,
+    kind: Sensitization,
+    table: Option<&LearnedImplications>,
+    keys: &[FaultKey],
+    alive: &mut [bool],
+    threads: usize,
+) -> (usize, usize) {
+    let (mut refuted, mut by_prefix) = (0, 0);
+    in_order(
+        threads,
+        subtree_ranges(store, keys, jobs_for(threads, keys.len())),
+        |range| {
+            let mut imp = Implicator::new(circuit);
+            if let Some(table) = table {
+                imp = imp.with_learned(table);
+            }
+            let mut conflicts = Vec::new();
+            let n = walk_sorted(
+                &mut imp,
+                circuit,
+                store,
+                kind,
+                &keys[range],
+                |key, closure| {
+                    if closure.is_none() {
+                        conflicts.push(key);
+                    }
+                },
+            );
+            (conflicts, n)
+        },
+        |(conflicts, n)| {
+            refuted += conflicts.len();
+            by_prefix += n;
+            for key in conflicts {
+                alive[key.slot()] = false;
+            }
+        },
+    );
+    (refuted, by_prefix)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,6 +509,40 @@ mod tests {
         let (robust, _) = FaultList::build_with(&c, &paths.store, Sensitization::Robust);
         let (nonrobust, _) = FaultList::build_with(&c, &paths.store, Sensitization::NonRobust);
         assert!(nonrobust.len() >= robust.len());
+    }
+
+    #[test]
+    fn jobs_cover_every_key_and_split_only_between_subtrees() {
+        let c = pdf_netlist::circuit_by_name("b09").expect("stand-in");
+        let store = PathEnumerator::new(&c).with_cap(2_000).enumerate().store;
+        assert_eq!(jobs_for(1, 1_000_000), 1);
+        assert_eq!(jobs_for(8, MIN_JOB), 1);
+        assert_eq!(jobs_for(8, MIN_JOB + 1), 2);
+        assert_eq!(jobs_for(20_000, 1_000_000), JOBS);
+        for len in [0, 1, JOBS - 1, JOBS, JOBS + 1, store.len()] {
+            for jobs in [1, JOBS] {
+                let ranges = store_ranges(len, jobs);
+                assert!(ranges.len() <= jobs, "{len} {jobs}");
+                assert!(ranges.into_iter().flatten().eq(0..len), "{len} {jobs}");
+            }
+        }
+        let mut keys: Vec<FaultKey> = keys_of(0..store.len()).collect();
+        sort_keys(&store, &mut keys);
+        let root = |key: &FaultKey| (key.polarity, store.entries()[key.index].path.lines()[0]);
+        for jobs in [1, 4, JOBS, 100_000] {
+            let ranges = subtree_ranges(&store, &keys, jobs);
+            assert!(ranges.len() <= jobs, "{jobs}");
+            let mut next = 0;
+            for range in ranges {
+                assert_eq!(range.start, next, "{jobs}");
+                assert!(range.end > range.start, "{jobs}");
+                if range.end < keys.len() {
+                    assert_ne!(root(&keys[range.end - 1]), root(&keys[range.end]));
+                }
+                next = range.end;
+            }
+            assert_eq!(next, keys.len(), "{jobs}");
+        }
     }
 
     #[test]

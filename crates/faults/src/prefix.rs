@@ -7,6 +7,8 @@
 //! visits a set of faults depth-first over the trie of their paths on one
 //! [`Implicator`], asserting each trie node's increment of `A(p)` once.
 
+use std::ops::Range;
+
 use pdf_logic::Triple;
 use pdf_netlist::{Circuit, LineId};
 use pdf_paths::PathStore;
@@ -55,13 +57,62 @@ pub fn walk_prefixes<'c>(
     store: &PathStore,
     kind: Sensitization,
     keys: &mut [FaultKey],
-    mut visit: impl FnMut(FaultKey, Option<&mut Implicator<'c>>),
+    visit: impl FnMut(FaultKey, Option<&mut Implicator<'c>>),
 ) -> usize {
+    sort_keys(store, keys);
+    walk_sorted(imp, circuit, store, kind, keys, visit)
+}
+
+/// Sorts `keys` into trie order: by `(polarity, path lines)`, ties (the
+/// same path listed twice) by store index.
+pub(crate) fn sort_keys(store: &PathStore, keys: &mut [FaultKey]) {
     let paths = store.entries();
     let lines_of = |key: &FaultKey| paths[key.index].path.lines();
     keys.sort_unstable_by(|a, b| {
         (a.polarity, lines_of(a), a.index).cmp(&(b.polarity, lines_of(b), b.index))
     });
+}
+
+/// Splits trie-sorted `keys` into at most `jobs` contiguous ranges
+/// that [`walk_sorted`] can walk independently, each on its own engine.
+///
+/// A range only ever ends where `(polarity, first path line)` changes.
+/// There the shared prefix of neighbouring keys is empty, so a walk over
+/// the whole slice rewinds to its entry mark at exactly that point, and
+/// neither a verdict nor a prefix refutation can depend on the split.
+/// Whole top-level subtrees are packed into ranges of at least
+/// `keys.len() / jobs` keys.
+pub(crate) fn subtree_ranges(
+    store: &PathStore,
+    keys: &[FaultKey],
+    jobs: usize,
+) -> Vec<Range<usize>> {
+    let paths = store.entries();
+    let root = |key: &FaultKey| (key.polarity, paths[key.index].path.lines().first());
+    let target = keys.len().div_ceil(jobs.max(1));
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for end in 1..=keys.len() {
+        if end == keys.len() || (end - start >= target && root(&keys[end - 1]) != root(&keys[end]))
+        {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges
+}
+
+/// [`walk_prefixes`] over keys already in trie order ([`sort_keys`]).
+pub(crate) fn walk_sorted<'c>(
+    imp: &mut Implicator<'c>,
+    circuit: &Circuit,
+    store: &PathStore,
+    kind: Sensitization,
+    keys: &[FaultKey],
+    mut visit: impl FnMut(FaultKey, Option<&mut Implicator<'c>>),
+) -> usize {
+    let paths = store.entries();
+    let lines_of = |key: &FaultKey| paths[key.index].path.lines();
     let entry = imp.mark();
     // `marks[d]`: the trail before depth `d`'s increment; `leaving[d]`:
     // the transition leaving the path line at depth `d`.

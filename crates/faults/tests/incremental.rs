@@ -6,11 +6,13 @@
 //!   redundancy gadgets, with and without a learned table.
 //! * `undo_to` after a conflict or after a panic caught mid-assert
 //!   restores the marked state exactly, and the engine stays usable.
-//! * [`FaultList::build_with_filter`] (three passes, rule 2 over the
-//!   path-prefix trie) equals the per-fault from-scratch loop it replaced,
-//!   entry for entry and counter for counter.
+//! * [`FaultList::build_threaded`] (three passes, rule 2 over the
+//!   path-prefix trie, on 1, 2, 4 and 8 threads) equals the per-fault
+//!   from-scratch loop it replaced, entry for entry and counter for
+//!   counter.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 use pdf_analyze::{classify_store, learn_implications};
 use pdf_faults::{
@@ -306,6 +308,37 @@ fn oracle(
     (entries, stats)
 }
 
+/// Telemetry is process-global: builds that read a counter total
+/// serialize here, and only they build fault lists, so no other test of
+/// this binary adds to `rule2_prefix_refuted` meanwhile.
+static RECORDING: Mutex<()> = Mutex::new(());
+
+/// [`FaultList::build_threaded`] with its `rule2_prefix_refuted` total.
+fn build_recorded(
+    circuit: &Circuit,
+    store: &PathStore,
+    learned: Option<&LearnedImplications>,
+    filter: Option<&dyn Fn(usize, Polarity) -> bool>,
+    threads: usize,
+) -> (FaultList, FaultListStats, Option<u64>) {
+    let _guard = RECORDING.lock().unwrap_or_else(PoisonError::into_inner);
+    let _ = pdf_telemetry::begin_recording();
+    let (list, stats) = FaultList::build_threaded(
+        circuit,
+        store,
+        Sensitization::Robust,
+        learned,
+        filter,
+        threads,
+    );
+    let refuted = pdf_telemetry::report().counter(pdf_telemetry::counters::RULE2_PREFIX_REFUTED);
+    pdf_telemetry::disable();
+    pdf_telemetry::reset();
+    (list, stats, refuted)
+}
+
+/// Every case at 1, 2, 4 and 8 threads matches the oracle, and the
+/// counters and `rule2_prefix_refuted` total match across thread counts.
 fn assert_matches_oracle(name: &str, cap: usize) {
     let circuit = circuit_by_name(name).expect("known circuit");
     let store = PathEnumerator::new(&circuit)
@@ -320,25 +353,25 @@ fn assert_matches_oracle(name: &str, cap: usize) {
         [None, Some(&sensitize), Some(&every_fifth)];
     for learned in [None, Some(&table)] {
         for filter in filters {
-            let (list, stats) = FaultList::build_with_filter(
-                &circuit,
-                &store,
-                Sensitization::Robust,
-                learned,
-                filter,
-            );
             let (entries, expected) = oracle(&circuit, &store, learned, filter);
-            let case = format!(
-                "{name} learned={} filter={}",
-                learned.is_some(),
-                filter.is_some()
-            );
-            assert_eq!(stats, expected, "{case}");
-            assert_eq!(list.len(), entries.len(), "{case}");
-            for (got, want) in list.iter().zip(&entries) {
-                assert_eq!(got.fault, want.fault, "{case}");
-                assert_eq!(got.delay, want.delay, "{case}");
-                assert_eq!(got.assignments, want.assignments, "{case}");
+            let mut serial = None;
+            for threads in [1, 2, 4, 8] {
+                let (list, stats, refuted) =
+                    build_recorded(&circuit, &store, learned, filter, threads);
+                let case = format!(
+                    "{name} learned={} filter={} threads={threads}",
+                    learned.is_some(),
+                    filter.is_some()
+                );
+                assert_eq!(stats, expected, "{case}");
+                assert_eq!(list.len(), entries.len(), "{case}");
+                for (got, want) in list.iter().zip(&entries) {
+                    assert_eq!(got.fault, want.fault, "{case}");
+                    assert_eq!(got.delay, want.delay, "{case}");
+                    assert_eq!(got.assignments, want.assignments, "{case}");
+                }
+                let counters = *serial.get_or_insert((stats, refuted));
+                assert_eq!((stats, refuted), counters, "{case}");
             }
         }
     }

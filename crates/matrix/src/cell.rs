@@ -467,6 +467,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
         cap: cell.n_p,
         learning: cell.learning,
         sensitize: cell.sensitize,
+        threads: cell.threads,
     }
     .run(circuit);
     // Soundness audit, in-cell: every fault the filter eliminated beyond
