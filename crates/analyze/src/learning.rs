@@ -43,14 +43,15 @@ use pdf_faults::{Implicator, LearnedImplications, Literal};
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind};
 
-/// Default cap on depth-1 case splits tried per asserted literal.
+/// The cap on depth-1 case splits tried per asserted literal.
 ///
-/// Learning cost is `4 · lines · (1 + cap)` propagations; the default
-/// keeps the pass under a few seconds on the largest stand-ins while
-/// still reaching the frontier lines that guard reconvergent redundancy.
-pub const DEFAULT_SPLIT_CAP: usize = 24;
+/// Learning cost is `4 · lines · (1 + cap)` propagations; this cap keeps
+/// the pass under a few seconds on the largest stand-ins while still
+/// reaching the frontier lines that guard reconvergent redundancy.
+const SPLIT_CAP: usize = 24;
 
-/// Runs the one-off static learning pass with [`DEFAULT_SPLIT_CAP`].
+/// Runs the one-off static learning pass, with up to 24 case splits per
+/// literal.
 ///
 /// The learned count is reported on the `learned_implications` telemetry
 /// counter.
@@ -68,15 +69,14 @@ pub const DEFAULT_SPLIT_CAP: usize = 24;
 /// ```
 #[must_use]
 pub fn learn_implications(circuit: &Circuit) -> LearnedImplications {
-    learn_implications_with_cap(circuit, DEFAULT_SPLIT_CAP)
+    learn_implications_with_cap(circuit, SPLIT_CAP)
 }
 
 /// Runs the learning pass with an explicit per-literal split cap.
 ///
 /// `split_cap = 0` disables round 2 and yields pure contrapositive
-/// learning.
-#[must_use]
-pub fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedImplications {
+/// learning; only the tests use any cap but [`SPLIT_CAP`].
+fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedImplications {
     let _span = pdf_telemetry::Span::enter("static_learning");
     let mut table = LearnedImplications::new(circuit.line_count());
     let mut imp = Implicator::new(circuit);

@@ -66,11 +66,11 @@ mod sensitize;
 mod testability;
 
 pub use diagnostic::{codes, Diagnostic, Severity};
-pub use learning::{learn_implications, learn_implications_with_cap, DEFAULT_SPLIT_CAP};
+pub use learning::learn_implications;
 pub use lint::{lint_circuit, lint_netlist, LintMode, LintReport};
 pub use prepare::{Preparation, Prepared};
 pub use sensitize::{
-    classify_store, classify_store_with, constant_lines, lint_semantic, ConstantLine,
-    SensitizeAnalysis, SensitizeStats, DEFAULT_SENSITIZE_SPLIT_CAP,
+    classify_store, classify_threaded, constant_lines, lint_semantic, ConstantLine,
+    SensitizeAnalysis, SensitizeStats,
 };
 pub use testability::Testability;

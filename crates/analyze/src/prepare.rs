@@ -6,10 +6,11 @@
 //! untestable by direct conflict (rule 1) or by implication (rule 2).
 //! Two optional static passes sharpen the elimination: static learning
 //! runs first (its table feeds both the classifier and rule 2), and the
-//! sensitizability classifier runs on the enumerated store and
-//! pre-eliminates the provably false paths through the fault list's
-//! filter hook. [`Preparation::run`] owns that order and that wiring; the
-//! `P0`/`P1` split stays with the callers, which depend on `pdf-atpg`.
+//! sensitizability classifier runs on the enumerated store. Its verdict,
+//! handed to the fault list as the filter, is the elimination: it covers
+//! rules 1 and 2 with the same table, so they do not run again.
+//! [`Preparation::run`] owns that order and that wiring; the `P0`/`P1`
+//! split stays with the callers, which depend on `pdf-atpg`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -18,10 +19,11 @@ use pdf_faults::{FaultList, FaultListStats, LearnedImplications, Polarity, Sensi
 use pdf_netlist::Circuit;
 use pdf_paths::{Enumeration, PathEnumerator};
 
-use crate::{classify_store, learn_implications, SensitizeAnalysis};
+use crate::{classify_threaded, learn_implications, SensitizeAnalysis};
 
 /// What to prepare: the enumeration cap `N_P` (in fault units), the two
-/// optional static passes, and the worker threads elimination may use.
+/// optional static passes, and the worker threads classification and
+/// elimination may use.
 #[derive(Clone, Copy, Debug)]
 pub struct Preparation {
     /// The enumeration cap `N_P`.
@@ -31,9 +33,9 @@ pub struct Preparation {
     pub learning: bool,
     /// Classify path sensitizability and pre-eliminate the false paths.
     pub sensitize: bool,
-    /// Worker threads for elimination ([`FaultList::build_threaded`]).
-    /// A throughput knob: the prepared population is identical at every
-    /// count.
+    /// Worker threads for classification ([`classify_threaded`]) and
+    /// elimination ([`FaultList::build_threaded`]). A throughput knob:
+    /// the prepared population is identical at every count.
     pub threads: usize,
 }
 
@@ -63,11 +65,12 @@ impl Preparation {
         let learned = self.learning.then(|| Arc::new(learn_implications(circuit)));
         let enumeration = PathEnumerator::new(circuit).with_cap(self.cap).enumerate();
         let analysis = self.sensitize.then(|| {
-            classify_store(
+            classify_threaded(
                 circuit,
                 &enumeration.store,
                 Sensitization::Robust,
                 learned.as_deref(),
+                self.threads,
             )
         });
         let is_false = |index: usize, polarity: Polarity| {
@@ -145,19 +148,34 @@ impl Prepared {
 mod tests {
     use super::*;
 
-    use pdf_paths::ClassCounts;
+    use std::collections::HashSet;
+
+    use pdf_faults::PathDelayFault;
+
+    use crate::{classify_store, SensitizeStats};
+
+    /// Everything two classifications are compared on: the counters and
+    /// the per-fault false bitmap (`[rise, fall]` per stored path).
+    type Classification = (SensitizeStats, Vec<[bool; 2]>);
 
     /// What two preparations are compared on: fault keys, elimination
-    /// counters, learned-table size and sensitize class counts.
+    /// counters, learned-table size and the classification.
     type Summary = (
         Vec<String>,
         FaultListStats,
         Option<usize>,
-        Option<ClassCounts>,
+        Option<Classification>,
     );
 
     fn keys(faults: &FaultList) -> Vec<String> {
         faults.iter().map(|e| e.fault.to_string()).collect()
+    }
+
+    fn classification(analysis: &SensitizeAnalysis, paths: usize) -> Classification {
+        let bitmap = (0..paths)
+            .map(|i| Polarity::BOTH.map(|p| analysis.is_false(i, p)))
+            .collect();
+        (analysis.stats, bitmap)
     }
 
     /// The sequence every front end wrote out by hand before the builder
@@ -192,7 +210,9 @@ mod tests {
             keys(&faults),
             stats,
             learned.as_ref().map(LearnedImplications::len),
-            analysis.as_ref().map(SensitizeAnalysis::class_counts),
+            analysis
+                .as_ref()
+                .map(|a| classification(a, enumeration.store.len())),
         )
     }
 
@@ -204,7 +224,7 @@ mod tests {
             prepared
                 .analysis
                 .as_ref()
-                .map(SensitizeAnalysis::class_counts),
+                .map(|a| classification(a, prepared.enumeration.store.len())),
         )
     }
 
@@ -219,10 +239,12 @@ mod tests {
     #[test]
     fn run_matches_the_hand_written_sequence() {
         let b03r = pdf_netlist::circuit_by_name("b03+r").expect("stand-in");
+        let runs = [(false, 1), (true, 1), (true, 2), (true, 4), (true, 8)];
         for circuit in [pdf_netlist::iscas::s27(), b03r, false_path()] {
             for learning in [false, true] {
                 let plain = reference(&circuit, 2_000, learning, false);
-                for (sensitize, threads) in [false, true].into_iter().zip([1, 4]) {
+                let classified = reference(&circuit, 2_000, learning, true);
+                for (sensitize, threads) in runs {
                     let label = format!("{} {learning} {sensitize} {threads}", circuit.name());
                     let prepared = Preparation {
                         cap: 2_000,
@@ -231,14 +253,27 @@ mod tests {
                         threads,
                     }
                     .run(&circuit);
-                    let expected = match sensitize {
-                        true => reference(&circuit, 2_000, learning, true),
-                        false => plain.clone(),
-                    };
-                    assert_eq!(summary(&prepared), expected, "{label}");
+                    let expected = if sensitize { &classified } else { &plain };
+                    assert_eq!(&summary(&prepared), expected, "{label}");
                     // The filter audit's reference is the plain population.
                     let unfiltered = prepared.unfiltered_faults(&circuit);
                     assert_eq!(keys(&unfiltered), plain.0, "{label}");
+                    // The filter is final: every fault the rules (and the
+                    // learned re-check) eliminate, the classifier marks
+                    // false under the same table.
+                    if let Some(analysis) = &prepared.analysis {
+                        let kept: HashSet<String> = plain.0.iter().cloned().collect();
+                        for (i, stored) in prepared.enumeration.store.iter().enumerate() {
+                            for polarity in Polarity::BOTH {
+                                let fault = PathDelayFault::new(stored.path.clone(), polarity);
+                                assert!(
+                                    kept.contains(&fault.to_string())
+                                        || analysis.is_false(i, polarity),
+                                    "{label}: {fault} is eliminated but not classified false"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

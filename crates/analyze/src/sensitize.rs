@@ -26,7 +26,7 @@
 //! masking) and the `pdfatpg analyze` report.
 
 use pdf_faults::{
-    assignments as fault_assignments, walk_prefixes, Assignments, ConditionError, FaultKey,
+    assignments as fault_assignments, rule1_survivors, walk_subtrees, Assignments, FaultKey,
     Implicator, LearnedImplications, PathDelayFault, Polarity, Sensitization,
 };
 use pdf_logic::{Triple, Value};
@@ -36,11 +36,11 @@ use pdf_paths::{ClassCounts, PathClass, PathStore};
 use crate::diagnostic::{codes, Diagnostic};
 use crate::lint::LintReport;
 
-/// Default cap on the number of cone inputs the depth-1 case split
-/// tries per fault. Splitting is the expensive part of classification;
-/// eight inputs keeps the pass linear in practice while catching the
-/// reconvergent conflicts plain implication misses.
-pub const DEFAULT_SENSITIZE_SPLIT_CAP: usize = 8;
+/// The number of cone inputs the depth-1 case split tries per fault.
+/// Splitting is the expensive part of classification; eight inputs keeps
+/// the pass linear in practice while catching the reconvergent conflicts
+/// plain implication misses.
+const SPLIT_CAP: usize = 8;
 
 /// Counters from one classification pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,14 +65,14 @@ pub struct SensitizeStats {
 pub struct SensitizeAnalysis {
     /// Per-path combined verdict, indexed like the store.
     path_class: Vec<PathClass>,
-    /// Per-path, per-polarity false proofs (`[rise, fall]`).
-    fault_false: Vec<[bool; 2]>,
+    /// Per-fault false proofs, indexed by [`FaultKey::slot`].
+    fault_false: Vec<bool>,
     /// Pass counters.
     pub stats: SensitizeStats,
 }
 
-/// Classifies every path of `store` under the default split cap. See
-/// [`classify_store_with`].
+/// Classifies every path of `store` on one thread: [`classify_threaded`]
+/// with `threads = 1`.
 #[must_use]
 pub fn classify_store(
     circuit: &Circuit,
@@ -80,68 +80,65 @@ pub fn classify_store(
     kind: Sensitization,
     learned: Option<&LearnedImplications>,
 ) -> SensitizeAnalysis {
-    classify_store_with(circuit, store, kind, learned, DEFAULT_SENSITIZE_SPLIT_CAP)
+    classify_threaded(circuit, store, kind, learned, 1)
 }
 
 /// Classifies every path of `store`: false / robust / unknown, per the
 /// module docs. `learned` sharpens the implication closure exactly as in
-/// fault-list elimination; `split_cap` bounds the depth-1 case split
-/// (0 disables splitting).
+/// fault-list elimination.
+///
+/// Runs on elimination's two pooled passes: [`rule1_survivors`], then
+/// [`walk_subtrees`] with the robust check and the depth-1 split as the
+/// visitor, on up to `threads` workers. The verdicts are the same at
+/// every thread count.
+///
+/// # Panics
+///
+/// See [`FaultList::build`](pdf_faults::FaultList::build).
 #[must_use]
-pub fn classify_store_with(
+pub fn classify_threaded(
     circuit: &Circuit,
     store: &PathStore,
     kind: Sensitization,
     learned: Option<&LearnedImplications>,
-    split_cap: usize,
+    threads: usize,
 ) -> SensitizeAnalysis {
     let _phase = pdf_telemetry::Span::enter("sensitize");
-    let mut stats = SensitizeStats::default();
-    let mut verdicts = vec![[FaultVerdict::Unknown; 2]; store.len()];
-    // Rule 1, in store order: its survivors go on to the implication
-    // checks, walked over the path-prefix trie on one engine.
-    let mut keys = Vec::new();
-    for (index, stored) in store.iter().enumerate() {
-        for polarity in Polarity::BOTH {
-            let fault = PathDelayFault::new(stored.path.clone(), polarity);
-            match fault_assignments(circuit, &fault, kind) {
-                Ok(_) => keys.push(FaultKey { index, polarity }),
-                // Rule 1: the requirements conflict with each other.
-                Err(ConditionError::Conflict { .. }) => {
-                    verdicts[index][polarity_slot(polarity)] = FaultVerdict::False;
-                }
-                // Parity gates / malformed paths are outside this analysis.
-                Err(_) => {}
-            }
-        }
+    // `verdicts[key.slot()]`: a fault rule 1 eliminates never reaches the
+    // walk, and stays false.
+    let mut verdicts = vec![FaultVerdict::False; 2 * store.len()];
+    let (keys, _) = rule1_survivors(circuit, store, kind, threads);
+    let (walked, _) = walk_subtrees(
+        circuit,
+        store,
+        kind,
+        learned,
+        &keys,
+        threads,
+        |key, closure| {
+            // No closure: rule 2 (+ learned closure) conflicts.
+            closure.map_or(FaultVerdict::False, |base| {
+                classify_closure(circuit, store, key, kind, base)
+            })
+        },
+    );
+    for (key, verdict) in keys.iter().zip(walked) {
+        verdicts[key.slot()] = verdict;
     }
-    let mut imp = Implicator::new(circuit);
-    if let Some(table) = learned {
-        imp = imp.with_learned(table);
-    }
-    walk_prefixes(&mut imp, circuit, store, kind, &mut keys, |key, closure| {
-        verdicts[key.index][polarity_slot(key.polarity)] = match closure {
-            // Rule 2 (+ learned closure): the implication fixpoint
-            // conflicts.
-            None => FaultVerdict::False,
-            Some(base) => classify_closure(circuit, store, key, kind, base, split_cap, &mut stats),
-        };
-    });
-    let mut path_class = Vec::with_capacity(store.len());
-    let mut fault_false = Vec::with_capacity(store.len());
-    for verdicts in verdicts {
-        let is_false = verdicts.map(|v| matches!(v, FaultVerdict::False));
-        stats.false_faults += is_false.iter().filter(|&&f| f).count();
-        let class = combine(verdicts);
-        match class {
-            PathClass::False => stats.false_paths += 1,
-            PathClass::Robust => stats.robust_paths += 1,
-            PathClass::Unknown => stats.unknown_paths += 1,
-        }
-        stats.paths += 1;
-        path_class.push(class);
-        fault_false.push(is_false);
-    }
+    let fault_false: Vec<bool> = verdicts.iter().map(|v| v.is_false()).collect();
+    let path_class: Vec<PathClass> = verdicts.chunks_exact(2).map(combine).collect();
+    let paths_in = |class| path_class.iter().filter(|&&c| c == class).count();
+    let stats = SensitizeStats {
+        paths: store.len(),
+        false_paths: paths_in(PathClass::False),
+        robust_paths: paths_in(PathClass::Robust),
+        unknown_paths: paths_in(PathClass::Unknown),
+        false_faults: fault_false.iter().filter(|&&f| f).count(),
+        split_refuted: verdicts
+            .iter()
+            .filter(|&&v| v == FaultVerdict::SplitFalse)
+            .count(),
+    };
     pdf_telemetry::count(
         pdf_telemetry::counters::PATHS_CLASSIFIED,
         stats.paths as u64,
@@ -150,14 +147,6 @@ pub fn classify_store_with(
         path_class,
         fault_false,
         stats,
-    }
-}
-
-/// Index of `polarity` in the per-path `[rise, fall]` pairs.
-fn polarity_slot(polarity: Polarity) -> usize {
-    match polarity {
-        Polarity::SlowToRise => 0,
-        Polarity::SlowToFall => 1,
     }
 }
 
@@ -174,9 +163,8 @@ impl SensitizeAnalysis {
     /// consumes.
     #[must_use]
     pub fn is_false(&self, index: usize, polarity: Polarity) -> bool {
-        self.fault_false
-            .get(index)
-            .is_some_and(|f| f[polarity_slot(polarity)])
+        let key = FaultKey { index, polarity };
+        self.fault_false.get(key.slot()) == Some(&true)
     }
 
     /// Writes the per-path verdicts into the store's classification tags.
@@ -200,15 +188,24 @@ impl SensitizeAnalysis {
 /// Per-fault verdict, before combining the two polarities of one path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FaultVerdict {
+    /// Refuted by rule 1 or by the implication closure.
     False,
+    /// Refuted only by the depth-1 case split.
+    SplitFalse,
     Robust,
     Unknown,
 }
 
+impl FaultVerdict {
+    fn is_false(self) -> bool {
+        matches!(self, FaultVerdict::False | FaultVerdict::SplitFalse)
+    }
+}
+
 /// Path verdict from the two fault verdicts: a path is false when *no*
 /// transition can propagate, robust when *some* polarity provably can.
-fn combine(verdicts: [FaultVerdict; 2]) -> PathClass {
-    if verdicts.iter().all(|v| matches!(v, FaultVerdict::False)) {
+fn combine(verdicts: &[FaultVerdict]) -> PathClass {
+    if verdicts.iter().all(|v| v.is_false()) {
         PathClass::False
     } else if verdicts.iter().any(|v| matches!(v, FaultVerdict::Robust)) {
         PathClass::Robust
@@ -225,8 +222,6 @@ fn classify_closure(
     key: FaultKey,
     kind: Sensitization,
     base: &mut Implicator<'_>,
-    split_cap: usize,
-    stats: &mut SensitizeStats,
 ) -> FaultVerdict {
     let fault = PathDelayFault::new(store.entries()[key.index].path.clone(), key.polarity);
     let a = fault_assignments(circuit, &fault, kind).expect("rule 1 already passed this fault");
@@ -237,9 +232,8 @@ fn classify_closure(
     }
     // Depth-1 case split: a cone input that conflicts under both
     // second-pattern values refutes every completion of A(p).
-    if split_refutes(circuit, base, &a, split_cap) {
-        stats.split_refuted += 1;
-        return FaultVerdict::False;
+    if split_refutes(circuit, base, &a) {
+        return FaultVerdict::SplitFalse;
     }
     FaultVerdict::Unknown
 }
@@ -253,27 +247,19 @@ fn input_realizable(circuit: &Circuit, line: LineId) -> bool {
     }
 }
 
-/// Tries the depth-1 case split: over up to `cap` primary inputs of the
-/// assignment set's fanin cone (in line-id order, skipping inputs whose
-/// second-pattern value the base fixpoint already decided), assert 0 and
-/// then 1 under the second pattern. If both assertions conflict for some
-/// input, no test satisfies `A(p)`.
-fn split_refutes(
-    circuit: &Circuit,
-    base: &mut Implicator<'_>,
-    a: &Assignments,
-    cap: usize,
-) -> bool {
-    if cap == 0 {
-        return false;
-    }
+/// Tries the depth-1 case split: over up to [`SPLIT_CAP`] primary inputs
+/// of the assignment set's fanin cone (in line-id order, skipping inputs
+/// whose second-pattern value the base fixpoint already decided), assert
+/// 0 and then 1 under the second pattern. If both assertions conflict for
+/// some input, no test satisfies `A(p)`.
+fn split_refutes(circuit: &Circuit, base: &mut Implicator<'_>, a: &Assignments) -> bool {
     let cone = circuit.fanin_cone(a.lines());
     let mut tried = 0usize;
     for &pi in circuit.inputs().iter().filter(|pi| cone[pi.index()]) {
         if base.value(pi).last().is_specified() {
             continue;
         }
-        if tried >= cap {
+        if tried >= SPLIT_CAP {
             break;
         }
         tried += 1;

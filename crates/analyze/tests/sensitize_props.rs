@@ -9,7 +9,10 @@
 //! * every path the pass classifies *robust* has a fault some exhaustive
 //!   test detects — the positive verdict is never vacuous;
 //! * filtering is contractive: the filtered fault list is a subset of
-//!   the unfiltered one, and the bookkeeping reconciles exactly.
+//!   the unfiltered one, and the bookkeeping reconciles exactly;
+//! * the filter is final: every fault the unfiltered build eliminates
+//!   (rule 1 or rule 2) is classified false, so a filtered build need not
+//!   run the rules again.
 
 use std::collections::HashSet;
 
@@ -114,6 +117,15 @@ proptest! {
             );
             prop_assert_eq!(off_stats.candidates, on_stats.candidates);
             let off_keys: HashSet<String> = off.iter().map(|e| format!("{}", e.fault)).collect();
+            for (i, stored) in store.iter().enumerate() {
+                for polarity in Polarity::BOTH {
+                    let fault = PathDelayFault::new(stored.path.clone(), polarity);
+                    prop_assert!(
+                        off_keys.contains(&format!("{fault}")) || analysis.is_false(i, polarity),
+                        "eliminated fault {fault} is not classified false"
+                    );
+                }
+            }
             for entry in on.iter() {
                 prop_assert!(
                     off_keys.contains(&format!("{}", entry.fault)),

@@ -118,33 +118,32 @@ impl FaultList {
         FaultList::build_with_filter(circuit, store, kind, learned, None)
     }
 
-    /// Builds the fault list with an up-front sensitizability pre-filter:
+    /// Builds the fault list with an up-front sensitizability filter:
     /// `filter(index, polarity)` returning `true` drops the fault of the
-    /// path at store `index` with that polarity before any per-fault rule
-    /// runs, counted in [`FaultListStats::sensitize_eliminated`].
+    /// path at store `index` with that polarity, counted in
+    /// [`FaultListStats::sensitize_eliminated`].
     ///
-    /// The filter must only drop faults that are provably undetectable
-    /// (the static sensitizability analysis's *false* verdicts) — the
-    /// soundness audit in `pdf-analyze` re-proves every drop by exact
-    /// search.
+    /// **The filter is final.** It must be the sensitizability
+    /// classifier's verdict (`pdf_analyze::classify_store`) for the same
+    /// `kind` and learned table, which already decides rule 1 and, with
+    /// the table, rule 2. Implication is monotone, so the rules and the
+    /// learned re-check could refute none of the faults it keeps: with a
+    /// filter they do not run, and `learned` is unused. Every drop must be
+    /// provably undetectable; the soundness audit in `pdf-analyze`
+    /// re-proves each by exact search.
     ///
-    /// Runs in three passes, each under its own span:
-    ///
-    /// 1. `eliminate.rule1`, in store order: the filter and rule 1. Only
-    ///    the surviving faults' keys are kept, not their `A(p)`.
-    /// 2. `eliminate.rule2`: rule 2 over the path-prefix trie
-    ///    ([`walk_prefixes`](crate::walk_prefixes)).
-    /// 3. `eliminate.learned`: the learned-table re-check of the rule-2
-    ///    survivors (another trie walk, when a table is supplied), then
-    ///    emission in store order, recomputing `A(p)` only for kept
-    ///    faults.
-    ///
-    /// Faults refuted by a prefix conflict are counted on the
-    /// `rule2_prefix_refuted` telemetry counter.
+    /// Spans under `eliminate`: `eliminate.rule1` ([`rule1_survivors`],
+    /// or the filter); `eliminate.rule2`, the trie walk of
+    /// [`walk_subtrees`] (none with a filter); `eliminate.learned`, the
+    /// learned re-check of the rule-2 survivors, then emission in store
+    /// order, computing `A(p)` only for kept faults. Faults refuted by a
+    /// prefix conflict are counted on the `rule2_prefix_refuted`
+    /// telemetry counter.
     ///
     /// # Panics
     ///
-    /// See [`FaultList::build`].
+    /// See [`FaultList::build`]; also when the filter keeps a fault that
+    /// fails rule 1, which breaks the filter contract.
     #[must_use]
     pub fn build_with_filter(
         circuit: &Circuit,
@@ -164,11 +163,12 @@ impl FaultList {
     /// counters and the telemetry are identical at every thread count.
     /// A pass starts no more workers than it has jobs (at most 64, of
     /// at least 64 paths or faults each); at `threads <= 1` it is one
-    /// job run inline. The filter is evaluated on the calling thread.
+    /// job run inline. The filter, under the same contract, is evaluated
+    /// on the calling thread.
     ///
     /// # Panics
     ///
-    /// See [`FaultList::build`].
+    /// See [`FaultList::build_with_filter`].
     #[must_use]
     pub fn build_threaded(
         circuit: &Circuit,
@@ -185,70 +185,50 @@ impl FaultList {
         };
         // `alive[key.slot()]`: the fault has survived every rule so far.
         let mut alive = vec![false; 2 * store.len()];
-        let mut keys = Vec::new();
-        {
+        // The rule-1 survivors in trie order, when the rules run.
+        let mut survivors = {
             let _span = pdf_telemetry::Span::enter("eliminate.rule1");
-            // `dropped[key.slot()]`, empty without a filter.
-            let dropped: Vec<bool> = filter.map_or_else(Vec::new, |drop| {
-                keys_of(0..store.len())
-                    .map(|key| drop(key.index, key.polarity))
-                    .collect()
-            });
-            stats.sensitize_eliminated = dropped.iter().filter(|&&d| d).count();
-            in_order(
-                threads,
-                store_ranges(store.len(), jobs_for(threads, store.len())),
-                |range| {
-                    let mut survivors = Vec::new();
-                    let mut conflicts = 0;
-                    for key in keys_of(range) {
-                        if dropped.get(key.slot()) == Some(&true) {
-                            continue;
-                        }
-                        let fault = fault_of(store, key);
-                        match compute_assignments(circuit, &fault, kind) {
-                            Ok(_) => survivors.push(key),
-                            Err(ConditionError::Conflict { .. }) => conflicts += 1,
-                            Err(e) => panic!("fault {fault}: {e}"),
-                        }
-                    }
-                    (survivors, conflicts)
-                },
-                |(survivors, conflicts)| {
-                    stats.rule1_conflicts += conflicts;
-                    for key in &survivors {
-                        alive[key.slot()] = true;
-                    }
-                    merge_part(&mut keys, survivors, 0);
-                },
-            );
-        }
-        sort_keys(store, &mut keys);
-        let mut prefix_refuted = {
-            let _span = pdf_telemetry::Span::enter("eliminate.rule2");
-            let (refuted, by_prefix) =
-                refute(circuit, store, kind, None, &keys, &mut alive, threads);
-            stats.rule2_conflicts = refuted;
-            by_prefix
+            if let Some(drop) = filter {
+                for key in keys_of(0..store.len()) {
+                    alive[key.slot()] = !drop(key.index, key.polarity);
+                }
+                stats.sensitize_eliminated = alive.iter().filter(|&&a| !a).count();
+                None
+            } else {
+                let (keys, conflicts) = rule1_survivors(circuit, store, kind, threads);
+                stats.rule1_conflicts = conflicts;
+                keys.iter().for_each(|key| alive[key.slot()] = true);
+                Some(keys)
+            }
         };
+        let mut prefix_refuted = 0;
+        // Rule 2, or with a table the learned re-check: clears `alive`
+        // for each refuted key and returns how many it refuted.
+        let mut refute = |table, keys: &[FaultKey], alive: &mut [bool]| {
+            let (conflicts, by_prefix) =
+                walk_subtrees(circuit, store, kind, table, keys, threads, |_, c| {
+                    c.is_none()
+                });
+            prefix_refuted += by_prefix;
+            let mut refuted = 0;
+            for (key, _) in keys.iter().zip(conflicts).filter(|&(_, c)| c) {
+                alive[key.slot()] = false;
+                refuted += 1;
+            }
+            refuted
+        };
+        if let Some(keys) = &survivors {
+            let _span = pdf_telemetry::Span::enter("eliminate.rule2");
+            stats.rule2_conflicts = refute(None, keys, &mut alive);
+        }
         let _span = pdf_telemetry::Span::enter("eliminate.learned");
-        if let Some(table) = learned {
+        if let (Some(keys), Some(table)) = (&mut survivors, learned) {
             // Second chance with the learned closure table attached, on
             // the rule-2 survivors only (still in trie order).
             keys.retain(|key| alive[key.slot()]);
-            let (refuted, by_prefix) = refute(
-                circuit,
-                store,
-                kind,
-                Some(table),
-                &keys,
-                &mut alive,
-                threads,
-            );
-            stats.statically_eliminated = refuted;
-            prefix_refuted += by_prefix;
+            stats.statically_eliminated = refute(Some(table), keys, &mut alive);
         }
-        drop(keys);
+        drop(survivors);
         let kept = alive.iter().filter(|&&a| a).count();
         let mut entries = Vec::new();
         in_order(
@@ -259,8 +239,9 @@ impl FaultList {
                 let mut part = Vec::with_capacity(kept_in().count());
                 for key in kept_in() {
                     let fault = fault_of(store, key);
+                    // Without a filter, rule 1 already passed this fault.
                     let assignments = compute_assignments(circuit, &fault, kind)
-                        .expect("rule 1 already passed this fault");
+                        .unwrap_or_else(|e| panic!("fault {fault}: {e}; {FILTER_CONTRACT}"));
                     part.push(FaultEntry {
                         fault,
                         delay: store.entries()[key.index].delay,
@@ -334,6 +315,103 @@ impl FromIterator<FaultEntry> for FaultList {
     }
 }
 
+/// Rule 1 over every fault of `store`, as one in-order round of store
+/// ranges on up to `threads` workers: the keys of the faults whose `A(p)`
+/// is not self-contradictory, in prefix-trie order for [`walk_subtrees`],
+/// and how many faults it eliminated. The same at every thread count.
+///
+/// # Panics
+///
+/// See [`FaultList::build`].
+#[must_use]
+pub fn rule1_survivors(
+    circuit: &Circuit,
+    store: &PathStore,
+    kind: Sensitization,
+    threads: usize,
+) -> (Vec<FaultKey>, usize) {
+    let (mut keys, mut conflicts) = (Vec::new(), 0);
+    in_order(
+        threads,
+        store_ranges(store.len(), jobs_for(threads, store.len())),
+        |range| {
+            let mut survivors = Vec::new();
+            let mut conflicts = 0;
+            for key in keys_of(range) {
+                let fault = fault_of(store, key);
+                match compute_assignments(circuit, &fault, kind) {
+                    Ok(_) => survivors.push(key),
+                    Err(ConditionError::Conflict { .. }) => conflicts += 1,
+                    Err(e) => panic!("fault {fault}: {e}"),
+                }
+            }
+            (survivors, conflicts)
+        },
+        |(survivors, n)| {
+            conflicts += n;
+            merge_part(&mut keys, survivors, 0);
+        },
+    );
+    sort_keys(store, &mut keys);
+    (keys, conflicts)
+}
+
+/// Rule 2 over the path-prefix trie for `keys`, which must be rule-1
+/// survivors in trie order ([`rule1_survivors`]): `visit(key, closure)`
+/// runs once per key, with `None` when the implications of `A(p)`
+/// conflict and otherwise the engine at the closure of `A(p)`, which a
+/// visitor that changes it must [`undo_to`](Implicator::undo_to) its own
+/// mark. Returns the visitor's results in key order, and the number of
+/// keys refuted by a prefix conflict found while walking an earlier key.
+///
+/// One in-order round on up to `threads` workers, each job a run of
+/// whole top-level subtrees on a fresh [`Implicator`] with `learned`
+/// attached. Jobs split only where a single walk rewinds to its entry
+/// mark anyway, so no result depends on `threads`.
+#[must_use]
+pub fn walk_subtrees<'c, R: Send>(
+    circuit: &'c Circuit,
+    store: &PathStore,
+    kind: Sensitization,
+    learned: Option<&'c LearnedImplications>,
+    keys: &[FaultKey],
+    threads: usize,
+    visit: impl Fn(FaultKey, Option<&mut Implicator<'c>>) -> R + Sync,
+) -> (Vec<R>, usize) {
+    let (mut results, mut prefix_refuted) = (Vec::new(), 0);
+    in_order(
+        threads,
+        subtree_ranges(store, keys, jobs_for(threads, keys.len())),
+        |range| {
+            let mut imp = Implicator::new(circuit);
+            if let Some(table) = learned {
+                imp = imp.with_learned(table);
+            }
+            let mut part = Vec::with_capacity(range.len());
+            let n = walk_sorted(
+                &mut imp,
+                circuit,
+                store,
+                kind,
+                &keys[range],
+                |key, closure| {
+                    part.push(visit(key, closure));
+                },
+            );
+            (part, n)
+        },
+        |(part, n)| {
+            prefix_refuted += n;
+            merge_part(&mut results, part, keys.len());
+        },
+    );
+    (results, prefix_refuted)
+}
+
+/// Why a filter may not keep a fault that fails rule 1.
+const FILTER_CONTRACT: &str = "the filter kept it, but a filter must be the sensitizability \
+                               verdict for the same kind and table, which drops it";
+
 /// The most jobs one elimination pass is split into; it bounds the
 /// workers a pass starts.
 const JOBS: usize = 64;
@@ -399,54 +477,6 @@ fn keys_of(range: Range<usize>) -> impl Iterator<Item = FaultKey> {
 
 fn fault_of(store: &PathStore, key: FaultKey) -> PathDelayFault {
     PathDelayFault::new(store.entries()[key.index].path.clone(), key.polarity)
-}
-
-/// Rule 2 (or, with `table`, the learned re-check) for the trie-sorted
-/// `keys`: one job per range of [`subtree_ranges`], each walking on a
-/// fresh engine. Clears `alive` for every refuted key and returns how
-/// many were refuted, and how many of those by a prefix conflict.
-fn refute(
-    circuit: &Circuit,
-    store: &PathStore,
-    kind: Sensitization,
-    table: Option<&LearnedImplications>,
-    keys: &[FaultKey],
-    alive: &mut [bool],
-    threads: usize,
-) -> (usize, usize) {
-    let (mut refuted, mut by_prefix) = (0, 0);
-    in_order(
-        threads,
-        subtree_ranges(store, keys, jobs_for(threads, keys.len())),
-        |range| {
-            let mut imp = Implicator::new(circuit);
-            if let Some(table) = table {
-                imp = imp.with_learned(table);
-            }
-            let mut conflicts = Vec::new();
-            let n = walk_sorted(
-                &mut imp,
-                circuit,
-                store,
-                kind,
-                &keys[range],
-                |key, closure| {
-                    if closure.is_none() {
-                        conflicts.push(key);
-                    }
-                },
-            );
-            (conflicts, n)
-        },
-        |(conflicts, n)| {
-            refuted += conflicts.len();
-            by_prefix += n;
-            for key in conflicts {
-                alive[key.slot()] = false;
-            }
-        },
-    );
-    (refuted, by_prefix)
 }
 
 #[cfg(test)]
@@ -543,6 +573,21 @@ mod tests {
             }
             assert_eq!(next, keys.len(), "{jobs}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a filter must be the sensitizability")]
+    fn a_filter_that_keeps_a_rule1_fault_breaks_the_contract() {
+        let c = s27();
+        let paths = PathEnumerator::new(&c).with_cap(10_000).enumerate();
+        let keep_all = |_: usize, _: Polarity| false;
+        let _ = FaultList::build_with_filter(
+            &c,
+            &paths.store,
+            Sensitization::Robust,
+            None,
+            Some(&keep_all),
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! For a fixed launch transition, the requirements of a path's prefix are
 //! a subset of the path's own: `A(prefix) ⊆ A(path)`. Paths that start the
 //! same way therefore share the implications of their common prefix, and a
-//! conflict on a prefix refutes every path extending it. [`walk_prefixes`]
+//! conflict on a prefix refutes every path extending it. [`walk_sorted`]
 //! visits a set of faults depth-first over the trie of their paths on one
-//! [`Implicator`], asserting each trie node's increment of `A(p)` once.
+//! [`Implicator`], asserting each trie node's increment of `A(p)` once;
+//! [`walk_subtrees`](crate::walk_subtrees) runs it on the pool.
 
 use std::ops::Range;
 
@@ -30,37 +31,10 @@ impl FaultKey {
     /// The position of this fault in store order (rise before fall of the
     /// same path): `2 · index + polarity`.
     #[inline]
-    pub(crate) fn slot(self) -> usize {
+    #[must_use]
+    pub fn slot(self) -> usize {
         2 * self.index + usize::from(self.polarity == Polarity::SlowToFall)
     }
-}
-
-/// Decides rule 2 for every fault in `keys` on `imp`, sharing the work of
-/// common path prefixes.
-///
-/// Sorts `keys` by `(polarity, path lines)` and walks them depth-first:
-/// each prefix's increment of `A(p)` is asserted and propagated once, with
-/// a trail mark per depth to rewind to. `visit(key, verdict)` is called
-/// once per key, in sorted order, with `None` when the implications of
-/// `A(p)` conflict, and otherwise with the engine holding the closure of
-/// `A(p)` (on top of whatever `imp` held on entry). A visitor that changes
-/// the engine must [`undo_to`](Implicator::undo_to) its own mark before it
-/// returns. On return, `imp` is back in its entry state.
-///
-/// Every key must have passed rule 1 (its `A(p)` is not self-
-/// contradictory); a conflict is then an implication conflict. Returns
-/// the number of keys refuted by a prefix conflict found while walking an
-/// earlier key, which cost no propagation of their own.
-pub fn walk_prefixes<'c>(
-    imp: &mut Implicator<'c>,
-    circuit: &Circuit,
-    store: &PathStore,
-    kind: Sensitization,
-    keys: &mut [FaultKey],
-    visit: impl FnMut(FaultKey, Option<&mut Implicator<'c>>),
-) -> usize {
-    sort_keys(store, keys);
-    walk_sorted(imp, circuit, store, kind, keys, visit)
 }
 
 /// Sorts `keys` into trie order: by `(polarity, path lines)`, ties (the
@@ -102,7 +76,12 @@ pub(crate) fn subtree_ranges(
     ranges
 }
 
-/// [`walk_prefixes`] over keys already in trie order ([`sort_keys`]).
+/// The serial walk behind [`walk_subtrees`](crate::walk_subtrees) over
+/// `keys` in trie order ([`sort_keys`]) on `imp`, calling `visit` as
+/// described there: each prefix's increment of `A(p)` is asserted and
+/// propagated once, with a trail mark per depth to rewind to. On return,
+/// `imp` is back in its entry state. Returns the number of keys refuted
+/// by a prefix conflict, which cost no propagation of their own.
 pub(crate) fn walk_sorted<'c>(
     imp: &mut Implicator<'c>,
     circuit: &Circuit,

@@ -374,9 +374,9 @@ knobs! {
     CIRCUITS: "PDF_CIRCUITS", None, Kind::Names, "all", [Experiments],
         "comma-separated circuit allow-list";
     THREADS: "PDF_THREADS", Some("threads"), Kind::Count, "1", [Pdfatpg],
-        "worker-thread count for fault elimination (faults, atpg) and atpg test \
-         generation; the fault list, test set, counters and checkpoints are \
-         byte-identical at every count";
+        "worker-thread count for sensitizability classification and fault elimination \
+         (faults, atpg) and atpg test generation; the fault list, test set, counters \
+         and checkpoints are byte-identical at every count";
     LINT: "PDF_LINT", None, Kind::Choice(&["deny", "warn", "off"]), "deny",
         [Pdfatpg, Experiments, Bench],
         "`deny`, `warn` or `off`: whether the automatic structural lint after circuit \

@@ -762,7 +762,7 @@ impl Checkpoint {
             expected: 0,
             found: 0,
         })?;
-        let version = get_num(&json, "version")? as u32;
+        let version = count(json.get("version"), "`version`")?;
         if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version { found: version });
         }
@@ -770,12 +770,7 @@ impl Checkpoint {
         let counters = match json.get("counters") {
             Some(Json::Obj(fields)) => fields
                 .iter()
-                .map(|(name, value)| {
-                    let v = value.as_num().ok_or_else(|| {
-                        CheckpointError::Schema(format!("counter `{name}` is not a number"))
-                    })?;
-                    Ok((name.clone(), v as u64))
-                })
+                .map(|(name, value)| Ok((name.clone(), count(Some(value), name)?)))
                 .collect::<Result<Vec<_>, CheckpointError>>()?,
             _ => return Err(CheckpointError::Schema("missing `counters` object".into())),
         };
@@ -785,19 +780,15 @@ impl Checkpoint {
         };
         let checkpoint = Checkpoint {
             version,
-            generation: get_num(&json, "generation")? as u64,
+            generation: count(json.get("generation"), "`generation`")?,
             circuit: get_str(&json, "circuit")?.to_owned(),
             seed: parse_hex(get_str(&json, "seed")?, "seed")?,
             fingerprint: get_str(&json, "fingerprint")?.to_owned(),
             set_sizes: get_arr(&json, "set_sizes")?
                 .iter()
-                .map(|v| {
-                    v.as_num().map(|n| n as usize).ok_or_else(|| {
-                        CheckpointError::Schema("`set_sizes` must hold numbers".into())
-                    })
-                })
+                .map(|v| count(Some(v), "a `set_sizes` entry"))
                 .collect::<Result<Vec<_>, _>>()?,
-            completed: get_num(&json, "completed")? as usize,
+            completed: count(json.get("completed"), "`completed`")?,
             rng_state: parse_hex(get_str(&json, "rng_state")?, "rng_state")?,
             detected: flags_from_text(get_str(&json, "detected")?, "detected")?,
             aborted: flags_from_text(get_str(&json, "aborted")?, "aborted")?,
@@ -974,10 +965,16 @@ fn flags_from_text(text: &str, field: &str) -> Result<Vec<bool>, CheckpointError
         .collect()
 }
 
-fn get_num(json: &Json, key: &str) -> Result<f64, CheckpointError> {
-    json.get(key)
+/// A count field: an exact non-negative integer that fits `T`, and no
+/// larger than 2^53, up to which a JSON number (`f64`) holds every
+/// integer. A fraction, a negative or a larger value, which a cast would
+/// round or saturate, is a schema error.
+fn count<T: TryFrom<u64>>(value: Option<&Json>, what: &str) -> Result<T, CheckpointError> {
+    value
         .and_then(Json::as_num)
-        .ok_or_else(|| CheckpointError::Schema(format!("missing numeric field `{key}`")))
+        .filter(|n| (0.0..=2f64.powi(53)).contains(n) && n.fract() == 0.0)
+        .and_then(|n| T::try_from(n as u64).ok())
+        .ok_or_else(|| CheckpointError::Schema(format!("{what} is not an integer in 0..=2^53")))
 }
 
 fn get_str<'j>(json: &'j Json, key: &str) -> Result<&'j str, CheckpointError> {
@@ -1235,13 +1232,56 @@ mod tests {
             Checkpoint::from_json("{\"version\": 99}"),
             Err(CheckpointError::Version { found: 99 })
         ));
-        let mangled = sample()
-            .to_json()
-            .replace("\"detected\": \"", "\"detected\": \"x");
-        assert!(matches!(
-            Checkpoint::from_json(&mangled),
-            Err(CheckpointError::Schema(_))
-        ));
+        // A schema error each: a non-0/1 flag, and count fields that are
+        // not exact non-negative integers up to 2^53.
+        let text = sample().to_json();
+        for (from, to) in [
+            ("\"detected\": \"", "\"detected\": \"x"),
+            ("\"completed\": 2", "\"completed\": 2.5"),
+            ("\"completed\": 2", "\"completed\": -1"),
+            ("\"generation\": 4", "\"generation\": 1e300"),
+            ("\"aborted_primaries\": 1", "\"aborted_primaries\": -0.5"),
+            ("\n    5,\n", "\n    5.25,\n"), // `set_sizes: [5, 3]`
+        ] {
+            let edited = text.replace(from, to);
+            assert_ne!(edited, text, "{to}");
+            assert!(
+                is_schema(&edited),
+                "{to}: {:?}",
+                Checkpoint::from_json(&edited)
+            );
+        }
+    }
+
+    fn is_schema(text: &str) -> bool {
+        matches!(Checkpoint::from_json(text), Err(CheckpointError::Schema(_)))
+    }
+
+    #[test]
+    fn a_fractional_version_is_a_schema_error() {
+        // The CRC covers the re-rendered struct, so a cast that truncated
+        // 3.9 to 3 used to load this file as a valid version 3.
+        let text = sample().to_json();
+        let edited = text.replace("\"version\": 3,", "\"version\": 3.9,");
+        assert_ne!(edited, text);
+        assert!(is_schema(&edited), "{:?}", Checkpoint::from_json(&edited));
+    }
+
+    #[test]
+    fn a_generation_past_2_pow_53_is_a_schema_error() {
+        // CRC-valid: the file is written by `to_json` itself. It used to
+        // load, and a resume then overflowed the next generation number.
+        let huge = Checkpoint {
+            generation: u64::MAX,
+            ..sample()
+        };
+        let text = huge.to_json();
+        assert!(is_schema(&text), "{:?}", Checkpoint::from_json(&text));
+        let edge = Checkpoint {
+            generation: 1 << 53,
+            ..sample()
+        };
+        assert_eq!(Checkpoint::from_json(&edge.to_json()).unwrap(), edge);
     }
 
     #[test]
