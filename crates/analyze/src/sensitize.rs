@@ -319,23 +319,23 @@ pub fn constant_lines(circuit: &Circuit) -> Vec<ConstantLine> {
 }
 
 /// Semantic lints over a circuit's value behaviour, complementing the
-/// structural passes of [`lint_circuit`](crate::lint_circuit). All
-/// findings are warnings — the circuit stays analyzable, but paths
-/// through the flagged structure waste generation budget:
+/// structural passes of [`lint_circuit`](crate::lint_circuit), given the
+/// circuit's [`constant_lines`]. All findings are warnings — the circuit
+/// stays analyzable, but paths through the flagged structure waste
+/// generation budget:
 ///
-/// * `PDL008` — statically constant line ([`constant_lines`]);
+/// * `PDL008` — statically constant line (one per entry of `constants`);
 /// * `PDL009` — never-sensitizable fanin edge: a sibling input is
 ///   constant at the gate's controlling value, so no transition on this
 ///   edge ever reaches the gate output;
 /// * `PDL010` — reconvergence masking: a gate joins two fanout branches
 ///   of one stem, so its side inputs can never be set independently.
 #[must_use]
-pub fn lint_semantic(circuit: &Circuit) -> LintReport {
+pub fn lint_semantic(circuit: &Circuit, constants: &[ConstantLine]) -> LintReport {
     let mut report = LintReport::new();
     let source = circuit.name().to_owned();
-    let constants = constant_lines(circuit);
     let mut constant_at = vec![None; circuit.line_count()];
-    for c in &constants {
+    for c in constants {
         constant_at[c.line.index()] = Some(c.value);
         let name = circuit.line(c.line).name().to_owned();
         report.push(Diagnostic::warning(
@@ -405,7 +405,6 @@ pub fn lint_semantic(circuit: &Circuit) -> LintReport {
                 break;
             }
         }
-        let _ = kind;
     }
     report
 }
@@ -449,7 +448,7 @@ mod tests {
     #[test]
     fn semantic_lints_fire_on_the_gadget() {
         let c = constant_gadget();
-        let report = lint_semantic(&c);
+        let report = lint_semantic(&c, &constant_lines(&c));
         assert!(!report.has_errors(), "semantic findings are warnings");
         let codes_found: Vec<&str> = report.iter().map(|d| d.code).collect();
         assert!(codes_found.contains(&codes::CONSTANT), "{codes_found:?}");
@@ -465,7 +464,7 @@ mod tests {
         let g = b.gate("g", GateKind::And, &[a1, a2]);
         b.mark_output(g);
         let c = b.finish().unwrap();
-        let report = lint_semantic(&c);
+        let report = lint_semantic(&c, &constant_lines(&c));
         assert!(report.iter().any(|d| d.code == codes::RECONVERGENCE));
     }
 
@@ -482,14 +481,14 @@ mod tests {
         let k = b.gate("k", GateKind::And, &[x, g]);
         b.mark_output(k);
         let c = b.finish().unwrap();
-        let report = lint_semantic(&c);
+        let report = lint_semantic(&c, &constant_lines(&c));
         assert!(report.iter().any(|d| d.code == codes::UNSENSITIZABLE_EDGE));
     }
 
     #[test]
     fn s27_is_semantically_clean_and_classifies_fully() {
         let c = s27();
-        assert!(lint_semantic(&c).is_clean());
+        assert!(lint_semantic(&c, &constant_lines(&c)).is_clean());
         let store = PathEnumerator::new(&c).with_cap(10_000).enumerate().store;
         let analysis = classify_store(&c, &store, Sensitization::Robust, None);
         assert_eq!(analysis.stats.paths, store.len());

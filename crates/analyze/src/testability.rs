@@ -101,16 +101,6 @@ impl Testability {
         self.co[line.index()]
     }
 
-    /// Cost of controlling `line` to `value` (`X` costs nothing).
-    #[must_use]
-    pub fn control_cost(&self, line: LineId, value: Value) -> u32 {
-        match value {
-            Value::Zero => self.cc0(line),
-            Value::One => self.cc1(line),
-            Value::X => 0,
-        }
-    }
-
     /// A line's overall difficulty: the harder controllability plus the
     /// observability, saturating. Orders lines for guided search and
     /// faults (via their assignment sets) for generation.

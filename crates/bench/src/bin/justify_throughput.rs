@@ -44,8 +44,9 @@ fn main() {
         let mut justifier = Justifier::new(&s.circuit, 3).with_attempts(4);
         let mut found = 0usize;
         for call in 0..n_calls {
-            // Every requirement set is visited twice in a row, so a
-            // healthy cone cache shows a ~50% hit rate.
+            // Every requirement set is visited twice in a row; the call
+            // sequence is fixed so the figures stay comparable across
+            // revisions.
             let entry = entries[call / 2 % entries.len()];
             found += usize::from(justifier.justify(&entry.assignments).is_some());
         }
@@ -59,8 +60,6 @@ fn main() {
     // Attempts/sec of the completion engine itself; the phases around it
     // (necessary-value fixpoint, guided fallback) would only dilute it.
     let rate = stats.completion_attempts as f64 / completion.median;
-    let cache_total = stats.cone_hits + stats.cone_misses;
-    let hit_rate = stats.cone_hits as f64 / cache_total.max(1) as f64;
     // Event economy: lines actually evaluated per completion pass, as an
     // absolute count and as a fraction of the whole circuit. Narrow-cone
     // calls with most pins frozen should keep the fraction well under
@@ -71,10 +70,9 @@ fn main() {
     let width = SimWidth::auto().lanes();
     println!(
         "justify_throughput {circuit_name}: {n_calls} calls, {found} justified; \
-         {rate:.3e} attempts/s @ width {width}, cone-cache hit rate {:.0}%, \
-         {events_per_block:.0} lines/block ({:.1}% of circuit), end-to-end {:.2}s \
-         (completion {:.3}s, fixpoint {:.3}s over {} passes)",
-        hit_rate * 100.0,
+         {rate:.3e} attempts/s @ width {width}, {events_per_block:.0} lines/block \
+         ({:.1}% of circuit), end-to-end {:.2}s (completion {:.3}s, fixpoint {:.3}s \
+         over {} passes)",
         lines_fraction * 100.0,
         total.median,
         completion.median,
@@ -112,13 +110,6 @@ fn main() {
                 .field("lines_skipped", stats.lines_skipped)
                 .field("events_per_block", events_per_block)
                 .field("lines_fraction", lines_fraction),
-        )
-        .field(
-            "cone_cache",
-            Json::object()
-                .field("hits", stats.cone_hits)
-                .field("misses", stats.cone_misses)
-                .field("hit_rate", hit_rate),
         );
     std::fs::write("BENCH_justify.json", report.to_pretty())
         .expect("cannot write BENCH_justify.json");

@@ -54,8 +54,8 @@ COMMANDS:
                         [--threads N]
                                      the detectable fault population and A(p) sets
     atpg      <circuit> [--cap N] [--np0 N] [--heuristic uncomp|arbit|length|values]
-                        [--seed S] [--attempts N] [--cone-cache N] [--enrich]
-                        [--minimize] [--output FILE] [--telemetry FILE]
+                        [--seed S] [--attempts N] [--enrich] [--minimize]
+                        [--output FILE] [--telemetry FILE]
                         [--time-budget SPEC] [--checkpoint FILE]
                         [--checkpoint-every K] [--resume FILE] [--static-learning]
                         [--sensitize] [--scoap] [--threads N] [--failpoints SPEC]
@@ -356,7 +356,7 @@ pub fn load_circuit(spec: &str, notes: &mut String) -> Result<Circuit, CliError>
     // byte-identical stderr. Their findings are warnings: the deny mode
     // reports them without aborting.
     if pdf_knobs::SENSITIZE.switch(false)? {
-        report.extend(lint_semantic(&circuit));
+        report.extend(lint_semantic(&circuit, &constant_lines(&circuit)));
     }
     if report.is_clean() {
         return Ok(circuit);
@@ -399,7 +399,7 @@ pub fn cmd_lint(spec: &str) -> Result<String, CliError> {
         // it exists to surface everything the analyses can prove.
         Ok(circuit) => {
             report.extend(pdf_analyze::lint_circuit(&circuit));
-            report.extend(lint_semantic(&circuit));
+            report.extend(lint_semantic(&circuit, &constant_lines(&circuit)));
         }
         Err(e) => {
             let mut message = String::new();
@@ -599,7 +599,7 @@ pub fn cmd_analyze(circuit: &Circuit, options: &Options) -> Result<String, CliEr
         }
     }
     let constants = constant_lines(circuit);
-    let semantic = lint_semantic(circuit);
+    let semantic = lint_semantic(circuit, &constants);
 
     let report = Json::object()
         .field("circuit", circuit.name())
@@ -829,9 +829,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     let n_p0: usize = options.parsed("np0", 1_000)?;
     let seed: u64 = options.parsed("seed", 2002)?;
     let attempts: u32 = options.parsed("attempts", 1)?;
-    let cone_cache = pdf_knobs::CONE_CACHE
-        .number(options.value("cone-cache"))?
-        .unwrap_or(pdf_atpg::DEFAULT_CONE_CACHE);
     // Installed before run control so an armed `checkpoint.read` entry
     // already covers the --resume load. The PDF_FAILPOINTS twin was
     // installed at startup; the flag re-installs over it.
@@ -860,7 +857,6 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
         seed,
         compaction,
         justify_attempts: attempts,
-        cone_cache,
         budget,
         checkpoint,
         learned: prepared.learned.clone(),
@@ -1023,7 +1019,6 @@ fn command_flags(command: &str) -> Option<(&'static [&'static str], &'static [&'
                 "heuristic",
                 "seed",
                 "attempts",
-                "cone-cache",
                 "output",
                 "telemetry",
                 "time-budget",
@@ -1294,23 +1289,26 @@ mod tests {
 
     #[test]
     fn atpg_exhausted_budget_finalizes_a_valid_partial_set() {
-        let out = run(&args(&[
-            "atpg",
-            "s27",
-            "--np0",
-            "10",
-            "--time-budget",
-            "1us",
-        ]))
-        .unwrap();
-        assert!(out.contains("budget_exhausted: true"), "{out}");
-        // The (possibly empty) partial set still serializes validly.
-        let body: String = out
-            .lines()
-            .skip_while(|l| !l.starts_with('#'))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(pdf_atpg::TestSet::from_text(&body).is_ok());
+        // A bare duration and `global=` both set the whole-run budget.
+        for budget in ["1us", "global=1us"] {
+            let out = run(&args(&[
+                "atpg",
+                "s27",
+                "--np0",
+                "10",
+                "--time-budget",
+                budget,
+            ]))
+            .unwrap();
+            assert!(out.contains("budget_exhausted: true"), "{budget}: {out}");
+            // The (possibly empty) partial set still serializes validly.
+            let body: String = out
+                .lines()
+                .skip_while(|l| !l.starts_with('#'))
+                .collect::<Vec<_>>()
+                .join("\n");
+            assert!(pdf_atpg::TestSet::from_text(&body).is_ok());
+        }
     }
 
     #[test]

@@ -112,11 +112,6 @@ fn unset_knobs_take_their_documented_defaults() {
         assert_eq!(w.n_p0.to_string(), pdf_knobs::NP0.default);
         assert_eq!(w.seed.to_string(), pdf_knobs::SEED.default);
         assert_eq!(w.attempts.to_string(), pdf_knobs::ATTEMPTS.default);
-        assert_eq!(w.cone_cache.to_string(), pdf_knobs::CONE_CACHE.default);
-        assert_eq!(
-            pdf_atpg::DEFAULT_CONE_CACHE.to_string(),
-            pdf_knobs::CONE_CACHE.default
-        );
         assert_eq!(
             pdf_atpg::AtpgConfig::default().threads.to_string(),
             pdf_knobs::THREADS.default
@@ -255,7 +250,7 @@ fn every_pdfatpg_knob_rejects_a_bad_value_with_exit_two() {
         .copied()
         .filter(|k| k.read_by.contains(&Program::Pdfatpg))
         .collect();
-    assert_eq!(knobs.len(), 18);
+    assert_eq!(knobs.len(), 17);
     for knob in knobs {
         assert_typed_exit(
             &spawn(&["info", "s27"], knob.env, &bad_value(knob)),
@@ -485,6 +480,15 @@ fn time_budget_flag_beats_a_valid_env_value() {
 }
 
 #[test]
+fn a_misspelt_budget_phase_exits_two() {
+    let line = ["atpg", "s27", "--time-budget", "genrate=1us"];
+    let out = spawn(&line, "PDF_TIME_BUDGET", &OsString::new());
+    assert_typed_exit(&out, "--time-budget");
+    let out = spawn(&["atpg", "s27"], "PDF_TIME_BUDGET", &"genrate=1us".into());
+    assert_typed_exit(&out, "PDF_TIME_BUDGET");
+}
+
+#[test]
 fn a_budget_past_the_clock_runs_as_if_unbudgeted() {
     // u64::MAX seconds overflows any `Instant`: such a budget never
     // expires, so each run must match its unbudgeted twin byte for byte.
@@ -535,16 +539,12 @@ fn experiments_apply_their_knobs() {
         ("PDF_NP0", "100"),
         ("PDF_SEED", "7"),
         ("PDF_ATTEMPTS", "3"),
-        ("PDF_CONE_CACHE", "16"),
         ("PDF_STATIC_LEARNING", "on"),
     ]
     .map(|(k, v)| (k, OsString::from(v)));
     with_env(&vars, || {
         let w = pdf_experiments::Workload::from_env().unwrap();
-        assert_eq!(
-            (w.n_p, w.n_p0, w.seed, w.attempts, w.cone_cache),
-            (500, 100, 7, 3, 16)
-        );
+        assert_eq!((w.n_p, w.n_p0, w.seed, w.attempts), (500, 100, 7, 3));
         assert!(w.static_learning && !w.sensitize);
     });
 }

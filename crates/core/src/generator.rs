@@ -143,9 +143,8 @@ pub struct AtpgConfig {
     /// the event-driven packed kernel on a 256-lane tile — so the block
     /// carries no settings ([`SimOptions`]).
     pub sim: SimOptions,
-    /// Capacity of the justifier's cone-topology LRU cache (entries);
-    /// `0` disables caching. Each worker keeps its own cache — there is
-    /// no shared mutable simulation state between builds.
+    /// Inert and ignored: the justifier keeps no cone cache. Kept only
+    /// because the repository benchmark still sets it.
     pub cone_cache: usize,
     /// Cooperative time/cancellation budget. An exhausted budget makes the
     /// run stop targeting new faults, roll the round in flight back to the
@@ -739,10 +738,9 @@ fn build_uncaptured(
     // reads the moot flag.
     let budget = ctx.config.budget.peek_view_with(moot.clone());
     // A fresh justifier per build: its RNG stream is a function of the
-    // primary alone, and its cone cache is private to this worker call.
+    // primary alone.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
         .with_attempts(ctx.config.justify_attempts)
-        .with_cone_cache(ctx.config.cone_cache)
         .with_budget(budget.clone());
     if let Some(guide) = &ctx.config.guide {
         justifier = justifier.with_guide(guide.clone());

@@ -39,11 +39,9 @@
 //! The implementation restricts simulation to the fanin cone of the
 //! constrained lines — a pure optimization: inputs outside the cone cannot
 //! produce or resolve conflicts, exactly as in the paper where they end up
-//! randomly specified. Cone topologies (lines in topological order and
-//! inputs) are memoized in an LRU keyed by the requirement line-set.
-
-use std::collections::HashMap;
-use std::rc::Rc;
+//! randomly specified. Each call builds its cone topology (lines in
+//! topological order and inputs) once: the requirement sets of one run
+//! almost never repeat, so nothing is memoized across calls.
 
 use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
@@ -51,7 +49,8 @@ use pdf_netlist::{Circuit, LineId, SplitMix64, TwoPattern};
 use pdf_runctl::RunBudget;
 use pdf_sim::{PackedBlock, SimOptions, SimWord, Tile, LANES};
 
-/// Default capacity (entries) of the cone-topology LRU cache.
+/// Inert: the justifier keeps no cone cache. Kept only because the
+/// repository benchmark still names it.
 pub const DEFAULT_CONE_CACHE: usize = 64;
 
 /// Per-line branching costs guiding the justifier's decision search —
@@ -154,8 +153,6 @@ pub struct JustifyStats {
     pub conflicts: usize,
     /// Calls that failed the final hazard/satisfaction check.
     pub unsatisfied: usize,
-    /// Packed passes performed, fixpoint and completion passes alike.
-    pub simulations: usize,
     /// Random completions evaluated: 64 per candidate group of every
     /// packed pass, whether or not an earlier lane already hit.
     pub completion_attempts: usize,
@@ -165,9 +162,10 @@ pub struct JustifyStats {
     /// Calls resolved by a random-completion lane rather than the guided
     /// decision search.
     pub lane_hits: usize,
-    /// Cone topologies served from the LRU cache.
+    /// Inert: always 0, since the justifier keeps no cone cache. Kept
+    /// only because the repository benchmark still reads it.
     pub cone_hits: usize,
-    /// Cone topologies built from scratch.
+    /// Inert: always 0 (see [`JustifyStats::cone_hits`]).
     pub cone_misses: usize,
     /// Lines actually (re-)evaluated by packed completion passes — far
     /// fewer than `order length × passes`, because event-driven
@@ -197,12 +195,9 @@ impl JustifyStats {
         self.successes += other.successes;
         self.conflicts += other.conflicts;
         self.unsatisfied += other.unsatisfied;
-        self.simulations += other.simulations;
         self.completion_attempts += other.completion_attempts;
         self.packed_blocks += other.packed_blocks;
         self.lane_hits += other.lane_hits;
-        self.cone_hits += other.cone_hits;
-        self.cone_misses += other.cone_misses;
         self.events_propagated += other.events_propagated;
         self.lines_skipped += other.lines_skipped;
         self.scoap_guided_branches += other.scoap_guided_branches;
@@ -246,7 +241,6 @@ pub struct Justifier<'c> {
     /// — the justifier's only evaluator. Lane [`COMMITTED`] of every
     /// fixpoint pass carries the committed values alone.
     packed: PackedBlock,
-    cones: ConeCache,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
     /// Wall time spent inside completion blocks (phase 2 only).
@@ -269,8 +263,8 @@ pub struct Justifier<'c> {
 }
 
 impl<'c> Justifier<'c> {
-    /// Creates a justifier with the given RNG seed, a single completion
-    /// block per call and the default cone cache ([`DEFAULT_CONE_CACHE`]).
+    /// Creates a justifier with the given RNG seed and a single completion
+    /// block per call.
     #[must_use]
     pub fn new(circuit: &'c Circuit, seed: u64) -> Justifier<'c> {
         Justifier {
@@ -279,7 +273,6 @@ impl<'c> Justifier<'c> {
             attempts: 1,
             stats: JustifyStats::default(),
             packed: PackedBlock::new(),
-            cones: ConeCache::new(DEFAULT_CONE_CACHE),
             guide: None,
             completion: std::time::Duration::ZERO,
             fixpoint: std::time::Duration::ZERO,
@@ -310,11 +303,11 @@ impl<'c> Justifier<'c> {
         self
     }
 
-    /// Resizes the cone-topology LRU (entries); `0` disables caching.
-    /// Drivers map `PDF_CONE_CACHE` here.
+    /// Inert: the justifier keeps no cone cache, so it is returned
+    /// unchanged. Kept only because the repository benchmark still calls
+    /// it.
     #[must_use]
-    pub fn with_cone_cache(mut self, capacity: usize) -> Justifier<'c> {
-        self.cones = ConeCache::new(capacity);
+    pub fn with_cone_cache(self, _capacity: usize) -> Justifier<'c> {
         self
     }
 
@@ -401,7 +394,7 @@ impl<'c> Justifier<'c> {
         if self.budget.exhausted() {
             return None;
         }
-        let topo = self.cones.topo(self.circuit, req, &mut self.stats);
+        let topo = ConeTopo::build(self.circuit, req);
         let n = topo.pis.len();
         // (first, last) value per cone PI.
         let mut state: Vec<(Value, Value)> = vec![(Value::X, Value::X); n];
@@ -668,7 +661,6 @@ impl<'c> Justifier<'c> {
         // Fixpoint events stay out of the completion counters.
         let _ = block.take_kernel_stats();
         self.stats.fixpoint_passes += 1;
-        self.stats.simulations += 1;
         pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_FIXPOINT_PASSES, 1);
         block.violated_lanes(live)
     }
@@ -924,7 +916,6 @@ fn packed_passes(
     stats: &mut JustifyStats,
     budget: &RunBudget,
 ) -> PassOutcome {
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, Tile::LANES as u64);
     let mut pass_start = 0usize;
     while pass_start < groups {
         if pass_start > 0 && budget.exhausted() {
@@ -933,7 +924,6 @@ fn packed_passes(
         let here = (groups - pass_start).min(Tile::WORDS);
         stats.packed_blocks += 1;
         stats.completion_attempts += here * LANES;
-        stats.simulations += 1;
         pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_PACKED_BLOCKS, 1);
         // Broadcast the committed values across all lanes, then overwrite
         // the free slots with their per-lane fill rails (one 64-candidate
@@ -1067,9 +1057,7 @@ fn cone_waves(circuit: &Circuit, topo: &ConeTopo, state: &[(Value, Value)]) -> V
     waves
 }
 
-/// The requirement-independent topology of a fanin cone: every
-/// requirement set over the same line-set shares one of these through the
-/// justifier's LRU cache.
+/// The topology of a requirement set's fanin cone, built once per call.
 #[derive(Debug)]
 struct ConeTopo {
     /// Cone lines in circuit topological order (inputs included).
@@ -1094,63 +1082,6 @@ impl ConeTopo {
             .filter(|l| member[l.index()])
             .collect();
         ConeTopo { order, pis }
-    }
-}
-
-/// An LRU over cone topologies, keyed by the requirement line-set (the
-/// topology depends on nothing else). Eviction is deterministic: the
-/// entry with the oldest last-use tick goes first.
-#[derive(Clone, Debug)]
-struct ConeCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<Box<[u32]>, (u64, Rc<ConeTopo>)>,
-}
-
-impl ConeCache {
-    fn new(capacity: usize) -> ConeCache {
-        ConeCache {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    fn topo(
-        &mut self,
-        circuit: &Circuit,
-        req: &Assignments,
-        stats: &mut JustifyStats,
-    ) -> Rc<ConeTopo> {
-        if self.capacity == 0 {
-            stats.cone_misses += 1;
-            pdf_telemetry::count(pdf_telemetry::counters::CONE_CACHE_MISS, 1);
-            return Rc::new(ConeTopo::build(circuit, req));
-        }
-        let key: Box<[u32]> = req.lines().map(|l| l.index() as u32).collect();
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((t, topo)) = self.entries.get_mut(&key) {
-            *t = tick;
-            stats.cone_hits += 1;
-            pdf_telemetry::count(pdf_telemetry::counters::CONE_CACHE_HIT, 1);
-            return Rc::clone(topo);
-        }
-        stats.cone_misses += 1;
-        pdf_telemetry::count(pdf_telemetry::counters::CONE_CACHE_MISS, 1);
-        let topo = Rc::new(ConeTopo::build(circuit, req));
-        if self.entries.len() >= self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = oldest {
-                self.entries.remove(&k);
-            }
-        }
-        self.entries.insert(key, (tick, Rc::clone(&topo)));
-        topo
     }
 }
 
@@ -1322,9 +1253,6 @@ mod tests {
         assert_eq!(s.conflicts, p.conflicts);
         assert_eq!(s.unsatisfied, p.unsatisfied);
         assert_eq!(s.lane_hits, p.lane_hits);
-        // The cone-topology LRU sits above both engines.
-        assert_eq!(s.cone_hits, p.cone_hits);
-        assert_eq!(s.cone_misses, p.cone_misses);
         assert_eq!(s.packed_blocks, 0);
         assert_eq!(s.fixpoint_passes, 0);
         contradicted
@@ -1500,50 +1428,6 @@ mod tests {
     }
 
     #[test]
-    fn cone_cache_hits_on_repeated_requirements() {
-        let c = s27();
-        let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
-        let a = robust_assignments(&c, &f).unwrap();
-        let mut j = Justifier::new(&c, 1);
-        let _ = j.justify(&a);
-        let _ = j.justify(&a);
-        let _ = j.justify(&a);
-        assert_eq!(j.stats().cone_misses, 1);
-        assert_eq!(j.stats().cone_hits, 2);
-
-        // Capacity 0 disables the cache entirely.
-        let mut uncached = Justifier::new(&c, 1).with_cone_cache(0);
-        let _ = uncached.justify(&a);
-        let _ = uncached.justify(&a);
-        assert_eq!(uncached.stats().cone_hits, 0);
-        assert_eq!(uncached.stats().cone_misses, 2);
-    }
-
-    #[test]
-    fn cone_cache_evicts_deterministically_under_pressure() {
-        let c = s27();
-        let paths = pdf_paths::PathEnumerator::new(&c)
-            .with_cap(100_000)
-            .enumerate();
-        let (faults, _) = pdf_faults::FaultList::build(&c, &paths.store);
-        // A 2-entry cache over many distinct line-sets: plenty of misses,
-        // but behaviour (and hence RNG use) stays deterministic.
-        let run = || {
-            let mut j = Justifier::new(&c, 23).with_cone_cache(2);
-            let tests: Vec<Option<TwoPattern>> = faults
-                .iter()
-                .map(|e| j.justify(&e.assignments).map(|r| r.test))
-                .collect();
-            (tests, j.stats())
-        };
-        let (t1, s1) = run();
-        let (t2, s2) = run();
-        assert_eq!(t1, t2);
-        assert_eq!(s1, s2);
-        assert!(s1.cone_misses > 2);
-    }
-
-    #[test]
     fn unsatisfiable_requirements_fail() {
         let c = s27();
         // Two requirements that no test satisfies: line 8 = NOT(1) must be
@@ -1652,8 +1536,7 @@ mod tests {
         let _ = j.justify(&a);
         let _ = j.justify(&a);
         assert_eq!(j.stats().calls, 2);
-        assert!(j.stats().simulations > 0);
-        assert_eq!(j.stats().cone_hits + j.stats().cone_misses, 2);
+        assert!(j.stats().fixpoint_passes > 0);
     }
 
     #[test]

@@ -55,8 +55,6 @@ pub struct Workload {
     pub seed: u64,
     /// Justification completion blocks per call (paper: 1 attempt).
     pub attempts: u32,
-    /// Cone-topology LRU capacity of the justifier (0 = no caching).
-    pub cone_cache: usize,
     /// Optional wall-clock budget per generation run (`PDF_TIME_BUDGET`).
     /// A budgeted run that exhausts its deadline still reports its partial
     /// results, flagged on stderr.
@@ -80,7 +78,6 @@ impl Default for Workload {
             n_p0: 1_000,
             seed: 2002,
             attempts: 1,
-            cone_cache: pdf_atpg::DEFAULT_CONE_CACHE,
             time_budget: None,
             static_learning: false,
             sensitize: false,
@@ -90,10 +87,9 @@ impl Default for Workload {
 
 impl Workload {
     /// The defaults, overridden by `PDF_NP`, `PDF_NP0`, `PDF_SEED`,
-    /// `PDF_ATTEMPTS`, `PDF_CONE_CACHE`, `PDF_TIME_BUDGET`,
-    /// `PDF_STATIC_LEARNING` and `PDF_SENSITIZE` when set. Every knob the
-    /// experiments read is validated first, so a malformed one aborts
-    /// before any work.
+    /// `PDF_ATTEMPTS`, `PDF_TIME_BUDGET`, `PDF_STATIC_LEARNING` and
+    /// `PDF_SENSITIZE` when set. Every knob the experiments read is
+    /// validated first, so a malformed one aborts before any work.
     ///
     /// # Errors
     ///
@@ -107,7 +103,6 @@ impl Workload {
             n_p0: pdf_knobs::NP0.number(None)?.unwrap_or(d.n_p0),
             seed: pdf_knobs::SEED.number(None)?.unwrap_or(d.seed),
             attempts: pdf_knobs::ATTEMPTS.number(None)?.unwrap_or(d.attempts),
-            cone_cache: pdf_knobs::CONE_CACHE.number(None)?.unwrap_or(d.cone_cache),
             time_budget: BudgetSpec::resolve(None)?,
             static_learning: pdf_knobs::STATIC_LEARNING.switch(false)?,
             sensitize: pdf_knobs::SENSITIZE.switch(false)?,
@@ -129,7 +124,7 @@ impl Workload {
     }
 
     /// The generation config for one run on `prepared` under
-    /// `compaction`: the workload's seed, attempts and cone cache, a fresh
+    /// `compaction`: the workload's seed and attempts, a fresh
     /// [`Workload::run_budget`], and the preparation's learned table.
     #[must_use]
     pub fn config(&self, prepared: &Prepared, compaction: Compaction) -> AtpgConfig {
@@ -137,7 +132,6 @@ impl Workload {
             seed: self.seed,
             compaction,
             justify_attempts: self.attempts,
-            cone_cache: self.cone_cache,
             budget: self.run_budget(),
             learned: prepared.learned.clone(),
             ..AtpgConfig::default()

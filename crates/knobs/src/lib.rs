@@ -369,8 +369,6 @@ knobs! {
         "master seed for all randomized decisions";
     ATTEMPTS: "PDF_ATTEMPTS", None, Kind::Number, "1", [Experiments],
         "justification completion groups per call";
-    CONE_CACHE: "PDF_CONE_CACHE", Some("cone-cache"), Kind::Number, "64", [Pdfatpg, Experiments],
-        "justifier cone-topology LRU capacity in entries; 0 = off";
     CIRCUITS: "PDF_CIRCUITS", None, Kind::Names, "all", [Experiments],
         "comma-separated circuit allow-list";
     THREADS: "PDF_THREADS", Some("threads"), Kind::Count, "1", [Pdfatpg],

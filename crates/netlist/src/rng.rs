@@ -78,12 +78,6 @@ impl SplitMix64 {
         &slice[self.next_below(slice.len())]
     }
 
-    /// Derives an independent generator (useful to decorrelate phases).
-    #[must_use]
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
-
     /// The raw generator state, for checkpointing. Feeding it back
     /// through [`SplitMix64::from_state`] resumes the stream exactly
     /// where it left off.

@@ -115,8 +115,13 @@ pub struct PathEnumerator<'c> {
     cap: usize,
     units: u32,
     strategy: Strategy,
-    work_limit: usize,
 }
+
+/// The extension work limit — a safety valve against circuits whose
+/// near-critical path population is too dense to enumerate. When hit,
+/// enumeration stops, surviving partial paths are dropped, and
+/// [`EnumerationStats::truncated_partials`] reports how many.
+const WORK_LIMIT: usize = 5_000_000;
 
 impl<'c> PathEnumerator<'c> {
     /// Creates an enumerator with the paper's defaults: cap `N_P = 10000`
@@ -128,18 +133,7 @@ impl<'c> PathEnumerator<'c> {
             cap: 10_000,
             units: 2,
             strategy: Strategy::DistanceBased,
-            work_limit: 5_000_000,
         }
-    }
-
-    /// Sets the extension work limit — a safety valve against circuits
-    /// whose near-critical path population is too dense to enumerate.
-    /// When hit, enumeration stops, surviving partial paths are dropped,
-    /// and [`EnumerationStats::truncated_partials`] reports how many.
-    #[must_use]
-    pub fn with_work_limit(mut self, limit: usize) -> PathEnumerator<'c> {
-        self.work_limit = limit.max(1);
-        self
     }
 
     /// Sets the store cap `N_P`, measured in fault units.
@@ -211,7 +205,7 @@ impl<'c> PathEnumerator<'c> {
             .collect();
 
         loop {
-            if stats.extensions >= self.work_limit {
+            if stats.extensions >= WORK_LIMIT {
                 stats.truncated_partials = list.iter().filter(|e| !e.complete).count();
                 list.retain(|e| e.complete);
                 break;
@@ -368,7 +362,7 @@ impl<'c> PathEnumerator<'c> {
             };
 
         loop {
-            if stats.extensions >= self.work_limit {
+            if stats.extensions >= WORK_LIMIT {
                 for item in slab.iter_mut() {
                     if item.as_ref().is_some_and(|i| !i.complete) {
                         *item = None;

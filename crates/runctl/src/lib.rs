@@ -325,21 +325,26 @@ impl RunBudget {
 /// A strictly parsed time-budget specification.
 ///
 /// Grammar: a comma-separated list of entries, each either a bare
-/// duration (the **global** budget for the whole run) or `phase=duration`
-/// (a budget for one named phase, anchored at that phase's start). A
-/// duration is a non-negative integer with a mandatory unit: `us`, `ms`,
-/// `s`, or `m` ([`pdf_knobs::parse_duration`]). A budget reaching past
-/// the clock's range never expires. Examples: `250ms`, `2s,compact=500ms`,
+/// duration or `global=duration` (the **global** budget for the whole
+/// run), or `phase=duration` for `generate`, `compact` or `bench` (a
+/// budget for that phase, anchored at its start; `pdfatpg atpg` and the
+/// experiments read the first two, the bench binaries the third). A duration is a non-negative
+/// integer with a mandatory unit: `us`, `ms`, `s`, or `m`
+/// ([`pdf_knobs::parse_duration`]). A budget reaching past the clock's
+/// range never expires. Examples: `250ms`, `global=2s,compact=500ms`,
 /// `generate=1s,compact=250ms`.
 ///
 /// Parsing follows the workspace's strict-knob convention: anything
-/// malformed — missing unit, unknown unit, duplicate phase, empty entry —
-/// is an error, never a silent default.
+/// malformed — missing unit, unknown unit, unknown or duplicate phase,
+/// empty entry — is an error, never a silent default.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BudgetSpec {
     global: Option<Duration>,
     phases: Vec<(String, Duration)>,
 }
+
+/// The phases a [`BudgetSpec`] entry may name besides `global`.
+const BUDGET_PHASES: &[&str] = &["generate", "compact", "bench"];
 
 impl BudgetSpec {
     /// Parses a specification (see the type docs for the grammar).
@@ -363,7 +368,7 @@ impl BudgetSpec {
             };
             let duration = pdf_knobs::parse_duration(duration_text)?;
             match phase {
-                None => {
+                None | Some("global") => {
                     if spec.global.is_some() {
                         return Err("more than one global duration".to_owned());
                     }
@@ -372,6 +377,12 @@ impl BudgetSpec {
                 Some(name) => {
                     if name.is_empty() {
                         return Err("empty phase name".to_owned());
+                    }
+                    if !BUDGET_PHASES.contains(&name) {
+                        return Err(format!(
+                            "unknown budget phase `{name}` (global, {})",
+                            BUDGET_PHASES.join(", ")
+                        ));
                     }
                     if spec.phases.iter().any(|(n, _)| n == name) {
                         return Err(format!("duplicate budget for phase `{name}`"));
@@ -1116,6 +1127,15 @@ mod tests {
             BudgetSpec::parse("250us").unwrap().global(),
             Some(Duration::from_micros(250))
         );
+        // `global=` spells the bare duration; `bench` is a phase too.
+        assert_eq!(
+            BudgetSpec::parse("global=2s,compact=500ms,generate=3m").unwrap(),
+            spec
+        );
+        assert_eq!(
+            BudgetSpec::parse("bench=1s").unwrap().phase("bench"),
+            Some(Duration::from_secs(1))
+        );
     }
 
     #[test]
@@ -1131,8 +1151,20 @@ mod tests {
             "1s,,2s",
             "1s,2s",
             "a=1s,a=2s",
+            "compact=1s,compact=2s",
         ] {
             assert!(BudgetSpec::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        for (bad, message) in [
+            ("global=1s,2s", "more than one global duration"),
+            ("1s,global=2s", "more than one global duration"),
+            ("global=1s,global=2s", "more than one global duration"),
+            (
+                "genrate=1us",
+                "unknown budget phase `genrate` (global, generate, compact, bench)",
+            ),
+        ] {
+            assert_eq!(BudgetSpec::parse(bad).unwrap_err(), message, "`{bad}`");
         }
     }
 

@@ -100,7 +100,6 @@ fn packed_sweep(
     pdf_telemetry::count(pdf_telemetry::counters::SIM_PASSES, 1);
     let blocks = tests.chunks(Tile::LANES);
     pdf_telemetry::count(pdf_telemetry::counters::PACKED_BLOCKS, blocks.len() as u64);
-    pdf_telemetry::record_max(pdf_telemetry::counters::SIM_WIDTH, Tile::LANES as u64);
     let mut block = PackedBlock::new();
     for tests_block in blocks {
         block.load(circuit, tests_block);

@@ -92,10 +92,6 @@ pub mod counters {
     /// per 63 open cone inputs per round, plus a pass that only checks
     /// the committed values when a round has no open input left.
     pub const JUSTIFY_FIXPOINT_PASSES: &str = "justify_fixpoint_passes";
-    /// Justification cone topologies served from the LRU cache.
-    pub const CONE_CACHE_HIT: &str = "cone_cache_hit";
-    /// Justification cone topologies built from scratch.
-    pub const CONE_CACHE_MISS: &str = "cone_cache_miss";
     /// Fault candidates eliminated as undetectable (rules 1 and 2).
     pub const UNDETECTABLE_DROPPED: &str = "undetectable_dropped";
     /// Cooperative run-budget polls performed by run control.
@@ -118,9 +114,6 @@ pub mod counters {
     pub const RULE2_PREFIX_REFUTED: &str = "rule2_prefix_refuted";
     /// Error-severity diagnostics reported by the structural linter.
     pub const LINT_ERRORS: &str = "lint_errors";
-    /// Widest packed-kernel tile used this run, in lanes (recorded with
-    /// [`record_max`](crate::record_max), not summed).
-    pub const SIM_WIDTH: &str = "sim_width";
     /// Lines actually (re-)evaluated by event-driven propagation passes.
     pub const EVENTS_PROPAGATED: &str = "events_propagated";
     /// Lines visited but skipped by event-driven propagation because no
@@ -255,13 +248,6 @@ fn add_counter(counters: &mut Vec<(&'static str, u64)>, name: &'static str, n: u
     }
 }
 
-fn max_counter(counters: &mut Vec<(&'static str, u64)>, name: &'static str, n: u64) {
-    match counters.iter_mut().find(|(k, _)| *k == name) {
-        Some((_, v)) => *v = (*v).max(n),
-        None => counters.push((name, n)),
-    }
-}
-
 #[derive(Default)]
 struct Store {
     /// Bumped by [`reset`] so stale span guards cannot misfile timings.
@@ -279,8 +265,7 @@ fn lock() -> MutexGuard<'static, Store> {
 }
 
 /// One [`capture`]'s recording: a private span tree with its own active
-/// stack, plus summed and high-water counters kept apart so a merge
-/// applies each with its own rule.
+/// stack, plus the counters it summed.
 #[derive(Default)]
 struct Buffer {
     /// Distinguishes this capture's span guards from a later capture's.
@@ -288,7 +273,6 @@ struct Buffer {
     tree: Tree,
     active: Vec<usize>,
     counters: Vec<(&'static str, u64)>,
-    maxima: Vec<(&'static str, u64)>,
 }
 
 /// Source of capture epochs; starts at 1 so no buffer shares an epoch.
@@ -338,9 +322,6 @@ impl Captured {
         s.tree.merge(parent, &buffer.tree, &buffer.tree.roots);
         for &(name, n) in &buffer.counters {
             add_counter(&mut s.counters, name, n);
-        }
-        for &(name, n) in &buffer.maxima {
-            max_counter(&mut s.counters, name, n);
         }
     }
 }
@@ -464,18 +445,6 @@ pub fn count(name: &'static str, n: u64) {
     }
     if with_capture(|b| add_counter(&mut b.counters, name, n)).is_none() {
         add_counter(&mut lock().counters, name, n);
-    }
-}
-
-/// Raises the named counter to at least `n` (for gauge-style values such
-/// as the selected simulation width, where summing increments would be
-/// meaningless). A no-op single branch when recording is off.
-pub fn record_max(name: &'static str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    if with_capture(|b| max_counter(&mut b.maxima, name, n)).is_none() {
-        max_counter(&mut lock().counters, name, n);
     }
 }
 
@@ -848,21 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn record_max_keeps_the_high_water_mark() {
-        let _guard = serialized();
-        let _ = begin_recording();
-        record_max(counters::SIM_WIDTH, 64);
-        record_max(counters::SIM_WIDTH, 512);
-        record_max(counters::SIM_WIDTH, 256);
-        disable();
-        assert_eq!(report().counter(counters::SIM_WIDTH), Some(512));
-        reset();
-        disable();
-        record_max("ignored", 7);
-        assert_eq!(report().counter("ignored"), None);
-    }
-
-    #[test]
     fn report_round_trips_through_json() {
         let _guard = serialized();
         let _ = begin_recording();
@@ -934,7 +888,6 @@ mod tests {
                                     let _s = Span::enter("justify");
                                     let _inner = Span::enter("justify.guided");
                                     count("calls", 2);
-                                    record_max(counters::SIM_WIDTH, 64);
                                 })
                                 .1
                             })
@@ -964,7 +917,6 @@ mod tests {
         assert!(justify.seconds > 0.0);
         assert!(r.span("discarded").is_none());
         assert_eq!(r.counter("calls"), Some(4));
-        assert_eq!(r.counter(counters::SIM_WIDTH), Some(64));
     }
 
     #[test]
