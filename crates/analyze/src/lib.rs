@@ -26,7 +26,7 @@
 //!   Toggled by `PDF_SENSITIZE`.
 //! * **SCOAP testability** ([`Testability`]) computes `CC0`/`CC1`/`CO` in
 //!   two topological sweeps to order guided-search branching and fault
-//!   selection. Toggled by `PDF_SCOAP`.
+//!   selection. Toggled by `pdfatpg atpg --scoap`.
 //!
 //! [`Preparation::run`] is the one place the fault population is built:
 //! learning, enumeration, sensitizability classification and elimination,

@@ -41,7 +41,7 @@ impl LintMode {
     /// silently downgrading to the default would defeat the gate's
     /// purpose.
     pub fn from_env() -> Result<LintMode, pdf_knobs::KnobError> {
-        let mode = pdf_knobs::LINT.text(None)?.map(|m| m.to_ascii_lowercase());
+        let mode = pdf_knobs::LINT.text()?.map(|m| m.to_ascii_lowercase());
         Ok(match mode.as_deref() {
             Some("warn") => LintMode::Warn,
             Some("off") => LintMode::Off,

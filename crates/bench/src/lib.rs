@@ -1,11 +1,10 @@
-//! Shared setup and sampling helpers for the benchmarks.
+//! Shared setup and sampling helpers for the `*_throughput` binaries.
 //!
-//! Criterion benchmarks run on reduced workloads (small enumeration caps,
-//! the smaller stand-in circuits) so that repeated sampling stays
-//! tractable; the full-scale numbers come from
-//! `cargo run --release -p pdf-experiments --bin all_tables`. The
-//! `*_throughput` binaries time their workloads with [`measure`] and
-//! report a [`Spread`] per measurement.
+//! They run on reduced workloads (small enumeration caps) so that
+//! repeated sampling stays tractable; the full-scale numbers come from
+//! `cargo run --release -p pdf-experiments --bin all_tables`. Each binary
+//! times its workload with [`measure`] and reports a [`Spread`] per
+//! measurement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +43,7 @@ pub fn start() -> (pdf_telemetry::Guard, String) {
         pdf_atpg::validate_env(Program::Bench)?;
         pdf_chaos::install_from_env()?;
         let telemetry = pdf_telemetry::Guard::from_env()?;
-        let circuit = pdf_knobs::BENCH_CIRCUIT.text(None)?;
+        let circuit = pdf_knobs::BENCH_CIRCUIT.text()?;
         Ok((telemetry, circuit.unwrap_or_else(|| "s9234*".to_owned())))
     };
     started().unwrap_or_else(|e| e.exit())
@@ -54,7 +53,7 @@ pub fn start() -> (pdf_telemetry::Guard, String) {
 /// with status 2.
 #[must_use]
 pub fn knob_number(knob: &Knob, default: usize) -> usize {
-    knob.number(None)
+    knob.number()
         .unwrap_or_else(|e| e.exit())
         .unwrap_or(default)
 }
@@ -66,7 +65,8 @@ pub fn knob_number(knob: &Knob, default: usize) -> usize {
 /// budget exits with status 2.
 #[must_use]
 pub fn bench_budget() -> RunBudget {
-    match BudgetSpec::resolve(None).unwrap_or_else(|e| e.exit()) {
+    let spec = pdf_knobs::TIME_BUDGET.read(None, BudgetSpec::parse);
+    match spec.unwrap_or_else(|e| e.exit()) {
         Some(spec) => {
             let now = Instant::now();
             RunBudget::with_deadline(spec.deadline_for("bench", now, now))

@@ -8,17 +8,18 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
+use std::str::FromStr;
 use std::time::Instant;
 
 use pdf_analyze::{
-    classify_store, constant_lines, lint_semantic, Diagnostic, LintMode, LintReport, Preparation,
-    Testability,
+    classify_store, constant_lines, lint_semantic, ConstantLine, Diagnostic, LintMode, LintReport,
+    Preparation, Testability,
 };
 use pdf_atpg::{
     AtpgConfig, BasicAtpg, BranchGuide, BudgetSpec, Checkpoint, CheckpointPolicy, Compaction,
     EnrichmentAtpg, RunBudget, SimOptions, TargetSplit,
 };
-use pdf_knobs::{KnobError, Program};
+use pdf_knobs::{Kind, KnobError, Program};
 use pdf_logic::Value;
 use pdf_netlist::{Circuit, LineKind, Netlist, TwoPattern};
 use pdf_paths::{PathEnumerator, PathSpectrum, Strategy};
@@ -212,12 +213,27 @@ impl Options {
         self.flags.iter().any(|(n, v)| n == name && v.is_none())
     }
 
-    fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
+    /// `--name` as a [`Kind::Count`] or [`Kind::Number`]; `default` if absent.
+    ///
+    /// # Errors
+    ///
+    /// ``invalid --name=`v`: <expected>`` ([`Kind::check`]).
+    pub fn number<T: FromStr>(&self, name: &str, kind: Kind, default: T) -> Result<T, CliError> {
         match self.value(name) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError::new(format!("invalid value for --{name}: `{v}`"))),
+            Some(raw) => Ok(kind.number(&format!("--{name}"), raw)?),
+        }
+    }
+
+    /// `--name` as a [`Kind::Names`] or [`Kind::Numbers`] list, if given.
+    ///
+    /// # Errors
+    ///
+    /// ``invalid --name=`v`: <expected>`` ([`Kind::check`]).
+    pub fn list<T: FromStr>(&self, name: &str, kind: Kind) -> Result<Option<Vec<T>>, CliError> {
+        match self.value(name) {
+            None => Ok(None),
+            Some(raw) => Ok(Some(kind.list(&format!("--{name}"), raw)?)),
         }
     }
 }
@@ -234,7 +250,8 @@ enum Source {
 
 /// Looks a circuit spec up: `s27`/`c17` come from the embedded ISCAS
 /// sources, stand-in names from the synthetic generator, anything else is
-/// read as a file under the I/O policy ([`read_netlist_text`]).
+/// read as a file behind the `netlist.read` failpoint site, transient
+/// errors retried under `PDF_IO_RETRY` ([`pdf_telemetry::guarded_read`]).
 fn source(spec: &str) -> Result<Source, CliError> {
     Ok(match spec {
         "s27" => Source::Embedded(pdf_netlist::iscas::S27_BENCH),
@@ -242,7 +259,7 @@ fn source(spec: &str) -> Result<Source, CliError> {
         _ => match pdf_netlist::stand_in_profile(spec) {
             Some(profile) => Source::StandIn(profile.generate()),
             None => Source::File(
-                read_netlist_text(spec)
+                pdf_telemetry::guarded_read(pdf_chaos::sites::NETLIST_READ, spec.as_ref())
                     .map_err(|e| CliError::new(format!("cannot read `{spec}`: {e}")))?,
             ),
         },
@@ -265,36 +282,6 @@ fn resolve_netlist(spec: &str) -> Result<Netlist, CliError> {
                 .map_err(|e| CliError::lint(Diagnostic::from_bench_error(spec, &e).to_string()))
         }
     }
-}
-
-/// `fs::read_to_string` behind the `netlist.read` failpoint site, with
-/// transient errors retried under the `PDF_IO_RETRY` policy.
-fn read_netlist_text(spec: &str) -> std::io::Result<String> {
-    let policy = pdf_chaos::RetryPolicy::from_env()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let (result, retries) = pdf_chaos::with_retry(&policy, || {
-        match pdf_chaos::evaluate(pdf_chaos::sites::NETLIST_READ) {
-            Some(injection) => {
-                pdf_telemetry::count(pdf_telemetry::counters::FAILPOINTS_HIT, 1);
-                match injection.error() {
-                    Some(error) => Err(error),
-                    None if injection == pdf_chaos::Injection::Panic => {
-                        panic!("injected failpoint {}", pdf_chaos::sites::NETLIST_READ)
-                    }
-                    None => {
-                        let mut text = std::fs::read_to_string(spec)?;
-                        text.truncate(injection.torn_len(text.len()));
-                        Ok(text)
-                    }
-                }
-            }
-            None => std::fs::read_to_string(spec),
-        }
-    });
-    if retries > 0 {
-        pdf_telemetry::count(pdf_telemetry::counters::IO_RETRIES, u64::from(retries));
-    }
-    result
 }
 
 /// Reduces a raw netlist to the combinational, parity-free form the path
@@ -329,8 +316,12 @@ fn normalize_netlist(
 
 /// Loads a circuit by name or file path, normalizing to a combinational,
 /// parity-free line-level circuit, and runs the automatic structural lint
-/// according to `PDF_LINT`. Notices and lint findings go to `notes`.
-pub fn load_circuit(spec: &str, notes: &mut String) -> Result<Circuit, CliError> {
+/// according to `PDF_LINT`. Notices and lint findings go to `notes`; the
+/// semantic pass comes back when the preflight ran it.
+pub fn load_circuit(
+    spec: &str,
+    notes: &mut String,
+) -> Result<(Circuit, Option<Semantic>), CliError> {
     let mode = LintMode::from_env()?;
     // s27 keeps the paper's exact hand-assigned line numbering, which the
     // generic bench pipeline would not reproduce; c17 rides along.
@@ -347,7 +338,7 @@ pub fn load_circuit(spec: &str, notes: &mut String) -> Result<Circuit, CliError>
         (report, normalize_netlist(spec, netlist, notes)?)
     };
     if matches!(mode, LintMode::Off) {
-        return Ok(circuit);
+        return Ok((circuit, None));
     }
     let mut report = netlist_report;
     report.extend(pdf_analyze::lint_circuit(&circuit));
@@ -355,11 +346,11 @@ pub fn load_circuit(spec: &str, notes: &mut String) -> Result<Circuit, CliError>
     // when the sensitizability pass is enabled, so default runs keep
     // byte-identical stderr. Their findings are warnings: the deny mode
     // reports them without aborting.
-    if pdf_knobs::SENSITIZE.switch(false)? {
-        report.extend(lint_semantic(&circuit, &constant_lines(&circuit)));
-    }
-    if report.is_clean() {
-        return Ok(circuit);
+    let semantic = pdf_knobs::SENSITIZE
+        .switch(false)?
+        .then(|| semantic_pass(&circuit));
+    if let Some((_, lints)) = &semantic {
+        report.extend(lints.clone());
     }
     if matches!(mode, LintMode::Deny) && report.has_errors() {
         return Err(CliError::lint(render_report(&report)));
@@ -367,8 +358,18 @@ pub fn load_circuit(spec: &str, notes: &mut String) -> Result<Circuit, CliError>
     for d in report.iter() {
         let _ = writeln!(notes, "{d}");
     }
-    Ok(circuit)
+    Ok((circuit, semantic))
 }
+
+/// A circuit's constant lines and the semantic lints (PDL008+) they raise.
+fn semantic_pass(circuit: &Circuit) -> Semantic {
+    let constants = constant_lines(circuit);
+    let lints = lint_semantic(circuit, &constants);
+    (constants, lints)
+}
+
+/// A circuit's constant lines and the semantic lints they raise.
+pub type Semantic = (Vec<ConstantLine>, LintReport);
 
 fn render_report(report: &LintReport) -> String {
     let mut s = String::new();
@@ -456,7 +457,7 @@ pub fn cmd_info(circuit: &Circuit) -> String {
 
 /// `pdfatpg spectrum`.
 pub fn cmd_spectrum(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
-    let top: usize = options.parsed("top", 20)?;
+    let top: usize = options.number("top", Kind::Number, 20)?;
     let spectrum = PathSpectrum::of(circuit);
     let mut s = String::new();
     let _ = writeln!(
@@ -482,8 +483,8 @@ fn strategy_from(options: &Options) -> Result<Strategy, CliError> {
 
 /// `pdfatpg paths`.
 pub fn cmd_paths(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
-    let cap: usize = options.parsed("cap", 10_000)?;
-    let units: u32 = options.parsed("units", 2)?;
+    let cap: usize = options.number("cap", Kind::Number, 10_000)?;
+    let units: u32 = options.number("units", Kind::Number, 2)?;
     let result = PathEnumerator::new(circuit)
         .with_cap(cap)
         .with_units_per_path(units)
@@ -509,24 +510,22 @@ pub fn cmd_paths(circuit: &Circuit, options: &Options) -> Result<String, CliErro
 }
 
 /// The preparation `--cap`, `--static-learning` (or `PDF_STATIC_LEARNING`),
-/// `--sensitize` (or `PDF_SENSITIZE`) and `--threads` (or `PDF_THREADS`)
-/// ask for. Both passes off keeps the plain, byte-identical behavior; the
-/// thread count never changes the output.
+/// `--sensitize` (or `PDF_SENSITIZE`) and `--threads` ask for. Both
+/// passes off keeps the plain, byte-identical behavior; the thread count
+/// never changes the output.
 fn preparation_from(options: &Options) -> Result<Preparation, CliError> {
     Ok(Preparation {
-        cap: options.parsed("cap", 10_000)?,
+        cap: options.number("cap", Kind::Number, 10_000)?,
         learning: pdf_knobs::STATIC_LEARNING.switch(options.has("static-learning"))?,
         sensitize: pdf_knobs::SENSITIZE.switch(options.has("sensitize"))?,
-        threads: pdf_knobs::THREADS
-            .number(options.value("threads"))?
-            .unwrap_or(1),
+        threads: options.number("threads", Kind::Count, 1)?,
     })
 }
 
 /// `pdfatpg faults`.
 pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
     let preparation = preparation_from(options)?;
-    let limit: usize = options.parsed("limit", 20)?;
+    let limit: usize = options.number("limit", Kind::Number, 20)?;
     let prepared = preparation.run(circuit);
     let (faults, stats) = (&prepared.faults, &prepared.stats);
     let mut s = String::new();
@@ -557,8 +556,13 @@ pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliErr
 /// sensitizability classification of the enumerated longest paths, and
 /// the semantic lints — and cross-checks them: the classified-path
 /// counts must cover the store, and when nothing was capped the
-/// enumerated population must equal the spectrum total.
-pub fn cmd_analyze(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
+/// enumerated population must equal the spectrum total. `semantic` is
+/// the preflight's semantic pass, if it ran one.
+pub fn cmd_analyze(
+    circuit: &Circuit,
+    options: &Options,
+    semantic: Option<Semantic>,
+) -> Result<String, CliError> {
     let Preparation { cap, learning, .. } = preparation_from(options)?;
     let table = learning.then(|| pdf_analyze::learn_implications(circuit));
     let spectrum = PathSpectrum::of(circuit);
@@ -598,8 +602,7 @@ pub fn cmd_analyze(circuit: &Circuit, options: &Options) -> Result<String, CliEr
             hardest = Some(line.name());
         }
     }
-    let constants = constant_lines(circuit);
-    let semantic = lint_semantic(circuit, &constants);
+    let (constants, semantic) = semantic.unwrap_or_else(|| semantic_pass(circuit));
 
     let report = Json::object()
         .field("circuit", circuit.name())
@@ -655,19 +658,15 @@ pub fn cmd_analyze(circuit: &Circuit, options: &Options) -> Result<String, CliEr
 }
 
 fn heuristic_from(options: &Options) -> Result<Compaction, CliError> {
-    match options.value("heuristic") {
-        None | Some("values") => Ok(Compaction::ValueBased),
-        Some("uncomp") => Ok(Compaction::Uncompacted),
-        Some("arbit") => Ok(Compaction::Arbitrary),
-        Some("length") => Ok(Compaction::LengthBased),
-        Some(other) => err(format!("unknown heuristic `{other}`")),
-    }
+    let label = options.value("heuristic").unwrap_or("values");
+    Compaction::from_label(label)
+        .ok_or_else(|| CliError::new(format!("unknown heuristic `{label}`")))
 }
 
 /// The atpg run-control options: the generation budget (from
 /// `--time-budget` or `PDF_TIME_BUDGET`), the checkpoint policy (from
-/// `--checkpoint`/`--checkpoint-every` or their environment variables)
-/// and a checkpoint to resume from (`--resume`).
+/// `--checkpoint` and `--checkpoint-every`) and a checkpoint to resume
+/// from (`--resume`).
 type RunControl = (
     Option<BudgetSpec>,
     Option<CheckpointPolicy>,
@@ -675,16 +674,17 @@ type RunControl = (
 );
 
 fn run_control_from(options: &Options) -> Result<RunControl, CliError> {
-    let budget_spec = BudgetSpec::resolve(options.value("time-budget"))?;
-    // The checkpoint path and cadence resolve independently, so a flag
-    // and an environment variable combine instead of conflicting.
-    let every = pdf_knobs::CHECKPOINT_EVERY
-        .number(options.value("checkpoint-every"))?
-        .unwrap_or(pdf_atpg::DEFAULT_CHECKPOINT_EVERY);
-    let checkpoint = match pdf_knobs::CHECKPOINT.text(options.value("checkpoint"))? {
+    let budget_spec =
+        pdf_knobs::TIME_BUDGET.read(options.value("time-budget"), BudgetSpec::parse)?;
+    let every = options.number(
+        "checkpoint-every",
+        Kind::Count,
+        pdf_atpg::DEFAULT_CHECKPOINT_EVERY,
+    )?;
+    let checkpoint = match options.value("checkpoint") {
         Some(path) => Some(CheckpointPolicy::new(path, every)),
         None if options.value("checkpoint-every").is_some() => {
-            return err("--checkpoint-every requires --checkpoint (or PDF_CHECKPOINT)")
+            return err("--checkpoint-every requires --checkpoint")
         }
         None => None,
     };
@@ -692,10 +692,8 @@ fn run_control_from(options: &Options) -> Result<RunControl, CliError> {
         Some(path) => {
             let (checkpoint, recovered) =
                 Checkpoint::load_with_recovery(std::path::Path::new(path)).map_err(|e| {
-                    let code = match &e {
-                        pdf_atpg::CheckpointError::Corrupt { .. } => EXIT_CORRUPT,
-                        _ => EXIT_ERROR,
-                    };
+                    let corrupt = matches!(e, pdf_atpg::CheckpointError::Corrupt { .. });
+                    let code = if corrupt { EXIT_CORRUPT } else { EXIT_ERROR };
                     CliError {
                         message: format!("--resume: {e}"),
                         code,
@@ -738,12 +736,12 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
         };
     }
 
-    let mut axes = if pdf_knobs::MATRIX_FULL.switch(options.has("full"))? {
+    let mut axes = if options.has("full") {
         pdf_matrix::MatrixAxes::full()
     } else {
         pdf_matrix::MatrixAxes::smoke()
     };
-    if let Some(circuits) = pdf_knobs::MATRIX_CIRCUITS.list::<String>(options.value("circuits"))? {
+    if let Some(circuits) = options.list::<String>("circuits", Kind::Names)? {
         if let Some(c) = circuits
             .iter()
             .find(|c| pdf_netlist::circuit_by_name(c).is_none())
@@ -752,12 +750,10 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
         }
         axes.circuits = circuits;
     }
-    if let Some(seeds) = pdf_knobs::MATRIX_SEEDS.list(options.value("seeds"))? {
+    if let Some(seeds) = options.list("seeds", Kind::Numbers)? {
         axes.seeds = seeds;
     }
-    let max_cells = pdf_knobs::MATRIX_CELLS
-        .number(options.value("cells"))?
-        .unwrap_or(200);
+    let max_cells = options.number("cells", Kind::Count, 200)?;
 
     let started = Instant::now();
     let outcome = pdf_matrix::MatrixRunner::new(axes)
@@ -765,15 +761,15 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
         .run();
     let elapsed = started.elapsed().as_secs_f64();
 
-    if let Some(path) = pdf_knobs::MATRIX_REPORT.text(options.value("report"))? {
-        std::fs::write(&path, outcome.to_report_json().to_pretty())
+    if let Some(path) = options.value("report") {
+        std::fs::write(path, outcome.to_report_json().to_pretty())
             .map_err(|e| CliError::new(format!("cannot write report `{path}`: {e}")))?;
     }
-    if let Some(dir) = pdf_knobs::MATRIX_REPRO_DIR.text(options.value("repro-dir"))? {
-        std::fs::create_dir_all(&dir)
+    if let Some(dir) = options.value("repro-dir") {
+        std::fs::create_dir_all(dir)
             .map_err(|e| CliError::new(format!("cannot create `{dir}`: {e}")))?;
         for (i, repro) in outcome.repros.iter().enumerate() {
-            let path = std::path::Path::new(&dir).join(format!("pdf-matrix-repro-{i}.json"));
+            let path = std::path::Path::new(dir).join(format!("pdf-matrix-repro-{i}.json"));
             std::fs::write(&path, repro.to_json().to_pretty()).map_err(|e| {
                 CliError::new(format!("cannot write repro `{}`: {e}", path.display()))
             })?;
@@ -826,9 +822,9 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
 pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
     let started = Instant::now();
     let preparation = preparation_from(options)?;
-    let n_p0: usize = options.parsed("np0", 1_000)?;
-    let seed: u64 = options.parsed("seed", 2002)?;
-    let attempts: u32 = options.parsed("attempts", 1)?;
+    let n_p0: usize = options.number("np0", Kind::Number, 1_000)?;
+    let seed: u64 = options.number("seed", Kind::Number, 2002)?;
+    let attempts: u32 = options.number("attempts", Kind::Number, 1)?;
     // Installed before run control so an armed `checkpoint.read` entry
     // already covers the --resume load. The PDF_FAILPOINTS twin was
     // installed at startup; the flag re-installs over it.
@@ -846,7 +842,7 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError
     // SCOAP guidance intentionally changes the search (and so the random
     // stream): the guide is recorded in the config fingerprint, and the
     // guided run stays deterministic in its own right.
-    let guide = pdf_knobs::SCOAP.switch(options.has("scoap"))?.then(|| {
+    let guide = options.has("scoap").then(|| {
         let testability = Testability::of(circuit);
         std::sync::Arc::new(BranchGuide::new(
             testability.cc0_table().to_vec(),
@@ -1092,7 +1088,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         return cmd_lint(spec);
     }
     let mut notes = String::new();
-    let circuit = load_circuit(spec, &mut notes)?;
+    let (circuit, semantic) = load_circuit(spec, &mut notes)?;
     if !notes.is_empty() {
         eprint!("{notes}");
     }
@@ -1101,7 +1097,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "spectrum" => cmd_spectrum(&circuit, &options),
         "paths" => cmd_paths(&circuit, &options),
         "faults" => cmd_faults(&circuit, &options),
-        "analyze" => cmd_analyze(&circuit, &options),
+        "analyze" => cmd_analyze(&circuit, &options, semantic),
         "atpg" => cmd_atpg(&circuit, &options),
         "sim" => match rest {
             [v1, v2] => cmd_sim(&circuit, v1, v2),
@@ -1342,6 +1338,24 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_written_at_zero_attempts_resumes_at_one() {
+        // The justifier runs `--attempts 0` as 1, so the two runs write
+        // the same tests and must pin the same fingerprint.
+        let path = std::env::temp_dir().join(format!("pdf_cli_att0_{}.json", std::process::id()));
+        let file = path.to_str().unwrap();
+        let line = ["atpg", "s27", "--np0", "10", "--seed", "9"];
+        let zero = run(&args(
+            &[&line[..], &["--attempts", "0", "--checkpoint", file]].concat(),
+        ));
+        let resumed = run(&args(
+            &[&line[..], &["--attempts", "1", "--resume", file]].concat(),
+        ));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
+        assert_eq!(resumed.unwrap(), zero.unwrap());
+    }
+
+    #[test]
     fn resume_of_a_corrupt_checkpoint_exits_with_the_corrupt_code() {
         let path =
             std::env::temp_dir().join(format!("pdf_cli_corrupt_{}.json", std::process::id()));
@@ -1412,7 +1426,65 @@ mod tests {
     #[test]
     fn atpg_checkpoint_every_requires_a_checkpoint_file() {
         let e = run(&args(&["atpg", "s27", "--checkpoint-every", "4"])).unwrap_err();
-        assert!(e.message.contains("--checkpoint"), "{e}");
+        assert_eq!(e.message, "--checkpoint-every requires --checkpoint");
+    }
+
+    #[test]
+    fn every_bad_flag_value_reads_as_one_error_shape() {
+        for (line, expected) in [
+            (
+                &["paths", "s27", "--cap", "x"][..],
+                "invalid --cap=`x`: expected a non-negative integer",
+            ),
+            (
+                &["paths", "s27", "--units", "99999999999"],
+                "invalid --units=`99999999999`: expected a non-negative integer",
+            ),
+            (
+                &["spectrum", "s27", "--top", "-1"],
+                "invalid --top=`-1`: expected a non-negative integer",
+            ),
+            (
+                &["faults", "s27", "--limit", "many"],
+                "invalid --limit=`many`: expected a non-negative integer",
+            ),
+            (
+                &["faults", "s27", "--threads", "0"],
+                "invalid --threads=`0`: expected a positive integer",
+            ),
+            (
+                &["atpg", "s27", "--np0", "1.5"],
+                "invalid --np0=`1.5`: expected a non-negative integer",
+            ),
+            (
+                &["atpg", "s27", "--seed", "x"],
+                "invalid --seed=`x`: expected a non-negative integer",
+            ),
+            (
+                &["atpg", "s27", "--attempts", "5000000000"],
+                "invalid --attempts=`5000000000`: expected a non-negative integer",
+            ),
+            (
+                &["atpg", "s27", "--checkpoint-every", "0"],
+                "invalid --checkpoint-every=`0`: expected a positive integer",
+            ),
+            (
+                &["matrix", "--cells", "0"],
+                "invalid --cells=`0`: expected a positive integer",
+            ),
+            (
+                &["matrix", "--circuits", ","],
+                "invalid --circuits=`,`: expected a comma-separated list of names",
+            ),
+            (
+                &["matrix", "--seeds", "1,x"],
+                "invalid --seeds=`1,x`: expected a comma-separated list of integers",
+            ),
+        ] {
+            let e = run(&args(line)).unwrap_err();
+            assert_eq!(e.code, EXIT_ERROR, "{line:?}");
+            assert_eq!(e.message, expected, "{line:?}");
+        }
     }
 
     #[test]

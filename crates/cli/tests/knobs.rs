@@ -6,10 +6,10 @@
 //! flag twin beats a valid variable while a malformed variable still
 //! aborts under the flag; and, end to end, a bad value stops `pdfatpg`
 //! with exit status 2 and a one-line typed error before any work, never
-//! a panic. The cases after the loops check behaviour rather than
-//! parsing. These tests mutate process-global environment variables,
-//! so they live in their own integration-test binary and serialize on a
-//! mutex besides.
+//! a panic. So does a set `PDF_*` variable that is not in the table. The
+//! cases after the loops check behaviour rather than parsing. These
+//! tests mutate process-global environment variables, so they live in
+//! their own integration-test binary and serialize on a mutex besides.
 
 use std::ffi::OsString;
 use std::os::unix::ffi::OsStringExt;
@@ -20,26 +20,35 @@ use pdf_knobs::{Kind, Knob, Program, KNOBS};
 
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `body` with every knob unset except `vars`, restoring the
-/// previous environment afterwards even when `body` panics.
+/// The names of the `PDF_*` variables set in this process.
+fn pdf_vars() -> Vec<OsString> {
+    std::env::vars_os()
+        .map(|(name, _)| name)
+        .filter(|name| name.to_string_lossy().starts_with("PDF_"))
+        .collect()
+}
+
+/// Runs `body` with every `PDF_*` variable unset except `vars`, which
+/// must be knobs, restoring the previous environment afterwards even
+/// when `body` panics.
 fn with_env<R>(vars: &[(&str, OsString)], body: impl FnOnce() -> R) -> R {
     let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let saved: Vec<(&str, Option<OsString>)> = KNOBS
-        .iter()
-        .map(|k| (k.env, std::env::var_os(k.env)))
+    let saved: Vec<(OsString, OsString)> = std::env::vars_os()
+        .filter(|(name, _)| name.to_string_lossy().starts_with("PDF_"))
         .collect();
-    for knob in KNOBS {
-        std::env::remove_var(knob.env);
+    for (name, _) in &saved {
+        std::env::remove_var(name);
     }
     for (k, v) in vars {
+        assert!(KNOBS.iter().any(|knob| knob.env == *k), "{k} is not a knob");
         std::env::set_var(k, v);
     }
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+    for name in pdf_vars() {
+        std::env::remove_var(name);
+    }
     for (k, v) in saved {
-        match v {
-            Some(v) => std::env::set_var(k, v),
-            None => std::env::remove_var(k),
-        }
+        std::env::set_var(k, v);
     }
     result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
@@ -83,25 +92,21 @@ fn atpg(extra: &[&str]) -> Result<String, pdf_cli::CliError> {
     pdf_cli::run(&args(&[&["atpg", "s27", "--np0", "10"], extra].concat()))
 }
 
-/// Runs `pdfatpg` with `knob`'s flag twin set to `value`.
+/// Runs `pdfatpg atpg` with `knob`'s flag twin set to `value`.
 fn run_with_flag(knob: &Knob, value: &str) -> Result<String, pdf_cli::CliError> {
     let flag = format!("--{}", knob.flag.expect("a flag twin"));
     let mut line = vec![flag.as_str()];
     if knob.kind != Kind::Switch {
         line.push(value);
     }
-    if knob.env.starts_with("PDF_MATRIX_") {
-        pdf_cli::run(&args(&[&["matrix"], &line[..]].concat()))
-    } else {
-        atpg(&line)
-    }
+    atpg(&line)
 }
 
 #[test]
 fn unset_knobs_take_their_documented_defaults() {
     with_env(&[], || {
         for knob in KNOBS {
-            assert_eq!(knob.text(None), Ok(None), "{}", knob.env);
+            assert_eq!(knob.text(), Ok(None), "{}", knob.env);
             if knob.kind == Kind::Switch {
                 assert_eq!(knob.default, "off", "{}", knob.env);
                 assert_eq!(knob.switch(false), Ok(false), "{}", knob.env);
@@ -112,14 +117,6 @@ fn unset_knobs_take_their_documented_defaults() {
         assert_eq!(w.n_p0.to_string(), pdf_knobs::NP0.default);
         assert_eq!(w.seed.to_string(), pdf_knobs::SEED.default);
         assert_eq!(w.attempts.to_string(), pdf_knobs::ATTEMPTS.default);
-        assert_eq!(
-            pdf_atpg::AtpgConfig::default().threads.to_string(),
-            pdf_knobs::THREADS.default
-        );
-        assert_eq!(
-            pdf_atpg::DEFAULT_CHECKPOINT_EVERY.to_string(),
-            pdf_knobs::CHECKPOINT_EVERY.default
-        );
         assert_eq!(
             pdf_analyze::LintMode::from_env(),
             Ok(pdf_analyze::LintMode::Deny)
@@ -165,23 +162,24 @@ fn a_valid_value_is_read_trimmed_and_an_empty_one_is_unset() {
     for knob in KNOBS {
         let [value, _] = good_values(knob);
         with_env(&[(knob.env, format!(" {value} ").into())], || {
-            assert_eq!(knob.text(None), Ok(Some(value.to_owned())), "{}", knob.env);
+            assert_eq!(knob.text(), Ok(Some(value.to_owned())), "{}", knob.env);
         });
         with_env(&[(knob.env, " ".into())], || {
-            assert_eq!(knob.text(None), Ok(None), "{}", knob.env);
+            assert_eq!(knob.text(), Ok(None), "{}", knob.env);
         });
     }
 }
 
 #[test]
 fn a_flag_beats_a_valid_variable_and_a_bad_variable_still_aborts() {
+    let text = |knob: &Knob, flag| knob.read(flag, |text| Ok(text.to_owned()));
     for knob in KNOBS.iter().filter(|k| k.flag.is_some()) {
         let [env_value, flag_value] = good_values(knob);
         with_env(&[(knob.env, env_value.into())], || {
             if knob.kind == Kind::Switch {
                 assert_eq!(knob.switch(true), Ok(true), "{}", knob.env);
             } else {
-                let read = knob.text(Some(flag_value));
+                let read = text(knob, Some(flag_value));
                 assert_eq!(read, Ok(Some(flag_value.to_owned())), "{}", knob.env);
             }
         });
@@ -191,7 +189,7 @@ fn a_flag_beats_a_valid_variable_and_a_bad_variable_still_aborts() {
             let e = run_with_flag(knob, flag_value).unwrap_err();
             assert!(e.message.starts_with(&prefix), "{}: {e}", knob.env);
             if knob.kind != Kind::Spec {
-                let e = knob.text(Some(flag_value)).unwrap_err();
+                let e = text(knob, Some(flag_value)).unwrap_err();
                 assert!(e.to_string().starts_with(&prefix), "{}: {e}", knob.env);
             }
         });
@@ -221,12 +219,18 @@ fn a_bad_flag_value_is_a_typed_error_naming_the_flag() {
     }
 }
 
-fn spawn(args: &[&str], env: &str, value: &OsString) -> Output {
+/// `pdfatpg` with every `PDF_*` variable of this process removed.
+fn pdfatpg() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-    for knob in KNOBS {
-        cmd.env_remove(knob.env);
+    for name in pdf_vars() {
+        cmd.env_remove(name);
     }
-    cmd.args(args)
+    cmd
+}
+
+fn spawn(args: &[&str], env: &str, value: &OsString) -> Output {
+    pdfatpg()
+        .args(args)
         .env(env, value)
         .output()
         .expect("spawn pdfatpg")
@@ -250,7 +254,7 @@ fn every_pdfatpg_knob_rejects_a_bad_value_with_exit_two() {
         .copied()
         .filter(|k| k.read_by.contains(&Program::Pdfatpg))
         .collect();
-    assert_eq!(knobs.len(), 17);
+    assert_eq!(knobs.len(), 7);
     for knob in knobs {
         assert_typed_exit(
             &spawn(&["info", "s27"], knob.env, &bad_value(knob)),
@@ -266,6 +270,31 @@ fn every_pdfatpg_knob_rejects_a_bad_value_with_exit_two() {
     assert_typed_exit(&out, "PDF_STATIC_LEARNING");
 }
 
+#[test]
+fn an_unknown_variable_is_refused_with_exit_two() {
+    // The retired twins of pdfatpg's flags, and a misspelt knob: each
+    // would otherwise be silently ignored.
+    for name in [
+        "PDF_THREADS",
+        "PDF_SCOAP",
+        "PDF_CHECKPOINT",
+        "PDF_CHECKPOINT_EVERY",
+        "PDF_MATRIX_CELLS",
+        "PDF_MATRIX_CIRCUITS",
+        "PDF_MATRIX_SEEDS",
+        "PDF_MATRIX_FULL",
+        "PDF_MATRIX_REPORT",
+        "PDF_MATRIX_REPRO_DIR",
+        "PDF_SENSITISE",
+    ] {
+        assert!(KNOBS.iter().all(|k| k.env != name), "{name}");
+        let out = spawn(&["info", "s27"], name, &"1".into());
+        assert_typed_exit(&out, name);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("no such PDF_* variable"), "{stderr}");
+    }
+}
+
 // --- behaviour beyond parsing -------------------------------------------
 
 fn temp_file(stem: &str) -> std::path::PathBuf {
@@ -273,38 +302,12 @@ fn temp_file(stem: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn checkpoint_path_and_cadence_combine_across_flag_and_env() {
-    let path = temp_file("combine");
-    let written = |out: Result<String, pdf_cli::CliError>| {
-        assert!(out.unwrap().contains("path-delay-atpg test set"));
-        let exists = path.exists();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
-        exists
-    };
-    let file = path.to_str().unwrap();
-    let env_path = with_env(&[("PDF_CHECKPOINT", file.into())], || {
-        atpg(&["--checkpoint-every", "2"])
-    });
-    assert!(
-        written(env_path),
-        "env-named checkpoint file must be written"
-    );
-    let env_cadence = with_env(&[("PDF_CHECKPOINT_EVERY", "1".into())], || {
-        atpg(&["--checkpoint", file])
-    });
-    assert!(written(env_cadence));
-}
-
-#[test]
-fn threads_flag_beats_env_and_output_is_thread_count_invariant() {
-    // The resolved thread count changes only the schedule, never the
-    // output: a 4-thread run (flag overriding the env twin) must print
-    // the exact same report as the single-threaded default.
+fn atpg_output_is_thread_count_invariant() {
+    // The thread count changes only the schedule, never the output: a
+    // 4-thread run must print the exact same report as the
+    // single-threaded default.
     let serial = with_env(&[], || atpg(&[]).unwrap());
-    let pooled = with_env(&[("PDF_THREADS", "2".into())], || {
-        atpg(&["--threads", "4"]).unwrap()
-    });
+    let pooled = with_env(&[], || atpg(&["--threads", "4"]).unwrap());
     assert_eq!(serial, pooled, "outputs must be byte-identical");
 }
 
@@ -321,23 +324,20 @@ fn a_huge_thread_count_runs_and_matches_one_thread() {
         ))
     };
     let run = |threads: &str, out: &std::path::Path| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-        for knob in KNOBS {
-            cmd.env_remove(knob.env);
-        }
         let out = out.to_str().unwrap();
-        cmd.args([
-            "atpg",
-            "s27",
-            "--np0",
-            "20",
-            "--threads",
-            threads,
-            "--output",
-            out,
-        ])
-        .output()
-        .expect("spawn pdfatpg")
+        pdfatpg()
+            .args([
+                "atpg",
+                "s27",
+                "--np0",
+                "20",
+                "--threads",
+                threads,
+                "--output",
+                out,
+            ])
+            .output()
+            .expect("spawn pdfatpg")
     };
     let (huge, one) = (file("huge"), file("one"));
     let pooled = run("20000", &huge);
@@ -352,14 +352,10 @@ fn a_huge_thread_count_runs_and_matches_one_thread() {
     assert_eq!(a.expect("test file written"), b.expect("test file written"));
 }
 
-/// Runs `pdfatpg args…` with every knob unset and returns its stdout,
-/// failing on a nonzero exit or a panic.
+/// Runs `pdfatpg args…` with every `PDF_*` variable unset and returns
+/// its stdout, failing on a nonzero exit or a panic.
 fn pdfatpg_stdout(args: &[&str]) -> Vec<u8> {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-    for knob in KNOBS {
-        cmd.env_remove(knob.env);
-    }
-    let out = cmd.args(args).output().expect("spawn pdfatpg");
+    let out = pdfatpg().args(args).output().expect("spawn pdfatpg");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
@@ -367,7 +363,7 @@ fn pdfatpg_stdout(args: &[&str]) -> Vec<u8> {
 }
 
 #[test]
-fn faults_reads_the_thread_knob_and_its_output_is_thread_count_invariant() {
+fn faults_output_is_thread_count_invariant() {
     // Elimination runs its passes on the pool: the fault list, its
     // counters and every printed A(p) match one thread at any count. A
     // pass starts no more workers than it has jobs, so 20 000 requested
@@ -393,11 +389,11 @@ fn faults_reads_the_thread_knob_and_its_output_is_thread_count_invariant() {
             );
         }
     }
-    // The env twin reaches `faults` too: a malformed value is refused.
-    let bad = with_env(&[("PDF_THREADS", "0".into())], || {
-        pdf_cli::run(&args(&["faults", "s27"]))
+    // A malformed count is refused before any work.
+    let bad = with_env(&[], || {
+        pdf_cli::run(&args(&["faults", "s27", "--threads", "0"]))
     });
-    assert!(bad.is_err_and(|e| e.code == 2 && e.message.contains("PDF_THREADS")));
+    assert!(bad.is_err_and(|e| e.code == 2 && e.message.starts_with("invalid --threads=`0`")));
 }
 
 /// The span tree as `(depth, name, calls)` rows, without timings.

@@ -17,11 +17,13 @@ fn run(args: &[&str]) -> Output {
     run_with(args, &[])
 }
 
-/// Runs `pdfatpg` with every knob unset except `env`.
+/// Runs `pdfatpg` with every `PDF_*` variable unset except `env`.
 fn run_with(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-    for knob in pdf_knobs::KNOBS {
-        cmd.env_remove(knob.env);
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("PDF_") {
+            cmd.env_remove(name);
+        }
     }
     cmd.args(args).envs(env.iter().copied());
     cmd.output().expect("spawn pdfatpg")

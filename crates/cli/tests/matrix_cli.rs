@@ -12,21 +12,21 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pdfatpg-matrix-cli-{}-{name}", std::process::id()))
 }
 
-fn run(args: &[&str], env: &[(&str, &str)]) -> Output {
+/// Runs `pdfatpg args…` with every `PDF_*` variable removed.
+fn run(args: &[&str]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
     cmd.args(args);
-    for knob in pdf_knobs::KNOBS {
-        cmd.env_remove(knob.env);
-    }
-    for (k, v) in env {
-        cmd.env(k, v);
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("PDF_") {
+            cmd.env_remove(name);
+        }
     }
     cmd.output().expect("spawn pdfatpg")
 }
 
 #[test]
 fn matrix_smoke_run_passes_and_reports_every_family() {
-    let out = run(&["matrix", "--circuits", "s27", "--cells", "8"], &[]);
+    let out = run(&["matrix", "--circuits", "s27", "--cells", "8"]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -42,18 +42,15 @@ fn matrix_smoke_run_passes_and_reports_every_family() {
 #[test]
 fn matrix_writes_a_parseable_report_file() {
     let report = scratch("report.json");
-    let out = run(
-        &[
-            "matrix",
-            "--circuits",
-            "s27",
-            "--cells",
-            "6",
-            "--report",
-            report.to_str().unwrap(),
-        ],
-        &[],
-    );
+    let out = run(&[
+        "matrix",
+        "--circuits",
+        "s27",
+        "--cells",
+        "6",
+        "--report",
+        report.to_str().unwrap(),
+    ]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -81,25 +78,10 @@ fn matrix_writes_a_parseable_report_file() {
 
 #[test]
 fn matrix_rejects_unknown_circuit() {
-    let out = run(&["matrix", "--circuits", "nosuch", "--cells", "4"], &[]);
+    let out = run(&["matrix", "--circuits", "nosuch", "--cells", "4"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("nosuch"), "stderr: {stderr}");
-}
-
-#[test]
-fn matrix_env_twins_select_the_run_shape() {
-    let out = run(
-        &["matrix"],
-        &[("PDF_MATRIX_CELLS", "4"), ("PDF_MATRIX_CIRCUITS", "s27")],
-    );
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("matrix: 4 cells"), "stdout: {stdout}");
 }
 
 #[test]
@@ -117,7 +99,7 @@ fn matrix_replay_of_a_clean_artifact_exits_zero() {
     };
     let path = scratch("clean-repro.json");
     std::fs::write(&path, repro.to_json().to_pretty()).unwrap();
-    let out = run(&["matrix", "--replay", path.to_str().unwrap()], &[]);
+    let out = run(&["matrix", "--replay", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert!(
         out.status.success(),
@@ -159,7 +141,7 @@ fn legacy_artifacts_with_simulation_axes_parse_and_replay() {
 
     let path = scratch("legacy-repro.json");
     std::fs::write(&path, LEGACY_ARTIFACT).unwrap();
-    let out = run(&["matrix", "--replay", path.to_str().unwrap()], &[]);
+    let out = run(&["matrix", "--replay", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert!(
         out.status.success(),
@@ -174,7 +156,7 @@ fn legacy_artifacts_with_simulation_axes_parse_and_replay() {
 fn matrix_replay_rejects_a_malformed_artifact() {
     let path = scratch("bad-repro.json");
     std::fs::write(&path, "{\"schema\": \"wrong\"}").unwrap();
-    let out = run(&["matrix", "--replay", path.to_str().unwrap()], &[]);
+    let out = run(&["matrix", "--replay", path.to_str().unwrap()]);
     std::fs::remove_file(&path).ok();
     assert_eq!(out.status.code(), Some(2));
 }

@@ -9,8 +9,10 @@ const EXIT_ERROR: i32 = 2;
 
 fn pdfatpg(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-    for knob in pdf_knobs::KNOBS {
-        cmd.env_remove(knob.env);
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("PDF_") {
+            cmd.env_remove(name);
+        }
     }
     cmd.args(args);
     cmd

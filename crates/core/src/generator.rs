@@ -96,6 +96,12 @@ impl Compaction {
             Compaction::ValueBased => "values",
         }
     }
+
+    /// The heuristic whose [`Compaction::label`] is `label`.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<Compaction> {
+        Compaction::ALL.into_iter().find(|c| c.label() == label)
+    }
 }
 
 /// How an accepted test is revised when a secondary target is added.
@@ -215,18 +221,18 @@ impl Default for AtpgConfig {
 /// The configuration facets a checkpoint pins: resuming under a different
 /// compaction heuristic, secondary mode, attempt count or round batch size
 /// would silently diverge from the interrupted run, so resume refuses
-/// them. The thread count is deliberately *not* pinned: output is
-/// byte-identical across it, so resuming on a machine with a different
-/// core count is safe. The literal `packed` segment names the one
-/// simulation engine and keeps checkpoints written when the engine was
-/// selectable resumable.
+/// them (an attempt count of 0 is pinned as the 1 the justifier runs).
+/// The thread count is deliberately *not* pinned: output is byte-identical
+/// across it, so resuming on a machine with a different core count is
+/// safe. The literal `packed` segment names the one simulation engine and
+/// keeps checkpoints written when the engine was selectable resumable.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
         "{}:{}:{}:packed:batch={}",
         config.compaction.label(),
         config.secondary_mode.label(),
-        config.justify_attempts,
+        config.justify_attempts.max(1),
         config.batch.max(1)
     );
     if let Some(table) = &config.learned {

@@ -313,7 +313,7 @@ impl<'c> Justifier<'c> {
 
     /// Attaches a [`BranchGuide`]: the guided search's random decision is
     /// replaced by a deterministic hardest-line-first, easier-value pick
-    /// that draws no RNG. Drivers map `PDF_SCOAP` here (the guide built
+    /// that draws no RNG. Drivers map `--scoap` here (the guide built
     /// from `pdf-analyze`'s SCOAP controllability tables).
     #[must_use]
     pub fn with_guide(mut self, guide: std::sync::Arc<BranchGuide>) -> Justifier<'c> {

@@ -56,7 +56,7 @@ fn main() {
         }
     }
 
-    if let Some(md_path) = pdf_knobs::WRITE_MD.text(None).unwrap_or_else(|e| e.exit()) {
+    if let Some(md_path) = pdf_knobs::WRITE_MD.text().unwrap_or_else(|e| e.exit()) {
         let md = report::render_experiments_md(&workload, &basic, &enrich, &table1, &table2);
         match std::fs::write(&md_path, md) {
             Ok(()) => eprintln!("EXPERIMENTS report written to {md_path}"),

@@ -99,11 +99,11 @@ impl Workload {
         pdf_atpg::validate_env(Program::Experiments)?;
         let d = Workload::default();
         Ok(Workload {
-            n_p: pdf_knobs::NP.number(None)?.unwrap_or(d.n_p),
-            n_p0: pdf_knobs::NP0.number(None)?.unwrap_or(d.n_p0),
-            seed: pdf_knobs::SEED.number(None)?.unwrap_or(d.seed),
-            attempts: pdf_knobs::ATTEMPTS.number(None)?.unwrap_or(d.attempts),
-            time_budget: BudgetSpec::resolve(None)?,
+            n_p: pdf_knobs::NP.number()?.unwrap_or(d.n_p),
+            n_p0: pdf_knobs::NP0.number()?.unwrap_or(d.n_p0),
+            seed: pdf_knobs::SEED.number()?.unwrap_or(d.seed),
+            attempts: pdf_knobs::ATTEMPTS.number()?.unwrap_or(d.attempts),
+            time_budget: pdf_knobs::TIME_BUDGET.read(None, BudgetSpec::parse)?,
             static_learning: pdf_knobs::STATIC_LEARNING.switch(false)?,
             sensitize: pdf_knobs::SENSITIZE.switch(false)?,
         })
@@ -149,7 +149,7 @@ impl Workload {
 /// `names` — an experiment over zero circuits is never what the user
 /// meant.
 pub fn filter_circuits(names: &[&'static str]) -> Result<Vec<&'static str>, KnobError> {
-    let Some(allowed) = pdf_knobs::CIRCUITS.list::<String>(None)? else {
+    let Some(allowed) = pdf_knobs::CIRCUITS.list::<String>()? else {
         return Ok(names.to_vec());
     };
     for a in &allowed {

@@ -10,8 +10,11 @@
 //! * a value that does not fit the knob's kind is an error, and every
 //!   error reads ``invalid PDF_X=`v`: <expected>`` ([`KnobError`]);
 //! * a flag beats its environment twin, but a set twin is still
-//!   validated.
+//!   validated;
+//! * a set `PDF_*` variable that is not in [`KNOBS`] is an error.
 //!
+//! [`Kind::check`] is the one value check: `pdfatpg` runs its value flags
+//! through it too, so a bad `--x` reads ``invalid --x=`v`: <expected>``.
 //! A [`Kind::Spec`] knob holds text in a grammar the owning crate parses
 //! (a time budget, a failpoint list, a retry policy): the owner passes its
 //! parser to [`Knob::read`], and its errors keep the same shape. Programs
@@ -72,9 +75,9 @@ pub enum Kind {
 }
 
 impl Kind {
-    /// What a value of this kind must look like, for error messages.
-    fn expected(self) -> String {
-        match self {
+    /// The error for a `raw` value of `name` that does not fit the kind.
+    fn error(self, name: &str, raw: &str) -> KnobError {
+        let expected = match self {
             Kind::Switch => "expected on/off (or 1/0, true/false)".to_owned(),
             Kind::Count => "expected a positive integer".to_owned(),
             Kind::Number => "expected a non-negative integer".to_owned(),
@@ -82,6 +85,11 @@ impl Kind {
             Kind::Names => "expected a comma-separated list of names".to_owned(),
             Kind::Numbers => "expected a comma-separated list of integers".to_owned(),
             Kind::Text | Kind::Spec => "expected text".to_owned(),
+        };
+        KnobError {
+            name: name.to_owned(),
+            value: raw.to_owned(),
+            expected,
         }
     }
 
@@ -99,6 +107,39 @@ impl Kind {
             }
             Kind::Text | Kind::Spec => true,
         }
+    }
+
+    /// The one value check, for a variable (`PDF_X`) or a flag (`--x`)
+    /// called `name`: `raw`, trimmed, must fit the kind. Returns the
+    /// trimmed text.
+    ///
+    /// # Errors
+    ///
+    /// A [`KnobError`] displaying ``invalid <name>=`<raw>`: <expected>``.
+    pub fn check<'a>(self, name: &str, raw: &'a str) -> Result<&'a str, KnobError> {
+        let text = raw.trim();
+        let fits = self.accepts(text);
+        fits.then_some(text).ok_or_else(|| self.error(name, raw))
+    }
+
+    /// A [`Kind::Count`] or [`Kind::Number`] value as `T`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Kind::check`]; also when the value does not fit `T`.
+    pub fn number<T: FromStr>(self, name: &str, raw: &str) -> Result<T, KnobError> {
+        (self.check(name, raw)?.parse()).map_err(|_| self.error(name, raw))
+    }
+
+    /// A [`Kind::Names`] or [`Kind::Numbers`] list, its items as `T`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Kind::check`]; also when an item does not fit `T`.
+    pub fn list<T: FromStr>(self, name: &str, raw: &str) -> Result<Vec<T>, KnobError> {
+        list_items(self.check(name, raw)?)
+            .map(|item| item.parse().map_err(|_| self.error(name, raw)))
+            .collect()
     }
 }
 
@@ -201,9 +242,9 @@ pub struct Knob {
 impl Knob {
     /// The one reader. Returns the value of `flag` when given, else of
     /// the environment variable (`None` when unset or empty). Each source
-    /// is trimmed, checked against the kind and then handed to `parse`,
-    /// whose error message becomes the [`KnobError`]'s expectation. The
-    /// variable is read and validated even when the flag wins.
+    /// goes through [`Kind::check`] and then `parse`, whose error message
+    /// becomes the [`KnobError`]'s expectation. The variable is read and
+    /// validated even when the flag wins.
     ///
     /// # Errors
     ///
@@ -213,19 +254,17 @@ impl Knob {
         flag: Option<&str>,
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Result<Option<T>, KnobError> {
-        let env = match std::env::var_os(self.env) {
+        let env = match std::env::var_os(self.env).map(std::ffi::OsString::into_string) {
             None => None,
-            Some(raw) => match raw.into_string() {
-                Ok(text) if text.trim().is_empty() => None,
-                Ok(text) => Some(self.parse(self.env, &text, &parse)?),
-                Err(raw) => {
-                    return Err(KnobError {
-                        name: self.env.to_owned(),
-                        value: raw.to_string_lossy().into_owned(),
-                        expected: "not valid UTF-8".to_owned(),
-                    })
-                }
-            },
+            Some(Ok(text)) if text.trim().is_empty() => None,
+            Some(Ok(text)) => Some(self.parse(self.env, &text, &parse)?),
+            Some(Err(raw)) => {
+                return Err(KnobError {
+                    name: self.env.to_owned(),
+                    value: raw.to_string_lossy().into_owned(),
+                    expected: "not valid UTF-8".to_owned(),
+                })
+            }
         };
         match flag {
             Some(text) => {
@@ -242,27 +281,22 @@ impl Knob {
         raw: &str,
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Result<T, KnobError> {
-        let text = raw.trim();
-        let result = if self.kind.accepts(text) {
-            parse(text)
-        } else {
-            Err(self.kind.expected())
-        };
-        result.map_err(|expected| KnobError {
+        let text = self.kind.check(name, raw)?;
+        parse(text).map_err(|expected| KnobError {
             name: name.to_owned(),
             value: raw.to_owned(),
             expected,
         })
     }
 
-    /// The value as text: a [`Kind::Text`] path or name, or any knob's
+    /// The variable as text: a [`Kind::Text`] path or name, or any knob's
     /// checked value.
     ///
     /// # Errors
     ///
     /// See [`Knob::read`].
-    pub fn text(&self, flag: Option<&str>) -> Result<Option<String>, KnobError> {
-        self.read(flag, |text| Ok(text.to_owned()))
+    pub fn text(&self) -> Result<Option<String>, KnobError> {
+        self.read(None, |text| Ok(text.to_owned()))
     }
 
     /// A [`Kind::Switch`]: on when the bare flag was given or the
@@ -276,40 +310,54 @@ impl Knob {
         Ok(flag || env.unwrap_or(false))
     }
 
-    /// A [`Kind::Count`] or [`Kind::Number`] as `T`.
+    /// The variable as a [`Kind::Count`] or [`Kind::Number`] of type `T`.
     ///
     /// # Errors
     ///
-    /// See [`Knob::read`]; also when the value does not fit `T`.
-    pub fn number<T: FromStr>(&self, flag: Option<&str>) -> Result<Option<T>, KnobError> {
-        self.read(flag, |text| text.parse().map_err(|_| self.kind.expected()))
+    /// See [`Kind::number`].
+    pub fn number<T: FromStr>(&self) -> Result<Option<T>, KnobError> {
+        self.read(None, |text| {
+            self.kind.number(self.env, text).map_err(|e| e.expected)
+        })
     }
 
-    /// A [`Kind::Names`] or [`Kind::Numbers`] list, its items as `T`.
+    /// The variable as a [`Kind::Names`] or [`Kind::Numbers`] list.
     ///
     /// # Errors
     ///
-    /// See [`Knob::read`].
-    pub fn list<T: FromStr>(&self, flag: Option<&str>) -> Result<Option<Vec<T>>, KnobError> {
-        self.read(flag, |text| {
-            list_items(text)
-                .map(|item| item.parse().map_err(|_| self.kind.expected()))
-                .collect()
+    /// See [`Kind::list`].
+    pub fn list<T: FromStr>(&self) -> Result<Option<Vec<T>>, KnobError> {
+        self.read(None, |text| {
+            self.kind.list(self.env, text).map_err(|e| e.expected)
         })
     }
 }
 
-/// Checks every knob `program` reads against its kind. A [`Kind::Spec`]
-/// is only checked for UTF-8 here: its owner parses the grammar.
+/// Refuses any set `PDF_*` variable not in [`KNOBS`], so a misspelt one
+/// is never silently ignored, then checks every knob `program` reads
+/// against its kind (a [`Kind::Spec`] only for UTF-8: its owner parses).
 ///
 /// # Errors
 ///
-/// The first [`KnobError`], in table order.
+/// The first unknown variable by name, else the first [`KnobError`].
 pub fn validate(program: Program) -> Result<(), KnobError> {
+    let lossy = |s: std::ffi::OsString| s.to_string_lossy().into_owned();
+    let unknown = std::env::vars_os()
+        .map(|(name, value)| (lossy(name), lossy(value)))
+        .filter(|(name, _)| name.starts_with("PDF_") && KNOBS.iter().all(|k| k.env != name))
+        .min();
+    if let Some((name, value)) = unknown {
+        let expected = "no such PDF_* variable (the README lists them; other settings are flags)";
+        return Err(KnobError {
+            name,
+            value,
+            expected: expected.to_owned(),
+        });
+    }
     KNOBS
         .iter()
         .filter(|knob| knob.read_by.contains(&program))
-        .try_for_each(|knob| knob.text(None).map(drop))
+        .try_for_each(|knob| knob.text().map(drop))
 }
 
 /// The `ENVIRONMENT:` help section for `program`, in table order.
@@ -371,10 +419,6 @@ knobs! {
         "justification completion groups per call";
     CIRCUITS: "PDF_CIRCUITS", None, Kind::Names, "all", [Experiments],
         "comma-separated circuit allow-list";
-    THREADS: "PDF_THREADS", Some("threads"), Kind::Count, "1", [Pdfatpg],
-        "worker-thread count for sensitizability classification and fault elimination \
-         (faults, atpg) and atpg test generation; the fault list, test set, counters \
-         and checkpoints are byte-identical at every count";
     LINT: "PDF_LINT", None, Kind::Choice(&["deny", "warn", "off"]), "deny",
         [Pdfatpg, Experiments, Bench],
         "`deny`, `warn` or `off`: whether the automatic structural lint after circuit \
@@ -387,9 +431,6 @@ knobs! {
         "static sensitizability pass: provably false path faults are pre-eliminated and \
          the semantic lints (PDL008+) join the automatic preflight; off is byte-identical \
          to runs without it";
-    SCOAP: "PDF_SCOAP", Some("scoap"), Kind::Switch, "off", [Pdfatpg],
-        "SCOAP testability guidance for atpg: hardest-first targets and branch decisions, \
-         recorded in the config fingerprint";
     TELEMETRY: "PDF_TELEMETRY", Some("telemetry"), Kind::Text, "off",
         [Pdfatpg, Experiments, Bench],
         "path of a JSON run report written at exit; `0` = off";
@@ -397,11 +438,6 @@ knobs! {
         [Pdfatpg, Experiments, Bench],
         "wall-clock budget, e.g. `30s` or `global=60s,compact=5s`; on exhaustion the \
          partial test set is finalized";
-    CHECKPOINT: "PDF_CHECKPOINT", Some("checkpoint"), Kind::Text, "off", [Pdfatpg],
-        "checkpoint file for atpg (resume with --resume FILE)";
-    CHECKPOINT_EVERY: "PDF_CHECKPOINT_EVERY", Some("checkpoint-every"), Kind::Count, "16",
-        [Pdfatpg],
-        "checkpoint after every K completed primary targets";
     FAILPOINTS: "PDF_FAILPOINTS", Some("failpoints"), Kind::Spec, "off", [Pdfatpg, Bench],
         "deterministic fault injection, a comma-separated `site:kind@N` list; sites \
          checkpoint.write, checkpoint.read, telemetry.flush, netlist.read, pool.build; \
@@ -409,19 +445,6 @@ knobs! {
     IO_RETRY: "PDF_IO_RETRY", None, Kind::Spec, "3@1ms", [Pdfatpg, Experiments, Bench],
         "bounded retry for transient I/O errors, `attempts[@backoff]`; the backoff \
          doubles per attempt";
-    MATRIX_CELLS: "PDF_MATRIX_CELLS", Some("cells"), Kind::Count, "200", [Pdfatpg],
-        "matrix cell budget";
-    MATRIX_CIRCUITS: "PDF_MATRIX_CIRCUITS", Some("circuits"), Kind::Names, "preset axes",
-        [Pdfatpg],
-        "comma-separated circuit axis for matrix";
-    MATRIX_SEEDS: "PDF_MATRIX_SEEDS", Some("seeds"), Kind::Numbers, "preset axes", [Pdfatpg],
-        "comma-separated seed axis for matrix";
-    MATRIX_FULL: "PDF_MATRIX_FULL", Some("full"), Kind::Switch, "off", [Pdfatpg],
-        "the full nightly matrix axes instead of the bounded smoke axes";
-    MATRIX_REPORT: "PDF_MATRIX_REPORT", Some("report"), Kind::Text, "off", [Pdfatpg],
-        "path of the matrix report JSON";
-    MATRIX_REPRO_DIR: "PDF_MATRIX_REPRO_DIR", Some("repro-dir"), Kind::Text, "off", [Pdfatpg],
-        "directory minimized matrix repro artifacts are written to";
     BENCH_CIRCUIT: "PDF_BENCH_CIRCUIT", None, Kind::Text, "s9234*", [Bench],
         "circuit the throughput binaries measure";
     BENCH_TESTS: "PDF_BENCH_TESTS", None, Kind::Number, "2048 / 256", [Bench],

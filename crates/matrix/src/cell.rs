@@ -45,12 +45,17 @@ impl RunMode {
         if s == "direct" {
             return Some(RunMode::Direct);
         }
-        let polls = s.strip_prefix("resume@")?.parse().ok()?;
+        // A cancel token needs at least one poll: `resume@0` is refused.
+        let polls = s.strip_prefix("resume@")?.parse().ok().filter(|&n| n > 0)?;
         Some(RunMode::CheckpointResume {
             cancel_after_polls: polls,
         })
     }
 }
+
+/// The largest `k` a parsed cell may ask for (the axes use 2 to 4), so an
+/// artifact cannot pad a split to an unbounded number of empty sets.
+pub const MAX_K: usize = 16;
 
 /// One fully-specified configuration cell of the matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -180,33 +185,44 @@ impl CellConfig {
     /// Parses a cell from its [`CellConfig::to_json`] form. Keys of
     /// retired axes (`backend`, `width`, `events` — the simulation
     /// engine is no longer selectable) are ignored, so older artifacts
-    /// still replay.
-    #[must_use]
-    pub fn from_json(json: &Json) -> Option<CellConfig> {
-        let s = |k: &str| json.get(k).and_then(Json::as_str);
-        let n = |k: &str| json.get(k).and_then(Json::as_num);
+    /// still replay. Numbers must be exact counts ([`Json::as_count`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first malformed field (`resume@0` included),
+    /// or a `k` outside `2..=`[`MAX_K`].
+    pub fn from_json(json: &Json) -> Result<CellConfig, String> {
+        let bad = |k: &str| format!("missing or malformed `{k}`");
+        let s = |k: &str| json.get(k).and_then(Json::as_str).ok_or_else(|| bad(k));
         let b = |k: &str| match json.get(k) {
-            Some(Json::Bool(v)) => Some(*v),
-            _ => None,
+            Some(Json::Bool(v)) => Ok(*v),
+            _ => Err(bad(k)),
         };
-        Some(CellConfig {
+        let n = |k: &str| match json.get(k) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v.as_count::<u64>().map(Some).ok_or_else(|| bad(k)),
+        };
+        let required = |k: &str| n(k)?.ok_or_else(|| bad(k));
+        let k = required("k")? as usize;
+        if !(2..=MAX_K).contains(&k) {
+            return Err(format!("`k` {k} is outside 2..={MAX_K}"));
+        }
+        Ok(CellConfig {
             circuit: s("circuit")?.to_owned(),
-            compaction: compaction_from_label(s("compaction")?)?,
-            k: n("k")? as usize,
-            n_p: n("n_p")? as usize,
-            n_p0: n("n_p0")? as usize,
+            compaction: Compaction::from_label(s("compaction")?)
+                .ok_or_else(|| bad("compaction"))?,
+            k,
+            n_p: required("n_p")? as usize,
+            n_p0: required("n_p0")? as usize,
             learning: b("learning")?,
             // Artifacts predating the sensitize axis replay with the
             // pass off (the byte-identical legacy behavior).
             sensitize: b("sensitize").unwrap_or(false),
-            run_mode: RunMode::parse(s("run_mode")?)?,
+            run_mode: RunMode::parse(s("run_mode")?).ok_or_else(|| bad("run_mode"))?,
             // Artifacts predating the threads axis replay single-threaded.
-            threads: n("threads").map_or(1, |v| (v as usize).max(1)),
-            seed: n("seed")? as u64,
-            budget_minutes: match json.get("budget_minutes") {
-                Some(Json::Num(m)) => Some(*m as u64),
-                _ => None,
-            },
+            threads: n("threads")?.map_or(1, |v| (v as usize).max(1)),
+            seed: required("seed")?,
+            budget_minutes: n("budget_minutes")?,
             // Artifacts predating the faults axis replay clean.
             faults: match json.get("faults") {
                 Some(Json::Str(spec)) => Some(spec.clone()),
@@ -214,12 +230,6 @@ impl CellConfig {
             },
         })
     }
-}
-
-/// Resolves a compaction heuristic from its `label()`.
-#[must_use]
-pub fn compaction_from_label(label: &str) -> Option<Compaction> {
-    Compaction::ALL.into_iter().find(|c| c.label() == label)
 }
 
 /// The axes of the cross-product. `cells()` decodes indices lazily in
@@ -506,7 +516,7 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
 
     let budget = || match cell.budget_minutes {
         Some(m) => RunBudget::with_deadline(pdf_atpg::Deadline::after(
-            std::time::Duration::from_secs(m * 60),
+            std::time::Duration::from_secs(m.saturating_mul(60)),
         )),
         None => RunBudget::unlimited(),
     };
@@ -661,5 +671,6 @@ mod tests {
             assert_eq!(RunMode::parse(&m.label()), Some(m));
         }
         assert_eq!(RunMode::parse("resume@x"), None);
+        assert_eq!(RunMode::parse("resume@0"), None);
     }
 }

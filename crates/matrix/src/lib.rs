@@ -43,7 +43,7 @@ use std::sync::{OnceLock, PoisonError, RwLock};
 
 use pdf_netlist::Circuit;
 
-pub use cell::{run_cell, CellConfig, CellObservation, Injection, MatrixAxes, RunMode};
+pub use cell::{run_cell, CellConfig, CellObservation, Injection, MatrixAxes, RunMode, MAX_K};
 pub use invariants::{check_all, Invariant, Violation};
 pub use minimize::{minimize, netlist_by_name, FailureProbe, Minimized};
 pub use report::{MatrixOutcome, REPORT_SCHEMA, REPORT_VERSION};

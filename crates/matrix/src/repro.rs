@@ -55,39 +55,25 @@ impl ReproCase {
     ///
     /// Returns a message naming the first malformed field.
     pub fn from_json(json: &Json) -> Result<ReproCase, String> {
-        let schema = json
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing `schema`")?;
+        let s = |k: &str| {
+            json.get(k)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("missing `{k}`"))
+        };
+        let schema = s("schema")?;
         if schema != REPRO_SCHEMA {
             return Err(format!(
                 "unexpected schema `{schema}` (want `{REPRO_SCHEMA}`)"
             ));
         }
-        let version = json
-            .get("version")
-            .and_then(Json::as_num)
-            .ok_or("missing `version`")?;
-        if version as u32 != REPRO_VERSION {
+        let version = json.get("version").ok_or("missing `version`")?;
+        if version.as_count() != Some(REPRO_VERSION) {
             return Err(format!(
-                "unsupported version {version} (want {REPRO_VERSION})"
+                "unsupported version {} (want {REPRO_VERSION})",
+                version.to_pretty().trim_end()
             ));
         }
-        let invariant = json
-            .get("invariant")
-            .and_then(Json::as_str)
-            .and_then(Invariant::from_label)
-            .ok_or("missing or unknown `invariant`")?;
-        let detail = json
-            .get("detail")
-            .and_then(Json::as_str)
-            .ok_or("missing `detail`")?
-            .to_owned();
-        let circuit = json
-            .get("circuit")
-            .and_then(Json::as_str)
-            .ok_or("missing `circuit`")?
-            .to_owned();
+        let invariant = Invariant::from_label(s("invariant")?).ok_or("unknown `invariant`")?;
         let bench = match json.get("bench") {
             Some(Json::Str(b)) => Some(b.clone()),
             Some(Json::Null) | None => None,
@@ -98,15 +84,15 @@ impl ReproCase {
             .and_then(Json::as_arr)
             .ok_or("missing `cells`")?
             .iter()
-            .map(|c| CellConfig::from_json(c).ok_or_else(|| format!("malformed cell: {c:?}")))
+            .map(|c| CellConfig::from_json(c).map_err(|e| format!("malformed cell: {e}")))
             .collect::<Result<Vec<CellConfig>, String>>()?;
         if cells.is_empty() {
             return Err("empty `cells`".to_owned());
         }
         Ok(ReproCase {
             invariant,
-            detail,
-            circuit,
+            detail: s("detail")?.to_owned(),
+            circuit: s("circuit")?.to_owned(),
             bench,
             cells,
         })

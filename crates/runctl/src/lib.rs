@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use pdf_knobs::{Kind, KnobError, Program, KNOBS};
 use pdf_telemetry::{counters, Json};
 
-/// Default checkpoint interval when `PDF_CHECKPOINT_EVERY` is unset.
+/// Default checkpoint interval when `--checkpoint-every` is not given.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 16;
 /// Version tag written into checkpoint files. Version 2 checkpoints are
 /// written by the round-based (batched) generator: their `rng_state`
@@ -394,16 +394,6 @@ impl BudgetSpec {
         Ok(spec)
     }
 
-    /// The `--time-budget` value when given, else `PDF_TIME_BUDGET`;
-    /// `None` when neither is set.
-    ///
-    /// # Errors
-    ///
-    /// A [`pdf_knobs::KnobError`] when either is malformed.
-    pub fn resolve(flag: Option<&str>) -> Result<Option<BudgetSpec>, pdf_knobs::KnobError> {
-        pdf_knobs::TIME_BUDGET.read(flag, BudgetSpec::parse)
-    }
-
     /// The global (whole-run) budget, when one was given.
     #[must_use]
     pub fn global(&self) -> Option<Duration> {
@@ -471,11 +461,7 @@ pub fn validate_env(program: Program) -> Result<(), KnobError> {
 /// # Errors
 ///
 /// Propagates the underlying filesystem errors.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    write_atomic_bytes(path, contents.as_bytes())
-}
-
-fn write_atomic_bytes(path: &Path, contents: &[u8]) -> io::Result<()> {
+pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -504,60 +490,6 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
         },
         Err(_) => Ok(()),
     }
-}
-
-/// [`write_atomic`] behind the `checkpoint.write` failpoint site: an
-/// armed `io`/`full` entry fails the write, a `torn` entry writes only a
-/// deterministic prefix and reports success (the modeled silent
-/// corruption the checkpoint CRC exists to catch).
-fn write_checkpoint_file(path: &Path, contents: &str) -> io::Result<()> {
-    match pdf_chaos::evaluate(pdf_chaos::sites::CHECKPOINT_WRITE) {
-        Some(injection) => {
-            pdf_telemetry::count(counters::FAILPOINTS_HIT, 1);
-            match injection.error() {
-                Some(error) => Err(error),
-                None if injection == pdf_chaos::Injection::Panic => {
-                    panic!("injected failpoint {}", pdf_chaos::sites::CHECKPOINT_WRITE)
-                }
-                None => {
-                    let torn = injection.torn_len(contents.len());
-                    write_atomic_bytes(path, &contents.as_bytes()[..torn])
-                }
-            }
-        }
-        None => write_atomic(path, contents),
-    }
-}
-
-/// `fs::read_to_string` behind the `checkpoint.read` failpoint site; a
-/// `torn` entry truncates the text it returns (a partial read).
-fn read_checkpoint_file(path: &Path) -> io::Result<String> {
-    match pdf_chaos::evaluate(pdf_chaos::sites::CHECKPOINT_READ) {
-        Some(injection) => {
-            pdf_telemetry::count(counters::FAILPOINTS_HIT, 1);
-            match injection.error() {
-                Some(error) => Err(error),
-                None if injection == pdf_chaos::Injection::Panic => {
-                    panic!("injected failpoint {}", pdf_chaos::sites::CHECKPOINT_READ)
-                }
-                None => {
-                    let mut text = fs::read_to_string(path)?;
-                    text.truncate(injection.torn_len(text.len()));
-                    Ok(text)
-                }
-            }
-        }
-        None => fs::read_to_string(path),
-    }
-}
-
-/// The retry policy for checkpoint I/O, surfaced as a checkpoint error
-/// when `PDF_IO_RETRY` is malformed.
-fn io_retry_policy(path: &Path) -> Result<pdf_chaos::RetryPolicy, CheckpointError> {
-    pdf_chaos::RetryPolicy::from_env().map_err(|e| CheckpointError::Io {
-        path: path.to_owned(),
-        source: io::Error::new(io::ErrorKind::InvalidInput, e),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -842,17 +774,15 @@ impl Checkpoint {
             path: path.to_owned(),
             source,
         };
-        let policy = io_retry_policy(path)?;
         if path.exists() {
             fs::rename(path, previous_generation_path(path)).map_err(io_error)?;
         }
+        // A torn write reports success: the corruption the CRC catches.
         let text = self.to_json();
-        let (result, retries) =
-            pdf_chaos::with_retry(&policy, || write_checkpoint_file(path, &text));
-        if retries > 0 {
-            pdf_telemetry::count(counters::IO_RETRIES, u64::from(retries));
-        }
-        result.map_err(io_error)?;
+        pdf_telemetry::guarded_io(pdf_chaos::sites::CHECKPOINT_WRITE, |keep| {
+            write_atomic(path, &text.as_bytes()[..keep(text.len())])
+        })
+        .map_err(io_error)?;
         pdf_telemetry::count(counters::CHECKPOINTS_WRITTEN, 1);
         Ok(())
     }
@@ -866,11 +796,7 @@ impl Checkpoint {
     /// the [`Checkpoint::from_json`] errors.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
         let _span = pdf_telemetry::Span::enter("runctl");
-        let policy = io_retry_policy(path)?;
-        let (result, retries) = pdf_chaos::with_retry(&policy, || read_checkpoint_file(path));
-        if retries > 0 {
-            pdf_telemetry::count(counters::IO_RETRIES, u64::from(retries));
-        }
+        let result = pdf_telemetry::guarded_read(pdf_chaos::sites::CHECKPOINT_READ, path);
         let text = result.map_err(|source| CheckpointError::Io {
             path: path.to_owned(),
             source,
@@ -976,15 +902,10 @@ fn flags_from_text(text: &str, field: &str) -> Result<Vec<bool>, CheckpointError
         .collect()
 }
 
-/// A count field: an exact non-negative integer that fits `T`, and no
-/// larger than 2^53, up to which a JSON number (`f64`) holds every
-/// integer. A fraction, a negative or a larger value, which a cast would
-/// round or saturate, is a schema error.
+/// A count field ([`Json::as_count`]); anything else is a schema error.
 fn count<T: TryFrom<u64>>(value: Option<&Json>, what: &str) -> Result<T, CheckpointError> {
     value
-        .and_then(Json::as_num)
-        .filter(|n| (0.0..=2f64.powi(53)).contains(n) && n.fract() == 0.0)
-        .and_then(|n| T::try_from(n as u64).ok())
+        .and_then(Json::as_count)
         .ok_or_else(|| CheckpointError::Schema(format!("{what} is not an integer in 0..=2^53")))
 }
 

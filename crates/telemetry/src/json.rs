@@ -66,6 +66,16 @@ impl Json {
         }
     }
 
+    /// The value as an exact count: an integer in 0..=2^53 (a JSON `f64`
+    /// holds each one exactly) that fits `T`; `None` for a fraction, a
+    /// negative or a larger number, which a cast would round or saturate.
+    #[must_use]
+    pub fn as_count<T: TryFrom<u64>>(&self) -> Option<T> {
+        self.as_num()
+            .filter(|n| (0.0..=2f64.powi(53)).contains(n) && n.fract() == 0.0)
+            .and_then(|n| T::try_from(n as u64).ok())
+    }
+
     /// The string value, if this is a string.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -455,9 +465,12 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII by construction");
+        // Past `f64` a number parses to an infinity, which no document holds.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Json::Num)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
+            .ok_or_else(|| self.err(format!("invalid number `{text}`")))
     }
 }
 
@@ -569,6 +582,24 @@ mod tests {
         let e = Json::parse("[1, @]").unwrap_err();
         assert_eq!(e.offset, 4);
         assert!(e.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn numbers_past_f64_are_parse_errors() {
+        for bad in ["1e999", "-1e999", "[1e400]"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn counts_are_exact_integers_up_to_two_to_the_53() {
+        let count = |text: &str| Json::parse(text).unwrap().as_count::<u64>();
+        assert_eq!(count("0"), Some(0));
+        assert_eq!(count("9007199254740992"), Some(1 << 53));
+        for bad in ["1.9", "-1", "9007199254740994", "\"1\"", "null"] {
+            assert_eq!(count(bad), None, "{bad}");
+        }
+        assert_eq!(Json::from(300u64).as_count::<u8>(), None);
     }
 
     #[test]

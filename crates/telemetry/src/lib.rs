@@ -448,6 +448,61 @@ pub fn count(name: &'static str, n: u64) {
     }
 }
 
+/// One file operation behind the failpoint `site`, transient errors
+/// retried under `PDF_IO_RETRY`. An armed `io`/`full` entry fails the
+/// attempt, `panic` panics; else `op` runs, told how many of its `n`
+/// bytes survive (a `torn` entry keeps a deterministic prefix). Counts
+/// `failpoints_hit` and `io_retries`.
+///
+/// # Errors
+///
+/// The last attempt's error, or an `InvalidInput` error when
+/// `PDF_IO_RETRY` is malformed.
+pub fn guarded_io<T>(
+    site: &'static str,
+    op: impl Fn(&dyn Fn(usize) -> usize) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    let policy = pdf_chaos::RetryPolicy::from_env()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+    let (result, retries) = pdf_chaos::with_retry(&policy, || {
+        let Some(injection) = pdf_chaos::evaluate(site) else {
+            return op(&|n| n);
+        };
+        count(counters::FAILPOINTS_HIT, 1);
+        if injection == pdf_chaos::Injection::Panic {
+            panic!("injected failpoint {site}");
+        }
+        match injection.error() {
+            Some(error) => Err(error),
+            None => op(&|n| injection.torn_len(n)),
+        }
+    });
+    if retries > 0 {
+        count(counters::IO_RETRIES, u64::from(retries));
+    }
+    result
+}
+
+/// [`guarded_io`] reading `path` as text. A `torn` entry keeps a prefix
+/// that ends on a character boundary.
+///
+/// # Errors
+///
+/// See [`guarded_io`].
+pub fn guarded_read(site: &'static str, path: &std::path::Path) -> std::io::Result<String> {
+    guarded_io(site, |keep| {
+        let mut text = std::fs::read_to_string(path)?;
+        let torn = keep(text.len());
+        text.truncate(
+            (0..=torn)
+                .rev()
+                .find(|&n| text.is_char_boundary(n))
+                .unwrap_or(0),
+        );
+        Ok(text)
+    })
+}
+
 /// One aggregated span of a [`RunReport`]: total wall-clock time and entry
 /// count for a name at one position of the phase tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -482,20 +537,19 @@ impl SpanReport {
     }
 
     fn from_json(j: &Json) -> Result<SpanReport, ParseJsonError> {
+        let bad = |key: &str| ParseJsonError::schema(format!("span without a valid `{key}`"));
         let name = j
             .get("name")
             .and_then(Json::as_str)
-            .ok_or_else(|| ParseJsonError::schema("span without a `name` string"))?
-            .to_owned();
+            .ok_or_else(|| bad("name"))?;
         let calls = j
             .get("calls")
-            .and_then(Json::as_num)
-            .ok_or_else(|| ParseJsonError::schema("span without a `calls` number"))?
-            as u64;
+            .and_then(Json::as_count)
+            .ok_or_else(|| bad("calls"))?;
         let seconds = j
             .get("seconds")
             .and_then(Json::as_num)
-            .ok_or_else(|| ParseJsonError::schema("span without a `seconds` number"))?;
+            .ok_or_else(|| bad("seconds"))?;
         let children = j
             .get("children")
             .and_then(Json::as_arr)
@@ -504,7 +558,7 @@ impl SpanReport {
             .map(SpanReport::from_json)
             .collect::<Result<Vec<SpanReport>, ParseJsonError>>()?;
         Ok(SpanReport {
-            name,
+            name: name.to_owned(),
             calls,
             seconds,
             children,
@@ -569,8 +623,8 @@ impl RunReport {
     /// does not follow the report schema.
     pub fn from_json(text: &str) -> Result<RunReport, ParseJsonError> {
         let j = Json::parse(text)?;
-        let version = j.get("telemetry").and_then(Json::as_num);
-        if version != Some(1.0) {
+        let version = j.get("telemetry").and_then(Json::as_count::<u64>);
+        if version != Some(1) {
             return Err(ParseJsonError::schema(
                 "not a telemetry report (missing `\"telemetry\": 1`)",
             ));
@@ -588,9 +642,9 @@ impl RunReport {
         let counters = counter_fields
             .iter()
             .map(|(k, v)| {
-                v.as_num()
-                    .map(|n| (k.clone(), n as u64))
-                    .ok_or_else(|| ParseJsonError::schema(format!("counter `{k}` is not a number")))
+                v.as_count()
+                    .map(|n| (k.clone(), n))
+                    .ok_or_else(|| ParseJsonError::schema(format!("counter `{k}` is not a count")))
             })
             .collect::<Result<Vec<(String, u64)>, ParseJsonError>>()?;
         Ok(RunReport { spans, counters })
@@ -605,28 +659,10 @@ impl RunReport {
     ///
     /// Propagates the I/O error on failure (after retries).
     pub fn write(&self, path: &str) -> std::io::Result<()> {
-        let policy = pdf_chaos::RetryPolicy::from_env()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let text = self.to_json();
-        let (result, retries) = pdf_chaos::with_retry(&policy, || {
-            match pdf_chaos::evaluate(pdf_chaos::sites::TELEMETRY_FLUSH) {
-                Some(injection) => {
-                    count(counters::FAILPOINTS_HIT, 1);
-                    match injection.error() {
-                        Some(error) => Err(error),
-                        None if injection == pdf_chaos::Injection::Panic => {
-                            panic!("injected failpoint {}", pdf_chaos::sites::TELEMETRY_FLUSH)
-                        }
-                        None => std::fs::write(path, &text[..injection.torn_len(text.len())]),
-                    }
-                }
-                None => std::fs::write(path, &text),
-            }
-        });
-        if retries > 0 {
-            count(counters::IO_RETRIES, u64::from(retries));
-        }
-        result
+        guarded_io(pdf_chaos::sites::TELEMETRY_FLUSH, |keep| {
+            std::fs::write(path, &text.as_bytes()[..keep(text.len())])
+        })
     }
 }
 
@@ -692,7 +728,7 @@ impl Guard {
     ///
     /// A [`pdf_knobs::KnobError`] when the variable is not valid UTF-8.
     pub fn from_env() -> Result<Guard, pdf_knobs::KnobError> {
-        Ok(match pdf_knobs::TELEMETRY.text(None)? {
+        Ok(match pdf_knobs::TELEMETRY.text()? {
             Some(path) if path != "0" => Guard::to_path(path),
             _ => Guard {
                 path: None,

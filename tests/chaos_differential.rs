@@ -268,6 +268,27 @@ fn transient_netlist_read_heals_in_the_cli() {
     );
 }
 
+/// A torn read keeps a prefix that ends on a character boundary, so a
+/// netlist with multi-byte characters fails to parse instead of panicking.
+#[test]
+fn torn_netlist_read_of_multibyte_text_is_a_typed_error() {
+    let _guard = serialize();
+    let path =
+        std::env::temp_dir().join(format!("pdf_chaos_diff_utf8_{}.bench", std::process::id()));
+    let file = path.to_str().unwrap().to_owned();
+    // The torn prefix length depends on the file's: some of these lengths
+    // cut inside an `é`.
+    for n in 1..=24 {
+        let text = format!("# {}\n{}", "é".repeat(n), pdf_netlist::iscas::C17_BENCH);
+        std::fs::write(&path, text).unwrap();
+        pdf_chaos::install(&pdf_chaos::FailpointSpec::parse("netlist.read:torn@1").unwrap());
+        let outcome = std::panic::catch_unwind(|| pdf_cli::run(&["info".to_owned(), file.clone()]));
+        pdf_chaos::clear();
+        assert!(outcome.is_ok(), "{n} × é: the torn read panicked");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// `pdfatpg bench FILE` reads the file a second time to emit it verbatim.
 /// That read goes through the same `netlist.read` site and retry policy
 /// as the load before it.
