@@ -1,6 +1,6 @@
 //! Static implication learning, run once per circuit.
 //!
-//! Two rounds per asserted literal:
+//! Every outer literal is an antecedent, learned in two rounds:
 //!
 //! 1. **Direct contrapositives** (SOCRATES-style). For every line `l`,
 //!    outer slot `s ∈ {α1, α3}` and value `v ∈ {0, 1}`, assert the single
@@ -25,6 +25,10 @@
 //!    stored in *both* directions: `l.s = v ⇒ m.s' = w` and the
 //!    contrapositive `m.s' = ¬w ⇒ l.s = ¬v`.
 //!
+//! Only `α1 = 0` and `α1 = 1` on non-branch lines run the rounds: from the
+//! all-`x` engine the `α3` run is the `α1` run with the slot swapped, and
+//! a fanout branch reaches its stem's fixpoint (DESIGN §12).
+//!
 //! Soundness rests on two facts:
 //!
 //! * outer components are binary in every completed two-pattern test, so
@@ -45,9 +49,10 @@ use pdf_netlist::{Circuit, LineId, LineKind};
 
 /// The cap on depth-1 case splits tried per asserted literal.
 ///
-/// Learning cost is `4 · lines · (1 + cap)` propagations; this cap keeps
-/// the pass under a few seconds on the largest stand-ins while still
-/// reaching the frontier lines that guard reconvergent redundancy.
+/// Each split propagates both values, so learning costs at most
+/// `2 · (lines − branches) · (1 + 2 · cap)` propagations; this cap keeps
+/// the pass around a second on the largest stand-ins while still reaching
+/// the frontier lines that guard reconvergent redundancy.
 const SPLIT_CAP: usize = 24;
 
 /// Runs the one-off static learning pass, with up to 24 case splits per
@@ -81,9 +86,17 @@ fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedIm
     let mut table = LearnedImplications::new(circuit.line_count());
     let mut imp = Implicator::new(circuit);
     for (id, _) in circuit.iter() {
-        for slot in [0usize, 2] {
-            for value in [Value::Zero, Value::One] {
-                learn_from_assertion(circuit, &mut imp, id, slot, value, split_cap, &mut table);
+        if circuit.kind(id).is_branch() {
+            continue; // learned with its stem
+        }
+        let class = branch_class(circuit, id);
+        for value in [Value::Zero, Value::One] {
+            let Some(lessons) = lessons(circuit, &mut imp, Literal::new(id, 0, value), split_cap)
+            else {
+                continue;
+            };
+            for (&line, slot) in class.iter().flat_map(|l| [(l, 0usize), (l, 2)]) {
+                lessons.record(Literal::new(line, slot, value), &mut table);
             }
         }
     }
@@ -94,78 +107,78 @@ fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedIm
     table
 }
 
-/// Asserts `line.slot = value` on the pass's engine, propagates, records
-/// round-1 contrapositives, then branch-and-intersects over the frontier.
-/// The engine is unconstrained on entry, and again on return.
-fn learn_from_assertion(
-    circuit: &Circuit,
-    imp: &mut Implicator<'_>,
-    line: LineId,
-    slot: usize,
-    value: Value,
-    split_cap: usize,
-    table: &mut LearnedImplications,
-) {
-    let mark = imp.mark();
-    let req = single_component(slot, value);
-    if imp.assign(line, req).is_ok() && imp.propagate().is_ok() {
-        // The fixpoint is specified exactly on the lines changed since
-        // the unconstrained mark: only they can carry a consequent.
-        let implied = changed_lines(imp, mark);
-        learn_from_fixpoint(circuit, imp, &implied, line, slot, value, split_cap, table);
+/// `stem` and the fanout branches descending from it: the lines whose
+/// assertion reaches the same fixpoint.
+fn branch_class(circuit: &Circuit, stem: LineId) -> Vec<LineId> {
+    let mut class = vec![stem];
+    let mut next = 0;
+    while let Some(&line) = class.get(next) {
+        let fanout = circuit.fanout(line).iter().copied();
+        class.extend(fanout.filter(|&f| circuit.kind(f).is_branch()));
+        next += 1;
     }
-    // Otherwise the literal itself is unsatisfiable; nothing to learn —
-    // any fault requiring it already dies under rule 2.
-    imp.undo_to(mark);
+    class
 }
 
-/// The lines changed since `mark`, each once, in id order, with their
-/// current values.
-fn changed_lines(imp: &Implicator<'_>, mark: usize) -> Vec<(LineId, Triple)> {
-    let mut lines: Vec<LineId> = imp.changed_since(mark).collect();
-    lines.sort_unstable();
-    lines.dedup();
-    lines.into_iter().map(|l| (l, imp.value(l))).collect()
-}
-
-/// The two learning rounds on the fixpoint of `line.slot = value`, which
-/// `imp` holds on entry and on return; `implied` lists its specified
-/// lines.
-#[allow(clippy::too_many_arguments)]
-fn learn_from_fixpoint(
-    circuit: &Circuit,
-    imp: &mut Implicator<'_>,
-    implied: &[(LineId, Triple)],
-    line: LineId,
+/// What the fixpoint of asserting one literal on `slot` teaches: its
+/// specified outer literals (round 1), and the open ones both case splits
+/// of a frontier line agree on (round 2).
+struct Lessons {
     slot: usize,
-    value: Value,
-    split_cap: usize,
-    table: &mut LearnedImplications,
-) {
-    let antecedent = Literal::new(line, slot, value);
+    direct: Vec<Literal>,
+    split: Vec<Literal>,
+}
 
-    // Round 1: direct contrapositives of the plain fixpoint.
-    for &(m, v) in implied {
-        if m == line {
-            continue;
-        }
-        for (cons_slot, w) in [(0usize, v.first()), (2, v.last())] {
-            if !w.is_specified() {
-                continue;
-            }
+impl Lessons {
+    /// Stores the pairs of `antecedent`, whose assertion reaches this
+    /// fixpoint, mirrored when it sits on the other outer slot.
+    /// [`LearnedImplications::add`] drops consequents on its own line.
+    fn record(&self, antecedent: Literal, table: &mut LearnedImplications) {
+        // Outer slots are 0 and 2, so `^ 2` swaps them.
+        let mirror =
+            |c: &Literal| Literal::new(c.line, c.slot ^ antecedent.slot ^ self.slot, c.value);
+        for c in self.direct.iter().map(mirror) {
             // (l.s = v) ⇒ (m.s' = w), so (m.s' = ¬w) ⇒ (l.s = ¬v).
-            let consequent = Literal::new(m, cons_slot, w);
-            table.add(consequent.negated(), antecedent.negated());
+            table.add(c.negated(), antecedent.negated());
+        }
+        for c in self.split.iter().map(mirror) {
+            // Split-derived implications are invisible to the engine's
+            // structural rules, so store both directions.
+            table.add(antecedent, c);
+            table.add(c.negated(), antecedent.negated());
         }
     }
+}
+
+/// Asserts `antecedent` on the pass's engine, propagates, and runs both
+/// rounds on the fixpoint. The engine is unconstrained on entry, and
+/// again on return.
+fn lessons(
+    circuit: &Circuit,
+    imp: &mut Implicator<'_>,
+    antecedent: Literal,
+    split_cap: usize,
+) -> Option<Lessons> {
+    let mark = imp.mark();
+    let req = single_component(antecedent.slot, antecedent.value);
+    if imp.assign(antecedent.line, req).is_err() || imp.propagate().is_err() {
+        // The literal itself is unsatisfiable; nothing to learn — any
+        // fault requiring it already dies under rule 2.
+        imp.undo_to(mark);
+        return None;
+    }
+    // The fixpoint is specified exactly on the lines changed since the
+    // unconstrained mark: only they can carry a consequent.
+    let implied = changed_lines(imp, mark);
 
     // Round 2: depth-1 branch-and-intersect over the frontier. A branch
     // fixpoint differs from the base fixpoint only on the lines the
     // branch changed, so only those are compared.
-    for (split, split_slot) in frontier_splits(circuit, imp.values(), implied, split_cap) {
+    let mut split = Vec::new();
+    for (line, split_slot) in frontier_splits(circuit, imp.values(), &implied, split_cap) {
         let mut branch = |v: Value| -> Option<Vec<(LineId, Triple)>> {
             let mark = imp.mark();
-            let changed = (imp.assign(split, single_component(split_slot, v)).is_ok()
+            let changed = (imp.assign(line, single_component(split_slot, v)).is_ok()
                 && imp.propagate().is_ok())
             .then(|| changed_lines(imp, mark));
             imp.undo_to(mark);
@@ -199,24 +212,37 @@ fn learn_from_fixpoint(
             // leave that to rule-2; record nothing.
             (None, None) => continue,
         };
-        for (m, t) in merged {
-            if m == line {
-                continue;
-            }
-            let base = imp.value(m);
-            for (cons_slot, w) in [(0usize, t.first()), (2, t.last())] {
-                // Only record what round 1 could not already see.
-                if !w.is_specified() || component(base, cons_slot).is_specified() {
-                    continue;
-                }
-                let consequent = Literal::new(m, cons_slot, w);
-                // Split-derived implications are invisible to the
-                // engine's structural rules, so store both directions.
-                table.add(antecedent, consequent);
-                table.add(consequent.negated(), antecedent.negated());
-            }
-        }
+        // Only record what round 1 could not already see.
+        split.extend(
+            outer_literals(&merged)
+                .filter(|c| !component(imp.value(c.line), c.slot).is_specified()),
+        );
     }
+    imp.undo_to(mark);
+    Some(Lessons {
+        slot: antecedent.slot,
+        direct: outer_literals(&implied).collect(),
+        split,
+    })
+}
+
+/// The lines changed since `mark`, each once, in id order, with their
+/// current values.
+fn changed_lines(imp: &Implicator<'_>, mark: usize) -> Vec<(LineId, Triple)> {
+    let mut lines: Vec<LineId> = imp.changed_since(mark).collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines.into_iter().map(|l| (l, imp.value(l))).collect()
+}
+
+/// The specified outer components of `lines`, as literals.
+fn outer_literals(lines: &[(LineId, Triple)]) -> impl Iterator<Item = Literal> + '_ {
+    lines.iter().flat_map(|&(m, t)| {
+        [(0usize, t.first()), (2, t.last())]
+            .into_iter()
+            .filter(|(_, w)| w.is_specified())
+            .map(move |(slot, w)| Literal::new(m, slot, w))
+    })
 }
 
 /// Split candidates: unspecified outer slots of fanins of gates the
@@ -294,31 +320,44 @@ fn single_component(slot: usize, value: Value) -> Triple {
 mod tests {
     use super::*;
     use pdf_logic::GateKind;
-    use pdf_netlist::CircuitBuilder;
+    use pdf_netlist::{CircuitBuilder, SynthProfile};
+    use proptest::prelude::*;
 
-    /// z = AND(x, y): x.α1 = 0 forces z.α1 = 0, so the table must hold
-    /// the contrapositive z.α1 = 1 ⇒ x.α1 = 1 (and the y twin).
-    #[test]
-    fn and_gate_learns_contrapositives() {
-        let mut b = CircuitBuilder::new("and2");
-        let x = b.input("x");
-        let y = b.input("y");
-        let z = b.gate("z", GateKind::And, &[x, y]);
-        b.mark_output(z);
-        let c = b.finish().unwrap();
+    /// The per-literal learner the pass replaces: every line, both outer
+    /// slots and both values run their own fixpoint. The pass must store
+    /// exactly its table.
+    fn learn_per_literal(circuit: &Circuit, split_cap: usize) -> LearnedImplications {
+        let mut table = LearnedImplications::new(circuit.line_count());
+        let mut imp = Implicator::new(circuit);
+        for (id, _) in circuit.iter() {
+            for slot in [0usize, 2] {
+                for value in [Value::Zero, Value::One] {
+                    let antecedent = Literal::new(id, slot, value);
+                    if let Some(lessons) = lessons(circuit, &mut imp, antecedent, split_cap) {
+                        lessons.record(antecedent, &mut table);
+                    }
+                }
+            }
+        }
+        table
+    }
 
-        let table = learn_implications(&c);
-        let from_z1: Vec<Literal> = table.consequents(Literal::new(z, 0, Value::One)).collect();
-        assert!(from_z1.contains(&Literal::new(x, 0, Value::One)));
-        assert!(from_z1.contains(&Literal::new(y, 0, Value::One)));
+    fn assert_matches_oracle(circuit: &Circuit) {
+        let oracle = learn_per_literal(circuit, SPLIT_CAP);
+        let table = learn_implications(circuit);
+        assert_eq!(table.len(), oracle.len(), "{}", circuit.name());
+        assert!(
+            table.iter().eq(oracle.iter()),
+            "{}: learned table differs from the per-literal oracle",
+            circuit.name()
+        );
     }
 
     /// The reconvergent redundancy the gadget of
     /// `SynthProfile::with_redundant_gadgets` builds: `z ≡ a` through a
-    /// select `s` that direct propagation cannot resolve. Only the
-    /// branch-and-intersect round learns `a = 0 ⇒ z = 0`.
-    #[test]
-    fn branch_and_intersect_sees_through_reconvergence() {
+    /// select `s` that direct propagation cannot resolve. Returns the
+    /// circuit with `a` and `z`.
+    fn mux_buffer() -> (Circuit, LineId, LineId) {
         let mut b = CircuitBuilder::new("mux-buffer");
         let s = b.input("s");
         let a = b.input("a");
@@ -337,7 +376,31 @@ mod tests {
         let o2 = b.gate("o2", GateKind::Or, &[ns2, u2, a2]);
         let z = b.gate("z", GateKind::And, &[o1, o2]);
         b.mark_output(z);
+        (b.finish().unwrap(), a, z)
+    }
+
+    /// z = AND(x, y): x.α1 = 0 forces z.α1 = 0, so the table must hold
+    /// the contrapositive z.α1 = 1 ⇒ x.α1 = 1 (and the y twin).
+    #[test]
+    fn and_gate_learns_contrapositives() {
+        let mut b = CircuitBuilder::new("and2");
+        let x = b.input("x");
+        let y = b.input("y");
+        let z = b.gate("z", GateKind::And, &[x, y]);
+        b.mark_output(z);
         let c = b.finish().unwrap();
+
+        let table = learn_implications(&c);
+        let from_z1: Vec<Literal> = table.consequents(Literal::new(z, 0, Value::One)).collect();
+        assert!(from_z1.contains(&Literal::new(x, 0, Value::One)));
+        assert!(from_z1.contains(&Literal::new(y, 0, Value::One)));
+    }
+
+    /// Only the branch-and-intersect round learns the gadget's
+    /// `a = 0 ⇒ z = 0`.
+    #[test]
+    fn branch_and_intersect_sees_through_reconvergence() {
+        let (c, a, z) = mux_buffer();
 
         // Direct propagation stalls: {a = 0, z = 1} reaches a fixpoint.
         let mut plain = Implicator::new(&c);
@@ -367,62 +430,134 @@ mod tests {
         );
     }
 
-    /// Every learned implication must already be a theorem of the plain
-    /// implicator when checked *forward* from its contrapositive: assume
-    /// the antecedent, propagate, and the consequent may not be refutable.
+    /// The slot mirror and the stem/branch class copy lessons instead of
+    /// re-deriving them, so the table equals the per-literal learner's
+    /// pair for pair, with and without round 2.
     #[test]
-    fn learned_pairs_are_consistent_with_propagation() {
+    fn table_matches_the_per_literal_oracle() {
+        let b03r = pdf_netlist::circuit_by_name("b03+r").expect("stand-in");
+        for c in [
+            pdf_netlist::iscas::s27(),
+            pdf_netlist::iscas::c17(),
+            mux_buffer().0,
+            b03r,
+        ] {
+            assert_matches_oracle(&c);
+        }
         let c = pdf_netlist::iscas::s27();
-        let table = learn_implications(&c);
+        assert!(learn_implications_with_cap(&c, 0)
+            .iter()
+            .eq(learn_per_literal(&c, 0).iter()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The oracle equality on random circuits with redundancy gadgets
+        /// and decomposed parity, the shapes where round 2 fires.
+        #[test]
+        fn table_matches_the_oracle_on_random_circuits(
+            seed in 0u64..1_000_000,
+            inputs in 3usize..=8,
+            gates in 6usize..=32,
+            levels in 2usize..=5,
+            gadgets in 0usize..=2,
+        ) {
+            let netlist = SynthProfile::new("prop", seed)
+                .with_inputs(inputs)
+                .with_gates(gates)
+                .with_levels(levels)
+                .with_redundant_gadgets(gadgets)
+                .generate()
+                .combinational_core()
+                .decompose_parity();
+            let Ok(circuit) = netlist.to_circuit() else {
+                prop_assume!(false);
+                unreachable!()
+            };
+            let table = learn_implications(&circuit);
+            let oracle = learn_per_literal(&circuit, SPLIT_CAP);
+            prop_assert!(table.iter().eq(oracle.iter()));
+        }
+    }
+
+    /// Every learned implication must be consistent with the plain
+    /// implicator: assume the antecedent, propagate, and the consequent
+    /// may not be refutable. Pairs come grouped by antecedent, so one
+    /// engine holds each antecedent's fixpoint under a mark.
+    fn assert_pairs_consistent(c: &Circuit) {
+        let table = learn_implications(c);
         assert!(!table.is_empty());
+        let mut imp = Implicator::new(c);
+        let unconstrained = imp.mark();
+        let mut current = None;
+        let mut satisfiable = false;
         for (ante, cons) in table.iter() {
-            let mut imp = Implicator::new(&c);
-            imp.assign(ante.line, single_component(ante.slot, ante.value))
-                .unwrap();
-            if imp.propagate().is_err() {
+            if current != Some(ante) {
+                imp.undo_to(unconstrained);
+                current = Some(ante);
+                satisfiable = imp
+                    .assign(ante.line, single_component(ante.slot, ante.value))
+                    .and_then(|()| imp.propagate())
+                    .is_ok();
+            }
+            if !satisfiable {
                 continue; // antecedent unsatisfiable: implication vacuous
             }
             // Adding the consequent on top must not conflict.
+            let mark = imp.mark();
             let ok = imp
                 .assign(cons.line, single_component(cons.slot, cons.value))
                 .and_then(|()| imp.propagate());
             assert!(
                 ok.is_ok(),
-                "learned {:?} => {:?} contradicts direct propagation",
-                ante,
-                cons
+                "{}: learned {ante:?} => {cons:?} contradicts direct propagation",
+                c.name()
             );
+            imp.undo_to(mark);
         }
+    }
+
+    #[test]
+    fn learned_pairs_are_consistent_with_propagation() {
+        assert_pairs_consistent(&pdf_netlist::iscas::s27());
+        assert_pairs_consistent(&pdf_netlist::circuit_by_name("b03+r").expect("stand-in"));
     }
 
     /// Attaching the table may only tighten: anything provable without it
     /// stays provable, and the implicator with the table finds at least
     /// as many conflicts.
-    #[test]
-    fn table_strengthens_the_implicator() {
-        let c = pdf_netlist::iscas::s27();
-        let table = learn_implications(&c);
+    fn assert_table_strengthens(c: &Circuit) {
+        let table = learn_implications(c);
+        let mut plain = Implicator::new(c);
+        let mut learned = Implicator::new(c).with_learned(&table);
+        let (plain_mark, learned_mark) = (plain.mark(), learned.mark());
         for (id, _) in c.iter() {
-            for value in [
-                Triple::new(Value::One, Value::X, Value::X),
-                Triple::new(Value::Zero, Value::X, Value::X),
-                Triple::new(Value::X, Value::X, Value::One),
-                Triple::new(Value::X, Value::X, Value::Zero),
-            ] {
-                let mut plain = Implicator::new(&c);
-                let plain_ok = plain
-                    .assign(id, value)
-                    .and_then(|()| plain.propagate())
-                    .is_ok();
-                let mut learned = Implicator::new(&c).with_learned(&table);
-                let learned_ok = learned
-                    .assign(id, value)
-                    .and_then(|()| learned.propagate())
-                    .is_ok();
-                // learned may fail where plain succeeds, never the reverse.
-                assert!(plain_ok || !learned_ok);
+            for slot in [0usize, 2] {
+                for value in [Value::Zero, Value::One] {
+                    let req = single_component(slot, value);
+                    let plain_ok = plain
+                        .assign(id, req)
+                        .and_then(|()| plain.propagate())
+                        .is_ok();
+                    plain.undo_to(plain_mark);
+                    let learned_ok = learned
+                        .assign(id, req)
+                        .and_then(|()| learned.propagate())
+                        .is_ok();
+                    learned.undo_to(learned_mark);
+                    // learned may fail where plain succeeds, never the
+                    // reverse.
+                    assert!(plain_ok || !learned_ok, "{}: {id:?} = {req}", c.name());
+                }
             }
         }
+    }
+
+    #[test]
+    fn table_strengthens_the_implicator() {
+        assert_table_strengthens(&pdf_netlist::iscas::s27());
+        assert_table_strengthens(&pdf_netlist::circuit_by_name("b03+r").expect("stand-in"));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! diverged would be meaningless. A thread count above the machine's
 //! `cores` still runs once for that check, but its curve point is
 //! published as `"measured": false`: it would time oversubscription, not
-//! scaling. Run with `--release`; circuit and workload can be overridden
-//! via `PDF_BENCH_CIRCUIT`, `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
+//! scaling. The `learning` spread times `learn_implications`, the
+//! `--static-learning` layer, on the same circuit. Run with `--release`;
+//! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
+//! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
 
 use pdf_atpg::{AtpgConfig, EnrichmentAtpg, JustifyStats};
 use pdf_bench::{bench_budget, knob_number, measure, setup, start};
@@ -31,6 +33,9 @@ fn main() {
     // Scaling is bounded by the machine: a 1-core runner records ~1x at
     // every count, so only counts up to `cores` are timed.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let (learning, learned) = measure(&budget, SAMPLES, || {
+        pdf_analyze::learn_implications(&s.circuit).len()
+    });
 
     // What a run must reproduce: test text and count, detections,
     // justification counters.
@@ -57,6 +62,10 @@ fn main() {
         "pipeline_throughput {circuit_name}: {} faults, {} tests, {cores} core(s)",
         s.faults.len(),
         reference.1,
+    );
+    println!(
+        "  learning: {:.3}s median, {learned} implications",
+        learning.median
     );
     for threads in [1_usize, 2, 4, 8] {
         let point = if threads > cores {
@@ -98,6 +107,10 @@ fn main() {
         .field("schema", "pdf-bench-pipeline")
         .field("circuit", circuit_name.as_str())
         .field("cores", cores)
+        .field(
+            "learning",
+            learning.to_json().field("implications", learned),
+        )
         .field("lines", s.circuit.line_count())
         .field("faults", s.faults.len())
         .field("tests", reference.1)
