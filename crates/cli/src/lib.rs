@@ -316,10 +316,12 @@ fn normalize_netlist(
 
 /// Loads a circuit by name or file path, normalizing to a combinational,
 /// parity-free line-level circuit, and runs the automatic structural lint
-/// according to `PDF_LINT`. Notices and lint findings go to `notes`; the
-/// semantic pass comes back when the preflight ran it.
+/// according to `PDF_LINT`, with the semantic lints too when `sensitize`
+/// is on. Notices and lint findings go to `notes`; the semantic pass
+/// comes back when the preflight ran it.
 pub fn load_circuit(
     spec: &str,
+    sensitize: bool,
     notes: &mut String,
 ) -> Result<(Circuit, Option<Semantic>), CliError> {
     let mode = LintMode::from_env()?;
@@ -346,9 +348,7 @@ pub fn load_circuit(
     // when the sensitizability pass is enabled, so default runs keep
     // byte-identical stderr. Their findings are warnings: the deny mode
     // reports them without aborting.
-    let semantic = pdf_knobs::SENSITIZE
-        .switch(false)?
-        .then(|| semantic_pass(&circuit));
+    let semantic = sensitize.then(|| semantic_pass(&circuit));
     if let Some((_, lints)) = &semantic {
         report.extend(lints.clone());
     }
@@ -510,21 +510,24 @@ pub fn cmd_paths(circuit: &Circuit, options: &Options) -> Result<String, CliErro
 }
 
 /// The preparation `--cap`, `--static-learning` (or `PDF_STATIC_LEARNING`),
-/// `--sensitize` (or `PDF_SENSITIZE`) and `--threads` ask for. Both
-/// passes off keeps the plain, byte-identical behavior; the thread count
-/// never changes the output.
-fn preparation_from(options: &Options) -> Result<Preparation, CliError> {
+/// `sensitize` and `--threads` ask for. Both passes off keeps the plain,
+/// byte-identical behavior; the thread count never changes the output.
+fn preparation_from(options: &Options, sensitize: bool) -> Result<Preparation, CliError> {
     Ok(Preparation {
         cap: options.number("cap", Kind::Number, 10_000)?,
         learning: pdf_knobs::STATIC_LEARNING.switch(options.has("static-learning"))?,
-        sensitize: pdf_knobs::SENSITIZE.switch(options.has("sensitize"))?,
+        sensitize,
         threads: options.number("threads", Kind::Count, 1)?,
     })
 }
 
-/// `pdfatpg faults`.
-pub fn cmd_faults(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
-    let preparation = preparation_from(options)?;
+/// `pdfatpg faults`; `sensitize` is `--sensitize` or `PDF_SENSITIZE`.
+pub fn cmd_faults(
+    circuit: &Circuit,
+    options: &Options,
+    sensitize: bool,
+) -> Result<String, CliError> {
+    let preparation = preparation_from(options, sensitize)?;
     let limit: usize = options.number("limit", Kind::Number, 20)?;
     let prepared = preparation.run(circuit);
     let (faults, stats) = (&prepared.faults, &prepared.stats);
@@ -563,7 +566,7 @@ pub fn cmd_analyze(
     options: &Options,
     semantic: Option<Semantic>,
 ) -> Result<String, CliError> {
-    let Preparation { cap, learning, .. } = preparation_from(options)?;
+    let Preparation { cap, learning, .. } = preparation_from(options, false)?;
     let table = learning.then(|| pdf_analyze::learn_implications(circuit));
     let spectrum = PathSpectrum::of(circuit);
     let result = PathEnumerator::new(circuit).with_cap(cap).enumerate();
@@ -817,11 +820,12 @@ pub fn cmd_matrix(options: &Options) -> Result<String, CliError> {
     }
 }
 
-/// `pdfatpg atpg`. Only [`run`] honours `--telemetry`: a library caller
-/// that wants a report opens its own [`pdf_telemetry::Guard`].
-pub fn cmd_atpg(circuit: &Circuit, options: &Options) -> Result<String, CliError> {
+/// `pdfatpg atpg`; `sensitize` is `--sensitize` or `PDF_SENSITIZE`. Only
+/// [`run`] honours `--telemetry`: a library caller that wants a report
+/// opens its own [`pdf_telemetry::Guard`].
+pub fn cmd_atpg(circuit: &Circuit, options: &Options, sensitize: bool) -> Result<String, CliError> {
     let started = Instant::now();
-    let preparation = preparation_from(options)?;
+    let preparation = preparation_from(options, sensitize)?;
     let n_p0: usize = options.number("np0", Kind::Number, 1_000)?;
     let seed: u64 = options.number("seed", Kind::Number, 2002)?;
     let attempts: u32 = options.number("attempts", Kind::Number, 1)?;
@@ -1087,8 +1091,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if command == "lint" {
         return cmd_lint(spec);
     }
+    // One reading of the sensitize switch serves the preflight's semantic
+    // lints and the preparation alike.
+    let sensitize = pdf_knobs::SENSITIZE.switch(options.has("sensitize"))?;
     let mut notes = String::new();
-    let (circuit, semantic) = load_circuit(spec, &mut notes)?;
+    let (circuit, semantic) = load_circuit(spec, sensitize, &mut notes)?;
     if !notes.is_empty() {
         eprint!("{notes}");
     }
@@ -1096,9 +1103,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "info" => Ok(cmd_info(&circuit)),
         "spectrum" => cmd_spectrum(&circuit, &options),
         "paths" => cmd_paths(&circuit, &options),
-        "faults" => cmd_faults(&circuit, &options),
+        "faults" => cmd_faults(&circuit, &options, sensitize),
         "analyze" => cmd_analyze(&circuit, &options, semantic),
-        "atpg" => cmd_atpg(&circuit, &options),
+        "atpg" => cmd_atpg(&circuit, &options, sensitize),
         "sim" => match rest {
             [v1, v2] => cmd_sim(&circuit, v1, v2),
             _ => err("sim requires exactly two pattern arguments"),

@@ -3,7 +3,10 @@
 //! artifact and a telemetry run report, must parse or fail with a typed
 //! error — never panic. A document that parses must write back to the
 //! same value, and a repro cell's `k`, which sizes the split it pads,
-//! stays within `pdf_matrix::MAX_K`.
+//! stays within `pdf_matrix::MAX_K`. The spec grammars read from flags
+//! and variables — time budgets, failpoints and the I/O retry policy —
+//! are held to the same rule, and an accepted failpoint spec must print
+//! back to itself.
 //!
 //! A mutant is its seed after one to four edits: bit flips, truncations,
 //! splices of another stretch of the same input, and insertions of
@@ -15,7 +18,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::OnceLock;
 
-use pdf_atpg::{Checkpoint, CheckpointError};
+use pdf_atpg::{BudgetSpec, Checkpoint, CheckpointError};
+use pdf_chaos::{FailpointSpec, RetryPolicy};
 use pdf_matrix::{CellConfig, Invariant, ReproCase, RunMode};
 use pdf_netlist::parse_bench;
 use pdf_telemetry::RunReport;
@@ -60,7 +64,32 @@ const TOKENS: &[&str] = &[
     "18446744073709551616",
     "\\u0000",
     "\"version\": 1,",
+    "@",
+    "=",
+    "0",
+    "us",
+    "ms",
+    "s",
+    "m",
+    "global=",
+    "generate=",
+    "checkpoint.write:",
+    ":torn",
+    ":panic",
 ];
+
+/// Valid time budget, failpoint and retry specs the spec mutants start
+/// from.
+const BUDGET_SEEDS: &[&str] = &[
+    "250ms",
+    "global=2s,compact=500ms",
+    "generate=1s,compact=250ms,bench=3m",
+];
+const FAILPOINT_SEEDS: &[&str] = &[
+    "checkpoint.write:torn@2",
+    "checkpoint.read:io@1,telemetry.flush:full@3,netlist.read:io@2,pool.build:panic@7",
+];
+const RETRY_SEEDS: &[&str] = &["3", "3@10ms", "5@500us", "2@1m"];
 
 fn edits() -> impl Strategy<Value = Vec<Edit>> {
     vec((0u8..4, any::<usize>(), any::<usize>(), any::<u8>()), 1..5)
@@ -265,8 +294,60 @@ fn check_report(edits: &[Edit]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+fn check_budget(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
+    let text = mutate(BUDGET_SEEDS[seed % BUDGET_SEEDS.len()].as_bytes(), edits);
+    let outcome = catch_unwind(|| match BudgetSpec::parse(&text) {
+        // An accepted spec yields deadlines for every phase.
+        Ok(spec) => {
+            let now = std::time::Instant::now();
+            for phase in ["generate", "compact", "bench"] {
+                let _ = spec.deadline_for(phase, now, now);
+            }
+            true
+        }
+        Err(e) => !e.is_empty(),
+    });
+    prop_assert!(outcome.is_ok(), "BudgetSpec::parse panicked on {text:?}");
+    prop_assert!(outcome.unwrap(), "no message for {text:?}");
+    Ok(())
+}
+
+fn check_failpoints(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
+    let text = mutate(
+        FAILPOINT_SEEDS[seed % FAILPOINT_SEEDS.len()].as_bytes(),
+        edits,
+    );
+    let outcome = catch_unwind(|| match FailpointSpec::parse(&text) {
+        Ok(spec) => FailpointSpec::parse(&spec.to_string()).ok() == Some(spec),
+        Err(e) => !e.is_empty(),
+    });
+    prop_assert!(outcome.is_ok(), "FailpointSpec::parse panicked on {text:?}");
+    prop_assert!(outcome.unwrap(), "no round trip or no message for {text:?}");
+    Ok(())
+}
+
+fn check_retry(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
+    let text = mutate(RETRY_SEEDS[seed % RETRY_SEEDS.len()].as_bytes(), edits);
+    let outcome = catch_unwind(|| match RetryPolicy::parse(&text) {
+        Ok(policy) => policy.attempts >= 1,
+        Err(e) => !e.is_empty(),
+    });
+    prop_assert!(outcome.is_ok(), "RetryPolicy::parse panicked on {text:?}");
+    prop_assert!(outcome.unwrap(), "zero attempts or no message for {text:?}");
+    Ok(())
+}
+
 #[test]
 fn the_seeds_parse() {
+    for text in BUDGET_SEEDS {
+        assert!(BudgetSpec::parse(text).is_ok(), "{text}");
+    }
+    for text in FAILPOINT_SEEDS {
+        assert_eq!(FailpointSpec::parse(text).expect(text).to_string(), *text);
+    }
+    for text in RETRY_SEEDS {
+        assert!(RetryPolicy::parse(text).is_ok(), "{text}");
+    }
     for seed in bench_seeds() {
         let text = String::from_utf8(seed.clone()).expect("UTF-8 fixture");
         // Some fixtures are malformed on purpose; none may panic.
@@ -330,6 +411,21 @@ proptest! {
     fn mutated_run_reports_parse_or_fail_typed(edits in edits()) {
         check_report(&edits)?;
     }
+
+    #[test]
+    fn mutated_budget_specs_parse_or_fail_typed(seed in any::<usize>(), edits in edits()) {
+        check_budget(seed, &edits)?;
+    }
+
+    #[test]
+    fn mutated_failpoint_specs_parse_or_fail_typed(seed in any::<usize>(), edits in edits()) {
+        check_failpoints(seed, &edits)?;
+    }
+
+    #[test]
+    fn mutated_retry_policies_parse_or_fail_typed(seed in any::<usize>(), edits in edits()) {
+        check_retry(seed, &edits)?;
+    }
 }
 
 proptest! {
@@ -357,5 +453,23 @@ proptest! {
     #[ignore = "long mutation run; nightly CI passes --ignored"]
     fn mutated_run_reports_long(edits in edits()) {
         check_report(&edits)?;
+    }
+
+    #[test]
+    #[ignore = "long mutation run; nightly CI passes --ignored"]
+    fn mutated_budget_specs_long(seed in any::<usize>(), edits in edits()) {
+        check_budget(seed, &edits)?;
+    }
+
+    #[test]
+    #[ignore = "long mutation run; nightly CI passes --ignored"]
+    fn mutated_failpoint_specs_long(seed in any::<usize>(), edits in edits()) {
+        check_failpoints(seed, &edits)?;
+    }
+
+    #[test]
+    #[ignore = "long mutation run; nightly CI passes --ignored"]
+    fn mutated_retry_policies_long(seed in any::<usize>(), edits in edits()) {
+        check_retry(seed, &edits)?;
     }
 }

@@ -166,6 +166,19 @@ fn semantic_preflight_warns_under_warn_mode_without_aborting() {
 }
 
 #[test]
+fn sensitize_flag_runs_the_semantic_preflight_like_the_variable() {
+    // `--sensitize` and PDF_SENSITIZE are one switch: the flag alone
+    // must put the semantic lints into the preflight too.
+    let path = fixture("constant.bench");
+    for command in ["atpg", "faults"] {
+        let out = run(&[command, path.to_str().unwrap(), "--sensitize"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {stderr}");
+        assert!(stderr.contains("PDL008"), "{command}: {stderr}");
+    }
+}
+
+#[test]
 fn deny_mode_still_aborts_on_error_diagnostics_with_sensitize_on() {
     let path = fixture("dead_gate.bench");
     let out = run_with(

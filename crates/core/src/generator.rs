@@ -14,7 +14,7 @@
 //! # Round-based parallel generation
 //!
 //! The fault loop is organized in **rounds**. Each round selects up to
-//! [`AtpgConfig::batch`] eligible primaries from the committed state,
+//! eight eligible primaries (`BATCH`) from the committed state,
 //! builds a candidate test for every one of them speculatively — each
 //! build is a pure function of `(committed state, primary)` — and then
 //! commits the results strictly in selection order. The builds run on a
@@ -42,8 +42,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
-use pdf_logic::Value;
-use pdf_netlist::{Circuit, LineId, SplitMix64};
+use pdf_netlist::{Circuit, SplitMix64};
 use pdf_pool::Control;
 use pdf_runctl::{CancelToken, Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
 
@@ -104,32 +103,6 @@ impl Compaction {
     }
 }
 
-/// How an accepted test is revised when a secondary target is added.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SecondaryMode {
-    /// Regenerate the test from scratch for the grown requirement union —
-    /// the paper's choice (Sec. 2.2): "new values can be specified under
-    /// t ... if they are more suitable for detecting p_i".
-    #[default]
-    Regenerate,
-    /// Freeze the input values committed so far and only specify further
-    /// ones — the classical dynamic-compaction style of Goel & Rosales
-    /// (the paper's reference \[8\]), kept as an ablation: the paper argues
-    /// regeneration detects more secondary targets.
-    FreezeValues,
-}
-
-impl SecondaryMode {
-    /// A short label for reports.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            SecondaryMode::Regenerate => "regenerate",
-            SecondaryMode::FreezeValues => "freeze",
-        }
-    }
-}
-
 /// Configuration shared by the basic and enrichment generators.
 #[derive(Clone, Debug)]
 pub struct AtpgConfig {
@@ -143,8 +116,6 @@ pub struct AtpgConfig {
     /// paper uses one attempt; a few more blocks trade run time for fewer
     /// random misses).
     pub justify_attempts: u32,
-    /// How secondary targets extend the test under construction.
-    pub secondary_mode: SecondaryMode,
     /// The simulation option block. Simulation has one configuration —
     /// the event-driven packed kernel on a 256-lane tile — so the block
     /// carries no settings ([`SimOptions`]).
@@ -185,19 +156,18 @@ pub struct AtpgConfig {
     pub guide: Option<std::sync::Arc<BranchGuide>>,
     /// Worker threads for the per-round speculative builds. `0` and `1`
     /// both run builds inline on the caller's thread; a round never has
-    /// more than [`batch`](AtpgConfig::batch) builds, so no more workers
-    /// than that are started. The value is
-    /// deliberately **not** part of the checkpoint fingerprint: the test
-    /// set, flags, counters and checkpoints are byte-identical for every
-    /// thread count, so a run may be interrupted at one count and resumed
-    /// at another.
+    /// more than eight builds (`BATCH`), so no more workers than that
+    /// are started. The value is deliberately **not** part of the
+    /// checkpoint fingerprint: the test set, flags, counters and
+    /// checkpoints are byte-identical for every thread count, so a run
+    /// may be interrupted at one count and resumed at another.
     pub threads: usize,
-    /// Primaries speculatively built per round. Outputs *do* depend on
-    /// this value (a larger batch speculates further past each commit),
-    /// so it is pinned in the checkpoint fingerprint. `0` is treated
-    /// as `1`.
-    pub batch: usize,
 }
+
+/// Primaries speculatively built per round. Outputs *do* depend on this
+/// value (a larger batch speculates further past each commit), so the
+/// checkpoint fingerprint pins it.
+const BATCH: usize = 8;
 
 impl Default for AtpgConfig {
     fn default() -> AtpgConfig {
@@ -205,7 +175,6 @@ impl Default for AtpgConfig {
             seed: 2002,
             compaction: Compaction::ValueBased,
             justify_attempts: 1,
-            secondary_mode: SecondaryMode::default(),
             sim: SimOptions::default(),
             cone_cache: DEFAULT_CONE_CACHE,
             budget: RunBudget::unlimited(),
@@ -213,27 +182,25 @@ impl Default for AtpgConfig {
             learned: None,
             guide: None,
             threads: 1,
-            batch: 8,
         }
     }
 }
 
 /// The configuration facets a checkpoint pins: resuming under a different
-/// compaction heuristic, secondary mode, attempt count or round batch size
-/// would silently diverge from the interrupted run, so resume refuses
-/// them (an attempt count of 0 is pinned as the 1 the justifier runs).
-/// The thread count is deliberately *not* pinned: output is byte-identical
-/// across it, so resuming on a machine with a different core count is
-/// safe. The literal `packed` segment names the one simulation engine and
-/// keeps checkpoints written when the engine was selectable resumable.
+/// compaction heuristic or attempt count would silently diverge from the
+/// interrupted run, so resume refuses them (an attempt count of 0 is
+/// pinned as the 1 the justifier runs). The thread count is deliberately
+/// *not* pinned: output is byte-identical across it, so resuming on a
+/// machine with a different core count is safe. The literal `regenerate`,
+/// `packed` and `batch` segments name the one secondary-target mode, the
+/// one simulation engine and the fixed round size, and keep checkpoints
+/// written when those were selectable resumable.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
-        "{}:{}:{}:packed:batch={}",
+        "{}:regenerate:{}:packed:batch={BATCH}",
         config.compaction.label(),
-        config.secondary_mode.label(),
         config.justify_attempts.max(1),
-        config.batch.max(1)
     );
     if let Some(table) = &config.learned {
         // A learned table changes which secondaries reach justification
@@ -772,7 +739,7 @@ fn build_uncaptured(
 impl<'a, 'c> Build<'a, 'c, '_> {
     fn run(&mut self, primary: usize) -> BuildOutcome {
         let req = self.ctx.faults[primary].assignments.clone();
-        let Some(justified) = self.justify_guarded(primary, &req, None) else {
+        let Some(justified) = self.justify_guarded(primary, &req) else {
             if self.moot.is_cancelled() {
                 return BuildOutcome::Moot;
             }
@@ -788,20 +755,12 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             self.stats.aborted_primaries += 1;
             return BuildOutcome::Aborted;
         };
-        // Under the freeze-values mode, input values committed so far
-        // are pinned for every later secondary (Goel-Rosales style).
-        let mut frozen: Vec<(LineId, Value, Value)> =
-            if matches!(self.ctx.config.secondary_mode, SecondaryMode::FreezeValues) {
-                justified.assignment.clone()
-            } else {
-                Vec::new()
-            };
         let mut current = justified;
 
         if !matches!(self.ctx.config.compaction, Compaction::Uncompacted) {
             let _screen = pdf_telemetry::Span::enter("screen");
             let mut union = Union::new(self.ctx, req);
-            self.extend_with_secondaries(primary, &mut union, &mut current, &mut frozen);
+            self.extend_with_secondaries(primary, &mut union, &mut current);
         }
         if self.stopped || self.budget.exhausted() {
             return self.stop_outcome();
@@ -833,16 +792,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
 
     /// A justification call attributable to fault `i`: a panic inside the
     /// justifier quarantines the fault and reads as a failed call.
-    fn justify_guarded(
-        &mut self,
-        i: usize,
-        req: &Assignments,
-        frozen: Option<&[(LineId, Value, Value)]>,
-    ) -> Option<Justified> {
-        let run = |justifier: &mut Justifier<'c>| match frozen {
-            None => justifier.justify(req),
-            Some(pins) => justifier.justify_seeded(req, pins),
-        };
+    fn justify_guarded(&mut self, i: usize, req: &Assignments) -> Option<Justified> {
         let justifier = &mut self.justifier;
         match catch_unwind(AssertUnwindSafe(|| {
             // The `pool.build` failpoint, keyed by fault index: firing
@@ -853,7 +803,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
                 pdf_telemetry::count(pdf_telemetry::counters::FAILPOINTS_HIT, 1);
                 panic!("injected failpoint {}@{i}", pdf_chaos::sites::POOL_BUILD);
             }
-            run(justifier)
+            justifier.justify(req)
         })) {
             Ok(result) => result,
             Err(payload) => {
@@ -870,7 +820,6 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         primary: usize,
         union: &mut Union<'a>,
         current: &mut Justified,
-        frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
         let set_count = self.ctx.set_starts.len() - 1;
         for set in 0..set_count {
@@ -879,10 +828,10 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             match self.ctx.config.compaction {
                 Compaction::Uncompacted => unreachable!("checked by caller"),
                 Compaction::Arbitrary | Compaction::LengthBased => {
-                    self.ordered_pass(set, primary, union, current, frozen);
+                    self.ordered_pass(set, primary, union, current);
                 }
                 Compaction::ValueBased => {
-                    self.value_based_pass(set, primary, union, current, frozen);
+                    self.value_based_pass(set, primary, union, current);
                 }
             }
         }
@@ -896,7 +845,6 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         primary: usize,
         union: &mut Union<'a>,
         current: &mut Justified,
-        frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
         let (lo, hi) = (self.ctx.set_starts[set], self.ctx.set_starts[set + 1]);
         let order: Vec<usize> = if set == 0 {
@@ -910,7 +858,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
                 return;
             }
             if self.eligible_secondary(i, primary) {
-                self.try_candidate(i, union, current, frozen);
+                self.try_candidate(i, union, current);
             }
         }
     }
@@ -925,7 +873,6 @@ impl<'a, 'c> Build<'a, 'c, '_> {
         primary: usize,
         union: &mut Union<'a>,
         current: &mut Justified,
-        frozen: &mut Vec<(LineId, Value, Value)>,
     ) {
         let ctx = self.ctx;
         let index = ctx.line_index.as_ref().expect("built for value-based runs");
@@ -955,7 +902,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
                 if !self.eligible_secondary(i, primary) {
                     continue;
                 }
-                if self.try_candidate(i, union, current, frozen) {
+                if self.try_candidate(i, union, current) {
                     accepted = Some(i);
                     break; // union changed: update the Δ ranking
                 }
@@ -973,13 +920,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
 
     /// Attempts to add fault `i` to the current test. Returns `true` when
     /// the union of requirements changed (the test was regenerated).
-    fn try_candidate(
-        &mut self,
-        i: usize,
-        union: &mut Union<'a>,
-        current: &mut Justified,
-        frozen: &mut Vec<(LineId, Value, Value)>,
-    ) -> bool {
+    fn try_candidate(&mut self, i: usize, union: &mut Union<'a>, current: &mut Justified) -> bool {
         let entry = self.ctx.faults[i];
         let a = &entry.assignments;
         // Free acceptance: the test built so far already detects it. Its
@@ -1039,21 +980,11 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             .requirements
             .merged(a)
             .expect("the closure refutes every direct conflict");
-        let result = match self.ctx.config.secondary_mode {
-            SecondaryMode::Regenerate => self.justify_guarded(i, &merged, None),
-            SecondaryMode::FreezeValues => self.justify_guarded(i, &merged, Some(frozen)),
-        };
-        match result {
+        // The paper's choice (Sec. 2.2): the test is regenerated from
+        // scratch for the grown union, so values committed for earlier
+        // targets may change if others suit the new one better.
+        match self.justify_guarded(i, &merged) {
             Some(justified) => {
-                if matches!(self.ctx.config.secondary_mode, SecondaryMode::FreezeValues) {
-                    // Pin the newly committed input values for the rest of
-                    // this test's construction.
-                    for &(line, v1, v2) in &justified.assignment {
-                        if !frozen.iter().any(|&(l, _, _)| l == line) {
-                            frozen.push((line, v1, v2));
-                        }
-                    }
-                }
                 // The closure now holds the closure of the merged union.
                 union.requirements = merged;
                 *current = justified;
@@ -1169,9 +1100,8 @@ impl<'c, 'f> Session<'c, 'f> {
         };
         state.last_checkpoint_at = state.completed;
 
-        let batch = ctx.config.batch.max(1);
-        // A round holds at most `batch` builds: more workers would idle.
-        let threads = ctx.config.threads.min(batch);
+        // A round holds at most `BATCH` builds: more workers would idle.
+        let threads = ctx.config.threads.min(BATCH);
         let ctx_ref = &ctx;
         let state_ref = &mut state;
         let tests_ref = &mut test_set;
@@ -1181,13 +1111,13 @@ impl<'c, 'f> Session<'c, 'f> {
             move |pool| {
                 let mut stopped = false;
                 'rounds: loop {
-                    // Round selection: up to `batch` eligible primaries
+                    // Round selection: up to `BATCH` eligible primaries
                     // from the committed state, one counted budget poll
                     // per selection attempt. This is the only place the
                     // run consumes budget polls, so the poll sequence is
                     // independent of the thread count.
                     let mut primaries: Vec<usize> = Vec::new();
-                    while primaries.len() < batch {
+                    while primaries.len() < BATCH {
                         if ctx_ref.config.budget.exhausted() {
                             stopped = true;
                             break 'rounds;
@@ -1576,6 +1506,7 @@ fn write_checkpoint(
 mod tests {
     use super::*;
     use pdf_netlist::iscas::s27;
+    use pdf_netlist::LineId;
     use pdf_paths::PathEnumerator;
 
     fn s27_faults() -> (Circuit, FaultList) {
@@ -1797,36 +1728,6 @@ mod tests {
     }
 
     #[test]
-    fn freeze_values_mode_runs_and_detects() {
-        let (c, faults) = s27_faults();
-        let mut cfg = config(Compaction::ValueBased);
-        cfg.secondary_mode = SecondaryMode::FreezeValues;
-        let frozen = BasicAtpg::new(&c).with_config(cfg).run(&faults);
-        // Bookkeeping still matches post-hoc simulation.
-        let cov = frozen.tests().coverage(&c, &faults);
-        assert_eq!(cov.detected(), frozen.detected());
-        // The paper's argument for regeneration: it detects at least as
-        // many secondary targets per test (s27 is tiny, so equality can
-        // occur; the margin claim is validated at benchmark scale in the
-        // `secondary_mode` experiment).
-        let regen = BasicAtpg::new(&c)
-            .with_config(config(Compaction::ValueBased))
-            .run(&faults);
-        assert!(regen.detected_total() + 3 >= frozen.detected_total());
-    }
-
-    #[test]
-    fn freeze_values_mode_is_deterministic() {
-        let (c, faults) = s27_faults();
-        let mut cfg = config(Compaction::ValueBased);
-        cfg.secondary_mode = SecondaryMode::FreezeValues;
-        let a = BasicAtpg::new(&c).with_config(cfg.clone()).run(&faults);
-        let b = BasicAtpg::new(&c).with_config(cfg).run(&faults);
-        assert_eq!(a.detected(), b.detected());
-        assert_eq!(a.tests().len(), b.tests().len());
-    }
-
-    #[test]
     fn free_accepts_happen() {
         let (c, faults) = s27_faults();
         let outcome = BasicAtpg::new(&c)
@@ -2006,21 +1907,5 @@ mod tests {
             ),
             "{err}"
         );
-
-        // A different round batch is a different run: the fingerprint
-        // pins it.
-        let mut cfg = config(Compaction::ValueBased);
-        cfg.batch = 3;
-        let err = BasicAtpg::new(&c)
-            .with_config(cfg)
-            .run_resumed(&faults, &checkpoint)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ResumeError::Mismatch {
-                field: "fingerprint",
-                ..
-            }
-        ));
     }
 }

@@ -52,7 +52,7 @@ mod testset;
 pub use exact::{ExactJustifier, ExactOutcome};
 pub use generator::{
     config_fingerprint, AtpgConfig, AtpgOutcome, AtpgStats, BasicAtpg, Compaction, EnrichmentAtpg,
-    ResumeError, SecondaryMode,
+    ResumeError,
 };
 pub use justify::{BranchGuide, Justified, Justifier, JustifyStats, DEFAULT_CONE_CACHE};
 pub use target::TargetSplit;

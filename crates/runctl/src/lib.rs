@@ -609,8 +609,8 @@ pub struct Checkpoint {
     pub circuit: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// Configuration fingerprint (compaction/secondary-mode/attempts/
-    /// backend); resume refuses a mismatch.
+    /// Configuration fingerprint (`pdf_atpg::config_fingerprint`);
+    /// resume refuses a mismatch.
     pub fingerprint: String,
     /// Per-set fault counts of the target split (`P0`, `P1`, ...).
     pub set_sizes: Vec<usize>,

@@ -518,9 +518,9 @@ impl<W: SimWord> PackedBlock<W> {
     /// component meets the opposite proven value. Lanes outside the block
     /// are never set, because their planes are all-zero.
     #[must_use]
-    pub fn violated_lanes(&self, req: &[(LineId, Triple)]) -> W {
+    pub fn violated_lanes(&self, req: &Assignments) -> W {
         let mut lanes = W::ZERO;
-        for &(line, tri) in req {
+        for (line, tri) in req.iter() {
             let p = &self.planes[line.index()];
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
@@ -660,8 +660,7 @@ mod tests {
         let mut block: PackedBlock = PackedBlock::new();
         block.load(&c, &tests[..TILE_LANES - 3]);
         for entry in faults.iter() {
-            let req: Vec<(LineId, Triple)> = entry.assignments.iter().collect();
-            let lanes = block.violated_lanes(&req);
+            let lanes = block.violated_lanes(&entry.assignments);
             for (lane, t) in tests[..TILE_LANES - 3].iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
                 assert_eq!(
