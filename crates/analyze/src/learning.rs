@@ -175,7 +175,7 @@ fn lessons(
     // fixpoint differs from the base fixpoint only on the lines the
     // branch changed, so only those are compared.
     let mut split = Vec::new();
-    for (line, split_slot) in frontier_splits(circuit, imp.values(), &implied, split_cap) {
+    for (line, split_slot) in frontier_splits(circuit, imp, &implied, split_cap) {
         let mut branch = |v: Value| -> Option<Vec<(LineId, Triple)>> {
             let mark = imp.mark();
             let changed = (imp.assign(line, single_component(split_slot, v)).is_ok()
@@ -252,7 +252,7 @@ fn outer_literals(lines: &[(LineId, Triple)]) -> impl Iterator<Item = Literal> +
 /// the candidate list is not inflated by equivalent splits.
 fn frontier_splits(
     circuit: &Circuit,
-    values: &[Triple],
+    imp: &Implicator<'_>,
     implied: &[(LineId, Triple)],
     cap: usize,
 ) -> Vec<(LineId, usize)> {
@@ -270,16 +270,16 @@ fn frontier_splits(
     touched.dedup();
     for id in touched {
         for slot in [0usize, 2] {
-            let out_spec = component(values[id.index()], slot).is_specified();
+            let out_spec = component(imp.value(id), slot).is_specified();
             let any_in_spec = circuit
                 .fanin(id)
                 .iter()
-                .any(|f| component(values[f.index()], slot).is_specified());
+                .any(|&f| component(imp.value(f), slot).is_specified());
             if !out_spec && !any_in_spec {
                 continue;
             }
             for &f in circuit.fanin(id) {
-                if component(values[f.index()], slot).is_specified() {
+                if component(imp.value(f), slot).is_specified() {
                     continue;
                 }
                 let stem = match circuit.kind(f) {

@@ -10,13 +10,18 @@
 //! `cores` still runs once for that check, but its curve point is
 //! published as `"measured": false`: it would time oversubscription, not
 //! scaling. The `learning` spread times `learn_implications`, the
-//! `--static-learning` layer, on the same circuit. Run with `--release`;
+//! `--static-learning` layer, on the same circuit, and the `elimination`
+//! spreads time the one-thread fault-list build over its enumerated
+//! paths without (`rules`: rules 1 and 2) and with the learned table
+//! (`learned`: the learned re-check on top). Run with `--release`;
 //! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
 //! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
 
 use pdf_atpg::{AtpgConfig, EnrichmentAtpg, JustifyStats};
 use pdf_bench::{bench_budget, knob_number, measure, setup, start};
+use pdf_faults::{FaultList, Sensitization};
 use pdf_knobs::{BENCH_NP, BENCH_NP0};
+use pdf_paths::PathEnumerator;
 use pdf_telemetry::Json;
 
 /// Timed samples per measured thread count.
@@ -36,6 +41,18 @@ fn main() {
     let (learning, learned) = measure(&budget, SAMPLES, || {
         pdf_analyze::learn_implications(&s.circuit).len()
     });
+    let table = pdf_analyze::learn_implications(&s.circuit);
+    let store = PathEnumerator::new(&s.circuit)
+        .with_cap(n_p)
+        .enumerate()
+        .store;
+    let eliminate = |learned| {
+        FaultList::build_with_learned(&s.circuit, &store, Sensitization::Robust, learned)
+            .0
+            .len()
+    };
+    let (rules, kept) = measure(&budget, SAMPLES, || eliminate(None));
+    let (rechecked, kept_learned) = measure(&budget, SAMPLES, || eliminate(Some(&table)));
 
     // What a run must reproduce: test text and count, detections,
     // justification counters.
@@ -66,6 +83,11 @@ fn main() {
     println!(
         "  learning: {:.3}s median, {learned} implications",
         learning.median
+    );
+    println!(
+        "  elimination: {:.3}s median ({kept} faults kept), {:.3}s with the learned table \
+         ({kept_learned} kept)",
+        rules.median, rechecked.median
     );
     for threads in [1_usize, 2, 4, 8] {
         let point = if threads > cores {
@@ -110,6 +132,12 @@ fn main() {
         .field(
             "learning",
             learning.to_json().field("implications", learned),
+        )
+        .field(
+            "elimination",
+            Json::object()
+                .field("rules", rules.to_json().field("faults", kept))
+                .field("learned", rechecked.to_json().field("faults", kept_learned)),
         )
         .field("lines", s.circuit.line_count())
         .field("faults", s.faults.len())

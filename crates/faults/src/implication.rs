@@ -19,6 +19,12 @@
 //! * a primary input that holds one specified value under both patterns
 //!   cannot glitch: `α1 = α3 = v ⇒ α2 = v` (at primary inputs only).
 //!
+//! Each line's triple is one byte in the two-rail Kleene encoding of the
+//! packed simulator (DESIGN §8): bit `k` is a proven `0` in component `k`
+//! (`α1`, `α2`, `α3` for `k = 0, 1, 2`), bit `4 + k` a proven `1`, and
+//! `x` is neither. Narrowing is an `OR`, and a conflict is a component
+//! with both bits set.
+//!
 //! The engine is incremental: every value change is recorded on a trail,
 //! so a caller can [`mark`](Implicator::mark) a state, assert more
 //! requirements, and [`undo_to`](Implicator::undo_to) the mark instead of
@@ -27,6 +33,7 @@
 //! asserting `a ∪ b` from scratch does.
 
 use core::fmt;
+use std::collections::VecDeque;
 
 use pdf_logic::{GateKind, Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind};
@@ -37,7 +44,9 @@ use crate::{Assignments, LearnedImplications};
 /// Error: the implications assigned two different values to one line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImplicationConflict {
-    /// The line on which the contradiction surfaced.
+    /// The line on which the contradiction surfaced, in propagation
+    /// order. Which line of a contradiction surfaces first depends on
+    /// the order the rules ran in, so it is not a canonical line.
     pub line: LineId,
 }
 
@@ -48,6 +57,106 @@ impl fmt::Display for ImplicationConflict {
 }
 
 impl std::error::Error for ImplicationConflict {}
+
+/// The zero rail of a line's byte: one bit per component.
+const ZERO: u8 = 0b0000_0111;
+/// The one rail of a line's byte.
+const ONE: u8 = 0b0111_0000;
+/// The outer components (`α1`, `α3`) on both rails: the learned literals.
+const OUTER: u8 = 0b0101_0101;
+
+/// Encodes a triple as its two-rail byte.
+fn encode(t: Triple) -> u8 {
+    t.components()
+        .into_iter()
+        .enumerate()
+        .fold(0, |rails, (k, v)| match v {
+            Value::Zero => rails | 1 << k,
+            Value::One => rails | 0x10 << k,
+            Value::X => rails,
+        })
+}
+
+/// Decodes a conflict-free two-rail byte.
+fn decode(rails: u8) -> Triple {
+    let component = |k: usize| {
+        if rails & 1 << k != 0 {
+            Value::Zero
+        } else if rails & 0x10 << k != 0 {
+            Value::One
+        } else {
+            Value::X
+        }
+    };
+    Triple::new(component(0), component(1), component(2))
+}
+
+/// Some component is proven both `0` and `1`.
+fn conflicts(rails: u8) -> bool {
+    rails & (rails >> 4) != 0
+}
+
+/// Negation: swaps the rails.
+fn swap(rails: u8) -> u8 {
+    rails.rotate_left(4)
+}
+
+/// Two-input Kleene XOR on two-rail bytes.
+fn xor(a: u8, b: u8) -> u8 {
+    let (a0, a1, b0, b1) = (a & ZERO, a >> 4, b & ZERO, b >> 4);
+    (a0 & b0 | a1 & b1) | (a0 & b1 | a1 & b0) << 4
+}
+
+/// Evaluates a gate on its fanin bytes, all three components at once
+/// (DESIGN §8: AND `one = ∧one`, `zero = ∨zero`; NOT swaps the rails).
+fn eval(kind: GateKind, mut fanin: impl Iterator<Item = u8>) -> u8 {
+    let folded = match kind {
+        GateKind::And | GateKind::Nand => {
+            let (all, any) = all_any(fanin);
+            all & ONE | any & ZERO
+        }
+        GateKind::Or | GateKind::Nor => {
+            let (all, any) = all_any(fanin);
+            any & ONE | all & ZERO
+        }
+        GateKind::Xor | GateKind::Xnor => fanin.reduce(xor).expect("gate has a fanin"),
+        GateKind::Not | GateKind::Buf => fanin.next().expect("gate has a fanin"),
+    };
+    if kind.inverts() {
+        swap(folded)
+    } else {
+        folded
+    }
+}
+
+/// The bits set on every input byte, and on any.
+fn all_any(fanin: impl Iterator<Item = u8>) -> (u8, u8) {
+    fanin.fold((u8::MAX, 0), |(all, any), r| (all & r, any | r))
+}
+
+/// The stability rules on one byte: `α2 = v ⇒ α1 = α3 = v` everywhere;
+/// `α1 = α3 = v ⇒ α2 = v` at primary inputs.
+fn stability(rails: u8, input: bool) -> u8 {
+    // One rail, in the low three bits: all three components, or as is.
+    let fill = |rail: u8| {
+        let mid = rail & 0b010 != 0;
+        let stable = input && rail & 0b101 == 0b101;
+        if mid || stable {
+            0b111
+        } else {
+            rail
+        }
+    };
+    rails | fill(rails & ZERO) | fill(rails >> 4) << 4
+}
+
+/// The rail bit of an outer literal.
+fn literal_bit(literal: Literal) -> u8 {
+    match literal.value {
+        Value::One => 0x10 << literal.slot,
+        _ => 1 << literal.slot,
+    }
+}
 
 /// The implication engine.
 ///
@@ -77,13 +186,17 @@ impl std::error::Error for ImplicationConflict {}
 #[derive(Debug)]
 pub struct Implicator<'c> {
     circuit: &'c Circuit,
-    values: Vec<Triple>,
-    queue: std::collections::VecDeque<LineId>,
+    /// One two-rail byte per line, indexed by [`LineId::index`].
+    rails: Vec<u8>,
+    queue: VecDeque<LineId>,
     queued: Vec<bool>,
     learned: Option<&'c LearnedImplications>,
-    /// Every value change as `(line, value before the change)`, oldest
+    /// Outer literals decided since their learned rows last fired. Each
+    /// literal is decided once between undos, so each row fires once.
+    pending: Vec<Literal>,
+    /// Every value change as `(line, bytes before the change)`, oldest
     /// first: [`Implicator::undo_to`] replays it backwards.
-    trail: Vec<(LineId, Triple)>,
+    trail: Vec<(LineId, u8)>,
 }
 
 impl<'c> Implicator<'c> {
@@ -92,19 +205,22 @@ impl<'c> Implicator<'c> {
     pub fn new(circuit: &'c Circuit) -> Implicator<'c> {
         Implicator {
             circuit,
-            values: vec![Triple::UNKNOWN; circuit.line_count()],
-            queue: std::collections::VecDeque::new(),
+            rails: vec![0; circuit.line_count()],
+            queue: VecDeque::new(),
             queued: vec![false; circuit.line_count()],
             learned: None,
+            pending: Vec::new(),
             trail: Vec::new(),
         }
     }
 
     /// Attaches a statically learned closure table: whenever a line's
     /// outer component becomes specified, the table's consequents are
-    /// applied as an extra implication rule.
+    /// applied as an extra implication rule. Attach it before asserting
+    /// anything: literals already decided do not fire.
     #[must_use]
     pub fn with_learned(mut self, learned: &'c LearnedImplications) -> Implicator<'c> {
+        debug_assert!(self.trail.is_empty(), "table attached to a narrowed engine");
         self.learned = Some(learned);
         self
     }
@@ -172,9 +288,10 @@ impl<'c> Implicator<'c> {
     }
 
     /// Restores every line value to what it was when `mark` was taken and
-    /// empties the propagation queue. Valid after a conflict, and after a
-    /// panic caught mid-assert or mid-propagation: the trail records each
-    /// change before the next can happen.
+    /// empties the propagation queue and the pending learned literals.
+    /// Valid after a conflict, and after a panic caught mid-assert or
+    /// mid-propagation: the trail records each change before the next can
+    /// happen.
     ///
     /// # Panics
     ///
@@ -182,11 +299,12 @@ impl<'c> Implicator<'c> {
     /// before an undo to an earlier one.
     pub fn undo_to(&mut self, mark: usize) {
         for (line, old) in self.trail.drain(mark..).rev() {
-            self.values[line.index()] = old;
+            self.rails[line.index()] = old;
         }
         for line in self.queue.drain(..) {
             self.queued[line.index()] = false;
         }
+        self.pending.clear();
     }
 
     /// The current value of a line (`x` components where nothing is
@@ -194,14 +312,7 @@ impl<'c> Implicator<'c> {
     #[inline]
     #[must_use]
     pub fn value(&self, line: LineId) -> Triple {
-        self.values[line.index()]
-    }
-
-    /// All line values, indexed by [`LineId::index`].
-    #[inline]
-    #[must_use]
-    pub fn values(&self) -> &[Triple] {
-        &self.values
+        decode(self.rails[line.index()])
     }
 
     /// Constrains `line` to `req` (intersected with its current value) and
@@ -213,32 +324,47 @@ impl<'c> Implicator<'c> {
     /// Returns [`ImplicationConflict`] if `req` contradicts the line's
     /// current value.
     pub fn assign(&mut self, line: LineId, req: Triple) -> Result<(), ImplicationConflict> {
-        let current = self.values[line.index()];
-        let Some(merged) = current.intersect(req) else {
-            return Err(ImplicationConflict { line });
-        };
-        if merged != current {
-            self.set(line, merged);
+        self.narrow(line, encode(req))
+    }
+
+    /// Adds the proven bits `bits` to `line`.
+    #[inline]
+    fn narrow(&mut self, line: LineId, bits: u8) -> Result<(), ImplicationConflict> {
+        let old = self.rails[line.index()];
+        let new = old | bits;
+        if new != old {
+            if conflicts(new) {
+                return Err(ImplicationConflict { line });
+            }
+            self.set(line, old, new);
         }
         Ok(())
     }
 
-    /// Writes a changed value through the trail and queues its
-    /// neighbourhood.
-    fn set(&mut self, line: LineId, value: Triple) {
-        self.trail.push((line, self.values[line.index()]));
-        self.values[line.index()] = value;
-        self.touch(line);
-    }
-
-    fn touch(&mut self, line: LineId) {
-        // The line's own node (for backward rules and the stability rule),
-        // plus every sink node (forward rules).
+    /// Writes a changed value through the trail, records the outer
+    /// literals it decides, and queues the line and its fanouts: no rule
+    /// centred on a line reads that line's fanouts, so its fanins have
+    /// nothing new to derive.
+    fn set(&mut self, line: LineId, old: u8, new: u8) {
+        self.trail.push((line, old));
+        self.rails[line.index()] = new;
+        if self.learned.is_some() {
+            let mut decided = new & !old & OUTER;
+            while decided != 0 {
+                // Bit 0 or 2 (`α1`, `α3`) of the zero rail, or 4 or 6 of
+                // the one rail.
+                let bit = decided.trailing_zeros() as usize;
+                let value = if bit & 4 == 0 {
+                    Value::Zero
+                } else {
+                    Value::One
+                };
+                self.pending.push(Literal::new(line, bit & 3, value));
+                decided &= decided - 1;
+            }
+        }
         self.enqueue(line);
         for &f in self.circuit.fanout(line) {
-            self.enqueue(f);
-        }
-        for &f in self.circuit.fanin(line) {
             self.enqueue(f);
         }
     }
@@ -258,188 +384,122 @@ impl<'c> Implicator<'c> {
     /// partially updated; [`Implicator::undo_to`] a mark taken before the
     /// contradicting assertions restores it, and the engine is reusable.
     pub fn propagate(&mut self) -> Result<(), ImplicationConflict> {
-        while let Some(line) = self.queue.pop_front() {
-            self.queued[line.index()] = false;
-            self.process(line)?;
+        loop {
+            if let Some(literal) = self.pending.pop() {
+                self.fire(literal)?;
+            } else if let Some(line) = self.queue.pop_front() {
+                self.queued[line.index()] = false;
+                self.process(line)?;
+            } else {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Learned-table rule: applies the consequents of one newly decided
+    /// outer literal. They are constants, so one application is all the
+    /// literal ever contributes until it is undone.
+    fn fire(&mut self, literal: Literal) -> Result<(), ImplicationConflict> {
+        let Some(table) = self.learned else {
+            return Ok(());
+        };
+        for cons in table.consequents(literal) {
+            self.narrow(cons.line, literal_bit(cons))?;
         }
         Ok(())
     }
 
-    /// Applies all rules centred on `line`.
+    /// Applies all structural rules centred on `line`.
     fn process(&mut self, line: LineId) -> Result<(), ImplicationConflict> {
-        self.stability_rules(line)?;
-        self.learned_rules(line)?;
-        match self.circuit.kind(line) {
+        // The circuit outlives the engine borrow.
+        let circuit = self.circuit;
+        let kind = circuit.kind(line);
+        self.narrow(line, stability(self.rails[line.index()], kind.is_input()))?;
+        match *kind {
             LineKind::Input => Ok(()),
             LineKind::Branch { stem } => {
                 // Identity in both directions.
-                let stem = *stem;
-                let merged = self.values[line.index()]
-                    .intersect(self.values[stem.index()])
-                    .ok_or(ImplicationConflict { line })?;
-                self.update(line, merged)?;
-                self.update(stem, merged)
+                let merged = self.rails[line.index()] | self.rails[stem.index()];
+                self.narrow(line, merged)?;
+                self.narrow(stem, merged)
             }
             LineKind::Gate(kind) => {
-                let kind = *kind;
-                self.forward(line, kind)?;
+                let fanin = circuit.fanin(line).iter();
+                let out = eval(kind, fanin.map(|f| self.rails[f.index()]));
+                self.narrow(line, out)?;
                 self.backward(line, kind)
             }
         }
     }
 
-    /// `α2 = v ⇒ α1 = α3 = v` everywhere; `α1 = α3 = v ⇒ α2 = v` at
-    /// primary inputs.
-    fn stability_rules(&mut self, line: LineId) -> Result<(), ImplicationConflict> {
-        let v = self.values[line.index()];
-        if v.mid().is_specified() {
-            let stable = Triple::new(v.mid(), v.mid(), v.mid());
-            let merged = v.intersect(stable).ok_or(ImplicationConflict { line })?;
-            self.update(line, merged)?;
-        }
-        if self.circuit.kind(line).is_input() {
-            let v = self.values[line.index()];
-            if v.first().is_specified() && v.first() == v.last() {
-                let stable = Triple::new(v.first(), v.first(), v.first());
-                self.update(line, stable)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Learned-table rule: a specified outer component fires the closure
-    /// table's consequents for that literal. Runs inside the ordinary
-    /// fixpoint — `update_component` re-enqueues any line it changes, so
-    /// chains of learned implications resolve without extra bookkeeping.
-    fn learned_rules(&mut self, line: LineId) -> Result<(), ImplicationConflict> {
-        let Some(table) = self.learned else {
-            return Ok(());
-        };
-        for slot in [0usize, 2] {
-            let v = component(self.values[line.index()], slot);
-            if !v.is_specified() {
-                continue;
-            }
-            for cons in table.consequents(Literal::new(line, slot, v)) {
-                self.update_component(cons.line, cons.slot, cons.value)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn update(&mut self, line: LineId, new: Triple) -> Result<(), ImplicationConflict> {
-        let current = self.values[line.index()];
-        let merged = current.intersect(new).ok_or(ImplicationConflict { line })?;
-        if merged != current {
-            self.set(line, merged);
-        }
-        Ok(())
-    }
-
-    /// Forward rule: a gate output is at least as specified as the
-    /// component-wise evaluation of its inputs.
-    fn forward(&mut self, line: LineId, kind: GateKind) -> Result<(), ImplicationConflict> {
-        let out = kind.eval_triples(
-            self.circuit
-                .fanin(line)
-                .iter()
-                .map(|f| self.values[f.index()]),
-        );
-        self.update(line, out)
-    }
-
-    /// Backward rules from a gate's output onto its inputs, per component.
+    /// Backward rules from a gate's output onto its inputs, all three
+    /// components at once.
     fn backward(&mut self, line: LineId, kind: GateKind) -> Result<(), ImplicationConflict> {
         // The circuit outlives the engine borrow: no copy of the fanin.
         let circuit = self.circuit;
         let fanin = circuit.fanin(line);
-        let out = self.values[line.index()];
-
-        for slot in 0..3 {
-            let w = component(out, slot);
-            if !w.is_specified() {
-                continue;
+        // Undo the gate's inversion to get the pre-inversion value.
+        let out = self.rails[line.index()];
+        let pre = if kind.inverts() { swap(out) } else { out };
+        match kind {
+            GateKind::Not | GateKind::Buf => self.narrow(fanin[0], pre),
+            GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
+                // Work in AND polarity: the controlling value on the zero
+                // rail. OR-family bytes are swapped in and out.
+                let or_family = matches!(kind, GateKind::Or | GateKind::Nor);
+                let dual = |r: u8| if or_family { swap(r) } else { r };
+                let pre = dual(pre);
+                // Non-controlled result: every input is non-controlling.
+                let nc = pre & ONE;
+                // Controlled result: the components where some input must
+                // be controlling; count the inputs that still can be.
+                let controlled = pre & ZERO;
+                let open = |r: u8| controlled & !(dual(r) >> 4);
+                let (mut once, mut twice) = (0u8, 0u8);
+                for f in fanin {
+                    let o = open(self.rails[f.index()]);
+                    twice |= once & o;
+                    once |= o;
+                }
+                if controlled & !once != 0 {
+                    return Err(ImplicationConflict { line });
+                }
+                // If all inputs but one are non-controlling, the remaining
+                // one is controlling.
+                let lone = once & !twice;
+                for &f in fanin {
+                    let bits = nc | open(self.rails[f.index()]) & lone;
+                    self.narrow(f, dual(bits))?;
+                }
+                Ok(())
             }
-            // Undo the gate's inversion to get the pre-inversion value.
-            let w = if kind.inverts() { !w } else { w };
-            match kind {
-                GateKind::Not | GateKind::Buf => {
-                    self.update_component(fanin[0], slot, w)?;
+            GateKind::Xor | GateKind::Xnor => {
+                // If all inputs but one are specified, the last is the
+                // parity completion.
+                let specified = (pre | pre >> 4) & ZERO;
+                let unknown = |r: u8| specified & !(r | r >> 4);
+                let mut parity = pre >> 4;
+                let (mut once, mut twice) = (0u8, 0u8);
+                for f in fanin {
+                    let r = self.rails[f.index()];
+                    parity ^= r >> 4;
+                    let u = unknown(r);
+                    twice |= once & u;
+                    once |= u;
                 }
-                GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-                    let c = kind.controlling_value().expect("unate gate");
-                    let nc = !c;
-                    if w == nc {
-                        // Non-controlled result: every input is nc.
-                        for &f in fanin {
-                            self.update_component(f, slot, nc)?;
-                        }
-                    } else {
-                        // Controlled result: if all inputs but one are nc,
-                        // the remaining one must be c.
-                        let mut candidate = None;
-                        let mut undecided = 0usize;
-                        for &f in fanin {
-                            let v = component(self.values[f.index()], slot);
-                            if v != nc {
-                                undecided += 1;
-                                candidate = Some(f);
-                            }
-                        }
-                        match (undecided, candidate) {
-                            (0, _) => return Err(ImplicationConflict { line }),
-                            (1, Some(f)) => self.update_component(f, slot, c)?,
-                            _ => {}
-                        }
+                let lone = once & !twice;
+                if lone == 0 {
+                    return Ok(());
+                }
+                for &f in fanin {
+                    let m = unknown(self.rails[f.index()]) & lone;
+                    if m != 0 {
+                        self.narrow(f, (parity & m) << 4 | !parity & m)?;
                     }
                 }
-                GateKind::Xor | GateKind::Xnor => {
-                    // If all inputs but one are specified, the last is the
-                    // parity completion.
-                    let mut acc = w;
-                    let mut candidate = None;
-                    let mut unknown = 0usize;
-                    for &f in fanin {
-                        let v = component(self.values[f.index()], slot);
-                        if v.is_specified() {
-                            acc = acc ^ v;
-                        } else {
-                            unknown += 1;
-                            candidate = Some(f);
-                        }
-                    }
-                    if unknown == 1 {
-                        self.update_component(candidate.expect("counted"), slot, acc)?;
-                    }
-                }
+                Ok(())
             }
         }
-        Ok(())
-    }
-
-    fn update_component(
-        &mut self,
-        line: LineId,
-        slot: usize,
-        value: Value,
-    ) -> Result<(), ImplicationConflict> {
-        let v = self.values[line.index()];
-        let mut parts = [v.first(), v.mid(), v.last()];
-        match parts[slot].intersect(value) {
-            Some(merged) => {
-                parts[slot] = merged;
-                self.update(line, Triple::new(parts[0], parts[1], parts[2]))
-            }
-            None => Err(ImplicationConflict { line }),
-        }
-    }
-}
-
-fn component(t: Triple, slot: usize) -> Value {
-    match slot {
-        0 => t.first(),
-        1 => t.mid(),
-        _ => t.last(),
     }
 }
 
@@ -461,6 +521,61 @@ mod tests {
         let z = b.gate("z", GateKind::Nand, &[x, y]);
         b.mark_output(z);
         (b.finish().unwrap(), x, y, z)
+    }
+
+    fn all_triples() -> impl Iterator<Item = Triple> {
+        Value::ALL.into_iter().flat_map(|a| {
+            Value::ALL
+                .into_iter()
+                .flat_map(move |b| Value::ALL.into_iter().map(move |c| Triple::new(a, b, c)))
+        })
+    }
+
+    /// The two-rail byte against the `Triple` algebra, exhaustively over
+    /// all 27 triples: round trips, merge conflicts, and gate evaluation
+    /// up to three inputs (one for NOT/BUF).
+    #[test]
+    fn two_rail_encoding_matches_the_triple_algebra() {
+        for a in all_triples() {
+            assert_eq!(decode(encode(a)), a, "{a}");
+            for b in all_triples() {
+                let merged = encode(a) | encode(b);
+                assert_eq!(conflicts(merged), a.intersect(b).is_none(), "{a} ∩ {b}");
+                if let Some(both) = a.intersect(b) {
+                    assert_eq!(decode(merged), both, "{a} ∩ {b}");
+                }
+            }
+        }
+        // Every input row up to arity 3, one base-27 digit per input.
+        let triples: Vec<Triple> = all_triples().collect();
+        let rows = (1..=3u32).flat_map(|arity| {
+            let triples = &triples;
+            (0..27usize.pow(arity)).map(move |code| {
+                (0..arity)
+                    .scan(code, |rest, _| {
+                        let t = triples[*rest % 27];
+                        *rest /= 27;
+                        Some(t)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        let rows: Vec<Vec<Triple>> = rows.collect();
+        assert_eq!(rows.len(), 27 + 27 * 27 + 27 * 27 * 27);
+        for kind in GateKind::ALL {
+            for row in rows
+                .iter()
+                .filter(|row| !kind.is_single_input() || row.len() == 1)
+            {
+                let rails = eval(kind, row.iter().map(|&t| encode(t)));
+                assert_eq!(
+                    decode(rails),
+                    kind.eval_triples(row.iter().copied()),
+                    "{kind} {row:?}"
+                );
+                assert!(!conflicts(rails), "{kind} {row:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //!   at every propagated state, with a fresh engine fed the same
 //!   requirements from scratch — on synthesized circuits with and without
 //!   redundancy gadgets, with and without a learned table.
+//! * The engine's fixpoint (or its conflict) equals a naive reference
+//!   closure that sweeps every rule over every line, and every learned row
+//!   of every decided literal, until nothing changes — so neither firing
+//!   each learned row once nor queueing only a changed line's fanouts
+//!   loses an implication.
 //! * `undo_to` after a conflict or after a panic caught mid-assert
 //!   restores the marked state exactly, and the engine stays usable.
 //! * [`FaultList::build_threaded`] (three passes, rule 2 over the
@@ -17,10 +22,10 @@ use std::sync::{Mutex, PoisonError};
 use pdf_analyze::{classify_store, learn_implications};
 use pdf_faults::{
     assignments, Assignments, ConditionError, FaultEntry, FaultList, FaultListStats, Implicator,
-    LearnedImplications, PathDelayFault, Polarity, Sensitization,
+    LearnedImplications, Literal, PathDelayFault, Polarity, Sensitization,
 };
-use pdf_logic::{Triple, Value};
-use pdf_netlist::{circuit_by_name, Circuit, LineId, SplitMix64, SynthProfile};
+use pdf_logic::{GateKind, Triple, Value};
+use pdf_netlist::{circuit_by_name, Circuit, LineId, LineKind, SplitMix64, SynthProfile};
 use pdf_paths::{PathEnumerator, PathStore};
 use proptest::prelude::*;
 
@@ -37,12 +42,62 @@ fn synth(seed: u64, gadgets: usize) -> Option<Circuit> {
         .ok()
 }
 
+/// A random circuit over all eight gate kinds, XOR and XNOR kept: the
+/// synthesizer's circuits have no parity gates. Every input feeds the
+/// first gates, and every gate nothing reads is an output.
+fn parity_synth(seed: u64) -> Circuit {
+    let mut rng = SplitMix64::new(seed);
+    let mut names: Vec<String> = (0..5).map(|i| format!("i{i}")).collect();
+    let mut read = vec![false; names.len()];
+    let mut gates = String::new();
+    for g in 0..24 {
+        let kind = GateKind::ALL[rng.next_below(GateKind::ALL.len())];
+        let arity = if kind.is_single_input() {
+            1
+        } else {
+            2 + rng.next_below(2)
+        };
+        let mut fanin: Vec<usize> = Vec::new();
+        while fanin.len() < arity {
+            let f = if g < 5 && fanin.is_empty() {
+                g
+            } else {
+                rng.next_below(names.len())
+            };
+            if !fanin.contains(&f) {
+                fanin.push(f);
+                read[f] = true;
+            }
+        }
+        let fanin: Vec<&str> = fanin.iter().map(|&f| names[f].as_str()).collect();
+        gates += &format!("g{g} = {kind}({})\n", fanin.join(", "));
+        names.push(format!("g{g}"));
+        read.push(false);
+    }
+    let mut text: String = (0..5).map(|i| format!("INPUT(i{i})\n")).collect();
+    for (name, _) in names.iter().zip(&read).filter(|(_, &r)| !r) {
+        text += &format!("OUTPUT({name})\n");
+    }
+    text += &gates;
+    pdf_netlist::parse_bench(&text, "parity")
+        .expect("well-formed bench text")
+        .to_circuit_with(true)
+        .expect("every line is read or an output")
+}
+
 fn engine<'c>(circuit: &'c Circuit, learned: Option<&'c LearnedImplications>) -> Implicator<'c> {
     let imp = Implicator::new(circuit);
     match learned {
         Some(table) => imp.with_learned(table),
         None => imp,
     }
+}
+
+/// Every line value of `imp`, decoded, indexed by [`LineId::index`].
+fn values(circuit: &Circuit, imp: &Implicator<'_>) -> Vec<Triple> {
+    (0..circuit.line_count())
+        .map(|i| imp.value(LineId::new(i)))
+        .collect()
 }
 
 /// The from-scratch reference: every requirement asserted on a fresh
@@ -57,7 +112,7 @@ fn fresh(
         imp.assign(line, req).ok()?;
     }
     imp.propagate().ok()?;
-    Some(imp.values().to_vec())
+    Some(values(circuit, &imp))
 }
 
 fn random_value(rng: &mut SplitMix64) -> Value {
@@ -110,8 +165,8 @@ fn check_random_sequence(
                 ok = ok && imp.propagate().is_ok();
                 let reference = fresh(circuit, learned, &asserted);
                 prop_assert_eq!(ok, reference.is_some());
-                if let Some(values) = reference {
-                    prop_assert_eq!(imp.values(), &values[..]);
+                if let Some(reference) = reference {
+                    prop_assert_eq!(values(circuit, &imp), reference);
                 }
                 conflicted = !ok;
             }
@@ -122,12 +177,12 @@ fn check_random_sequence(
                 imp.undo_to(mark);
                 asserted.truncate(len);
                 conflicted = false;
-                let values =
+                let reference =
                     fresh(circuit, learned, &asserted).expect("marked states are consistent");
-                prop_assert_eq!(imp.values(), &values[..]);
+                prop_assert_eq!(values(circuit, &imp), reference.clone());
                 // Nothing stale is left queued: a fixpoint run is a no-op.
                 prop_assert!(imp.propagate().is_ok());
-                prop_assert_eq!(imp.values(), &values[..]);
+                prop_assert_eq!(values(circuit, &imp), reference);
             }
         }
     }
@@ -166,6 +221,178 @@ fn incremental_engine_matches_a_fresh_engine_on_a_redundant_stand_in() {
     }
 }
 
+/// Narrows one component of `line` to `value`; `None` on a conflict.
+fn narrow(values: &mut [Triple], line: LineId, slot: usize, value: Value) -> Option<()> {
+    let mut parts = values[line.index()].components();
+    parts[slot] = parts[slot].intersect(value)?;
+    values[line.index()] = Triple::new(parts[0], parts[1], parts[2]);
+    Some(())
+}
+
+/// Narrows every component of `line` to `req`; `None` on a conflict.
+fn narrow_all(values: &mut [Triple], line: LineId, req: Triple) -> Option<()> {
+    values[line.index()] = values[line.index()].intersect(req)?;
+    Some(())
+}
+
+/// The test-only reference closure: sweeps every line, applies every rule
+/// centred on it and re-reads the learned row of each of its decided outer
+/// literals, and repeats until a sweep changes nothing. `None` when the
+/// requirements conflict.
+fn reference_closure(
+    circuit: &Circuit,
+    learned: Option<&LearnedImplications>,
+    asserted: &[(LineId, Triple)],
+) -> Option<Vec<Triple>> {
+    let mut values = vec![Triple::UNKNOWN; circuit.line_count()];
+    for &(line, req) in asserted {
+        narrow_all(&mut values, line, req)?;
+    }
+    loop {
+        let before = values.clone();
+        for i in 0..circuit.line_count() {
+            let line = LineId::new(i);
+            let [first, mid, last] = values[i].components();
+            if mid.is_specified() {
+                narrow_all(&mut values, line, Triple::new(mid, mid, mid))?;
+            }
+            if circuit.kind(line).is_input() && first.is_specified() && first == last {
+                narrow_all(&mut values, line, Triple::new(first, first, first))?;
+            }
+            match *circuit.kind(line) {
+                LineKind::Input => {}
+                LineKind::Branch { stem } => {
+                    let merged = values[i].intersect(values[stem.index()])?;
+                    values[i] = merged;
+                    values[stem.index()] = merged;
+                }
+                LineKind::Gate(kind) => {
+                    let fanin = circuit.fanin(line);
+                    let out = kind.eval_triples(fanin.iter().map(|f| values[f.index()]));
+                    narrow_all(&mut values, line, out)?;
+                    for slot in 0..3 {
+                        let w = values[i].components()[slot];
+                        if w.is_specified() {
+                            backward_component(&mut values, kind, fanin, slot, w)?;
+                        }
+                    }
+                }
+            }
+            for (slot, w) in [(0, values[i].first()), (2, values[i].last())] {
+                if !w.is_specified() {
+                    continue;
+                }
+                for cons in learned
+                    .iter()
+                    .flat_map(|t| t.consequents(Literal::new(line, slot, w)))
+                {
+                    narrow(&mut values, cons.line, cons.slot, cons.value)?;
+                }
+            }
+        }
+        if values == before {
+            return Some(values);
+        }
+    }
+}
+
+/// The backward rules of a gate whose output is `w` in component `slot`.
+fn backward_component(
+    values: &mut [Triple],
+    kind: GateKind,
+    fanin: &[LineId],
+    slot: usize,
+    w: Value,
+) -> Option<()> {
+    let at = |values: &[Triple], f: LineId| values[f.index()].components()[slot];
+    let w = if kind.inverts() { !w } else { w };
+    match kind.controlling_value() {
+        None if kind.is_single_input() => narrow(values, fanin[0], slot, w),
+        None => {
+            // Parity: all inputs but one specified fix the last.
+            let unknown: Vec<LineId> = fanin
+                .iter()
+                .copied()
+                .filter(|&f| !at(values, f).is_specified())
+                .collect();
+            if let [f] = unknown[..] {
+                let parity = fanin
+                    .iter()
+                    .filter(|&&g| g != f)
+                    .fold(w, |acc, &g| acc ^ at(values, g));
+                narrow(values, f, slot, parity)?;
+            }
+            Some(())
+        }
+        Some(c) if w == !c => {
+            for &f in fanin {
+                narrow(values, f, slot, !c)?;
+            }
+            Some(())
+        }
+        Some(c) => {
+            let open: Vec<LineId> = fanin
+                .iter()
+                .copied()
+                .filter(|&f| at(values, f) != !c)
+                .collect();
+            match open[..] {
+                [] => None,
+                [f] => narrow(values, f, slot, c),
+                _ => Some(()),
+            }
+        }
+    }
+}
+
+fn check_reference_closure(
+    circuit: &Circuit,
+    learned: Option<&LearnedImplications>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    for _ in 0..16 {
+        let asserted: Vec<(LineId, Triple)> = (0..=rng.next_below(5))
+            .map(|_| random_requirement(&mut rng, circuit))
+            .collect();
+        prop_assert_eq!(
+            fresh(circuit, learned, &asserted),
+            reference_closure(circuit, learned, &asserted),
+            "requirements {:?}",
+            asserted
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn engine_matches_the_reference_closure(
+        seed in 0u64..1_000_000,
+        gadgets in 0usize..=2,
+    ) {
+        let Some(circuit) = synth(seed, gadgets) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        let table = learn_implications(&circuit);
+        for learned in [None, Some(&table)] {
+            check_reference_closure(&circuit, learned, seed)?;
+        }
+    }
+
+    #[test]
+    fn engine_matches_the_reference_closure_with_parity_gates(seed in 0u64..1_000_000) {
+        let circuit = parity_synth(seed);
+        let table = learn_implications(&circuit);
+        for learned in [None, Some(&table)] {
+            check_reference_closure(&circuit, learned, seed)?;
+        }
+    }
+}
+
 /// The `A(p)` of every fault of `store` whose implications conflict.
 fn refuted_requirements(circuit: &Circuit, store: &PathStore) -> Vec<Assignments> {
     let mut out = Vec::new();
@@ -197,7 +424,7 @@ fn undo_after_a_conflict_leaves_nothing_queued() {
         let mark = imp.mark();
         assert!(imp.assert_all(bad).is_err());
         imp.undo_to(mark);
-        assert!(imp.values().iter().all(|&v| v == Triple::UNKNOWN));
+        assert!(values(&circuit, &imp).iter().all(|&v| v == Triple::UNKNOWN));
         // Re-propagating a consistent set equals a fresh run: a stale
         // `queued` flag would have swallowed one of its enqueues.
         let good: Vec<(LineId, Triple)> = (0..3)
@@ -206,8 +433,8 @@ fn undo_after_a_conflict_leaves_nothing_queued() {
         let reference = fresh(&circuit, None, &good);
         let ok = good.iter().all(|&(l, r)| imp.assign(l, r).is_ok()) && imp.propagate().is_ok();
         assert_eq!(ok, reference.is_some());
-        if let Some(values) = reference {
-            assert_eq!(imp.values(), &values[..]);
+        if let Some(reference) = reference {
+            assert_eq!(values(&circuit, &imp), reference);
         }
         imp.undo_to(mark);
     }
@@ -222,7 +449,7 @@ fn undo_after_a_panic_mid_assert_restores_the_mark() {
         assignments(&circuit, &fault, Sensitization::Robust).unwrap()
     };
     let mut imp = Implicator::from_assignments(&circuit, &base).unwrap();
-    let before = imp.values().to_vec();
+    let before = values(&circuit, &imp);
     let mark = imp.mark();
     // Requirements on lines the closure left open first (ids sort before
     // the poison), then a line the circuit does not have: the assert
@@ -245,7 +472,7 @@ fn undo_after_a_panic_mid_assert_restores_the_mark() {
     assert!(caught.is_err(), "the poison line must panic");
     assert_ne!(imp.mark(), mark, "the valid prefix changed the state");
     imp.undo_to(mark);
-    assert_eq!(imp.values(), &before[..]);
+    assert_eq!(values(&circuit, &imp), before);
     // The engine is as good as new: the same follow-up as a fresh one.
     let follow_up = store.entries()[1].path.clone();
     let extra = assignments(
@@ -255,10 +482,10 @@ fn undo_after_a_panic_mid_assert_restores_the_mark() {
     )
     .unwrap();
     let merged = base.merged(&extra);
-    let incremental = imp.assert_all(&extra).map(|()| imp.values().to_vec());
+    let incremental = imp.assert_all(&extra).map(|()| values(&circuit, &imp));
     let scratch = merged
         .and_then(|m| Implicator::from_assignments(&circuit, &m).ok())
-        .map(|fresh| fresh.values().to_vec());
+        .map(|fresh| values(&circuit, &fresh));
     assert_eq!(incremental.ok(), scratch);
 }
 
