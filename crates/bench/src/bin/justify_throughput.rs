@@ -18,7 +18,7 @@
 //! `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS` (justification calls here).
 
 use pdf_atpg::{Justifier, SimWidth};
-use pdf_bench::{bench_budget, knob_number, measure, setup, start, Spread};
+use pdf_bench::{bench_budget, knob_number, measure, publish, setup, start, Spread};
 use pdf_knobs::BENCH_TESTS;
 use pdf_telemetry::Json;
 
@@ -68,11 +68,11 @@ fn main() {
     let events_per_block = stats.events_propagated as f64 / blocks;
     let lines_fraction = events_per_block / s.circuit.line_count() as f64;
     let width = SimWidth::auto().lanes();
-    println!(
+    let summary = format!(
         "justify_throughput {circuit_name}: {n_calls} calls, {found} justified; \
          {rate:.3e} attempts/s @ width {width}, {events_per_block:.0} lines/block \
          ({:.1}% of circuit), end-to-end {:.2}s (completion {:.3}s, fixpoint {:.3}s \
-         over {} passes)",
+         over {} passes)\n",
         lines_fraction * 100.0,
         total.median,
         completion.median,
@@ -111,6 +111,5 @@ fn main() {
                 .field("events_per_block", events_per_block)
                 .field("lines_fraction", lines_fraction),
         );
-    std::fs::write("BENCH_justify.json", report.to_pretty())
-        .expect("cannot write BENCH_justify.json");
+    publish("BENCH_justify.json", &report, &summary);
 }

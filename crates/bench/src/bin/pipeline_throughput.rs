@@ -17,8 +17,10 @@
 //! circuit and workload can be overridden via `PDF_BENCH_CIRCUIT`,
 //! `PDF_BENCH_NP`, `PDF_BENCH_NP0`.
 
+use std::fmt::Write;
+
 use pdf_atpg::{AtpgConfig, EnrichmentAtpg, JustifyStats};
-use pdf_bench::{bench_budget, knob_number, measure, setup, start};
+use pdf_bench::{bench_budget, knob_number, measure, publish, setup, start};
 use pdf_faults::{FaultList, Sensitization};
 use pdf_knobs::{BENCH_NP, BENCH_NP0};
 use pdf_paths::PathEnumerator;
@@ -75,16 +77,20 @@ fn main() {
     let (serial, reference) = measure(&budget, SAMPLES, || generate(1));
     let mut curve = Json::object();
     let mut speedup_at_4 = Json::Null;
-    println!(
+    let mut summary = String::new();
+    let _ = writeln!(
+        summary,
         "pipeline_throughput {circuit_name}: {} faults, {} tests, {cores} core(s)",
         s.faults.len(),
         reference.1,
     );
-    println!(
+    let _ = writeln!(
+        summary,
         "  learning: {:.3}s median, {learned} implications",
         learning.median
     );
-    println!(
+    let _ = writeln!(
+        summary,
         "  elimination: {:.3}s median ({kept} faults kept), {:.3}s with the learned table \
          ({kept_learned} kept)",
         rules.median, rechecked.median
@@ -96,7 +102,10 @@ fn main() {
                 reference,
                 "{threads}-thread run diverged from the serial reference"
             );
-            println!("  threads {threads}: not measured (more threads than cores)");
+            let _ = writeln!(
+                summary,
+                "  threads {threads}: not measured (more threads than cores)"
+            );
             Json::object().field("measured", false)
         } else {
             let (spread, outcome) = if threads == 1 {
@@ -112,7 +121,8 @@ fn main() {
             if threads == 4 {
                 speedup_at_4 = Json::Num(speedup);
             }
-            println!(
+            let _ = writeln!(
+                summary,
                 "  threads {threads}: {:.3}s median ({speedup:.2}x)",
                 spread.median
             );
@@ -145,6 +155,5 @@ fn main() {
         .field("detected", reference.2)
         .field("threads_curve", curve)
         .field("speedup_at_4", speedup_at_4);
-    std::fs::write("BENCH_pipeline.json", report.to_pretty())
-        .expect("cannot write BENCH_pipeline.json");
+    publish("BENCH_pipeline.json", &report, &summary);
 }

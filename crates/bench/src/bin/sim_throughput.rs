@@ -10,7 +10,7 @@
 //! via `PDF_BENCH_CIRCUIT`, `PDF_BENCH_TESTS`.
 
 use pdf_atpg::{Justifier, SimWidth, TestSet};
-use pdf_bench::{bench_budget, knob_number, measure, setup, start, Spread};
+use pdf_bench::{bench_budget, knob_number, measure, publish, setup, start, Spread};
 use pdf_knobs::BENCH_TESTS;
 use pdf_netlist::simulate_triples;
 use pdf_telemetry::Json;
@@ -62,9 +62,9 @@ fn main() {
 
     let speedup = scalar_s.median / packed_s.median;
     let width = SimWidth::auto().lanes();
-    println!(
+    let summary = format!(
         "sim_throughput {circuit_name}: {} tests x {} faults; scalar {:.3e} checks/s, \
-         packed {:.3e} checks/s @ width {width}, speedup {speedup:.1}x",
+         packed {:.3e} checks/s @ width {width}, speedup {speedup:.1}x\n",
         tests.len(),
         s.faults.len(),
         checks / scalar_s.median,
@@ -83,5 +83,5 @@ fn main() {
         .field("packed", row(&packed_s))
         .field("width", width)
         .field("speedup", speedup);
-    std::fs::write("BENCH_sim.json", report.to_pretty()).expect("cannot write BENCH_sim.json");
+    publish("BENCH_sim.json", &report, &summary);
 }

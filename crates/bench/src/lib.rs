@@ -3,13 +3,14 @@
 //! They run on reduced workloads (small enumeration caps) so that
 //! repeated sampling stays tractable; the full-scale numbers come from
 //! `cargo run --release -p pdf-experiments --bin all_tables`. Each binary
-//! times its workload with [`measure`] and reports a [`Spread`] per
-//! measurement.
+//! times its workload with [`measure`], reports a [`Spread`] per
+//! measurement and ends with [`publish`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Debug;
+use std::io::{ErrorKind, Write};
 use std::time::Instant;
 
 use pdf_atpg::{BudgetSpec, RunBudget};
@@ -72,6 +73,31 @@ pub fn bench_budget() -> RunBudget {
             RunBudget::with_deadline(spec.deadline_for("bench", now, now))
         }
         None => RunBudget::unlimited(),
+    }
+}
+
+/// The end of every throughput binary: writes `report` to `path`, then
+/// prints `summary` on stdout. The file comes first, so a reader that
+/// stops early (`pipeline_throughput | head -3`) cannot keep it from
+/// being written. A closed stdout is not an error; any other stdout
+/// error exits with status 2.
+///
+/// # Panics
+///
+/// Panics when the file cannot be written.
+pub fn publish(path: &str, report: &Json, summary: &str) {
+    std::fs::write(path, report.to_pretty()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(summary.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(2);
+        }
     }
 }
 

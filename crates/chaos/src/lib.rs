@@ -24,8 +24,9 @@
 //! bump `failpoints_hit` / `io_retries` when an evaluation fires.
 //!
 //! The second half of the crate is [`with_retry`]: a bounded
-//! retry-with-exponential-backoff helper for transient I/O errors,
-//! configured by `PDF_IO_RETRY` (strict parse, `attempts[@backoff]`).
+//! retry-with-exponential-backoff helper for transient I/O errors under
+//! a [`RetryPolicy`] (the file sites use its default, 3 attempts from a
+//! 1 ms backoff).
 
 #![forbid(unsafe_code)]
 
@@ -375,41 +376,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// Parses `attempts[@backoff]`, e.g. `5`, `3@10ms`, `4@1s`,
-    /// `2@500us`, `3@1m`; the backoff is a [`pdf_knobs::parse_duration`]
-    /// duration. Strict: zero attempts and unknown units are errors.
-    pub fn parse(text: &str) -> Result<RetryPolicy, String> {
-        let text = text.trim();
-        let (attempts_text, backoff) = match text.split_once('@') {
-            Some((a, b)) => (a, Some(b)),
-            None => (text, None),
-        };
-        let attempts: u32 = attempts_text
-            .parse()
-            .map_err(|_| format!("io-retry: `{attempts_text}` is not an attempt count"))?;
-        if attempts == 0 {
-            return Err("io-retry: attempts must be >= 1".to_owned());
-        }
-        let backoff = match backoff {
-            None => RetryPolicy::default().backoff,
-            Some(b) => pdf_knobs::parse_duration(b)?,
-        };
-        Ok(RetryPolicy { attempts, backoff })
-    }
-
-    /// Reads `PDF_IO_RETRY`; unset means the default policy.
-    ///
-    /// # Errors
-    ///
-    /// A [`KnobError`] when the variable is set but malformed.
-    pub fn from_env() -> Result<RetryPolicy, KnobError> {
-        Ok(pdf_knobs::IO_RETRY
-            .read(None, RetryPolicy::parse)?
-            .unwrap_or_default())
-    }
-}
-
 /// Whether an error is worth retrying under [`with_retry`].
 #[must_use]
 pub fn is_transient(error: &io::Error) -> bool {
@@ -559,47 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_parses_strictly() {
-        assert_eq!(
-            RetryPolicy::parse("5").expect("valid"),
-            RetryPolicy {
-                attempts: 5,
-                backoff: RetryPolicy::default().backoff
-            }
-        );
-        assert_eq!(
-            RetryPolicy::parse("3@10ms").expect("valid"),
-            RetryPolicy {
-                attempts: 3,
-                backoff: Duration::from_millis(10)
-            }
-        );
-        assert_eq!(
-            RetryPolicy::parse("2@500us").expect("valid").backoff,
-            Duration::from_micros(500)
-        );
-        for bad in ["", "0", "x", "3@", "3@5", "3@5min", "3@ms"] {
-            assert!(RetryPolicy::parse(bad).is_err(), "accepted `{bad}`");
-        }
-    }
-
-    #[test]
-    fn retry_backoff_uses_the_shared_duration_grammar() {
-        assert_eq!(
-            RetryPolicy::parse("3@1m").expect("valid").backoff,
-            Duration::from_secs(60)
-        );
-        for (bad, message) in [
-            ("3@5", "duration `5` is missing a unit (us, ms, s, m)"),
-            ("3@5min", "unknown duration unit `min` (us, ms, s, m)"),
-            ("3@ms", "duration `ms` must start with digits"),
-            ("3@", "empty duration"),
-        ] {
-            assert_eq!(RetryPolicy::parse(bad).unwrap_err(), message, "`{bad}`");
-        }
-    }
-
-    #[test]
     fn with_retry_retries_only_transient_errors() {
         let policy = RetryPolicy {
             attempts: 3,
@@ -635,10 +560,11 @@ mod tests {
     }
 
     // Malformed and unset values are covered by the knob-table suite;
-    // this pins that a valid value takes effect.
+    // this pins that a valid value takes effect, and that the retired
+    // retry variable is refused as unknown rather than ignored.
     #[test]
     fn env_installation_is_strict() {
-        let (failpoints, io_retry) = (pdf_knobs::FAILPOINTS.env, pdf_knobs::IO_RETRY.env);
+        let failpoints = pdf_knobs::FAILPOINTS.env;
         let _serial = lock();
         std::env::set_var(failpoints, "checkpoint.read:io@1");
         assert_eq!(install_from_env(), Ok(true));
@@ -646,12 +572,17 @@ mod tests {
         std::env::remove_var(failpoints);
         clear();
 
-        std::env::set_var(io_retry, "4@2ms");
-        let policy = RetryPolicy::from_env();
-        std::env::remove_var(io_retry);
-        assert_eq!(
-            policy.map(|p| (p.attempts, p.backoff)),
-            Ok((4, Duration::from_millis(2)))
+        // Every program reports a refused environment through
+        // `KnobError::exit`, which exits with status 2.
+        std::env::set_var("PDF_IO_RETRY", "4@2ms");
+        let refused = pdf_knobs::validate(pdf_knobs::Program::Pdfatpg);
+        std::env::remove_var("PDF_IO_RETRY");
+        let error = refused.expect_err("PDF_IO_RETRY is not a knob");
+        assert_eq!(error.name, "PDF_IO_RETRY");
+        assert_eq!(error.value, "4@2ms");
+        assert!(
+            error.expected.starts_with("no such PDF_* variable"),
+            "{error}"
         );
     }
 }

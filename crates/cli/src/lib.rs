@@ -251,7 +251,7 @@ enum Source {
 /// Looks a circuit spec up: `s27`/`c17` come from the embedded ISCAS
 /// sources, stand-in names from the synthetic generator, anything else is
 /// read as a file behind the `netlist.read` failpoint site, transient
-/// errors retried under `PDF_IO_RETRY` ([`pdf_telemetry::guarded_read`]).
+/// errors retried ([`pdf_telemetry::guarded_read`]).
 fn source(spec: &str) -> Result<Source, CliError> {
     Ok(match spec {
         "s27" => Source::Embedded(pdf_netlist::iscas::S27_BENCH),

@@ -4,9 +4,8 @@
 //! error — never panic. A document that parses must write back to the
 //! same value, and a repro cell's `k`, which sizes the split it pads,
 //! stays within `pdf_matrix::MAX_K`. The spec grammars read from flags
-//! and variables — time budgets, failpoints and the I/O retry policy —
-//! are held to the same rule, and an accepted failpoint spec must print
-//! back to itself.
+//! and variables — time budgets and failpoints — are held to the same
+//! rule, and an accepted failpoint spec must print back to itself.
 //!
 //! A mutant is its seed after one to four edits: bit flips, truncations,
 //! splices of another stretch of the same input, and insertions of
@@ -19,7 +18,7 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use pdf_atpg::{BudgetSpec, Checkpoint, CheckpointError};
-use pdf_chaos::{FailpointSpec, RetryPolicy};
+use pdf_chaos::FailpointSpec;
 use pdf_matrix::{CellConfig, Invariant, ReproCase, RunMode};
 use pdf_netlist::parse_bench;
 use pdf_telemetry::RunReport;
@@ -78,8 +77,7 @@ const TOKENS: &[&str] = &[
     ":panic",
 ];
 
-/// Valid time budget, failpoint and retry specs the spec mutants start
-/// from.
+/// Valid time budget and failpoint specs the spec mutants start from.
 const BUDGET_SEEDS: &[&str] = &[
     "250ms",
     "global=2s,compact=500ms",
@@ -89,7 +87,6 @@ const FAILPOINT_SEEDS: &[&str] = &[
     "checkpoint.write:torn@2",
     "checkpoint.read:io@1,telemetry.flush:full@3,netlist.read:io@2,pool.build:panic@7",
 ];
-const RETRY_SEEDS: &[&str] = &["3", "3@10ms", "5@500us", "2@1m"];
 
 fn edits() -> impl Strategy<Value = Vec<Edit>> {
     vec((0u8..4, any::<usize>(), any::<usize>(), any::<u8>()), 1..5)
@@ -326,17 +323,6 @@ fn check_failpoints(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn check_retry(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
-    let text = mutate(RETRY_SEEDS[seed % RETRY_SEEDS.len()].as_bytes(), edits);
-    let outcome = catch_unwind(|| match RetryPolicy::parse(&text) {
-        Ok(policy) => policy.attempts >= 1,
-        Err(e) => !e.is_empty(),
-    });
-    prop_assert!(outcome.is_ok(), "RetryPolicy::parse panicked on {text:?}");
-    prop_assert!(outcome.unwrap(), "zero attempts or no message for {text:?}");
-    Ok(())
-}
-
 #[test]
 fn the_seeds_parse() {
     for text in BUDGET_SEEDS {
@@ -344,9 +330,6 @@ fn the_seeds_parse() {
     }
     for text in FAILPOINT_SEEDS {
         assert_eq!(FailpointSpec::parse(text).expect(text).to_string(), *text);
-    }
-    for text in RETRY_SEEDS {
-        assert!(RetryPolicy::parse(text).is_ok(), "{text}");
     }
     for seed in bench_seeds() {
         let text = String::from_utf8(seed.clone()).expect("UTF-8 fixture");
@@ -421,11 +404,6 @@ proptest! {
     fn mutated_failpoint_specs_parse_or_fail_typed(seed in any::<usize>(), edits in edits()) {
         check_failpoints(seed, &edits)?;
     }
-
-    #[test]
-    fn mutated_retry_policies_parse_or_fail_typed(seed in any::<usize>(), edits in edits()) {
-        check_retry(seed, &edits)?;
-    }
 }
 
 proptest! {
@@ -465,11 +443,5 @@ proptest! {
     #[ignore = "long mutation run; nightly CI passes --ignored"]
     fn mutated_failpoint_specs_long(seed in any::<usize>(), edits in edits()) {
         check_failpoints(seed, &edits)?;
-    }
-
-    #[test]
-    #[ignore = "long mutation run; nightly CI passes --ignored"]
-    fn mutated_retry_policies_long(seed in any::<usize>(), edits in edits()) {
-        check_retry(seed, &edits)?;
     }
 }

@@ -30,12 +30,14 @@
 //! Discarded builds are also skipped where possible: after every commit
 //! the commit thread raises the *moot flag* of each later build of the
 //! round whose primary is now detected or quarantined. A build checks
-//! its flag before it starts and at every budget poll while it runs, and
-//! stops with a moot outcome that commits as the same discard. Each build
-//! records its telemetry into a private buffer that is merged under the
-//! `generate` span when the build commits and dropped when it is
-//! discarded, so counters and spans count committed work only — the
-//! same at every thread count, however many duplicates actually ran.
+//! its flag before it starts and, with the run's wall-clock deadline,
+//! between secondary candidates and at every justifier poll; it stops
+//! with a moot outcome that commits as the same discard. Builds never
+//! poll the counted budget. Each build records its telemetry into a
+//! private buffer that is merged under the `generate` span when the
+//! build commits and dropped when it is discarded, so counters and spans
+//! count committed work only — the same at every thread count, however
+//! many duplicates actually ran.
 
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,7 +46,9 @@ use std::sync::Arc;
 use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_netlist::{Circuit, SplitMix64};
 use pdf_pool::Control;
-use pdf_runctl::{CancelToken, Checkpoint, CheckpointPolicy, RunBudget, CHECKPOINT_VERSION};
+use pdf_runctl::{
+    CancelToken, Checkpoint, CheckpointPolicy, Deadline, RunBudget, CHECKPOINT_VERSION,
+};
 
 use pdf_sim::SimOptions;
 
@@ -128,9 +132,9 @@ pub struct AtpgConfig {
     /// last committed boundary, and finalize the partial test set with
     /// [`AtpgOutcome::budget_exhausted`] set. Counted exhaustion polls
     /// happen at round-selection granularity on the commit thread only;
-    /// builds observe the budget through non-consuming peek views, so the
-    /// poll sequence — and with it the output — is identical for every
-    /// thread count.
+    /// builds and their justifiers read only its wall-clock
+    /// [`RunBudget::deadline`], so the poll sequence — and with it the
+    /// output — is identical for every thread count.
     pub budget: RunBudget,
     /// Crash-safe checkpointing: when set, run state is persisted
     /// atomically to the policy's file after every round that brings the
@@ -623,9 +627,9 @@ enum BuildOutcome {
     /// The primary panicked mid-justification and quarantined itself;
     /// the detail is in the build's quarantine log.
     PrimaryQuarantined,
-    /// The build observed an exhausted budget (through its peek view)
-    /// and stopped early. The whole round is rolled back: a truncated
-    /// build says nothing reproducible about its primary.
+    /// The build saw the run's deadline pass and stopped early. The
+    /// whole round is rolled back: a truncated build says nothing
+    /// reproducible about its primary.
     Cut,
     /// The build saw its moot flag and stopped (or never started): an
     /// earlier commit of the round settled its primary, so commit
@@ -664,22 +668,21 @@ struct Build<'a, 'c, 'f> {
     detected: Vec<bool>,
     quarantined: Vec<bool>,
     justifier: Justifier<'c>,
-    /// Non-consuming peek view of the run budget that also watches the
-    /// job's moot flag.
-    budget: RunBudget,
+    /// The run's wall-clock deadline: polling it consumes no budget poll.
+    deadline: Deadline,
+    /// The job's moot flag, polled with the deadline here and in the
+    /// justifier: a build whose primary an earlier commit settled stops
+    /// at its next poll.
     moot: CancelToken,
     stats: AtpgStats,
     /// Locally observed fault panics, in observation order.
     quarantine_log: Vec<(usize, String)>,
-    /// The budget view fired mid-build: the result must become `Cut`, or
-    /// `Moot` if the moot flag is what fired.
-    stopped: bool,
 }
 
 /// Executes one build job. Pure in the functional sense: unless its moot
-/// flag stops it, the result depends only on `(ctx, job.primary,
-/// job.snapshot)`. Its telemetry is captured for the commit to merge or
-/// drop.
+/// flag or the deadline stops it, the result depends only on
+/// `(ctx, job.primary, job.snapshot)`. Its telemetry is captured for the
+/// commit to merge or drop.
 fn run_build(ctx: &SessionCtx<'_, '_>, job: BuildJob) -> BuildResult {
     let primary = job.primary;
     let ((outcome, stats, quarantined), telemetry) =
@@ -707,14 +710,13 @@ fn build_uncaptured(
     if moot.is_cancelled() {
         return (BuildOutcome::Moot, AtpgStats::default(), Vec::new());
     }
-    // Every budget poll of the build, the justifier's included, also
-    // reads the moot flag.
-    let budget = ctx.config.budget.peek_view_with(moot.clone());
+    let deadline = ctx.config.budget.deadline();
     // A fresh justifier per build: its RNG stream is a function of the
     // primary alone.
     let mut justifier = Justifier::new(ctx.circuit, build_seed(ctx.config.seed, primary))
         .with_attempts(ctx.config.justify_attempts)
-        .with_budget(budget.clone());
+        .with_deadline(deadline)
+        .with_cancel(moot.clone());
     if let Some(guide) = &ctx.config.guide {
         justifier = justifier.with_guide(guide.clone());
     }
@@ -724,11 +726,10 @@ fn build_uncaptured(
         detected: snapshot.detected.clone(),
         quarantined: snapshot.quarantined.clone(),
         justifier,
-        budget,
+        deadline,
         moot,
         stats: AtpgStats::default(),
         quarantine_log: Vec::new(),
-        stopped: false,
     };
     let outcome = build.run(primary);
     let mut stats = build.stats;
@@ -746,11 +747,11 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             if self.quarantined[primary] {
                 return BuildOutcome::PrimaryQuarantined;
             }
-            if self.budget.exhausted() {
-                // A budget-truncated search says nothing about the
+            if self.deadline.expired() {
+                // A deadline-truncated search says nothing about the
                 // fault: the round is rolled back and the fault stays
                 // unaborted for the resumed run.
-                return self.stop_outcome();
+                return BuildOutcome::Cut;
             }
             self.stats.aborted_primaries += 1;
             return BuildOutcome::Aborted;
@@ -762,21 +763,22 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             let mut union = Union::new(self.ctx, req);
             self.extend_with_secondaries(primary, &mut union, &mut current);
         }
-        if self.stopped || self.budget.exhausted() {
-            return self.stop_outcome();
+        // A pass stops only on a raised flag or a passed deadline, and
+        // neither ever drops. A moot build is discarded; otherwise the
+        // whole round is rolled back.
+        if self.moot.is_cancelled() {
+            return BuildOutcome::Moot;
+        }
+        if self.deadline.expired() {
+            return BuildOutcome::Cut;
         }
         BuildOutcome::Test(current)
     }
 
-    /// The outcome of a build stopped by its budget view: `Moot` when the
-    /// moot flag is up, else `Cut`. Asked only after the view fired, and
-    /// the flag never drops, so a stop the flag caused is never a cut.
-    fn stop_outcome(&self) -> BuildOutcome {
-        if self.moot.is_cancelled() {
-            BuildOutcome::Moot
-        } else {
-            BuildOutcome::Cut
-        }
+    /// Whether a secondary pass must stop: the deadline passed or the
+    /// build went moot.
+    fn stopped(&self) -> bool {
+        self.deadline.expired() || self.moot.is_cancelled()
     }
 
     /// Marks fault `i` quarantined for the rest of this build and logs it
@@ -853,8 +855,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             (lo..hi).collect()
         };
         for i in order {
-            if self.budget.exhausted() {
-                self.stopped = true; // moot, or the whole round is rolled back
+            if self.stopped() {
                 return;
             }
             if self.eligible_secondary(i, primary) {
@@ -891,8 +892,7 @@ impl<'a, 'c> Build<'a, 'c, '_> {
             self.stats.conflict_rejects += conflicts;
             let mut accepted = None;
             while let Some(i) = ranking.pop() {
-                if self.budget.exhausted() {
-                    self.stopped = true; // moot, or the whole round is rolled back
+                if self.stopped() {
                     return;
                 }
                 // Eligibility only ever ends. Only the candidate being
@@ -1193,9 +1193,9 @@ impl<'c, 'f> Session<'c, 'f> {
         );
 
         if stopped_early && !ctx.config.budget.already_exhausted() {
-            // The cut was observed through a non-latching peek view (a
-            // deadline expiring mid-round); consume one counted poll so
-            // the outcome and final checkpoint record the exhaustion.
+            // A build saw the deadline pass mid-round, which latches
+            // nothing; consume one counted poll so the outcome and final
+            // checkpoint record the exhaustion.
             let _ = ctx.config.budget.exhausted();
         }
         let budget_exhausted = ctx.config.budget.already_exhausted();
@@ -1413,15 +1413,25 @@ fn apply_resume(
     state.quarantined.copy_from_slice(&checkpoint.quarantined);
     state.completed = checkpoint.completed;
     state.checkpoint_generation = checkpoint.generation;
-    state.stats.aborted_primaries = checkpoint.counter("aborted_primaries") as usize;
-    state.stats.secondary_accepts = checkpoint.counter("secondary_accepts") as usize;
-    state.stats.free_accepts = checkpoint.counter("free_accepts") as usize;
-    state.stats.secondary_rejects = checkpoint.counter("secondary_rejects") as usize;
-    state.stats.conflict_rejects = checkpoint.counter("conflict_rejects") as usize;
-    state.stats.faults_quarantined = checkpoint.counter("faults_quarantined") as usize;
-    state.stats.checkpoints_written = checkpoint.counter("checkpoints_written") as usize;
-    state.stats.builds_discarded = checkpoint.counter("builds_discarded") as usize;
+    for (name, counter) in resumable_counters(&mut state.stats) {
+        *counter = checkpoint.counter(name) as usize;
+    }
     Ok(test_set)
+}
+
+/// The [`AtpgStats`] counters a checkpoint carries across a resume, in
+/// file order.
+fn resumable_counters(stats: &mut AtpgStats) -> [(&'static str, &mut usize); 8] {
+    [
+        ("aborted_primaries", &mut stats.aborted_primaries),
+        ("secondary_accepts", &mut stats.secondary_accepts),
+        ("free_accepts", &mut stats.free_accepts),
+        ("secondary_rejects", &mut stats.secondary_rejects),
+        ("conflict_rejects", &mut stats.conflict_rejects),
+        ("faults_quarantined", &mut stats.faults_quarantined),
+        ("checkpoints_written", &mut stats.checkpoints_written),
+        ("builds_discarded", &mut stats.builds_discarded),
+    ]
 }
 
 /// Writes a round-boundary checkpoint through the configured policy. A
@@ -1436,6 +1446,9 @@ fn write_checkpoint(
     let Some(policy) = &ctx.config.checkpoint else {
         return;
     };
+    // The saved count includes this write.
+    let mut saved = state.stats;
+    saved.checkpoints_written += 1;
     let checkpoint = Checkpoint {
         version: CHECKPOINT_VERSION,
         generation: state.checkpoint_generation + 1,
@@ -1455,37 +1468,10 @@ fn write_checkpoint(
             .iter()
             .map(crate::testset::test_line)
             .collect(),
-        counters: vec![
-            (
-                "aborted_primaries".to_owned(),
-                state.stats.aborted_primaries as u64,
-            ),
-            (
-                "secondary_accepts".to_owned(),
-                state.stats.secondary_accepts as u64,
-            ),
-            ("free_accepts".to_owned(), state.stats.free_accepts as u64),
-            (
-                "secondary_rejects".to_owned(),
-                state.stats.secondary_rejects as u64,
-            ),
-            (
-                "conflict_rejects".to_owned(),
-                state.stats.conflict_rejects as u64,
-            ),
-            (
-                "faults_quarantined".to_owned(),
-                state.stats.faults_quarantined as u64,
-            ),
-            (
-                "checkpoints_written".to_owned(),
-                (state.stats.checkpoints_written + 1) as u64,
-            ),
-            (
-                "builds_discarded".to_owned(),
-                state.stats.builds_discarded as u64,
-            ),
-        ],
+        counters: resumable_counters(&mut saved)
+            .into_iter()
+            .map(|(name, &mut value)| (name.to_owned(), value as u64))
+            .collect(),
         complete,
     };
     match checkpoint.save(&policy.path) {

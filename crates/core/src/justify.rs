@@ -46,7 +46,7 @@
 use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, SplitMix64, TwoPattern};
-use pdf_runctl::RunBudget;
+use pdf_runctl::{CancelToken, Deadline};
 use pdf_sim::{PackedBlock, SimOptions, SimWord, Tile, LANES};
 
 /// Inert: the justifier keeps no cone cache. Kept only because the
@@ -243,9 +243,12 @@ pub struct Justifier<'c> {
     /// Wall time spent in the necessary-value fixpoint, guided-search
     /// rounds included.
     fixpoint: std::time::Duration,
-    /// Cooperative time/cancellation budget polled at call entry, per
-    /// completion block and per guided-search decision.
-    budget: RunBudget,
+    /// Wall-clock deadline polled at call entry, per completion block and
+    /// per guided-search decision.
+    deadline: Deadline,
+    /// Polled with the deadline; a cancelled token stops calls the same
+    /// way.
+    cancel: Option<CancelToken>,
     /// Run the fixpoint and the completion groups on the scalar oracle
     /// instead of the packed kernel — the differential tests' reference
     /// engine.
@@ -271,7 +274,8 @@ impl<'c> Justifier<'c> {
             guide: None,
             completion: std::time::Duration::ZERO,
             fixpoint: std::time::Duration::ZERO,
-            budget: RunBudget::unlimited(),
+            deadline: Deadline::none(),
+            cancel: None,
             #[cfg(test)]
             scalar_oracle: false,
             #[cfg(test)]
@@ -316,14 +320,29 @@ impl<'c> Justifier<'c> {
         self
     }
 
-    /// Attaches a cooperative run budget. An exhausted budget makes
-    /// justification calls return `None` early — at call entry, between
-    /// completion blocks and between guided-search decisions — without
-    /// consuming further RNG beyond the aborted phase.
+    /// Attaches a wall-clock deadline. Once it has passed, justification
+    /// calls return `None` early — at call entry, between completion
+    /// blocks and between guided-search decisions — without consuming
+    /// further RNG beyond the aborted phase.
     #[must_use]
-    pub fn with_budget(mut self, budget: RunBudget) -> Justifier<'c> {
-        self.budget = budget;
+    pub fn with_deadline(mut self, deadline: Deadline) -> Justifier<'c> {
+        self.deadline = deadline;
         self
+    }
+
+    /// Attaches a token polled wherever the deadline is: once it is
+    /// cancelled, calls stop early the same way. The generator passes
+    /// each speculative build's moot flag, so a build whose primary an
+    /// earlier commit settled stops inside its current call.
+    #[must_use]
+    pub(crate) fn with_cancel(mut self, cancel: CancelToken) -> Justifier<'c> {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    /// Whether the deadline has passed or the token was cancelled.
+    fn stopped(&self) -> bool {
+        stop_requested(&self.deadline, self.cancel.as_ref())
     }
 
     /// The RNG's current internal state — checkpoint material. Feeding it
@@ -370,7 +389,7 @@ impl<'c> Justifier<'c> {
     pub fn justify(&mut self, req: &Assignments) -> Option<Justified> {
         let _span = pdf_telemetry::Span::enter("justify");
         self.stats.calls += 1;
-        if self.budget.exhausted() {
+        if self.stopped() {
             return None;
         }
         let topo = ConeTopo::build(self.circuit, req);
@@ -397,7 +416,7 @@ impl<'c> Justifier<'c> {
             .flat_map(|i| (0..2).map(move |pos| (i, pos)))
             .filter(|&(i, pos)| !pick(&state[i], pos).is_specified())
             .collect();
-        if self.budget.exhausted() {
+        if self.stopped() {
             return None;
         }
         let groups = self.attempts as usize;
@@ -618,11 +637,13 @@ impl<'c> Justifier<'c> {
             circuit,
             packed,
             stats,
-            budget,
+            deadline,
+            cancel,
             ..
         } = self;
+        let stopped = || stop_requested(deadline, cancel.as_ref());
         packed_passes(
-            packed, circuit, req, topo, state, open, fills, groups, stats, budget,
+            packed, circuit, req, topo, state, open, fills, groups, stats, &stopped,
         )
     }
 
@@ -640,7 +661,7 @@ impl<'c> Justifier<'c> {
     ) -> PassOutcome {
         let mut lane_state = state.to_vec();
         for g in 0..groups {
-            if g > 0 && self.budget.exhausted() {
+            if g > 0 && self.stopped() {
                 return PassOutcome::Aborted;
             }
             for bit in 0..LANES {
@@ -671,7 +692,7 @@ impl<'c> Justifier<'c> {
         let _span = pdf_telemetry::Span::enter("justify.guided");
         let n = topo.pis.len();
         loop {
-            if self.budget.exhausted() {
+            if self.stopped() {
                 return None;
             }
             // Decision: stabilize a half-specified input if one exists...
@@ -810,8 +831,14 @@ enum PassOutcome {
     Hit(usize),
     /// No candidate satisfied the requirements.
     Miss,
-    /// The run budget expired between passes.
+    /// The deadline passed or the token was cancelled between passes.
     Aborted,
+}
+
+/// A justifier's stop signal: its deadline passed or its token was
+/// cancelled.
+fn stop_requested(deadline: &Deadline, cancel: Option<&CancelToken>) -> bool {
+    deadline.expired() || cancel.is_some_and(CancelToken::is_cancelled)
 }
 
 /// Evaluates completion groups on the packed kernel, up to `Tile::WORDS`
@@ -830,11 +857,11 @@ fn packed_passes(
     fills: &[u64],
     groups: usize,
     stats: &mut JustifyStats,
-    budget: &RunBudget,
+    stopped: &dyn Fn() -> bool,
 ) -> PassOutcome {
     let mut pass_start = 0usize;
     while pass_start < groups {
-        if pass_start > 0 && budget.exhausted() {
+        if pass_start > 0 && stopped() {
             return PassOutcome::Aborted;
         }
         let here = (groups - pass_start).min(Tile::WORDS);
@@ -1352,13 +1379,12 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_budget_fails_justification_without_drawing_rng() {
+    fn expired_deadline_fails_justification_without_drawing_rng() {
         let c = s27();
         let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
         let a = robust_assignments(&c, &f).unwrap();
-        let cancel = pdf_runctl::CancelToken::new();
-        cancel.cancel();
-        let mut j = Justifier::new(&c, 42).with_budget(RunBudget::unlimited().and_cancel(cancel));
+        let mut j =
+            Justifier::new(&c, 42).with_deadline(Deadline::after(std::time::Duration::ZERO));
         let before = j.rng_state();
         assert!(j.justify(&a).is_none());
         assert_eq!(j.stats().calls, 1);

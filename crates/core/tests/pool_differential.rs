@@ -10,8 +10,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use proptest::prelude::*;
 
 use pdf_atpg::{
-    AtpgConfig, AtpgOutcome, BasicAtpg, CancelToken, CheckpointPolicy, Compaction, EnrichmentAtpg,
-    RunBudget, TargetSplit,
+    AtpgConfig, AtpgOutcome, BasicAtpg, CancelToken, Checkpoint, CheckpointPolicy, Compaction,
+    Deadline, EnrichmentAtpg, RunBudget, TargetSplit,
 };
 use pdf_faults::{FaultEntry, FaultList};
 use pdf_netlist::{Circuit, LineId, SynthProfile};
@@ -301,6 +301,110 @@ fn budget_exhausted_partial_prefixes_match_serial() {
             &format!("enrich cut, {threads} threads"),
         );
     }
+}
+
+/// A wall-clock deadline that passes while builds run cuts the round in
+/// flight back to its boundary. Wherever the cut lands, the cut run is a
+/// prefix of the uncut one, and resuming its final checkpoint reproduces
+/// the uncut run.
+#[test]
+fn a_deadline_cut_mid_generation_resumes_to_the_uncut_run() {
+    /// Where a deadline cut a run, relative to the uncut run's tests.
+    #[derive(PartialEq)]
+    enum Landed {
+        BeforeTheFirstTest,
+        AfterATest,
+        NotCut,
+    }
+    let _guard = serial();
+    let c = pdf_netlist::circuit_by_name("b09").expect("known stand-in");
+    let faults = faults_of(&c, 400);
+    let split = TargetSplit::by_cumulative_length(&faults, faults.len() / 4);
+    let path = std::env::temp_dir().join(format!(
+        "pdf_pool_diff_deadline_{}.json",
+        std::process::id()
+    ));
+    let prev = pdf_atpg::previous_generation_path(&path);
+    let run = |config: AtpgConfig| EnrichmentAtpg::new(&c).with_config(config).run(&split);
+    // The uncut time is the faster of two runs, the first also warming
+    // the caches.
+    let timed = || {
+        let start = std::time::Instant::now();
+        (run(config(1)), start.elapsed())
+    };
+    let ((full, first), (_, second)) = (timed(), timed());
+    let uncut = first.min(second);
+    let counts = |o: &AtpgOutcome| {
+        let s = o.stats();
+        [
+            s.aborted_primaries,
+            s.secondary_accepts,
+            s.free_accepts,
+            s.secondary_rejects,
+            s.conflict_rejects,
+            s.builds_discarded,
+        ]
+    };
+    // Cuts one run at `after`, checks the prefix and the resume, and
+    // says where the cut landed.
+    let check = |after: std::time::Duration, threads: usize| {
+        let label = format!("deadline {after:?} (uncut {uncut:?}), {threads} threads");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&prev);
+        let cut = run(AtpgConfig {
+            budget: RunBudget::with_deadline(Deadline::after(after)),
+            checkpoint: Some(CheckpointPolicy::new(&path, 1)),
+            ..config(threads)
+        });
+        let (partial, whole) = (cut.tests().tests(), full.tests().tests());
+        assert!(partial.len() <= whole.len(), "{label}");
+        assert_eq!(partial, &whole[..partial.len()], "{label}: not a prefix");
+        let checkpoint = Checkpoint::load(&path).expect("final checkpoint written");
+        let resumed = EnrichmentAtpg::new(&c)
+            .with_config(config(1))
+            .run_resumed(&split, &checkpoint)
+            .expect("the checkpoint resumes");
+        assert_eq!(
+            resumed.tests().to_text(),
+            full.tests().to_text(),
+            "{label}: resumed tests"
+        );
+        assert_eq!(resumed.detected(), full.detected(), "{label}: detected");
+        assert_eq!(resumed.aborted(), full.aborted(), "{label}: aborted");
+        assert_eq!(counts(&resumed), counts(&full), "{label}: carried counters");
+        match (cut.budget_exhausted(), partial.is_empty()) {
+            (false, _) => Landed::NotCut,
+            (true, true) => Landed::BeforeTheFirstTest,
+            (true, false) => Landed::AfterATest,
+        }
+    };
+    let mut cut_after_a_test = false;
+    for quarters in [1, 2, 3] {
+        for threads in [1, 2] {
+            cut_after_a_test |= check(uncut * quarters / 4, threads) == Landed::AfterATest;
+        }
+    }
+    // Where a fraction of one timing lands depends on the load, so if no
+    // cut above landed after a test, search for such a deadline by where
+    // the cuts land: later after an early cut, earlier after no cut.
+    let (mut early, mut late) = (std::time::Duration::ZERO, uncut * 4);
+    for _ in 0..16 {
+        if cut_after_a_test {
+            break;
+        }
+        let after = (early + late) / 2;
+        match check(after, 2) {
+            Landed::AfterATest => cut_after_a_test = true,
+            Landed::BeforeTheFirstTest => early = after,
+            Landed::NotCut => late = after,
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&prev);
+    assert!(
+        cut_after_a_test,
+        "no deadline cut landed after the first test"
+    );
 }
 
 #[test]

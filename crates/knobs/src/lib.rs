@@ -442,9 +442,6 @@ knobs! {
         "deterministic fault injection, a comma-separated `site:kind@N` list; sites \
          checkpoint.write, checkpoint.read, telemetry.flush, netlist.read, pool.build; \
          kinds io, full, torn, panic";
-    IO_RETRY: "PDF_IO_RETRY", None, Kind::Spec, "3@1ms", [Pdfatpg, Experiments, Bench],
-        "bounded retry for transient I/O errors, `attempts[@backoff]`; the backoff \
-         doubles per attempt";
     BENCH_CIRCUIT: "PDF_BENCH_CIRCUIT", None, Kind::Text, "s9234*", [Bench],
         "circuit the throughput binaries measure";
     BENCH_TESTS: "PDF_BENCH_TESTS", None, Kind::Number, "2048 / 256", [Bench],

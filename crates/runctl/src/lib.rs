@@ -14,7 +14,8 @@
 //!   unlimited budget answers with a single branch, and once a budget
 //!   fires it stays fired (observable without a fresh poll through
 //!   [`RunBudget::already_exhausted`]). Budget state is shared across
-//!   clones, so a generator and the justifier it owns always agree.
+//!   clones. Speculative work that must not consume polls reads only the
+//!   wall-clock half, [`RunBudget::deadline`].
 //! * [`BudgetSpec`] — the strictly parsed form of `PDF_TIME_BUDGET` /
 //!   `--time-budget`: a global duration (`250ms`), or per-phase entries
 //!   (`generate=2s,compact=500ms`), or both (`2s,compact=500ms`).
@@ -135,6 +136,11 @@ struct TokenState {
 /// countdown armed by [`CancelToken::cancel_after_polls`] — the
 /// instrument the resume-identity tests use to interrupt a run at an
 /// exact, reproducible point with no wall clock involved.
+///
+/// Only counted [`RunBudget::exhausted`] polls read a budget's token. The
+/// generator makes those at round selection alone, so a token cancelled
+/// from outside stops generation at the next round selection, not in the
+/// middle of a build.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     inner: Arc<TokenState>,
@@ -200,21 +206,14 @@ impl CancelToken {
 /// A cooperative run budget: a [`Deadline`], an optional [`CancelToken`],
 /// and a latch that stays set once either fires.
 ///
-/// Clones share the latch (and the token), so handing a clone to a
-/// sub-component — the generator gives one to its justifier — keeps every
-/// holder's view of exhaustion consistent. The default budget is
-/// unlimited and costs one branch per poll.
+/// Clones share the latch (and the token). The default budget is
+/// unlimited and costs one branch per poll. Work that must not consume
+/// polls observes only the clock, through [`RunBudget::deadline`].
 #[derive(Clone, Debug, Default)]
 pub struct RunBudget {
     deadline: Deadline,
     cancel: Option<CancelToken>,
     fired: Arc<AtomicBool>,
-    /// A peek view observes exhaustion without consuming polls, advancing
-    /// countdowns, latching, or counting telemetry (see
-    /// [`RunBudget::peek_view`]).
-    peek: bool,
-    /// A peek view's extra stop signal ([`RunBudget::peek_view_with`]).
-    watch: Option<CancelToken>,
 }
 
 impl RunBudget {
@@ -243,7 +242,7 @@ impl RunBudget {
     /// Whether any limit (deadline or token) is attached.
     #[must_use]
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_set() || self.cancel.is_some() || self.watch.is_some()
+        self.deadline.is_set() || self.cancel.is_some()
     }
 
     /// One cooperative poll: checks the token and the deadline, latches
@@ -252,16 +251,6 @@ impl RunBudget {
     pub fn exhausted(&self) -> bool {
         if !self.is_limited() {
             return false;
-        }
-        if self.peek {
-            // A peek view only *observes*: the shared latch, the token's
-            // non-consuming flag, and the wall clock. No countdown is
-            // advanced, nothing is latched, no poll is counted — so any
-            // number of peeks leaves the counting holders' state intact.
-            return self.fired.load(Ordering::Relaxed)
-                || self.watch.as_ref().is_some_and(CancelToken::is_cancelled)
-                || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                || self.deadline.expired();
         }
         pdf_telemetry::count(counters::CANCEL_POLLS, 1);
         if self.fired.load(Ordering::Relaxed) {
@@ -287,34 +276,13 @@ impl RunBudget {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// A non-counting view of this budget for speculative workers: its
-    /// [`RunBudget::exhausted`] reports the shared latch, the token's
-    /// cancellation flag, and the deadline, but never advances a poll
-    /// countdown, never latches, and never counts `cancel_polls`
-    /// telemetry. Deterministic-countdown budgets therefore fire at
-    /// exactly the same counted poll no matter how many workers peek —
-    /// the property the parallel generator's schedule-independence rests
-    /// on.
+    /// The wall-clock half of this budget. Polling it consumes no poll,
+    /// advances no countdown, latches nothing and counts nothing, so
+    /// speculative work — the generator's builds and their justifiers —
+    /// polls it while only the commit thread makes counted polls.
     #[must_use]
-    pub fn peek_view(&self) -> RunBudget {
-        RunBudget {
-            peek: true,
-            ..self.clone()
-        }
-    }
-
-    /// A [`RunBudget::peek_view`] that also reads as exhausted once
-    /// `watch` is cancelled. The generator hands each speculative build
-    /// one, watching the build's moot flag, so every budget poll inside
-    /// the build also stops work whose result is already known to be
-    /// discarded. Tell the two causes apart by asking `watch` after the
-    /// view reports exhaustion: a cancelled token stays cancelled.
-    #[must_use]
-    pub fn peek_view_with(&self, watch: CancelToken) -> RunBudget {
-        RunBudget {
-            watch: Some(watch),
-            ..self.peek_view()
-        }
+    pub fn deadline(&self) -> Deadline {
+        self.deadline
     }
 }
 
@@ -441,7 +409,6 @@ pub fn validate_env(program: Program) -> Result<(), KnobError> {
         match knob.env {
             "PDF_TIME_BUDGET" => knob.read(None, BudgetSpec::parse).map(drop),
             "PDF_FAILPOINTS" => knob.read(None, pdf_chaos::FailpointSpec::parse).map(drop),
-            "PDF_IO_RETRY" => knob.read(None, pdf_chaos::RetryPolicy::parse).map(drop),
             other => unreachable!("no parser for the spec knob {other}"),
         }?;
     }
@@ -762,8 +729,8 @@ impl Checkpoint {
     /// `runctl` telemetry span, counting `checkpoints_written`. An
     /// existing file at `path` is first rotated to the `.prev` sibling
     /// (the previous-good generation recovery falls back to), and
-    /// transient write errors are retried under the `PDF_IO_RETRY`
-    /// policy.
+    /// transient write errors are retried under the default
+    /// [`pdf_chaos::RetryPolicy`].
     ///
     /// # Errors
     ///
@@ -788,7 +755,7 @@ impl Checkpoint {
     }
 
     /// Reads, parses, and CRC-verifies a checkpoint file, retrying
-    /// transient read errors under the `PDF_IO_RETRY` policy.
+    /// transient read errors under the default [`pdf_chaos::RetryPolicy`].
     ///
     /// # Errors
     ///
@@ -993,46 +960,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_view_never_consumes_polls_or_latches() {
-        let b = RunBudget::unlimited().and_cancel(CancelToken::cancel_after_polls(2));
-        let peek = b.peek_view();
-        for _ in 0..10 {
-            assert!(!peek.exhausted(), "peeks must not advance the countdown");
-        }
-        assert!(!b.exhausted(), "first counted poll");
-        assert!(!peek.exhausted(), "no latch, no cancellation yet");
-        assert!(b.exhausted(), "second counted poll fires");
-        assert!(peek.exhausted(), "the peek view sees the shared latch");
-        assert!(b.already_exhausted());
-    }
-
-    #[test]
-    fn a_watched_peek_view_stops_without_touching_the_budget() {
-        let b = RunBudget::unlimited();
-        let watch = CancelToken::new();
-        let view = b.peek_view_with(watch.clone());
-        assert!(!view.exhausted());
-        watch.cancel();
-        assert!(view.exhausted(), "the watched token stops the view");
-        assert!(!b.exhausted(), "the run budget itself is untouched");
-        assert!(!b.already_exhausted());
-        assert!(!b.peek_view().exhausted(), "other views are untouched");
-    }
-
-    #[test]
-    fn peek_view_sees_an_expired_deadline_without_latching() {
-        let b = RunBudget::with_deadline(Deadline::at(Instant::now() - Duration::from_millis(1)));
-        let peek = b.peek_view();
-        assert!(peek.exhausted());
-        assert!(!b.already_exhausted(), "peeks must not latch");
-        assert!(b.exhausted());
-        assert!(b.already_exhausted());
-    }
-
-    #[test]
     fn expired_deadline_latches() {
         let b = RunBudget::with_deadline(Deadline::at(Instant::now() - Duration::from_millis(1)));
         assert!(b.is_limited());
+        assert!(b.deadline().expired());
+        assert!(
+            !b.already_exhausted(),
+            "reading the deadline latches nothing"
+        );
         assert!(b.exhausted());
         assert!(b.already_exhausted());
     }

@@ -449,22 +449,19 @@ pub fn count(name: &'static str, n: u64) {
 }
 
 /// One file operation behind the failpoint `site`, transient errors
-/// retried under `PDF_IO_RETRY`. An armed `io`/`full` entry fails the
-/// attempt, `panic` panics; else `op` runs, told how many of its `n`
-/// bytes survive (a `torn` entry keeps a deterministic prefix). Counts
-/// `failpoints_hit` and `io_retries`.
+/// retried under the default [`pdf_chaos::RetryPolicy`]. An armed
+/// `io`/`full` entry fails the attempt, `panic` panics; else `op` runs,
+/// told how many of its `n` bytes survive (a `torn` entry keeps a
+/// deterministic prefix). Counts `failpoints_hit` and `io_retries`.
 ///
 /// # Errors
 ///
-/// The last attempt's error, or an `InvalidInput` error when
-/// `PDF_IO_RETRY` is malformed.
+/// The last attempt's error.
 pub fn guarded_io<T>(
     site: &'static str,
     op: impl Fn(&dyn Fn(usize) -> usize) -> std::io::Result<T>,
 ) -> std::io::Result<T> {
-    let policy = pdf_chaos::RetryPolicy::from_env()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-    let (result, retries) = pdf_chaos::with_retry(&policy, || {
+    let (result, retries) = pdf_chaos::with_retry(&pdf_chaos::RetryPolicy::default(), || {
         let Some(injection) = pdf_chaos::evaluate(site) else {
             return op(&|n| n);
         };
@@ -651,8 +648,8 @@ impl RunReport {
     }
 
     /// Writes the JSON report to `path` through the `telemetry.flush`
-    /// failpoint site, retrying transient errors under the `PDF_IO_RETRY`
-    /// policy. The retry count lands in the `io_retries` counter — the
+    /// failpoint site, retrying transient errors under the default
+    /// [`pdf_chaos::RetryPolicy`]. The retry count lands in the `io_retries` counter — the
     /// *next* report, since this one is already snapshotted.
     ///
     /// # Errors
