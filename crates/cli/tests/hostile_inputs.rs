@@ -7,6 +7,10 @@
 //! and variables — time budgets and failpoints — are held to the same
 //! rule, and an accepted failpoint spec must print back to itself.
 //!
+//! The test lines inside a checkpoint get their own property: mutated,
+//! then re-serialized with a valid CRC, they must resume or be refused
+//! with a typed error.
+//!
 //! A mutant is its seed after one to four edits: bit flips, truncations,
 //! splices of another stretch of the same input, and insertions of
 //! grammar tokens, oversized numbers or deep nesting. The `#[ignore]`d
@@ -253,6 +257,56 @@ fn check_checkpoint(edits: &[Edit]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Mutates the test lines of the seed checkpoint (joined, so edits may
+/// merge, split or drop lines) and re-stamps a valid CRC: `--resume` of
+/// the result must run or refuse the checkpoint with a typed error. With
+/// `retype`, each edit instead overwrites one character with a value or
+/// a separator, so most mutants keep their shape and resume.
+fn check_resume_tests(retype: bool, edits: &[Edit]) -> Result<(), TestCaseError> {
+    let text = String::from_utf8(checkpoint_seed().to_vec()).expect("UTF-8 checkpoint");
+    let mut checkpoint = Checkpoint::from_json(&text).expect("the seed loads");
+    let joined = checkpoint.tests.join("\n");
+    let lines = if retype {
+        let mut bytes = joined.into_bytes();
+        let len = bytes.len().max(1);
+        for &(_, at, _, bit) in edits {
+            if let Some(byte) = bytes.get_mut(at % len) {
+                *byte = b"01xX \n"[usize::from(bit) % 6];
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII edits of ASCII lines")
+    } else {
+        mutate(joined.as_bytes(), edits)
+    };
+    checkpoint.tests = lines.split('\n').map(str::to_owned).collect();
+    // Per thread: the default and the long property may run at once.
+    let path = std::env::temp_dir().join(format!(
+        "pdf-hostile-inputs-{}-{:?}-resume.ckpt.json",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, checkpoint.to_json()).expect("write the mutant");
+    let line = ["atpg", "s27", "--np0", "10", "--resume"];
+    let mut args: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
+    args.push(path.to_str().expect("UTF-8 temp path").to_owned());
+    let outcome = catch_unwind(|| match pdf_cli::run(&args) {
+        Ok(_) => true,
+        Err(e) => e.code == pdf_cli::EXIT_ERROR && e.message.starts_with("--resume: "),
+    });
+    let _ = std::fs::remove_file(&path);
+    prop_assert!(
+        outcome.is_ok(),
+        "--resume panicked on {:?}",
+        checkpoint.tests
+    );
+    prop_assert!(
+        outcome.unwrap(),
+        "no typed refusal of {:?}",
+        checkpoint.tests
+    );
+    Ok(())
+}
+
 fn check_repro(edits: &[Edit]) -> Result<(), TestCaseError> {
     let text = mutate(repro_seed(), edits);
     let outcome = catch_unwind(|| match ReproCase::parse(&text) {
@@ -386,6 +440,11 @@ proptest! {
     }
 
     #[test]
+    fn mutated_checkpoint_tests_resume_or_fail_typed(retype in any::<bool>(), edits in edits()) {
+        check_resume_tests(retype, &edits)?;
+    }
+
+    #[test]
     fn mutated_repro_artifacts_parse_or_fail_typed(edits in edits()) {
         check_repro(&edits)?;
     }
@@ -419,6 +478,12 @@ proptest! {
     #[ignore = "long mutation run; nightly CI passes --ignored"]
     fn mutated_checkpoints_long(edits in edits()) {
         check_checkpoint(&edits)?;
+    }
+
+    #[test]
+    #[ignore = "long mutation run; nightly CI passes --ignored"]
+    fn mutated_checkpoint_tests_long(retype in any::<bool>(), edits in edits()) {
+        check_resume_tests(retype, &edits)?;
     }
 
     #[test]

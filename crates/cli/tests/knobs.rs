@@ -215,12 +215,13 @@ fn a_bad_flag_value_is_a_typed_error_naming_the_flag() {
     }
 }
 
-/// `pdfatpg` with every `PDF_*` variable of this process removed.
+/// `pdfatpg` with no `PDF_*` variable in its environment. The child gets
+/// a filtered copy taken now rather than the process environment at
+/// spawn time: another test's [`with_env`] may set a knob in between.
 fn pdfatpg() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pdfatpg"));
-    for name in pdf_vars() {
-        cmd.env_remove(name);
-    }
+    cmd.env_clear()
+        .envs(std::env::vars_os().filter(|(name, _)| !name.to_string_lossy().starts_with("PDF_")));
     cmd
 }
 

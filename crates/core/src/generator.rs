@@ -38,16 +38,23 @@
 //! build commits and dropped when it is discarded, so counters and spans
 //! count committed work only — the same at every thread count, however
 //! many duplicates actually ran.
+//!
+//! Checkpoints are built on the commit thread at round boundaries and
+//! saved on a writer thread while the next round runs, one write in
+//! flight; the write's outcome is applied when the next write or the
+//! run's return joins it (`DESIGN.md` §11).
 
 use std::cmp::Reverse;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_netlist::{Circuit, SplitMix64};
 use pdf_pool::Control;
 use pdf_runctl::{
-    CancelToken, Checkpoint, CheckpointPolicy, Deadline, RunBudget, CHECKPOINT_VERSION,
+    CancelToken, Checkpoint, CheckpointError, CheckpointPolicy, Deadline, RunBudget,
+    CHECKPOINT_VERSION,
 };
 
 use pdf_sim::SimOptions;
@@ -591,8 +598,40 @@ struct SessionState {
     /// Generation of the last checkpoint written (or resumed from); the
     /// next save stamps `generation + 1`. Save counts are deterministic
     /// per configuration, so checkpoint bytes stay schedule-independent.
+    /// Like `stats.checkpoints_written`, it advances only when a write is
+    /// joined.
     checkpoint_generation: u64,
+    /// The rendered line of each test as of the last checkpoint write, so
+    /// a write renders only the tests committed since. Empty while a
+    /// write is in flight: the lines travel with it and come back at the
+    /// join.
+    test_lines: Vec<String>,
+    /// The checkpoint write in flight on its writer thread, if any.
+    checkpoint_write: PendingWrite,
 }
+
+/// The checkpoint write in flight, if any. Joined explicitly on every
+/// normal path; dropping it (the commit thread unwinding) still waits for
+/// the writer, so no write outlives the run.
+struct PendingWrite(Option<JoinHandle<WriteResult>>);
+
+impl Drop for PendingWrite {
+    fn drop(&mut self) {
+        if let Some(handle) = self.0.take() {
+            // Already unwinding or discarding: the outcome has no reader.
+            let _ = handle.join();
+        }
+    }
+}
+
+/// What a writer thread hands back at the join: the save's result (or
+/// its panic), the checkpoint it wrote (whose test lines the next write
+/// reuses) and the save's captured telemetry.
+type WriteResult = (
+    std::thread::Result<Result<(), CheckpointError>>,
+    Checkpoint,
+    pdf_telemetry::Captured,
+);
 
 /// Internal engine shared by both public procedures.
 struct Session<'c, 'f> {
@@ -1087,6 +1126,8 @@ impl<'c, 'f> Session<'c, 'f> {
                 last_checkpoint_at: 0,
                 checkpoint_warned: false,
                 checkpoint_generation: 0,
+                test_lines: Vec::new(),
+                checkpoint_write: PendingWrite(None),
             },
         }
     }
@@ -1201,6 +1242,7 @@ impl<'c, 'f> Session<'c, 'f> {
         let budget_exhausted = ctx.config.budget.already_exhausted();
         if ctx.config.checkpoint.is_some() {
             write_checkpoint(&ctx, &mut state, &test_set, !budget_exhausted);
+            join_checkpoint_write(&mut state);
         }
         let set_sizes = ctx.set_sizes();
         Ok(AtpgOutcome {
@@ -1434,9 +1476,12 @@ fn resumable_counters(stats: &mut AtpgStats) -> [(&'static str, &mut usize); 8] 
     ]
 }
 
-/// Writes a round-boundary checkpoint through the configured policy. A
-/// refused write is reported once and the run continues — losing
-/// crash-recoverability must not fail the run itself.
+/// Starts a round-boundary checkpoint write through the configured
+/// policy, after joining the previous one: at most one write is in
+/// flight. The commit thread builds the [`Checkpoint`] value, rendering
+/// only the tests committed since the last write, and a writer thread
+/// saves it while the next round runs. The write is joined by the next
+/// write, or by the run's return after the final write.
 fn write_checkpoint(
     ctx: &SessionCtx<'_, '_>,
     state: &mut SessionState,
@@ -1446,9 +1491,21 @@ fn write_checkpoint(
     let Some(policy) = &ctx.config.checkpoint else {
         return;
     };
+    join_checkpoint_write(state);
     // The saved count includes this write.
     let mut saved = state.stats;
     saved.checkpoints_written += 1;
+    let mut tests = std::mem::take(&mut state.test_lines);
+    // A cut round drops the tests it committed. Those came after the
+    // last write, so the lines are a prefix of the set; the truncation
+    // keeps a line from outliving its test should that ever change.
+    tests.truncate(test_set.len());
+    let rendered = tests.len();
+    tests.extend(
+        test_set.tests()[rendered..]
+            .iter()
+            .map(crate::testset::test_line),
+    );
     let checkpoint = Checkpoint {
         version: CHECKPOINT_VERSION,
         generation: state.checkpoint_generation + 1,
@@ -1463,18 +1520,47 @@ fn write_checkpoint(
         detected: state.detected.clone(),
         aborted: state.aborted.clone(),
         quarantined: state.quarantined.clone(),
-        tests: test_set
-            .tests()
-            .iter()
-            .map(crate::testset::test_line)
-            .collect(),
+        tests,
         counters: resumable_counters(&mut saved)
             .into_iter()
             .map(|(name, &mut value)| (name.to_owned(), value as u64))
             .collect(),
         complete,
     };
-    match checkpoint.save(&policy.path) {
+    let path = policy.path.clone();
+    // The writer carries the commit thread's name, so a panicking write
+    // reads on stderr as it did when the commit thread wrote.
+    let mut writer = std::thread::Builder::new();
+    if let Some(name) = std::thread::current().name() {
+        writer = writer.name(name.to_owned());
+    }
+    let handle = writer
+        .spawn(move || {
+            let (result, telemetry) = pdf_telemetry::capture(|| {
+                catch_unwind(AssertUnwindSafe(|| checkpoint.save(&path)))
+            });
+            (result, checkpoint, telemetry)
+        })
+        .expect("spawn the checkpoint writer thread");
+    state.checkpoint_write.0 = Some(handle);
+}
+
+/// Joins the checkpoint write in flight, if any, and applies its outcome
+/// on the commit thread: its telemetry is filed under the active span
+/// (`generate`), a success advances `checkpoints_written` and the
+/// generation, and a refused write is reported once — the run continues,
+/// since losing crash-recoverability must not fail the run itself. A
+/// panic on the writer is re-raised here.
+fn join_checkpoint_write(state: &mut SessionState) {
+    let Some(handle) = state.checkpoint_write.0.take() else {
+        return;
+    };
+    let (result, checkpoint, telemetry) = handle
+        .join()
+        .unwrap_or_else(|payload| resume_unwind(payload));
+    telemetry.merge();
+    state.test_lines = checkpoint.tests;
+    match result.unwrap_or_else(|payload| resume_unwind(payload)) {
         Ok(()) => {
             state.stats.checkpoints_written += 1;
             state.checkpoint_generation += 1;

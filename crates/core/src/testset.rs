@@ -14,16 +14,16 @@ use pdf_sim::SimOptions;
 /// One test in the plain-text interchange line format (`v1 v2`), shared
 /// by [`TestSet::to_text`] and the checkpoint writer.
 pub(crate) fn test_line(test: &TwoPattern) -> String {
-    use std::fmt::Write as _;
     let mut s = String::with_capacity(2 * test.first().len() + 1);
-    for v in test.first() {
-        let _ = write!(s, "{v}");
-    }
-    s.push(' ');
-    for v in test.second() {
-        let _ = write!(s, "{v}");
-    }
+    push_test_line(&mut s, test);
     s
+}
+
+/// Appends [`test_line`]'s text to `s`, one character per value.
+fn push_test_line(s: &mut String, test: &TwoPattern) {
+    s.extend(test.first().iter().map(|v| v.to_char()));
+    s.push(' ');
+    s.extend(test.second().iter().map(|v| v.to_char()));
 }
 
 /// An ordered collection of two-pattern tests.
@@ -215,7 +215,7 @@ impl TestSet {
     pub fn to_text(&self) -> String {
         let mut s = String::from("# path-delay-atpg test set v1\n");
         for t in &self.tests {
-            s.push_str(&test_line(t));
+            push_test_line(&mut s, t);
             s.push('\n');
         }
         s
@@ -360,6 +360,7 @@ mod tests {
     use crate::Justifier;
     use pdf_netlist::iscas::s27;
     use pdf_paths::PathEnumerator;
+    use proptest::prelude::Strategy;
 
     fn setup() -> (Circuit, FaultList) {
         let c = s27();
@@ -507,6 +508,42 @@ mod tests {
             set.minimized_within(&RunBudget::unlimited(), SimOptions::default(), &c, &faults);
         assert!(!cut_short);
         assert_eq!(min.tests(), set.minimized(&c, &faults).tests());
+    }
+
+    /// The per-value `write!` formatting [`test_line`] replaced.
+    fn test_line_by_write(test: &TwoPattern) -> String {
+        use std::fmt::Write as _;
+        let mut s = String::new();
+        for v in test.first() {
+            let _ = write!(s, "{v}");
+        }
+        s.push(' ');
+        for v in test.second() {
+            let _ = write!(s, "{v}");
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn test_line_matches_the_formatted_reference(
+            values in (0usize..40).prop_flat_map(|n| {
+                proptest::collection::vec(0usize..3, 2 * n)
+            })
+        ) {
+            let values: Vec<_> = values.into_iter().map(|i| pdf_logic::Value::ALL[i]).collect();
+            let (v1, v2) = values.split_at(values.len() / 2);
+            let test = TwoPattern::new(v1.to_vec(), v2.to_vec());
+            let line = test_line_by_write(&test);
+            proptest::prop_assert_eq!(&test_line(&test), &line);
+            let text = TestSet::from_tests(vec![test.clone(), test]).to_text();
+            proptest::prop_assert_eq!(
+                text,
+                format!("# path-delay-atpg test set v1\n{line}\n{line}\n")
+            );
+        }
     }
 
     #[test]

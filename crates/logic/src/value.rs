@@ -158,6 +158,17 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The value's character in the test-file format: `0`, `1` or `x`.
+    #[inline]
+    #[must_use]
+    pub const fn to_char(self) -> char {
+        match self {
+            Value::Zero => '0',
+            Value::One => '1',
+            Value::X => 'x',
+        }
+    }
 }
 
 impl From<bool> for Value {
@@ -205,12 +216,7 @@ impl Not for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let c = match self {
-            Value::Zero => '0',
-            Value::One => '1',
-            Value::X => 'x',
-        };
-        write!(f, "{c}")
+        write!(f, "{}", self.to_char())
     }
 }
 

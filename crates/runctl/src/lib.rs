@@ -611,14 +611,23 @@ impl Checkpoint {
     }
 
     /// Serializes to pretty-printed JSON with an embedded CRC64: the
-    /// document is rendered once with the checksum field zeroed, the
-    /// CRC64 of that text becomes the field value, and the document is
-    /// rendered again. Verification re-zeroes and recomputes, which
-    /// works because the JSON writer is print/parse byte-stable.
+    /// document is rendered once with the checksum field zeroed, and the
+    /// CRC64 of that text then overwrites the 16 zero digits in place.
+    /// Verification re-renders the parsed checkpoint with the field
+    /// zeroed and recomputes, which works because the JSON writer is
+    /// print/parse byte-stable.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let zeroed = self.render(CRC_PLACEHOLDER);
-        self.render(&hex(crc64(zeroed.as_bytes())))
+        let mut text = self.render(CRC_PLACEHOLDER);
+        let crc = hex(crc64(text.as_bytes()));
+        // `crc64` is rendered before every caller-supplied string, so
+        // the first match is the field itself.
+        let at = text
+            .find(CRC_FIELD)
+            .expect("the render writes the crc64 field")
+            + CRC_FIELD.len();
+        text.replace_range(at..at + crc.len(), &crc);
+        text
     }
 
     fn render(&self, crc_text: &str) -> String {
@@ -730,7 +739,13 @@ impl Checkpoint {
     /// existing file at `path` is first rotated to the `.prev` sibling
     /// (the previous-good generation recovery falls back to), and
     /// transient write errors are retried under the default
-    /// [`pdf_chaos::RetryPolicy`].
+    /// [`pdf_chaos::RetryPolicy`]. The text is rendered once
+    /// ([`Checkpoint::to_json`]).
+    ///
+    /// The call is self-contained — it reads nothing but `self` and
+    /// `path` — so the generator runs it on a writer thread while the
+    /// next round proceeds, and `checkpoint.write` failpoints fire on
+    /// that thread (see `DESIGN.md` §11).
     ///
     /// # Errors
     ///
@@ -822,23 +837,61 @@ pub fn previous_generation_path(path: &Path) -> PathBuf {
 
 /// Zero-value checksum text the CRC64 is computed over.
 const CRC_PLACEHOLDER: &str = "0000000000000000";
+/// The rendered checksum key up to the opening quote of its value.
+const CRC_FIELD: &str = "\"crc64\": \"";
 
-/// CRC-64 (ECMA-182 polynomial, reflected, bitwise). Checkpoints are a
-/// few kilobytes at most; a table-driven kernel would be noise.
-#[must_use]
-pub fn crc64(bytes: &[u8]) -> u64 {
-    const POLY: u64 = 0xC96C_5795_D787_0F42;
-    let mut crc = !0u64;
-    for &byte in bytes {
-        crc ^= u64::from(byte);
-        for _ in 0..8 {
+/// The reflected ECMA-182 polynomial.
+const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
+
+/// Slice-by-8 tables: `CRC64_TABLES[0][b]` is one byte's CRC64 step,
+/// and `CRC64_TABLES[k][b]` is that step followed by `k` zero bytes, so
+/// eight lookups advance the CRC by eight bytes.
+const CRC64_TABLES: [[u64; 256]; 8] = {
+    let mut tables = [[0u64; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u64;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ POLY
+                (crc >> 1) ^ CRC64_POLY
             } else {
                 crc >> 1
             };
+            bit += 1;
         }
+        tables[0][byte] = crc;
+        byte += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-64 (ECMA-182 polynomial, reflected; CRC-64/XZ), table-driven,
+/// eight bytes per step. Checkpoints grow with the test set — the last
+/// write of a 470-test s5378* run is 120 KB — and every write and every
+/// load checksums the whole text.
+#[must_use]
+pub fn crc64(bytes: &[u8]) -> u64 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC64_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    let crc = (&mut words).fold(!0u64, |crc, word| {
+        let x = crc ^ u64::from_le_bytes(word.try_into().expect("an 8-byte chunk"));
+        let [b0, b1, b2, b3, b4, b5, b6, b7] = x.to_le_bytes().map(usize::from);
+        t7[b0] ^ t6[b1] ^ t5[b2] ^ t4[b3] ^ t3[b4] ^ t2[b5] ^ t1[b6] ^ t0[b7]
+    });
+    let crc = words.remainder().iter().fold(crc, |crc, &byte| {
+        t0[usize::from(crc as u8 ^ byte)] ^ (crc >> 8)
+    });
     !crc
 }
 
@@ -891,6 +944,7 @@ fn get_arr<'j>(json: &'j Json, key: &str) -> Result<&'j [Json], CheckpointError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, Strategy};
 
     #[test]
     fn unset_deadline_never_expires() {
@@ -1233,6 +1287,103 @@ mod tests {
         assert_eq!((recovered, fell_back), (first, true));
         std::fs::remove_file(&prev).unwrap();
         assert!(Checkpoint::load_with_recovery(&path).is_err());
+    }
+
+    /// The bitwise CRC64 the table kernel replaced, kept as its oracle.
+    fn crc64_bitwise(bytes: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &byte in bytes {
+            crc ^= u64::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC64_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The two-render serializer [`Checkpoint::to_json`] replaced: render
+    /// with the checksum zeroed, then render again with its CRC64.
+    fn to_json_two_renders(cp: &Checkpoint) -> String {
+        let zeroed = cp.render(CRC_PLACEHOLDER);
+        cp.render(&hex(crc64_bitwise(zeroed.as_bytes())))
+    }
+
+    /// Text over an alphabet that includes JSON escapes, non-ASCII and
+    /// the checksum key itself; empty one time in `max_len + 1`.
+    fn text(max_len: usize) -> impl Strategy<Value = String> {
+        const PIECES: [&str; 9] = ["s", "0", "1", "x", " ", "\"", "\\\n", "é", "\"crc64\": \""];
+        proptest::collection::vec(0..PIECES.len(), 0..max_len + 1)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    fn flags(n: usize) -> impl Strategy<Value = Vec<bool>> {
+        proptest::collection::vec(any::<bool>(), n)
+    }
+
+    /// Random checkpoints: any field may be empty, including `tests` and
+    /// the circuit name.
+    fn checkpoint() -> impl Strategy<Value = Checkpoint> {
+        let head = (any::<u64>(), text(6), any::<u64>(), text(12), any::<u64>());
+        let tests = proptest::collection::vec(text(9), 0..6);
+        let counters = proptest::collection::vec((text(4), any::<u64>()), 0..4);
+        let body = (0usize..40).prop_flat_map(|n| (flags(n), flags(n), flags(n)));
+        let tail = (tests, counters, any::<bool>(), any::<usize>());
+        (head, body, tail).prop_map(
+            |(
+                (generation, circuit, seed, fingerprint, rng_state),
+                (detected, aborted, quarantined),
+                (tests, counters, complete, completed),
+            )| Checkpoint {
+                version: CHECKPOINT_VERSION,
+                generation,
+                circuit,
+                seed,
+                fingerprint,
+                set_sizes: vec![detected.len(), completed],
+                completed,
+                rng_state,
+                detected,
+                aborted,
+                quarantined,
+                tests,
+                counters,
+                complete,
+            },
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn table_crc64_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc64(&bytes), crc64_bitwise(&bytes));
+        }
+
+        #[test]
+        fn one_render_to_json_matches_the_two_render_reference(cp in checkpoint()) {
+            proptest::prop_assert_eq!(cp.to_json(), to_json_two_renders(&cp));
+        }
+    }
+
+    #[test]
+    fn empty_tests_and_circuit_name_serialize_as_before() {
+        // The empty corner the strategy rarely draws: no tests, no name.
+        let empty = Checkpoint {
+            circuit: String::new(),
+            tests: Vec::new(),
+            ..sample()
+        };
+        for cp in [sample(), empty] {
+            assert_eq!(cp.to_json(), to_json_two_renders(&cp));
+            assert_eq!(Checkpoint::from_json(&cp.to_json()).unwrap(), cp);
+        }
     }
 
     #[test]

@@ -193,21 +193,30 @@ fn newline_indent(out: &mut String, indent: usize) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Unescaped runs are copied whole:
+/// every byte that needs an escape is ASCII, and no byte of a multi-byte
+/// UTF-8 character is, so a run always ends on a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -647,6 +656,7 @@ mod tests {
         /// Writer → parser round trip over arbitrary strings, including
         /// supplementary-plane characters (which the writer emits as raw
         /// UTF-8) and control characters (which it `\u`-escapes).
+        #[test]
         fn arbitrary_strings_round_trip(
             codes in proptest::collection::vec(0u32..0x11_0000, 0usize..64)
         ) {
@@ -668,6 +678,36 @@ mod tests {
             }
             escaped.push('"');
             proptest::prop_assert_eq!(Json::parse(&escaped), Ok(Json::Str(s)));
+        }
+
+        /// The run-copying escaper writes what the per-character one it
+        /// replaced wrote.
+        #[test]
+        fn escaping_matches_the_per_character_reference(
+            codes in proptest::collection::vec(
+                proptest::prop_oneof![0u32..0x80, 0u32..0x11_0000],
+                0usize..64,
+            )
+        ) {
+            let s: String = codes.into_iter().filter_map(char::from_u32).collect();
+            let mut reference = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => reference.push_str("\\\""),
+                    '\\' => reference.push_str("\\\\"),
+                    '\n' => reference.push_str("\\n"),
+                    '\r' => reference.push_str("\\r"),
+                    '\t' => reference.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(reference, "\\u{:04x}", c as u32);
+                    }
+                    c => reference.push(c),
+                }
+            }
+            reference.push('"');
+            let mut written = String::new();
+            write_escaped(&mut written, &s);
+            proptest::prop_assert_eq!(written, reference);
         }
     }
 
