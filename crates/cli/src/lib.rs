@@ -17,7 +17,7 @@ use pdf_analyze::{
 };
 use pdf_atpg::{
     AtpgConfig, BasicAtpg, BranchGuide, BudgetSpec, Checkpoint, CheckpointPolicy, Compaction,
-    EnrichmentAtpg, RunBudget, SimOptions, TargetSplit,
+    EnrichmentAtpg, RunBudget, SimOptions, TargetSplit, DEFAULT_ATTEMPTS,
 };
 use pdf_knobs::{Kind, KnobError, Program};
 use pdf_logic::Value;
@@ -828,7 +828,7 @@ pub fn cmd_atpg(circuit: &Circuit, options: &Options, sensitize: bool) -> Result
     let preparation = preparation_from(options, sensitize)?;
     let n_p0: usize = options.number("np0", Kind::Number, 1_000)?;
     let seed: u64 = options.number("seed", Kind::Number, 2002)?;
-    let attempts: u32 = options.number("attempts", Kind::Number, 1)?;
+    let attempts: u32 = options.number("attempts", Kind::Number, DEFAULT_ATTEMPTS)?;
     // Installed before run control so an armed `checkpoint.read` entry
     // already covers the --resume load. The PDF_FAILPOINTS twin was
     // installed at startup; the flag re-installs over it.
@@ -1360,6 +1360,46 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         assert_eq!(resumed.unwrap(), zero.unwrap());
+    }
+
+    #[test]
+    fn a_checkpoint_without_the_probe_segment_is_refused() {
+        // Checkpoints written before the guided search probed with
+        // random completion end their fingerprint at `batch=8`. One
+        // written with the same `--attempts` must still not resume into
+        // the probing search.
+        let path =
+            std::env::temp_dir().join(format!("pdf_cli_noprobe_{}.json", std::process::id()));
+        let file = path.to_str().unwrap();
+        let line = [
+            "atpg",
+            "s27",
+            "--np0",
+            "10",
+            "--seed",
+            "9",
+            "--attempts",
+            "4",
+        ];
+        run(&args(&[&line[..], &["--checkpoint", file]].concat())).unwrap();
+        let mut checkpoint = Checkpoint::load(&path).unwrap();
+        assert_eq!(
+            checkpoint.fingerprint,
+            "values:regenerate:4:packed:batch=8:probe=4"
+        );
+        checkpoint.fingerprint = "values:regenerate:4:packed:batch=8".to_owned();
+        std::fs::write(&path, checkpoint.to_json()).unwrap();
+        let refused = run(&args(&[&line[..], &["--resume", file]].concat()));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
+        let err = refused.unwrap_err();
+        assert_eq!(err.code, EXIT_ERROR, "{err}");
+        assert_eq!(
+            err.message,
+            "--resume: checkpoint does not match this run: fingerprint is \
+             `values:regenerate:4:packed:batch=8` in the checkpoint but \
+             `values:regenerate:4:packed:batch=8:probe=4` here"
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! rule, and an accepted failpoint spec must print back to itself.
 //!
 //! The test lines inside a checkpoint get their own property: mutated,
-//! then re-serialized with a valid CRC, they must resume or be refused
-//! with a typed error.
+//! then re-serialized with a valid CRC, they must be refused with a typed
+//! error or resume with exactly one test per entry, in order.
 //!
 //! A mutant is its seed after one to four edits: bit flips, truncations,
 //! splices of another stretch of the same input, and insertions of
@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::OnceLock;
 
-use pdf_atpg::{BudgetSpec, Checkpoint, CheckpointError};
+use pdf_atpg::{BudgetSpec, Checkpoint, CheckpointError, TestSet};
 use pdf_chaos::FailpointSpec;
 use pdf_matrix::{CellConfig, Invariant, ReproCase, RunMode};
 use pdf_netlist::parse_bench;
@@ -257,28 +257,56 @@ fn check_checkpoint(edits: &[Edit]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Mutates the test lines of the seed checkpoint (joined, so edits may
-/// merge, split or drop lines) and re-stamps a valid CRC: `--resume` of
-/// the result must run or refuse the checkpoint with a typed error. With
-/// `retype`, each edit instead overwrites one character with a value or
-/// a separator, so most mutants keep their shape and resume.
-fn check_resume_tests(retype: bool, edits: &[Edit]) -> Result<(), TestCaseError> {
+/// Mutates the test lines of the seed checkpoint and re-stamps a valid
+/// CRC: `--resume` of the result must refuse the checkpoint with a typed
+/// error, or print a test set that starts with one test per entry, each
+/// the entry's own test. By `mode`:
+///
+/// * 0: the edits run on the joined lines, so they may merge, split,
+///   empty or drop entries;
+/// * 1: each edit overwrites one character in place with a value, a
+///   separator, a line break or a comment mark, so entry boundaries stay
+///   and most mutants keep their shape and resume;
+/// * 2: each edit moves an entry into the one before it, after a line
+///   break, and appends a blank or comment-only entry, so the lines still
+///   hold as many tests as the checkpoint's `completed` count.
+fn check_resume_tests(mode: u8, edits: &[Edit]) -> Result<(), TestCaseError> {
     let text = String::from_utf8(checkpoint_seed().to_vec()).expect("UTF-8 checkpoint");
     let mut checkpoint = Checkpoint::from_json(&text).expect("the seed loads");
-    let joined = checkpoint.tests.join("\n");
-    let lines = if retype {
-        let mut bytes = joined.into_bytes();
-        let len = bytes.len().max(1);
+    if mode == 2 {
         for &(_, at, _, bit) in edits {
-            if let Some(byte) = bytes.get_mut(at % len) {
-                *byte = b"01xX \n"[usize::from(bit) % 6];
+            let tests = &mut checkpoint.tests;
+            let k = 1 + at % tests.len().saturating_sub(1).max(1);
+            if k < tests.len() {
+                let moved = tests.remove(k);
+                tests[k - 1] = format!("{}\n{moved}", tests[k - 1]);
+                tests.push(if bit % 2 == 0 { "" } else { "# moved" }.to_owned());
             }
         }
-        String::from_utf8(bytes).expect("ASCII edits of ASCII lines")
+    } else if mode == 1 {
+        let len = checkpoint
+            .tests
+            .iter()
+            .map(String::len)
+            .sum::<usize>()
+            .max(1);
+        for &(_, at, _, bit) in edits {
+            let mut at = at % len;
+            for entry in &mut checkpoint.tests {
+                if at < entry.len() {
+                    let mut bytes = std::mem::take(entry).into_bytes();
+                    bytes[at] = b"01xX \n#"[usize::from(bit) % 7];
+                    *entry = String::from_utf8(bytes).expect("ASCII edits of ASCII lines");
+                    break;
+                }
+                at -= entry.len();
+            }
+        }
     } else {
-        mutate(joined.as_bytes(), edits)
-    };
-    checkpoint.tests = lines.split('\n').map(str::to_owned).collect();
+        let joined = checkpoint.tests.join("\n");
+        let lines = mutate(joined.as_bytes(), edits);
+        checkpoint.tests = lines.split('\n').map(str::to_owned).collect();
+    }
     // Per thread: the default and the long property may run at once.
     let path = std::env::temp_dir().join(format!(
         "pdf-hostile-inputs-{}-{:?}-resume.ckpt.json",
@@ -290,7 +318,7 @@ fn check_resume_tests(retype: bool, edits: &[Edit]) -> Result<(), TestCaseError>
     let mut args: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
     args.push(path.to_str().expect("UTF-8 temp path").to_owned());
     let outcome = catch_unwind(|| match pdf_cli::run(&args) {
-        Ok(_) => true,
+        Ok(out) => carries_each_entry(&out, &checkpoint.tests),
         Err(e) => e.code == pdf_cli::EXIT_ERROR && e.message.starts_with("--resume: "),
     });
     let _ = std::fs::remove_file(&path);
@@ -301,10 +329,25 @@ fn check_resume_tests(retype: bool, edits: &[Edit]) -> Result<(), TestCaseError>
     );
     prop_assert!(
         outcome.unwrap(),
-        "no typed refusal of {:?}",
+        "no typed refusal, and no test per entry, for {:?}",
         checkpoint.tests
     );
     Ok(())
+}
+
+/// Whether the test set a resumed run printed starts with `entries`,
+/// each parsed on its own to exactly one test.
+fn carries_each_entry(out: &str, entries: &[String]) -> bool {
+    let Some(at) = out.find("# path-delay-atpg test set v1") else {
+        return false;
+    };
+    let Ok(resumed) = TestSet::from_text(&out[at..]) else {
+        return false;
+    };
+    entries.len() <= resumed.len()
+        && entries.iter().zip(resumed.tests()).all(|(entry, test)| {
+            TestSet::from_text(entry).is_ok_and(|own| own.tests() == std::slice::from_ref(test))
+        })
 }
 
 fn check_repro(edits: &[Edit]) -> Result<(), TestCaseError> {
@@ -440,8 +483,8 @@ proptest! {
     }
 
     #[test]
-    fn mutated_checkpoint_tests_resume_or_fail_typed(retype in any::<bool>(), edits in edits()) {
-        check_resume_tests(retype, &edits)?;
+    fn mutated_checkpoint_tests_resume_or_fail_typed(mode in 0u8..3, edits in edits()) {
+        check_resume_tests(mode, &edits)?;
     }
 
     #[test]
@@ -482,8 +525,8 @@ proptest! {
 
     #[test]
     #[ignore = "long mutation run; nightly CI passes --ignored"]
-    fn mutated_checkpoint_tests_long(retype in any::<bool>(), edits in edits()) {
-        check_resume_tests(retype, &edits)?;
+    fn mutated_checkpoint_tests_long(mode in 0u8..3, edits in edits()) {
+        check_resume_tests(mode, &edits)?;
     }
 
     #[test]

@@ -126,6 +126,24 @@ fn unset_knobs_take_their_documented_defaults() {
 }
 
 #[test]
+fn every_attempts_default_is_the_library_default() {
+    // The knob's default is a string in `pdf-knobs`, which cannot name
+    // the library constant; it must parse to it.
+    assert_eq!(
+        pdf_knobs::ATTEMPTS.default.parse::<u32>(),
+        Ok(pdf_atpg::DEFAULT_ATTEMPTS)
+    );
+    assert_eq!(
+        pdf_experiments::Workload::default().attempts,
+        pdf_atpg::DEFAULT_ATTEMPTS
+    );
+    assert_eq!(
+        pdf_atpg::AtpgConfig::default().justify_attempts,
+        pdf_atpg::DEFAULT_ATTEMPTS
+    );
+}
+
+#[test]
 fn a_bad_value_is_a_typed_error_naming_the_variable_and_the_value() {
     for knob in KNOBS {
         let bad = bad_value(knob);

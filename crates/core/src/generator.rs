@@ -59,10 +59,12 @@ use pdf_runctl::{
 
 use pdf_sim::SimOptions;
 
+use crate::justify::PROBE_EVERY;
 use crate::ranking::{DeltaRanking, LineIndex};
-use crate::testset::ParseTestSetError;
+use crate::testset::{parse_test_line, ParseTestSetError};
 use crate::{
-    BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet, DEFAULT_CONE_CACHE,
+    BranchGuide, Justified, Justifier, JustifyStats, TargetSplit, TestSet, DEFAULT_ATTEMPTS,
+    DEFAULT_CONE_CACHE,
 };
 
 /// The compaction heuristic used to order primary and secondary targets
@@ -123,9 +125,10 @@ pub struct AtpgConfig {
     pub seed: u64,
     /// The compaction heuristic.
     pub compaction: Compaction,
-    /// Randomized 64-lane completion blocks per justification call (the
-    /// paper uses one attempt; a few more blocks trade run time for fewer
-    /// random misses).
+    /// Randomized 64-candidate completion groups per justification call
+    /// (default [`DEFAULT_ATTEMPTS`], the paper's one attempt; more
+    /// groups trade run time for fewer random misses, and up to four
+    /// share one 256-lane pass).
     pub justify_attempts: u32,
     /// The simulation option block. Simulation has one configuration —
     /// the event-driven packed kernel on a 256-lane tile — so the block
@@ -185,7 +188,7 @@ impl Default for AtpgConfig {
         AtpgConfig {
             seed: 2002,
             compaction: Compaction::ValueBased,
-            justify_attempts: 1,
+            justify_attempts: DEFAULT_ATTEMPTS,
             sim: SimOptions::default(),
             cone_cache: DEFAULT_CONE_CACHE,
             budget: RunBudget::unlimited(),
@@ -204,12 +207,14 @@ impl Default for AtpgConfig {
 /// *not* pinned: output is byte-identical across it, so resuming on a
 /// machine with a different core count is safe. The literal `regenerate`,
 /// `packed` and `batch` segments name the one secondary-target mode, the
-/// one simulation engine and the fixed round size, and keep checkpoints
-/// written when those were selectable resumable.
+/// one simulation engine and the fixed round size. The `probe` segment
+/// names the guided search's completion-probe interval: checkpoints
+/// written before the probe existed lack it, so resume refuses them
+/// instead of mixing the two search schemes in one test set.
 #[must_use]
 pub fn config_fingerprint(config: &AtpgConfig) -> String {
     let mut fp = format!(
-        "{}:regenerate:{}:packed:batch={BATCH}",
+        "{}:regenerate:{}:packed:batch={BATCH}:probe={PROBE_EVERY}",
         config.compaction.label(),
         config.justify_attempts.max(1),
     );
@@ -272,7 +277,8 @@ impl AtpgStats {
 }
 
 /// A checkpoint refused by a `run_resumed` call: the file does not match
-/// the run it is being fed into, or its carried tests do not parse.
+/// the run it is being fed into, or one of its carried tests does not
+/// parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ResumeError {
     /// A pinned facet of the checkpoint disagrees with the current run.
@@ -284,8 +290,20 @@ pub enum ResumeError {
         /// The current run's value.
         found: String,
     },
-    /// The carried test lines do not parse back into a test set.
-    BadTests(ParseTestSetError),
+    /// Entry `index` (0-based) of the checkpoint's `tests` array does not
+    /// parse as one test line (`error` reports it as line 1).
+    BadTest {
+        /// The entry's position in the array.
+        index: usize,
+        /// Why the entry does not parse.
+        error: ParseTestSetError,
+    },
+    /// Entry `index` (0-based) of the checkpoint's `tests` array holds a
+    /// line break, so it is not exactly one test line.
+    LineBreak {
+        /// The entry's position in the array.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -300,7 +318,15 @@ impl std::fmt::Display for ResumeError {
                 "checkpoint does not match this run: {field} is `{expected}` in the checkpoint \
                  but `{found}` here"
             ),
-            ResumeError::BadTests(e) => write!(f, "checkpoint carries malformed tests: {e}"),
+            ResumeError::BadTest { index, error } => {
+                write!(
+                    f,
+                    "checkpoint `tests` entry {index} is not a test line: {error}"
+                )
+            }
+            ResumeError::LineBreak { index } => {
+                write!(f, "checkpoint `tests` entry {index} holds a line break")
+            }
         }
     }
 }
@@ -308,8 +334,8 @@ impl std::fmt::Display for ResumeError {
 impl std::error::Error for ResumeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ResumeError::BadTests(e) => Some(e),
-            ResumeError::Mismatch { .. } => None,
+            ResumeError::BadTest { error, .. } => Some(error),
+            ResumeError::Mismatch { .. } | ResumeError::LineBreak { .. } => None,
         }
     }
 }
@@ -1433,8 +1459,19 @@ fn apply_resume(
             );
         }
     }
-    let test_set =
-        TestSet::from_text(&checkpoint.tests.join("\n")).map_err(ResumeError::BadTests)?;
+    let test_set = checkpoint
+        .tests
+        .iter()
+        .enumerate()
+        .map(|(index, entry)| {
+            // `parse_test_line` splits on any whitespace, so it would read
+            // a line break as a separator.
+            if entry.contains(['\n', '\r']) {
+                return Err(ResumeError::LineBreak { index });
+            }
+            parse_test_line(entry, 1).map_err(|error| ResumeError::BadTest { index, error })
+        })
+        .collect::<Result<TestSet, _>>()?;
     let width = ctx.circuit.inputs().len();
     if let Some(t) = test_set.tests().iter().find(|t| t.len() != width) {
         return mismatch(
@@ -1608,11 +1645,12 @@ mod tests {
 
     #[test]
     fn default_fingerprint_keeps_the_legacy_packed_segment() {
-        // Checkpoints written while the engine was selectable carry this
-        // exact string; resume compares it verbatim.
+        // Resume compares this exact string verbatim. The `packed`,
+        // `regenerate` and `batch` literals name fixed choices; `probe`
+        // refuses checkpoints written before the completion probe.
         assert_eq!(
             config_fingerprint(&AtpgConfig::default()),
-            "values:regenerate:1:packed:batch=8"
+            "values:regenerate:1:packed:batch=8:probe=4"
         );
     }
 
@@ -1979,5 +2017,76 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn resume_reads_exactly_one_test_per_entry() {
+        let (c, faults) = s27_faults();
+        let path =
+            std::env::temp_dir().join(format!("pdf_generator_entries_{}.json", std::process::id()));
+        let mut cfg = config(Compaction::ValueBased);
+        cfg.checkpoint = Some(pdf_runctl::CheckpointPolicy::new(&path, 4));
+        let full = BasicAtpg::new(&c).with_config(cfg).run(&faults);
+        let checkpoint = pdf_runctl::Checkpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let resume = |tests: Vec<String>| {
+            let mut edited = checkpoint.clone();
+            edited.tests = tests;
+            BasicAtpg::new(&c)
+                .with_config(config(Compaction::ValueBased))
+                .run_resumed(&faults, &edited)
+        };
+        let resumed = resume(checkpoint.tests.clone()).unwrap();
+        assert_eq!(resumed.tests().to_text(), full.tests().to_text());
+
+        let [t1, t2, t3] = [0, 1, 2].map(|k| checkpoint.tests[k].clone());
+        let rest = checkpoint.tests[3..].to_vec();
+        let line_break = |index| ResumeError::LineBreak { index };
+        let bad = |index, error| ResumeError::BadTest { index, error };
+        let malformed = ParseTestSetError::Malformed { line: 1 };
+        // The first four keep as many parsed lines as `completed`, so
+        // only the per-entry parse refuses them.
+        let cases = [
+            (
+                vec![
+                    format!("{t1}\n{t2} # two tests in one string"),
+                    t3.clone(),
+                    String::new(),
+                ],
+                line_break(0),
+            ),
+            (
+                vec![t1.clone(), format!("{t2} # note"), t3.clone()],
+                bad(1, malformed),
+            ),
+            (
+                vec![t1.clone(), t2.clone(), format!("{t3}\r")],
+                line_break(2),
+            ),
+            (
+                vec![t1.clone(), "  ".to_owned(), t2.clone(), t3.clone()],
+                bad(1, malformed),
+            ),
+            (
+                vec![t1.clone(), t2.replacen(' ', "", 1), t3.clone()],
+                bad(1, malformed),
+            ),
+            (
+                vec![t1.clone(), t2.clone(), t3.replacen('0', "2", 1)],
+                bad(2, ParseTestSetError::BadValue { line: 1, ch: '2' }),
+            ),
+            (
+                vec![format!("{t1}0"), t2.clone(), t3.clone()],
+                bad(0, ParseTestSetError::WidthMismatch { line: 1 }),
+            ),
+        ];
+        for (head, expected) in cases {
+            let err = resume([head, rest.clone()].concat()).unwrap_err();
+            assert_eq!(err, expected, "{err}");
+            assert_eq!(
+                std::error::Error::source(&err).is_some(),
+                matches!(err, ResumeError::BadTest { .. })
+            );
+        }
     }
 }

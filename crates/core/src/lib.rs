@@ -54,7 +54,9 @@ pub use generator::{
     config_fingerprint, AtpgConfig, AtpgOutcome, AtpgStats, BasicAtpg, Compaction, EnrichmentAtpg,
     ResumeError,
 };
-pub use justify::{BranchGuide, Justified, Justifier, JustifyStats, DEFAULT_CONE_CACHE};
+pub use justify::{
+    BranchGuide, Justified, Justifier, JustifyStats, DEFAULT_ATTEMPTS, DEFAULT_CONE_CACHE,
+};
 pub use target::TargetSplit;
 pub use testset::{Coverage, ParseTestSetError, TestSet};
 // The simulation option block is part of this crate's public API:

@@ -241,29 +241,39 @@ impl TestSet {
             if line.is_empty() {
                 continue;
             }
-            let mut parts = line.split_whitespace();
-            let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
-                return Err(ParseTestSetError::Malformed { line: lineno });
-            };
-            let parse = |s: &str| -> Result<Vec<pdf_logic::Value>, ParseTestSetError> {
-                s.chars()
-                    .map(|c| {
-                        pdf_logic::Value::try_from(c).map_err(|_| ParseTestSetError::BadValue {
-                            line: lineno,
-                            ch: c,
-                        })
-                    })
-                    .collect()
-            };
-            let v1 = parse(a)?;
-            let v2 = parse(b)?;
-            if v1.len() != v2.len() || *width.get_or_insert(v1.len()) != v1.len() {
+            let test = parse_test_line(line, lineno)?;
+            if *width.get_or_insert(test.len()) != test.len() {
                 return Err(ParseTestSetError::WidthMismatch { line: lineno });
             }
-            tests.push(TwoPattern::new(v1, v2));
+            tests.push(test);
         }
         Ok(TestSet { tests })
     }
+}
+
+/// Parses one comment-free test line (`v1 v2`), reporting errors at
+/// 1-based line `lineno`.
+pub(crate) fn parse_test_line(line: &str, lineno: usize) -> Result<TwoPattern, ParseTestSetError> {
+    let mut parts = line.split_whitespace();
+    let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
+        return Err(ParseTestSetError::Malformed { line: lineno });
+    };
+    let parse = |s: &str| -> Result<Vec<pdf_logic::Value>, ParseTestSetError> {
+        s.chars()
+            .map(|c| {
+                pdf_logic::Value::try_from(c).map_err(|_| ParseTestSetError::BadValue {
+                    line: lineno,
+                    ch: c,
+                })
+            })
+            .collect()
+    };
+    let v1 = parse(a)?;
+    let v2 = parse(b)?;
+    if v1.len() != v2.len() {
+        return Err(ParseTestSetError::WidthMismatch { line: lineno });
+    }
+    Ok(TwoPattern::new(v1, v2))
 }
 
 /// Error returned by [`TestSet::from_text`].

@@ -53,7 +53,8 @@ pub struct Workload {
     pub n_p0: usize,
     /// Master seed for all randomized decisions.
     pub seed: u64,
-    /// Justification completion blocks per call (paper: 1 attempt).
+    /// Justification completion groups per call (default
+    /// [`pdf_atpg::DEFAULT_ATTEMPTS`], the paper's one attempt).
     pub attempts: u32,
     /// Optional wall-clock budget per generation run (`PDF_TIME_BUDGET`).
     /// A budgeted run that exhausts its deadline still reports its partial
@@ -77,7 +78,7 @@ impl Default for Workload {
             n_p: 10_000,
             n_p0: 1_000,
             seed: 2002,
-            attempts: 1,
+            attempts: pdf_atpg::DEFAULT_ATTEMPTS,
             time_budget: None,
             static_learning: false,
             sensitize: false,

@@ -88,6 +88,11 @@ pub mod counters {
     /// Justification calls resolved by a random-completion lane (either
     /// backend; the lane index is the witness).
     pub const JUSTIFY_LANE_HITS: &str = "justify_lane_hits";
+    /// Completion probes run inside the justifier's guided decision
+    /// search: one 256-lane pass every few decisions.
+    pub const JUSTIFY_PROBES: &str = "justify_probes";
+    /// Justification calls a completion probe ended with a witness.
+    pub const JUSTIFY_PROBE_HITS: &str = "justify_probe_hits";
     /// Packed passes of the justifier's necessary-value fixpoint: one
     /// per 63 open cone inputs per round, plus a pass that only checks
     /// the committed values when a round has no open input left.
