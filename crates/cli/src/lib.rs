@@ -61,8 +61,8 @@ COMMANDS:
                         [--checkpoint-every K] [--resume FILE] [--static-learning]
                         [--sensitize] [--scoap] [--threads N] [--failpoints SPEC]
                                      generate a (optionally enriched) robust test
-                                     set; exits 5 when --resume finds only
-                                     corrupt checkpoint generations
+                                     set; exits 5 when --resume finds a
+                                     corrupt checkpoint journal
     matrix    [--cells N] [--circuits a,b] [--seeds s1,s2] [--full]
               [--report FILE] [--repro-dir DIR] [--replay FILE]
                                      cross-configuration invariant matrix
@@ -102,8 +102,9 @@ pub const EXIT_LINT: i32 = 3;
 /// (or a replayed repro artifact still reproduces).
 pub const EXIT_MATRIX: i32 = 4;
 
-/// Exit status when `--resume` finds only corrupt checkpoint
-/// generations (typed [`pdf_atpg::CheckpointError::Corrupt`]).
+/// Exit status when `--resume` finds a corrupt checkpoint journal: a
+/// damaged record before the last, or no record that verifies (typed
+/// [`pdf_atpg::CheckpointError::Corrupt`]).
 pub const EXIT_CORRUPT: i32 = 5;
 
 /// A fatal command error: a message for stderr plus the process exit
@@ -1358,7 +1359,6 @@ mod tests {
             &[&line[..], &["--attempts", "1", "--resume", file]].concat(),
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         assert_eq!(resumed.unwrap(), zero.unwrap());
     }
 
@@ -1388,10 +1388,9 @@ mod tests {
             "values:regenerate:4:packed:batch=8:probe=4"
         );
         checkpoint.fingerprint = "values:regenerate:4:packed:batch=8".to_owned();
-        std::fs::write(&path, checkpoint.to_json()).unwrap();
+        std::fs::write(&path, checkpoint.to_journal()).unwrap();
         let refused = run(&args(&[&line[..], &["--resume", file]].concat()));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         let err = refused.unwrap_err();
         assert_eq!(err.code, EXIT_ERROR, "{err}");
         assert_eq!(
@@ -1418,11 +1417,10 @@ mod tests {
             file,
         ]))
         .unwrap();
-        // Tear the surviving checkpoint and remove the previous
-        // generation, so recovery has nowhere to fall back to.
+        // Tear the one-record journal, so recovery has no record to
+        // fall back to.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         let e = run(&args(&[
             "atpg", "s27", "--np0", "10", "--seed", "9", "--resume", file,
         ]))
@@ -1449,7 +1447,6 @@ mod tests {
         .unwrap();
         let clean_bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         let chaos = run(&args(&[
             "atpg",
             "s27",
@@ -1465,7 +1462,6 @@ mod tests {
         pdf_chaos::clear();
         let chaos_bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
         assert_eq!(chaos.unwrap(), clean, "healed output must be identical");
         assert_eq!(clean_bytes, chaos_bytes, "healed checkpoint must match");
     }

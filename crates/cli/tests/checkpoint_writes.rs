@@ -7,12 +7,12 @@
 //!
 //! The expected values are what the synchronous writer produced on the
 //! same command lines: `b09 --np0 60 --seed 7 --checkpoint-every 2`
-//! writes 8 generations.
+//! writes 8 generations, one journal record each.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use pdf_atpg::{previous_generation_path, Checkpoint};
+use pdf_atpg::Checkpoint;
 use pdf_telemetry::{RunReport, SpanReport};
 
 /// The b09 line; every run appends its checkpoint and output paths.
@@ -100,7 +100,7 @@ fn a_transient_write_error_heals_without_a_warning() {
     let out = run(&dir, &with_failpoint(B09, "checkpoint.write:io@3"));
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert!(!stderr(&out).contains(WARNING), "{}", stderr(&out));
-    for file in ["t.txt", "ck.json", "ck.json.prev"] {
+    for file in ["t.txt", "ck.json"] {
         let read = |d: &Path| std::fs::read(d.join(file)).expect(file);
         assert!(read(&clean) == read(&dir), "{file} differs");
     }
@@ -120,13 +120,11 @@ fn a_persistent_write_error_warns_once_and_stops_the_count() {
     assert_eq!(stderr(&out).matches(WARNING).count(), 1, "{}", stderr(&out));
     let tests = |d: &Path| std::fs::read(d.join("t.txt")).expect("test file");
     assert!(tests(&clean) == tests(&dir), "the test file differs");
-    // Write 3 rotated generation 2 away and failed, and so did every
-    // later write: generation 2 is the last one saved.
-    let path = dir.join("ck.json");
-    assert!(!path.exists());
-    let prev = load(&previous_generation_path(&path));
-    assert_eq!(prev.generation, 2);
-    assert_eq!(prev.counter("checkpoints_written"), 2);
+    // Write 3 failed, and so did every later write: the journal ends at
+    // generation 2.
+    let saved = load(&dir.join("ck.json"));
+    assert_eq!(saved.generation, 2);
+    assert_eq!(saved.counter("checkpoints_written"), 2);
     let report = report(&dir);
     assert_eq!(counter(&report, "checkpoints_written"), Some(2));
     assert_eq!(counter(&report, "failpoints_hit"), Some(B09_WRITES - 2));
@@ -135,7 +133,7 @@ fn a_persistent_write_error_warns_once_and_stops_the_count() {
 }
 
 #[test]
-fn a_torn_final_write_resumes_through_the_previous_generation() {
+fn a_torn_final_write_resumes_from_the_record_before_it() {
     let clean = clean_b09("torn_clean");
     let dir = scratch("torn");
     let spec = format!("checkpoint.write:torn@{B09_WRITES}");
@@ -170,11 +168,9 @@ fn a_panicking_write_fails_the_run_as_on_the_commit_thread() {
         stderr.contains("panicked at") && stderr.contains("injected failpoint checkpoint.write"),
         "{stderr}"
     );
-    // The panic came after write 3 rotated generation 2 away; nothing
-    // was written after it, and no test file either.
-    let path = dir.join("ck.json");
-    assert!(!path.exists());
-    assert_eq!(load(&previous_generation_path(&path)).generation, 2);
+    // The panic came at write 3, before it wrote anything; nothing was
+    // written after it, and no test file either.
+    assert_eq!(load(&dir.join("ck.json")).generation, 2);
     assert!(!dir.join("t.txt").exists());
     let report = report(&dir);
     assert_eq!(counter(&report, "checkpoints_written"), Some(2));
@@ -201,7 +197,8 @@ fn span_shape(spans: &[SpanReport]) -> Vec<(usize, String, u64)> {
 fn the_checkpointed_s5378_line_is_thread_count_invariant() {
     // The benchmark's s5378-uncomp-ckpt line at seed 7: counters, span
     // tree (`runctl` under `generate`, once per write), test file and
-    // both checkpoint generations match across thread counts.
+    // the whole checkpoint journal — every generation — match across
+    // thread counts.
     let line = |threads| {
         let dir = scratch(&format!("s5378_t{threads}"));
         let args = [
@@ -225,7 +222,7 @@ fn the_checkpointed_s5378_line_is_thread_count_invariant() {
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
         let report = report(&dir);
         let read = |file: &str| std::fs::read(dir.join(file)).expect(file);
-        let files = [read("t.txt"), read("ck.json"), read("ck.json.prev")];
+        let files = [read("t.txt"), read("ck.json")];
         let _ = std::fs::remove_dir_all(&dir);
         (report.counters, span_shape(&report.spans), files)
     };

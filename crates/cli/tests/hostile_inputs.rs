@@ -1,15 +1,19 @@
 //! Mutation properties for the parsers that read bytes from disk: every
-//! mutant of a `.bench` fixture, and of a checkpoint, a matrix repro
-//! artifact and a telemetry run report, must parse or fail with a typed
-//! error — never panic. A document that parses must write back to the
-//! same value, and a repro cell's `k`, which sizes the split it pads,
+//! mutant of a `.bench` fixture, and of a checkpoint journal, a matrix
+//! repro artifact and a telemetry run report, must parse or fail with a
+//! typed error — never panic. A document that parses must write back to
+//! the same value, and a repro cell's `k`, which sizes the split it pads,
 //! stays within `pdf_matrix::MAX_K`. The spec grammars read from flags
 //! and variables — time budgets and failpoints — are held to the same
 //! rule, and an accepted failpoint spec must print back to itself.
 //!
-//! The test lines inside a checkpoint get their own property: mutated,
-//! then re-serialized with a valid CRC, they must be refused with a typed
-//! error or resume with exactly one test per entry, in order.
+//! The checkpoint journal gets two more properties, both with every
+//! line's chained CRC re-stamped after the edit so that the mutant is
+//! judged on its content: the test lines inside it, and whole records
+//! (duplicated, reordered, spliced from another run's journal, or given
+//! out-of-range, repeated or re-set flag indices). `--resume` of each
+//! must refuse it with a typed error or print one test per entry, in
+//! order.
 //!
 //! A mutant is its seed after one to four edits: bit flips, truncations,
 //! splices of another stretch of the same input, and insertions of
@@ -145,23 +149,39 @@ fn bench_seeds() -> &'static [Vec<u8>] {
     })
 }
 
-/// The checkpoint an `atpg s27` run writes.
+/// The `atpg` line every checkpoint seed is written by (with
+/// `--checkpoint-every 1`, which gives its journal three records) and
+/// resumed with, before its `--seed`.
+const LINE: [&str; 2] = ["atpg", "c17"];
+/// The seed of the seed journal's run and of every resume.
+const RUN_SEED: &str = "2002";
+
+/// The checkpoint journal of a [`LINE`] run at `seed`.
+fn journal_of(seed: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!(
+        "pdf-hostile-inputs-{}-{seed}.ckpt.json",
+        std::process::id()
+    ));
+    let mut args: Vec<String> = LINE.iter().map(|s| (*s).to_owned()).collect();
+    args.extend(["--checkpoint-every", "1", "--seed", seed, "--checkpoint"].map(str::to_owned));
+    args.push(path.to_str().expect("UTF-8 temp path").to_owned());
+    pdf_cli::run(&args).expect("atpg with a checkpoint");
+    let bytes = std::fs::read(&path).expect("checkpoint written");
+    let _ = std::fs::remove_file(&path);
+    bytes
+}
+
+/// The checkpoint journal of the [`LINE`] run every resume repeats.
 fn checkpoint_seed() -> &'static [u8] {
     static SEED: OnceLock<Vec<u8>> = OnceLock::new();
-    SEED.get_or_init(|| {
-        let path = std::env::temp_dir().join(format!(
-            "pdf-hostile-inputs-{}.ckpt.json",
-            std::process::id()
-        ));
-        let line = ["atpg", "s27", "--np0", "10", "--checkpoint"];
-        let mut args: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
-        args.push(path.to_str().expect("UTF-8 temp path").to_owned());
-        pdf_cli::run(&args).expect("atpg s27 with a checkpoint");
-        let text = std::fs::read(&path).expect("checkpoint written");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
-        text
-    })
+    SEED.get_or_init(|| journal_of(RUN_SEED))
+}
+
+/// The journal of the same line at another seed: the records spliced
+/// into the seed journal come from it.
+fn foreign_journal() -> &'static [u8] {
+    static SEED: OnceLock<Vec<u8>> = OnceLock::new();
+    SEED.get_or_init(|| journal_of("9"))
 }
 
 /// A repro artifact with every cell field set: a resume cell with a
@@ -215,19 +235,39 @@ fn report_seed() -> &'static [u8] {
     })
 }
 
-/// Parses `text`; a document whose only fault is its checksum is
-/// re-stamped with the CRC its mutated content needs and parsed again,
-/// so mutants that keep the schema load instead of stopping at the CRC.
-fn load(text: &str) -> Result<Checkpoint, CheckpointError> {
-    match Checkpoint::from_json(text) {
-        Err(CheckpointError::Corrupt {
-            expected, found, ..
-        }) if expected != found => {
-            let stamped = text.replacen(&format!("{found:016x}"), &format!("{expected:016x}"), 1);
-            Checkpoint::from_json(&stamped)
+/// The bytes after the checksummed body of a journal line: the
+/// `,"crc64":"` key, 16 hex digits, and the closing `"}`.
+const CRC_SUFFIX_LEN: usize = 10 + 16 + 2;
+
+/// Re-stamps the chained CRC of every line of `journal` that still ends
+/// in a checksum field, so an edit fails only on what it did to the
+/// content. Other lines are kept as they are.
+fn restamp(journal: &[u8]) -> Vec<u8> {
+    let mut chain = 0;
+    let mut out = Vec::with_capacity(journal.len());
+    for piece in journal.split_inclusive(|&b| b == b'\n') {
+        let line = piece.strip_suffix(b"\n").unwrap_or(piece);
+        let stamped = line.len() >= CRC_SUFFIX_LEN
+            && line[line.len() - CRC_SUFFIX_LEN..].starts_with(b",\"crc64\":\"")
+            && line.ends_with(b"\"}");
+        if stamped {
+            let body = &line[..line.len() - CRC_SUFFIX_LEN];
+            chain = pdf_runctl::crc64_extend(chain, body);
+            out.extend_from_slice(body);
+            out.extend_from_slice(format!(",\"crc64\":\"{chain:016x}\"}}").as_bytes());
+            out.extend_from_slice(&piece[line.len()..]);
+        } else {
+            out.extend_from_slice(piece);
         }
-        other => other,
     }
+    out
+}
+
+/// Replays `journal` as it is and re-stamped: a mutant that keeps its
+/// lines' shape then loads, or fails on its content instead of at the
+/// CRC.
+fn load(journal: &[u8]) -> [Result<Checkpoint, CheckpointError>; 2] {
+    [journal.to_vec(), restamp(journal)].map(|bytes| Checkpoint::from_journal(&bytes))
 }
 
 fn check_bench(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
@@ -244,23 +284,30 @@ fn check_bench(seed: usize, edits: &[Edit]) -> Result<(), TestCaseError> {
 
 fn check_checkpoint(edits: &[Edit]) -> Result<(), TestCaseError> {
     let text = mutate(checkpoint_seed(), edits);
-    let outcome = catch_unwind(AssertUnwindSafe(|| match load(&text) {
-        // A mutant that loads is a checkpoint like any other.
-        Ok(checkpoint) => Checkpoint::from_json(&checkpoint.to_json()).ok() == Some(checkpoint),
-        Err(e) => !e.to_string().is_empty(),
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        load(text.as_bytes())
+            .into_iter()
+            .all(|loaded| match loaded {
+                // A mutant that loads is a checkpoint like any other.
+                Ok(checkpoint) => {
+                    Checkpoint::from_journal(checkpoint.to_journal().as_bytes()).ok()
+                        == Some(checkpoint)
+                }
+                Err(e) => !e.to_string().is_empty(),
+            })
     }));
     prop_assert!(
         outcome.is_ok(),
-        "Checkpoint::from_json panicked on {text:?}"
+        "Checkpoint::from_journal panicked on {text:?}"
     );
     prop_assert!(outcome.unwrap(), "no round trip or no message for {text:?}");
     Ok(())
 }
 
-/// Mutates the test lines of the seed checkpoint and re-stamps a valid
-/// CRC: `--resume` of the result must refuse the checkpoint with a typed
-/// error, or print a test set that starts with one test per entry, each
-/// the entry's own test. By `mode`:
+/// Mutates the test lines of the seed checkpoint and writes it as a fresh
+/// journal: `--resume` of the result must refuse the checkpoint with a
+/// typed error, or print a test set that starts with one test per entry,
+/// each the entry's own test. By `mode`:
 ///
 /// * 0: the edits run on the joined lines, so they may merge, split,
 ///   empty or drop entries;
@@ -271,8 +318,7 @@ fn check_checkpoint(edits: &[Edit]) -> Result<(), TestCaseError> {
 ///   break, and appends a blank or comment-only entry, so the lines still
 ///   hold as many tests as the checkpoint's `completed` count.
 fn check_resume_tests(mode: u8, edits: &[Edit]) -> Result<(), TestCaseError> {
-    let text = String::from_utf8(checkpoint_seed().to_vec()).expect("UTF-8 checkpoint");
-    let mut checkpoint = Checkpoint::from_json(&text).expect("the seed loads");
+    let mut checkpoint = Checkpoint::from_journal(checkpoint_seed()).expect("the seed loads");
     if mode == 2 {
         for &(_, at, _, bit) in edits {
             let tests = &mut checkpoint.tests;
@@ -307,21 +353,10 @@ fn check_resume_tests(mode: u8, edits: &[Edit]) -> Result<(), TestCaseError> {
         let lines = mutate(joined.as_bytes(), edits);
         checkpoint.tests = lines.split('\n').map(str::to_owned).collect();
     }
-    // Per thread: the default and the long property may run at once.
-    let path = std::env::temp_dir().join(format!(
-        "pdf-hostile-inputs-{}-{:?}-resume.ckpt.json",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    std::fs::write(&path, checkpoint.to_json()).expect("write the mutant");
-    let line = ["atpg", "s27", "--np0", "10", "--resume"];
-    let mut args: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
-    args.push(path.to_str().expect("UTF-8 temp path").to_owned());
-    let outcome = catch_unwind(|| match pdf_cli::run(&args) {
+    let outcome = catch_unwind(|| match resume(checkpoint.to_journal().as_bytes()) {
         Ok(out) => carries_each_entry(&out, &checkpoint.tests),
         Err(e) => e.code == pdf_cli::EXIT_ERROR && e.message.starts_with("--resume: "),
     });
-    let _ = std::fs::remove_file(&path);
     prop_assert!(
         outcome.is_ok(),
         "--resume panicked on {:?}",
@@ -333,6 +368,124 @@ fn check_resume_tests(mode: u8, edits: &[Edit]) -> Result<(), TestCaseError> {
         checkpoint.tests
     );
     Ok(())
+}
+
+/// Runs [`LINE`] with `--resume` of a file holding `journal`.
+fn resume(journal: &[u8]) -> Result<String, pdf_cli::CliError> {
+    resume_and_replay(journal).0
+}
+
+/// [`resume`], and what [`Checkpoint::load_with_recovery`] — the load
+/// `--resume` makes — replays the file to.
+fn resume_and_replay(
+    journal: &[u8],
+) -> (
+    Result<String, pdf_cli::CliError>,
+    Result<(Checkpoint, bool), CheckpointError>,
+) {
+    // Per thread: the default and the long properties may run at once.
+    let path = std::env::temp_dir().join(format!(
+        "pdf-hostile-inputs-{}-{:?}-resume.ckpt.json",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, journal).expect("write the mutant");
+    let mut args: Vec<String> = LINE.iter().map(|s| (*s).to_owned()).collect();
+    args.extend(["--seed", RUN_SEED, "--resume"].map(str::to_owned));
+    args.push(path.to_str().expect("UTF-8 temp path").to_owned());
+    let out = pdf_cli::run(&args);
+    let replayed = Checkpoint::load_with_recovery(&path);
+    let _ = std::fs::remove_file(&path);
+    (out, replayed)
+}
+
+/// Edits whole records of the seed journal, re-stamps every checksum,
+/// and resumes from it: `--resume` must refuse the journal with a typed
+/// error, or print one test per entry of what the journal replays to.
+/// Each edit, by kind, on record `at` (the header is line 0):
+///
+/// * 0: duplicate the record in place;
+/// * 1: swap it with the record after it;
+/// * 2: replace it with the same line of another run's journal;
+/// * 3: add an index past the fault count to its `detected`;
+/// * 4: repeat its first `detected` index, or name again an index an
+///   earlier record set (read as a toggle, that would unset the flag);
+/// * 5: drop it.
+fn check_journal_records(edits: &[Edit]) -> Result<(), TestCaseError> {
+    let lines = |bytes: &[u8]| -> Vec<String> {
+        String::from_utf8(bytes.to_vec())
+            .expect("UTF-8 journal")
+            .split_inclusive('\n')
+            .map(str::to_owned)
+            .collect()
+    };
+    let foreign = lines(foreign_journal());
+    let mut journal = lines(checkpoint_seed());
+    for &(_, at, _, kind) in edits {
+        if journal.len() < 2 {
+            break;
+        }
+        let at = 1 + at % (journal.len() - 1);
+        match kind % 6 {
+            0 => journal.insert(at, journal[at].clone()),
+            1 if at + 1 < journal.len() => journal.swap(at, at + 1),
+            2 => {
+                if let Some(line) = foreign.get(at) {
+                    journal[at].clone_from(line);
+                }
+            }
+            3 => journal[at] = also_detected(&journal[at], 99_999),
+            4 => {
+                let earlier = journal[1..at]
+                    .iter()
+                    .find_map(|line| first_detected(line))
+                    .or_else(|| first_detected(&journal[at]));
+                if let Some(index) = earlier {
+                    journal[at] = also_detected(&journal[at], index);
+                }
+            }
+            _ => {
+                journal.remove(at);
+            }
+        }
+    }
+    let bytes = restamp(journal.concat().as_bytes());
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let (resumed, replayed) = resume_and_replay(&bytes);
+        match resumed {
+            Ok(out) => replayed.is_ok_and(|(cp, _)| carries_each_entry(&out, &cp.tests)),
+            Err(e) => {
+                replayed.is_err()
+                    && [pdf_cli::EXIT_ERROR, pdf_cli::EXIT_CORRUPT].contains(&e.code)
+                    && e.message.starts_with("--resume: ")
+            }
+        }
+    }));
+    prop_assert!(outcome.is_ok(), "--resume panicked on {journal:?}");
+    prop_assert!(
+        outcome.unwrap(),
+        "no typed refusal, and no test per entry, for {journal:?}"
+    );
+    Ok(())
+}
+
+/// A journal record with `index` put first in its `detected` list.
+fn also_detected(line: &str, index: usize) -> String {
+    let key = "\"detected\":[";
+    let separator = if line.contains(&format!("{key}]")) {
+        ""
+    } else {
+        ","
+    };
+    line.replacen(key, &format!("{key}{index}{separator}"), 1)
+}
+
+/// The first index of a journal record's `detected` list, if any.
+fn first_detected(line: &str) -> Option<usize> {
+    let list = line.split_once("\"detected\":[")?.1;
+    list[..list.find(|c: char| !c.is_ascii_digit())?]
+        .parse()
+        .ok()
 }
 
 /// Whether the test set a resumed run printed starts with `entries`,
@@ -433,8 +586,16 @@ fn the_seeds_parse() {
         // Some fixtures are malformed on purpose; none may panic.
         let _ = parse_bench(&text, "seed");
     }
-    let text = String::from_utf8(checkpoint_seed().to_vec()).expect("UTF-8 checkpoint");
-    assert!(Checkpoint::from_json(&text).is_ok());
+    let checkpoint = Checkpoint::from_journal(checkpoint_seed()).expect("the seed loads");
+    assert!(
+        checkpoint.generation > 1,
+        "the seed journal has several records"
+    );
+    assert!(Checkpoint::from_journal(foreign_journal()).is_ok());
+    assert_eq!(restamp(checkpoint_seed()), checkpoint_seed());
+    // Unedited, the seed journal resumes: the properties are not vacuous.
+    let out = resume(checkpoint_seed()).expect("the seed resumes");
+    assert!(carries_each_entry(&out, &checkpoint.tests), "{out}");
     let text = String::from_utf8(repro_seed().to_vec()).expect("UTF-8 artifact");
     assert_eq!(ReproCase::parse(&text).expect("artifact").cells.len(), 2);
     let text = String::from_utf8(report_seed().to_vec()).expect("UTF-8 report");
@@ -442,6 +603,27 @@ fn the_seeds_parse() {
         .expect("report")
         .spans
         .is_empty());
+}
+
+#[test]
+fn a_version_3_checkpoint_is_refused_by_its_version() {
+    // `fixtures/checkpoint_v3.json`: the single-document checkpoint the
+    // format before the journal wrote for `atpg s27 --np0 10 --seed 9`.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/checkpoint_v3.json");
+    let bytes = std::fs::read(&path).expect("the fixture");
+    assert!(matches!(
+        Checkpoint::from_journal(&bytes),
+        Err(CheckpointError::Version { found: 3 })
+    ));
+    let line = ["atpg", "s27", "--np0", "10", "--seed", "9", "--resume"];
+    let mut args: Vec<String> = line.iter().map(|s| (*s).to_owned()).collect();
+    args.push(path.to_str().expect("UTF-8 path").to_owned());
+    let e = pdf_cli::run(&args).unwrap_err();
+    assert_eq!(e.code, pdf_cli::EXIT_ERROR, "{e}");
+    assert_eq!(
+        e.message,
+        "--resume: checkpoint format version 3 is not supported (expected 4)"
+    );
 }
 
 #[test]
@@ -488,6 +670,11 @@ proptest! {
     }
 
     #[test]
+    fn edited_journal_records_resume_or_fail_typed(edits in edits()) {
+        check_journal_records(&edits)?;
+    }
+
+    #[test]
     fn mutated_repro_artifacts_parse_or_fail_typed(edits in edits()) {
         check_repro(&edits)?;
     }
@@ -527,6 +714,12 @@ proptest! {
     #[ignore = "long mutation run; nightly CI passes --ignored"]
     fn mutated_checkpoint_tests_long(mode in 0u8..3, edits in edits()) {
         check_resume_tests(mode, &edits)?;
+    }
+
+    #[test]
+    #[ignore = "long mutation run; nightly CI passes --ignored"]
+    fn edited_journal_records_long(edits in edits()) {
+        check_journal_records(&edits)?;
     }
 
     #[test]

@@ -40,9 +40,10 @@
 //! many duplicates actually ran.
 //!
 //! Checkpoints are built on the commit thread at round boundaries and
-//! saved on a writer thread while the next round runs, one write in
-//! flight; the write's outcome is applied when the next write or the
-//! run's return joins it (`DESIGN.md` §11).
+//! written on a writer thread while the next round runs, one write in
+//! flight: the run's first write creates the checkpoint journal, and
+//! every later one appends a record. The write's outcome is applied when
+//! the next write or the run's return joins it (`DESIGN.md` §11).
 
 use std::cmp::Reverse;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -53,8 +54,7 @@ use pdf_faults::{Assignments, FaultEntry, FaultList, Implicator};
 use pdf_netlist::{Circuit, SplitMix64};
 use pdf_pool::Control;
 use pdf_runctl::{
-    CancelToken, Checkpoint, CheckpointError, CheckpointPolicy, Deadline, RunBudget,
-    CHECKPOINT_VERSION,
+    CancelToken, Checkpoint, CheckpointError, CheckpointPolicy, Deadline, Journal, RunBudget,
 };
 
 use pdf_sim::SimOptions;
@@ -632,6 +632,10 @@ struct SessionState {
     /// write is in flight: the lines travel with it and come back at the
     /// join.
     test_lines: Vec<String>,
+    /// The checkpoint journal, created by the run's first write. `None`
+    /// before it and while a write is in flight: the journal travels with
+    /// the write and comes back at the join.
+    journal: Option<Journal>,
     /// The checkpoint write in flight on its writer thread, if any.
     checkpoint_write: PendingWrite,
 }
@@ -650,12 +654,13 @@ impl Drop for PendingWrite {
     }
 }
 
-/// What a writer thread hands back at the join: the save's result (or
+/// What a writer thread hands back at the join: the write's result (or
 /// its panic), the checkpoint it wrote (whose test lines the next write
-/// reuses) and the save's captured telemetry.
+/// reuses), the journal it wrote to and the write's captured telemetry.
 type WriteResult = (
     std::thread::Result<Result<(), CheckpointError>>,
     Checkpoint,
+    Journal,
     pdf_telemetry::Captured,
 );
 
@@ -1153,6 +1158,7 @@ impl<'c, 'f> Session<'c, 'f> {
                 checkpoint_warned: false,
                 checkpoint_generation: 0,
                 test_lines: Vec::new(),
+                journal: None,
                 checkpoint_write: PendingWrite(None),
             },
         }
@@ -1397,9 +1403,9 @@ fn commit_sweep(ctx: &SessionCtx<'_, '_>, state: &mut SessionState, waves: &[pdf
 
 /// Validates `checkpoint` against this run and installs its state: flags,
 /// counters and the completed-test count. Returns the carried test set.
-/// Since version 2 no RNG position is carried: every build's stream is
-/// re-derived from `(seed, primary)`, so the committed flags alone
-/// determine the continuation.
+/// No RNG position is carried: every build's stream is re-derived from
+/// `(seed, primary)`, so the committed flags alone determine the
+/// continuation.
 fn apply_resume(
     ctx: &SessionCtx<'_, '_>,
     state: &mut SessionState,
@@ -1412,13 +1418,6 @@ fn apply_resume(
             found,
         })
     };
-    if checkpoint.version != CHECKPOINT_VERSION {
-        return mismatch(
-            "version",
-            checkpoint.version.to_string(),
-            CHECKPOINT_VERSION.to_string(),
-        );
-    }
     if checkpoint.circuit != ctx.circuit.name() {
         return mismatch(
             "circuit",
@@ -1446,17 +1445,13 @@ fn apply_resume(
         );
     }
     let n = ctx.faults.len();
-    for (field, flags) in [
+    for (field, indices) in [
         ("detected", &checkpoint.detected),
         ("aborted", &checkpoint.aborted),
         ("quarantined", &checkpoint.quarantined),
     ] {
-        if flags.len() != n {
-            return mismatch(
-                field,
-                format!("{} flags", flags.len()),
-                format!("{n} faults"),
-            );
+        if let Some(&index) = indices.iter().find(|&&i| i >= n) {
+            return mismatch(field, format!("fault index {index}"), format!("{n} faults"));
         }
     }
     let test_set = checkpoint
@@ -1487,9 +1482,15 @@ fn apply_resume(
             format!("{} carried tests", test_set.len()),
         );
     }
-    state.detected.copy_from_slice(&checkpoint.detected);
-    state.aborted.copy_from_slice(&checkpoint.aborted);
-    state.quarantined.copy_from_slice(&checkpoint.quarantined);
+    for (flags, indices) in [
+        (&mut state.detected, &checkpoint.detected),
+        (&mut state.aborted, &checkpoint.aborted),
+        (&mut state.quarantined, &checkpoint.quarantined),
+    ] {
+        for &index in indices {
+            flags[index] = true;
+        }
+    }
     state.completed = checkpoint.completed;
     state.checkpoint_generation = checkpoint.generation;
     for (name, counter) in resumable_counters(&mut state.stats) {
@@ -1517,8 +1518,10 @@ fn resumable_counters(stats: &mut AtpgStats) -> [(&'static str, &mut usize); 8] 
 /// policy, after joining the previous one: at most one write is in
 /// flight. The commit thread builds the [`Checkpoint`] value, rendering
 /// only the tests committed since the last write, and a writer thread
-/// saves it while the next round runs. The write is joined by the next
-/// write, or by the run's return after the final write.
+/// writes it to the run's journal while the next round runs: the first
+/// write creates the journal, every later one appends a record. The
+/// write is joined by the next write, or by the run's return after the
+/// final write.
 fn write_checkpoint(
     ctx: &SessionCtx<'_, '_>,
     state: &mut SessionState,
@@ -1544,19 +1547,15 @@ fn write_checkpoint(
             .map(crate::testset::test_line),
     );
     let checkpoint = Checkpoint {
-        version: CHECKPOINT_VERSION,
         generation: state.checkpoint_generation + 1,
         circuit: ctx.circuit.name().to_owned(),
         seed: ctx.config.seed,
         fingerprint: config_fingerprint(&ctx.config),
         set_sizes: ctx.set_sizes(),
         completed: state.completed,
-        // Vestigial since version 2: resume re-derives every build's
-        // stream from (seed, primary) instead of a carried RNG position.
-        rng_state: 0,
-        detected: state.detected.clone(),
-        aborted: state.aborted.clone(),
-        quarantined: state.quarantined.clone(),
+        detected: set_indices(&state.detected),
+        aborted: set_indices(&state.aborted),
+        quarantined: set_indices(&state.quarantined),
         tests,
         counters: resumable_counters(&mut saved)
             .into_iter()
@@ -1564,7 +1563,10 @@ fn write_checkpoint(
             .collect(),
         complete,
     };
-    let path = policy.path.clone();
+    let mut journal = state
+        .journal
+        .take()
+        .unwrap_or_else(|| Journal::new(&policy.path));
     // The writer carries the commit thread's name, so a panicking write
     // reads on stderr as it did when the commit thread wrote.
     let mut writer = std::thread::Builder::new();
@@ -1574,12 +1576,17 @@ fn write_checkpoint(
     let handle = writer
         .spawn(move || {
             let (result, telemetry) = pdf_telemetry::capture(|| {
-                catch_unwind(AssertUnwindSafe(|| checkpoint.save(&path)))
+                catch_unwind(AssertUnwindSafe(|| journal.write(&checkpoint)))
             });
-            (result, checkpoint, telemetry)
+            (result, checkpoint, journal, telemetry)
         })
         .expect("spawn the checkpoint writer thread");
     state.checkpoint_write.0 = Some(handle);
+}
+
+/// The indices of the set flags, ascending.
+fn set_indices(flags: &[bool]) -> Vec<usize> {
+    (0..flags.len()).filter(|&i| flags[i]).collect()
 }
 
 /// Joins the checkpoint write in flight, if any, and applies its outcome
@@ -1592,11 +1599,12 @@ fn join_checkpoint_write(state: &mut SessionState) {
     let Some(handle) = state.checkpoint_write.0.take() else {
         return;
     };
-    let (result, checkpoint, telemetry) = handle
+    let (result, checkpoint, journal, telemetry) = handle
         .join()
         .unwrap_or_else(|payload| resume_unwind(payload));
     telemetry.merge();
     state.test_lines = checkpoint.tests;
+    state.journal = Some(journal);
     match result.unwrap_or_else(|payload| resume_unwind(payload)) {
         Ok(()) => {
             state.stats.checkpoints_written += 1;

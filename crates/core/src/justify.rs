@@ -380,8 +380,9 @@ impl<'c> Justifier<'c> {
         stop_requested(&self.deadline, self.cancel.as_ref())
     }
 
-    /// The RNG's current internal state — checkpoint material. Feeding it
-    /// back through [`Justifier::set_rng_state`] on a fresh justifier
+    /// The RNG's current internal state (checkpoints carry none: resume
+    /// re-derives every build's stream from the seed). Feeding it back
+    /// through [`Justifier::set_rng_state`] on a fresh justifier
     /// resumes the random stream exactly where this one stands.
     #[must_use]
     pub fn rng_state(&self) -> u64 {
@@ -428,7 +429,10 @@ impl<'c> Justifier<'c> {
         if self.stopped() {
             return None;
         }
-        let topo = ConeTopo::build(self.circuit, req);
+        let topo = {
+            let _span = pdf_telemetry::Span::enter("justify.cone");
+            ConeTopo::build(self.circuit, req)
+        };
         let n = topo.pis.len();
         // (first, last) value per cone PI.
         let mut state: Vec<(Value, Value)> = vec![(Value::X, Value::X); n];
@@ -489,6 +493,7 @@ impl<'c> Justifier<'c> {
         state: &[(Value, Value)],
         groups: usize,
     ) -> Completed {
+        let _span = pdf_telemetry::Span::enter("justify.completion");
         let open: Vec<(usize, usize)> = (0..state.len())
             .flat_map(|i| (0..2).map(move |pos| (i, pos)))
             .filter(|&(i, pos)| !pick(&state[i], pos).is_specified())
@@ -846,6 +851,7 @@ impl<'c> Justifier<'c> {
             v2.push(second);
         }
         let test = TwoPattern::new(v1, v2);
+        let _span = pdf_telemetry::Span::enter("justify.finish");
         let waves = pdf_netlist::simulate_triples(self.circuit, &test.to_triples());
         Justified { test, waves }
     }

@@ -66,8 +66,8 @@ pub use pdf_sim::{SimOptions, SimWidth};
 // Run control is part of the public generation API: `AtpgConfig` carries
 // a budget and a checkpoint policy, `run_resumed` consumes a checkpoint.
 pub use pdf_runctl::{
-    previous_generation_path, validate_env, BudgetSpec, CancelToken, Checkpoint, CheckpointError,
-    CheckpointPolicy, Deadline, RunBudget, DEFAULT_CHECKPOINT_EVERY,
+    validate_env, BudgetSpec, CancelToken, Checkpoint, CheckpointError, CheckpointPolicy, Deadline,
+    RunBudget, DEFAULT_CHECKPOINT_EVERY,
 };
 
 /// The most common imports, re-exported flat.

@@ -324,7 +324,6 @@ fn a_deadline_cut_mid_generation_resumes_to_the_uncut_run() {
         "pdf_pool_diff_deadline_{}.json",
         std::process::id()
     ));
-    let prev = pdf_atpg::previous_generation_path(&path);
     let run = |config: AtpgConfig| EnrichmentAtpg::new(&c).with_config(config).run(&split);
     // The uncut time is the faster of two runs, the first also warming
     // the caches.
@@ -350,7 +349,6 @@ fn a_deadline_cut_mid_generation_resumes_to_the_uncut_run() {
     let check = |after: std::time::Duration, threads: usize| {
         let label = format!("deadline {after:?} (uncut {uncut:?}), {threads} threads");
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&prev);
         let cut = run(AtpgConfig {
             budget: RunBudget::with_deadline(Deadline::after(after)),
             checkpoint: Some(CheckpointPolicy::new(&path, 1)),
@@ -400,7 +398,6 @@ fn a_deadline_cut_mid_generation_resumes_to_the_uncut_run() {
         }
     }
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&prev);
     assert!(
         cut_after_a_test,
         "no deadline cut landed after the first test"

@@ -135,8 +135,9 @@ impl FaultList {
     /// Spans under `eliminate`: `eliminate.rule1` ([`rule1_survivors`],
     /// or the filter); `eliminate.rule2`, the trie walk of
     /// [`walk_subtrees`] (none with a filter); `eliminate.learned`, the
-    /// learned re-check of the rule-2 survivors, then emission in store
-    /// order, computing `A(p)` only for kept faults. Faults refuted by a
+    /// learned re-check of the rule-2 survivors (empty without a table);
+    /// `eliminate.emit`, emission in store order, computing `A(p)` only
+    /// for kept faults. Faults refuted by a
     /// prefix conflict are counted on the `rule2_prefix_refuted`
     /// telemetry counter.
     ///
@@ -221,14 +222,17 @@ impl FaultList {
             let _span = pdf_telemetry::Span::enter("eliminate.rule2");
             stats.rule2_conflicts = refute(None, keys, &mut alive);
         }
-        let _span = pdf_telemetry::Span::enter("eliminate.learned");
-        if let (Some(keys), Some(table)) = (&mut survivors, learned) {
-            // Second chance with the learned closure table attached, on
-            // the rule-2 survivors only (still in trie order).
-            keys.retain(|key| alive[key.slot()]);
-            stats.statically_eliminated = refute(Some(table), keys, &mut alive);
+        {
+            let _span = pdf_telemetry::Span::enter("eliminate.learned");
+            if let (Some(keys), Some(table)) = (&mut survivors, learned) {
+                // Second chance with the learned closure table attached,
+                // on the rule-2 survivors only (still in trie order).
+                keys.retain(|key| alive[key.slot()]);
+                stats.statically_eliminated = refute(Some(table), keys, &mut alive);
+            }
         }
         drop(survivors);
+        let _span = pdf_telemetry::Span::enter("eliminate.emit");
         let kept = alive.iter().filter(|&&a| a).count();
         let mut entries = Vec::new();
         in_order(

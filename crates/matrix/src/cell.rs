@@ -287,8 +287,8 @@ impl MatrixAxes {
             threads: vec![1, 4],
             seeds: vec![2002],
             budgets: vec![None, Some(10)],
-            // torn@2 never tears an only-generation checkpoint: the
-            // first save is good, so recovery always has a floor.
+            // torn@2 tears the second write, an append: the journal's
+            // first record is good, so recovery always has a floor.
             faults: vec![
                 None,
                 Some("checkpoint.write:torn@2".to_owned()),
@@ -575,7 +575,6 @@ pub fn run_cell(circuit: &Circuit, cell: &CellConfig) -> CellObservation {
             Err(e) => observation.error = Some(format!("checkpoint unreadable: {e}")),
         }
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(pdf_atpg::previous_generation_path(&path));
     }
 
     observation

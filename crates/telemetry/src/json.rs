@@ -104,6 +104,17 @@ impl Json {
         s
     }
 
+    /// Renders the value as compact JSON on one line (no whitespace
+    /// between tokens, keys in insertion order, no trailing newline): the
+    /// form of a JSON-lines record. A string's line breaks are escaped,
+    /// so the text never contains a newline.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        let mut s = String::new();
+        self.write_line(&mut s);
+        s
+    }
+
     /// The deepest array/object nesting [`Json::parse`] accepts. Every
     /// document the workspace writes nests a few levels; the bound keeps
     /// a hostile input from recursing the parser off the end of its stack.
@@ -182,6 +193,34 @@ impl Json {
                 newline_indent(out, indent);
                 out.push('}');
             }
+        }
+    }
+
+    fn write_line(&self, out: &mut String) {
+        match self {
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_line(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(out, key);
+                    out.push(':');
+                    value.write_line(out);
+                }
+                out.push('}');
+            }
+            scalar => scalar.write(out, 0),
         }
     }
 }
@@ -549,6 +588,15 @@ mod tests {
             .field("note", "quotes \" and \\ and\nnewlines\tok");
         let text = j.to_pretty();
         assert_eq!(Json::parse(&text).unwrap(), j);
+        let line = j.to_line();
+        assert!(!line.contains('\n'), "{line}");
+        assert_eq!(Json::parse(&line).unwrap(), j);
+        assert_eq!(
+            Json::object()
+                .field("a", vec![Json::from(1u64), Json::from("b")])
+                .to_line(),
+            r#"{"a":[1,"b"]}"#
+        );
     }
 
     #[test]

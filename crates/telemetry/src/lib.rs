@@ -134,7 +134,8 @@ pub mod counters {
     pub const FAILPOINTS_HIT: &str = "failpoints_hit";
     /// Transient I/O errors healed by the bounded retry loop.
     pub const IO_RETRIES: &str = "io_retries";
-    /// Checkpoint loads that fell back to the previous-good generation.
+    /// Checkpoint loads that dropped a torn last journal record and fell
+    /// back to the generation before it.
     pub const CHECKPOINT_RECOVERIES: &str = "checkpoint_recoveries";
     /// Paths classified by the static sensitizability pass (one count per
     /// stored path, regardless of verdict).

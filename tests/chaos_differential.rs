@@ -12,8 +12,8 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pdf_atpg::{
-    previous_generation_path, AtpgConfig, AtpgOutcome, BasicAtpg, CancelToken, Checkpoint,
-    CheckpointPolicy, Compaction, RunBudget,
+    AtpgConfig, AtpgOutcome, BasicAtpg, CancelToken, Checkpoint, CheckpointPolicy, Compaction,
+    RunBudget,
 };
 use pdf_faults::FaultList;
 use pdf_netlist::Circuit;
@@ -46,7 +46,6 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 fn cleanup(path: &std::path::Path) {
     let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(previous_generation_path(path));
 }
 
 fn counter(report: &pdf_telemetry::RunReport, name: &str) -> u64 {
