@@ -8,9 +8,10 @@
 //! gives the min/median/max of repeated samples for both the whole run
 //! and its completion phase; rates use the median.
 //!
-//! Event-driven propagation re-evaluates only the lines whose input rails
+//! Event-driven propagation re-evaluates only the gates whose input rails
 //! actually changed between completion passes; the `events` block reports
-//! how small that slice of the circuit is. The `fixpoint` block gives the
+//! how small that slice of the circuit is (gate evaluations per pass, and
+//! their share of all the circuit's lines). The `fixpoint` block gives the
 //! necessary-value fixpoint's packed trial passes and its median seconds;
 //! its propagation events are not part of the `events` block.
 //!
@@ -60,8 +61,8 @@ fn main() {
     // Attempts/sec of the completion engine itself; the phases around it
     // (necessary-value fixpoint, guided fallback) would only dilute it.
     let rate = stats.completion_attempts as f64 / completion.median;
-    // Event economy: lines actually evaluated per completion pass, as an
-    // absolute count and as a fraction of the whole circuit. Narrow-cone
+    // Event economy: gates actually evaluated per completion pass, as an
+    // absolute count and as a fraction of the circuit's lines. Narrow-cone
     // calls with most pins frozen should keep the fraction well under
     // one even though passes repeat over the same cone.
     let blocks = stats.packed_blocks.max(1) as f64;

@@ -978,7 +978,7 @@ pub fn cmd_sim(circuit: &Circuit, v1: &str, v2: &str) -> Result<String, CliError
         return err(format!("patterns must have {n} values (one per input)"));
     }
     let test = TwoPattern::new(v1, v2);
-    let waves = pdf_netlist::simulate_triples(circuit, &test.to_triples());
+    let waves = pdf_sim::waveforms(circuit, &test);
     let mut s = String::new();
     let _ = writeln!(s, "test: {test}");
     let _ = writeln!(s, "{:>5}  {:<16} {:<8} waveform", "line", "name", "kind");

@@ -125,7 +125,7 @@ impl<'c> ExactJustifier<'c> {
             // validated by an actual hazard-conservative simulation of the
             // candidate test.
             let test = self.witness(cone_pis, imp);
-            let waves = pdf_netlist::simulate_triples(self.circuit, &test.to_triples());
+            let waves = pdf_sim::waveforms(self.circuit, &test);
             if req.satisfied_by(&waves) {
                 return Search::Found(test);
             }

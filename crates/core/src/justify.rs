@@ -38,8 +38,16 @@
 //! The packed block is the only evaluator of the search: every check of
 //! the committed values alone (do they violate a requirement, does a
 //! fully specified state satisfy them) reads the committed lane of a
-//! fixpoint pass. Only the witness's full-circuit waveforms come from a
-//! scalar simulation.
+//! fixpoint pass. The witness's full-circuit waveforms come from one
+//! [`pdf_sim::waveforms`] byte sweep.
+//!
+//! Each worker thread keeps one plane arena. A justifier takes it from a
+//! thread-local slot and gives it back when dropped, unless the thread is
+//! unwinding from a panic. The arena's stamps keep reuse exact (see
+//! [`PackedBlock`]), and every completion pass follows a fixpoint pass
+//! over the same cone, whose events are not counted, so a build's
+//! witnesses and counters do not depend on what the thread simulated
+//! before.
 //!
 //! The implementation restricts simulation to the fanin cone of the
 //! constrained lines — a pure optimization: inputs outside the cone cannot
@@ -47,6 +55,8 @@
 //! randomly specified. Each call builds its cone topology (lines in
 //! topological order and inputs) once: the requirement sets of one run
 //! almost never repeat, so nothing is memoized across calls.
+
+use std::cell::Cell;
 
 use pdf_faults::Assignments;
 use pdf_logic::{Triple, Value};
@@ -187,11 +197,13 @@ pub struct JustifyStats {
     pub cone_hits: usize,
     /// Inert: always 0 (see [`JustifyStats::cone_hits`]).
     pub cone_misses: usize,
-    /// Lines actually (re-)evaluated by packed completion passes — far
-    /// fewer than `order length × passes`, because event-driven
+    /// Gate lines actually (re-)evaluated by packed completion passes —
+    /// far fewer than `cone gates × passes`, because event-driven
     /// propagation lets frozen-pin regions settle once and stay settled.
+    /// Inputs and fanout branches are never counted (see
+    /// [`pdf_sim::KernelStats`]).
     pub events_propagated: u64,
-    /// Lines packed completion passes visited but skipped because no
+    /// Gate lines packed completion passes visited but skipped because no
     /// fanin rail changed since the previous pass.
     pub lines_skipped: u64,
     /// Guided-search decisions taken deterministically by an attached
@@ -259,9 +271,10 @@ pub struct Justifier<'c> {
     rng: SplitMix64,
     attempts: u32,
     stats: JustifyStats,
-    /// Reusable bit-plane arena for packed fixpoint and completion passes
-    /// — the justifier's only evaluator. Lane [`COMMITTED`] of every
-    /// fixpoint pass carries the committed values alone.
+    /// Bit-plane arena for packed fixpoint and completion passes — the
+    /// justifier's only evaluator, taken from the thread's [`ARENA`] slot
+    /// and given back on drop. Lane [`COMMITTED`] of every fixpoint pass
+    /// carries the committed values alone.
     packed: PackedBlock,
     /// Optional SCOAP branch guide for the guided decision search.
     guide: Option<std::sync::Arc<BranchGuide>>,
@@ -291,17 +304,40 @@ pub struct Justifier<'c> {
     guided_calls: usize,
 }
 
+thread_local! {
+    /// The plane arena a dropped justifier leaves for the thread's next
+    /// one, so a worker allocates and clears one arena per circuit, not
+    /// one per build.
+    static ARENA: Cell<Option<PackedBlock>> = const { Cell::new(None) };
+}
+
+impl Drop for Justifier<'_> {
+    fn drop(&mut self) {
+        // A panic may have stopped a pass half-way; such an arena is not
+        // kept.
+        if !std::thread::panicking() {
+            let arena = std::mem::take(&mut self.packed);
+            let _ = ARENA.try_with(|slot| slot.set(Some(arena)));
+        }
+    }
+}
+
 impl<'c> Justifier<'c> {
     /// Creates a justifier with the given RNG seed and
     /// [`DEFAULT_ATTEMPTS`] completion groups per call.
     #[must_use]
     pub fn new(circuit: &'c Circuit, seed: u64) -> Justifier<'c> {
+        let packed = ARENA
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default();
         Justifier {
             circuit,
             rng: SplitMix64::new(seed),
             attempts: DEFAULT_ATTEMPTS,
             stats: JustifyStats::default(),
-            packed: PackedBlock::new(),
+            packed,
             guide: None,
             completion: std::time::Duration::ZERO,
             fixpoint: std::time::Duration::ZERO,
@@ -830,10 +866,10 @@ impl<'c> Justifier<'c> {
         }
     }
 
-    /// Builds the final fully specified test and full-circuit waveforms.
-    /// `topo.pis` lists the cone inputs in input order, so one merge walk
-    /// pairs them with their slots; every other input draws a random
-    /// first, then second, value.
+    /// Builds the final fully specified test and its full-circuit
+    /// waveforms (one byte sweep). `topo.pis` lists the cone inputs in
+    /// input order, so one merge walk pairs them with their slots; every
+    /// other input draws a random first, then second, value.
     fn finish(&mut self, topo: &ConeTopo, state: &[(Value, Value)]) -> Justified {
         let inputs = self.circuit.inputs();
         let mut v1 = Vec::with_capacity(inputs.len());
@@ -852,7 +888,7 @@ impl<'c> Justifier<'c> {
         }
         let test = TwoPattern::new(v1, v2);
         let _span = pdf_telemetry::Span::enter("justify.finish");
-        let waves = pdf_netlist::simulate_triples(self.circuit, &test.to_triples());
+        let waves = pdf_sim::waveforms(self.circuit, &test);
         Justified { test, waves }
     }
 }
@@ -1612,6 +1648,25 @@ mod tests {
         let _ = j.justify(&a);
         assert_eq!(j.stats().calls, 2);
         assert!(j.stats().fixpoint_passes > 0);
+    }
+
+    #[test]
+    fn a_dropped_justifier_leaves_its_arena_to_the_thread() {
+        let c = s27();
+        let f = s27_fault(&[2, 9, 10, 15], Polarity::SlowToRise);
+        let a = robust_assignments(&c, &f).unwrap();
+        let kept = || ARENA.with(|slot| slot.replace(None)).is_some();
+        let mut j = Justifier::new(&c, 1);
+        assert!(j.justify(&a).is_some());
+        drop(j);
+        assert!(kept(), "a justifier gives its arena back on drop");
+        let unwound = std::panic::catch_unwind(|| {
+            let mut j = Justifier::new(&c, 1);
+            let _ = j.justify(&a);
+            panic!("unwinding with a live justifier");
+        });
+        assert!(unwound.is_err());
+        assert!(!kept(), "an arena is not kept while its thread unwinds");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use pdf_atpg::{
     AtpgConfig, AtpgOutcome, BasicAtpg, CancelToken, Checkpoint, CheckpointPolicy, Compaction,
-    Deadline, EnrichmentAtpg, RunBudget, TargetSplit,
+    Deadline, EnrichmentAtpg, Justifier, JustifyStats, RunBudget, TargetSplit,
 };
 use pdf_faults::{FaultEntry, FaultList};
 use pdf_netlist::{Circuit, LineId, SynthProfile};
@@ -478,6 +478,105 @@ fn injected_pool_panic_quarantines_the_same_fault_at_every_thread_count() {
         assert_outcomes_identical(&reference, &pooled, &label);
         assert_eq!(reference_counters, counters, "{label}: counter totals");
     }
+}
+
+/// The witnesses and counters of one justifier seeded `seed` over `reqs`.
+fn justify_all(c: &Circuit, faults: &FaultList, seed: u64) -> (Vec<Option<String>>, JustifyStats) {
+    let mut justifier = Justifier::new(c, seed);
+    let witnesses = faults
+        .iter()
+        .map(|e| {
+            justifier
+                .justify(&e.assignments)
+                .map(|r| r.test.to_string())
+        })
+        .collect();
+    (witnesses, justifier.stats())
+}
+
+/// [`justify_all`] on a new thread, whose justifier gets a new arena.
+fn justify_all_fresh(
+    c: &Circuit,
+    faults: &FaultList,
+    seed: u64,
+) -> (Vec<Option<String>>, JustifyStats) {
+    std::thread::scope(|s| s.spawn(|| justify_all(c, faults, seed)).join().unwrap())
+}
+
+/// Each thread keeps one justification arena: a justifier takes the one
+/// its thread's previous justifier left. Whatever that arena simulated
+/// before — another circuit, a circuit of the same size, a build that
+/// panicked — the witnesses and every counter must equal a new arena's.
+#[test]
+fn kept_arenas_give_the_same_witnesses_and_counters_as_new_ones() {
+    let _guard = serial();
+    let check = |c: &Circuit, faults: &FaultList, seed: u64, label: &str| {
+        let kept = justify_all(c, faults, seed);
+        assert!(
+            kept.0.iter().any(Option::is_some),
+            "{label}: nothing justified"
+        );
+        assert_eq!(kept, justify_all_fresh(c, faults, seed), "{label}");
+    };
+    // Two circuits, alternating on this thread.
+    let s27 = pdf_netlist::iscas::s27();
+    let b04 = pdf_netlist::circuit_by_name("b04").expect("known stand-in");
+    let (f27, f04) = (faults_of(&s27, 300), faults_of(&b04, 2000));
+    check(&s27, &f27, 7, "s27");
+    check(&b04, &f04, 7, "b04 after s27");
+    check(&s27, &f27, 11, "s27 after b04");
+    check(&s27, &f27, 7, "s27 again");
+
+    // Two circuits of one line count but different epochs, each with
+    // faults to justify.
+    let mut by_size: std::collections::HashMap<usize, (Circuit, FaultList)> =
+        std::collections::HashMap::new();
+    let ((a, fa), (b, fb)) = (1..4096)
+        .find_map(|seed| {
+            let c = SynthProfile::new("same-size", seed)
+                .with_inputs(5)
+                .with_gates(30)
+                .generate()
+                .to_circuit()
+                .unwrap();
+            let faults = faults_of(&c, 200);
+            if faults.len() < 10 {
+                return None;
+            }
+            match by_size.remove(&c.line_count()) {
+                Some(first) => Some((first, (c, faults))),
+                None => {
+                    by_size.insert(c.line_count(), (c, faults));
+                    None
+                }
+            }
+        })
+        .expect("two seeds yield an equal line count");
+    assert_ne!(a.epoch(), b.epoch());
+    check(&a, &fa, 3, "same-size a");
+    check(&b, &fb, 3, "same-size b after a");
+
+    // After a single-threaded run whose builds hit the `pool.build`
+    // failpoint on this thread, and after a justifier dropped while its
+    // thread unwound.
+    // The first fault (>= 1) whose justification runs is the one whose
+    // failpoint fires.
+    let fired = (1..f27.len()).any(|slot| {
+        let spec = pdf_chaos::FailpointSpec::parse(&format!("pool.build:panic@{slot}")).unwrap();
+        pdf_chaos::install(&spec);
+        let outcome = BasicAtpg::new(&s27).with_config(config(1)).run(&f27);
+        pdf_chaos::clear();
+        outcome.quarantined()[slot]
+    });
+    assert!(fired, "some fault must reach justification");
+    check(&s27, &f27, 5, "s27 after a panicked build");
+    let unwound = std::panic::catch_unwind(|| {
+        let mut justifier = Justifier::new(&s27, 9);
+        let _ = justifier.justify(&f27.entries()[0].assignments);
+        panic!("unwinding with a live justifier");
+    });
+    assert!(unwound.is_err());
+    check(&s27, &f27, 9, "s27 after an unwound justifier");
 }
 
 proptest! {

@@ -12,12 +12,15 @@
 //! parallelism, and test generation's worker pool is the only thread
 //! fan-out in the pipeline.
 //!
-//! There is one production path: the event-driven packed kernel on a
-//! [`Tile`]. The scalar engine ([`pdf_netlist::simulate_triples`]) is the
-//! differential-testing oracle; the packed kernel is bit-for-bit
-//! equivalent (the triple algebra is component-wise Kleene logic, which
-//! the two-rail encoding implements exactly) and this crate's property
-//! tests verify that equivalence on random circuits.
+//! There is one production path for test sets: the event-driven packed
+//! kernel on a [`Tile`]. A single test's full-circuit waveforms (a
+//! justified witness, `pdfatpg sim`) come from [`waveforms`], the same
+//! rail algebra on one byte per line. The scalar engine
+//! ([`pdf_netlist::simulate_triples`]) is only the differential-testing
+//! oracle: both evaluators are bit-for-bit equivalent to it (the triple
+//! algebra is component-wise Kleene logic, which the two-rail encoding
+//! implements exactly) and this crate's property tests verify that
+//! equivalence on random circuits.
 //!
 //! # Example
 //!
@@ -44,9 +47,11 @@
 #![warn(missing_docs)]
 
 mod packed;
+mod sweep;
 mod word;
 
 pub use packed::{KernelStats, PackedBlock, LANES};
+pub use sweep::waveforms;
 pub use word::{SimWidth, SimWord, Tile};
 
 use pdf_faults::{Assignments, FaultEntry};

@@ -49,7 +49,22 @@
 //! [`Circuit::fanin`] index the circuit's dense kind array and fanin CSR,
 //! so per line it touches one 8-byte kind, one row offset pair and the
 //! flat fanin ids, never a per-line heap structure. The arena holds only
-//! planes and stamps; it keeps no copy of the circuit.
+//! planes, stamps and the stem-of table below; it keeps no copy of the
+//! circuit's kinds or fanins.
+//!
+//! # Fanout branches
+//!
+//! A fanout branch carries its stem's waveform unchanged, so the kernel
+//! never evaluates or stores one. [`PackedBlock`] keeps a per-epoch
+//! stem-of table (a branch maps to its stem, every other line to itself);
+//! gate fanins, the event check, [`PackedBlock::triple`],
+//! [`PackedBlock::satisfied_lanes`] and [`PackedBlock::violated_lanes`]
+//! all read a line's planes through it, and propagation skips branch
+//! lines outright. A branch-heavy netlist (s5378* has 1 736 branches of
+//! its 2 857 lines) pays neither a 192-byte plane copy nor a plane compare
+//! per branch per pass.
+//!
+//! # Arena reuse
 //!
 //! The plane arena is reused across [`PackedBlock::load`] calls: in
 //! steady state a load writes only the input planes (a branchless
@@ -58,6 +73,14 @@
 //! loaded lanes, and every rail operation maps all-zero fanin lanes to
 //! all-zero output lanes, so partial-lane blocks are masked once at load
 //! time by construction rather than per query.
+//!
+//! An arena can move between owners that simulate the same circuit: the
+//! stamps keep a gate's planes equal to its fanins' evaluation whenever
+//! the gate is skipped, whoever ran the earlier passes. After a pass over
+//! a fanin-closed order, every gate in it is up to date, so the next pass
+//! over the same order evaluates exactly the gates with a fanin whose
+//! planes it changed — its event counts do not depend on the arena's
+//! history either.
 
 use pdf_faults::Assignments;
 use pdf_logic::{GateKind, Triple, Value};
@@ -115,22 +138,22 @@ fn not6<W: SimWord>(a: Planes<W>) -> Planes<W> {
     [a[1], a[0], a[3], a[2], a[5], a[4]]
 }
 
-/// Evaluates one gate over the plane arena: the fanin planes are folded
-/// with the gate's rail algebra, two-input gates (the overwhelmingly
-/// common case) on a branch-free straight-line path.
+/// Evaluates one gate over the plane arena: the fanin planes, each read
+/// through the stem-of table, are folded with the gate's rail algebra.
 #[inline]
-fn eval_gate<W: SimWord>(planes: &[Planes<W>], kind: GateKind, fanin: &[LineId]) -> Planes<W> {
-    let first = planes[fanin[0].index()];
+fn eval_gate<W: SimWord>(
+    planes: &[Planes<W>],
+    stem: &[LineId],
+    kind: GateKind,
+    fanin: &[LineId],
+) -> Planes<W> {
+    let read = |f: &LineId| planes[stem[f.index()].index()];
+    let first = read(&fanin[0]);
+    let rest = fanin[1..].iter().map(read);
     let folded = match kind {
-        GateKind::And | GateKind::Nand => fanin[1..]
-            .iter()
-            .fold(first, |acc, f| and6(acc, planes[f.index()])),
-        GateKind::Or | GateKind::Nor => fanin[1..]
-            .iter()
-            .fold(first, |acc, f| or6(acc, planes[f.index()])),
-        GateKind::Xor | GateKind::Xnor => fanin[1..]
-            .iter()
-            .fold(first, |acc, f| xor6(acc, planes[f.index()])),
+        GateKind::And | GateKind::Nand => rest.fold(first, and6),
+        GateKind::Or | GateKind::Nor => rest.fold(first, or6),
+        GateKind::Xor | GateKind::Xnor => rest.fold(first, xor6),
         GateKind::Not | GateKind::Buf => first,
     };
     if kind.inverts() {
@@ -140,12 +163,14 @@ fn eval_gate<W: SimWord>(planes: &[Planes<W>], kind: GateKind, fanin: &[LineId])
     }
 }
 
-/// Event counters drained by [`PackedBlock::take_kernel_stats`].
+/// Event counters drained by [`PackedBlock::take_kernel_stats`]. Both
+/// count gate lines only: inputs are written, not evaluated, and fanout
+/// branches are read through their stems.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Lines actually (re-)evaluated by propagation passes.
+    /// Gate lines actually (re-)evaluated by propagation passes.
     pub events_propagated: u64,
-    /// Lines a pass visited but skipped because no fanin had changed.
+    /// Gate lines a pass visited but skipped because no fanin had changed.
     pub lines_skipped: u64,
 }
 
@@ -176,7 +201,11 @@ pub struct KernelStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedBlock<W: SimWord = Tile> {
+    /// Planes per line; a branch's entry is never read or written.
     planes: Vec<Planes<W>>,
+    /// The line whose planes each line reads: a branch's stem, else the
+    /// line itself. Rebuilt when the arena binds a new epoch.
+    stem: Vec<LineId>,
     /// Stamp of the pass that last changed each line's planes.
     changed: Vec<u64>,
     /// Stamp of the pass that last evaluated each line.
@@ -195,6 +224,7 @@ impl<W: SimWord> Default for PackedBlock<W> {
     fn default() -> PackedBlock<W> {
         PackedBlock {
             planes: Vec::new(),
+            stem: Vec::new(),
             changed: Vec::new(),
             checked: Vec::new(),
             pass: 0,
@@ -247,23 +277,39 @@ impl<W: SimWord> PackedBlock<W> {
         stats
     }
 
-    /// Binds the arena to `circuit`, resetting planes and stamps only when
-    /// the circuit actually differs from the one the arena last simulated
-    /// (by [`Circuit::epoch`], so reuse across distinct same-sized
-    /// circuits is detected). In steady state this is a two-field compare
-    /// and no memory traffic.
+    /// Binds the arena to `circuit`, resetting planes and stamps and
+    /// rebuilding the stem-of table only when the circuit actually differs
+    /// from the one the arena last simulated (by [`Circuit::epoch`], so
+    /// reuse across distinct same-sized circuits is detected). In steady
+    /// state this is a two-field compare and no memory traffic.
     fn bind(&mut self, circuit: &Circuit) {
         if self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count() {
             return;
         }
+        let n = circuit.line_count();
         self.planes.clear();
-        self.planes.resize(circuit.line_count(), [W::ZERO; 6]);
+        self.planes.resize(n, [W::ZERO; 6]);
         self.changed.clear();
-        self.changed.resize(circuit.line_count(), 0);
+        self.changed.resize(n, 0);
         self.checked.clear();
-        self.checked.resize(circuit.line_count(), 0);
+        self.checked.resize(n, 0);
+        self.stem.clear();
+        self.stem.extend((0..n).map(LineId::new));
+        // Topological order resolves a branch of a branch to the root
+        // stem too.
+        for &id in circuit.topo_order() {
+            if let LineKind::Branch { stem } = circuit.kind(id) {
+                self.stem[id.index()] = self.stem[stem.index()];
+            }
+        }
         self.pass = 0;
         self.epoch = circuit.epoch();
+    }
+
+    /// The planes `line` reads: its own, or its stem's for a branch.
+    #[inline]
+    fn planes_of(&self, line: LineId) -> &Planes<W> {
+        &self.planes[self.stem[line.index()].index()]
     }
 
     /// Overwrites one line's planes, stamping it changed for the upcoming
@@ -408,12 +454,13 @@ impl<W: SimWord> PackedBlock<W> {
     /// Evaluates gates along `order` — any topologically sorted,
     /// fanin-closed slice of the circuit, typically a fanin cone — leaving
     /// lines outside `order` untouched (`x` after a fresh
-    /// [`PackedBlock::begin_block`]). Input lines in `order` are skipped:
-    /// their planes come from [`PackedBlock::set_input_rails`].
+    /// [`PackedBlock::begin_block`]). Input lines in `order` are not
+    /// evaluated: their planes come from [`PackedBlock::set_input_rails`].
+    /// Branch lines are skipped: readers resolve them to their stems.
     ///
-    /// A line is re-evaluated only when some fanin's
-    /// planes changed after the line was last checked; untouched regions
-    /// of the cone cost one stamp compare per line.
+    /// A gate is re-evaluated only when some fanin's
+    /// planes changed after the gate was last checked; untouched regions
+    /// of the cone cost one stamp compare per gate.
     pub fn propagate_over(&mut self, circuit: &Circuit, order: &[LineId]) {
         debug_assert!(
             self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count(),
@@ -423,6 +470,7 @@ impl<W: SimWord> PackedBlock<W> {
         // arenas.
         let PackedBlock {
             planes,
+            stem,
             changed,
             checked,
             pass,
@@ -435,21 +483,20 @@ impl<W: SimWord> PackedBlock<W> {
         for &id in order {
             let idx = id.index();
             let kind = match circuit.kind(id) {
-                LineKind::Input => continue,
-                LineKind::Branch { .. } => None,
-                LineKind::Gate(kind) => Some(*kind),
+                LineKind::Gate(kind) => *kind,
+                LineKind::Input | LineKind::Branch { .. } => continue,
             };
             let fanin = circuit.fanin(id);
             let line_checked = checked[idx];
-            if !fanin.iter().any(|f| changed[f.index()] > line_checked) {
+            if !fanin
+                .iter()
+                .any(|f| changed[stem[f.index()].index()] > line_checked)
+            {
                 *skipped += 1;
                 continue;
             }
             *events += 1;
-            let out = match kind {
-                None => planes[fanin[0].index()],
-                Some(kind) => eval_gate(planes, kind, fanin),
-            };
+            let out = eval_gate(planes, stem, kind, fanin);
             checked[idx] = pass;
             if planes[idx] != out {
                 planes[idx] = out;
@@ -475,7 +522,7 @@ impl<W: SimWord> PackedBlock<W> {
             "lane {lane} not loaded ({} tests in block)",
             self.count
         );
-        let p = &self.planes[line.index()];
+        let p = self.planes_of(line);
         let comp = |c: usize| {
             if p[2 * c].lane(lane) {
                 Value::Zero
@@ -498,7 +545,7 @@ impl<W: SimWord> PackedBlock<W> {
     pub fn satisfied_lanes(&self, req: &Assignments) -> W {
         let mut lanes = self.loaded;
         for (line, tri) in req.iter() {
-            let p = &self.planes[line.index()];
+            let p = self.planes_of(line);
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
                     Value::Zero => lanes = lanes.and(p[2 * c]),
@@ -521,7 +568,7 @@ impl<W: SimWord> PackedBlock<W> {
     pub fn violated_lanes(&self, req: &Assignments) -> W {
         let mut lanes = W::ZERO;
         for (line, tri) in req.iter() {
-            let p = &self.planes[line.index()];
+            let p = self.planes_of(line);
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
                     Value::Zero => lanes = lanes.or(p[2 * c + 1]),

@@ -1,14 +1,15 @@
-//! Differential oracle: the packed bit-plane kernel must be bit-for-bit
-//! equivalent to the scalar triple simulator on random circuits — same
-//! waveforms, same satisfied requirements, same coverage flags — on the
-//! production [`Tile`] (and on a one-word tile, which crosses many more
-//! block boundaries per test batch).
+//! Differential oracle: the packed bit-plane kernel and the one-byte
+//! waveform sweep must be bit-for-bit equivalent to the scalar triple
+//! simulator on random circuits — same waveforms, same satisfied and
+//! violated requirements, same coverage flags — on the production
+//! [`Tile`] (and on a one-word tile, which crosses many more block
+//! boundaries per test batch).
 
 use proptest::prelude::*;
 
-use pdf_faults::FaultList;
-use pdf_logic::Value;
-use pdf_netlist::{simulate_triples, Circuit, SynthProfile, TwoPattern};
+use pdf_faults::{Assignments, FaultList};
+use pdf_logic::{GateKind, Triple, Value};
+use pdf_netlist::{simulate_triples, Circuit, LineKind, NetlistBuilder, SynthProfile, TwoPattern};
 use pdf_paths::PathEnumerator;
 use pdf_sim::{PackedBlock, SimWord, Tile};
 
@@ -28,6 +29,65 @@ fn arb_circuit() -> impl Strategy<Value = Circuit> {
                 .expect("generated netlists are valid")
         },
     )
+}
+
+const KINDS: [GateKind; 8] = [
+    GateKind::And,
+    GateKind::Nand,
+    GateKind::Or,
+    GateKind::Nor,
+    GateKind::Xor,
+    GateKind::Xnor,
+    GateKind::Not,
+    GateKind::Buf,
+];
+
+/// A random netlist with gates of every kind, parity gates kept: each gate
+/// reads one to three earlier signals (inputs included, so inputs fan out
+/// through branches), and every signal nothing reads is an output.
+fn arb_every_kind_circuit() -> impl Strategy<Value = Circuit> {
+    let gate = (
+        0usize..KINDS.len(),
+        proptest::collection::vec(any::<u32>(), 3),
+    );
+    (2usize..6, proptest::collection::vec(gate, 4..40)).prop_map(|(inputs, gates)| {
+        let mut b = NetlistBuilder::new("kinds");
+        let mut names: Vec<String> = (0..inputs).map(|i| format!("i{i}")).collect();
+        let mut read = vec![false; names.len()];
+        for name in &names {
+            b.input(name);
+        }
+        for (k, (kind, picks)) in gates.into_iter().enumerate() {
+            let kind = KINDS[kind];
+            let arity = if kind.is_single_input() {
+                1
+            } else {
+                2 + picks[0] as usize % 2
+            };
+            let mut fanin: Vec<usize> = picks
+                .iter()
+                .take(arity)
+                .map(|&p| p as usize % names.len())
+                .collect();
+            fanin.sort_unstable();
+            fanin.dedup();
+            for &f in &fanin {
+                read[f] = true;
+            }
+            let fanin: Vec<&str> = fanin.iter().map(|&f| names[f].as_str()).collect();
+            let name = format!("g{k}");
+            b.gate(kind, &name, &fanin);
+            names.push(name);
+            read.push(false);
+        }
+        for (name, _) in names.iter().zip(&read).filter(|(_, &r)| !r) {
+            b.output(name);
+        }
+        b.finish()
+            .expect("every signal is driven")
+            .to_circuit_with(true)
+            .expect("random netlists are valid")
+    })
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -145,6 +205,79 @@ proptest! {
                     entry.assignments.satisfied_by(&waves),
                     "lane {}", lane
                 );
+            }
+        }
+    }
+}
+
+/// Random requirement sets over `c`'s lines — fanout branches, of primary
+/// inputs too, among them — with every component specified or not.
+fn requirements(c: &Circuit, seed: u64) -> Vec<Assignments> {
+    let mut rng = pdf_netlist::SplitMix64::new(seed);
+    let mut branches: Vec<_> = c
+        .iter()
+        .map(|(id, _)| id)
+        .filter(|&id| matches!(c.kind(id), LineKind::Branch { .. }))
+        .collect();
+    // Branches of primary inputs first (a branch's one fanin is its
+    // stem), so the first sets meet them.
+    branches.sort_by_key(|&id| !matches!(c.kind(c.fanin(id)[0]), LineKind::Input));
+    (0..32)
+        .map(|k| {
+            let mut req = Assignments::new();
+            let mut lines = vec![pdf_netlist::LineId::new(rng.next_below(c.line_count()))];
+            if !branches.is_empty() {
+                lines.push(branches[k % branches.len()]);
+            }
+            for line in lines {
+                let v = |r: &mut pdf_netlist::SplitMix64| Value::ALL[r.next_below(3)];
+                let t = Triple::new(v(&mut rng), v(&mut rng), v(&mut rng));
+                let _ = req.require(line, t);
+            }
+            req
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn byte_sweep_equals_scalar_waveforms(
+        (c, tests) in prop_oneof![arb_circuit(), arb_every_kind_circuit()].prop_flat_map(|c| {
+            let n = c.inputs().len();
+            (Just(c), arb_tests(n))
+        })
+    ) {
+        for t in &tests {
+            prop_assert_eq!(
+                pdf_sim::waveforms(&c, t),
+                simulate_triples(&c, &t.to_triples()),
+                "test {}", t
+            );
+        }
+    }
+
+    #[test]
+    fn branch_lines_read_their_stems(
+        (c, tests, seed) in arb_every_kind_circuit().prop_flat_map(|c| {
+            let n = c.inputs().len();
+            (Just(c), arb_tests(n), any::<u64>())
+        })
+    ) {
+        prop_assume!(c.branch_count() > 0);
+        check_waveforms::<Tile>(&c, &tests)?;
+        let chunk = &tests[..tests.len().min(Tile::LANES)];
+        let mut block: PackedBlock = PackedBlock::new();
+        block.load(&c, chunk);
+        let waves: Vec<Vec<Triple>> =
+            chunk.iter().map(|t| simulate_triples(&c, &t.to_triples())).collect();
+        for req in requirements(&c, seed) {
+            let satisfied = block.satisfied_lanes(&req);
+            let violated = block.violated_lanes(&req);
+            for (lane, w) in waves.iter().enumerate() {
+                prop_assert_eq!(satisfied.lane(lane), req.satisfied_by(w), "{} lane {}", req, lane);
+                prop_assert_eq!(violated.lane(lane), req.violated_by(w), "{} lane {}", req, lane);
             }
         }
     }

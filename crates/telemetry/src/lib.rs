@@ -119,10 +119,11 @@ pub mod counters {
     pub const RULE2_PREFIX_REFUTED: &str = "rule2_prefix_refuted";
     /// Error-severity diagnostics reported by the structural linter.
     pub const LINT_ERRORS: &str = "lint_errors";
-    /// Lines actually (re-)evaluated by event-driven propagation passes.
+    /// Gate lines actually (re-)evaluated by event-driven propagation
+    /// passes (inputs and fanout branches are never evaluated).
     pub const EVENTS_PROPAGATED: &str = "events_propagated";
-    /// Lines visited but skipped by event-driven propagation because no
-    /// fanin had changed.
+    /// Gate lines visited but skipped by event-driven propagation because
+    /// no fanin had changed.
     pub const LINES_SKIPPED: &str = "lines_skipped";
     /// Generation rounds the session selected and ran, inline or on the
     /// in-order worker pool.
