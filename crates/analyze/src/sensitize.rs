@@ -26,8 +26,8 @@
 //! masking) and the `pdfatpg analyze` report.
 
 use pdf_faults::{
-    assignments as fault_assignments, rule1_survivors, walk_subtrees, Assignments, FaultKey,
-    Implicator, LearnedImplications, PathDelayFault, Polarity, Sensitization,
+    assignments as fault_assignments, trie_order, walk_subtrees, Assignments, FaultKey, Implicator,
+    LearnedImplications, PathDelayFault, Polarity, Sensitization,
 };
 use pdf_logic::{Triple, Value};
 use pdf_netlist::{Circuit, LineId, LineKind};
@@ -87,10 +87,10 @@ pub fn classify_store(
 /// module docs. `learned` sharpens the implication closure exactly as in
 /// fault-list elimination.
 ///
-/// Runs on elimination's two pooled passes: [`rule1_survivors`], then
-/// [`walk_subtrees`] with the robust check and the depth-1 split as the
-/// visitor, on up to `threads` workers. The verdicts are the same at
-/// every thread count.
+/// Runs on elimination's pooled trie walk ([`walk_subtrees`] over
+/// [`trie_order`]), which decides rules 1 and 2, with the robust check
+/// and the depth-1 split as the visitor, on up to `threads` workers. The
+/// verdicts are the same at every thread count.
 ///
 /// # Panics
 ///
@@ -104,10 +104,7 @@ pub fn classify_threaded(
     threads: usize,
 ) -> SensitizeAnalysis {
     let _phase = pdf_telemetry::Span::enter("sensitize");
-    // `verdicts[key.slot()]`: a fault rule 1 eliminates never reaches the
-    // walk, and stays false.
-    let mut verdicts = vec![FaultVerdict::False; 2 * store.len()];
-    let (keys, _) = rule1_survivors(circuit, store, kind, threads);
+    let keys = trie_order(store);
     let (walked, _) = walk_subtrees(
         circuit,
         store,
@@ -122,8 +119,10 @@ pub fn classify_threaded(
             })
         },
     );
+    let mut verdicts = vec![FaultVerdict::False; 2 * store.len()];
     for (key, verdict) in keys.iter().zip(walked) {
-        verdicts[key.slot()] = verdict;
+        // No verdict: rule 1 conflicts.
+        verdicts[key.slot()] = verdict.unwrap_or(FaultVerdict::False);
     }
     let fault_false: Vec<bool> = verdicts.iter().map(|v| v.is_false()).collect();
     let path_class: Vec<PathClass> = verdicts.chunks_exact(2).map(combine).collect();

@@ -11,7 +11,7 @@
 //! Event-driven propagation re-evaluates only the gates whose input rails
 //! actually changed between completion passes; the `events` block reports
 //! how small that slice of the circuit is (gate evaluations per pass, and
-//! their share of all the circuit's lines). The `fixpoint` block gives the
+//! their share of the circuit's gates, `lines_fraction`). The `fixpoint` block gives the
 //! necessary-value fixpoint's packed trial passes and its median seconds;
 //! its propagation events are not part of the `events` block.
 //!
@@ -62,17 +62,18 @@ fn main() {
     // (necessary-value fixpoint, guided fallback) would only dilute it.
     let rate = stats.completion_attempts as f64 / completion.median;
     // Event economy: gates actually evaluated per completion pass, as an
-    // absolute count and as a fraction of the circuit's lines. Narrow-cone
-    // calls with most pins frozen should keep the fraction well under
-    // one even though passes repeat over the same cone.
+    // absolute count and as a fraction of the circuit's gates (branches
+    // and inputs are never evaluated). Narrow-cone calls with most pins
+    // frozen should keep the fraction well under one even though passes
+    // repeat over the same cone.
     let blocks = stats.packed_blocks.max(1) as f64;
     let events_per_block = stats.events_propagated as f64 / blocks;
-    let lines_fraction = events_per_block / s.circuit.line_count() as f64;
+    let lines_fraction = events_per_block / s.circuit.gate_count() as f64;
     let width = SimWidth::auto().lanes();
     let summary = format!(
         "justify_throughput {circuit_name}: {n_calls} calls, {found} justified; \
-         {rate:.3e} attempts/s @ width {width}, {events_per_block:.0} lines/block \
-         ({:.1}% of circuit), end-to-end {:.2}s (completion {:.3}s, fixpoint {:.3}s \
+         {rate:.3e} attempts/s @ width {width}, {events_per_block:.0} gates/block \
+         ({:.1}% of the gates), end-to-end {:.2}s (completion {:.3}s, fixpoint {:.3}s \
          over {} passes)\n",
         lines_fraction * 100.0,
         total.median,
@@ -84,6 +85,7 @@ fn main() {
     let report = Json::object()
         .field("circuit", circuit_name.as_str())
         .field("lines", s.circuit.line_count())
+        .field("gates", s.circuit.gate_count())
         .field("calls", n_calls)
         .field("justified", found)
         .field(

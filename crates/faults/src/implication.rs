@@ -66,7 +66,7 @@ const ONE: u8 = 0b0111_0000;
 const OUTER: u8 = 0b0101_0101;
 
 /// Encodes a triple as its two-rail byte.
-fn encode(t: Triple) -> u8 {
+pub(crate) fn encode(t: Triple) -> u8 {
     t.components()
         .into_iter()
         .enumerate()
@@ -92,7 +92,7 @@ fn decode(rails: u8) -> Triple {
 }
 
 /// Some component is proven both `0` and `1`.
-fn conflicts(rails: u8) -> bool {
+pub(crate) fn conflicts(rails: u8) -> bool {
     rails & (rails >> 4) != 0
 }
 

@@ -15,9 +15,10 @@
 //!   waveforms (a trail with `mark`/`undo_to`), used to eliminate
 //!   undetectable faults (Sec. 3.1, rules 1 and 2), to screen secondary
 //!   targets and by the optional exact justification engine;
-//! * [`rule1_survivors`] and [`walk_subtrees`] — rule 1, then rule 2 over
-//!   the path-prefix trie (faults whose paths share a prefix share its
-//!   implications), each as one in-order round on the pool;
+//! * [`trie_order`] and [`walk_subtrees`] — rules 1 and 2 in one walk
+//!   over the path-prefix trie (faults whose paths share a prefix share
+//!   its requirements and implications), as one in-order round on the
+//!   pool;
 //! * [`FaultList`] — the target population `P` built from an enumerated
 //!   path store with undetectable faults removed.
 //!
@@ -62,8 +63,8 @@ pub use conditions::{assignments, robust_assignments, ConditionError, Sensitizat
 pub use fault::{PathDelayFault, Polarity};
 pub use implication::{ImplicationConflict, Implicator};
 pub use learned::{LearnedImplications, Literal};
-pub use list::{rule1_survivors, walk_subtrees, FaultEntry, FaultList, FaultListStats};
-pub use prefix::FaultKey;
+pub use list::{walk_subtrees, FaultEntry, FaultList, FaultListStats};
+pub use prefix::{trie_order, FaultKey};
 
 /// The most common imports, re-exported flat.
 pub mod prelude {

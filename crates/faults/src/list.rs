@@ -7,10 +7,10 @@ use pdf_netlist::Circuit;
 use pdf_paths::PathStore;
 use pdf_pool::Control;
 
-use crate::prefix::{sort_keys, subtree_ranges, walk_sorted, FaultKey};
+use crate::prefix::{subtree_ranges, trie_order, walk_sorted, FaultKey};
 use crate::{
-    assignments as compute_assignments, Assignments, ConditionError, Implicator,
-    LearnedImplications, PathDelayFault, Polarity, Sensitization,
+    assignments as compute_assignments, Assignments, Implicator, LearnedImplications,
+    PathDelayFault, Polarity, Sensitization,
 };
 
 /// One fault with its precomputed necessary assignments.
@@ -132,14 +132,14 @@ impl FaultList {
     /// provably undetectable; the soundness audit in `pdf-analyze`
     /// re-proves each by exact search.
     ///
-    /// Spans under `eliminate`: `eliminate.rule1` ([`rule1_survivors`],
-    /// or the filter); `eliminate.rule2`, the trie walk of
-    /// [`walk_subtrees`] (none with a filter); `eliminate.learned`, the
-    /// learned re-check of the rule-2 survivors (empty without a table);
-    /// `eliminate.emit`, emission in store order, computing `A(p)` only
-    /// for kept faults. Faults refuted by a
-    /// prefix conflict are counted on the `rule2_prefix_refuted`
-    /// telemetry counter.
+    /// Spans under `eliminate`: `eliminate.rule1`, sorting every fault
+    /// into trie order ([`trie_order`]), or evaluating the filter;
+    /// `eliminate.rule2`, the one trie walk of [`walk_subtrees`] that
+    /// decides rules 1 and 2 (none with a filter); `eliminate.learned`,
+    /// the learned re-check of the rule-2 survivors (empty without a
+    /// table); `eliminate.emit`, emission in store order, computing
+    /// `A(p)` only for kept faults. Faults refuted by a prefix conflict
+    /// are counted on the `rule2_prefix_refuted` telemetry counter.
     ///
     /// # Panics
     ///
@@ -157,10 +157,10 @@ impl FaultList {
     }
 
     /// [`FaultList::build_with_filter`] with each pass run as one
-    /// in-order round of jobs on up to `threads` workers: store ranges
-    /// for rule 1 and emission, whole top-level subtrees of the prefix
-    /// trie for rule 2 and the learned re-check, each subtree job on its
-    /// own engine. Results are merged in job order, so the list, its
+    /// in-order round of jobs on up to `threads` workers: whole top-level
+    /// subtrees of the prefix trie for the rules and the learned
+    /// re-check, each subtree job on its own engine, and store ranges
+    /// for emission. Results are merged in job order, so the list, its
     /// counters and the telemetry are identical at every thread count.
     /// A pass starts no more workers than it has jobs (at most 64, of
     /// at least 64 paths or faults each); at `threads <= 1` it is one
@@ -186,8 +186,8 @@ impl FaultList {
         };
         // `alive[key.slot()]`: the fault has survived every rule so far.
         let mut alive = vec![false; 2 * store.len()];
-        // The rule-1 survivors in trie order, when the rules run.
-        let mut survivors = {
+        // Every key in trie order, when the rules run.
+        let mut keys = {
             let _span = pdf_telemetry::Span::enter("eliminate.rule1");
             if let Some(drop) = filter {
                 for key in keys_of(0..store.len()) {
@@ -196,42 +196,45 @@ impl FaultList {
                 stats.sensitize_eliminated = alive.iter().filter(|&&a| !a).count();
                 None
             } else {
-                let (keys, conflicts) = rule1_survivors(circuit, store, kind, threads);
-                stats.rule1_conflicts = conflicts;
-                keys.iter().for_each(|key| alive[key.slot()] = true);
-                Some(keys)
+                Some(trie_order(store))
             }
         };
         let mut prefix_refuted = 0;
-        // Rule 2, or with a table the learned re-check: clears `alive`
-        // for each refuted key and returns how many it refuted.
-        let mut refute = |table, keys: &[FaultKey], alive: &mut [bool]| {
-            let (conflicts, by_prefix) =
+        // The walk's verdict per key: `None` for rule 1, `Some(false)`
+        // when the implications conflict, `Some(true)` for a survivor.
+        let mut walk = |table, keys: &[FaultKey]| {
+            let (verdicts, by_prefix) =
                 walk_subtrees(circuit, store, kind, table, keys, threads, |_, c| {
-                    c.is_none()
+                    c.is_some()
                 });
             prefix_refuted += by_prefix;
-            let mut refuted = 0;
-            for (key, _) in keys.iter().zip(conflicts).filter(|&(_, c)| c) {
-                alive[key.slot()] = false;
-                refuted += 1;
-            }
-            refuted
+            verdicts
         };
-        if let Some(keys) = &survivors {
+        if let Some(keys) = &keys {
             let _span = pdf_telemetry::Span::enter("eliminate.rule2");
-            stats.rule2_conflicts = refute(None, keys, &mut alive);
+            for (key, verdict) in keys.iter().zip(walk(None, keys)) {
+                match verdict {
+                    None => stats.rule1_conflicts += 1,
+                    Some(false) => stats.rule2_conflicts += 1,
+                    Some(true) => alive[key.slot()] = true,
+                }
+            }
         }
         {
             let _span = pdf_telemetry::Span::enter("eliminate.learned");
-            if let (Some(keys), Some(table)) = (&mut survivors, learned) {
+            if let (Some(keys), Some(table)) = (&mut keys, learned) {
                 // Second chance with the learned closure table attached,
                 // on the rule-2 survivors only (still in trie order).
                 keys.retain(|key| alive[key.slot()]);
-                stats.statically_eliminated = refute(Some(table), keys, &mut alive);
+                for (key, verdict) in keys.iter().zip(walk(Some(table), keys)) {
+                    if verdict != Some(true) {
+                        alive[key.slot()] = false;
+                        stats.statically_eliminated += 1;
+                    }
+                }
             }
         }
-        drop(survivors);
+        drop(keys);
         let _span = pdf_telemetry::Span::enter("eliminate.emit");
         let kept = alive.iter().filter(|&&a| a).count();
         let mut entries = Vec::new();
@@ -319,59 +322,24 @@ impl FromIterator<FaultEntry> for FaultList {
     }
 }
 
-/// Rule 1 over every fault of `store`, as one in-order round of store
-/// ranges on up to `threads` workers: the keys of the faults whose `A(p)`
-/// is not self-contradictory, in prefix-trie order for [`walk_subtrees`],
-/// and how many faults it eliminated. The same at every thread count.
-///
-/// # Panics
-///
-/// See [`FaultList::build`].
-#[must_use]
-pub fn rule1_survivors(
-    circuit: &Circuit,
-    store: &PathStore,
-    kind: Sensitization,
-    threads: usize,
-) -> (Vec<FaultKey>, usize) {
-    let (mut keys, mut conflicts) = (Vec::new(), 0);
-    in_order(
-        threads,
-        store_ranges(store.len(), jobs_for(threads, store.len())),
-        |range| {
-            let mut survivors = Vec::new();
-            let mut conflicts = 0;
-            for key in keys_of(range) {
-                let fault = fault_of(store, key);
-                match compute_assignments(circuit, &fault, kind) {
-                    Ok(_) => survivors.push(key),
-                    Err(ConditionError::Conflict { .. }) => conflicts += 1,
-                    Err(e) => panic!("fault {fault}: {e}"),
-                }
-            }
-            (survivors, conflicts)
-        },
-        |(survivors, n)| {
-            conflicts += n;
-            merge_part(&mut keys, survivors, 0);
-        },
-    );
-    sort_keys(store, &mut keys);
-    (keys, conflicts)
-}
-
-/// Rule 2 over the path-prefix trie for `keys`, which must be rule-1
-/// survivors in trie order ([`rule1_survivors`]): `visit(key, closure)`
-/// runs once per key, with `None` when the implications of `A(p)`
-/// conflict and otherwise the engine at the closure of `A(p)`, which a
-/// visitor that changes it must [`undo_to`](Implicator::undo_to) its own
-/// mark. Returns the visitor's results in key order, and the number of
-/// keys refuted by a prefix conflict found while walking an earlier key.
+/// Rules 1 and 2 over the path-prefix trie for `keys`, which must be in
+/// trie order ([`trie_order`], or a subsequence of it). Returns one
+/// result per key, in key order: `None` when `A(p)` conflicts directly
+/// (rule 1), else `visit(key, closure)`, with `closure` `None` when the
+/// implications of `A(p)` conflict and otherwise the engine at the
+/// closure of `A(p)`, which a visitor that changes it must
+/// [`undo_to`](Implicator::undo_to) its own mark. Also returns the
+/// number of keys refuted by a prefix conflict found while walking an
+/// earlier key.
 ///
 /// One in-order round on up to `threads` workers, each job a run of
 /// whole top-level subtrees on a fresh [`Implicator`] with `learned`
 /// attached. Jobs split only where a single walk rewinds to its entry
-/// mark anyway, so no result depends on `threads`.
+/// state anyway, so no result depends on `threads`.
+///
+/// # Panics
+///
+/// See [`FaultList::build`].
 #[must_use]
 pub fn walk_subtrees<'c, R: Send>(
     circuit: &'c Circuit,
@@ -381,7 +349,7 @@ pub fn walk_subtrees<'c, R: Send>(
     keys: &[FaultKey],
     threads: usize,
     visit: impl Fn(FaultKey, Option<&mut Implicator<'c>>) -> R + Sync,
-) -> (Vec<R>, usize) {
+) -> (Vec<Option<R>>, usize) {
     let (mut results, mut prefix_refuted) = (Vec::new(), 0);
     in_order(
         threads,
@@ -398,9 +366,8 @@ pub fn walk_subtrees<'c, R: Send>(
                 store,
                 kind,
                 &keys[range],
-                |key, closure| {
-                    part.push(visit(key, closure));
-                },
+                &visit,
+                &mut part,
             );
             (part, n)
         },
@@ -560,8 +527,7 @@ mod tests {
                 assert!(ranges.into_iter().flatten().eq(0..len), "{len} {jobs}");
             }
         }
-        let mut keys: Vec<FaultKey> = keys_of(0..store.len()).collect();
-        sort_keys(&store, &mut keys);
+        let keys = trie_order(&store);
         let root = |key: &FaultKey| (key.polarity, store.entries()[key.index].path.lines()[0]);
         for jobs in [1, 4, JOBS, 100_000] {
             let ranges = subtree_ranges(&store, &keys, jobs);

@@ -21,12 +21,12 @@ use std::sync::{Mutex, PoisonError};
 
 use pdf_analyze::{classify_store, learn_implications};
 use pdf_faults::{
-    assignments, Assignments, ConditionError, FaultEntry, FaultList, FaultListStats, Implicator,
-    LearnedImplications, Literal, PathDelayFault, Polarity, Sensitization,
+    assignments, Assignments, ConditionError, FaultEntry, FaultKey, FaultList, FaultListStats,
+    Implicator, LearnedImplications, Literal, PathDelayFault, Polarity, Sensitization,
 };
 use pdf_logic::{GateKind, Triple, Value};
 use pdf_netlist::{circuit_by_name, Circuit, LineId, LineKind, SplitMix64, SynthProfile};
-use pdf_paths::{PathEnumerator, PathStore};
+use pdf_paths::{Path, PathEnumerator, PathStore};
 use proptest::prelude::*;
 
 fn synth(seed: u64, gadgets: usize) -> Option<Circuit> {
@@ -489,22 +489,39 @@ fn undo_after_a_panic_mid_assert_restores_the_mark() {
     assert_eq!(incremental.ok(), scratch);
 }
 
+/// How the per-fault oracle decides one fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fate {
+    /// Dropped by the filter.
+    Filtered,
+    /// `A(p)` conflicts directly.
+    Rule1,
+    /// The implications of `A(p)` conflict.
+    Rule2,
+    /// Only the learned closure conflicts.
+    Learned,
+    Kept,
+}
+
 /// The per-fault loop `build_with_filter` ran before the prefix trie:
 /// every fault's `A(p)`, then rule 2 and the learned re-check, each from
-/// scratch on a new engine.
+/// scratch on a new engine. Also returns each fault's fate, indexed by
+/// [`FaultKey::slot`].
 fn oracle(
     circuit: &Circuit,
     store: &PathStore,
     learned: Option<&LearnedImplications>,
     filter: Option<&dyn Fn(usize, Polarity) -> bool>,
-) -> (Vec<FaultEntry>, FaultListStats) {
+) -> (Vec<FaultEntry>, FaultListStats, Vec<Fate>) {
     let mut stats = FaultListStats::default();
     let mut entries = Vec::new();
+    let mut fates = Vec::new();
     for (index, stored) in store.iter().enumerate() {
         for polarity in Polarity::BOTH {
             stats.candidates += 1;
             if filter.is_some_and(|drop| drop(index, polarity)) {
                 stats.sensitize_eliminated += 1;
+                fates.push(Fate::Filtered);
                 continue;
             }
             let fault = PathDelayFault::new(stored.path.clone(), polarity);
@@ -512,19 +529,23 @@ fn oracle(
                 Ok(a) => a,
                 Err(ConditionError::Conflict { .. }) => {
                     stats.rule1_conflicts += 1;
+                    fates.push(Fate::Rule1);
                     continue;
                 }
                 Err(e) => panic!("fault {fault}: {e}"),
             };
             if Implicator::from_assignments(circuit, &a).is_err() {
                 stats.rule2_conflicts += 1;
+                fates.push(Fate::Rule2);
                 continue;
             }
             if learned.is_some() && Implicator::from_assignments_with(circuit, &a, learned).is_err()
             {
                 stats.statically_eliminated += 1;
+                fates.push(Fate::Learned);
                 continue;
             }
+            fates.push(Fate::Kept);
             entries.push(FaultEntry {
                 fault,
                 delay: stored.delay,
@@ -532,7 +553,111 @@ fn oracle(
             });
         }
     }
-    (entries, stats)
+    (entries, stats, fates)
+}
+
+/// Every fault of `store` sorted into trie order here, independently of
+/// the library: by `(polarity, path lines)`, then store index.
+fn sorted_keys(store: &PathStore) -> Vec<FaultKey> {
+    let lines = |key: &FaultKey| store.entries()[key.index].path.lines();
+    let mut keys: Vec<FaultKey> = (0..store.len())
+        .flat_map(|index| Polarity::BOTH.map(|polarity| FaultKey { index, polarity }))
+        .collect();
+    keys.sort_by(|a, b| (a.polarity, lines(a), a.index).cmp(&(b.polarity, lines(b), b.index)));
+    keys
+}
+
+/// The number of path lines two faults share from the source (none
+/// across polarities).
+fn shared(store: &PathStore, a: FaultKey, b: FaultKey) -> usize {
+    let lines = |key: FaultKey| store.entries()[key.index].path.lines();
+    if a.polarity != b.polarity {
+        return 0;
+    }
+    lines(a)
+        .iter()
+        .zip(lines(b))
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// The fewest path lines of `key`'s path whose requirements' closure
+/// conflicts, each prefix's `A()` closed from scratch on a new engine.
+/// Only called for a fault whose own closure conflicts.
+fn shallowest_conflict(
+    circuit: &Circuit,
+    store: &PathStore,
+    key: FaultKey,
+    learned: Option<&LearnedImplications>,
+) -> usize {
+    let lines = store.entries()[key.index].path.lines();
+    (1..=lines.len())
+        .find(|&n| {
+            let prefix: Path = lines[..n].iter().copied().collect();
+            let a = assignments(
+                circuit,
+                &PathDelayFault::new(prefix, key.polarity),
+                Sensitization::Robust,
+            )
+            .expect("the prefixes of a rule-1 survivor pass rule 1");
+            Implicator::from_assignments_with(circuit, &a, learned).is_err()
+        })
+        .expect("the whole path conflicts")
+}
+
+/// `rule2_prefix_refuted` of one trie walk over `walked` (the faults it
+/// asserts, in trie order), from first principles: a fault counts when
+/// its shallowest conflicting prefix lies within the prefix it shares
+/// with the previous walked fault. `refuted` tells which faults the walk
+/// refutes; `A(prefix) ⊆ A(p)`, so no other fault has a conflicting
+/// prefix.
+fn oracle_prefix_refuted(
+    circuit: &Circuit,
+    store: &PathStore,
+    walked: &[FaultKey],
+    learned: Option<&LearnedImplications>,
+    refuted: impl Fn(FaultKey) -> bool,
+) -> u64 {
+    let counted = walked.windows(2).filter(|pair| {
+        let (prev, key) = (pair[0], pair[1]);
+        refuted(key)
+            && shallowest_conflict(circuit, store, key, learned) <= shared(store, prev, key)
+    });
+    counted.count() as u64
+}
+
+/// The `rule2_prefix_refuted` total of a build from its oracle fates:
+/// the rule-2 walk over the rule-1 survivors, plus with a table the
+/// learned walk over the rule-2 survivors. A filtered build walks
+/// nothing.
+fn expected_prefix_refuted(
+    circuit: &Circuit,
+    store: &PathStore,
+    learned: Option<&LearnedImplications>,
+    fates: &[Fate],
+) -> u64 {
+    if fates.contains(&Fate::Filtered) {
+        return 0;
+    }
+    let keys = sorted_keys(store);
+    let fate = |key: &FaultKey| fates[key.slot()];
+    let plain: Vec<FaultKey> = keys
+        .iter()
+        .copied()
+        .filter(|k| fate(k) != Fate::Rule1)
+        .collect();
+    let mut total =
+        oracle_prefix_refuted(circuit, store, &plain, None, |k| fate(&k) == Fate::Rule2);
+    if learned.is_some() {
+        let second: Vec<FaultKey> = plain
+            .into_iter()
+            .filter(|k| fate(k) != Fate::Rule2)
+            .collect();
+        total += oracle_prefix_refuted(circuit, store, &second, learned, |k| {
+            fate(&k) == Fate::Learned
+        });
+    }
+    total
 }
 
 /// Telemetry is process-global: builds that read a counter total
@@ -547,7 +672,7 @@ fn build_recorded(
     learned: Option<&LearnedImplications>,
     filter: Option<&dyn Fn(usize, Polarity) -> bool>,
     threads: usize,
-) -> (FaultList, FaultListStats, Option<u64>) {
+) -> (FaultList, FaultListStats, u64) {
     let _guard = RECORDING.lock().unwrap_or_else(PoisonError::into_inner);
     let _ = pdf_telemetry::begin_recording();
     let (list, stats) = FaultList::build_threaded(
@@ -561,60 +686,144 @@ fn build_recorded(
     let refuted = pdf_telemetry::report().counter(pdf_telemetry::counters::RULE2_PREFIX_REFUTED);
     pdf_telemetry::disable();
     pdf_telemetry::reset();
-    (list, stats, refuted)
+    (list, stats, refuted.unwrap_or(0))
 }
 
-/// Every case at 1, 2, 4 and 8 threads matches the oracle, and the
-/// counters and `rule2_prefix_refuted` total match across thread counts.
-fn assert_matches_oracle(name: &str, cap: usize) {
-    let circuit = circuit_by_name(name).expect("known circuit");
-    let store = PathEnumerator::new(&circuit)
-        .with_cap(cap)
-        .enumerate()
-        .store;
-    let table = learn_implications(&circuit);
+/// Every case at 1, 2, 4 and 8 threads matches the oracle: the list,
+/// every counter, and the `rule2_prefix_refuted` total.
+fn assert_matches_oracle(name: &str, circuit: &Circuit, store: &PathStore) {
+    let table = learn_implications(circuit);
     for learned in [None, Some(&table)] {
         // The one filter the contract admits: the classifier's verdict
         // for the same table.
-        let analysis = classify_store(&circuit, &store, Sensitization::Robust, learned);
+        let analysis = classify_store(circuit, store, Sensitization::Robust, learned);
         let sensitize = |index: usize, polarity: Polarity| analysis.is_false(index, polarity);
         let filters: [Option<&dyn Fn(usize, Polarity) -> bool>; 2] = [None, Some(&sensitize)];
         for filter in filters {
-            let (entries, expected) = oracle(&circuit, &store, learned, filter);
-            let mut serial = None;
+            let (entries, expected, fates) = oracle(circuit, store, learned, filter);
+            let refuted = expected_prefix_refuted(circuit, store, learned, &fates);
             for threads in [1, 2, 4, 8] {
-                let (list, stats, refuted) =
-                    build_recorded(&circuit, &store, learned, filter, threads);
                 let case = format!(
                     "{name} learned={} filter={} threads={threads}",
                     learned.is_some(),
                     filter.is_some()
                 );
+                let (list, stats, by_prefix) =
+                    build_recorded(circuit, store, learned, filter, threads);
                 assert_eq!(stats, expected, "{case}");
+                assert_eq!(by_prefix, refuted, "{case}: rule2_prefix_refuted");
                 assert_eq!(list.len(), entries.len(), "{case}");
                 for (got, want) in list.iter().zip(&entries) {
                     assert_eq!(got.fault, want.fault, "{case}");
                     assert_eq!(got.delay, want.delay, "{case}");
                     assert_eq!(got.assignments, want.assignments, "{case}");
                 }
-                let counters = *serial.get_or_insert((stats, refuted));
-                assert_eq!((stats, refuted), counters, "{case}");
             }
         }
     }
 }
 
+fn assert_stand_in_matches_oracle(name: &str, cap: usize) {
+    let circuit = circuit_by_name(name).expect("known circuit");
+    let store = PathEnumerator::new(&circuit)
+        .with_cap(cap)
+        .enumerate()
+        .store;
+    assert_matches_oracle(name, &circuit, &store);
+}
+
 #[test]
 fn build_with_filter_matches_the_per_fault_oracle_on_s27() {
-    assert_matches_oracle("s27", 10_000);
+    assert_stand_in_matches_oracle("s27", 10_000);
 }
 
 #[test]
 fn build_with_filter_matches_the_per_fault_oracle_on_b03r() {
-    assert_matches_oracle("b03+r", 1_500);
+    assert_stand_in_matches_oracle("b03+r", 1_500);
 }
 
 #[test]
 fn build_with_filter_matches_the_per_fault_oracle_on_a_stand_in() {
-    assert_matches_oracle("b09", 600);
+    assert_stand_in_matches_oracle("b09", 600);
+}
+
+/// Where a rule-1 fault `q` sits between two consecutive rule-1
+/// survivors `p` and `s` of the rule-2 walk, and `p`'s implications
+/// conflict: how many such `s` are prefix-refuted (they share `p`'s
+/// refuted prefix), and how many are not although they share that
+/// prefix with the key just before them. The second kind tells a walk
+/// that shares the engine with the previous survivor from one that
+/// shares it with the previous key.
+fn interleavings(circuit: &Circuit, store: &PathStore, fates: &[Fate]) -> (usize, usize) {
+    let keys = sorted_keys(store);
+    let (mut refuted, mut apart) = (0, 0);
+    let mut survivor: Option<FaultKey> = None;
+    for (i, &key) in keys.iter().enumerate() {
+        if fates[key.slot()] == Fate::Rule1 {
+            continue;
+        }
+        if let Some(p) = survivor.filter(|&p| keys[i - 1] != p) {
+            if fates[p.slot()] == Fate::Rule2 {
+                let depth = shallowest_conflict(circuit, store, p, None);
+                if depth <= shared(store, p, key) {
+                    refuted += 1;
+                } else if depth <= shared(store, keys[i - 1], key) {
+                    apart += 1;
+                }
+            }
+        }
+        survivor = Some(key);
+    }
+    (refuted, apart)
+}
+
+/// Synthesizer seeds (one redundancy gadget) whose full path stores
+/// interleave rule-1 faults with refuted rule-2 survivors both ways
+/// [`interleavings`] counts.
+const INTERLEAVED: [u64; 3] = [2, 7, 9];
+
+/// Synthesized circuits where rule-1 faults interleave with refuted
+/// rule-2 survivors in trie order.
+#[test]
+fn build_matches_the_oracle_where_rule1_faults_interleave() {
+    let (mut refuted, mut apart) = (0, 0);
+    for seed in INTERLEAVED {
+        let circuit = synth(seed, 1).expect("synthesizable");
+        let store = PathEnumerator::new(&circuit).enumerate().store;
+        let (_, _, fates) = oracle(&circuit, &store, None, None);
+        let (r, a) = interleavings(&circuit, &store, &fates);
+        refuted += r;
+        apart += a;
+        assert_matches_oracle(&format!("synth {seed}"), &circuit, &store);
+    }
+    assert!(refuted > 0 && apart > 0, "{refuted} {apart}");
+}
+
+/// Elimination's counters on five stand-ins: rule-1 conflicts, rule-2
+/// conflicts and `rule2_prefix_refuted`, as the two-pass elimination
+/// (rule 1 per fault, then the rule-2 trie walk) counted them, at one
+/// and at four threads.
+#[test]
+fn elimination_counters_are_pinned() {
+    for (name, cap, pinned) in [
+        ("b04", 2_000, (297, 1_544, 1_390)),
+        ("b09", 10_000, (325, 537, 196)),
+        ("b03+r", 10_000, (376, 789, 374)),
+        ("s5378*", 10_000, (1_398, 4_492, 3_506)),
+        ("s9234*", 4_000, (850, 1_898, 1_407)),
+    ] {
+        let circuit = circuit_by_name(name).expect("stand-in");
+        let store = PathEnumerator::new(&circuit)
+            .with_cap(cap)
+            .enumerate()
+            .store;
+        for threads in [1, 4] {
+            let (_, stats, refuted) = build_recorded(&circuit, &store, None, None, threads);
+            assert_eq!(
+                (stats.rule1_conflicts, stats.rule2_conflicts, refuted),
+                pinned,
+                "{name} --cap {cap} threads={threads}"
+            );
+        }
+    }
 }
