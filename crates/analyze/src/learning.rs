@@ -45,7 +45,7 @@
 
 use pdf_faults::{Implicator, LearnedImplications, Literal};
 use pdf_logic::{Triple, Value};
-use pdf_netlist::{Circuit, LineId, LineKind};
+use pdf_netlist::{Circuit, LineId};
 
 /// The cap on depth-1 case splits tried per asserted literal.
 ///
@@ -89,13 +89,14 @@ fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedIm
         if circuit.kind(id).is_branch() {
             continue; // learned with its stem
         }
-        let class = branch_class(circuit, id);
+        // The stem and its fanout branches reach the same fixpoint.
+        let class = std::iter::once(id).chain(circuit.branches(id).iter().copied());
         for value in [Value::Zero, Value::One] {
             let Some(lessons) = lessons(circuit, &mut imp, Literal::new(id, 0, value), split_cap)
             else {
                 continue;
             };
-            for (&line, slot) in class.iter().flat_map(|l| [(l, 0usize), (l, 2)]) {
+            for (line, slot) in class.clone().flat_map(|l| [(l, 0usize), (l, 2)]) {
                 lessons.record(Literal::new(line, slot, value), &mut table);
             }
         }
@@ -105,19 +106,6 @@ fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedIm
         table.len() as u64,
     );
     table
-}
-
-/// `stem` and the fanout branches descending from it: the lines whose
-/// assertion reaches the same fixpoint.
-fn branch_class(circuit: &Circuit, stem: LineId) -> Vec<LineId> {
-    let mut class = vec![stem];
-    let mut next = 0;
-    while let Some(&line) = class.get(next) {
-        let fanout = circuit.fanout(line).iter().copied();
-        class.extend(fanout.filter(|&f| circuit.kind(f).is_branch()));
-        next += 1;
-    }
-    class
 }
 
 /// What the fixpoint of asserting one literal on `slot` teaches: its
@@ -282,10 +270,7 @@ fn frontier_splits(
                 if component(imp.value(f), slot).is_specified() {
                     continue;
                 }
-                let stem = match circuit.kind(f) {
-                    LineKind::Branch { stem } => *stem,
-                    _ => f,
-                };
+                let stem = circuit.stem_of(f);
                 if seen.insert((stem, slot)) {
                     out.push((stem, slot));
                     if out.len() >= cap {

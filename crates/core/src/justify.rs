@@ -569,10 +569,15 @@ impl<'c> Justifier<'c> {
         let satisfied = if self.scalar_oracle {
             req.satisfied_by(&cone_waves(self.circuit, topo, state))
         } else {
-            self.packed.satisfied_lanes(req).lane(COMMITTED)
+            self.packed
+                .satisfied_lanes(self.circuit, req)
+                .lane(COMMITTED)
         };
         #[cfg(not(test))]
-        let satisfied = self.packed.satisfied_lanes(req).lane(COMMITTED);
+        let satisfied = self
+            .packed
+            .satisfied_lanes(self.circuit, req)
+            .lane(COMMITTED);
         if satisfied {
             self.stats.successes += 1;
             Some(self.finish(topo, state))
@@ -707,7 +712,7 @@ impl<'c> Justifier<'c> {
         let _ = block.take_kernel_stats();
         self.stats.fixpoint_passes += 1;
         pdf_telemetry::count(pdf_telemetry::counters::JUSTIFY_FIXPOINT_PASSES, 1);
-        block.violated_lanes(req)
+        block.violated_lanes(self.circuit, req)
     }
 
     /// Evaluates every random-completion group of the call (free slots
@@ -1040,7 +1045,7 @@ fn packed_passes(
         // Unused tile groups of a partial pass carry broadcast-only lanes
         // that may spuriously satisfy the requirements — mask them off.
         let lanes = block
-            .satisfied_lanes(req)
+            .satisfied_lanes(circuit, req)
             .and(Tile::low_lanes(here * LANES));
         if let Some(lane) = lanes.first_lane() {
             return PassOutcome::Hit(pass_start * LANES + lane);

@@ -1,13 +1,12 @@
 //! Three-valued implication over two-pattern waveforms.
 //!
 //! Given a set of line requirements, the [`Implicator`] derives every value
-//! they force elsewhere in the circuit — forwards through gate evaluation,
-//! backwards through controlling-value reasoning, and across fanout
-//! branches in both directions. A contradiction proves the requirements
-//! unsatisfiable; this is the paper's rule 2 for eliminating undetectable
-//! faults from `P` ("we find the implications of the values in `A(p)`; if
-//! the implication process assigns conflicting values to a line `g`, `p`
-//! is undetectable").
+//! they force elsewhere in the circuit — forwards through gate evaluation
+//! and backwards through controlling-value reasoning. A contradiction
+//! proves the requirements unsatisfiable; this is the paper's rule 2 for
+//! eliminating undetectable faults from `P` ("we find the implications of
+//! the values in `A(p)`; if the implication process assigns conflicting
+//! values to a line `g`, `p` is undetectable").
 //!
 //! The three components of a waveform triple propagate almost
 //! independently (gate evaluation is component-wise); the engine adds two
@@ -19,11 +18,20 @@
 //! * a primary input that holds one specified value under both patterns
 //!   cannot glitch: `α1 = α3 = v ⇒ α2 = v` (at primary inputs only).
 //!
-//! Each line's triple is one byte in the two-rail Kleene encoding of the
+//! Each stem's triple is one byte in the two-rail Kleene encoding of the
 //! packed simulator (DESIGN §8): bit `k` is a proven `0` in component `k`
 //! (`α1`, `α2`, `α3` for `k = 0, 1, 2`), bit `4 + k` a proven `1`, and
 //! `x` is neither. Narrowing is an `OR`, and a conflict is a component
 //! with both bits set.
+//!
+//! A fanout branch carries its stem's value, so it shares its stem's
+//! byte: every read and write of a line goes through
+//! [`Circuit::stem_of`], a change queues the stem and the gates reading
+//! it ([`Circuit::readers`]), and no rule is ever centred on a branch.
+//! At the fixpoint of an engine that kept a byte per branch, every branch
+//! equals its stem, so sharing the byte reaches the same closure and the
+//! same verdict with about half the propagation steps on branch-heavy
+//! circuits.
 //!
 //! The engine is incremental: every value change is recorded on a trail,
 //! so a caller can [`mark`](Implicator::mark) a state, assert more
@@ -45,8 +53,10 @@ use crate::{Assignments, LearnedImplications};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImplicationConflict {
     /// The line on which the contradiction surfaced, in propagation
-    /// order. Which line of a contradiction surfaces first depends on
-    /// the order the rules ran in, so it is not a canonical line.
+    /// order: a stem (never a fanout branch, whose value is its stem's)
+    /// or a gate whose inputs cannot produce its output. Which line of a
+    /// contradiction surfaces first depends on the order the rules ran
+    /// in, so it is not a canonical line.
     pub line: LineId,
 }
 
@@ -186,7 +196,8 @@ fn literal_bit(literal: Literal) -> u8 {
 #[derive(Debug)]
 pub struct Implicator<'c> {
     circuit: &'c Circuit,
-    /// One two-rail byte per line, indexed by [`LineId::index`].
+    /// One two-rail byte per stem, indexed by [`LineId::index`]; a fanout
+    /// branch's entry is never read or written.
     rails: Vec<u8>,
     queue: VecDeque<LineId>,
     queued: Vec<bool>,
@@ -194,7 +205,7 @@ pub struct Implicator<'c> {
     /// Outer literals decided since their learned rows last fired. Each
     /// literal is decided once between undos, so each row fires once.
     pending: Vec<Literal>,
-    /// Every value change as `(line, bytes before the change)`, oldest
+    /// Every value change as `(stem, byte before the change)`, oldest
     /// first: [`Implicator::undo_to`] replays it backwards.
     trail: Vec<(LineId, u8)>,
 }
@@ -281,10 +292,14 @@ impl<'c> Implicator<'c> {
     }
 
     /// The lines whose value changed since `mark` was taken, oldest
-    /// change first. A line narrowed more than once appears once per
-    /// change.
+    /// change first: each changed stem followed by its fanout branches,
+    /// which share its value. A line narrowed more than once appears once
+    /// per change.
     pub fn changed_since(&self, mark: usize) -> impl Iterator<Item = LineId> + '_ {
-        self.trail[mark..].iter().map(|&(line, _)| line)
+        let circuit = self.circuit;
+        self.trail[mark..].iter().flat_map(move |&(stem, _)| {
+            std::iter::once(stem).chain(circuit.branches(stem).iter().copied())
+        })
     }
 
     /// Restores every line value to what it was when `mark` was taken and
@@ -308,11 +323,17 @@ impl<'c> Implicator<'c> {
     }
 
     /// The current value of a line (`x` components where nothing is
-    /// implied yet).
+    /// implied yet); a fanout branch reads its stem's.
     #[inline]
     #[must_use]
     pub fn value(&self, line: LineId) -> Triple {
-        decode(self.rails[line.index()])
+        decode(self.rails_of(line))
+    }
+
+    /// The byte of the stem `line` carries.
+    #[inline]
+    fn rails_of(&self, line: LineId) -> u8 {
+        self.rails[self.circuit.stem_of(line).index()]
     }
 
     /// Constrains `line` to `req` (intersected with its current value) and
@@ -327,27 +348,36 @@ impl<'c> Implicator<'c> {
         self.narrow(line, encode(req))
     }
 
-    /// Adds the proven bits `bits` to `line`.
+    /// Adds the proven bits `bits` to `line`'s stem.
     #[inline]
     fn narrow(&mut self, line: LineId, bits: u8) -> Result<(), ImplicationConflict> {
-        let old = self.rails[line.index()];
+        self.narrow_stem(self.circuit.stem_of(line), bits)
+    }
+
+    /// Adds the proven bits `bits` to the stem `stem`.
+    #[inline]
+    fn narrow_stem(&mut self, stem: LineId, bits: u8) -> Result<(), ImplicationConflict> {
+        let old = self.rails[stem.index()];
         let new = old | bits;
         if new != old {
             if conflicts(new) {
-                return Err(ImplicationConflict { line });
+                return Err(ImplicationConflict { line: stem });
             }
-            self.set(line, old, new);
+            self.set(stem, old, new);
         }
         Ok(())
     }
 
-    /// Writes a changed value through the trail, records the outer
-    /// literals it decides, and queues the line and its fanouts: no rule
-    /// centred on a line reads that line's fanouts, so its fanins have
-    /// nothing new to derive.
-    fn set(&mut self, line: LineId, old: u8, new: u8) {
-        self.trail.push((line, old));
-        self.rails[line.index()] = new;
+    /// Writes a stem's changed value through the trail, records the outer
+    /// literals it decides on the stem and on each of its branches (a
+    /// learned row may be keyed by either), and queues the stem and its
+    /// readers: no rule centred on a line reads that line's readers, so
+    /// its fanins have nothing new to derive.
+    fn set(&mut self, stem: LineId, old: u8, new: u8) {
+        // The circuit outlives the engine borrow.
+        let circuit = self.circuit;
+        self.trail.push((stem, old));
+        self.rails[stem.index()] = new;
         if self.learned.is_some() {
             let mut decided = new & !old & OUTER;
             while decided != 0 {
@@ -359,13 +389,15 @@ impl<'c> Implicator<'c> {
                 } else {
                     Value::One
                 };
-                self.pending.push(Literal::new(line, bit & 3, value));
+                for &line in std::iter::once(&stem).chain(circuit.branches(stem)) {
+                    self.pending.push(Literal::new(line, bit & 3, value));
+                }
                 decided &= decided - 1;
             }
         }
-        self.enqueue(line);
-        for &f in self.circuit.fanout(line) {
-            self.enqueue(f);
+        self.enqueue(stem);
+        for &g in circuit.readers(stem) {
+            self.enqueue(g);
         }
     }
 
@@ -376,7 +408,8 @@ impl<'c> Implicator<'c> {
         }
     }
 
-    /// Runs implications to the fixpoint.
+    /// Runs implications to the fixpoint. The lines processed are added
+    /// to the `implication_steps` telemetry counter once per call.
     ///
     /// # Errors
     ///
@@ -384,16 +417,26 @@ impl<'c> Implicator<'c> {
     /// partially updated; [`Implicator::undo_to`] a mark taken before the
     /// contradicting assertions restores it, and the engine is reusable.
     pub fn propagate(&mut self) -> Result<(), ImplicationConflict> {
-        loop {
+        let mut steps = 0u64;
+        let result = loop {
             if let Some(literal) = self.pending.pop() {
-                self.fire(literal)?;
+                if let Err(conflict) = self.fire(literal) {
+                    break Err(conflict);
+                }
             } else if let Some(line) = self.queue.pop_front() {
                 self.queued[line.index()] = false;
-                self.process(line)?;
+                steps += 1;
+                if let Err(conflict) = self.process(line) {
+                    break Err(conflict);
+                }
             } else {
-                return Ok(());
+                break Ok(());
             }
+        };
+        if steps > 0 {
+            pdf_telemetry::count(pdf_telemetry::counters::IMPLICATION_STEPS, steps);
         }
+        result
     }
 
     /// Learned-table rule: applies the consequents of one newly decided
@@ -409,26 +452,21 @@ impl<'c> Implicator<'c> {
         Ok(())
     }
 
-    /// Applies all structural rules centred on `line`.
+    /// Applies all structural rules centred on the stem `line`.
     fn process(&mut self, line: LineId) -> Result<(), ImplicationConflict> {
         // The circuit outlives the engine borrow.
         let circuit = self.circuit;
         let kind = circuit.kind(line);
-        self.narrow(line, stability(self.rails[line.index()], kind.is_input()))?;
+        self.narrow_stem(line, stability(self.rails[line.index()], kind.is_input()))?;
         match *kind {
             LineKind::Input => Ok(()),
-            LineKind::Branch { stem } => {
-                // Identity in both directions.
-                let merged = self.rails[line.index()] | self.rails[stem.index()];
-                self.narrow(line, merged)?;
-                self.narrow(stem, merged)
-            }
             LineKind::Gate(kind) => {
                 let fanin = circuit.fanin(line).iter();
-                let out = eval(kind, fanin.map(|f| self.rails[f.index()]));
-                self.narrow(line, out)?;
+                let out = eval(kind, fanin.map(|&f| self.rails_of(f)));
+                self.narrow_stem(line, out)?;
                 self.backward(line, kind)
             }
+            LineKind::Branch { .. } => unreachable!("a branch is never queued"),
         }
     }
 
@@ -441,6 +479,10 @@ impl<'c> Implicator<'c> {
         // Undo the gate's inversion to get the pre-inversion value.
         let out = self.rails[line.index()];
         let pre = if kind.inverts() { swap(out) } else { out };
+        if pre == 0 {
+            // An open output implies nothing about the inputs.
+            return Ok(());
+        }
         match kind {
             GateKind::Not | GateKind::Buf => self.narrow(fanin[0], pre),
             GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
@@ -456,8 +498,8 @@ impl<'c> Implicator<'c> {
                 let controlled = pre & ZERO;
                 let open = |r: u8| controlled & !(dual(r) >> 4);
                 let (mut once, mut twice) = (0u8, 0u8);
-                for f in fanin {
-                    let o = open(self.rails[f.index()]);
+                for &f in fanin {
+                    let o = open(self.rails_of(f));
                     twice |= once & o;
                     once |= o;
                 }
@@ -467,8 +509,11 @@ impl<'c> Implicator<'c> {
                 // If all inputs but one are non-controlling, the remaining
                 // one is controlling.
                 let lone = once & !twice;
+                if nc | lone == 0 {
+                    return Ok(());
+                }
                 for &f in fanin {
-                    let bits = nc | open(self.rails[f.index()]) & lone;
+                    let bits = nc | open(self.rails_of(f)) & lone;
                     self.narrow(f, dual(bits))?;
                 }
                 Ok(())
@@ -480,8 +525,8 @@ impl<'c> Implicator<'c> {
                 let unknown = |r: u8| specified & !(r | r >> 4);
                 let mut parity = pre >> 4;
                 let (mut once, mut twice) = (0u8, 0u8);
-                for f in fanin {
-                    let r = self.rails[f.index()];
+                for &f in fanin {
+                    let r = self.rails_of(f);
                     parity ^= r >> 4;
                     let u = unknown(r);
                     twice |= once & u;
@@ -492,7 +537,7 @@ impl<'c> Implicator<'c> {
                     return Ok(());
                 }
                 for &f in fanin {
-                    let m = unknown(self.rails[f.index()]) & lone;
+                    let m = unknown(self.rails_of(f)) & lone;
                     if m != 0 {
                         self.narrow(f, (parity & m) << 4 | !parity & m)?;
                     }
@@ -640,6 +685,46 @@ mod tests {
         assert_eq!(imp.value(s), Triple::STABLE1);
         assert_eq!(imp.value(s2), Triple::STABLE1);
         assert_eq!(imp.value(g2), Triple::STABLE0);
+    }
+
+    /// `x`, `s` inputs; `s` fans out to `s1` and `s2`; `g1 = AND(x, s1)`,
+    /// `g2 = NOT(s2)`.
+    fn branches() -> (Circuit, [LineId; 6]) {
+        let mut b = CircuitBuilder::new("branches");
+        let x = b.input("x");
+        let s = b.input("s");
+        let s1 = b.branch("s1", s);
+        let s2 = b.branch("s2", s);
+        let g1 = b.gate("g1", GateKind::And, &[x, s1]);
+        let g2 = b.gate("g2", GateKind::Not, &[s2]);
+        b.mark_output(g1);
+        b.mark_output(g2);
+        (b.finish().unwrap(), [x, s, s1, s2, g1, g2])
+    }
+
+    #[test]
+    fn changed_since_lists_a_narrowed_stems_branches() {
+        let (c, [_x, s, s1, s2, _g1, g2]) = branches();
+        let mut imp = Implicator::new(&c);
+        let mark = imp.mark();
+        imp.assign(s1, Triple::STABLE1).unwrap();
+        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s, s1, s2]);
+        imp.propagate().unwrap();
+        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s, s1, s2, g2]);
+    }
+
+    #[test]
+    fn learned_rows_keyed_by_a_branch_fire_when_the_stem_is_decided() {
+        let (c, [x, s, _s1, s2, ..]) = branches();
+        let mut table = LearnedImplications::new(c.line_count());
+        table.add(
+            Literal::new(s2, 0, Value::One),
+            Literal::new(x, 0, Value::Zero),
+        );
+        let mut imp = Implicator::new(&c).with_learned(&table);
+        imp.assign(s, t("1xx")).unwrap();
+        imp.propagate().unwrap();
+        assert_eq!(imp.value(x), t("0xx"));
     }
 
     #[test]

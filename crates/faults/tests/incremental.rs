@@ -9,6 +9,11 @@
 //!   of every decided literal, until nothing changes — so neither firing
 //!   each learned row once nor queueing only a changed line's fanouts
 //!   loses an implication.
+//! * Random `assign` / `propagate` / `mark` / `undo_to` sequences agree,
+//!   at every state, with that reference closure, which keeps a value per
+//!   fanout branch and applies branch identity as a rule: the engine,
+//!   whose branches share their stem's byte, reads the same value on
+//!   every line and gives the same conflict verdict.
 //! * `undo_to` after a conflict or after a panic caught mid-assert
 //!   restores the marked state exactly, and the engine stays usable.
 //! * [`FaultList::build_threaded`] (three passes, rule 2 over the
@@ -389,6 +394,81 @@ proptest! {
         let table = learn_implications(&circuit);
         for learned in [None, Some(&table)] {
             check_reference_closure(&circuit, learned, seed)?;
+        }
+    }
+}
+
+/// Drives one random `assign` / `propagate` / `mark` / `undo_to`
+/// sequence and checks every state against [`reference_closure`], which
+/// keeps a value per line and applies branch identity as a rule of its
+/// own: the engine's value of every line, fanout branches included, and
+/// its conflict verdict.
+fn check_sequence_against_the_oracle(
+    circuit: &Circuit,
+    learned: Option<&LearnedImplications>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = SplitMix64::new(seed);
+    let mut imp = engine(circuit, learned);
+    let mut marks: Vec<(usize, usize)> = vec![(imp.mark(), 0)];
+    let mut asserted: Vec<(LineId, Triple)> = Vec::new();
+    let mut conflicted = false;
+    for _ in 0..24 {
+        if !conflicted && rng.next_below(4) != 0 {
+            if rng.next_below(3) == 0 {
+                marks.push((imp.mark(), asserted.len()));
+            }
+            let (line, req) = random_requirement(&mut rng, circuit);
+            asserted.push((line, req));
+            let ok = imp.assign(line, req).is_ok() && imp.propagate().is_ok();
+            let oracle = reference_closure(circuit, learned, &asserted);
+            prop_assert_eq!(ok, oracle.is_some(), "requirements {:?}", &asserted);
+            if let Some(oracle) = oracle {
+                prop_assert_eq!(values(circuit, &imp), oracle);
+            }
+            conflicted = !ok;
+        } else {
+            let keep = rng.next_below(marks.len());
+            marks.truncate(keep + 1);
+            let (mark, len) = marks[keep];
+            imp.undo_to(mark);
+            asserted.truncate(len);
+            conflicted = false;
+            let oracle = reference_closure(circuit, learned, &asserted);
+            prop_assert_eq!(Some(values(circuit, &imp)), oracle);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn engine_sequences_match_the_branch_identity_oracle(
+        seed in 0u64..1_000_000,
+        gadgets in 0usize..=2,
+    ) {
+        let Some(circuit) = synth(seed, gadgets) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        let table = learn_implications(&circuit);
+        for learned in [None, Some(&table)] {
+            for run in 0..2 {
+                check_sequence_against_the_oracle(&circuit, learned, seed ^ (run << 32))?;
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_sequences_match_the_branch_identity_oracle_on_a_redundant_stand_in() {
+    let circuit = circuit_by_name("b03+r").expect("stand-in");
+    let table = learn_implications(&circuit);
+    for learned in [None, Some(&table)] {
+        for seed in 0..2 {
+            check_sequence_against_the_oracle(&circuit, learned, seed).unwrap();
         }
     }
 }

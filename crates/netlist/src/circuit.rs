@@ -156,6 +156,22 @@ impl Csr {
     fn row(&self, i: usize) -> &[LineId] {
         &self.flat[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
+
+    /// `rows` rows from `(row, entry)` pairs, each row ascending and
+    /// without repeats.
+    fn from_pairs(rows: usize, mut pairs: Vec<(LineId, LineId)>) -> Csr {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut starts = vec![0u32; rows + 1];
+        for (row, _) in &pairs {
+            starts[row.index() + 1] += 1;
+        }
+        for i in 0..rows {
+            starts[i + 1] += starts[i];
+        }
+        let flat = pairs.into_iter().map(|(_, entry)| entry).collect();
+        Csr { starts, flat }
+    }
 }
 
 /// A combinational circuit expanded to the line level.
@@ -166,7 +182,11 @@ impl Csr {
 /// Line kinds and both adjacency directions are flat arrays indexed by
 /// [`LineId`] (a dense kind array and two CSR tables), so the per-line
 /// sweeps of simulation, implication and justification read contiguous
-/// memory instead of per-line heap structures.
+/// memory instead of per-line heap structures. A fanout branch carries its
+/// stem's value, so the circuit also keeps the branch tables
+/// ([`Circuit::stem_of`], [`Circuit::readers`], [`Circuit::branches`])
+/// through which the packed simulator and the implication engine store
+/// one value per stem.
 ///
 /// # Example
 ///
@@ -193,6 +213,14 @@ pub struct Circuit {
     fanin: Csr,
     /// Every row ascending in sink id, a sink repeated once per use.
     fanout: Csr,
+    /// The line whose value each line carries: a branch's root stem, else
+    /// the line itself.
+    stem_of: Vec<LineId>,
+    /// Per stem, the gates reading its value directly or through its
+    /// branches; empty rows for branches.
+    readers: Csr,
+    /// Per stem, the branches carrying its value; empty rows for branches.
+    branches: Csr,
     inputs: Vec<LineId>,
     outputs: Vec<LineId>,
     /// Line ids in topological order (fanins before fanouts).
@@ -254,6 +282,32 @@ impl Circuit {
     #[must_use]
     pub fn fanout(&self, id: LineId) -> &[LineId] {
         self.fanout.row(id.index())
+    }
+
+    /// The line whose value `line` carries: a fanout branch's root stem
+    /// (through any chain of branches), every other line itself.
+    #[inline]
+    #[must_use]
+    pub fn stem_of(&self, line: LineId) -> LineId {
+        self.stem_of[line.index()]
+    }
+
+    /// The gates that read `stem`'s value, directly or through its fanout
+    /// branches, ascending and each once. Empty for a branch line: its
+    /// readers are listed under its stem.
+    #[inline]
+    #[must_use]
+    pub fn readers(&self, stem: LineId) -> &[LineId] {
+        self.readers.row(stem.index())
+    }
+
+    /// The fanout branches carrying `stem`'s value (every branch whose
+    /// [`Circuit::stem_of`] is `stem`), ascending. Empty for a branch
+    /// line.
+    #[inline]
+    #[must_use]
+    pub fn branches(&self, stem: LineId) -> &[LineId] {
+        self.branches.row(stem.index())
     }
 
     /// The fanin cone of `roots` as a member mask indexed by
@@ -663,6 +717,30 @@ impl CircuitBuilder {
 
         let distance = compute_distances(&lines, &fanout, &topo);
 
+        // The branch tables. Topological order resolves a branch of a
+        // branch to the root stem too.
+        let mut stem_of: Vec<LineId> = (0..n).map(LineId::new).collect();
+        for &id in &topo {
+            if let LineKind::Branch { stem } = kinds[id.index()] {
+                stem_of[id.index()] = stem_of[stem.index()];
+            }
+        }
+        let gates = (0..n).filter(|&i| kinds[i].is_gate());
+        let readers = Csr::from_pairs(
+            n,
+            gates
+                .flat_map(|g| fanin.row(g).iter().map(move |f| (f, LineId::new(g))))
+                .map(|(f, g)| (stem_of[f.index()], g))
+                .collect(),
+        );
+        let branches = Csr::from_pairs(
+            n,
+            (0..n)
+                .filter(|&i| kinds[i].is_branch())
+                .map(|b| (stem_of[b], LineId::new(b)))
+                .collect(),
+        );
+
         // Relaxed is enough: the counter only needs uniqueness, not
         // ordering against any other memory.
         static EPOCH: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
@@ -674,6 +752,9 @@ impl CircuitBuilder {
             kinds,
             fanin,
             fanout,
+            stem_of,
+            readers,
+            branches,
             inputs,
             outputs,
             topo,
@@ -727,6 +808,32 @@ mod tests {
         let o = c.find_line("o").unwrap();
         assert!(c.line(o).is_output());
         assert!(c.fanout(o).is_empty());
+    }
+
+    #[test]
+    fn branch_tables_resolve_a_branch_of_a_branch_to_the_root_stem() {
+        let mut b = CircuitBuilder::new("chain");
+        let a = b.input("a");
+        let c = b.input("c");
+        let a1 = b.branch("a1", a);
+        let a2 = b.branch("a2", a);
+        let a21 = b.branch("a21", a2);
+        let a22 = b.branch("a22", a2);
+        let g = b.gate("g", GateKind::And, &[a1, a21, c]);
+        let h = b.gate("h", GateKind::Or, &[a22, g]);
+        b.mark_output(h);
+        let circuit = b.finish().unwrap();
+        for line in [a, a1, a2, a21, a22] {
+            assert_eq!(circuit.stem_of(line), a);
+        }
+        assert_eq!(circuit.stem_of(g), g);
+        // `g` reads `a` twice, through two branches, and is listed once.
+        assert_eq!(circuit.readers(a), &[g, h]);
+        assert_eq!(circuit.branches(a), &[a1, a2, a21, a22]);
+        assert_eq!(circuit.readers(c), &[g]);
+        assert!(circuit.branches(c).is_empty());
+        assert!(circuit.readers(a2).is_empty() && circuit.branches(a2).is_empty());
+        assert!(circuit.readers(h).is_empty());
     }
 
     #[test]

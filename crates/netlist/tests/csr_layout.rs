@@ -1,6 +1,7 @@
 //! The flat adjacency layout of `Circuit`: the fanin and fanout CSR
 //! tables describe the same edge multiset, fanout rows are ascending,
-//! branches and inputs have their fixed fanin shapes, and
+//! branches and inputs have their fixed fanin shapes, the branch tables
+//! (`stem_of`, `readers`, `branches`) agree with the branch chains, and
 //! `Circuit::fanin_cone` agrees with a naive per-root DFS.
 
 use std::collections::BTreeSet;
@@ -52,6 +53,33 @@ fn check_layout(c: &Circuit) -> Result<(), TestCaseError> {
             LineKind::Input => prop_assert!(c.fanin(id).is_empty()),
             LineKind::Branch { stem } => prop_assert_eq!(c.fanin(id), &[*stem]),
             LineKind::Gate(_) => prop_assert!(!c.fanin(id).is_empty()),
+        }
+    }
+    check_branch_tables(c)
+}
+
+/// The branch tables against a walk up each branch chain.
+fn check_branch_tables(c: &Circuit) -> Result<(), TestCaseError> {
+    let root = |mut line: LineId| {
+        while let LineKind::Branch { stem } = c.kind(line) {
+            line = *stem;
+        }
+        line
+    };
+    let ids = || (0..c.line_count()).map(LineId::new);
+    for id in ids() {
+        prop_assert_eq!(c.stem_of(id), root(id));
+        let readers: BTreeSet<LineId> = ids()
+            .filter(|&g| c.kind(g).is_gate() && c.fanin(g).iter().any(|&f| root(f) == id))
+            .collect();
+        let branches: Vec<LineId> = ids()
+            .filter(|&b| c.kind(b).is_branch() && root(b) == id)
+            .collect();
+        if c.kind(id).is_branch() {
+            prop_assert!(c.readers(id).is_empty() && c.branches(id).is_empty());
+        } else {
+            prop_assert_eq!(c.readers(id), readers.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(c.branches(id), branches);
         }
     }
     Ok(())

@@ -129,7 +129,11 @@ pub fn coverage_flags<T: HasAssignments>(
     let mut detected = vec![false; faults.len()];
     packed_sweep(circuit, tests, |block, _| {
         for (d, fault) in detected.iter_mut().zip(faults) {
-            if !*d && !block.satisfied_lanes(fault.assignments()).is_zero() {
+            if !*d
+                && !block
+                    .satisfied_lanes(circuit, fault.assignments())
+                    .is_zero()
+            {
                 *d = true;
             }
         }
@@ -149,7 +153,7 @@ pub fn per_test_detections<T: HasAssignments>(
     let mut base = 0;
     packed_sweep(circuit, tests, |block, tests_block| {
         for (i, fault) in faults.iter().enumerate() {
-            let lanes = block.satisfied_lanes(fault.assignments());
+            let lanes = block.satisfied_lanes(circuit, fault.assignments());
             for k in 0..Tile::WORDS {
                 let mut w = lanes.word(k);
                 while w != 0 {

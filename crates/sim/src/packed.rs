@@ -49,20 +49,20 @@
 //! [`Circuit::fanin`] index the circuit's dense kind array and fanin CSR,
 //! so per line it touches one 8-byte kind, one row offset pair and the
 //! flat fanin ids, never a per-line heap structure. The arena holds only
-//! planes, stamps and the stem-of table below; it keeps no copy of the
-//! circuit's kinds or fanins.
+//! planes and stamps; it keeps no copy of the circuit's kinds, fanins or
+//! branch tables.
 //!
 //! # Fanout branches
 //!
 //! A fanout branch carries its stem's waveform unchanged, so the kernel
-//! never evaluates or stores one. [`PackedBlock`] keeps a per-epoch
-//! stem-of table (a branch maps to its stem, every other line to itself);
-//! gate fanins, the event check, [`PackedBlock::triple`],
-//! [`PackedBlock::satisfied_lanes`] and [`PackedBlock::violated_lanes`]
-//! all read a line's planes through it, and propagation skips branch
-//! lines outright. A branch-heavy netlist (s5378* has 1 736 branches of
-//! its 2 857 lines) pays neither a 192-byte plane copy nor a plane compare
-//! per branch per pass.
+//! never evaluates or stores one. Gate fanins, the event check,
+//! [`PackedBlock::triple`], [`PackedBlock::satisfied_lanes`] and
+//! [`PackedBlock::violated_lanes`] all read a line's planes through the
+//! circuit's stem table ([`Circuit::stem_of`]: a branch maps to its root
+//! stem, every other line to itself, built once by the circuit builder),
+//! and propagation skips branch lines outright. A branch-heavy netlist
+//! (s5378* has 1 736 branches of its 2 857 lines) pays neither a 192-byte
+//! plane copy nor a plane compare per branch per pass.
 //!
 //! # Arena reuse
 //!
@@ -139,15 +139,15 @@ fn not6<W: SimWord>(a: Planes<W>) -> Planes<W> {
 }
 
 /// Evaluates one gate over the plane arena: the fanin planes, each read
-/// through the stem-of table, are folded with the gate's rail algebra.
+/// through [`Circuit::stem_of`], are folded with the gate's rail algebra.
 #[inline]
 fn eval_gate<W: SimWord>(
     planes: &[Planes<W>],
-    stem: &[LineId],
+    circuit: &Circuit,
     kind: GateKind,
     fanin: &[LineId],
 ) -> Planes<W> {
-    let read = |f: &LineId| planes[stem[f.index()].index()];
+    let read = |f: &LineId| planes[circuit.stem_of(*f).index()];
     let first = read(&fanin[0]);
     let rest = fanin[1..].iter().map(read);
     let folded = match kind {
@@ -196,16 +196,13 @@ pub struct KernelStats {
 /// // Lane 1 applied stable inputs, so every line is stable.
 /// let scalar = pdf_netlist::simulate_triples(&circuit, &tests[1].to_triples());
 /// for (id, _) in circuit.iter() {
-///     assert_eq!(block.triple(id, 1), scalar[id.index()]);
+///     assert_eq!(block.triple(&circuit, id, 1), scalar[id.index()]);
 /// }
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedBlock<W: SimWord = Tile> {
     /// Planes per line; a branch's entry is never read or written.
     planes: Vec<Planes<W>>,
-    /// The line whose planes each line reads: a branch's stem, else the
-    /// line itself. Rebuilt when the arena binds a new epoch.
-    stem: Vec<LineId>,
     /// Stamp of the pass that last changed each line's planes.
     changed: Vec<u64>,
     /// Stamp of the pass that last evaluated each line.
@@ -224,7 +221,6 @@ impl<W: SimWord> Default for PackedBlock<W> {
     fn default() -> PackedBlock<W> {
         PackedBlock {
             planes: Vec::new(),
-            stem: Vec::new(),
             changed: Vec::new(),
             checked: Vec::new(),
             pass: 0,
@@ -277,11 +273,11 @@ impl<W: SimWord> PackedBlock<W> {
         stats
     }
 
-    /// Binds the arena to `circuit`, resetting planes and stamps and
-    /// rebuilding the stem-of table only when the circuit actually differs
-    /// from the one the arena last simulated (by [`Circuit::epoch`], so
-    /// reuse across distinct same-sized circuits is detected). In steady
-    /// state this is a two-field compare and no memory traffic.
+    /// Binds the arena to `circuit`, resetting planes and stamps only when
+    /// the circuit actually differs from the one the arena last simulated
+    /// (by [`Circuit::epoch`], so reuse across distinct same-sized circuits
+    /// is detected). In steady state this is a two-field compare and no
+    /// memory traffic.
     fn bind(&mut self, circuit: &Circuit) {
         if self.epoch == circuit.epoch() && self.planes.len() == circuit.line_count() {
             return;
@@ -293,23 +289,19 @@ impl<W: SimWord> PackedBlock<W> {
         self.changed.resize(n, 0);
         self.checked.clear();
         self.checked.resize(n, 0);
-        self.stem.clear();
-        self.stem.extend((0..n).map(LineId::new));
-        // Topological order resolves a branch of a branch to the root
-        // stem too.
-        for &id in circuit.topo_order() {
-            if let LineKind::Branch { stem } = circuit.kind(id) {
-                self.stem[id.index()] = self.stem[stem.index()];
-            }
-        }
         self.pass = 0;
         self.epoch = circuit.epoch();
     }
 
     /// The planes `line` reads: its own, or its stem's for a branch.
     #[inline]
-    fn planes_of(&self, line: LineId) -> &Planes<W> {
-        &self.planes[self.stem[line.index()].index()]
+    fn planes_of(&self, circuit: &Circuit, line: LineId) -> &Planes<W> {
+        debug_assert_eq!(
+            self.epoch,
+            circuit.epoch(),
+            "arena bound to another circuit"
+        );
+        &self.planes[circuit.stem_of(line).index()]
     }
 
     /// Overwrites one line's planes, stamping it changed for the upcoming
@@ -470,7 +462,6 @@ impl<W: SimWord> PackedBlock<W> {
         // arenas.
         let PackedBlock {
             planes,
-            stem,
             changed,
             checked,
             pass,
@@ -490,13 +481,13 @@ impl<W: SimWord> PackedBlock<W> {
             let line_checked = checked[idx];
             if !fanin
                 .iter()
-                .any(|f| changed[stem[f.index()].index()] > line_checked)
+                .any(|f| changed[circuit.stem_of(*f).index()] > line_checked)
             {
                 *skipped += 1;
                 continue;
             }
             *events += 1;
-            let out = eval_gate(planes, stem, kind, fanin);
+            let out = eval_gate(planes, circuit, kind, fanin);
             checked[idx] = pass;
             if planes[idx] != out {
                 planes[idx] = out;
@@ -516,13 +507,13 @@ impl<W: SimWord> PackedBlock<W> {
     ///
     /// Panics if `lane` is not a loaded lane or `line` is out of range.
     #[must_use]
-    pub fn triple(&self, line: LineId, lane: usize) -> Triple {
+    pub fn triple(&self, circuit: &Circuit, line: LineId, lane: usize) -> Triple {
         assert!(
             lane < self.count,
             "lane {lane} not loaded ({} tests in block)",
             self.count
         );
-        let p = self.planes_of(line);
+        let p = self.planes_of(circuit, line);
         let comp = |c: usize| {
             if p[2 * c].lane(lane) {
                 Value::Zero
@@ -542,10 +533,10 @@ impl<W: SimWord> PackedBlock<W> {
     /// all-zero by the load-time masking invariant; the initial `loaded`
     /// term only decides the degenerate empty-requirement case.
     #[must_use]
-    pub fn satisfied_lanes(&self, req: &Assignments) -> W {
+    pub fn satisfied_lanes(&self, circuit: &Circuit, req: &Assignments) -> W {
         let mut lanes = self.loaded;
         for (line, tri) in req.iter() {
-            let p = self.planes_of(line);
+            let p = self.planes_of(circuit, line);
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
                     Value::Zero => lanes = lanes.and(p[2 * c]),
@@ -565,10 +556,10 @@ impl<W: SimWord> PackedBlock<W> {
     /// component meets the opposite proven value. Lanes outside the block
     /// are never set, because their planes are all-zero.
     #[must_use]
-    pub fn violated_lanes(&self, req: &Assignments) -> W {
+    pub fn violated_lanes(&self, circuit: &Circuit, req: &Assignments) -> W {
         let mut lanes = W::ZERO;
         for (line, tri) in req.iter() {
-            let p = self.planes_of(line);
+            let p = self.planes_of(circuit, line);
             for (c, v) in tri.components().into_iter().enumerate() {
                 match v {
                     Value::Zero => lanes = lanes.or(p[2 * c + 1]),
@@ -612,7 +603,7 @@ mod tests {
                 let waves = simulate_triples(&c, &t.to_triples());
                 for (id, _) in c.iter() {
                     assert_eq!(
-                        block.triple(id, lane),
+                        block.triple(&c, id, lane),
                         waves[id.index()],
                         "line {id} lane {lane} width {}",
                         W::LANES
@@ -652,7 +643,7 @@ mod tests {
             for (lane, t) in chunk.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
                 for (id, _) in c.iter() {
-                    assert_eq!(block.triple(id, lane), waves[id.index()]);
+                    assert_eq!(block.triple(&c, id, lane), waves[id.index()]);
                 }
             }
         }
@@ -670,7 +661,7 @@ mod tests {
         for (b, chunk) in tests.chunks(TILE_LANES).enumerate() {
             block.load(&c, chunk);
             for entry in faults.iter() {
-                let lanes = block.satisfied_lanes(&entry.assignments);
+                let lanes = block.satisfied_lanes(&c, &entry.assignments);
                 for (lane, t) in chunk.iter().enumerate() {
                     let waves = simulate_triples(&c, &t.to_triples());
                     assert_eq!(
@@ -707,7 +698,7 @@ mod tests {
         let mut block: PackedBlock = PackedBlock::new();
         block.load(&c, &tests[..TILE_LANES - 3]);
         for entry in faults.iter() {
-            let lanes = block.violated_lanes(&entry.assignments);
+            let lanes = block.violated_lanes(&c, &entry.assignments);
             for (lane, t) in tests[..TILE_LANES - 3].iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
                 assert_eq!(
@@ -731,7 +722,7 @@ mod tests {
         assert_eq!(block.lanes(), Tile::low_lanes(3));
         // The empty requirement is satisfied by exactly the loaded lanes.
         assert_eq!(
-            block.satisfied_lanes(&Assignments::new()),
+            block.satisfied_lanes(&c, &Assignments::new()),
             Tile::low_lanes(3)
         );
     }
@@ -751,7 +742,7 @@ mod tests {
         for (id, _) in c.iter() {
             for (lane, t) in partial.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
-                assert_eq!(block.triple(id, lane), waves[id.index()]);
+                assert_eq!(block.triple(&c, id, lane), waves[id.index()]);
             }
         }
         // Requirements satisfiable by every lane of the wide block must
@@ -762,7 +753,7 @@ mod tests {
         for entry in faults.iter() {
             assert!(
                 block
-                    .satisfied_lanes(&entry.assignments)
+                    .satisfied_lanes(&c, &entry.assignments)
                     .and(Tile::low_lanes(2).not())
                     .is_zero(),
                 "stale lanes leaked for {}",
@@ -790,7 +781,7 @@ mod tests {
         // Waveforms are still queryable and correct after the no-op pass.
         let waves = simulate_triples(&c, &tests[5].to_triples());
         for (id, _) in c.iter() {
-            assert_eq!(block.triple(id, 5), waves[id.index()]);
+            assert_eq!(block.triple(&c, id, 5), waves[id.index()]);
         }
     }
 
@@ -805,7 +796,7 @@ mod tests {
         block.load(&small, &t17);
         let waves = simulate_triples(&small, &t17[2].to_triples());
         for (id, _) in small.iter() {
-            assert_eq!(block.triple(id, 2), waves[id.index()]);
+            assert_eq!(block.triple(&small, id, 2), waves[id.index()]);
         }
     }
 
@@ -842,7 +833,7 @@ mod tests {
         for (lane, t) in tests.iter().enumerate() {
             let waves = simulate_triples(&b, &t.to_triples());
             for (id, _) in b.iter() {
-                assert_eq!(block.triple(id, lane), waves[id.index()]);
+                assert_eq!(block.triple(&b, id, lane), waves[id.index()]);
             }
         }
     }
@@ -880,7 +871,7 @@ mod tests {
         assert_eq!(railed.lanes(), Tile::ONES);
         for (id, _) in c.iter() {
             for lane in 0..tests.len() {
-                assert_eq!(railed.triple(id, lane), loaded.triple(id, lane));
+                assert_eq!(railed.triple(&c, id, lane), loaded.triple(&c, id, lane));
             }
         }
     }

@@ -122,7 +122,7 @@ fn check_waveforms<W: SimWord>(c: &Circuit, tests: &[TwoPattern]) -> Result<(), 
             let waves = simulate_triples(c, &t.to_triples());
             for (id, _) in c.iter() {
                 prop_assert_eq!(
-                    block.triple(id, lane),
+                    block.triple(c, id, lane),
                     waves[id.index()],
                     "line {} lane {} width {}",
                     id,
@@ -197,7 +197,7 @@ proptest! {
         let chunk = &tests[..tests.len().min(Tile::LANES)];
         block.load(&c, chunk);
         for entry in faults.iter() {
-            let lanes = block.satisfied_lanes(&entry.assignments);
+            let lanes = block.satisfied_lanes(&c, &entry.assignments);
             for (lane, t) in chunk.iter().enumerate() {
                 let waves = simulate_triples(&c, &t.to_triples());
                 prop_assert_eq!(
@@ -273,8 +273,8 @@ proptest! {
         let waves: Vec<Vec<Triple>> =
             chunk.iter().map(|t| simulate_triples(&c, &t.to_triples())).collect();
         for req in requirements(&c, seed) {
-            let satisfied = block.satisfied_lanes(&req);
-            let violated = block.violated_lanes(&req);
+            let satisfied = block.satisfied_lanes(&c, &req);
+            let violated = block.violated_lanes(&c, &req);
             for (lane, w) in waves.iter().enumerate() {
                 prop_assert_eq!(satisfied.lane(lane), req.satisfied_by(w), "{} lane {}", req, lane);
                 prop_assert_eq!(violated.lane(lane), req.violated_by(w), "{} lane {}", req, lane);

@@ -117,6 +117,10 @@ pub mod counters {
     /// conflict on a path prefix shared with an earlier fault, without an
     /// implication fixpoint of their own.
     pub const RULE2_PREFIX_REFUTED: &str = "rule2_prefix_refuted";
+    /// Lines the implication engine processed (one count per rule
+    /// application centred on a stem or gate), added once per
+    /// `Implicator::propagate` call.
+    pub const IMPLICATION_STEPS: &str = "implication_steps";
     /// Error-severity diagnostics reported by the structural linter.
     pub const LINT_ERRORS: &str = "lint_errors";
     /// Gate lines actually (re-)evaluated by event-driven propagation

@@ -2,7 +2,8 @@
 //! for every phase — enumerate, eliminate, generate, enrich, compact,
 //! simulate — with nonzero durations, plus the standard counters, and the
 //! resulting report must survive a JSON round trip. The run is repeated
-//! on a two-worker pool, whose builds must report under `generate` too.
+//! on a two-worker pool, whose builds must report under `generate` too,
+//! with the same `implication_steps` count.
 //!
 //! This file holds exactly one test: telemetry state is process-global,
 //! and a dedicated integration-test binary is its own process.
@@ -15,12 +16,12 @@ use pdf_telemetry::{counters, RunReport};
 
 #[test]
 fn pipeline_run_emits_every_phase_span_and_counter() {
-    for threads in [1, 2] {
-        check_pipeline_report(threads);
-    }
+    let steps: Vec<u64> = [1, 2].into_iter().map(check_pipeline_report).collect();
+    assert_eq!(steps[0], steps[1], "implication_steps depends on the pool");
 }
 
-fn check_pipeline_report(threads: usize) {
+/// Checks one run's report and returns its `implication_steps` count.
+fn check_pipeline_report(threads: usize) -> u64 {
     let _ = pdf_telemetry::begin_recording();
 
     let circuit = s27();
@@ -116,6 +117,9 @@ fn check_pipeline_report(threads: usize) {
     // may already be minimal, so those counters only need to exist when
     // their events happened; tests_dropped is recorded even when zero.
     assert!(report.counter(counters::TESTS_DROPPED).is_some());
+    // Rule 2 and the screening pre-filter run on the implication engine.
+    let steps = report.counter(counters::IMPLICATION_STEPS).unwrap();
+    assert!(steps > 0);
 
     // Pool workers report only through their builds' buffers.
     let roots: Vec<&str> = report.spans.iter().map(|s| s.name.as_str()).collect();
@@ -127,4 +131,5 @@ fn check_pipeline_report(threads: usize) {
     let text = report.to_json();
     let parsed = RunReport::from_json(&text).expect("report JSON must parse back");
     assert_eq!(parsed, report);
+    steps
 }
