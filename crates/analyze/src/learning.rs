@@ -25,9 +25,12 @@
 //!    stored in *both* directions: `l.s = v ⇒ m.s' = w` and the
 //!    contrapositive `m.s' = ¬w ⇒ l.s = ¬v`.
 //!
-//! Only `α1 = 0` and `α1 = 1` on non-branch lines run the rounds: from the
-//! all-`x` engine the `α3` run is the `α1` run with the slot swapped, and
-//! a fanout branch reaches its stem's fixpoint (DESIGN §12).
+//! The table is keyed by stem at both ends (DESIGN §12). A fanout branch
+//! shares its stem's value in the [`Implicator`], so the engine fires the
+//! stem's rows whenever a branch is decided, and a fixpoint lists stems
+//! only: no row names a fanout branch. Only `α1 = 0` and `α1 = 1` on
+//! non-branch lines run the rounds: from the all-`x` engine the `α3` run
+//! is the `α1` run with the slot swapped.
 //!
 //! Soundness rests on two facts:
 //!
@@ -87,17 +90,15 @@ fn learn_implications_with_cap(circuit: &Circuit, split_cap: usize) -> LearnedIm
     let mut imp = Implicator::new(circuit);
     for (id, _) in circuit.iter() {
         if circuit.kind(id).is_branch() {
-            continue; // learned with its stem
+            continue; // its stem's rows cover it
         }
-        // The stem and its fanout branches reach the same fixpoint.
-        let class = std::iter::once(id).chain(circuit.branches(id).iter().copied());
         for value in [Value::Zero, Value::One] {
             let Some(lessons) = lessons(circuit, &mut imp, Literal::new(id, 0, value), split_cap)
             else {
                 continue;
             };
-            for (line, slot) in class.clone().flat_map(|l| [(l, 0usize), (l, 2)]) {
-                lessons.record(Literal::new(line, slot, value), &mut table);
+            for slot in [0, 2] {
+                lessons.record(Literal::new(id, slot, value), &mut table);
             }
         }
     }
@@ -214,7 +215,7 @@ fn lessons(
     })
 }
 
-/// The lines changed since `mark`, each once, in id order, with their
+/// The stems changed since `mark`, each once, in id order, with their
 /// current values.
 fn changed_lines(imp: &Implicator<'_>, mark: usize) -> Vec<(LineId, Triple)> {
     let mut lines: Vec<LineId> = imp.changed_since(mark).collect();
@@ -235,9 +236,10 @@ fn outer_literals(lines: &[(LineId, Triple)]) -> impl Iterator<Item = Literal> +
 
 /// Split candidates: unspecified outer slots of fanins of gates the
 /// fixpoint already touched (output or some sibling fanin specified in
-/// that slot), in gate-id order. Only gates that are, or are fed by, an
-/// `implied` line can be touched. Branch lines resolve to their stems so
-/// the candidate list is not inflated by equivalent splits.
+/// that slot), in gate-id order. Only gates that are, or read, an
+/// `implied` stem can be touched; a stem's readers include the gates it
+/// feeds through its fanout branches. Branch lines resolve to their stems
+/// so the candidate list is not inflated by equivalent splits.
 fn frontier_splits(
     circuit: &Circuit,
     imp: &Implicator<'_>,
@@ -251,7 +253,7 @@ fn frontier_splits(
     }
     let mut touched: Vec<LineId> = implied
         .iter()
-        .flat_map(|&(l, _)| std::iter::once(l).chain(circuit.fanout(l).iter().copied()))
+        .flat_map(|&(l, _)| std::iter::once(l).chain(circuit.readers(l).iter().copied()))
         .filter(|&g| circuit.kind(g).is_gate())
         .collect();
     touched.sort_unstable();
@@ -308,13 +310,16 @@ mod tests {
     use pdf_netlist::{CircuitBuilder, SynthProfile};
     use proptest::prelude::*;
 
-    /// The per-literal learner the pass replaces: every line, both outer
-    /// slots and both values run their own fixpoint. The pass must store
-    /// exactly its table.
+    /// The per-literal learner the pass replaces: every non-branch line,
+    /// both outer slots and both values run their own fixpoint. The pass
+    /// must store exactly its table.
     fn learn_per_literal(circuit: &Circuit, split_cap: usize) -> LearnedImplications {
         let mut table = LearnedImplications::new(circuit.line_count());
         let mut imp = Implicator::new(circuit);
         for (id, _) in circuit.iter() {
+            if circuit.kind(id).is_branch() {
+                continue;
+            }
             for slot in [0usize, 2] {
                 for value in [Value::Zero, Value::One] {
                     let antecedent = Literal::new(id, slot, value);
@@ -415,9 +420,9 @@ mod tests {
         );
     }
 
-    /// The slot mirror and the stem/branch class copy lessons instead of
-    /// re-deriving them, so the table equals the per-literal learner's
-    /// pair for pair, with and without round 2.
+    /// The slot mirror copies lessons instead of re-deriving them, so the
+    /// table equals the per-literal learner's pair for pair, with and
+    /// without round 2.
     #[test]
     fn table_matches_the_per_literal_oracle() {
         let b03r = pdf_netlist::circuit_by_name("b03+r").expect("stand-in");
@@ -433,6 +438,32 @@ mod tests {
         assert!(learn_implications_with_cap(&c, 0)
             .iter()
             .eq(learn_per_literal(&c, 0).iter()));
+    }
+
+    /// Asserts that no row of `circuit`'s table names a fanout branch, at
+    /// either end.
+    fn assert_stems_only(circuit: &Circuit, table: &LearnedImplications) {
+        let branch = |l: Literal| circuit.kind(l.line).is_branch();
+        assert!(
+            !table.iter().any(|(a, c)| branch(a) || branch(c)),
+            "{}: a learned row names a fanout branch",
+            circuit.name()
+        );
+    }
+
+    /// The table sizes. A round-2 frontier that misses the gates reading
+    /// a stem through its fanout branches learns fewer rows, and the
+    /// per-literal oracle shares that frontier, so only a pin catches it.
+    #[test]
+    fn table_sizes_are_pinned() {
+        for (name, pinned) in [("s27", 124), ("b03+r", 8_844), ("b09", 12_028)] {
+            let circuit = pdf_netlist::circuit_by_name(name).expect("known circuit");
+            let table = learn_implications(&circuit);
+            assert_eq!(table.len(), pinned, "{name}");
+            assert_stems_only(&circuit, &table);
+        }
+        let (c, ..) = mux_buffer();
+        assert_stems_only(&c, &learn_implications(&c));
     }
 
     proptest! {

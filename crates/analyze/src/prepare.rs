@@ -296,7 +296,7 @@ mod tests {
         // `pdfatpg faults false_path.bench --static-learning --sensitize`.
         assert_eq!(
             notes(true, true),
-            "static learning: 780 implications learned, 0 faults eliminated\n\
+            "static learning: 220 implications learned, 0 faults eliminated\n\
              sensitizability: 9 paths (9 false, 0 robust, 0 unknown); 18 faults pre-eliminated\n"
         );
     }

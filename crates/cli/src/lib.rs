@@ -1402,6 +1402,43 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_with_the_old_learned_count_is_refused() {
+        // The learned table keys its rows by stem. Checkpoints written
+        // while it also stored a copy per fanout branch pin that larger
+        // count (464 rows on s27), and must not resume.
+        let path =
+            std::env::temp_dir().join(format!("pdf_cli_learned_{}.json", std::process::id()));
+        let file = path.to_str().unwrap();
+        let line = [
+            "atpg",
+            "s27",
+            "--np0",
+            "10",
+            "--seed",
+            "9",
+            "--static-learning",
+        ];
+        run(&args(&[&line[..], &["--checkpoint", file]].concat())).unwrap();
+        let mut checkpoint = Checkpoint::load(&path).unwrap();
+        let current = checkpoint.fingerprint.clone();
+        assert!(current.ends_with(":learned=124"), "{current}");
+        let old = current.replace(":learned=124", ":learned=464");
+        checkpoint.fingerprint.clone_from(&old);
+        std::fs::write(&path, checkpoint.to_journal()).unwrap();
+        let refused = run(&args(&[&line[..], &["--resume", file]].concat()));
+        let _ = std::fs::remove_file(&path);
+        let err = refused.unwrap_err();
+        assert_eq!(err.code, EXIT_ERROR, "{err}");
+        assert_eq!(
+            err.message,
+            format!(
+                "--resume: checkpoint does not match this run: fingerprint is \
+                 `{old}` in the checkpoint but `{current}` here"
+            )
+        );
+    }
+
+    #[test]
     fn resume_of_a_corrupt_checkpoint_exits_with_the_corrupt_code() {
         let path =
             std::env::temp_dir().join(format!("pdf_cli_corrupt_{}.json", std::process::id()));

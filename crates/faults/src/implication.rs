@@ -225,10 +225,12 @@ impl<'c> Implicator<'c> {
         }
     }
 
-    /// Attaches a statically learned closure table: whenever a line's
+    /// Attaches a statically learned closure table: whenever a stem's
     /// outer component becomes specified, the table's consequents are
-    /// applied as an extra implication rule. Attach it before asserting
-    /// anything: literals already decided do not fire.
+    /// applied as an extra implication rule. Rows are looked up by stem
+    /// only, so a row keyed by a fanout branch never fires; a row keyed by
+    /// the stem fires when any of its branches is decided. Attach it
+    /// before asserting anything: literals already decided do not fire.
     #[must_use]
     pub fn with_learned(mut self, learned: &'c LearnedImplications) -> Implicator<'c> {
         debug_assert!(self.trail.is_empty(), "table attached to a narrowed engine");
@@ -291,15 +293,12 @@ impl<'c> Implicator<'c> {
         self.trail.len()
     }
 
-    /// The lines whose value changed since `mark` was taken, oldest
-    /// change first: each changed stem followed by its fanout branches,
-    /// which share its value. A line narrowed more than once appears once
-    /// per change.
+    /// The stems whose value changed since `mark` was taken, oldest
+    /// change first; a fanout branch is never listed, it carries its
+    /// stem's value. A stem narrowed more than once appears once per
+    /// change.
     pub fn changed_since(&self, mark: usize) -> impl Iterator<Item = LineId> + '_ {
-        let circuit = self.circuit;
-        self.trail[mark..].iter().flat_map(move |&(stem, _)| {
-            std::iter::once(stem).chain(circuit.branches(stem).iter().copied())
-        })
+        self.trail[mark..].iter().map(|&(stem, _)| stem)
     }
 
     /// Restores every line value to what it was when `mark` was taken and
@@ -369,10 +368,9 @@ impl<'c> Implicator<'c> {
     }
 
     /// Writes a stem's changed value through the trail, records the outer
-    /// literals it decides on the stem and on each of its branches (a
-    /// learned row may be keyed by either), and queues the stem and its
-    /// readers: no rule centred on a line reads that line's readers, so
-    /// its fanins have nothing new to derive.
+    /// literals it decides, and queues the stem and its readers: no rule
+    /// centred on a line reads that line's readers, so its fanins have
+    /// nothing new to derive.
     fn set(&mut self, stem: LineId, old: u8, new: u8) {
         // The circuit outlives the engine borrow.
         let circuit = self.circuit;
@@ -389,9 +387,7 @@ impl<'c> Implicator<'c> {
                 } else {
                     Value::One
                 };
-                for &line in std::iter::once(&stem).chain(circuit.branches(stem)) {
-                    self.pending.push(Literal::new(line, bit & 3, value));
-                }
+                self.pending.push(Literal::new(stem, bit & 3, value));
                 decided &= decided - 1;
             }
         }
@@ -703,26 +699,26 @@ mod tests {
     }
 
     #[test]
-    fn changed_since_lists_a_narrowed_stems_branches() {
-        let (c, [_x, s, s1, s2, _g1, g2]) = branches();
+    fn changed_since_lists_stems_only() {
+        let (c, [_x, s, s1, _s2, _g1, g2]) = branches();
         let mut imp = Implicator::new(&c);
         let mark = imp.mark();
         imp.assign(s1, Triple::STABLE1).unwrap();
-        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s, s1, s2]);
+        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s]);
         imp.propagate().unwrap();
-        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s, s1, s2, g2]);
+        assert_eq!(imp.changed_since(mark).collect::<Vec<_>>(), [s, g2]);
     }
 
     #[test]
-    fn learned_rows_keyed_by_a_branch_fire_when_the_stem_is_decided() {
+    fn a_stem_row_fires_when_a_branch_is_asserted() {
         let (c, [x, s, _s1, s2, ..]) = branches();
         let mut table = LearnedImplications::new(c.line_count());
         table.add(
-            Literal::new(s2, 0, Value::One),
+            Literal::new(s, 0, Value::One),
             Literal::new(x, 0, Value::Zero),
         );
         let mut imp = Implicator::new(&c).with_learned(&table);
-        imp.assign(s, t("1xx")).unwrap();
+        imp.assign(s2, t("1xx")).unwrap();
         imp.propagate().unwrap();
         assert_eq!(imp.value(x), t("0xx"));
     }

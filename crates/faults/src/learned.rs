@@ -17,7 +17,10 @@
 //!
 //! The table itself is plain data (built once per circuit by the
 //! `pdf-analyze` learning pass, consumed here by the implication engine),
-//! stored as one adjacency row per `(line, slot, value)` literal.
+//! stored as one adjacency row per `(line, slot, value)` literal. A fanout
+//! branch carries its stem's value, so the learning pass keys both ends of
+//! every pair by stem, and the engine looks rows up by stem only: a row
+//! keyed by a fanout branch never fires.
 
 use pdf_logic::Value;
 use pdf_netlist::LineId;
@@ -164,12 +167,6 @@ impl LearnedImplications {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The number of lines the table was sized for.
-    #[must_use]
-    pub fn line_count(&self) -> usize {
-        self.rows.len() / 4
     }
 }
 

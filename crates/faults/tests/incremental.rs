@@ -9,6 +9,9 @@
 //!   of every decided literal, until nothing changes — so neither firing
 //!   each learned row once nor queueing only a changed line's fanouts
 //!   loses an implication.
+//! * The engine's closure with the stem-keyed learned table equals the
+//!   reference closure with that table copied onto every fanout branch,
+//!   so keying rows by stem loses no implication.
 //! * Random `assign` / `propagate` / `mark` / `undo_to` sequences agree,
 //!   at every state, with that reference closure, which keeps a value per
 //!   fanout branch and applies branch identity as a rule: the engine,
@@ -350,9 +353,13 @@ fn backward_component(
     }
 }
 
-fn check_reference_closure(
+/// The engine's closure with `learned` against [`reference_closure`]
+/// with `oracle_table`, on random requirement sets: every line value and
+/// the conflict verdict.
+fn check_closures(
     circuit: &Circuit,
     learned: Option<&LearnedImplications>,
+    oracle_table: Option<&LearnedImplications>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut rng = SplitMix64::new(seed);
@@ -362,12 +369,52 @@ fn check_reference_closure(
             .collect();
         prop_assert_eq!(
             fresh(circuit, learned, &asserted),
-            reference_closure(circuit, learned, &asserted),
+            reference_closure(circuit, oracle_table, &asserted),
             "requirements {:?}",
             asserted
         );
     }
     Ok(())
+}
+
+/// `table` with every row copied onto every pair of lines that carry
+/// the row's two stems: the stem and each of its fanout branches, at
+/// either end. Self-pairs are dropped, as [`LearnedImplications::add`]
+/// drops them.
+fn expand_to_branch_classes(circuit: &Circuit, table: &LearnedImplications) -> LearnedImplications {
+    let mut class: Vec<Vec<LineId>> = vec![Vec::new(); circuit.line_count()];
+    for (id, _) in circuit.iter() {
+        class[circuit.stem_of(id).index()].push(id);
+    }
+    let mut expanded = LearnedImplications::new(circuit.line_count());
+    for (a, c) in table.iter() {
+        for &x in &class[a.line.index()] {
+            for &y in &class[c.line.index()] {
+                expanded.add(
+                    Literal::new(x, a.slot, a.value),
+                    Literal::new(y, c.slot, c.value),
+                );
+            }
+        }
+    }
+    expanded
+}
+
+/// The stem-keyed table loses nothing against its copy on every branch:
+/// the engine's closure with the stem table equals the reference closure
+/// with the expanded table.
+fn check_stem_table_closure(circuit: &Circuit, seed: u64) -> Result<(), TestCaseError> {
+    let table = learn_implications(circuit);
+    let expanded = expand_to_branch_classes(circuit, &table);
+    check_closures(circuit, Some(&table), Some(&expanded), seed)
+}
+
+#[test]
+fn the_stem_table_closes_like_its_branch_class_expansion_on_a_redundant_stand_in() {
+    let circuit = circuit_by_name("b03+r").expect("stand-in");
+    for seed in 0..4 {
+        check_stem_table_closure(&circuit, seed).unwrap();
+    }
 }
 
 proptest! {
@@ -384,8 +431,20 @@ proptest! {
         };
         let table = learn_implications(&circuit);
         for learned in [None, Some(&table)] {
-            check_reference_closure(&circuit, learned, seed)?;
+            check_closures(&circuit, learned, learned, seed)?;
         }
+    }
+
+    #[test]
+    fn the_stem_table_closes_like_its_branch_class_expansion(
+        seed in 0u64..1_000_000,
+        gadgets in 0usize..=2,
+    ) {
+        let Some(circuit) = synth(seed, gadgets) else {
+            prop_assume!(false);
+            unreachable!()
+        };
+        check_stem_table_closure(&circuit, seed)?;
     }
 
     #[test]
@@ -393,7 +452,7 @@ proptest! {
         let circuit = parity_synth(seed);
         let table = learn_implications(&circuit);
         for learned in [None, Some(&table)] {
-            check_reference_closure(&circuit, learned, seed)?;
+            check_closures(&circuit, learned, learned, seed)?;
         }
     }
 }

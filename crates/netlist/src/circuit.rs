@@ -183,10 +183,9 @@ impl Csr {
 /// [`LineId`] (a dense kind array and two CSR tables), so the per-line
 /// sweeps of simulation, implication and justification read contiguous
 /// memory instead of per-line heap structures. A fanout branch carries its
-/// stem's value, so the circuit also keeps the branch tables
-/// ([`Circuit::stem_of`], [`Circuit::readers`], [`Circuit::branches`])
-/// through which the packed simulator and the implication engine store
-/// one value per stem.
+/// stem's value, so the circuit also keeps two branch tables
+/// ([`Circuit::stem_of`], [`Circuit::readers`]) through which the packed
+/// simulator and the implication engine store one value per stem.
 ///
 /// # Example
 ///
@@ -219,8 +218,6 @@ pub struct Circuit {
     /// Per stem, the gates reading its value directly or through its
     /// branches; empty rows for branches.
     readers: Csr,
-    /// Per stem, the branches carrying its value; empty rows for branches.
-    branches: Csr,
     inputs: Vec<LineId>,
     outputs: Vec<LineId>,
     /// Line ids in topological order (fanins before fanouts).
@@ -299,15 +296,6 @@ impl Circuit {
     #[must_use]
     pub fn readers(&self, stem: LineId) -> &[LineId] {
         self.readers.row(stem.index())
-    }
-
-    /// The fanout branches carrying `stem`'s value (every branch whose
-    /// [`Circuit::stem_of`] is `stem`), ascending. Empty for a branch
-    /// line.
-    #[inline]
-    #[must_use]
-    pub fn branches(&self, stem: LineId) -> &[LineId] {
-        self.branches.row(stem.index())
     }
 
     /// The fanin cone of `roots` as a member mask indexed by
@@ -733,13 +721,6 @@ impl CircuitBuilder {
                 .map(|(f, g)| (stem_of[f.index()], g))
                 .collect(),
         );
-        let branches = Csr::from_pairs(
-            n,
-            (0..n)
-                .filter(|&i| kinds[i].is_branch())
-                .map(|b| (stem_of[b], LineId::new(b)))
-                .collect(),
-        );
 
         // Relaxed is enough: the counter only needs uniqueness, not
         // ordering against any other memory.
@@ -754,7 +735,6 @@ impl CircuitBuilder {
             fanout,
             stem_of,
             readers,
-            branches,
             inputs,
             outputs,
             topo,
@@ -829,10 +809,8 @@ mod tests {
         assert_eq!(circuit.stem_of(g), g);
         // `g` reads `a` twice, through two branches, and is listed once.
         assert_eq!(circuit.readers(a), &[g, h]);
-        assert_eq!(circuit.branches(a), &[a1, a2, a21, a22]);
         assert_eq!(circuit.readers(c), &[g]);
-        assert!(circuit.branches(c).is_empty());
-        assert!(circuit.readers(a2).is_empty() && circuit.branches(a2).is_empty());
+        assert!(circuit.readers(a2).is_empty());
         assert!(circuit.readers(h).is_empty());
     }
 
